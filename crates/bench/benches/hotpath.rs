@@ -1,15 +1,16 @@
 //! Microbenchmarks of the native runtime's hot paths: coarse vs sharded
-//! dispatch state, serialized vs batched trace emission, and sequential vs
-//! parallel NBIA kernels. These isolate the layers that `repro perf`
-//! measures end-to-end.
+//! dispatch state, serialized vs batched trace emission, sequential vs
+//! parallel NBIA kernels, and weighing a buffer through the memoised
+//! estimator. These isolate the layers that `repro perf` measures
+//! end-to-end.
 
 use anthill::buffer::{BufferId, DataBuffer};
 use anthill::local::{ExecMode, HotPath, LocalFilter, LocalTask, Pipeline, WorkerSpec};
 use anthill::obs::{DeviceRef, EventKind, Recorder};
 use anthill::policy::PolicyKind;
-use anthill::weights::OracleWeights;
-use anthill_estimator::TaskParams;
-use anthill_hetsim::{DeviceKind, GpuParams, TaskShape};
+use anthill::weights::{EstimatorWeights, OracleWeights, WeightProvider};
+use anthill_estimator::{KnnEstimator, OnlineProfile, ProfileStore, TaskParams};
+use anthill_hetsim::{DeviceKind, GpuParams, NbiaCostModel, TaskShape};
 use anthill_kernels::texture::{feature_vector, feature_vector_par};
 use anthill_kernels::tiles::QUANT_LEVELS;
 use anthill_simkit::SimDuration;
@@ -121,5 +122,59 @@ fn kernels(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(hotpath, dispatch, trace_emission, kernels);
+/// What the engine pays to weigh one buffer through [`EstimatorWeights`]:
+/// a memo hit (`warm`), the kNN query behind a miss (`cold`: an online
+/// span invalidates the shape before every weighing), and the key alone.
+fn weighing(c: &mut Criterion) {
+    let mut g = c.benchmark_group("weighing");
+    let cost = NbiaCostModel::paper_calibrated();
+    let mut profile = ProfileStore::new("nbia");
+    let buffers: Vec<DataBuffer> = (1..=30u32)
+        .map(|i| {
+            let shape = cost.tile(16 * i);
+            let params = TaskParams::nums(&[f64::from(16 * i)]);
+            profile.add_cpu_gpu(params.clone(), shape.cpu.as_secs_f64(), 1e-3);
+            DataBuffer {
+                id: BufferId(u64::from(i)),
+                params,
+                shape,
+                level: 0,
+                task: u64::from(i),
+            }
+        })
+        .collect();
+    let est = KnnEstimator::fit_default(profile);
+    g.throughput(Throughput::Elements(buffers.len() as u64));
+
+    let warm = EstimatorWeights::new(est.clone());
+    g.bench_function("estimator_weights_pair_warm", |b| {
+        b.iter(|| {
+            for buf in &buffers {
+                black_box(warm.weights_pair(black_box(buf)));
+            }
+        })
+    });
+
+    // `min_obs` is out of reach, so the spans only invalidate.
+    let cold = EstimatorWeights::with_online(est, OnlineProfile::default(), u64::MAX);
+    g.bench_function("estimator_weights_pair_cold", |b| {
+        b.iter(|| {
+            for buf in &buffers {
+                cold.observe(buf, 0, 0, DeviceKind::Cpu, 1e-3);
+                black_box(cold.weights_pair(black_box(buf)));
+            }
+        })
+    });
+
+    g.bench_function("shape_key", |b| {
+        b.iter(|| {
+            for buf in &buffers {
+                black_box(black_box(&buf.params).shape_key());
+            }
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(hotpath, dispatch, trace_emission, kernels, weighing);
 criterion_main!(hotpath);

@@ -32,12 +32,11 @@ pub fn pop_for(
 }
 
 /// Per-device weights of a buffer, in `DeviceKind::ALL` order — the shape
-/// [`SharedQueue`] insertion expects.
+/// [`SharedQueue`] insertion expects. One
+/// [`weights_pair`](WeightProvider::weights_pair) call: each device
+/// class's time is predicted once per weighing.
 pub fn weights_for<W: WeightProvider + ?Sized>(weights: &W, buf: &DataBuffer) -> [f64; 2] {
-    [
-        weights.weight(buf, DeviceKind::Cpu),
-        weights.weight(buf, DeviceKind::Gpu),
-    ]
+    weights.weights_pair(buf)
 }
 
 /// Dispatch visit order over worker slots of the given device kinds: GPUs

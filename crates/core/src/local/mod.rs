@@ -640,18 +640,12 @@ impl Pipeline {
             .collect();
 
         let capacity = self.capacity;
-        // Per-push weight vector: skipped entirely for FIFO lanes; computed
-        // with one prediction per device class on the optimized hot path,
-        // or with the legacy one-call-per-weight shape under Coarse (the
-        // faithful pre-overhaul baseline).
+        // Per-push weight vector: skipped entirely for FIFO lanes.
         let lane_weights = |sq: &StageQueue, buf: &crate::buffer::DataBuffer| -> [f64; 2] {
             if !sq.needs_weights {
                 return [0.0; 2];
             }
-            match hot_path {
-                HotPath::Coarse => select::weights_for(weights, buf),
-                HotPath::Sharded => weights.weights_pair(buf),
-            }
+            select::weights_for(weights, buf)
         };
         let enqueue = |stage: usize, task: LocalTask, queues: &[StageQueue], bounded: bool| {
             // Everything except the push itself stays outside the queue

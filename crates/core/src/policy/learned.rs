@@ -192,7 +192,7 @@ impl<W: WeightProvider> LearnedWeights<W> {
     /// Stable shape key of a buffer (hash of its parameters) — matches
     /// the key reported in `profile_updated` events.
     pub fn shape_key(buf: &DataBuffer) -> u64 {
-        fnv1a64(format!("{:?}", buf.params).as_bytes())
+        buf.params.shape_key()
     }
 
     fn class_index(kind: DeviceKind) -> usize {
@@ -496,8 +496,11 @@ mod tests {
     fn bandit_learns_to_prefer_the_rewarding_arm() {
         let lw = learner(PolicyKind::Bandit);
         let ctx = DecisionCtx::default();
-        // GPU spans are consistently 20x faster for this shape.
-        for id in 0..60u64 {
+        // GPU spans are consistently 20x faster for this shape. The arms
+        // start level and ties go to the CPU, so the GPU is first pulled by
+        // an exploration step (one decision in 40): train long enough for
+        // the seed's exploration hash to take several.
+        for id in 0..300u64 {
             let buf = tile(id, 256);
             let d = lw.decide(&buf, &ctx).unwrap();
             let secs = match d.arm {
@@ -507,7 +510,7 @@ mod tests {
             lw.observe(&buf, 0, 0, d.arm, secs).unwrap();
         }
         // Greedy (non-explore) decisions now pick the GPU arm.
-        let verdicts: Vec<Decision> = (100..120u64)
+        let verdicts: Vec<Decision> = (1000..1020u64)
             .map(|id| lw.decide(&tile(id, 256), &ctx).unwrap())
             .collect();
         assert!(verdicts

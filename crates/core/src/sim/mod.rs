@@ -10,7 +10,7 @@ mod workload;
 
 pub use graph::{run_graph_sim, GraphSimConfig, GraphSimReport};
 pub use report::SimReport;
-pub use runtime::{run_nbia, SimConfig};
+pub use runtime::{nbia_estimator, run_nbia, run_nbia_with, SimConfig};
 pub use workload::WorkloadSpec;
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use anthill_estimator::ProfileStore;
+use anthill_estimator::{KnnEstimator, ProfileStore};
 use anthill_hetsim::{
     ClusterSpec, DeviceId, DeviceKind, GpuEngines, GpuParams, NetParams, Network,
 };
@@ -623,10 +623,10 @@ impl World for NbiaWorld {
     }
 }
 
-/// Build the estimator-backed weight provider: phase-one benchmark of 30
-/// jobs across the workload's tile-size range with measurement noise, then
-/// a kNN fit with the paper's `k = 2`.
-fn build_estimator(cfg: &SimConfig, workload: &WorkloadSpec) -> EstimatorWeights {
+/// Fit the estimator behind [`SimConfig::use_estimator`]: phase-one
+/// benchmark of 30 jobs across the workload's tile-size range with
+/// measurement noise, then a kNN fit with the paper's `k = 2`.
+pub fn nbia_estimator(cfg: &SimConfig, workload: &WorkloadSpec) -> KnnEstimator {
     let oracle = OracleWeights::new(cfg.gpu.clone(), cfg.async_transfers);
     let mut rng = SimRng::new(cfg.seed).fork("estimator-profile");
     let mut profile = ProfileStore::new("nbia");
@@ -664,16 +664,26 @@ fn build_estimator(cfg: &SimConfig, workload: &WorkloadSpec) -> EstimatorWeights
             count += 1;
         }
     }
-    EstimatorWeights::new(anthill_estimator::KnnEstimator::fit_default(profile))
+    KnnEstimator::fit_default(profile)
 }
 
 /// Run the NBIA workload on the configured cluster; returns measurements.
 pub fn run_nbia(cfg: &SimConfig, workload: &WorkloadSpec) -> SimReport {
     let base: Box<dyn WeightProvider> = if cfg.use_estimator {
-        Box::new(build_estimator(cfg, workload))
+        Box::new(EstimatorWeights::new(nbia_estimator(cfg, workload)))
     } else {
         Box::new(OracleWeights::new(cfg.gpu.clone(), cfg.async_transfers))
     };
+    run_nbia_with(cfg, workload, base)
+}
+
+/// [`run_nbia`] weighing buffers with `base` in place of the provider
+/// [`SimConfig::use_estimator`] selects (a learned policy still wraps it).
+pub fn run_nbia_with(
+    cfg: &SimConfig,
+    workload: &WorkloadSpec,
+    base: Box<dyn WeightProvider>,
+) -> SimReport {
     let weights: Box<dyn WeightProvider> = if cfg.policy.kind.learned() {
         Box::new(LearnedWeights::new(
             cfg.policy.kind,

@@ -8,10 +8,22 @@
 //! speedup: the GPU queue is sorted by GPU-over-CPU speedup and the CPU
 //! queue by its reciprocal). Only the resulting *ordering* matters, so
 //! estimator error tolerance is high (paper Sections 4–5.2).
+//!
+//! ## What one weighing costs
+//!
+//! A buffer is weighed once per hop, through
+//! [`WeightProvider::weights_pair`]: one predicted time per device class
+//! yields both weights. For [`EstimatorWeights`] the pair is one memo
+//! lookup. The memo is keyed by [`TaskParams::shape_key`] — an
+//! allocation-free hash of the parameters — and each entry keeps the
+//! parameters it was computed for: a lookup whose parameters differ from
+//! the stored ones is a miss, so two shapes sharing a key recompute
+//! instead of reading each other's times.
 
 use crate::buffer::DataBuffer;
-use anthill_estimator::{fnv1a64, DeviceClass, KnnEstimator, OnlineProfile};
+use anthill_estimator::{DeviceClass, KnnEstimator, OnlineProfile, ShapeKey, TaskParams};
 use anthill_hetsim::{CopyMode, DeviceKind, GpuParams};
+use std::collections::HashMap;
 
 /// Engine state visible to a learned provider at decision time — the
 /// contextual features of [`WeightProvider::decide`].
@@ -228,8 +240,7 @@ impl WeightProvider for OracleWeights {
 
 /// Estimator-backed weights: a fitted kNN model per the paper's Section 4,
 /// queried on the buffer's input parameters, with a bounded O(1) memo
-/// cache since replicated dataflows see many tasks with identical
-/// parameters.
+/// since replicated dataflows see many tasks with identical parameters.
 ///
 /// With [`EstimatorWeights::with_online`] the provider additionally keeps
 /// an [`OnlineProfile`] fed by [`observe`](WeightProvider::observe)d
@@ -239,7 +250,7 @@ impl WeightProvider for OracleWeights {
 /// shape — a stale cached pair must never outlive a `profile_updated`.
 pub struct EstimatorWeights {
     est: KnnEstimator,
-    cache: parking_lot::Mutex<std::collections::HashMap<Vec<u8>, [f64; 2]>>,
+    memo: parking_lot::Mutex<Memo>,
     online: Option<parking_lot::Mutex<OnlineProfile>>,
     min_obs: u64,
 }
@@ -247,6 +258,31 @@ pub struct EstimatorWeights {
 /// Cap on memoized parameter keys (a replicated dataflow reuses a handful
 /// of distinct shapes; the cap only guards pathological workloads).
 const CACHE_CAP: usize = 4096;
+
+/// Predicted `[cpu, gpu]` times per shape key. Each entry holds the
+/// parameters it was computed for, because distinct shapes may share a key.
+#[derive(Default)]
+struct Memo(HashMap<ShapeKey, (TaskParams, [f64; 2])>);
+
+impl Memo {
+    /// The times stored under `key`, if they were computed for `params`.
+    fn get(&self, key: ShapeKey, params: &TaskParams) -> Option<[f64; 2]> {
+        let (stored, times) = self.0.get(&key)?;
+        (stored == params).then_some(*times)
+    }
+
+    /// Store `times` for `params` (replacing a colliding shape's entry)
+    /// unless [`CACHE_CAP`] keys are already held.
+    fn insert(&mut self, key: ShapeKey, params: &TaskParams, times: [f64; 2]) {
+        if self.0.len() < CACHE_CAP {
+            self.0.insert(key, (params.clone(), times));
+        }
+    }
+
+    fn remove(&mut self, key: ShapeKey) {
+        self.0.remove(&key);
+    }
+}
 
 /// Online observations of a cell before its EWMA mean overrides the
 /// static kNN prediction.
@@ -257,7 +293,7 @@ impl EstimatorWeights {
     pub fn new(est: KnnEstimator) -> EstimatorWeights {
         EstimatorWeights {
             est,
-            cache: parking_lot::Mutex::new(std::collections::HashMap::new()),
+            memo: parking_lot::Mutex::default(),
             online: None,
             min_obs: ONLINE_MIN_OBS,
         }
@@ -274,7 +310,7 @@ impl EstimatorWeights {
     ) -> EstimatorWeights {
         EstimatorWeights {
             est,
-            cache: parking_lot::Mutex::new(std::collections::HashMap::new()),
+            memo: parking_lot::Mutex::default(),
             online: Some(parking_lot::Mutex::new(profile)),
             min_obs: min_obs.max(1),
         }
@@ -287,18 +323,25 @@ impl EstimatorWeights {
         }
     }
 
-    fn key(buf: &DataBuffer) -> Vec<u8> {
-        // Cheap structural key over the parameters.
-        format!("{:?}", buf.params).into_bytes()
-    }
-
     /// Stable shape key of a buffer — the cell key the online profile and
     /// the `profile_updated` trace use.
-    pub fn shape_key(buf: &DataBuffer) -> u64 {
-        fnv1a64(&Self::key(buf))
+    pub fn shape_key(buf: &DataBuffer) -> ShapeKey {
+        buf.params.shape_key()
     }
 
-    fn predicted_times(&self, buf: &DataBuffer, key: &[u8]) -> [f64; 2] {
+    /// Predicted `[cpu, gpu]` times of `buf`: one memo lookup when its
+    /// shape was seen before, the estimator (and online profile) otherwise.
+    fn times(&self, buf: &DataBuffer) -> [f64; 2] {
+        let key = Self::shape_key(buf);
+        if let Some(times) = self.memo.lock().get(key, &buf.params) {
+            return times;
+        }
+        let times = self.predicted_times(buf, key);
+        self.memo.lock().insert(key, &buf.params, times);
+        times
+    }
+
+    fn predicted_times(&self, buf: &DataBuffer, shape: ShapeKey) -> [f64; 2] {
         let mut cpu = self
             .est
             .predict_time(DeviceClass::CPU, &buf.params)
@@ -308,7 +351,6 @@ impl EstimatorWeights {
             .predict_time(DeviceClass::GPU, &buf.params)
             .unwrap_or(f64::INFINITY);
         if let Some(online) = &self.online {
-            let shape = fnv1a64(key);
             let online = online.lock();
             for (class, t) in [(DeviceClass::CPU, &mut cpu), (DeviceClass::GPU, &mut gpu)] {
                 if online.count(class, shape) >= self.min_obs {
@@ -324,23 +366,16 @@ impl EstimatorWeights {
 
 impl WeightProvider for EstimatorWeights {
     fn predict_time(&self, buf: &DataBuffer, kind: DeviceKind) -> f64 {
-        let key = Self::key(buf);
-        let slot = match kind {
-            DeviceKind::Cpu => 0,
-            DeviceKind::Gpu => 1,
-        };
-        {
-            let cache = self.cache.lock();
-            if let Some(times) = cache.get(&key) {
-                return times[slot];
-            }
+        let [cpu, gpu] = self.times(buf);
+        match kind {
+            DeviceKind::Cpu => cpu,
+            DeviceKind::Gpu => gpu,
         }
-        let times = self.predicted_times(buf, &key);
-        let mut cache = self.cache.lock();
-        if cache.len() < CACHE_CAP {
-            cache.insert(key, times);
-        }
-        times[slot]
+    }
+
+    fn weights_pair(&self, buf: &DataBuffer) -> [f64; 2] {
+        let [cpu, gpu] = self.times(buf);
+        [pair_weight(cpu, gpu), pair_weight(gpu, cpu)]
     }
 
     fn observe(
@@ -352,17 +387,16 @@ impl WeightProvider for EstimatorWeights {
         secs: f64,
     ) -> Option<ProfileUpdate> {
         let online = self.online.as_ref()?;
-        let key = Self::key(buf);
-        let shape = fnv1a64(&key);
+        let shape = Self::shape_key(buf);
         let class = Self::class_of(kind);
         let (count, mean) = {
             let mut online = online.lock();
             let count = online.observe(class, shape, secs);
             (count, online.mean(class, shape).unwrap_or(secs))
         };
-        // The invalidation fix: the memoized pair for this shape is now
-        // stale — drop it so the next prediction recomputes.
-        self.cache.lock().remove(&key);
+        // The memoized pair for this shape is now stale (and so is a
+        // colliding shape's, which merely recomputes).
+        self.memo.lock().remove(shape);
         Some(ProfileUpdate {
             key: shape,
             count,
@@ -375,7 +409,7 @@ impl WeightProvider for EstimatorWeights {
 mod tests {
     use super::*;
     use crate::buffer::BufferId;
-    use anthill_estimator::{ProfileStore, TaskParams};
+    use anthill_estimator::ProfileStore;
     use anthill_hetsim::NbiaCostModel;
 
     fn tile_buffer(side: u32) -> DataBuffer {
@@ -483,22 +517,33 @@ mod tests {
     }
 
     /// Regression: an online profile update must bust the memo cache —
-    /// a stale cached weight is never served after `profile_updated`.
+    /// a stale cached weight is never served after `profile_updated`, on
+    /// any of the three read paths (the engine's is `select::weights_for`).
     #[test]
     fn online_update_busts_the_memo_cache() {
+        use crate::engine::select;
         let est = EstimatorWeights::with_online(trained_estimator(), OnlineProfile::default(), 3);
+        let reference = EstimatorWeights::new(trained_estimator());
         let b = tile_buffer(128);
         // Prime the memo cache with the static kNN prediction.
         let stale_cpu = est.predict_time(&b, DeviceKind::Cpu);
+        let gpu = reference.predict_time(&b, DeviceKind::Gpu);
+        let stale_pair = reference.weights_pair(&b);
         assert_eq!(est.predict_time(&b, DeviceKind::Cpu), stale_cpu);
+        assert_eq!(est.weights_pair(&b), stale_pair);
+        assert_eq!(select::weights_for(&est, &b), stale_pair);
         // Observe spans wildly different from the static profile.
         let observed = stale_cpu * 10.0;
         for i in 0..3 {
+            // Below `min_obs` every path still follows the static profile.
+            assert_eq!(est.weights_pair(&b), stale_pair);
+            assert_eq!(select::weights_for(&est, &b), stale_pair);
             let up = est
                 .observe(&b, 0, 0, DeviceKind::Cpu, observed)
                 .expect("online estimator folds spans");
             assert_eq!(up.count, i + 1);
             assert_eq!(up.key, EstimatorWeights::shape_key(&b));
+            assert_eq!(up.key, b.params.shape_key());
         }
         // The cached pair must not be served: the prediction now follows
         // the online EWMA (seeded at `observed`, so exactly `observed`).
@@ -507,12 +552,73 @@ mod tests {
             (fresh - observed).abs() < 1e-12,
             "stale cache served: fresh={fresh} stale={stale_cpu} observed={observed}"
         );
+        let fresh_pair = [pair_weight(fresh, gpu), pair_weight(gpu, fresh)];
+        assert_ne!(fresh_pair, stale_pair);
+        assert_eq!(est.weights_pair(&b), fresh_pair);
+        assert_eq!(select::weights_for(&est, &b), fresh_pair);
         // The untouched GPU side still follows the static profile.
-        let gpu_static = EstimatorWeights::new(trained_estimator());
+        assert_eq!(est.predict_time(&b, DeviceKind::Gpu), gpu);
+    }
+
+    /// A memo hit is confirmed against the stored parameters: shapes
+    /// sharing a key never read each other's times.
+    #[test]
+    fn memo_confirms_a_hit_by_comparing_parameters() {
+        let key = 42;
+        let (a, b) = (TaskParams::nums(&[1.0, 2.0]), TaskParams::nums(&[2.0, 1.0]));
+        let mut memo = Memo::default();
+        assert_eq!(memo.get(key, &a), None);
+        memo.insert(key, &a, [1.0, 10.0]);
+        assert_eq!(memo.get(key, &a), Some([1.0, 10.0]));
         assert_eq!(
-            est.predict_time(&b, DeviceKind::Gpu),
-            gpu_static.predict_time(&b, DeviceKind::Gpu)
+            memo.get(key, &TaskParams::nums(&[1.0, 2.0])),
+            Some([1.0, 10.0])
         );
+        assert_eq!(memo.get(key, &b), None, "a collision is a miss");
+        // The colliding shape takes the slot over; the first one misses.
+        memo.insert(key, &b, [2.0, 20.0]);
+        assert_eq!(memo.get(key, &b), Some([2.0, 20.0]));
+        assert_eq!(memo.get(key, &a), None);
+        memo.remove(key);
+        assert_eq!(memo.get(key, &b), None);
+
+        // 0.0 and -0.0 have different keys but compare equal; were they to
+        // share a key the hit would be right, the estimator's distances
+        // being the same for both.
+        let (pos, neg) = (TaskParams::nums(&[0.0]), TaskParams::nums(&[-0.0]));
+        assert_ne!(pos.shape_key(), neg.shape_key());
+        memo.insert(key, &pos, [3.0, 30.0]);
+        assert_eq!(memo.get(key, &neg), Some([3.0, 30.0]));
+
+        // NaN never equals itself: such a shape misses every time and
+        // never reads what is stored under its key.
+        let nan = TaskParams::nums(&[f64::NAN]);
+        assert_eq!(memo.get(key, &nan), None);
+        memo.insert(key, &nan, [4.0, 40.0]);
+        assert_eq!(memo.get(key, &nan), None);
+        assert_eq!(memo.0.len(), 1);
+    }
+
+    #[test]
+    fn memo_holds_at_most_cache_cap_keys() {
+        let mut memo = Memo::default();
+        for i in 0..=CACHE_CAP as u64 {
+            memo.insert(i, &TaskParams::nums(&[i as f64]), [1.0, 1.0]);
+        }
+        assert_eq!(memo.0.len(), CACHE_CAP);
+        let over = CACHE_CAP as u64;
+        assert_eq!(memo.get(over, &TaskParams::nums(&[over as f64])), None);
+    }
+
+    /// A NaN parameter is weighed without a memo and without a panic.
+    #[test]
+    fn nan_parameter_is_weighed_every_time() {
+        let est = EstimatorWeights::new(trained_estimator());
+        let mut b = tile_buffer(128);
+        b.params = TaskParams::nums(&[f64::NAN]);
+        let first = est.weights_pair(&b).map(f64::to_bits);
+        assert_eq!(est.weights_pair(&b).map(f64::to_bits), first);
+        assert_eq!(est.memo.lock().get(b.params.shape_key(), &b.params), None);
     }
 
     /// A static (PR-2 shaped) estimator ignores observed spans entirely.

@@ -31,7 +31,15 @@ pub type ShapeKey = u64;
 /// FNV-1a over `bytes`: a small, endian-stable, dependency-free hash used
 /// to derive [`ShapeKey`]s (and the learned schedulers' decision noise).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_fold(FNV_OFFSET, bytes)
+}
+
+/// FNV-1a offset basis: the state [`fnv1a64_fold`] starts from.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into a running FNV-1a state, so a key over several pieces
+/// needs no buffer to concatenate them in.
+pub(crate) fn fnv1a64_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

@@ -7,6 +7,7 @@
 //! distance; categorical dimensions contribute 0 on an exact match and 1
 //! otherwise (Section 4).
 
+use crate::online::{fnv1a64_fold, ShapeKey, FNV_OFFSET};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -110,6 +111,23 @@ impl TaskParams {
         TaskParams(values.iter().map(|&x| ParamValue::Num(x)).collect())
     }
 
+    /// Stable key of this task shape: one FNV-1a fold over a prefix-free
+    /// encoding of the parameters — `0 ‖ f64 bits` for a numeric one,
+    /// `1 ‖ length ‖ bytes` for a categorical one, integers little-endian.
+    /// Equal parameters give equal keys whatever allocation holds them;
+    /// it allocates nothing. It is the cell key of [`crate::OnlineProfile`]
+    /// and of the schedulers' weight memo, which confirms a hit by
+    /// comparing parameters since distinct shapes may share a key.
+    pub fn shape_key(&self) -> ShapeKey {
+        self.iter().fold(FNV_OFFSET, |h, v| match v {
+            ParamValue::Num(x) => fnv1a64_fold(fnv1a64_fold(h, &[0]), &x.to_bits().to_le_bytes()),
+            ParamValue::Cat(s) => {
+                let h = fnv1a64_fold(fnv1a64_fold(h, &[1]), &(s.len() as u64).to_le_bytes());
+                fnv1a64_fold(h, s.as_bytes())
+            }
+        })
+    }
+
     /// True when two parameter vectors share the same backing allocation
     /// (a clone is a reference-count bump, not a copy).
     pub fn shares_storage(&self, other: &TaskParams) -> bool {
@@ -168,6 +186,20 @@ mod tests {
         assert!(p.shares_storage(&q), "clone must be a refcount bump");
         assert_eq!(p, q);
         assert!(!p.shares_storage(&params![64.0, "variant-a"]));
+    }
+
+    /// Equality across allocations and kind / order / string-boundary
+    /// sensitivity are pinned in the facade's `tests/hotpath.rs`.
+    #[test]
+    fn shape_key_follows_the_documented_encoding() {
+        assert_ne!(params![0.0].shape_key(), params![-0.0].shape_key());
+        assert_ne!(params![].shape_key(), params![0.0].shape_key());
+        let mut bytes = vec![0u8];
+        bytes.extend(512f64.to_bits().to_le_bytes());
+        bytes.push(1);
+        bytes.extend(2u64.to_le_bytes());
+        bytes.extend(b"ab");
+        assert_eq!(params![512.0, "ab"].shape_key(), crate::fnv1a64(&bytes));
     }
 
     #[test]

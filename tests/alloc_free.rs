@@ -1,0 +1,102 @@
+//! Weighing a buffer whose shape was seen before touches the heap not at
+//! all (DESIGN.md §10): a counting global allocator brackets the calls.
+//! Own test binary, since the allocator is process-wide; the count is
+//! per thread, so the harness's own threads cannot disturb it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+use anthill_repro::core::buffer::{BufferId, DataBuffer};
+use anthill_repro::core::weights::{EstimatorWeights, WeightProvider};
+use anthill_repro::estimator::{params, KnnEstimator, ProfileStore, TaskParams};
+use anthill_repro::hetsim::NbiaCostModel;
+
+thread_local! {
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every request is forwarded unchanged to `System`; the counter is
+// a const-initialised thread-local `Cell`, which itself never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.with(|n| n.set(n.get() + layout.size()));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED.with(|n| n.set(n.get() + new_size));
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Bytes this thread requested from the allocator while `f` ran.
+fn allocated_by(f: impl FnOnce()) -> usize {
+    let before = ALLOCATED.with(Cell::get);
+    f();
+    ALLOCATED.with(Cell::get) - before
+}
+
+#[test]
+fn the_counter_sees_allocations() {
+    assert!(allocated_by(|| drop(black_box(vec![0u8; 64]))) >= 64);
+}
+
+#[test]
+fn warm_weights_pair_allocates_nothing() {
+    let cost = NbiaCostModel::paper_calibrated();
+    let mut profile = ProfileStore::new("nbia");
+    let buffers: Vec<DataBuffer> = [32u32, 64, 128, 256, 512]
+        .iter()
+        .zip(0..)
+        .map(|(&side, id)| {
+            let shape = cost.tile(side);
+            let params = TaskParams::nums(&[f64::from(side)]);
+            profile.add_cpu_gpu(params.clone(), shape.cpu.as_secs_f64(), 1e-3);
+            DataBuffer {
+                id: BufferId(id),
+                params,
+                shape,
+                level: 0,
+                task: id,
+            }
+        })
+        .collect();
+    let weights = EstimatorWeights::new(KnnEstimator::fit(profile, 2));
+    for b in &buffers {
+        weights.weights_pair(b);
+    }
+    let bytes = allocated_by(|| {
+        for i in 0..1_000 {
+            black_box(weights.weights_pair(black_box(&buffers[i % buffers.len()])));
+        }
+    });
+    assert_eq!(bytes, 0, "a memo hit allocated");
+}
+
+#[test]
+fn shape_key_allocates_nothing() {
+    let shapes = [
+        params![512.0],
+        params![64.0, "glcm-variant", 3usize],
+        params![],
+    ];
+    let bytes = allocated_by(|| {
+        for i in 0..1_000 {
+            black_box(black_box(&shapes[i % shapes.len()]).shape_key());
+        }
+    });
+    assert_eq!(bytes, 0);
+}
