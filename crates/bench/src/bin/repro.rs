@@ -14,7 +14,8 @@
 //! `--quick` shrinks workloads (~10×) for fast sanity runs; without it the
 //! paper's exact workload sizes are used. Run with `--release`.
 //!
-//! `--trace <path>` (honored by `fig12`) dumps the run's structured event
+//! `--trace <path>` (honored by `fig12`; the CI gates below take a
+//! directory instead) dumps the run's structured event
 //! trace: a `.jsonl` path gets the line-oriented dump, anything else the
 //! Chrome `trace_event` JSON loadable in Perfetto / `chrome://tracing`,
 //! e.g. `repro fig12 --quick --trace trace.json`.
@@ -34,15 +35,6 @@
 //! `seed=42,drop=0.2,fail=0.0,death-ms=100` (those are the defaults;
 //! `death-ms=0` disables the death). Writes `BENCH_chaos.json`.
 //!
-//! `repro perf [--quick] [--min-speedup <x>] [--bind-cores]` is the native-runtime perf
-//! gate: the same fixed 8-worker workload runs once with the pre-overhaul
-//! hot path (coarse dispatch locks + serialized trace sink) and once with
-//! the optimized one (sharded dispatch + batched sink), best-of-3 each,
-//! failing (exit 1) if conservation breaks or the measured speedup falls
-//! below `--min-speedup` (default 1.0 — CI machines are noisy; the
-//! recorded acceptance target is 1.5, see `DESIGN.md` §10). Writes and
-//! schema-validates `BENCH_perf.json`.
-//!
 //! `repro net [--trace <dir>]` is the networked-backend CI gate: per
 //! policy, an NBIA-shaped workload runs through the TCP coordinator with
 //! two *spawned worker processes* (this same binary re-entered via the
@@ -53,16 +45,13 @@
 //! `BENCH_net_parity.json`; with `--trace <dir>`, per-policy traces land
 //! there too.
 //!
-//! `repro netbench [--quick] [--min-speedup <x>] [--bind-cores]
-//! [--trace <dir>]` is the event-loop throughput gate (DESIGN.md §15):
-//! the same loopback workload runs through the retained thread-per-socket
-//! coordinator and the readiness-based event loop, and a 1000-worker
-//! loopback fan-in must complete on the event loop with zero deaths. Fails (exit 1) if the event loop's frames/sec falls
-//! below `--min-speedup` (default 2.0) times the baseline's, or the
-//! write path allocates more than one buffer per frame. `--bind-cores`
-//! pins the coordinator thread (recorded in the report; a no-op where
-//! the platform refuses). Writes and schema-validates `BENCH_net.json`;
-//! with `--trace <dir>`, the scale run's trace lands there too.
+//! `repro netbench [--quick] [--trace <dir>]` is the coordinator
+//! fan-in scale gate (DESIGN.md §15): one event-loop coordinator runs a
+//! 1000-worker in-process loopback fan-in. Fails (exit 1) unless every
+//! task completes exactly once, no worker dies, and the write path
+//! allocates at most one buffer per frame. Writes and schema-validates
+//! `BENCH_net.json`; with `--trace <dir>`, the run's trace lands there
+//! too.
 //!
 //! `repro load [--quick] [--profile <p>] [--trace <dir>]` is the
 //! open-loop load gate: each arrival profile (`poisson`, `bursty`,
@@ -126,16 +115,14 @@ use anthill::engine::sequential::{
 use anthill::engine::{AdmissionConfig, AdmissionCounters, OverloadPolicy};
 use anthill::faults::{FaultConfig, FaultProb, RecoveryConfig, WorkerDeathSpec};
 use anthill::graph::DataflowGraph;
-use anthill::local::{
-    Emitter, ExecMode, HotPath, LoadConfig, LocalFilter, LocalTask, Pipeline, WorkerSpec,
-};
+use anthill::local::{Emitter, ExecMode, LoadConfig, LocalFilter, LocalTask, Pipeline, WorkerSpec};
 use anthill::membership::{Autoscaler, AutoscalerConfig, WorkerPool};
 use anthill::net::{
     run_concurrent, run_concurrent_elastic, run_concurrent_load, run_concurrent_load_autoscaled,
     run_deterministic, run_graph_deterministic, spawn_joining_worker_thread, spawn_worker_thread,
-    tcp_pair, Behavior, DrainAt, ElasticLoad, NetConfig, NetPath, NetWorkerConn,
+    tcp_pair, Behavior, DrainAt, ElasticLoad, NetConfig, NetWorkerConn,
 };
-use anthill::obs::{chrome, json, jsonl, EventKind, Recorder};
+use anthill::obs::{chrome, jsonl, EventKind, Recorder};
 use anthill::policy::{Policy, PolicyKind};
 use anthill::sim::{run_nbia, SimConfig, WorkloadSpec};
 use anthill::weights::OracleWeights;
@@ -151,7 +138,7 @@ use anthill_bench::load::{
     LatencyStats, LoadRunRow,
 };
 use anthill_bench::netbench::{
-    render_netbench_report, validate_netbench_report, AbRow, PathSample, ScaleRow,
+    render_netbench_report, validate_netbench_report, ScaleRow, SCALE_WORKERS_FULL,
 };
 use anthill_bench::viz::{render, ChartSpec, Series};
 use anthill_estimator::TaskParams;
@@ -218,13 +205,40 @@ fn main() {
             }
         }
     }
+    let known = [
+        "table1",
+        "sweep-k",
+        "sweep-models",
+        "fig6",
+        "fig7",
+        "table2",
+        "table3",
+        "fig8",
+        "table4",
+        "fig9",
+        "fig10",
+        "table6",
+        "fig11",
+        "fig12",
+        "fig13",
+        "fig14",
+        "mixed-gpus",
+        "concurrent-kernels",
+        "fusion",
+        "slow-node",
+        "smoke",
+        "chaos",
+        "net",
+        "netbench",
+        "load",
+        "elastic",
+        "graph",
+        "policies",
+        "all",
+    ];
     let mut quick = false;
     let mut trace_path: Option<String> = None;
     let mut faults_spec: Option<String> = None;
-    // Defaults differ per gate: `perf` gates at 1.0 (noisy shared
-    // runners), `netbench` at 2.0 (the event loop's acceptance bar).
-    let mut min_speedup: Option<f64> = None;
-    let mut bind_cores = false;
     let mut profile_sel = "all".to_string();
     let mut selected: Option<String> = None;
     let mut i = 0;
@@ -263,25 +277,19 @@ fn main() {
                     }
                 }
             }
-            "--min-speedup" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(x) if x > 0.0 => min_speedup = Some(x),
-                    _ => {
-                        eprintln!("--min-speedup requires a positive number, e.g. 1.5");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--bind-cores" => bind_cores = true,
             a if a.starts_with("--") => {
                 eprintln!("unknown flag '{a}'");
                 std::process::exit(2);
             }
             a => {
-                if selected.is_none() {
-                    selected = Some(a.to_string());
+                if let Some(first) = &selected {
+                    eprintln!(
+                        "one experiment per run: got '{first}' and '{a}'; known: {}",
+                        known.join(", ")
+                    );
+                    std::process::exit(2);
                 }
+                selected = Some(a.to_string());
             }
         }
         i += 1;
@@ -292,39 +300,6 @@ fn main() {
         Scale::paper()
     };
     let what = selected.as_deref().unwrap_or("all");
-
-    let known = [
-        "table1",
-        "sweep-k",
-        "sweep-models",
-        "fig6",
-        "fig7",
-        "table2",
-        "table3",
-        "fig8",
-        "table4",
-        "fig9",
-        "fig10",
-        "table6",
-        "fig11",
-        "fig12",
-        "fig13",
-        "fig14",
-        "mixed-gpus",
-        "concurrent-kernels",
-        "fusion",
-        "slow-node",
-        "smoke",
-        "chaos",
-        "perf",
-        "net",
-        "netbench",
-        "load",
-        "elastic",
-        "graph",
-        "policies",
-        "all",
-    ];
     if !known.contains(&what) {
         eprintln!("unknown experiment '{what}'; known: {}", known.join(", "));
         std::process::exit(2);
@@ -347,21 +322,12 @@ fn main() {
         chaos(&spec, trace_path.as_deref());
         return;
     }
-    if what == "perf" {
-        perf(quick, min_speedup.unwrap_or(1.0), bind_cores);
-        return;
-    }
     if what == "net" {
         net_gate(trace_path.as_deref());
         return;
     }
     if what == "netbench" {
-        netbench_gate(
-            quick,
-            min_speedup.unwrap_or(2.0),
-            bind_cores,
-            trace_path.as_deref(),
-        );
+        netbench_gate(quick, trace_path.as_deref());
         return;
     }
     if what == "load" {
@@ -429,9 +395,7 @@ fn main() {
         fig11(&scale);
     }
     if trace_path.is_some() && !run("fig12") {
-        eprintln!(
-            "note: --trace is honored by the fig12, smoke, and chaos experiments only; ignoring it"
-        );
+        eprintln!("note: --trace is honored by fig12 and the CI gates only; ignoring it");
     }
     if run("fig12") {
         fig12(&scale, trace_path.as_deref());
@@ -736,218 +700,6 @@ fn chaos(spec: &ChaosSpec, trace_dir: Option<&str>) {
     }
 }
 
-/// Extra recirculation rounds per task in the perf workload: each task is
-/// handled `PERF_ROUNDS + 1` times, so the bulk of the enqueue / park /
-/// claim / trace traffic happens on the concurrent worker threads (the
-/// contended hot path) rather than in the serial source fill.
-const PERF_ROUNDS: u8 = 4;
-
-/// Recirculates each task [`PERF_ROUNDS`] times, then forwards it. The
-/// handler body does no work, so every measured nanosecond is runtime
-/// overhead: queue ops, dispatch-state locks, trace emission, tallies.
-struct PerfRecirc;
-impl LocalFilter for PerfRecirc {
-    fn handle(&self, _d: DeviceKind, task: LocalTask, out: &mut Emitter<'_>) {
-        if task.buffer.level < PERF_ROUNDS {
-            let mut task = task;
-            task.buffer.level += 1;
-            out.recirculate(task);
-        } else {
-            out.forward(task);
-        }
-    }
-}
-
-/// The acceptance target of the hot-path overhaul, recorded alongside the
-/// measurement in `BENCH_perf.json` (CI gates on `--min-speedup`, which
-/// defaults lower because shared runners are noisy).
-const PERF_TARGET_SPEEDUP: f64 = 1.5;
-
-/// Native-runtime perf gate: a fixed single-stage workload on 8 CPU
-/// workers, run under both DDFCFS and DDWRR, each A/B'd between the
-/// pre-overhaul hot path ([`HotPath::Coarse`] dispatch locks, full
-/// [`SharedQueue`](anthill::queue::SharedQueue) stage lanes, the
-/// serialized trace sink) and the optimized one ([`HotPath::Sharded`]
-/// dispatch shards, tuned stage lanes, the batched sink). Each variant
-/// runs `reps` times and keeps its best throughput; conservation and
-/// trace-completeness are asserted on every run. Writes `BENCH_perf.json`
-/// (validated by re-parsing) and exits nonzero if the *worst* per-policy
-/// speedup falls below `min_speedup`.
-fn perf(quick: bool, min_speedup: f64, bind_cores: bool) {
-    header(
-        "Perf: native-runtime hot-path A/B (coarse+serialized vs sharded+batched)",
-        "run-time optimization premise (§5–6): dispatch overhead dominates at fine task granularity",
-    );
-    let tasks: u64 = if quick { 4_000 } else { 24_000 };
-    let handles = tasks * u64::from(PERF_ROUNDS) + tasks;
-    let reps = 3;
-    let workers = 8;
-    let weights = OracleWeights::new(GpuParams::geforce_8800gt(), true);
-
-    let make_task = |id: u64| {
-        LocalTask::new(
-            DataBuffer {
-                id: BufferId(id),
-                params: TaskParams::nums(&[id as f64]),
-                shape: TaskShape {
-                    cpu: SimDuration::from_micros(1),
-                    gpu_kernel: SimDuration::from_micros(1),
-                    bytes_in: 8,
-                    bytes_out: 8,
-                },
-                level: 0,
-                task: id,
-            },
-            (),
-        )
-    };
-
-    // One measured run; returns tasks/second. Every run re-checks the
-    // invariants the A/B relies on: nothing lost, every finish traced.
-    let run_once = |label: &str,
-                    policy: PolicyKind,
-                    hot_path: HotPath,
-                    recorder: &Recorder|
-     -> f64 {
-        let mut p = Pipeline::new(policy)
-            .with_hot_path(hot_path)
-            .with_bind_cores(bind_cores);
-        p.add_stage(
-            Arc::new(PerfRecirc),
-            vec![
-                WorkerSpec {
-                    kind: DeviceKind::Cpu,
-                    mode: ExecMode::Native,
-                };
-                workers
-            ],
-        );
-        let sources: Vec<LocalTask> = (0..tasks).map(make_task).collect();
-        let wall = std::time::Instant::now();
-        let (out, report) = p.run_traced(sources, &weights, recorder);
-        let secs = wall.elapsed().as_secs_f64();
-        if out.len() as u64 != tasks || report.total() != handles {
-            eprintln!(
-                "perf {label}: conservation broken ({} out of {tasks}, {} handled of {handles})",
-                out.len(),
-                report.total()
-            );
-            std::process::exit(1);
-        }
-        let finished = recorder.metrics().counter_total("tasks_finished");
-        let events = recorder.take_events();
-        let finish_events = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Finish { .. }))
-            .count() as u64;
-        if finished != handles || finish_events != handles {
-            eprintln!(
-                "perf {label}: trace lost tasks ({finished} counted, {finish_events} finish events, {handles} expected)"
-            );
-            std::process::exit(1);
-        }
-        handles as f64 / secs
-    };
-
-    let best = |label: &str, policy: PolicyKind, hot_path: HotPath, mk: fn() -> Recorder| -> f64 {
-        let mut best_tps = 0.0f64;
-        for rep in 0..reps {
-            let tps = run_once(label, policy, hot_path, &mk());
-            println!("    {label:<20} rep {rep}: {tps:>12.0} tasks/s");
-            best_tps = best_tps.max(tps);
-        }
-        best_tps
-    };
-
-    let mut rows = Vec::new();
-    let mut worst = f64::INFINITY;
-    for (pname, policy) in [("ddfcfs", PolicyKind::DdFcfs), ("ddwrr", PolicyKind::DdWrr)] {
-        println!("  policy {pname}");
-        let baseline = best(
-            "coarse+serialized",
-            policy,
-            HotPath::Coarse,
-            Recorder::enabled_serialized,
-        );
-        let optimized = best(
-            "sharded+batched",
-            policy,
-            HotPath::Sharded,
-            Recorder::enabled,
-        );
-        let speedup = optimized / baseline;
-        worst = worst.min(speedup);
-        println!(
-            "    {pname}: baseline {baseline:>10.0}  optimized {optimized:>10.0}  speedup {speedup:.2}x"
-        );
-        rows.push(format!(
-            "    {{\"policy\": \"{pname}\", \"baseline_tasks_per_s\": {baseline:.1}, \"optimized_tasks_per_s\": {optimized:.1}, \"speedup\": {speedup:.4}}}"
-        ));
-    }
-    println!(
-        "\n  worst-policy speedup {worst:>6.2}x  (gate {min_speedup:.2}x, target {PERF_TARGET_SPEEDUP:.2}x)"
-    );
-
-    let body = format!(
-        concat!(
-            "{{\n",
-            "  \"workload\": {{\"tasks\": {}, \"handles\": {}, \"rounds\": {}, \"workers\": {}, \"stage\": \"recirc\"}},\n",
-            "  \"baseline\": {{\"hot_path\": \"coarse\", \"stage_lanes\": \"shared_queue\", \"trace_sink\": \"serialized\"}},\n",
-            "  \"optimized\": {{\"hot_path\": \"sharded\", \"stage_lanes\": \"tuned\", \"trace_sink\": \"batched\"}},\n",
-            "  \"policies\": [\n{}\n  ],\n",
-            "  \"speedup\": {:.4},\n",
-            "  \"min_speedup_gate\": {:.2},\n",
-            "  \"min_speedup_target\": {:.2},\n",
-            "  \"reps\": {},\n",
-            "  \"quick\": {}\n",
-            "}}\n"
-        ),
-        tasks,
-        handles,
-        PERF_ROUNDS,
-        workers,
-        rows.join(",\n"),
-        worst,
-        min_speedup,
-        PERF_TARGET_SPEEDUP,
-        reps,
-        quick
-    );
-    // Schema gate: the summary must parse back as JSON with the fields CI
-    // consumers read.
-    match json::parse(&body) {
-        Ok(v) => {
-            let policies_ok = v.get("policies").and_then(|p| p.as_arr()).is_some_and(|p| {
-                p.len() == 2
-                    && p.iter().all(|row| {
-                        row.get("baseline_tasks_per_s").is_some()
-                            && row.get("optimized_tasks_per_s").is_some()
-                            && row.get("speedup").and_then(|x| x.as_f64()).is_some()
-                    })
-            });
-            if !policies_ok || v.get("speedup").and_then(|x| x.as_f64()).is_none() {
-                eprintln!("perf: BENCH_perf.json missing required fields");
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("perf: BENCH_perf.json failed schema validation: {e}");
-            std::process::exit(1);
-        }
-    }
-    match std::fs::write("BENCH_perf.json", &body) {
-        Ok(()) => println!("wrote BENCH_perf.json"),
-        Err(e) => {
-            eprintln!("perf: failed to write BENCH_perf.json: {e}");
-            std::process::exit(1);
-        }
-    }
-    if worst < min_speedup {
-        eprintln!("perf: worst-policy speedup {worst:.2}x below the {min_speedup:.2}x gate");
-        std::process::exit(1);
-    }
-}
-
 /// One NBIA-shaped tile for the net gate, sides cycling through the
 /// paper's range so the policies actually have heterogeneity to exploit.
 fn net_tile(id: u64) -> DataBuffer {
@@ -1182,7 +934,6 @@ fn netbench_tile(id: u64) -> DataBuffer {
 /// Connect `n` in-process loopback workers (alternating CPU/GPU slots),
 /// returning the coordinator-side connections and the worker threads.
 fn netbench_workers(
-    label: &str,
     n: usize,
 ) -> (
     Vec<NetWorkerConn>,
@@ -1194,7 +945,7 @@ fn netbench_workers(
         let (coord, worker_side) = match tcp_pair() {
             Ok(pair) => pair,
             Err(e) => {
-                eprintln!("netbench {label}: loopback pair {i}: {e}");
+                eprintln!("netbench: loopback pair {i}: {e}");
                 std::process::exit(1);
             }
         };
@@ -1216,19 +967,17 @@ fn netbench_workers(
     (conns, threads)
 }
 
-/// One measured netbench run: `n` loopback workers, `tasks` tiles,
-/// through the chosen coordinator path. Returns the outcome and the
-/// wall-clock seconds; conservation is asserted on every run.
+/// One measured netbench run: `n` loopback workers, `tasks` tiles.
+/// Returns the outcome and the wall-clock seconds; conservation is
+/// asserted on every run.
 fn netbench_run(
-    label: &str,
-    path: NetPath,
     n: usize,
     tasks: u64,
     recorder: Option<&Recorder>,
 ) -> (anthill::net::NetOutcome, f64) {
-    let (conns, threads) = netbench_workers(label, n);
-    let mut cfg = NetConfig::with_path(Policy::ddfcfs(4), path);
-    cfg.deadline = Duration::from_secs(if n >= 512 { 300 } else { 120 });
+    let (conns, threads) = netbench_workers(n);
+    let mut cfg = NetConfig::new(Policy::ddfcfs(4));
+    cfg.deadline = Duration::from_secs(300);
     if let Some(rec) = recorder {
         cfg.recorder = rec.clone();
     }
@@ -1238,20 +987,20 @@ fn netbench_run(
     let out = match run_concurrent(cfg, conns, tiles, weights) {
         Ok(out) => out,
         Err(e) => {
-            eprintln!("netbench {label}: coordinator failed: {e}");
+            eprintln!("netbench: coordinator failed: {e}");
             std::process::exit(1);
         }
     };
     let secs = wall.elapsed().as_secs_f64();
     for t in threads {
         if let Err(e) = t.join().expect("worker thread panicked") {
-            eprintln!("netbench {label}: worker exited with error: {e}");
+            eprintln!("netbench: worker exited with error: {e}");
             std::process::exit(1);
         }
     }
     if out.total != tasks {
         eprintln!(
-            "netbench {label}: conservation broken ({} of {tasks} done)",
+            "netbench: conservation broken ({} of {tasks} done)",
             out.total
         );
         std::process::exit(1);
@@ -1259,122 +1008,38 @@ fn netbench_run(
     (out, secs)
 }
 
-/// Event-loop throughput gate (DESIGN.md §15): frames/sec A/B between
-/// the thread-per-socket baseline and the readiness-based event loop on
-/// the identical loopback workload (best of `reps` walls each), then a
-/// 1000-worker loopback fan-in on the event loop alone. The wire-frame
-/// count comes from the event loop's counters — both paths move the
-/// same protocol traffic, so the speedup is the wall-clock ratio.
-/// Writes and schema-validates `BENCH_net.json`; exits nonzero if the
-/// speedup misses `min_speedup` or the report fails its own schema.
-fn netbench_gate(quick: bool, min_speedup: f64, bind_cores: bool, trace_dir: Option<&str>) {
+/// Coordinator fan-in scale gate (DESIGN.md §15): one event-loop
+/// coordinator over 1000 in-process loopback workers. Writes and
+/// schema-validates `BENCH_net.json`; exits nonzero if a task is lost, a
+/// worker dies, or the write path allocates more than one buffer per
+/// frame (all enforced by the report's own schema gate).
+fn netbench_gate(quick: bool, trace_dir: Option<&str>) {
     header(
-        "Netbench: thread-per-socket vs event-loop coordinator, plus 1000-worker fan-in",
+        "Netbench: 1000-worker loopback fan-in on one event-loop coordinator",
         "run-time optimization premise (§5–6): coordination overhead bounds replicated-filter scaling",
     );
-    if bind_cores {
-        let pinned = anthill_poller::bind_to_core(0);
-        println!(
-            "  bind-cores: coordinator pinned to core 0: {}",
-            if pinned { "yes" } else { "unsupported (no-op)" }
-        );
-    }
-    // The A/B runs at wide fan-in with a handful of tiles per worker:
-    // that is where thread-per-socket pays for its 2N thread spawns,
-    // heartbeat wakeups (which scale with workers × wall time), and
-    // per-frame channel hops — exactly the wide replicated-filter shape
-    // the event loop exists for. At high tiles-per-worker both paths
-    // converge on shared per-task protocol cost, so the gate targets the
-    // fan-in regime, not raw task count. `--quick` runs 1000 workers (the
-    // ISSUE's headline scale, CI-sized); the full run widens to 4000,
-    // where the baseline's degradation is structural rather than
-    // cold-start luck. One full run churns ~17k loopback socket pairs —
-    // back-to-back full runs can transiently exhaust ephemeral ports
-    // (TIME_WAIT); space them a minute apart.
-    let (ab_workers, ab_tasks): (usize, u64) = if quick {
-        (1_000, 2_000)
-    } else {
-        (4_000, 2_000)
-    };
-    let (scale_workers, scale_tasks): (usize, u64) = if quick {
-        (1_000, 2_000)
-    } else {
-        (1_000, 6_000)
-    };
-    let reps = 2;
+    let workers = SCALE_WORKERS_FULL as usize;
+    let tasks: u64 = if quick { 2_000 } else { 6_000 };
 
-    // Each rep is a complete fresh deployment — connections, handshake,
-    // and the pump's own setup/teardown (2N reader-thread spawns and
-    // joins for the baseline, poller registration for the event loop) all
-    // land inside the rep's wall, because they are part of the
-    // architecture under test. The gate compares the MEAN over reps, not
-    // the best: the baseline's cold rep is not noise, it is the cost of
-    // standing up thread-per-socket at fan-in.
-    let mean = |label: &str, path: NetPath| -> (anthill::net::NetOutcome, f64) {
-        let mut last: Option<anthill::net::NetOutcome> = None;
-        let mut total = 0.0;
-        for rep in 0..reps {
-            let (out, secs) = netbench_run(label, path, ab_workers, ab_tasks, None);
-            println!(
-                "    {label:<18} rep {rep}: {:>8.1} ms  ({:.0} tasks/s)",
-                secs * 1e3,
-                ab_tasks as f64 / secs
-            );
-            total += secs;
-            last = Some(out);
-        }
-        (last.expect("at least one rep"), total / reps as f64)
-    };
-
-    println!("  A/B: {ab_workers} workers, {ab_tasks} tiles, mean of {reps}");
-    let (_, threads_secs) = mean("thread-per-socket", NetPath::Threads);
-    let (event_out, event_secs) = mean("event-loop", NetPath::EventLoop);
-
-    let wire = event_out.wire;
+    println!("  scale: {workers} loopback workers, {tasks} tiles");
+    let recorder = trace_dir.map(|_| Recorder::enabled());
+    let (out, secs) = netbench_run(workers, tasks, recorder.as_ref());
+    let wire = out.wire;
     let frames = wire.tx_frames + wire.rx_frames;
-    let threads_fps = frames as f64 / threads_secs;
-    let event_fps = frames as f64 / event_secs;
-    let speedup = event_fps / threads_fps;
     let alloc_per_frame = if wire.tx_frames == 0 {
         f64::NAN
     } else {
         wire.pool_misses as f64 / wire.tx_frames as f64
     };
     println!(
-        "  frames {frames} ({} tx + {} rx), {} flushes ({:.1} frames/writev), \
-         alloc/frame {alloc_per_frame:.4}",
-        wire.tx_frames,
-        wire.rx_frames,
+        "    {} tasks in {:.1} ms, {} deaths, {:.0} frames/s, {} flushes \
+         ({:.1} frames/writev), alloc/frame {alloc_per_frame:.4}",
+        out.total,
+        secs * 1e3,
+        out.deaths,
+        frames as f64 / secs,
         wire.flushes,
         wire.tx_frames as f64 / wire.flushes.max(1) as f64,
-    );
-    println!(
-        "  threads {threads_fps:>10.0} frames/s   event loop {event_fps:>10.0} frames/s   \
-         speedup {speedup:.2}x (gate {min_speedup:.2}x)"
-    );
-
-    println!("  scale: {scale_workers} loopback workers, {scale_tasks} tiles (event loop)");
-    let recorder = trace_dir.map(|_| Recorder::enabled());
-    let (scale_out, scale_secs) = netbench_run(
-        "scale",
-        NetPath::EventLoop,
-        scale_workers,
-        scale_tasks,
-        recorder.as_ref(),
-    );
-    let s_wire = scale_out.wire;
-    let s_frames = s_wire.tx_frames + s_wire.rx_frames;
-    let s_alloc = if s_wire.tx_frames == 0 {
-        f64::NAN
-    } else {
-        s_wire.pool_misses as f64 / s_wire.tx_frames as f64
-    };
-    println!(
-        "    {} tasks in {:.1} ms, {} deaths, {:.0} frames/s, alloc/frame {s_alloc:.4}",
-        scale_out.total,
-        scale_secs * 1e3,
-        scale_out.deaths,
-        s_frames as f64 / scale_secs,
     );
     if let (Some(dir), Some(rec)) = (trace_dir, &recorder) {
         let text = jsonl::to_jsonl(&rec.events());
@@ -1386,36 +1051,16 @@ fn netbench_gate(quick: bool, min_speedup: f64, bind_cores: bool, trace_dir: Opt
         println!("    wrote scale trace to {path}");
     }
 
-    let ab = AbRow {
-        workers: ab_workers as u64,
-        tasks: ab_tasks,
-        frames,
-        threads: PathSample {
-            wall_ms: threads_secs * 1e3,
-            frames_per_sec: threads_fps,
-        },
-        eventloop: PathSample {
-            wall_ms: event_secs * 1e3,
-            frames_per_sec: event_fps,
-        },
-        speedup,
-        tx_frames: wire.tx_frames,
-        rx_frames: wire.rx_frames,
-        tx_bytes: wire.tx_bytes,
-        rx_bytes: wire.rx_bytes,
-        flushes: wire.flushes,
+    let scale = ScaleRow {
+        workers: workers as u64,
+        tasks,
+        completed: out.total,
+        deaths: u64::from(out.deaths),
+        wall_ms: secs * 1e3,
+        frames_per_sec: frames as f64 / secs,
         alloc_per_frame,
     };
-    let scale = ScaleRow {
-        workers: scale_workers as u64,
-        tasks: scale_tasks,
-        completed: scale_out.total,
-        deaths: u64::from(scale_out.deaths),
-        wall_ms: scale_secs * 1e3,
-        frames_per_sec: s_frames as f64 / scale_secs,
-        alloc_per_frame: s_alloc,
-    };
-    let body = render_netbench_report(&ab, &scale, quick, bind_cores, min_speedup, SEED);
+    let body = render_netbench_report(&scale, quick, SEED);
     if let Err(e) = validate_netbench_report(&body) {
         eprintln!("netbench: report failed its own schema gate: {e}");
         // Still land the evidence for the failure artifact upload.

@@ -397,7 +397,7 @@ mod tests {
                 queue_cap: queue,
                 policy,
             },
-            Recorder::enabled_serialized(),
+            Recorder::enabled(),
             DeviceRef::node_scope(0),
         )
     }

@@ -56,18 +56,19 @@ pub fn dispatch_order(kinds: &[DeviceKind]) -> Vec<usize> {
 /// their queueing machinery (the threaded runtime's per-stage queues) use
 /// this instead of re-deciding the pop order locally.
 ///
-/// [`ReadyLane::new`] always uses the full [`SharedQueue`] (FIFO index plus
-/// one sorted view per device kind) — the layout the engine's shared pools
-/// need, and the pre-overhaul behaviour the `HotPath::Coarse` baseline
-/// reinstates. [`ReadyLane::tuned`] picks the cheapest layout that yields
-/// the *same pop order* for the consumers the lane will actually serve:
-/// a plain `VecDeque` when the policy pops FIFO (DDFCFS never reads the
+/// [`ReadyLane::tuned`] picks the cheapest layout that yields the *same
+/// pop order* as a full [`SharedQueue`] (FIFO index plus one sorted view
+/// per device kind) for the consumers the lane will actually serve: a
+/// plain `VecDeque` when the policy pops FIFO (DDFCFS never reads the
 /// sorted views it would otherwise pay ~4 map updates per push/pop to
-/// maintain), or a single sorted `BTreeMap` when every consumer is the
-/// same device kind (the other kind's view could never be popped).
+/// maintain), or a single max-heap when every consumer is the same device
+/// kind (the other kind's view could never be popped). The full
+/// [`SharedQueue`] stays where the per-device sorted views are genuinely
+/// needed: DDWRR/ODDS stages served by both CPU and GPU workers here, and
+/// the engine's own node pools, which use it directly.
 #[derive(Debug)]
 enum LaneStore {
-    /// Full shared pool with every view — pre-overhaul layout.
+    /// Full shared pool with every view: sorted policy, mixed-kind stage.
     Shared(SharedQueue),
     /// FIFO-only lane: arrival order is the pop order.
     Fifo(VecDeque<(DataBuffer, Option<u64>)>),
@@ -116,28 +117,11 @@ pub struct ReadyLane {
     sorted: bool,
 }
 
-impl Default for ReadyLane {
-    fn default() -> ReadyLane {
-        ReadyLane {
-            store: LaneStore::Shared(SharedQueue::new()),
-            sorted: false,
-        }
-    }
-}
-
 impl ReadyLane {
     /// An empty lane consumed per `policy` (DDFCFS pops FIFO, DDWRR/ODDS
-    /// pop best-per-device), backed by a full [`SharedQueue`].
-    pub fn new(policy: PolicyKind) -> ReadyLane {
-        ReadyLane {
-            store: LaneStore::Shared(SharedQueue::new()),
-            sorted: policy.receiver_sorted(),
-        }
-    }
-
-    /// An empty lane consumed per `policy` by workers of the given device
-    /// kinds, backed by the cheapest layout that preserves the policy's
-    /// pop order for those consumers.
+    /// pop best-per-device) by workers of the given device kinds, backed
+    /// by the cheapest layout that preserves the policy's pop order for
+    /// those consumers.
     pub fn tuned(policy: PolicyKind, kinds: &[DeviceKind]) -> ReadyLane {
         let sorted = policy.receiver_sorted();
         let store = if !sorted {
@@ -267,9 +251,9 @@ mod tests {
         assert_eq!(dispatch_order(&[]), Vec::<usize>::new());
     }
 
-    /// Every tuned layout must pop in exactly the order the full
-    /// [`SharedQueue`] layout would — layouts are a cost choice, never a
-    /// semantics choice.
+    /// Every tuned layout must pop in exactly the order a bare
+    /// [`SharedQueue`] driven through [`pop_for`] would — layouts are a
+    /// cost choice, never a semantics choice.
     #[test]
     fn tuned_lanes_match_full_lane_pop_order() {
         let weights = |id: u64| [id as f64 % 3.0, (10 - id) as f64 % 4.0];
@@ -280,16 +264,17 @@ mod tests {
             (PolicyKind::DdWrr, vec![DeviceKind::Cpu, DeviceKind::Gpu]),
             (PolicyKind::Odds, vec![DeviceKind::Gpu; 3]),
         ] {
-            let mut full = ReadyLane::new(policy);
+            let mut full = SharedQueue::new();
             let mut tuned = ReadyLane::tuned(policy, &kinds);
             for id in 0..9 {
-                full.push(buf(id), weights(id), Some(id));
+                full.insert(buf(id), weights(id), Some(id));
                 tuned.push(buf(id), weights(id), Some(id));
             }
             assert_eq!(full.len(), tuned.len());
             let kind = kinds[0];
             for step in 0..9 {
-                let a = full.pop(kind).expect("full lane has buffers");
+                let a = pop_for(&mut full, policy.receiver_sorted(), kind)
+                    .expect("reference queue has buffers");
                 let b = tuned.pop(kind).expect("tuned lane has buffers");
                 assert_eq!(
                     (a.0.id, a.1),
@@ -307,13 +292,13 @@ mod tests {
         let sorted = ReadyLane::tuned(PolicyKind::DdWrr, &[DeviceKind::Cpu]);
         assert!(!fifo.needs_weights());
         assert!(sorted.needs_weights());
-        assert!(ReadyLane::new(PolicyKind::DdFcfs).needs_weights());
     }
 
     #[test]
     fn ready_lane_applies_the_policy() {
-        let mut fifo = ReadyLane::new(PolicyKind::DdFcfs);
-        let mut sorted = ReadyLane::new(PolicyKind::DdWrr);
+        let mixed = [DeviceKind::Cpu, DeviceKind::Gpu];
+        let mut fifo = ReadyLane::tuned(PolicyKind::DdFcfs, &mixed);
+        let mut sorted = ReadyLane::tuned(PolicyKind::DdWrr, &mixed);
         for lane in [&mut fifo, &mut sorted] {
             lane.push(buf(1), [1.0, 1.0], None);
             lane.push(buf(2), [5.0, 5.0], None);

@@ -150,21 +150,6 @@ impl LocalFaults {
     }
 }
 
-/// Contention profile of the shared dispatch state in
-/// [`Pipeline::run_traced`] (see `DESIGN.md` §10 for the lock map).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HotPath {
-    /// The pre-overhaul layout: one global payload/attempt table and one
-    /// global counter map, each bumped under its lock once per task, plus
-    /// a per-task metrics increment. Kept as the measured baseline of
-    /// `repro perf`.
-    Coarse,
-    /// Sharded payload/attempt tables (consecutive buffer ids land on
-    /// different locks) and per-worker completion tallies merged into the
-    /// report once at join. The default.
-    Sharded,
-}
-
 /// One lock's worth of task-side state: parked payloads plus per-buffer
 /// failure counts (both keyed by buffer id, so they share a shard).
 #[derive(Default)]
@@ -174,25 +159,21 @@ struct DispatchShard {
 }
 
 /// The payload/attempt side table, split over independently locked shards
-/// so concurrent workers touching different buffers never contend.
-/// [`HotPath::Coarse`] uses a single shard — the legacy global table.
+/// so concurrent workers touching different buffers never contend (see
+/// `DESIGN.md` §10 for the lock map).
 struct DispatchState {
     shards: Vec<Mutex<DispatchShard>>,
 }
 
 impl DispatchState {
-    /// Shard count for [`HotPath::Sharded`]: comfortably above any worker
-    /// count the runtime spawns, and a power of two so the (sequential)
-    /// buffer ids spread evenly.
+    /// Shard count: comfortably above any worker count the runtime
+    /// spawns, and a power of two so the (sequential) buffer ids spread
+    /// evenly.
     const SHARDS: usize = 32;
 
-    fn new(hot_path: HotPath) -> DispatchState {
-        let n = match hot_path {
-            HotPath::Coarse => 1,
-            HotPath::Sharded => Self::SHARDS,
-        };
+    fn new() -> DispatchState {
         DispatchState {
-            shards: (0..n)
+            shards: (0..Self::SHARDS)
                 .map(|_| Mutex::new(DispatchShard::default()))
                 .collect(),
         }
@@ -365,8 +346,6 @@ pub struct Pipeline {
     capacity: Option<usize>,
     request_window: usize,
     faults: Option<LocalFaults>,
-    hot_path: HotPath,
-    bind_cores: bool,
 }
 
 impl Pipeline {
@@ -380,8 +359,6 @@ impl Pipeline {
             capacity: None,
             request_window: 4,
             faults: None,
-            hot_path: HotPath::Sharded,
-            bind_cores: false,
         }
     }
 
@@ -406,29 +383,6 @@ impl Pipeline {
              moves Box<dyn Any> and cannot duplicate them"
         );
         self.graph = Some(graph);
-        self
-    }
-
-    /// Select the contention profile of the shared dispatch state used by
-    /// [`run`](Pipeline::run) / [`run_traced`](Pipeline::run_traced).
-    /// Defaults to [`HotPath::Sharded`]; [`HotPath::Coarse`] reinstates
-    /// the pre-overhaul global locks so `repro perf` can A/B them.
-    /// Scheduling behaviour is identical either way — only lock layout and
-    /// tally aggregation differ.
-    pub fn with_hot_path(mut self, hot_path: HotPath) -> Pipeline {
-        self.hot_path = hot_path;
-        self
-    }
-
-    /// Pin each worker thread to a core, round-robin in spawn order
-    /// (stage-major, configuration order within a stage), via
-    /// [`anthill_poller::bind_to_core`]. A no-op on platforms without
-    /// thread affinity — workers run unpinned and the run is otherwise
-    /// identical. Scheduling behaviour never depends on this flag; it
-    /// only steadies benchmark numbers by stopping the OS from migrating
-    /// hot workers between cores mid-run.
-    pub fn with_bind_cores(mut self, bind_cores: bool) -> Pipeline {
-        self.bind_cores = bind_cores;
         self
     }
 
@@ -598,22 +552,14 @@ impl Pipeline {
         }
         let started = Instant::now();
         let n_stages = self.stages.len();
-        let hot_path = self.hot_path;
-        // Coarse keeps the pre-overhaul full SharedQueue lane; Sharded lets
-        // each stage pick the cheapest lane layout that preserves the
+        // Each stage picks the cheapest lane layout that preserves the
         // policy's pop order for that stage's worker kinds.
         let queues: Vec<StageQueue> = self
             .stages
             .iter()
             .map(|stage| {
-                let lane = match hot_path {
-                    HotPath::Coarse => ReadyLane::new(self.policy),
-                    HotPath::Sharded => {
-                        let kinds: Vec<DeviceKind> = stage.workers.iter().map(|w| w.kind).collect();
-                        ReadyLane::tuned(self.policy, &kinds)
-                    }
-                };
-                StageQueue::new(lane)
+                let kinds: Vec<DeviceKind> = stage.workers.iter().map(|w| w.kind).collect();
+                StageQueue::new(ReadyLane::tuned(self.policy, &kinds))
             })
             .collect();
         let in_flight = AtomicUsize::new(0);
@@ -625,10 +571,9 @@ impl Pipeline {
         let deaths = AtomicUsize::new(0);
 
         // Payload storage: SharedQueue holds only metadata, so payloads are
-        // parked in a side table keyed by buffer id (sharded or global per
-        // the hot-path knob), together with per-buffer failure counts (the
-        // `attempt` field of `TaskRetried`).
-        let dispatch = DispatchState::new(hot_path);
+        // parked in a sharded side table keyed by buffer id, together with
+        // per-buffer failure counts (the `attempt` field of `TaskRetried`).
+        let dispatch = DispatchState::new();
 
         // Graph routing state: each filter's round-robin out-edge cursor
         // (one short lock per forwarded task) and one delivery counter per
@@ -831,7 +776,6 @@ impl Pipeline {
                     }
                 });
             }
-            let mut worker_seq: usize = 0;
             for (si, stage) in self.stages.iter().enumerate() {
                 let mut kind_counts: HashMap<DeviceKind, usize> = HashMap::new();
                 for spec in &stage.workers {
@@ -869,19 +813,14 @@ impl Pipeline {
                         &format!("local-faults-{si}-{:?}-{}", spec.kind, origin.index),
                     );
                     let mut handled_n: u64 = 0;
-                    let pin_core = self.bind_cores.then_some(worker_seq);
-                    worker_seq += 1;
                     scope.spawn(move || {
-                        if let Some(core) = pin_core {
-                            anthill_poller::bind_to_core(core);
-                        }
                         let device_label = match spec.kind {
                             DeviceKind::Cpu => "cpu",
                             DeviceKind::Gpu => "gpu",
                         };
-                        // Per-worker tallies (HotPath::Sharded): completions
-                        // by level, merged into the shared report exactly
-                        // once when the worker retires.
+                        // Per-worker tallies: completions by level, merged
+                        // into the shared report exactly once when the
+                        // worker retires.
                         let mut local_counts: HashMap<u8, u64> = HashMap::new();
                         let mut finished_n: u64 = 0;
                         'work: loop {
@@ -1026,24 +965,8 @@ impl Pipeline {
                                     proc_ns,
                                 },
                             );
-                            match hot_path {
-                                HotPath::Coarse => {
-                                    // Legacy accounting: a metrics-lock
-                                    // bump and a counter-map lock bump on
-                                    // every task.
-                                    recorder.counter_add(
-                                        "tasks_finished",
-                                        &[("device", device_label)],
-                                        1,
-                                    );
-                                    *counters.lock().entry((si, spec.kind, level)).or_insert(0) +=
-                                        1;
-                                }
-                                HotPath::Sharded => {
-                                    *local_counts.entry(level).or_insert(0) += 1;
-                                    finished_n += 1;
-                                }
-                            }
+                            *local_counts.entry(level).or_insert(0) += 1;
+                            finished_n += 1;
                             handled_n += 1;
                             // Account emissions before retiring this task so
                             // the in-flight count can never dip to zero early.
@@ -1433,14 +1356,19 @@ mod tests {
         let mut p = Pipeline::new(PolicyKind::DdFcfs);
         p.add_stage(
             Arc::new(Doubler),
-            vec![WorkerSpec {
-                kind: DeviceKind::Cpu,
-                mode: ExecMode::Native,
-            }],
+            vec![
+                WorkerSpec {
+                    kind: DeviceKind::Cpu,
+                    mode: ExecMode::Native,
+                };
+                3
+            ],
         );
         let (out, report) = p.run((0..100).map(|i| task(i, i)).collect(), &oracle());
         assert_eq!(out.len(), 100);
         assert_eq!(report.total(), 100);
+        // Per-worker tallies merge into one report entry at join.
+        assert_eq!(report.count(0, DeviceKind::Cpu, 0), 100);
         let mut values: Vec<u64> = out
             .into_iter()
             .map(|t| *t.payload.downcast::<u64>().unwrap())
@@ -1746,33 +1674,6 @@ mod tests {
             }],
         );
         let _ = p.run(vec![task(0, 0u64)], &oracle());
-    }
-
-    #[test]
-    fn both_hot_paths_conserve_tasks_and_agree_on_totals() {
-        for hot_path in [HotPath::Coarse, HotPath::Sharded] {
-            let mut p = Pipeline::new(PolicyKind::DdFcfs).with_hot_path(hot_path);
-            p.add_stage(
-                Arc::new(Doubler),
-                vec![
-                    WorkerSpec {
-                        kind: DeviceKind::Cpu,
-                        mode: ExecMode::Native,
-                    };
-                    3
-                ],
-            );
-            let (out, report) = p.run((0..150).map(|i| task(i, i)).collect(), &oracle());
-            assert_eq!(out.len(), 150, "{hot_path:?} lost tasks");
-            assert_eq!(report.total(), 150);
-            assert_eq!(report.count(0, DeviceKind::Cpu, 0), 150);
-            let mut values: Vec<u64> = out
-                .into_iter()
-                .map(|t| *t.payload.downcast::<u64>().unwrap())
-                .collect();
-            values.sort_unstable();
-            assert_eq!(values, (0..150).map(|i| i * 2).collect::<Vec<_>>());
-        }
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //!
 //! * **Reads** are drained into the connection's [`FrameDecoder`] until
 //!   the socket would block; every whole frame is handed to the caller's
-//!   sink *before* EOF or a decode error is reported, preserving the
-//!   invariant the threaded pump documents (a slot's buffered
-//!   completions are observed before its `Closed` marker).
+//!   sink *before* EOF or a decode error is reported, so a slot's
+//!   buffered completions are observed before its `Closed` marker.
 //! * **Writes** are queued as encoded byte buffers and flushed with
 //!   vectored writes. Consecutive frames coalesce into the tail buffer
 //!   (fewer, larger `writev` calls under load), buffers come from a

@@ -12,12 +12,12 @@
 //!   sees callbacks in the identical order, per-device assignment counts
 //!   are bit-identical to the sequential/native/DES backends (the
 //!   policy-parity suite pins this).
-//! * [`run_concurrent`] — a wall-clock event loop: one reader thread per
-//!   connection feeds a channel, workers genuinely execute in parallel,
-//!   request timeouts fire from a timer heap, and worker death (process
-//!   kill, connection sever, heartbeat silence) maps onto the engine's
-//!   PR-3 recovery path ([`Engine::worker_died`] re-homes in-flight
-//!   buffers).
+//! * [`run_concurrent`] — a wall-clock event loop: every connection is a
+//!   non-blocking socket multiplexed by one [`Reactor`] on the coordinator
+//!   thread, workers genuinely execute in parallel, request timeouts fire
+//!   from a timer heap, and worker death (process kill, connection sever,
+//!   heartbeat silence) maps onto the engine's recovery path
+//!   ([`Engine::worker_died`] re-homes in-flight buffers).
 //!
 //! Backpressure is the engine's own demand-driven window: a worker slot
 //! holds at most `max_window` outstanding requests and
@@ -28,8 +28,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use anthill_hetsim::{DeviceId, DeviceKind};
@@ -54,21 +53,6 @@ use super::frame::{
     FrameDecoder, FrameError,
 };
 use super::worker::modeled_proc_ns;
-
-/// Which concurrent coordinator implementation to run (A/B knob, like the
-/// native pipeline's `HotPath`). Lockstep [`run_deterministic`] ignores
-/// this: it keeps its blocking path so bit-identical parity with the
-/// sequential reference is untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetPath {
-    /// The retained baseline: one blocking reader thread per socket
-    /// feeding an mpsc channel, blocking per-frame writes.
-    Threads,
-    /// The readiness-based event loop: non-blocking sockets multiplexed
-    /// by the [`anthill_poller`] shim on the coordinator thread, vectored
-    /// writes with frame coalescing, pooled encode buffers.
-    EventLoop,
-}
 
 /// One established coordinator↔worker connection and the device identity
 /// its slot schedules for. The caller owns connection establishment
@@ -108,15 +92,11 @@ pub struct NetConfig {
     /// bound; 1 matches the sequential reference driver and is required
     /// for cross-backend parity).
     pub batch_limit: usize,
-    /// Concurrent coordinator implementation (see [`NetPath`]); ignored
-    /// by the lockstep modes.
-    pub path: NetPath,
 }
 
 impl NetConfig {
     /// Defaults: the given policy, a 256-wide window cap, recovery off,
-    /// no recording, no severs, a 60 s deadline, batch limit 1, the
-    /// event-loop coordinator.
+    /// no recording, no severs, a 60 s deadline, batch limit 1.
     pub fn new(policy: Policy) -> NetConfig {
         NetConfig {
             policy,
@@ -127,15 +107,6 @@ impl NetConfig {
             deadline: Duration::from_secs(60),
             heartbeat_timeout: None,
             batch_limit: 1,
-            path: NetPath::EventLoop,
-        }
-    }
-
-    /// Same defaults with an explicit concurrent coordinator path.
-    pub fn with_path(policy: Policy, path: NetPath) -> NetConfig {
-        NetConfig {
-            path,
-            ..NetConfig::new(policy)
         }
     }
 }
@@ -151,9 +122,8 @@ pub struct NetOutcome {
     pub total: u64,
     /// Worker slots that died during the run (sever, EOF, silence).
     pub deaths: u32,
-    /// Wire-level counters. Populated by the event-loop coordinator;
-    /// zeroed on the threaded baseline and the lockstep modes, which do
-    /// not track per-connection counters.
+    /// Wire-level counters of the concurrent coordinator. Zeroed on the
+    /// lockstep modes, which do not track per-connection counters.
     pub wire: WireStats,
 }
 
@@ -897,81 +867,10 @@ pub fn run_graph_deterministic_with<W: WeightProvider>(
 
 // ----------------------------------------------------------- concurrent
 
-/// The concurrent coordinator's socket layer, selected by
-/// [`NetConfig::path`]: blocking per-slot writes with reader threads, or
-/// the non-blocking [`Reactor`]. Everything above this enum — run loops,
-/// timers, heartbeats, membership, reaps — is shared between the paths.
-// One NetIo exists per rig, so the Reactor-vs-Vec size gap is a
-// non-issue — boxing would only add a pointer hop to the hot path.
-#[allow(clippy::large_enum_variant)]
-enum NetIo {
-    Threads(Vec<SlotIo>),
-    Event(Reactor),
-}
-
-impl NetIo {
-    fn len(&self) -> usize {
-        match self {
-            NetIo::Threads(slots) => slots.len(),
-            NetIo::Event(r) => r.len(),
-        }
-    }
-
-    /// Is the slot's write side still usable?
-    fn open(&self, slot: usize) -> bool {
-        match self {
-            NetIo::Threads(slots) => slots[slot].open,
-            NetIo::Event(r) => r.open(slot),
-        }
-    }
-
-    fn write_frame(&mut self, slot: usize, frame: &Frame) {
-        match self {
-            NetIo::Threads(slots) => slots[slot].write(frame),
-            NetIo::Event(r) => r.send(slot, frame),
-        }
-    }
-
-    fn write_deliver(&mut self, slot: usize, kind: DeviceKind, buffers: &[Arc<DataBuffer>]) {
-        match self {
-            NetIo::Threads(slots) => slots[slot].write_deliver(kind, buffers),
-            NetIo::Event(r) => r.send_deliver(slot, kind, buffers),
-        }
-    }
-
-    /// Tear a slot down in both directions (kill/sever path).
-    fn sever(&mut self, slot: usize) {
-        match self {
-            NetIo::Threads(slots) => {
-                if slots[slot].open {
-                    let _ = slots[slot].stream.shutdown(Shutdown::Both);
-                    slots[slot].open = false;
-                }
-            }
-            NetIo::Event(r) => r.sever(slot),
-        }
-    }
-
-    /// Graceful half-close for a drained slot: `Shutdown` frame, then
-    /// close the write side.
-    fn graceful_close(&mut self, slot: usize) {
-        match self {
-            NetIo::Threads(slots) => {
-                if slots[slot].open {
-                    slots[slot].write(&Frame::Shutdown);
-                    let _ = slots[slot].stream.shutdown(Shutdown::Write);
-                    slots[slot].open = false;
-                }
-            }
-            NetIo::Event(r) => r.graceful_close(slot),
-        }
-    }
-}
-
 /// Concurrent driver: frames go out immediately; timeouts live in a heap
 /// keyed by wall-clock fire time.
 struct ConcurrentDriver {
-    net: NetIo,
+    net: Reactor,
     inflight: Vec<Vec<Arc<DataBuffer>>>,
     /// `(fire_ns, slot, req_id)` min-heap on the shared wall clock.
     timers: BinaryHeap<Reverse<(u64, usize, u64)>>,
@@ -980,7 +879,7 @@ struct ConcurrentDriver {
 
 impl Transport for ConcurrentDriver {
     fn send_request(&mut self, from: WorkerRef, reader: usize, req_id: u64) {
-        self.net.write_frame(
+        self.net.send(
             from.worker,
             &Frame::Request {
                 reader: reader as u32,
@@ -1005,7 +904,7 @@ impl Executor for ConcurrentDriver {
         // buffer (the old path cloned the payload for each).
         let batch: Vec<Arc<DataBuffer>> = batch.into_iter().map(Arc::new).collect();
         self.net
-            .write_deliver(worker.worker, worker.device.kind, &batch);
+            .send_deliver(worker.worker, worker.device.kind, &batch);
         self.inflight[worker.worker].extend(batch);
     }
 }
@@ -1028,33 +927,16 @@ fn kill_slot<C: Clock, W: WeightProvider>(
 }
 
 /// Shared live state of a concurrent (wall-clock) run: the engine, the
-/// socket driver, the reader threads feeding the [`Pump`] channel, and
-/// per-slot health bookkeeping. Built by [`concurrent_setup`]; the two
-/// event loops ([`run_concurrent`], [`run_concurrent_load`]) differ only
-/// in where work comes from (seeded up front vs. an arrival schedule
-/// gated by admission control).
-/// Where [`Pump`] events come from. On the threaded path, reader threads
-/// and the acceptor feed an mpsc channel; on the event-loop path the
-/// reactor inside [`NetIo::Event`] produces them directly and this holds
-/// only the acceptor-less marker.
-enum PumpSource {
-    Threads {
-        rx: mpsc::Receiver<Pump>,
-        /// Retained sender so reader threads for workers that join
-        /// *mid-run* can feed the same channel (the run ends by
-        /// deadline/quiescence, never by channel disconnect).
-        tx: mpsc::Sender<Pump>,
-        readers: Vec<std::thread::JoinHandle<()>>,
-    },
-    Event,
-}
-
+/// socket driver with its [`Reactor`], and per-slot health bookkeeping.
+/// Built by [`concurrent_setup`]; the event loops ([`run_concurrent`],
+/// [`run_concurrent_elastic`], [`run_concurrent_load`]) differ only in
+/// where work and workers come from (seeded up front vs. an arrival
+/// schedule gated by admission control; a fixed set vs. mid-run joins).
 struct ConcurrentRig<W: WeightProvider> {
     wall: WallClock,
     engine: Engine<WallClock, W>,
     node: usize,
     drv: ConcurrentDriver,
-    pump: PumpSource,
     dead: Vec<bool>,
     deaths: u32,
     last_seen: Vec<Instant>,
@@ -1071,103 +953,6 @@ struct ConcurrentRig<W: WeightProvider> {
 /// of the sweep amortized O(1).
 const REAP_EVERY: u32 = 64;
 
-/// Start the reader thread for one connection's read half, feeding the
-/// shared [`Pump`] channel. `dec` is the connection's handshake decoder:
-/// a handshake read can buffer bytes past its own reply (a coalesced
-/// heartbeat, or the front half of one), so the reader must continue
-/// from that decoder state — a fresh decoder would drop the buffered
-/// frames and desynchronize on any partial one.
-fn spawn_reader(
-    slot: usize,
-    mut stream: TcpStream,
-    tx: mpsc::Sender<Pump>,
-    mut dec: FrameDecoder,
-) -> std::thread::JoinHandle<()> {
-    stream.set_read_timeout(None).ok();
-    std::thread::Builder::new()
-        .name(format!("anthill-net-rx-{slot}"))
-        .spawn(move || {
-            let mut chunk = [0u8; 64 * 1024];
-            // Flush frames the handshake already buffered whole.
-            loop {
-                match dec.next_frame() {
-                    Ok(Some(f)) => {
-                        if tx.send(Pump::Frame(slot, f)).is_err() {
-                            return;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        let _ = tx.send(Pump::Closed(slot));
-                        return;
-                    }
-                }
-            }
-            loop {
-                match stream.read(&mut chunk) {
-                    Ok(0) => {
-                        let _ = tx.send(Pump::Closed(slot));
-                        return;
-                    }
-                    Ok(n) => {
-                        dec.feed(&chunk[..n]);
-                        loop {
-                            match dec.next_frame() {
-                                Ok(Some(f)) => {
-                                    if tx.send(Pump::Frame(slot, f)).is_err() {
-                                        return;
-                                    }
-                                }
-                                Ok(None) => break,
-                                Err(_) => {
-                                    let _ = tx.send(Pump::Closed(slot));
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        let _ = tx.send(Pump::Closed(slot));
-                        return;
-                    }
-                }
-            }
-        })
-        .expect("spawn net reader thread")
-}
-
-/// Accept elastic joiners in the background, handing raw connections to
-/// the main loop via the [`Pump`] channel. Polls so the `stop` flag can
-/// end the thread at run teardown.
-fn spawn_acceptor(
-    listener: TcpListener,
-    tx: mpsc::Sender<Pump>,
-    stop: Arc<AtomicBool>,
-) -> io::Result<std::thread::JoinHandle<()>> {
-    listener.set_nonblocking(true)?;
-    std::thread::Builder::new()
-        .name("anthill-net-accept".into())
-        .spawn(move || loop {
-            if stop.load(Ordering::Relaxed) {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false).ok();
-                    if tx.send(Pump::Incoming(stream)).is_err() {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => return,
-            }
-        })
-        .map_err(io::Error::other)
-}
-
 /// Answer an unknown or unwanted peer with a typed [`Frame::JoinRejected`]
 /// before closing, so the remote side sees the reason instead of a silent
 /// hangup.
@@ -1179,11 +964,10 @@ fn reject_peer(stream: &mut TcpStream, reason: &str) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Establish every connection, perform the handshake, and start one
-/// reader thread per socket, all feeding one channel; mpsc ordering
-/// guarantees a slot's buffered completions are seen before its `Closed`
-/// marker. Slots that fail the handshake are reaped as dead before the
-/// rig is returned.
+/// Establish every connection, perform the handshake, and register each
+/// socket with the reactor, which surfaces a slot's buffered completions
+/// before its `Closed` marker. Slots that fail the handshake are reaped
+/// as dead before the rig is returned.
 fn concurrent_setup<W: WeightProvider>(
     cfg: &NetConfig,
     workers: Vec<NetWorkerConn>,
@@ -1202,57 +986,38 @@ fn concurrent_setup<W: WeightProvider>(
         cfg.recorder.clone(),
     );
     let node = engine.add_node();
-    // The Hello handshake always runs on blocking sockets; the slots are
-    // then handed to the configured pump (reader threads or the reactor),
-    // each continuing from its handshake decoder state so frames (or
-    // frame fragments) buffered behind the Hello echo are not lost.
+    // The Hello handshake runs on blocking sockets; the slots are then
+    // handed to the reactor, each continuing from its handshake decoder
+    // state so frames (or frame fragments) buffered behind the Hello echo
+    // are not lost.
     let mut slots: Vec<SlotIo> = Vec::with_capacity(workers.len());
-    let mut read_halves = Vec::with_capacity(workers.len());
-    let threads = cfg.path == NetPath::Threads;
     for (i, conn) in workers.into_iter().enumerate() {
         engine.add_worker(node, conn.device);
         conn.stream
             .set_read_timeout(Some(Duration::from_millis(50)))
             .ok();
         conn.stream.set_nodelay(true).ok();
-        if threads {
-            read_halves.push(conn.stream.try_clone()?);
-        }
         slots.push(SlotIo::new(conn.stream, sever_for(&cfg.drops, node, i)));
     }
     assert!(!slots.is_empty(), "no worker connections configured");
     handshake(&mut slots, hard_deadline);
 
     let n_slots = slots.len();
-    let (net, pump) = if threads {
-        let (tx, rx) = mpsc::channel::<Pump>();
-        let mut readers = Vec::new();
-        for (slot, stream) in read_halves.into_iter().enumerate() {
-            let dec = std::mem::replace(&mut slots[slot].dec, FrameDecoder::new());
-            readers.push(spawn_reader(slot, stream, tx.clone(), dec));
+    let mut reactor = Reactor::new()?;
+    for io_slot in slots {
+        let open = io_slot.open;
+        let slot = reactor.register(
+            io_slot.stream,
+            io_slot.dec,
+            io_slot.sever_after,
+            io_slot.frames_sent,
+        )?;
+        if !open {
+            reactor.sever(slot);
         }
-        (
-            NetIo::Threads(slots),
-            PumpSource::Threads { rx, tx, readers },
-        )
-    } else {
-        let mut reactor = Reactor::new()?;
-        for io_slot in slots {
-            let open = io_slot.open;
-            let slot = reactor.register(
-                io_slot.stream,
-                io_slot.dec,
-                io_slot.sever_after,
-                io_slot.frames_sent,
-            )?;
-            if !open {
-                reactor.sever(slot);
-            }
-        }
-        (NetIo::Event(reactor), PumpSource::Event)
-    };
+    }
     let drv = ConcurrentDriver {
-        net,
+        net: reactor,
         inflight: vec![Vec::new(); n_slots],
         timers: BinaryHeap::new(),
         batch_limit: cfg.batch_limit.max(1),
@@ -1263,7 +1028,6 @@ fn concurrent_setup<W: WeightProvider>(
         engine,
         node,
         drv,
-        pump,
         dead: vec![false; n_slots],
         deaths: 0,
         last_seen: vec![Instant::now(); n_slots],
@@ -1327,7 +1091,7 @@ impl<W: WeightProvider> ConcurrentRig<W> {
         self.dead.iter().all(|&d| d)
     }
 
-    /// Sleep bound for the channel wait: the next request timeout, capped
+    /// Sleep bound for the reactor wait: the next request timeout, capped
     /// at `cap` and floored at 1 ms so a just-missed timer cannot spin.
     fn wait_budget(&self, cap: Duration) -> Duration {
         let mut wait = cap;
@@ -1358,86 +1122,21 @@ impl<W: WeightProvider> ConcurrentRig<W> {
         }
     }
 
-    /// Fetch the next [`Pump`] event from whichever pump is configured,
-    /// waiting at most `wait`. `None` is a timeout — the caller loops. A
-    /// disconnected threaded channel (all readers gone) kills every slot,
-    /// exactly as the inline handling used to.
-    fn next_event(&mut self, wait: Duration) -> Option<Pump> {
-        enum Fetched {
-            Ev(Pump),
-            Timeout,
-            Disconnected,
-        }
-        let fetched = match &mut self.pump {
-            PumpSource::Threads { rx, .. } => match rx.recv_timeout(wait) {
-                Ok(ev) => Fetched::Ev(ev),
-                Err(mpsc::RecvTimeoutError::Timeout) => Fetched::Timeout,
-                Err(mpsc::RecvTimeoutError::Disconnected) => Fetched::Disconnected,
-            },
-            PumpSource::Event => match &mut self.drv.net {
-                NetIo::Event(r) => r.pump(wait).map(Fetched::Ev).unwrap_or(Fetched::Timeout),
-                NetIo::Threads(_) => unreachable!("event pump requires the reactor net path"),
-            },
-        };
-        match fetched {
-            Fetched::Ev(ev) => Some(ev),
-            Fetched::Timeout => None,
-            Fetched::Disconnected => {
-                for slot in 0..self.dead.len() {
-                    self.kill(slot);
-                }
-                None
-            }
-        }
-    }
-
-    /// Start accepting elastic joiners: a background acceptor thread on
-    /// the threaded path, a poller registration on the event loop. The
-    /// returned flag stops the acceptor thread at teardown (always
-    /// returned so teardown code is path-independent; the event loop
-    /// ignores it).
-    fn attach_listener(&mut self, listener: TcpListener) -> io::Result<Arc<AtomicBool>> {
-        let stop = Arc::new(AtomicBool::new(false));
-        match (&mut self.pump, &mut self.drv.net) {
-            (PumpSource::Threads { tx, readers, .. }, _) => {
-                readers.push(spawn_acceptor(listener, tx.clone(), Arc::clone(&stop))?);
-            }
-            (PumpSource::Event, NetIo::Event(r)) => r.attach_listener(listener)?,
-            (PumpSource::Event, NetIo::Threads(_)) => {
-                unreachable!("event pump requires the reactor net path")
-            }
-        }
-        Ok(stop)
-    }
-
     /// Install an established connection as a brand-new worker slot: grow
-    /// every per-slot table, start its reader thread, and register the
-    /// slot with the engine (`worker_joined` event, DQAA warm-up window,
-    /// immediate request pump).
+    /// every per-slot table, register the socket with the reactor, and
+    /// register the slot with the engine (`worker_joined` event, DQAA
+    /// warm-up window, immediate request pump).
     fn install_slot(&mut self, io_slot: SlotIo, device: DeviceId) -> io::Result<usize> {
         let slot = self.drv.net.len();
-        let mut io_slot = io_slot;
         // The join/Hello handshake may have buffered bytes past its reply;
-        // the pump (reader thread or reactor) continues from that decoder
-        // state.
-        match (&mut self.pump, &mut self.drv.net) {
-            (PumpSource::Threads { tx, readers, .. }, NetIo::Threads(slots)) => {
-                let read_half = io_slot.stream.try_clone()?;
-                let dec = std::mem::replace(&mut io_slot.dec, FrameDecoder::new());
-                slots.push(io_slot);
-                readers.push(spawn_reader(slot, read_half, tx.clone(), dec));
-            }
-            (PumpSource::Event, NetIo::Event(r)) => {
-                let registered = r.register(
-                    io_slot.stream,
-                    io_slot.dec,
-                    io_slot.sever_after,
-                    io_slot.frames_sent,
-                )?;
-                debug_assert_eq!(registered, slot, "reactor slot must mirror the rig slot");
-            }
-            _ => unreachable!("pump source and net path always match"),
-        }
+        // the reactor continues from that decoder state.
+        let registered = self.drv.net.register(
+            io_slot.stream,
+            io_slot.dec,
+            io_slot.sever_after,
+            io_slot.frames_sent,
+        )?;
+        debug_assert_eq!(registered, slot, "reactor slot must mirror the rig slot");
         self.drv.inflight.push(Vec::new());
         self.dead.push(false);
         self.last_seen.push(Instant::now());
@@ -1603,37 +1302,15 @@ impl<W: WeightProvider> ConcurrentRig<W> {
         n
     }
 
-    /// Shut down live slots, stop the pump, and produce the outcome.
+    /// Shut down live slots and produce the outcome.
     fn finish(mut self, dispatch_order: Vec<(DeviceKind, u64)>) -> NetOutcome {
-        let mut wire = WireStats::default();
-        match &mut self.drv.net {
-            NetIo::Threads(slots) => shutdown_slots(slots),
-            NetIo::Event(r) => {
-                r.shutdown_all();
-                wire = r.stats();
-            }
-        }
-        let ConcurrentRig {
-            engine,
-            drv,
-            pump,
-            deaths,
-            ..
-        } = self;
-        drop(drv);
-        if let PumpSource::Threads { rx, tx, readers } = pump {
-            drop(rx);
-            drop(tx);
-            for handle in readers {
-                let _ = handle.join();
-            }
-        }
+        self.drv.net.shutdown_all();
         NetOutcome {
-            assigned: engine.tasks_by().clone(),
+            assigned: self.engine.tasks_by().clone(),
             dispatch_order,
-            total: engine.total_done(),
-            deaths,
-            wire,
+            total: self.engine.total_done(),
+            deaths: self.deaths,
+            wire: self.drv.net.stats(),
         }
     }
 }
@@ -1685,7 +1362,7 @@ pub fn run_concurrent<W: WeightProvider>(
             ));
         }
         let wait = rig.wait_budget(Duration::from_millis(25));
-        let Some(event) = rig.next_event(wait) else {
+        let Some(event) = rig.drv.net.pump(wait) else {
             rig.reap_failed_writes();
             continue;
         };
@@ -1728,7 +1405,7 @@ pub fn run_concurrent<W: WeightProvider>(
                     // rejection, not silence: the peer learns it must open
                     // a fresh connection against an elastic run instead.
                     Frame::Join { .. } => {
-                        rig.drv.net.write_frame(
+                        rig.drv.net.send(
                             slot,
                             &Frame::JoinRejected {
                                 reason:
@@ -1750,8 +1427,8 @@ pub fn run_concurrent<W: WeightProvider>(
                     | Frame::Shutdown => {}
                 }
             }
-            // No acceptor runs in this mode; an incoming connection can
-            // only mean a stray peer — reject it with the typed frame.
+            // No listener is attached in this mode; an incoming connection
+            // can only mean a stray peer — reject it with the typed frame.
             Pump::Incoming(mut stream) => {
                 reject_peer(&mut stream, "this run does not accept dynamic joins");
             }
@@ -1805,7 +1482,7 @@ pub fn run_concurrent_elastic<W: WeightProvider>(
 ) -> io::Result<ElasticOutcome> {
     let hard_deadline = Instant::now() + cfg.deadline;
     let mut rig = concurrent_setup(&cfg, workers, weights, hard_deadline)?;
-    let stop = rig.attach_listener(listener)?;
+    rig.drv.net.attach_listener(listener)?;
     let mut drains = drains;
     drains.sort_by_key(|d| d.after_completions);
     let mut next_drain = 0usize;
@@ -1822,7 +1499,6 @@ pub fn run_concurrent_elastic<W: WeightProvider>(
 
     while rig.engine.total_done() < expected {
         if Instant::now() >= hard_deadline {
-            stop.store(true, Ordering::Relaxed);
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
                 format!(
@@ -1851,7 +1527,6 @@ pub fn run_concurrent_elastic<W: WeightProvider>(
         }
         drained += rig.reap_drained();
         if rig.all_dead() {
-            stop.store(true, Ordering::Relaxed);
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
                 format!(
@@ -1862,7 +1537,7 @@ pub fn run_concurrent_elastic<W: WeightProvider>(
             ));
         }
         let wait = rig.wait_budget(Duration::from_millis(25));
-        let Some(event) = rig.next_event(wait) else {
+        let Some(event) = rig.drv.net.pump(wait) else {
             rig.reap_failed_writes();
             continue;
         };
@@ -1907,7 +1582,7 @@ pub fn run_concurrent_elastic<W: WeightProvider>(
                         rig.engine.worker_idle(0, slot, &procs, &mut rig.drv);
                     }
                     Frame::Join { .. } => {
-                        rig.drv.net.write_frame(
+                        rig.drv.net.send(
                             slot,
                             &Frame::JoinRejected {
                                 reason:
@@ -1931,7 +1606,6 @@ pub fn run_concurrent_elastic<W: WeightProvider>(
         rig.maybe_reap_failed_writes();
     }
 
-    stop.store(true, Ordering::Relaxed);
     drained += rig.reap_drained();
     Ok(ElasticOutcome {
         outcome: rig.finish(dispatch_order),
@@ -2261,7 +1935,7 @@ fn run_concurrent_load_inner<W: WeightProvider>(
                 wait = wait.min(until);
             }
         }
-        let Some(event) = rig.next_event(wait) else {
+        let Some(event) = rig.drv.net.pump(wait) else {
             rig.reap_failed_writes();
             continue;
         };
@@ -2319,7 +1993,7 @@ fn run_concurrent_load_inner<W: WeightProvider>(
                         rig.engine.worker_idle(0, slot, &procs, &mut rig.drv);
                     }
                     Frame::Join { .. } => {
-                        rig.drv.net.write_frame(
+                        rig.drv.net.send(
                             slot,
                             &Frame::JoinRejected {
                                 reason:

@@ -1,20 +1,17 @@
 //! `net::eventloop` — the readiness-based reactor behind the concurrent
-//! coordinator's `NetPath::EventLoop` mode.
+//! coordinator.
 //!
-//! One [`Reactor`] replaces the thread-per-socket pump: every worker
-//! connection is a non-blocking [`Conn`] registered with the
-//! [`anthill_poller::Poller`] shim, the elastic listener registers
+//! Every worker connection is a non-blocking [`Conn`] registered with
+//! the [`anthill_poller::Poller`] shim, the elastic listener registers
 //! alongside them, and one `wait` call multiplexes all of it on the
-//! coordinator thread. The reactor surfaces the exact same [`Pump`]
-//! events the reader threads used to send over the mpsc channel, so the
-//! three concurrent run loops (`run_concurrent`, `run_concurrent_load`,
-//! `run_concurrent_elastic`) are byte-for-byte identical above this seam
-//! — timers, heartbeat-silence checks, membership joins, and reaps all
-//! keep their existing call sites.
+//! coordinator thread. The reactor surfaces [`Pump`] events to the three
+//! concurrent run loops (`run_concurrent`, `run_concurrent_load`,
+//! `run_concurrent_elastic`), which own everything above the sockets —
+//! timers, heartbeat-silence checks, membership joins, and reaps.
 //!
-//! Ordering contract (inherited from the threaded pump): a slot's
-//! decoded frames are always surfaced before its [`Pump::Closed`]
-//! marker, and `Closed` fires at most once per slot.
+//! Ordering contract: a slot's decoded frames are always surfaced before
+//! its [`Pump::Closed`] marker, and `Closed` fires at most once per
+//! slot.
 
 use std::collections::VecDeque;
 use std::io;
@@ -31,9 +28,8 @@ use anthill_hetsim::DeviceKind;
 use super::conn::{Conn, ReadStatus, WireStats};
 use super::frame::{encode_deliver_into, encode_frame_into, BufPool, Frame, FrameDecoder};
 
-/// One unit of work for the concurrent run loops, produced either by the
-/// reader threads (`NetPath::Threads`) or by the [`Reactor`]
-/// (`NetPath::EventLoop`).
+/// One unit of work for the concurrent run loops, produced by the
+/// [`Reactor`].
 pub(crate) enum Pump {
     /// A decoded frame from a worker connection.
     Frame(usize, Frame),
@@ -244,8 +240,7 @@ impl Reactor {
     }
 
     /// Surface the next [`Pump`] event, polling the OS for at most
-    /// `wait`. `None` means the timeout elapsed with nothing to do —
-    /// exactly like `recv_timeout`'s `Timeout` arm on the threaded path.
+    /// `wait`. `None` means the timeout elapsed with nothing to do.
     pub fn pump(&mut self, wait: Duration) -> Option<Pump> {
         if let Some(ev) = self.ready.pop_front() {
             return Some(ev);
@@ -272,8 +267,7 @@ impl Reactor {
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    // The join handshake runs blocking on the main loop,
-                    // as it does on the threaded path.
+                    // The join handshake runs blocking on the main loop.
                     stream.set_nonblocking(false).ok();
                     ready.push_back(Pump::Incoming(stream));
                 }

@@ -43,7 +43,7 @@ pub use conn::{Conn, RawIo, ReadStatus, WireStats};
 pub use driver::{
     run_concurrent, run_concurrent_elastic, run_concurrent_load, run_concurrent_load_autoscaled,
     run_deterministic, run_graph_deterministic, run_graph_deterministic_with, DrainAt, ElasticLoad,
-    ElasticOutcome, NetConfig, NetGraphOutcome, NetLoadReport, NetOutcome, NetPath, NetQueueSample,
+    ElasticOutcome, NetConfig, NetGraphOutcome, NetLoadReport, NetOutcome, NetQueueSample,
     NetTaskTiming, NetWorkerConn,
 };
 pub use frame::{

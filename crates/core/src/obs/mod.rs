@@ -24,28 +24,24 @@
 //!
 //! ## Batched emission
 //!
-//! The default sink ([`Recorder::enabled`]) is *batched*: each producer
-//! thread appends into one of [`EVENT_SHARDS`] striped buffers (threads
-//! are assigned shards round-robin, so a push is an uncontended mutex
-//! acquire plus a `Vec` push); the events are collected and ordered only
-//! when a reader drains the sink ([`Recorder::events`] /
-//! [`Recorder::take_events`]). The pre-existing fully-serialized sink
-//! (one global mutex around a `Vec`, taken per event) is kept as
-//! [`Recorder::enabled_serialized`] so `repro perf` can measure the two
-//! designs against each other in one binary.
+//! The sink ([`Recorder::enabled`]) is *batched*: each producer thread
+//! appends into one of [`EVENT_SHARDS`] striped buffers (threads are
+//! assigned shards round-robin, so a push is an uncontended mutex acquire
+//! plus a `Vec` push); the events are collected and ordered only when a
+//! reader drains the sink ([`Recorder::events`] /
+//! [`Recorder::take_events`]).
 //!
 //! ## Ordering contract
 //!
-//! Unchanged from the serialized design, but established at a different
-//! point: any drained or snapshotted view of the trace is in
-//! **non-decreasing `ts_ns` order**, and events with equal timestamps keep
-//! their arrival order (a single producer's program order is preserved —
-//! a producer always appends to the same shard buffer and the drain-time
-//! sort is stable). [`Recorder::record_now`] reads the clock *before*
-//! touching any shared structure, so a producer can never be stamped late
-//! by waiting on a lock; cross-thread ordering is restored by the stable
-//! drain-time sort keyed on `ts_ns` instead of by serializing every
-//! producer through the sink's critical section.
+//! Any drained or snapshotted view of the trace is in **non-decreasing
+//! `ts_ns` order**, and events with equal timestamps keep their arrival
+//! order (a single producer's program order is preserved — a producer
+//! always appends to the same shard buffer and the drain-time sort is
+//! stable). [`Recorder::record_now`] reads the clock *before* touching
+//! any shared structure, so a producer can never be stamped late by
+//! waiting on a lock; cross-thread ordering is established by the stable
+//! drain-time sort keyed on `ts_ns`, not by serializing every producer
+//! through one critical section.
 //!
 //! ## Determinism
 //!
@@ -121,18 +117,10 @@ impl BatchStore {
     }
 }
 
-/// Event storage behind an enabled recorder.
-enum Events {
-    /// Striped producer-side buffers; ordered at drain time.
-    Batched(BatchStore),
-    /// One mutex taken per event (the pre-batching design, kept as the
-    /// measured baseline; also sorted at drain so the contract matches).
-    Serialized(Mutex<Vec<TraceEvent>>),
-}
-
 /// The shared sink behind an enabled recorder.
 struct Sink {
-    events: Events,
+    /// Striped producer-side buffers; ordered at drain time.
+    events: BatchStore,
     metrics: Mutex<MetricsRegistry>,
 }
 
@@ -158,20 +146,7 @@ impl Recorder {
     pub fn enabled() -> Recorder {
         Recorder {
             inner: Some(Arc::new(Sink {
-                events: Events::Batched(BatchStore::new()),
-                metrics: Mutex::new(MetricsRegistry::new()),
-            })),
-        }
-    }
-
-    /// A recorder whose sink serializes every event through one global
-    /// mutex — the pre-batching design. Functionally identical to
-    /// [`enabled`](Recorder::enabled); kept so `repro perf` can measure
-    /// the contention cost of per-event serialization as its baseline.
-    pub fn enabled_serialized() -> Recorder {
-        Recorder {
-            inner: Some(Arc::new(Sink {
-                events: Events::Serialized(Mutex::new(Vec::new())),
+                events: BatchStore::new(),
                 metrics: Mutex::new(MetricsRegistry::new()),
             })),
         }
@@ -187,24 +162,19 @@ impl Recorder {
     #[inline]
     pub fn record(&self, ts_ns: u64, origin: DeviceRef, kind: EventKind) {
         let Some(sink) = &self.inner else { return };
-        let ev = TraceEvent {
+        sink.events.shards[event_shard()].lock().push(TraceEvent {
             ts_ns,
             origin,
             kind,
-        };
-        match &sink.events {
-            Events::Batched(store) => store.shards[event_shard()].lock().push(ev),
-            Events::Serialized(events) => events.lock().push(ev),
-        }
+        });
     }
 
     /// Append one event stamped with monotonic wall time since `epoch`.
     ///
     /// The clock is read *before* any shared structure is touched — a
-    /// producer is never stamped late because it waited on a lock. The
-    /// trace-order/timestamp-order agreement the serialized sink provided
-    /// by stamping inside its critical section is provided at drain time
-    /// instead (stable sort by `ts_ns`; see the module docs).
+    /// producer is never stamped late because it waited on a lock.
+    /// Trace order agrees with timestamp order because the drain sorts
+    /// stably by `ts_ns` (see the module docs).
     #[inline]
     pub fn record_now(&self, epoch: Instant, origin: DeviceRef, kind: EventKind) {
         if self.inner.is_none() {
@@ -238,10 +208,7 @@ impl Recorder {
     /// Number of recorded events (0 when disabled).
     pub fn event_count(&self) -> usize {
         match &self.inner {
-            Some(sink) => match &sink.events {
-                Events::Batched(store) => store.drain().len(),
-                Events::Serialized(events) => events.lock().len(),
-            },
+            Some(sink) => sink.events.drain().len(),
             None => 0,
         }
     }
@@ -250,14 +217,7 @@ impl Recorder {
     /// disabled).
     pub fn events(&self) -> Vec<TraceEvent> {
         match &self.inner {
-            Some(sink) => match &sink.events {
-                Events::Batched(store) => store.drain().clone(),
-                Events::Serialized(events) => {
-                    let mut events = events.lock();
-                    events.sort_by_key(|e| e.ts_ns);
-                    events.clone()
-                }
-            },
+            Some(sink) => sink.events.drain().clone(),
             None => Vec::new(),
         }
     }
@@ -266,14 +226,7 @@ impl Recorder {
     /// empty.
     pub fn take_events(&self) -> Vec<TraceEvent> {
         match &self.inner {
-            Some(sink) => match &sink.events {
-                Events::Batched(store) => std::mem::take(&mut *store.drain()),
-                Events::Serialized(events) => {
-                    let mut events = events.lock();
-                    events.sort_by_key(|e| e.ts_ns);
-                    std::mem::take(&mut *events)
-                }
-            },
+            Some(sink) => std::mem::take(&mut *sink.events.drain()),
             None => Vec::new(),
         }
     }
@@ -402,30 +355,5 @@ mod tests {
             );
         }
         assert_eq!(r.event_count(), 0);
-    }
-
-    #[test]
-    fn serialized_sink_matches_batched_semantics() {
-        let mk = |r: &Recorder| {
-            for i in 0..10u32 {
-                r.record(
-                    u64::from(10 - i),
-                    DeviceRef::node_scope(0),
-                    EventKind::Streams { count: i },
-                );
-            }
-            r.counter_add("c", &[], 2);
-        };
-        let batched = Recorder::enabled();
-        let serialized = Recorder::enabled_serialized();
-        mk(&batched);
-        mk(&serialized);
-        assert_eq!(batched.events(), serialized.events());
-        assert_eq!(batched.event_count(), serialized.event_count());
-        assert_eq!(
-            batched.metrics().counter("c", &[]),
-            serialized.metrics().counter("c", &[])
-        );
-        assert_eq!(batched.take_events(), serialized.take_events());
     }
 }

@@ -11,8 +11,15 @@
 //! scheduled number of frames reach the wire, counting frames the
 //! blocking handshake already sent.
 //!
+//! One socket-level test rides along: the tier-1 twin of `repro
+//! netbench`'s scale leg, a 32-worker loopback fan-in through
+//! `run_concurrent` checked for conservation, zero deaths and at most one
+//! write-path allocation per frame.
+//!
 //! Set `NET_CODEC_HEAVY=1` to multiply the frames per case (the CI net
 //! job does).
+
+mod common;
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice};
@@ -21,8 +28,10 @@ use proptest::prelude::*;
 
 use anthill_repro::core::buffer::{BufferId, DataBuffer};
 use anthill_repro::core::net::{
-    encode_frame, BufPool, Conn, Frame, FrameDecoder, RawIo, ReadStatus,
+    encode_frame, run_concurrent, Behavior, BufPool, Conn, Frame, FrameDecoder, NetConfig, RawIo,
+    ReadStatus,
 };
+use anthill_repro::core::policy::Policy;
 use anthill_repro::estimator::{ParamValue, TaskParams};
 use anthill_repro::hetsim::{DeviceKind, TaskShape};
 use anthill_repro::simkit::SimDuration;
@@ -346,4 +355,40 @@ proptest! {
             prop_assert!(conn.write_open(), "under-limit schedule must not sever");
         }
     }
+}
+
+/// Tier-1 twin of `repro netbench`'s scale leg: a 32-worker loopback
+/// fan-in with coalesced deliveries completes every task exactly once,
+/// kills nobody, and allocates at most one encode buffer per frame.
+#[test]
+fn loopback_fan_in_conserves_with_pooled_writes() {
+    const WORKERS: usize = 32;
+    const TASKS: u64 = 640;
+    let kinds: Vec<DeviceKind> = (0..WORKERS)
+        .map(|i| [DeviceKind::Cpu, DeviceKind::Gpu][i % 2])
+        .collect();
+    let cfg = NetConfig {
+        batch_limit: 8,
+        ..NetConfig::new(Policy::ddfcfs(4))
+    };
+    let out = run_concurrent(
+        cfg,
+        common::loopback_workers(&kinds, Behavior::Identity),
+        (0..TASKS).map(|id| common::load_buffer(id, 1)).collect(),
+        common::oracle(),
+    )
+    .expect("fan-in run completes");
+
+    let mut done: Vec<u64> = out.dispatch_order.iter().map(|&(_, id)| id).collect();
+    done.sort_unstable();
+    assert_eq!(done, (0..TASKS).collect::<Vec<_>>(), "every task once");
+    assert_eq!(out.total, TASKS);
+    assert_eq!(out.deaths, 0);
+    assert!(out.wire.tx_frames > 0, "wire counters must be populated");
+    assert!(
+        out.wire.pool_misses <= out.wire.tx_frames,
+        "{} allocations for {} frames",
+        out.wire.pool_misses,
+        out.wire.tx_frames
+    );
 }
