@@ -7,13 +7,13 @@
 //! the threaded runtime's stage queues (via [`ReadyLane`]). Backends never
 //! re-implement the ordering rule.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use anthill_hetsim::DeviceKind;
 
 use crate::buffer::DataBuffer;
 use crate::policy::PolicyKind;
-use crate::queue::{OrdWeight, SharedQueue};
+use crate::queue::SharedQueue;
 use crate::weights::WeightProvider;
 
 /// Pop the next buffer from `queue` for a device of `kind`: the
@@ -51,95 +51,45 @@ pub fn dispatch_order(kinds: &[DeviceKind]) -> Vec<usize> {
     idx
 }
 
-/// A policy-ordered ready queue: the receiver-side ordering rule of a
-/// [`PolicyKind`] over one of three storage layouts. Backends that own
-/// their queueing machinery (the threaded runtime's per-stage queues) use
-/// this instead of re-deciding the pop order locally.
-///
-/// [`ReadyLane::tuned`] picks the cheapest layout that yields the *same
-/// pop order* as a full [`SharedQueue`] (FIFO index plus one sorted view
-/// per device kind) for the consumers the lane will actually serve: a
-/// plain `VecDeque` when the policy pops FIFO (DDFCFS never reads the
-/// sorted views it would otherwise pay ~4 map updates per push/pop to
-/// maintain), or a single max-heap when every consumer is the same device
-/// kind (the other kind's view could never be popped). The full
-/// [`SharedQueue`] stays where the per-device sorted views are genuinely
-/// needed: DDWRR/ODDS stages served by both CPU and GPU workers here, and
-/// the engine's own node pools, which use it directly.
+/// Storage of a [`ReadyLane`]: layouts are a cost choice, never a
+/// semantics choice — both pop in exactly the order a [`SharedQueue`]
+/// driven through [`pop_for`] would.
 #[derive(Debug)]
+// One lane per stage, never stored in bulk: boxing the queue would only add
+// a pointer chase to every push and pop.
+#[allow(clippy::large_enum_variant)]
 enum LaneStore {
-    /// Full shared pool with every view: sorted policy, mixed-kind stage.
+    /// The shared pool with its FIFO bands and one sorted view per device
+    /// kind: every sorted policy, whichever kinds consume the lane.
     Shared(SharedQueue),
-    /// FIFO-only lane: arrival order is the pop order.
+    /// FIFO-only lane: arrival order is the pop order, and producers need
+    /// not weigh buffers at all ([`ReadyLane::needs_weights`]).
     Fifo(VecDeque<(DataBuffer, Option<u64>)>),
-    /// One max-heap for a homogeneous stage; the heap key mirrors
-    /// [`SharedQueue`]'s sorted-view key `(weight, u64::MAX - seq)` and
-    /// keys are unique (seq is), so the pop-max order — including
-    /// oldest-wins tie-breaks — is identical.
-    SingleKind {
-        kind_index: usize,
-        heap: BinaryHeap<SingleKindItem>,
-        next_seq: u64,
-    },
 }
 
-/// Heap entry of a single-kind lane: ordered by `(weight, u64::MAX - seq)`
-/// only — the buffer payload never participates in comparisons.
-#[derive(Debug)]
-struct SingleKindItem {
-    weight: OrdWeight,
-    rev_seq: u64,
-    buffer: DataBuffer,
-    tag: Option<u64>,
-}
-
-impl PartialEq for SingleKindItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for SingleKindItem {}
-impl PartialOrd for SingleKindItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for SingleKindItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.weight, self.rev_seq).cmp(&(other.weight, other.rev_seq))
-    }
-}
-
-/// See [`LaneStore`] for the layout choices.
+/// A policy-ordered ready queue: the receiver-side ordering rule of a
+/// [`PolicyKind`] over the cheaper of two storage layouts. Backends that
+/// own their queueing machinery (the threaded runtime's per-stage queues)
+/// use this instead of re-deciding the pop order locally; the engine's own
+/// node pools use [`SharedQueue`] directly.
 #[derive(Debug)]
 pub struct ReadyLane {
     store: LaneStore,
-    sorted: bool,
 }
 
 impl ReadyLane {
-    /// An empty lane consumed per `policy` (DDFCFS pops FIFO, DDWRR/ODDS
-    /// pop best-per-device) by workers of the given device kinds, backed
-    /// by the cheapest layout that preserves the policy's pop order for
-    /// those consumers.
-    pub fn tuned(policy: PolicyKind, kinds: &[DeviceKind]) -> ReadyLane {
-        let sorted = policy.receiver_sorted();
-        let store = if !sorted {
-            LaneStore::Fifo(VecDeque::new())
-        } else if let Some((&first, rest)) = kinds.split_first() {
-            if rest.iter().all(|&k| k == first) {
-                LaneStore::SingleKind {
-                    kind_index: SharedQueue::kind_index(first),
-                    heap: BinaryHeap::new(),
-                    next_seq: 0,
-                }
-            } else {
-                LaneStore::Shared(SharedQueue::new())
-            }
-        } else {
+    /// An empty lane consumed per `policy`: a plain `VecDeque` when the
+    /// policy pops FIFO (DDFCFS never reads the sorted views), the full
+    /// [`SharedQueue`] when it pops best-per-device (DDWRR/ODDS). The
+    /// consumers' device kinds do not select a layout: one queue serves
+    /// any mix at the cost a specialised single-kind heap could not beat.
+    pub fn tuned(policy: PolicyKind, _kinds: &[DeviceKind]) -> ReadyLane {
+        let store = if policy.receiver_sorted() {
             LaneStore::Shared(SharedQueue::new())
+        } else {
+            LaneStore::Fifo(VecDeque::new())
         };
-        ReadyLane { store, sorted }
+        ReadyLane { store }
     }
 
     /// True if `push` consults the weight vector: FIFO-only lanes ignore
@@ -153,38 +103,14 @@ impl ReadyLane {
         match &mut self.store {
             LaneStore::Shared(q) => q.insert(buffer, weights, tag),
             LaneStore::Fifo(q) => q.push_back((buffer, tag)),
-            LaneStore::SingleKind {
-                kind_index,
-                heap,
-                next_seq,
-            } => {
-                let seq = *next_seq;
-                *next_seq += 1;
-                heap.push(SingleKindItem {
-                    weight: OrdWeight(weights[*kind_index]),
-                    rev_seq: u64::MAX - seq,
-                    buffer,
-                    tag,
-                });
-            }
         }
     }
 
     /// Pop the next buffer for a device of `kind` per the lane's policy.
     pub fn pop(&mut self, kind: DeviceKind) -> Option<(DataBuffer, Option<u64>)> {
         match &mut self.store {
-            LaneStore::Shared(q) => pop_for(q, self.sorted, kind),
+            LaneStore::Shared(q) => pop_for(q, true, kind),
             LaneStore::Fifo(q) => q.pop_front(),
-            LaneStore::SingleKind {
-                kind_index, heap, ..
-            } => {
-                debug_assert_eq!(
-                    *kind_index,
-                    SharedQueue::kind_index(kind),
-                    "single-kind lane popped by a different device kind"
-                );
-                heap.pop().map(|it| (it.buffer, it.tag))
-            }
         }
     }
 
@@ -193,7 +119,6 @@ impl ReadyLane {
         match &self.store {
             LaneStore::Shared(q) => q.len(),
             LaneStore::Fifo(q) => q.len(),
-            LaneStore::SingleKind { heap, .. } => heap.len(),
         }
     }
 

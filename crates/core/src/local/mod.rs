@@ -553,7 +553,7 @@ impl Pipeline {
         let started = Instant::now();
         let n_stages = self.stages.len();
         // Each stage picks the cheapest lane layout that preserves the
-        // policy's pop order for that stage's worker kinds.
+        // policy's pop order.
         let queues: Vec<StageQueue> = self
             .stages
             .iter()

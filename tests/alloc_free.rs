@@ -1,5 +1,6 @@
-//! Weighing a buffer whose shape was seen before touches the heap not at
-//! all (DESIGN.md §10): a counting global allocator brackets the calls.
+//! Weighing a buffer whose shape was seen before, and queueing it in a
+//! warm ready queue, touch the heap not at all (DESIGN.md §10): a counting
+//! global allocator brackets the calls.
 //! Own test binary, since the allocator is process-wide; the count is
 //! per thread, so the harness's own threads cannot disturb it.
 
@@ -8,9 +9,12 @@ use std::cell::Cell;
 use std::hint::black_box;
 
 use anthill_repro::core::buffer::{BufferId, DataBuffer};
+use anthill_repro::core::engine::select::ReadyLane;
+use anthill_repro::core::policy::PolicyKind;
+use anthill_repro::core::queue::SharedQueue;
 use anthill_repro::core::weights::{EstimatorWeights, WeightProvider};
 use anthill_repro::estimator::{params, KnnEstimator, ProfileStore, TaskParams};
-use anthill_repro::hetsim::NbiaCostModel;
+use anthill_repro::hetsim::{DeviceKind, NbiaCostModel};
 
 thread_local! {
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
@@ -99,4 +103,66 @@ fn shape_key_allocates_nothing() {
         }
     });
     assert_eq!(bytes, 0);
+}
+
+/// 1 000 insert + pop-best round trips at depth ~1 000, two recurring
+/// weight classes, after one warm-up fill and drain: bytes allocated.
+fn warm_round_trips(
+    mut push: impl FnMut(DataBuffer, [f64; 2]),
+    mut pop: impl FnMut(DeviceKind) -> Option<DataBuffer>,
+) -> usize {
+    const DEPTH: u64 = 1_000;
+    let shape = NbiaCostModel::paper_calibrated().tile(64);
+    let params = TaskParams::nums(&[64.0]);
+    let buffer = |id: u64| DataBuffer {
+        id: BufferId(id),
+        params: params.clone(),
+        shape,
+        level: 0,
+        task: id,
+    };
+    let weights = |id: u64| [[0.03, 33.0], [1.0, 1.0], [1.0, 1.0]][(id % 3) as usize];
+    let kind = |turn: u64| DeviceKind::ALL[(turn % 2) as usize];
+    // Warm-up: one slot deeper than the measured loop ever gets.
+    for id in 0..=DEPTH {
+        push(buffer(id), weights(id));
+    }
+    for turn in 0..=DEPTH {
+        pop(kind(turn)).expect("the warm-up fill drains");
+    }
+    for id in 0..DEPTH {
+        push(buffer(id), weights(id));
+    }
+    let fresh: Vec<DataBuffer> = (DEPTH..2 * DEPTH).map(buffer).collect();
+    allocated_by(|| {
+        for (turn, b) in (0..).zip(fresh) {
+            let w = weights(b.id.0);
+            push(b, w);
+            black_box(pop(kind(turn)).expect("the queue is a thousand deep"));
+        }
+    })
+}
+
+#[test]
+fn warm_queue_round_trips_allocate_nothing() {
+    let q = std::cell::RefCell::new(SharedQueue::new());
+    let bytes = warm_round_trips(
+        |b, w| q.borrow_mut().insert(b, w, None),
+        |kind| q.borrow_mut().pop_best(kind).map(|(b, _)| b),
+    );
+    assert_eq!(bytes, 0, "a warm SharedQueue allocated");
+    assert_eq!(q.borrow().len(), 1_000);
+}
+
+#[test]
+fn warm_lane_round_trips_allocate_nothing() {
+    let lane = std::cell::RefCell::new(ReadyLane::tuned(
+        PolicyKind::DdWrr,
+        &[DeviceKind::Cpu, DeviceKind::Gpu],
+    ));
+    let bytes = warm_round_trips(
+        |b, w| lane.borrow_mut().push(b, w, None),
+        |kind| lane.borrow_mut().pop(kind).map(|(b, _)| b),
+    );
+    assert_eq!(bytes, 0, "a warm ReadyLane allocated");
 }

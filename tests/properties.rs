@@ -28,6 +28,35 @@ fn buffer(id: u64) -> DataBuffer {
     }
 }
 
+/// One queued buffer of the naive model in
+/// `shared_queue_matches_a_scan_for_max_model`.
+struct Queued {
+    /// Also the arrival order: ids are handed out in insertion order.
+    id: u64,
+    tag: Option<u64>,
+    band: u8,
+    w: [f64; 2],
+}
+
+/// The model's `pop_best`: scan for the maximum of (weight with NaN as −∞
+/// and −0.0 equal to 0.0, older first).
+fn model_best(model: &[Queued], k: usize) -> Option<usize> {
+    let weight = |e: &Queued| {
+        if e.w[k].is_nan() {
+            f64::NEG_INFINITY
+        } else {
+            e.w[k]
+        }
+    };
+    (0..model.len()).max_by(|&a, &b| {
+        let (a, b) = (&model[a], &model[b]);
+        weight(a)
+            .partial_cmp(&weight(b))
+            .expect("sanitized weights compare")
+            .then(b.id.cmp(&a.id))
+    })
+}
+
 proptest! {
     /// The engine delivers events in nondecreasing time order, FIFO within
     /// a timestamp, and drains completely.
@@ -79,6 +108,76 @@ proptest! {
             count += 1;
         }
         prop_assert_eq!(count, weights.len());
+    }
+
+    /// Step-by-step differential test of the queue against a scan-for-max
+    /// `Vec` model: same popped id and tag, same `best_weight` bits, same
+    /// `len`, same full FIFO order, over random interleavings of banded
+    /// inserts, both pops and `remove`. Weights are drawn from 1 to 1 000
+    /// values (few recurring classes up to every buffer its own) that
+    /// include NaN, −∞, −0.0 and 0.0.
+    #[test]
+    fn shared_queue_matches_a_scan_for_max_model(seed in 0u64..u64::MAX, palette in 0usize..5) {
+        let mut rng = TestRng::new(seed);
+        let specials = [f64::NAN, f64::NEG_INFINITY, -0.0, 0.0];
+        let pool: Vec<f64> = (0..[1, 2, 5, 40, 1_000][palette])
+            .map(|i| match rng.below(3) {
+                0 => specials[(i + seed as usize) % 4],
+                _ => (i as f64 - 20.0) / 8.0,
+            })
+            .collect();
+        let mut q = SharedQueue::new();
+        let mut model: Vec<Queued> = Vec::new();
+        for step in 0..400u64 {
+            // Filling and draining phases alternate, so classes drain, sit
+            // idle and come back.
+            let inserts = if (step / 50) % 2 == 0 { 7 } else { 2 };
+            let op = rng.below(10);
+            if op < inserts {
+                let e = Queued {
+                    id: step,
+                    tag: (rng.below(2) == 0).then(|| rng.below(5)),
+                    band: rng.below(3) as u8,
+                    w: [(); 2].map(|()| pool[rng.below(pool.len() as u64) as usize]),
+                };
+                q.insert_banded(buffer(e.id), e.w, e.tag, e.band);
+                model.push(e);
+            } else {
+                let (got, at) = if op < 8 {
+                    let k = (op % 2) as usize;
+                    (q.pop_best(DeviceKind::ALL[k]), model_best(&model, k))
+                } else if op == 8 {
+                    let oldest = (0..model.len()).min_by_key(|&i| (model[i].band, model[i].id));
+                    (q.pop_fifo(), oldest)
+                } else {
+                    // Mostly a queued id, sometimes one that never was.
+                    let at = (!model.is_empty() && rng.below(4) > 0)
+                        .then(|| rng.below(model.len() as u64) as usize);
+                    (q.remove(BufferId(at.map_or(u64::MAX, |i| model[i].id))), at)
+                };
+                let want = at.map(|i| model.remove(i));
+                prop_assert_eq!(
+                    got.map(|(b, tag)| (b.id.0, tag)),
+                    want.map(|e| (e.id, e.tag)),
+                    "step {}", step
+                );
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.is_empty(), model.is_empty());
+            for (k, &kind) in DeviceKind::ALL.iter().enumerate() {
+                prop_assert_eq!(
+                    q.best_weight(kind).map(f64::to_bits),
+                    model_best(&model, k).map(|i| model[i].w[k].to_bits()),
+                    "step {}", step
+                );
+            }
+            let mut fifo: Vec<&Queued> = model.iter().collect();
+            fifo.sort_by_key(|e| (e.band, e.id));
+            prop_assert!(
+                q.iter_fifo().map(|b| b.id.0).eq(fifo.iter().map(|e| e.id)),
+                "step {}", step
+            );
+        }
     }
 
     /// A dedicated GPU consumer drains buffers in nonincreasing GPU-weight
