@@ -429,6 +429,19 @@ where
     }
 }
 
+/// FNV-1a-64 over a dispatch order, one `[kind, id as 8 LE bytes]` record
+/// per entry — the fingerprint the golden-order tests pin.
+#[cfg(test)]
+pub(crate) fn dispatch_fnv(order: &[(DeviceKind, u64)]) -> u64 {
+    let bytes: Vec<u8> = order
+        .iter()
+        .flat_map(|&(kind, id)| {
+            std::iter::once(u8::from(kind == DeviceKind::Gpu)).chain(id.to_le_bytes())
+        })
+        .collect();
+    anthill_estimator::fnv1a64(&bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,7 +545,34 @@ mod tests {
         // Acceptance criterion: a 1-node graph must reproduce today's
         // engine exactly — same per-device assignment AND same dispatch
         // order — for all three policies, including with recirculation.
-        for policy in [Policy::ddfcfs(4), Policy::ddwrr(4), Policy::odds()] {
+        // The literals are what `run` produced at 78014d1, when it was
+        // still a separate flat loop: 74 dispatches each, the FNV-1a-64 of
+        // the `(kind, id)` order, and the `(kind, level)` tallies.
+        use DeviceKind::{Cpu, Gpu};
+        type Tally = &'static [((DeviceKind, u8), u64)];
+        let golden: [(Policy, u64, Tally); 3] = [
+            (
+                Policy::ddfcfs(4),
+                0x68ab_bf5c_86a4_e448,
+                &[
+                    ((Cpu, 0), 21),
+                    ((Cpu, 1), 16),
+                    ((Gpu, 0), 21),
+                    ((Gpu, 1), 16),
+                ],
+            ),
+            (
+                Policy::ddwrr(4),
+                0xed30_9169_98f1_8af8,
+                &[((Cpu, 0), 37), ((Gpu, 0), 5), ((Gpu, 1), 32)],
+            ),
+            (
+                Policy::odds(),
+                0x7679_cdbc_a6d0_a5b4,
+                &[((Cpu, 0), 5), ((Cpu, 1), 32), ((Gpu, 0), 37)],
+            ),
+        ];
+        for (policy, order_fnv, tally) in golden {
             let sources: Vec<DataBuffer> = (0..64)
                 .map(|i| tile(i, if i % 3 == 0 { 512 } else { 32 }))
                 .collect();
@@ -582,6 +622,13 @@ mod tests {
                         acc
                     });
             assert_eq!(flat.assigned, g_assigned, "{policy:?}");
+            assert_eq!(g_order.len(), 74, "{policy:?}");
+            assert_eq!(dispatch_fnv(&g_order), order_fnv, "{policy:?}");
+            assert_eq!(
+                g_assigned,
+                tally.iter().copied().collect::<HashMap<_, _>>(),
+                "{policy:?}"
+            );
             // Every handled buffer left the degenerate graph as an output.
             assert_eq!(g.outputs.len() as u64, g.total, "{policy:?}");
         }

@@ -167,6 +167,112 @@ mod tests {
         }
     }
 
+    /// What the flat `LockstepDriver` dispatched at 78014d1 (60 tiles, one
+    /// CPU and one GPU loopback worker): dispatch count, FNV-1a-64 of the
+    /// `(kind, id)` order, `(kind, level)` tallies. With equal CPU/GPU
+    /// shapes the three policies coincide on `Identity` and part ways only
+    /// once recirculated copies re-enter the reader.
+    #[test]
+    fn single_filter_graph_schedules_as_the_flat_lockstep_driver_did() {
+        use crate::engine::sequential::dispatch_fnv;
+        use crate::graph::DataflowGraph;
+        use DeviceKind::{Cpu, Gpu};
+        type Tally = &'static [((DeviceKind, u8), u64)];
+        let identity: Tally = &[((Cpu, 0), 30), ((Gpu, 0), 30)];
+        let recirc = Behavior::Recirc { rounds: 2 };
+        let golden: [(Policy, Behavior, usize, u64, Tally); 6] = [
+            (
+                Policy::ddfcfs(4),
+                Behavior::Identity,
+                60,
+                0x5ae1_38c9_f457_26b9,
+                identity,
+            ),
+            (
+                Policy::ddwrr(8),
+                Behavior::Identity,
+                60,
+                0x5ae1_38c9_f457_26b9,
+                identity,
+            ),
+            (
+                Policy::odds(),
+                Behavior::Identity,
+                60,
+                0x5ae1_38c9_f457_26b9,
+                identity,
+            ),
+            (
+                Policy::ddfcfs(4),
+                recirc,
+                120,
+                0x4ada_fd77_a6d9_af2f,
+                &[
+                    ((Cpu, 0), 27),
+                    ((Cpu, 1), 33),
+                    ((Gpu, 0), 33),
+                    ((Gpu, 1), 27),
+                ],
+            ),
+            (
+                Policy::ddwrr(8),
+                recirc,
+                120,
+                0x12ee_320b_7f05_8409,
+                &[
+                    ((Cpu, 0), 28),
+                    ((Cpu, 1), 32),
+                    ((Gpu, 0), 32),
+                    ((Gpu, 1), 28),
+                ],
+            ),
+            (
+                Policy::odds(),
+                recirc,
+                120,
+                0x624e_53eb_3927_688d,
+                &[
+                    ((Cpu, 0), 30),
+                    ((Cpu, 1), 30),
+                    ((Gpu, 0), 30),
+                    ((Gpu, 1), 30),
+                ],
+            ),
+        ];
+        for (policy, behavior, len, order_fnv, tally) in golden {
+            let flat = run_deterministic(
+                NetConfig::new(policy),
+                loopback_workers(&[Cpu, Gpu], behavior),
+                (0..60).map(tile).collect(),
+                OracleWeights::new(GpuParams::geforce_8800gt(), false),
+            )
+            .expect("net run");
+            let g = run_graph_deterministic(
+                NetConfig::new(policy),
+                &DataflowGraph::single("only"),
+                vec![loopback_workers(&[Cpu, Gpu], behavior)],
+                (0..60).map(|i| (0usize, tile(i))).collect(),
+                OracleWeights::new(GpuParams::geforce_8800gt(), false),
+            )
+            .expect("graph net run");
+            let g_order: Vec<(DeviceKind, u64)> =
+                g.dispatch_order.iter().map(|&(_, k, id)| (k, id)).collect();
+            let mut g_tally: Vec<((DeviceKind, u8), u64)> = g
+                .assigned
+                .iter()
+                .map(|(&(_, kind, level), &n)| ((kind, level), n))
+                .collect();
+            g_tally.sort();
+            let mut flat_tally: Vec<_> = flat.assigned.iter().map(|(&k, &n)| (k, n)).collect();
+            flat_tally.sort();
+            for (order, got) in [(&flat.dispatch_order, &flat_tally), (&g_order, &g_tally)] {
+                assert_eq!(order.len(), len, "{policy:?} {behavior:?}");
+                assert_eq!(dispatch_fnv(order), order_fnv, "{policy:?} {behavior:?}");
+                assert_eq!(got.as_slice(), tally, "{policy:?} {behavior:?}");
+            }
+        }
+    }
+
     #[test]
     fn concurrent_loopback_completes_with_recirculation() {
         let workers = loopback_workers(
