@@ -109,8 +109,7 @@
 
 use anthill::buffer::{BufferId, DataBuffer};
 use anthill::engine::sequential::{
-    run as sequential_run, run_graph as sequential_run_graph, Emission, GraphEmission,
-    SequentialConfig,
+    run_graph as sequential_run_graph, GraphEmission, SequentialConfig,
 };
 use anthill::engine::{AdmissionConfig, AdmissionCounters, OverloadPolicy};
 use anthill::faults::{FaultConfig, FaultProb, RecoveryConfig, WorkerDeathSpec};
@@ -119,8 +118,8 @@ use anthill::local::{Emitter, ExecMode, LoadConfig, LocalFilter, LocalTask, Pipe
 use anthill::membership::{Autoscaler, AutoscalerConfig, WorkerPool};
 use anthill::net::{
     run_concurrent, run_concurrent_elastic, run_concurrent_load, run_concurrent_load_autoscaled,
-    run_deterministic, run_graph_deterministic, spawn_joining_worker_thread, spawn_worker_thread,
-    tcp_pair, Behavior, DrainAt, ElasticLoad, NetConfig, NetWorkerConn,
+    run_graph_deterministic, spawn_joining_worker_thread, spawn_worker_thread, tcp_pair, Behavior,
+    DrainAt, ElasticLoad, NetConfig, NetWorkerConn,
 };
 use anthill::obs::{chrome, jsonl, EventKind, Recorder};
 use anthill::policy::{Policy, PolicyKind};
@@ -727,7 +726,8 @@ fn net_gate(trace_dir: Option<&str>) {
         "CI gate — spawned worker processes, bit-identical assignment, merged trace schema",
     );
     let exe = std::env::current_exe().expect("own executable path");
-    let tiles: Vec<DataBuffer> = (0..240).map(net_tile).collect();
+    let single = DataflowGraph::single("filter");
+    let seeds: Vec<(usize, DataBuffer)> = (0..240).map(|i| (0, net_tile(i))).collect();
     let devices = [
         DeviceId {
             node: 0,
@@ -751,12 +751,13 @@ fn net_gate(trace_dir: Option<&str>) {
         "policy", "tasks", "cpu", "gpu", "events", "wall(ms)"
     );
     for (name, policy) in policies {
-        let reference = sequential_run(
+        let reference = sequential_run_graph(
             SequentialConfig::new(policy),
-            &devices,
-            tiles.clone(),
+            &single,
+            &[devices.to_vec()],
+            seeds.clone(),
             OracleWeights::new(GpuParams::geforce_8800gt(), false),
-            |_, _| Emission::default(),
+            |_, _, _| GraphEmission::default(),
         );
 
         let listener = match std::net::TcpListener::bind("127.0.0.1:0") {
@@ -795,10 +796,11 @@ fn net_gate(trace_dir: Option<&str>) {
         let mut cfg = NetConfig::new(policy);
         cfg.recorder = recorder.clone();
         let wall = std::time::Instant::now();
-        let out = match run_deterministic(
+        let out = match run_graph_deterministic(
             cfg,
-            workers,
-            tiles.clone(),
+            &single,
+            vec![workers],
+            seeds.clone(),
             OracleWeights::new(GpuParams::geforce_8800gt(), false),
         ) {
             Ok(out) => out,
@@ -873,12 +875,12 @@ fn net_gate(trace_dir: Option<&str>) {
 
         let cpu = out
             .assigned
-            .get(&(DeviceKind::Cpu, 0))
+            .get(&(0, DeviceKind::Cpu, 0))
             .copied()
             .unwrap_or(0);
         let gpu = out
             .assigned
-            .get(&(DeviceKind::Gpu, 0))
+            .get(&(0, DeviceKind::Gpu, 0))
             .copied()
             .unwrap_or(0);
         println!(

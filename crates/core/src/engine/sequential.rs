@@ -10,6 +10,12 @@
 //! filters reproducibly. It is also the template for adding a new backend:
 //! implement [`Transport`] + [`Executor`], feed the five engine callbacks,
 //! done.
+//!
+//! There is one loop, [`run_graph_elastic`], and it runs a
+//! [`DataflowGraph`] — the paper's programming model has no "flat"
+//! program. [`run_graph`] is that loop without a membership schedule;
+//! [`run`] is the one-filter graph behind the signature older callers
+//! bind.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -140,108 +146,46 @@ fn apply_membership<W: WeightProvider>(
 /// `handle` is invoked once per dispatched buffer (with the device class
 /// that won it) and may recirculate follow-up buffers; DQAA is fed the
 /// buffer's modeled on-device time (`shape.cpu` / `shape.gpu_kernel`).
+///
+/// This is [`run_graph`] on a one-filter graph: recirculated buffers are
+/// feedback with no feedback edge, so they re-enter the filter's own queue
+/// through [`Engine::recirculate`]. The adapter exists only because
+/// `benchmark/` and the parity suite bind this five-argument signature; it
+/// goes when `benchmark/` is next re-cut against the graph entry points.
 pub fn run<W, F>(
     cfg: SequentialConfig,
     devices: &[DeviceId],
     sources: Vec<DataBuffer>,
     weights: W,
-    handle: F,
-) -> SequentialOutcome
-where
-    W: WeightProvider,
-    F: FnMut(DeviceKind, &DataBuffer) -> Emission,
-{
-    run_elastic(
-        cfg,
-        devices,
-        sources,
-        weights,
-        MembershipSchedule::none(),
-        handle,
-    )
-}
-
-/// [`run`] with a membership schedule: scheduled joins and drains fire as
-/// the run's completion count crosses each action's threshold, exercising
-/// the engine's elastic-membership path on the reference backend. The
-/// schedule must leave at least one assignable worker at all times or the
-/// run stalls with sources unread.
-pub fn run_elastic<W, F>(
-    cfg: SequentialConfig,
-    devices: &[DeviceId],
-    sources: Vec<DataBuffer>,
-    weights: W,
-    mut schedule: MembershipSchedule,
     mut handle: F,
 ) -> SequentialOutcome
 where
     W: WeightProvider,
     F: FnMut(DeviceKind, &DataBuffer) -> Emission,
 {
-    let clock = VirtualClock::new();
-    let mut engine = Engine::new(
-        EngineConfig {
-            policy: cfg.policy,
-            max_window: cfg.max_window,
-            recovery: RecoveryConfig::disabled(),
-        },
-        clock.clone(),
+    let out = run_graph(
+        cfg,
+        &DataflowGraph::single("filter"),
+        &[devices.to_vec()],
+        sources.into_iter().map(|b| (0, b)).collect(),
         weights,
-        cfg.recorder.clone(),
+        |_, kind, b| GraphEmission {
+            forward: Vec::new(),
+            feedback: handle(kind, b).recirculate,
+        },
     );
-    let node = engine.add_node();
-    for d in devices {
-        engine.add_worker(node, *d);
-    }
-    assert!(engine.worker_count() > 0, "no worker devices configured");
-    for b in sources {
-        engine.seed_reader(node, b);
-    }
-
-    let mut drv = InstantDriver::default();
-    // Kick every worker's requester with an unknown-id empty reply, as the
-    // DES driver does at t = 0.
-    for w in engine.worker_refs() {
-        engine.data_arrived(w.node, w.worker, u64::MAX, None, &mut drv);
-    }
-    // Zero-threshold actions fire before the first completion.
-    apply_membership(&mut engine, &mut schedule, &mut drv);
-
-    let mut dispatch_order = Vec::new();
-    let mut tick = 0u64;
-    while let Some(msg) = drv.inbox.pop_front() {
-        tick += 1;
-        clock.set(SimTime(tick));
-        match msg {
-            Msg::Request {
-                from,
-                reader,
-                req_id,
-            } => {
-                let buffer = engine.answer_request(reader, from.device.kind);
-                engine.data_arrived(from.node, from.worker, req_id, buffer, &mut drv);
-            }
-            Msg::Exec { worker, buffer } => {
-                dispatch_order.push((worker.device.kind, buffer.id.0));
-                let emission = handle(worker.device.kind, &buffer);
-                let proc = match worker.device.kind {
-                    DeviceKind::Cpu => buffer.shape.cpu,
-                    DeviceKind::Gpu => buffer.shape.gpu_kernel,
-                };
-                engine.task_finished(worker.node, worker.worker, &buffer, proc);
-                apply_membership(&mut engine, &mut schedule, &mut drv);
-                for r in emission.recirculate {
-                    engine.recirculate(node, r, &mut drv);
-                }
-                engine.worker_idle(worker.node, worker.worker, &[proc], &mut drv);
-            }
-        }
-    }
-
     SequentialOutcome {
-        assigned: engine.tasks_by().clone(),
-        dispatch_order,
-        total: engine.total_done(),
+        assigned: out
+            .assigned
+            .into_iter()
+            .map(|((_, kind, level), n)| ((kind, level), n))
+            .collect(),
+        dispatch_order: out
+            .dispatch_order
+            .into_iter()
+            .map(|(_, kind, id)| (kind, id))
+            .collect(),
+        total: out.total,
     }
 }
 
@@ -307,8 +251,12 @@ where
     )
 }
 
-/// [`run_graph`] with a membership schedule; a scheduled `Join`'s node is
-/// the filter id the worker joins. See [`run_elastic`] for semantics.
+/// [`run_graph`] with a membership schedule: scheduled joins and drains
+/// fire as the run's completion count crosses each action's threshold,
+/// exercising the engine's elastic-membership path on the reference
+/// backend. A scheduled `Join`'s node is the filter id the worker joins.
+/// The schedule must leave every filter at least one assignable worker at
+/// all times or the run stalls with buffers unread.
 pub fn run_graph_elastic<W, F>(
     cfg: SequentialConfig,
     graph: &DataflowGraph,
@@ -358,9 +306,12 @@ where
     }
 
     let mut drv = InstantDriver::default();
+    // Kick every worker's requester with an unknown-id empty reply, as the
+    // DES driver does at t = 0.
     for w in engine.worker_refs() {
         engine.data_arrived(w.node, w.worker, u64::MAX, None, &mut drv);
     }
+    // Zero-threshold actions fire before the first completion.
     apply_membership(&mut engine, &mut schedule, &mut drv);
 
     let mut cursors = RoutingCursors::new(graph);
@@ -389,32 +340,14 @@ where
                 };
                 engine.task_finished(worker.node, worker.worker, &buffer, proc);
                 apply_membership(&mut engine, &mut schedule, &mut drv);
-                for b in emission.feedback {
-                    match graph.feedback_edge(filter) {
-                        Some(ei) => {
-                            let to = graph.edge(ei).to;
-                            engine.deliver_edge(ei as u32, to, b, &mut drv);
-                        }
-                        None => engine.recirculate(filter, b, &mut drv),
-                    }
-                }
-                for b in emission.forward {
-                    let targets = graph.route_forward(filter, b.level, &mut cursors);
-                    match targets.split_last() {
-                        None => outputs.push(b),
-                        Some((&last, rest)) => {
-                            for &ei in rest {
-                                engine.deliver_edge(
-                                    ei as u32,
-                                    graph.edge(ei).to,
-                                    b.clone(),
-                                    &mut drv,
-                                );
-                            }
-                            engine.deliver_edge(last as u32, graph.edge(last).to, b, &mut drv);
-                        }
-                    }
-                }
+                graph.deliver_emission(
+                    filter,
+                    emission,
+                    &mut cursors,
+                    &mut engine,
+                    &mut outputs,
+                    &mut drv,
+                );
                 engine.worker_idle(worker.node, worker.worker, &[proc], &mut drv);
             }
         }

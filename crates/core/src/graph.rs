@@ -4,7 +4,9 @@
 //! replicated filters wired by *streams* (paper Section 2, Figure 1). This
 //! module is the structural layer the runtime schedules over — it owns no
 //! policy and no execution, only the topology and the per-edge routing
-//! rule that decides where a buffer emitted by filter *i* is delivered.
+//! rule that decides where a buffer emitted by filter *i* is delivered
+//! ([`DataflowGraph::deliver_emission`] applies that rule to an engine for
+//! the drivers whose deliveries are instant).
 //!
 //! Routing modes mirror Anthill's stream kinds:
 //!
@@ -23,6 +25,11 @@
 //! forward dataflow remains a DAG.
 
 use std::fmt;
+
+use crate::buffer::DataBuffer;
+use crate::engine::sequential::GraphEmission;
+use crate::engine::{Clock, Engine, Transport};
+use crate::weights::WeightProvider;
 
 /// How an edge receives buffers emitted by its source filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -370,6 +377,42 @@ impl DataflowGraph {
             }
         }
         targets
+    }
+
+    /// Deliver what one completion at `filter` emitted, for the drivers
+    /// whose deliveries cost nothing (the sequential and TCP lockstep
+    /// loops): feedback goes over the filter's feedback edge, or — with
+    /// none declared — re-enters its own queue at recirculation
+    /// precedence; each forward buffer goes to every
+    /// [`route_forward`](DataflowGraph::route_forward) target (cloned for
+    /// all but the last) and joins `outputs` when no edge matches.
+    pub fn deliver_emission<C: Clock, W: WeightProvider, D: Transport>(
+        &self,
+        filter: usize,
+        emission: GraphEmission,
+        cursors: &mut RoutingCursors,
+        engine: &mut Engine<C, W>,
+        outputs: &mut Vec<DataBuffer>,
+        d: &mut D,
+    ) {
+        for b in emission.feedback {
+            match self.feedback_edge(filter) {
+                Some(ei) => engine.deliver_edge(ei as u32, self.edges[ei].to, b, d),
+                None => engine.recirculate(filter, b, d),
+            }
+        }
+        for b in emission.forward {
+            let targets = self.route_forward(filter, b.level, cursors);
+            match targets.split_last() {
+                None => outputs.push(b),
+                Some((&last, rest)) => {
+                    for &ei in rest {
+                        engine.deliver_edge(ei as u32, self.edges[ei].to, b.clone(), d);
+                    }
+                    engine.deliver_edge(last as u32, self.edges[last].to, b, d);
+                }
+            }
+        }
     }
 }
 

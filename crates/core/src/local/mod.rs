@@ -1636,14 +1636,21 @@ mod tests {
             }],
         };
         let mut p = Pipeline::new(PolicyKind::DdFcfs).with_faults(faults);
+        // The victim (slot 0) is instant and its sibling busy-waits 1 ms a
+        // task, so the victim reaches its sixth pop long before the
+        // sibling could drain the stage (same construction as
+        // `tests/chaos.rs::killed_mid_stage_worker_conserves_every_edge`).
         p.add_stage(
             Arc::new(Doubler),
             vec![
                 WorkerSpec {
                     kind: DeviceKind::Cpu,
                     mode: ExecMode::Native,
-                };
-                2
+                },
+                WorkerSpec {
+                    kind: DeviceKind::Cpu,
+                    mode: ExecMode::Emulated { scale: 20.0 },
+                },
             ],
         );
         let (out, report) = p.run((0..80).map(|i| task(i, i)).collect(), &oracle());

@@ -2,22 +2,30 @@
 //!
 //! Two run modes share the engine, the protocol, and the worker binary:
 //!
-//! * [`run_deterministic`] — a lockstep loop structured exactly like the
-//!   sequential reference driver: one FIFO message inbox, a
-//!   [`VirtualClock`] ticked once per message, batch limit 1. The only
-//!   difference is that every request hop and every execution makes a
-//!   *real* socket round trip — the frame is written, the worker answers,
-//!   and the coordinator blocks for that answer at the moment the
-//!   sequential driver would have handled the message. Because the engine
-//!   sees callbacks in the identical order, per-device assignment counts
-//!   are bit-identical to the sequential/native/DES backends (the
-//!   policy-parity suite pins this).
-//! * [`run_concurrent`] — a wall-clock event loop: every connection is a
-//!   non-blocking socket multiplexed by one [`Reactor`] on the coordinator
-//!   thread, workers genuinely execute in parallel, request timeouts fire
-//!   from a timer heap, and worker death (process kill, connection sever,
-//!   heartbeat silence) maps onto the engine's recovery path
-//!   ([`Engine::worker_died`] re-homes in-flight buffers).
+//! * [`run_graph_deterministic`] — a lockstep loop over a dataflow graph,
+//!   structured exactly like the sequential reference driver: one FIFO
+//!   message inbox, a [`VirtualClock`] ticked once per message, batch
+//!   limit 1. The only difference is that every request hop and every
+//!   execution makes a *real* socket round trip — the frame is written,
+//!   the worker answers, and the coordinator blocks for that answer at the
+//!   moment the sequential driver would have handled the message. Because
+//!   the engine sees callbacks in the identical order, per-device
+//!   assignment counts are bit-identical to the sequential/native/DES
+//!   backends (the policy-parity suite pins this). A single filter is the
+//!   one-filter graph ([`DataflowGraph::single`]), not a driver of its own.
+//! * [`run_concurrent`] and its siblings — one wall-clock event loop
+//!   (`ConcurrentRig::turn`): every connection is a non-blocking socket
+//!   multiplexed by one [`Reactor`] on the coordinator thread, workers
+//!   genuinely execute in parallel, request timeouts fire from a timer
+//!   heap, and worker death (process kill, connection sever, heartbeat
+//!   silence) maps onto the engine's recovery path
+//!   ([`Engine::worker_died`] re-homes in-flight buffers). The entry
+//!   points differ only in the optional parts they hand the loop: a join
+//!   listener and scripted [`DrainAt`]s ([`run_concurrent_elastic`]), or
+//!   an arrival schedule behind an [`AdmissionController`] with a
+//!   queue-depth sampler, an optional autoscaler and a per-task timing
+//!   callback ([`run_concurrent_load`],
+//!   [`run_concurrent_load_autoscaled`]).
 //!
 //! Backpressure is the engine's own demand-driven window: a worker slot
 //! holds at most `max_window` outstanding requests and
@@ -41,6 +49,7 @@ use crate::engine::{
     Offer, Transport, VirtualClock, WallClock, WorkerRef,
 };
 use crate::faults::{ConnectionDropSpec, RecoveryConfig};
+use crate::graph::{DataflowGraph, RoutingCursors};
 use crate::membership::{Autoscaler, ScaleAction, WorkerPool};
 use crate::obs::{DeviceRef, EventKind, Recorder};
 use crate::policy::Policy;
@@ -49,8 +58,7 @@ use crate::weights::WeightProvider;
 use super::conn::WireStats;
 use super::eventloop::{Pump, Reactor};
 use super::frame::{
-    encode_deliver_at_into, encode_deliver_into, encode_frame, encode_frame_into, Frame,
-    FrameDecoder, FrameError,
+    encode_deliver_at_into, encode_frame, encode_frame_into, Frame, FrameDecoder, FrameError,
 };
 use super::worker::modeled_proc_ns;
 
@@ -86,7 +94,11 @@ pub struct NetConfig {
     pub deadline: Duration,
     /// Declare a worker dead after this much silence (no frame of any
     /// kind, heartbeats included). `None` disables the check; EOF on the
-    /// connection is always fatal regardless.
+    /// connection is always fatal regardless. Must exceed the worker
+    /// loop's 200 ms idle-heartbeat period (`net/worker.rs`), or a healthy
+    /// idle worker is declared dead. Silence is noticed by the event
+    /// loop's slot sweep, so detection lags the timeout by at most 64
+    /// pumped events or one reactor wait (≤ 25 ms).
     pub heartbeat_timeout: Option<Duration>,
     /// Upper bound on buffers per `Deliver` frame (the in-flight frame
     /// bound; 1 matches the sequential reference driver and is required
@@ -111,7 +123,7 @@ impl NetConfig {
     }
 }
 
-/// Result of a networked run.
+/// Result of a wall-clock networked run.
 #[derive(Debug, Clone)]
 pub struct NetOutcome {
     /// `(device kind, level) -> buffers completed`.
@@ -122,8 +134,7 @@ pub struct NetOutcome {
     pub total: u64,
     /// Worker slots that died during the run (sever, EOF, silence).
     pub deaths: u32,
-    /// Wire-level counters of the concurrent coordinator. Zeroed on the
-    /// lockstep modes, which do not track per-connection counters.
+    /// Wire-level counters of the coordinator's connections.
     pub wire: WireStats,
 }
 
@@ -131,7 +142,9 @@ fn proto_err(e: FrameError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
-/// Coordinator-side state of one worker connection.
+/// Coordinator-side state of one worker connection while it is driven by
+/// blocking reads: the whole lockstep run, and the handshake of a
+/// wall-clock slot before the reactor takes it over.
 struct SlotIo {
     stream: TcpStream,
     dec: FrameDecoder,
@@ -149,6 +162,10 @@ struct SlotIo {
 
 impl SlotIo {
     fn new(stream: TcpStream, sever_after: Option<u64>) -> SlotIo {
+        stream
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .ok();
+        stream.set_nodelay(true).ok();
         SlotIo {
             stream,
             dec: FrameDecoder::new(),
@@ -159,18 +176,23 @@ impl SlotIo {
         }
     }
 
+    fn close(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.open = false;
+    }
+
     /// Apply the sever schedule; returns false if the slot just severed
     /// (or was already closed) and the write must not happen.
     fn pre_write(&mut self) -> bool {
         if !self.open {
             return false;
         }
-        if let Some(limit) = self.sever_after {
-            if self.frames_sent >= limit {
-                let _ = self.stream.shutdown(Shutdown::Both);
-                self.open = false;
-                return false;
-            }
+        if self
+            .sever_after
+            .is_some_and(|limit| self.frames_sent >= limit)
+        {
+            self.close();
+            return false;
         }
         true
     }
@@ -181,8 +203,7 @@ impl SlotIo {
     fn write_scratch(&mut self) {
         use std::io::Write as _;
         if self.stream.write_all(&self.scratch).is_err() {
-            let _ = self.stream.shutdown(Shutdown::Both);
-            self.open = false;
+            self.close();
         } else {
             self.frames_sent += 1;
         }
@@ -198,18 +219,8 @@ impl SlotIo {
         self.write_scratch();
     }
 
-    /// Write a `Deliver` frame encoded straight from the shared
+    /// Write a `DeliverAt` frame encoded straight from the shared
     /// `Arc<DataBuffer>`s the inflight table keeps — no payload clone.
-    fn write_deliver(&mut self, kind: DeviceKind, buffers: &[Arc<DataBuffer>]) {
-        if !self.pre_write() {
-            return;
-        }
-        self.scratch.clear();
-        encode_deliver_into(&mut self.scratch, kind, buffers);
-        self.write_scratch();
-    }
-
-    /// Graph-mode counterpart of [`SlotIo::write_deliver`].
     fn write_deliver_at(&mut self, filter: u32, kind: DeviceKind, buffers: &[Arc<DataBuffer>]) {
         if !self.pre_write() {
             return;
@@ -250,6 +261,22 @@ impl SlotIo {
             }
         }
     }
+
+    /// `Hello` handshake: send the slot identity, expect it echoed
+    /// verbatim. A slot that fails is closed (and says so by returning
+    /// false); it stays in the topology and is reaped as dead before the
+    /// first kick.
+    fn hello(&mut self, node: usize, slot: usize, deadline: Instant) -> bool {
+        let hello = Frame::Hello {
+            node: node as u32,
+            slot: slot as u32,
+        };
+        self.write(&hello);
+        if self.open && !matches!(self.read_frame(deadline), Ok(echo) if echo == hello) {
+            self.close();
+        }
+        self.open
+    }
 }
 
 /// Re-home an inflight table for `Engine::worker_died`: the driver holds
@@ -261,34 +288,31 @@ fn unwrap_inflight(bufs: Vec<Arc<DataBuffer>>) -> Vec<DataBuffer> {
         .collect()
 }
 
+/// Re-stamp a worker's execution span onto the coordinator clock as the
+/// `remote_start`/`remote_finish` event pair.
+fn record_remote_span(
+    rec: &Recorder,
+    ts: u64,
+    device: DeviceId,
+    buffer: &DataBuffer,
+    span_ns: u64,
+) {
+    let dev = DeviceRef::device(device);
+    let (id, level) = (buffer.id.0, buffer.level);
+    rec.record(ts, dev, EventKind::RemoteStart { buffer: id, level });
+    let finish = EventKind::RemoteFinish {
+        buffer: id,
+        level,
+        proc_ns: span_ns,
+    };
+    rec.record(ts, dev, finish);
+}
+
 fn sever_for(drops: &[ConnectionDropSpec], node: usize, worker: usize) -> Option<u64> {
     drops
         .iter()
         .find(|d| d.node == node && d.worker == worker)
         .map(|d| d.after_frames)
-}
-
-/// `Hello` handshake on every connection: send the slot identity, expect
-/// it echoed verbatim. A slot that fails stays in the topology but is
-/// reaped as dead before the first kick.
-fn handshake(slots: &mut [SlotIo], deadline: Instant) {
-    for (i, slot) in slots.iter_mut().enumerate() {
-        let hello = Frame::Hello {
-            node: 0,
-            slot: i as u32,
-        };
-        slot.write(&hello);
-        if !slot.open {
-            continue;
-        }
-        match slot.read_frame(deadline) {
-            Ok(echo) if echo == hello => {}
-            _ => {
-                let _ = slot.stream.shutdown(Shutdown::Both);
-                slot.open = false;
-            }
-        }
-    }
 }
 
 // ------------------------------------------------------------- lockstep
@@ -305,234 +329,7 @@ enum Msg {
     },
 }
 
-/// Lockstep driver: the sequential reference driver's FIFO inbox, plus a
-/// socket write at each send so every hop crosses the wire.
-struct LockstepDriver {
-    inbox: VecDeque<Msg>,
-    slots: Vec<SlotIo>,
-    inflight: Vec<Vec<Arc<DataBuffer>>>,
-    dead: Vec<bool>,
-}
-
-impl Transport for LockstepDriver {
-    fn send_request(&mut self, from: WorkerRef, reader: usize, req_id: u64) {
-        self.slots[from.worker].write(&Frame::Request {
-            reader: reader as u32,
-            req_id,
-        });
-        self.inbox.push_back(Msg::Request {
-            from,
-            reader,
-            req_id,
-        });
-    }
-}
-
-impl Executor for LockstepDriver {
-    fn batch_limit(&mut self, _worker: WorkerRef) -> usize {
-        1
-    }
-
-    fn launch(&mut self, worker: WorkerRef, batch: Vec<DataBuffer>) {
-        for buffer in batch {
-            // One shared allocation serves the wire encode, the inflight
-            // table, and the inbox — the old path cloned the payload
-            // twice per delivery.
-            let buffer = Arc::new(buffer);
-            self.slots[worker.worker]
-                .write_deliver(worker.device.kind, std::slice::from_ref(&buffer));
-            self.inflight[worker.worker].push(Arc::clone(&buffer));
-            self.inbox.push_back(Msg::Exec { worker, buffer });
-        }
-    }
-}
-
-/// Retire every slot whose connection failed since the last engine call.
-fn reap<C: Clock, W: WeightProvider>(
-    engine: &mut Engine<C, W>,
-    drv: &mut LockstepDriver,
-    deaths: &mut u32,
-) {
-    for slot in 0..drv.slots.len() {
-        if !drv.slots[slot].open && !drv.dead[slot] {
-            drv.dead[slot] = true;
-            *deaths += 1;
-            let inflight = unwrap_inflight(std::mem::take(&mut drv.inflight[slot]));
-            engine.worker_died(0, slot, inflight, drv);
-        }
-    }
-}
-
-/// Run `sources` through one engine node whose workers live behind the
-/// given connections, in lockstep deterministic mode (see the module
-/// docs). Worker behaviour — identity forwarding, recirculation — is
-/// whatever the remote side was started with.
-pub fn run_deterministic<W: WeightProvider>(
-    cfg: NetConfig,
-    workers: Vec<NetWorkerConn>,
-    sources: Vec<DataBuffer>,
-    weights: W,
-) -> io::Result<NetOutcome> {
-    let hard_deadline = Instant::now() + cfg.deadline;
-    let clock = VirtualClock::new();
-    let mut engine = Engine::new(
-        EngineConfig {
-            policy: cfg.policy,
-            max_window: cfg.max_window,
-            recovery: RecoveryConfig::disabled(),
-        },
-        clock.clone(),
-        weights,
-        cfg.recorder.clone(),
-    );
-    let node = engine.add_node();
-    let mut drv = LockstepDriver {
-        inbox: VecDeque::new(),
-        slots: Vec::with_capacity(workers.len()),
-        inflight: vec![Vec::new(); workers.len()],
-        dead: vec![false; workers.len()],
-    };
-    for (i, conn) in workers.into_iter().enumerate() {
-        engine.add_worker(node, conn.device);
-        conn.stream
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .ok();
-        conn.stream.set_nodelay(true).ok();
-        drv.slots
-            .push(SlotIo::new(conn.stream, sever_for(&cfg.drops, node, i)));
-    }
-    assert!(!drv.slots.is_empty(), "no worker connections configured");
-    handshake(&mut drv.slots, hard_deadline);
-    for b in sources {
-        engine.seed_reader(node, b);
-    }
-
-    let rec = cfg.recorder.clone();
-    let mut deaths = 0u32;
-    reap(&mut engine, &mut drv, &mut deaths);
-    // Kick every live worker's requester, as the sequential driver does.
-    for w in engine.worker_refs() {
-        if !drv.dead[w.worker] {
-            engine.data_arrived(w.node, w.worker, u64::MAX, None, &mut drv);
-        }
-    }
-
-    let mut dispatch_order = Vec::new();
-    let mut tick = 0u64;
-    loop {
-        reap(&mut engine, &mut drv, &mut deaths);
-        let Some(msg) = drv.inbox.pop_front() else {
-            break;
-        };
-        tick += 1;
-        clock.set(SimTime(tick));
-        match msg {
-            Msg::Request {
-                from,
-                reader,
-                req_id,
-            } => {
-                if drv.dead[from.worker] || !drv.slots[from.worker].open {
-                    continue; // the request died with its connection
-                }
-                match drv.slots[from.worker].read_frame(hard_deadline) {
-                    Ok(Frame::Request {
-                        req_id: echoed_id, ..
-                    }) if echoed_id == req_id => {
-                        let buffer = engine.answer_request(reader, from.device.kind);
-                        engine.data_arrived(from.node, from.worker, req_id, buffer, &mut drv);
-                    }
-                    Ok(_) | Err(_) => {
-                        let _ = drv.slots[from.worker].stream.shutdown(Shutdown::Both);
-                        drv.slots[from.worker].open = false;
-                    }
-                }
-            }
-            Msg::Exec { worker, buffer } => {
-                if drv.dead[worker.worker] || !drv.slots[worker.worker].open {
-                    continue; // already re-homed by reap
-                }
-                let completion =
-                    drv.slots[worker.worker]
-                        .read_frame(hard_deadline)
-                        .and_then(|first| {
-                            let second = drv.slots[worker.worker].read_frame(hard_deadline)?;
-                            Ok((first, second))
-                        });
-                match completion {
-                    Ok((
-                        Frame::Complete {
-                            buffer: done,
-                            proc_ns: _,
-                            span,
-                            recirculated,
-                        },
-                        Frame::BatchDone,
-                    )) if done.id == buffer.id => {
-                        drv.inflight[worker.worker].retain(|b| b.id != done.id);
-                        dispatch_order.push((worker.device.kind, done.id.0));
-                        // Charge the modeled time (computed locally from the
-                        // shape, identical to what the worker reports) so the
-                        // engine's DQAA/accounting inputs match the other
-                        // backends bit-for-bit.
-                        let proc =
-                            SimDuration(modeled_proc_ns(buffer.as_ref(), worker.device.kind));
-                        let ts = clock.now().as_nanos();
-                        let dev = DeviceRef::device(worker.device);
-                        rec.record(
-                            ts,
-                            dev,
-                            EventKind::RemoteStart {
-                                buffer: done.id.0,
-                                level: done.level,
-                            },
-                        );
-                        rec.record(
-                            ts,
-                            dev,
-                            EventKind::RemoteFinish {
-                                buffer: done.id.0,
-                                level: done.level,
-                                proc_ns: span.end_ns.saturating_sub(span.start_ns),
-                            },
-                        );
-                        engine.task_finished(worker.node, worker.worker, &done, proc);
-                        for r in recirculated {
-                            engine.recirculate(node, r, &mut drv);
-                        }
-                        engine.worker_idle(worker.node, worker.worker, &[proc], &mut drv);
-                    }
-                    Ok(_) | Err(_) => {
-                        let _ = drv.slots[worker.worker].stream.shutdown(Shutdown::Both);
-                        drv.slots[worker.worker].open = false;
-                    }
-                }
-            }
-        }
-    }
-
-    shutdown_slots(&mut drv.slots);
-    Ok(NetOutcome {
-        assigned: engine.tasks_by().clone(),
-        dispatch_order,
-        total: engine.total_done(),
-        deaths,
-        wire: WireStats::default(),
-    })
-}
-
-fn shutdown_slots(slots: &mut [SlotIo]) {
-    for slot in slots.iter_mut() {
-        if slot.open {
-            slot.write(&Frame::Shutdown);
-            let _ = slot.stream.shutdown(Shutdown::Write);
-        }
-    }
-}
-
-// ------------------------------------------------------ lockstep (graph)
-
-/// Result of a graph-mode networked run ([`run_graph_deterministic`]).
+/// Result of a lockstep networked run ([`run_graph_deterministic`]).
 #[derive(Debug, Clone)]
 pub struct NetGraphOutcome {
     /// `(filter, device kind, level) -> buffers completed`.
@@ -550,9 +347,11 @@ pub struct NetGraphOutcome {
     pub deaths: u32,
 }
 
-/// Lockstep driver for DAG runs: one engine node per filter, slots keyed
-/// by `(filter, slot)`, and `DeliverAt`/`CompleteAt` frames carrying the
-/// filter id so the stateless worker echoes where the completion routes.
+/// Lockstep driver: the sequential reference driver's FIFO inbox, plus a
+/// socket write at each send so every hop crosses the wire. One engine
+/// node per filter, slots keyed by `(filter, slot)`, and
+/// `DeliverAt`/`CompleteAt` frames carrying the filter id so the stateless
+/// worker echoes where the completion routes.
 struct GraphLockstepDriver {
     inbox: VecDeque<Msg>,
     slots: Vec<Vec<SlotIo>>,
@@ -560,9 +359,21 @@ struct GraphLockstepDriver {
     dead: Vec<Vec<bool>>,
 }
 
+impl GraphLockstepDriver {
+    fn io(&mut self, w: WorkerRef) -> &mut SlotIo {
+        &mut self.slots[w.node][w.worker]
+    }
+
+    /// Can `w` still answer? False once its connection failed, whether or
+    /// not the reap has retired it yet.
+    fn live(&self, w: WorkerRef) -> bool {
+        !self.dead[w.node][w.worker] && self.slots[w.node][w.worker].open
+    }
+}
+
 impl Transport for GraphLockstepDriver {
     fn send_request(&mut self, from: WorkerRef, reader: usize, req_id: u64) {
-        self.slots[from.node][from.worker].write(&Frame::Request {
+        self.io(from).write(&Frame::Request {
             reader: reader as u32,
             req_id,
         });
@@ -581,8 +392,10 @@ impl Executor for GraphLockstepDriver {
 
     fn launch(&mut self, worker: WorkerRef, batch: Vec<DataBuffer>) {
         for buffer in batch {
+            // One shared allocation serves the wire encode, the inflight
+            // table, and the inbox.
             let buffer = Arc::new(buffer);
-            self.slots[worker.node][worker.worker].write_deliver_at(
+            self.io(worker).write_deliver_at(
                 worker.node as u32,
                 worker.device.kind,
                 std::slice::from_ref(&buffer),
@@ -593,8 +406,7 @@ impl Executor for GraphLockstepDriver {
     }
 }
 
-/// Retire every slot whose connection failed since the last engine call
-/// (graph variant of [`reap`]).
+/// Retire every slot whose connection failed since the last engine call.
 fn reap_graph<C: Clock, W: WeightProvider>(
     engine: &mut Engine<C, W>,
     drv: &mut GraphLockstepDriver,
@@ -618,12 +430,13 @@ fn reap_graph<C: Clock, W: WeightProvider>(
 /// filter's workers request only from their own per-edge input stream
 /// (ODDS/DQAA/DBSA act per edge), completions at filter *i* are routed to
 /// filter *i+1* by the graph's routing rule, and buffers with no matching
-/// out-edge leave the run as outputs. Single-filter runs should use
-/// [`run_deterministic`], whose wire traffic stays byte-identical to the
-/// pre-graph protocol.
+/// out-edge leave the run as outputs. Worker behaviour — identity
+/// forwarding, recirculation — is whatever the remote side was started
+/// with. A single-filter run passes [`DataflowGraph::single`]: the
+/// recirculated copies its workers echo re-enter the filter's own queue.
 pub fn run_graph_deterministic<W: WeightProvider>(
     cfg: NetConfig,
-    graph: &crate::graph::DataflowGraph,
+    graph: &DataflowGraph,
     workers: Vec<Vec<NetWorkerConn>>,
     seeds: Vec<(usize, DataBuffer)>,
     weights: W,
@@ -643,7 +456,7 @@ pub fn run_graph_deterministic<W: WeightProvider>(
 /// a DAG whose workers model only the compute cost.
 pub fn run_graph_deterministic_with<W: WeightProvider>(
     cfg: NetConfig,
-    graph: &crate::graph::DataflowGraph,
+    graph: &DataflowGraph,
     workers: Vec<Vec<NetWorkerConn>>,
     seeds: Vec<(usize, DataBuffer)>,
     weights: W,
@@ -679,10 +492,6 @@ pub fn run_graph_deterministic_with<W: WeightProvider>(
         let mut ios = Vec::with_capacity(conns.len());
         for (i, conn) in conns.into_iter().enumerate() {
             engine.add_worker(f, conn.device);
-            conn.stream
-                .set_read_timeout(Some(Duration::from_millis(50)))
-                .ok();
-            conn.stream.set_nodelay(true).ok();
             ios.push(SlotIo::new(conn.stream, sever_for(&cfg.drops, f, i)));
         }
         assert!(!ios.is_empty(), "filter {f} has no worker connections");
@@ -692,32 +501,18 @@ pub fn run_graph_deterministic_with<W: WeightProvider>(
     }
     for (f, ios) in drv.slots.iter_mut().enumerate() {
         for (i, slot) in ios.iter_mut().enumerate() {
-            let hello = Frame::Hello {
-                node: f as u32,
-                slot: i as u32,
-            };
-            slot.write(&hello);
-            if !slot.open {
-                continue;
-            }
-            match slot.read_frame(hard_deadline) {
-                Ok(echo) if echo == hello => {}
-                _ => {
-                    let _ = slot.stream.shutdown(Shutdown::Both);
-                    slot.open = false;
-                }
-            }
+            slot.hello(f, i, hard_deadline);
         }
     }
     for (f, b) in seeds {
         engine.seed_reader(f, b);
     }
 
-    let rec = cfg.recorder.clone();
-    let mut cursors = crate::graph::RoutingCursors::new(graph);
+    let mut cursors = RoutingCursors::new(graph);
     let mut outputs = Vec::new();
     let mut deaths = 0u32;
     reap_graph(&mut engine, &mut drv, &mut deaths);
+    // Kick every live worker's requester, as the sequential driver does.
     for w in engine.worker_refs() {
         if !drv.dead[w.node][w.worker] {
             engine.data_arrived(w.node, w.worker, u64::MAX, None, &mut drv);
@@ -739,31 +534,24 @@ pub fn run_graph_deterministic_with<W: WeightProvider>(
                 reader,
                 req_id,
             } => {
-                if drv.dead[from.node][from.worker] || !drv.slots[from.node][from.worker].open {
+                if !drv.live(from) {
                     continue; // the request died with its connection
                 }
-                match drv.slots[from.node][from.worker].read_frame(hard_deadline) {
+                match drv.io(from).read_frame(hard_deadline) {
                     Ok(Frame::Request {
                         req_id: echoed_id, ..
                     }) if echoed_id == req_id => {
                         let buffer = engine.answer_request(reader, from.device.kind);
                         engine.data_arrived(from.node, from.worker, req_id, buffer, &mut drv);
                     }
-                    Ok(_) | Err(_) => {
-                        let _ = drv.slots[from.node][from.worker]
-                            .stream
-                            .shutdown(Shutdown::Both);
-                        drv.slots[from.node][from.worker].open = false;
-                    }
+                    Ok(_) | Err(_) => drv.io(from).close(),
                 }
             }
             Msg::Exec { worker, buffer } => {
-                if drv.dead[worker.node][worker.worker]
-                    || !drv.slots[worker.node][worker.worker].open
-                {
+                if !drv.live(worker) {
                     continue; // already re-homed by reap
                 }
-                let io = &mut drv.slots[worker.node][worker.worker];
+                let io = drv.io(worker);
                 let completion = io.read_frame(hard_deadline).and_then(|first| {
                     let second = io.read_frame(hard_deadline)?;
                     Ok((first, second))
@@ -781,79 +569,57 @@ pub fn run_graph_deterministic_with<W: WeightProvider>(
                     )) if done.id == buffer.id && filter as usize == worker.node => {
                         drv.inflight[worker.node][worker.worker].retain(|b| b.id != done.id);
                         dispatch_order.push((worker.node, worker.device.kind, done.id.0));
-                        // Charge the modeled time, as in the single-filter
-                        // lockstep driver, so DQAA inputs match the other
+                        // Charge the modeled time (computed locally from the
+                        // shape, identical to what the worker reports) so the
+                        // engine's DQAA/accounting inputs match the other
                         // backends bit-for-bit.
                         let proc =
                             SimDuration(modeled_proc_ns(buffer.as_ref(), worker.device.kind));
-                        let ts = clock.now().as_nanos();
-                        let dev = DeviceRef::device(worker.device);
-                        rec.record(
-                            ts,
-                            dev,
-                            EventKind::RemoteStart {
-                                buffer: done.id.0,
-                                level: done.level,
-                            },
-                        );
-                        rec.record(
-                            ts,
-                            dev,
-                            EventKind::RemoteFinish {
-                                buffer: done.id.0,
-                                level: done.level,
-                                proc_ns: span.end_ns.saturating_sub(span.start_ns),
-                            },
+                        record_remote_span(
+                            &cfg.recorder,
+                            clock.now().as_nanos(),
+                            worker.device,
+                            &done,
+                            span.end_ns.saturating_sub(span.start_ns),
                         );
                         engine.task_finished(worker.node, worker.worker, &done, proc);
-                        let (feedback, forward) = match emit(worker.node, worker.device.kind, &done)
-                        {
-                            Some(e) => (e.feedback, e.forward),
+                        let emission = match emit(worker.node, worker.device.kind, &done) {
+                            Some(e) => e,
                             // Default routing: worker recirculated copies
                             // are feedback; a completion that produced
                             // any is a feedback-only emission (the other
                             // backends' recirculating filters forward
                             // nothing), a clean completion forwards.
-                            None if recirculated.is_empty() => (Vec::new(), vec![done]),
-                            None => (recirculated, Vec::new()),
+                            None if recirculated.is_empty() => GraphEmission {
+                                forward: vec![done],
+                                feedback: Vec::new(),
+                            },
+                            None => GraphEmission {
+                                forward: Vec::new(),
+                                feedback: recirculated,
+                            },
                         };
-                        for r in feedback {
-                            match graph.feedback_edge(worker.node) {
-                                Some(ei) => {
-                                    let to = graph.edge(ei).to;
-                                    engine.deliver_edge(ei as u32, to, r, &mut drv);
-                                }
-                                None => engine.recirculate(worker.node, r, &mut drv),
-                            }
-                        }
-                        for b in forward {
-                            let targets = graph.route_forward(worker.node, b.level, &mut cursors);
-                            match targets.split_last() {
-                                None => outputs.push(b),
-                                Some((&last, rest)) => {
-                                    for &ei in rest {
-                                        let to = graph.edge(ei).to;
-                                        engine.deliver_edge(ei as u32, to, b.clone(), &mut drv);
-                                    }
-                                    let to = graph.edge(last).to;
-                                    engine.deliver_edge(last as u32, to, b, &mut drv);
-                                }
-                            }
-                        }
+                        graph.deliver_emission(
+                            worker.node,
+                            emission,
+                            &mut cursors,
+                            &mut engine,
+                            &mut outputs,
+                            &mut drv,
+                        );
                         engine.worker_idle(worker.node, worker.worker, &[proc], &mut drv);
                     }
-                    Ok(_) | Err(_) => {
-                        let io = &mut drv.slots[worker.node][worker.worker];
-                        let _ = io.stream.shutdown(Shutdown::Both);
-                        io.open = false;
-                    }
+                    Ok(_) | Err(_) => drv.io(worker).close(),
                 }
             }
         }
     }
 
-    for ios in drv.slots.iter_mut() {
-        shutdown_slots(ios);
+    for slot in drv.slots.iter_mut().flatten() {
+        if slot.open {
+            slot.write(&Frame::Shutdown);
+            let _ = slot.stream.shutdown(Shutdown::Write);
+        }
     }
     Ok(NetGraphOutcome {
         assigned: engine.tasks_by_node().clone(),
@@ -865,9 +631,9 @@ pub fn run_graph_deterministic_with<W: WeightProvider>(
     })
 }
 
-// ----------------------------------------------------------- concurrent
+// ----------------------------------------------------------- wall clock
 
-/// Concurrent driver: frames go out immediately; timeouts live in a heap
+/// Wall-clock driver: frames go out immediately; timeouts live in a heap
 /// keyed by wall-clock fire time.
 struct ConcurrentDriver {
     net: Reactor,
@@ -901,7 +667,7 @@ impl Executor for ConcurrentDriver {
 
     fn launch(&mut self, worker: WorkerRef, batch: Vec<DataBuffer>) {
         // The wire frame and the inflight table share one allocation per
-        // buffer (the old path cloned the payload for each).
+        // buffer.
         let batch: Vec<Arc<DataBuffer>> = batch.into_iter().map(Arc::new).collect();
         self.net
             .send_deliver(worker.worker, worker.device.kind, &batch);
@@ -909,48 +675,42 @@ impl Executor for ConcurrentDriver {
     }
 }
 
-fn kill_slot<C: Clock, W: WeightProvider>(
-    engine: &mut Engine<C, W>,
-    drv: &mut ConcurrentDriver,
-    dead: &mut [bool],
-    deaths: &mut u32,
-    slot: usize,
-) {
-    if dead[slot] {
-        return;
-    }
-    dead[slot] = true;
-    *deaths += 1;
-    drv.net.sever(slot);
-    let inflight = unwrap_inflight(std::mem::take(&mut drv.inflight[slot]));
-    engine.worker_died(0, slot, inflight, drv);
-}
-
-/// Shared live state of a concurrent (wall-clock) run: the engine, the
-/// socket driver with its [`Reactor`], and per-slot health bookkeeping.
-/// Built by [`concurrent_setup`]; the event loops ([`run_concurrent`],
-/// [`run_concurrent_elastic`], [`run_concurrent_load`]) differ only in
-/// where work and workers come from (seeded up front vs. an arrival
-/// schedule gated by admission control; a fixed set vs. mid-run joins).
+/// Live state of a wall-clock run and its one event loop: the engine, the
+/// socket driver with its [`Reactor`], per-slot health bookkeeping, and
+/// the run's tallies. Built by [`concurrent_setup`]; [`ConcurrentRig::turn`]
+/// handles one reactor event, [`ConcurrentRig::drive`] loops it to
+/// quiescence around whichever optional parts the entry point supplies.
 struct ConcurrentRig<W: WeightProvider> {
+    cfg: NetConfig,
+    hard_deadline: Instant,
     wall: WallClock,
     engine: Engine<WallClock, W>,
     node: usize,
     drv: ConcurrentDriver,
     dead: Vec<bool>,
+    /// Slots not yet dead or drained (`dead[slot] == false`), maintained
+    /// by `register_slot`, `kill` and the sweep so the all-dead check is
+    /// O(1).
+    live: usize,
     deaths: u32,
+    /// Mid-run `Join` handshakes admitted.
+    joins: u32,
+    /// Graceful drains completed.
+    drained: u32,
     last_seen: Vec<Instant>,
     pending_procs: Vec<Vec<SimDuration>>,
-    /// Events handled since the last failed-write sweep; the sweep is
-    /// O(slots) so it runs every [`REAP_EVERY`] events instead of every
-    /// event (and on every pump timeout, so a quiet run still reaps
-    /// within one wait budget).
-    events_since_reap: u32,
+    /// Events handled since the last [`ConcurrentRig::sweep`].
+    events_since_sweep: u32,
+    /// Completions the run must reach: seeds plus every recirculated copy.
+    expected: u64,
+    dispatch_order: Vec<(DeviceKind, u64)>,
 }
 
-/// Failed-write sweep cadence, in pumped events. Bounds detection latency
-/// to a sub-millisecond burst under load while keeping the per-event cost
-/// of the sweep amortized O(1).
+/// Slot-sweep cadence, in pumped events. The sweep is O(slots) — scanning
+/// every slot after every frame was a real cost at 1000-worker fan-in —
+/// so it runs every `REAP_EVERY` events and on every pump timeout (a quiet
+/// run still sweeps within one wait budget): detection latency is a
+/// sub-millisecond burst under load, the per-event cost amortized O(1).
 const REAP_EVERY: u32 = 64;
 
 /// Answer an unknown or unwanted peer with a typed [`Frame::JoinRejected`]
@@ -969,11 +729,12 @@ fn reject_peer(stream: &mut TcpStream, reason: &str) {
 /// before its `Closed` marker. Slots that fail the handshake are reaped
 /// as dead before the rig is returned.
 fn concurrent_setup<W: WeightProvider>(
-    cfg: &NetConfig,
+    cfg: NetConfig,
     workers: Vec<NetWorkerConn>,
     weights: W,
-    hard_deadline: Instant,
 ) -> io::Result<ConcurrentRig<W>> {
+    assert!(!workers.is_empty(), "no worker connections configured");
+    let hard_deadline = Instant::now() + cfg.deadline;
     let wall = WallClock::start();
     let mut engine = Engine::new(
         EngineConfig {
@@ -986,80 +747,90 @@ fn concurrent_setup<W: WeightProvider>(
         cfg.recorder.clone(),
     );
     let node = engine.add_node();
-    // The Hello handshake runs on blocking sockets; the slots are then
-    // handed to the reactor, each continuing from its handshake decoder
-    // state so frames (or frame fragments) buffered behind the Hello echo
-    // are not lost.
-    let mut slots: Vec<SlotIo> = Vec::with_capacity(workers.len());
-    for (i, conn) in workers.into_iter().enumerate() {
-        engine.add_worker(node, conn.device);
-        conn.stream
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .ok();
-        conn.stream.set_nodelay(true).ok();
-        slots.push(SlotIo::new(conn.stream, sever_for(&cfg.drops, node, i)));
-    }
-    assert!(!slots.is_empty(), "no worker connections configured");
-    handshake(&mut slots, hard_deadline);
-
-    let n_slots = slots.len();
-    let mut reactor = Reactor::new()?;
-    for io_slot in slots {
-        let open = io_slot.open;
-        let slot = reactor.register(
-            io_slot.stream,
-            io_slot.dec,
-            io_slot.sever_after,
-            io_slot.frames_sent,
-        )?;
-        if !open {
-            reactor.sever(slot);
-        }
-    }
-    let drv = ConcurrentDriver {
-        net: reactor,
-        inflight: vec![Vec::new(); n_slots],
-        timers: BinaryHeap::new(),
-        batch_limit: cfg.batch_limit.max(1),
-    };
-
     let mut rig = ConcurrentRig {
+        hard_deadline,
         wall,
         engine,
         node,
-        drv,
-        dead: vec![false; n_slots],
+        drv: ConcurrentDriver {
+            net: Reactor::new()?,
+            inflight: Vec::new(),
+            timers: BinaryHeap::new(),
+            batch_limit: cfg.batch_limit.max(1),
+        },
+        cfg,
+        dead: Vec::new(),
+        live: 0,
         deaths: 0,
-        last_seen: vec![Instant::now(); n_slots],
-        pending_procs: vec![Vec::new(); n_slots],
-        events_since_reap: 0,
+        joins: 0,
+        drained: 0,
+        last_seen: Vec::new(),
+        pending_procs: Vec::new(),
+        events_since_sweep: 0,
+        expected: 0,
+        dispatch_order: Vec::new(),
     };
-    for slot in 0..n_slots {
-        if !rig.drv.net.open(slot) {
-            rig.kill(slot);
+    // The Hello handshake runs on blocking sockets; each slot is then
+    // handed to the reactor, continuing from its handshake decoder state
+    // so frames (or frame fragments) buffered behind the Hello echo are
+    // not lost.
+    let mut failed = Vec::new();
+    for (slot, conn) in workers.into_iter().enumerate() {
+        let mut io_slot = SlotIo::new(conn.stream, sever_for(&rig.cfg.drops, node, slot));
+        if !io_slot.hello(node, slot, hard_deadline) {
+            failed.push(slot);
         }
+        rig.engine.add_worker(node, conn.device);
+        rig.register_slot(io_slot)?;
+    }
+    for slot in failed {
+        rig.kill(slot);
     }
     Ok(rig)
 }
 
 impl<W: WeightProvider> ConcurrentRig<W> {
-    fn kill(&mut self, slot: usize) {
-        kill_slot(
-            &mut self.engine,
-            &mut self.drv,
-            &mut self.dead,
-            &mut self.deaths,
+    /// Hand a handshaken connection to the reactor as the next slot and
+    /// grow every per-slot table; the caller registers it with the engine.
+    fn register_slot(&mut self, io_slot: SlotIo) -> io::Result<usize> {
+        let slot = self.drv.net.register(
+            io_slot.stream,
+            io_slot.dec,
+            io_slot.sever_after,
+            io_slot.frames_sent,
+        )?;
+        debug_assert_eq!(
             slot,
+            self.dead.len(),
+            "reactor slot must mirror the rig slot"
         );
+        self.drv.inflight.push(Vec::new());
+        self.dead.push(false);
+        self.live += 1;
+        self.last_seen.push(Instant::now());
+        self.pending_procs.push(Vec::new());
+        Ok(slot)
     }
 
-    /// Kick every live worker's requester, as the sequential driver does.
-    fn kick_live_workers(&mut self) {
-        for w in self.engine.worker_refs() {
-            if !self.dead[w.worker] {
-                self.engine
-                    .data_arrived(w.node, w.worker, u64::MAX, None, &mut self.drv);
-            }
+    /// Retire `slot` through the engine's death/recovery path.
+    fn kill(&mut self, slot: usize) {
+        if self.dead[slot] {
+            return;
+        }
+        self.dead[slot] = true;
+        self.live -= 1;
+        self.deaths += 1;
+        self.drv.net.sever(slot);
+        let inflight = unwrap_inflight(std::mem::take(&mut self.drv.inflight[slot]));
+        self.engine
+            .worker_died(self.node, slot, inflight, &mut self.drv);
+    }
+
+    /// Seed the reader up front (the closed-loop runs).
+    fn seed(&mut self, sources: Vec<DataBuffer>) {
+        self.expected += sources.len() as u64;
+        for b in sources {
+            self.engine.seed_reader(self.node, b);
         }
     }
 
@@ -1072,23 +843,38 @@ impl<W: WeightProvider> ConcurrentRig<W> {
             }
             self.drv.timers.pop();
             self.engine
-                .request_timed_out(0, slot, req_id, &mut self.drv);
+                .request_timed_out(self.node, slot, req_id, &mut self.drv);
         }
     }
 
-    /// Declare silent workers dead.
-    fn check_heartbeats(&mut self, timeout: Option<Duration>) {
-        if let Some(hb) = timeout {
-            for slot in 0..self.dead.len() {
-                if !self.dead[slot] && self.last_seen[slot].elapsed() > hb {
-                    self.kill(slot);
-                }
+    /// The one O(slots) pass, on the [`REAP_EVERY`] cadence: a slot whose
+    /// writes failed inside an engine callback, or that has been silent
+    /// past the heartbeat timeout, dies; a slot whose drain has completed
+    /// is retired gracefully — the engine has already recorded
+    /// `worker_left`, so the socket gets a `Shutdown` and closes without
+    /// touching the death/recovery path.
+    fn sweep(&mut self) {
+        self.events_since_sweep = 0;
+        let now = Instant::now();
+        for slot in 0..self.dead.len() {
+            if self.dead[slot] {
+                continue;
+            }
+            let silent = self
+                .cfg
+                .heartbeat_timeout
+                .is_some_and(|hb| now.duration_since(self.last_seen[slot]) > hb);
+            if silent || !self.drv.net.open(slot) {
+                self.kill(slot);
+            } else if self.engine.worker_draining(self.node, slot)
+                && !self.engine.worker_alive(self.node, slot)
+            {
+                self.dead[slot] = true;
+                self.live -= 1;
+                self.drained += 1;
+                self.drv.net.graceful_close(slot);
             }
         }
-    }
-
-    fn all_dead(&self) -> bool {
-        self.dead.iter().all(|&d| d)
     }
 
     /// Sleep bound for the reactor wait: the next request timeout, capped
@@ -1102,45 +888,14 @@ impl<W: WeightProvider> ConcurrentRig<W> {
         wait
     }
 
-    /// Retire slots whose writes failed inside the engine callbacks.
-    fn reap_failed_writes(&mut self) {
-        self.events_since_reap = 0;
-        for slot in 0..self.dead.len() {
-            if !self.drv.net.open(slot) && !self.dead[slot] {
-                self.kill(slot);
-            }
-        }
-    }
-
-    /// Per-event reap hook: the full sweep only every [`REAP_EVERY`]
-    /// events — scanning every slot after every frame was O(slots) per
-    /// event, a real cost at 1000-worker fan-in.
-    fn maybe_reap_failed_writes(&mut self) {
-        self.events_since_reap += 1;
-        if self.events_since_reap >= REAP_EVERY {
-            self.reap_failed_writes();
-        }
-    }
-
-    /// Install an established connection as a brand-new worker slot: grow
-    /// every per-slot table, register the socket with the reactor, and
-    /// register the slot with the engine (`worker_joined` event, DQAA
-    /// warm-up window, immediate request pump).
+    /// Install a handshaken connection as a brand-new worker slot:
+    /// register the socket, then register the slot with the engine
+    /// (`worker_joined` event, DQAA warm-up window, immediate request
+    /// pump).
     fn install_slot(&mut self, io_slot: SlotIo, device: DeviceId) -> io::Result<usize> {
-        let slot = self.drv.net.len();
         // The join/Hello handshake may have buffered bytes past its reply;
         // the reactor continues from that decoder state.
-        let registered = self.drv.net.register(
-            io_slot.stream,
-            io_slot.dec,
-            io_slot.sever_after,
-            io_slot.frames_sent,
-        )?;
-        debug_assert_eq!(registered, slot, "reactor slot must mirror the rig slot");
-        self.drv.inflight.push(Vec::new());
-        self.dead.push(false);
-        self.last_seen.push(Instant::now());
-        self.pending_procs.push(Vec::new());
+        let slot = self.register_slot(io_slot)?;
         let joined = self.engine.join_worker(self.node, device, &mut self.drv);
         debug_assert_eq!(joined, slot, "engine slot must mirror the io slot");
         Ok(slot)
@@ -1151,19 +906,11 @@ impl<W: WeightProvider> ConcurrentRig<W> {
     /// slot id); anything else — wrong node, wrong first frame, garbage —
     /// is answered with a typed [`Frame::JoinRejected`] before the socket
     /// closes, never a silent drop.
-    fn handle_incoming(
-        &mut self,
-        stream: TcpStream,
-        drops: &[ConnectionDropSpec],
-    ) -> io::Result<usize> {
-        stream
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .ok();
-        stream.set_nodelay(true).ok();
+    fn handle_incoming(&mut self, stream: TcpStream) -> io::Result<usize> {
         let mut first = SlotIo::new(stream, None);
         let deadline = Instant::now() + Duration::from_secs(2);
         match first.read_frame(deadline) {
-            Ok(Frame::Join { node: 0, kind }) => {
+            Ok(Frame::Join { node, kind }) if node as usize == self.node => {
                 let slot = self.drv.net.len();
                 first.write(&Frame::JoinAck {
                     node: self.node as u32,
@@ -1175,7 +922,7 @@ impl<W: WeightProvider> ConcurrentRig<W> {
                         "joiner hung up before JoinAck",
                     ));
                 }
-                first.sever_after = sever_for(drops, self.node, slot);
+                first.sever_after = sever_for(&self.cfg.drops, self.node, slot);
                 let device = DeviceId {
                     node: self.node,
                     kind,
@@ -1206,108 +953,200 @@ impl<W: WeightProvider> ConcurrentRig<W> {
 
     /// Admit a pool-supplied, pre-connected worker (autoscaler grow path):
     /// run the `Hello` handshake inline, then install the slot.
-    fn admit_conn(
-        &mut self,
-        conn: NetWorkerConn,
-        drops: &[ConnectionDropSpec],
-    ) -> io::Result<usize> {
+    fn admit_conn(&mut self, conn: NetWorkerConn) -> io::Result<usize> {
         let slot = self.drv.net.len();
-        conn.stream
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .ok();
-        conn.stream.set_nodelay(true).ok();
-        let mut io_slot = SlotIo::new(conn.stream, sever_for(drops, self.node, slot));
-        let hello = Frame::Hello {
-            node: self.node as u32,
-            slot: slot as u32,
-        };
-        io_slot.write(&hello);
-        let deadline = Instant::now() + Duration::from_secs(2);
-        match io_slot.read_frame(deadline) {
-            Ok(echo) if echo == hello => {}
-            _ => {
-                let _ = io_slot.stream.shutdown(Shutdown::Both);
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "grown worker failed the Hello handshake",
-                ));
-            }
+        let mut io_slot = SlotIo::new(conn.stream, sever_for(&self.cfg.drops, self.node, slot));
+        if !io_slot.hello(self.node, slot, Instant::now() + Duration::from_secs(2)) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "grown worker failed the Hello handshake",
+            ));
         }
         self.install_slot(io_slot, conn.device)
     }
 
-    /// Gracefully retire slots whose drain has completed: the engine has
-    /// already recorded `worker_left`, so the socket gets a `Shutdown`
-    /// and the slot is closed without touching the death/recovery path.
-    /// Returns how many drains finished on this call.
-    fn reap_drained(&mut self) -> u32 {
-        let mut released = 0;
-        for slot in 0..self.dead.len() {
-            if !self.dead[slot]
-                && self.engine.worker_draining(self.node, slot)
-                && !self.engine.worker_alive(self.node, slot)
-            {
-                self.dead[slot] = true;
-                released += 1;
-                self.drv.net.graceful_close(slot);
-            }
-        }
-        released
-    }
-
     /// Handle one `Complete` frame: retire the in-flight entry, re-stamp
     /// the worker span onto the coordinator clock, credit the engine, and
-    /// recirculate. Returns how many buffers were recirculated (new
-    /// expected completions).
-    #[allow(clippy::too_many_arguments)]
+    /// recirculate (each copy is one more expected completion).
     fn handle_complete(
         &mut self,
-        rec: &Recorder,
         slot: usize,
         buffer: DataBuffer,
         proc_ns: u64,
         span_ns: u64,
         recirculated: Vec<DataBuffer>,
-        dispatch_order: &mut Vec<(DeviceKind, u64)>,
-    ) -> u64 {
+    ) {
         self.drv.inflight[slot].retain(|b| b.id != buffer.id);
-        let device = self.engine.worker_device(0, slot);
-        dispatch_order.push((device.kind, buffer.id.0));
+        let device = self.engine.worker_device(self.node, slot);
+        self.dispatch_order.push((device.kind, buffer.id.0));
         let ts = self.wall.now().as_nanos();
-        let dev = DeviceRef::device(device);
-        rec.record(
-            ts,
-            dev,
-            EventKind::RemoteStart {
-                buffer: buffer.id.0,
-                level: buffer.level,
-            },
-        );
-        rec.record(
-            ts,
-            dev,
-            EventKind::RemoteFinish {
-                buffer: buffer.id.0,
-                level: buffer.level,
-                proc_ns: span_ns,
-            },
-        );
+        record_remote_span(&self.cfg.recorder, ts, device, &buffer, span_ns);
         let proc = SimDuration(proc_ns);
-        self.engine.task_finished(0, slot, &buffer, proc);
+        self.engine.task_finished(self.node, slot, &buffer, proc);
         self.pending_procs[slot].push(proc);
-        let n = recirculated.len() as u64;
+        self.expected += recirculated.len() as u64;
         for r in recirculated {
             self.engine.recirculate(self.node, r, &mut self.drv);
         }
-        n
+    }
+
+    /// One turn of the event loop: deadline, due timers, the slot sweep on
+    /// its cadence, the all-dead check, then one reactor event (waiting at
+    /// most `cap`, less when a request timeout is nearer). Returns the
+    /// `(buffer id, worker span)` of the completion this turn handled, if
+    /// it handled one, for the open-loop part to time.
+    fn turn(&mut self, cap: Duration) -> io::Result<Option<(u64, u64)>> {
+        if Instant::now() >= self.hard_deadline {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!(
+                    "net run deadline exceeded: {}/{} buffers done, {} join(s), {} worker(s) dead; {}; inflight={:?} dead={:?}",
+                    self.engine.total_done(),
+                    self.expected,
+                    self.joins,
+                    self.deaths,
+                    self.engine.debug_node_state(self.node),
+                    self.drv.inflight.iter().map(|v| v.len()).collect::<Vec<_>>(),
+                    self.dead,
+                ),
+            ));
+        }
+        self.fire_due_timers();
+        if self.events_since_sweep >= REAP_EVERY {
+            self.sweep();
+        }
+        if self.live == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                format!(
+                    "every worker died or drained with {}/{} buffers done",
+                    self.engine.total_done(),
+                    self.expected
+                ),
+            ));
+        }
+        let wait = self.wait_budget(cap);
+        let Some(event) = self.drv.net.pump(wait) else {
+            self.sweep();
+            return Ok(None);
+        };
+        self.events_since_sweep += 1;
+        let (slot, frame) = match event {
+            Pump::Frame(slot, frame) => (slot, frame),
+            Pump::Closed(slot) => {
+                self.kill(slot);
+                return Ok(None);
+            }
+            // Only a run that attached a join listener sees these.
+            Pump::Incoming(stream) => {
+                if self.handle_incoming(stream).is_ok() {
+                    self.joins += 1;
+                }
+                return Ok(None);
+            }
+        };
+        self.last_seen[slot] = Instant::now();
+        if self.dead[slot] {
+            return Ok(None); // a late frame from a retired slot
+        }
+        match frame {
+            Frame::Request { reader, req_id } => {
+                let kind = self.engine.worker_device(self.node, slot).kind;
+                let buffer = self.engine.answer_request(reader as usize, kind);
+                self.engine
+                    .data_arrived(self.node, slot, req_id, buffer, &mut self.drv);
+            }
+            Frame::Complete {
+                buffer,
+                proc_ns,
+                span,
+                recirculated,
+            } => {
+                let id = buffer.id.0;
+                let span_ns = span.end_ns.saturating_sub(span.start_ns);
+                self.handle_complete(slot, buffer, proc_ns, span_ns, recirculated);
+                return Ok(Some((id, span_ns)));
+            }
+            Frame::BatchDone => {
+                let procs = std::mem::take(&mut self.pending_procs[slot]);
+                self.engine
+                    .worker_idle(self.node, slot, &procs, &mut self.drv);
+            }
+            // A `Join` on an already-established slot is a typed
+            // rejection, not silence: the peer learns it must open a
+            // fresh connection against an elastic run instead.
+            Frame::Join { .. } => {
+                self.drv.net.send(
+                    slot,
+                    &Frame::JoinRejected {
+                        reason: "slot already joined; dynamic joins need a fresh connection"
+                            .to_string(),
+                    },
+                );
+            }
+            // Heartbeats already refreshed `last_seen`; the rest are
+            // protocol noise a healthy worker never sends.
+            Frame::Heartbeat { .. }
+            | Frame::Hello { .. }
+            | Frame::Bye
+            | Frame::Deliver { .. }
+            | Frame::DeliverAt { .. }
+            | Frame::CompleteAt { .. }
+            | Frame::JoinAck { .. }
+            | Frame::JoinRejected { .. }
+            | Frame::Shutdown => {}
+        }
+        Ok(None)
+    }
+
+    /// Run the event loop to quiescence: every seeded, admitted and
+    /// recirculated buffer completed exactly once and, on an open-loop
+    /// run, the arrival schedule and the admission intake drained. Errs at
+    /// the deadline or when no worker is left.
+    ///
+    /// `drains` fire as the completion count crosses each threshold;
+    /// `load`, when present, feeds arrivals through admission before each
+    /// turn and times each admitted task's completion.
+    fn drive(
+        &mut self,
+        mut drains: Vec<DrainAt>,
+        mut load: Option<&mut OpenLoop<'_, '_>>,
+    ) -> io::Result<()> {
+        drains.sort_by_key(|d| d.after_completions);
+        let mut drains = drains.into_iter().peekable();
+        // Kick every live worker's requester, as the sequential driver does.
+        for w in self.engine.worker_refs() {
+            if !self.dead[w.worker] {
+                self.engine
+                    .data_arrived(w.node, w.worker, u64::MAX, None, &mut self.drv);
+            }
+        }
+        loop {
+            let done = self.engine.total_done();
+            if done >= self.expected && load.as_ref().is_none_or(|l| l.drained()) {
+                return Ok(());
+            }
+            while let Some(d) = drains.next_if(|d| done >= d.after_completions) {
+                if d.slot < self.dead.len() && !self.dead[d.slot] {
+                    self.engine.drain_worker(self.node, d.slot);
+                }
+            }
+            let cap = match load.as_mut() {
+                Some(l) => l.feed(self),
+                None => Duration::from_millis(25),
+            };
+            if let (Some((id, span_ns)), Some(l)) = (self.turn(cap)?, load.as_mut()) {
+                l.task_completed(self.wall.now().as_nanos(), id, span_ns);
+            }
+        }
     }
 
     /// Shut down live slots and produce the outcome.
-    fn finish(mut self, dispatch_order: Vec<(DeviceKind, u64)>) -> NetOutcome {
+    fn finish(mut self) -> NetOutcome {
         self.drv.net.shutdown_all();
         NetOutcome {
             assigned: self.engine.tasks_by().clone(),
-            dispatch_order,
+            dispatch_order: self.dispatch_order,
             total: self.engine.total_done(),
             deaths: self.deaths,
             wire: self.drv.net.stats(),
@@ -1326,117 +1165,10 @@ pub fn run_concurrent<W: WeightProvider>(
     sources: Vec<DataBuffer>,
     weights: W,
 ) -> io::Result<NetOutcome> {
-    let hard_deadline = Instant::now() + cfg.deadline;
-    let mut rig = concurrent_setup(&cfg, workers, weights, hard_deadline)?;
-    let mut expected = sources.len() as u64;
-    for b in sources {
-        rig.engine.seed_reader(rig.node, b);
-    }
-    rig.kick_live_workers();
-    let rec = cfg.recorder.clone();
-    let mut dispatch_order = Vec::new();
-
-    while rig.engine.total_done() < expected {
-        if Instant::now() >= hard_deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!(
-                    "net run deadline exceeded: {}/{} buffers done, {} worker(s) dead; {}",
-                    rig.engine.total_done(),
-                    expected,
-                    rig.deaths,
-                    rig.engine.debug_node_state(rig.node),
-                ),
-            ));
-        }
-        rig.fire_due_timers();
-        rig.check_heartbeats(cfg.heartbeat_timeout);
-        if rig.all_dead() {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                format!(
-                    "every worker died with {}/{} buffers done",
-                    rig.engine.total_done(),
-                    expected
-                ),
-            ));
-        }
-        let wait = rig.wait_budget(Duration::from_millis(25));
-        let Some(event) = rig.drv.net.pump(wait) else {
-            rig.reap_failed_writes();
-            continue;
-        };
-        match event {
-            Pump::Closed(slot) => rig.kill(slot),
-            Pump::Frame(slot, frame) => {
-                rig.last_seen[slot] = Instant::now();
-                if rig.dead[slot] {
-                    continue; // a late frame from a retired slot
-                }
-                match frame {
-                    Frame::Request { reader, req_id } => {
-                        let kind = rig.engine.worker_device(0, slot).kind;
-                        let buffer = rig.engine.answer_request(reader as usize, kind);
-                        rig.engine
-                            .data_arrived(0, slot, req_id, buffer, &mut rig.drv);
-                    }
-                    Frame::Complete {
-                        buffer,
-                        proc_ns,
-                        span,
-                        recirculated,
-                    } => {
-                        let span_ns = span.end_ns.saturating_sub(span.start_ns);
-                        expected += rig.handle_complete(
-                            &rec,
-                            slot,
-                            buffer,
-                            proc_ns,
-                            span_ns,
-                            recirculated,
-                            &mut dispatch_order,
-                        );
-                    }
-                    Frame::BatchDone => {
-                        let procs = std::mem::take(&mut rig.pending_procs[slot]);
-                        rig.engine.worker_idle(0, slot, &procs, &mut rig.drv);
-                    }
-                    // A `Join` on an already-established slot is a typed
-                    // rejection, not silence: the peer learns it must open
-                    // a fresh connection against an elastic run instead.
-                    Frame::Join { .. } => {
-                        rig.drv.net.send(
-                            slot,
-                            &Frame::JoinRejected {
-                                reason:
-                                    "slot already joined; dynamic joins need a fresh connection"
-                                        .to_string(),
-                            },
-                        );
-                    }
-                    // Heartbeats already refreshed `last_seen`; the rest
-                    // are protocol noise a healthy worker never sends.
-                    Frame::Heartbeat { .. }
-                    | Frame::Hello { .. }
-                    | Frame::Bye
-                    | Frame::Deliver { .. }
-                    | Frame::DeliverAt { .. }
-                    | Frame::CompleteAt { .. }
-                    | Frame::JoinAck { .. }
-                    | Frame::JoinRejected { .. }
-                    | Frame::Shutdown => {}
-                }
-            }
-            // No listener is attached in this mode; an incoming connection
-            // can only mean a stray peer — reject it with the typed frame.
-            Pump::Incoming(mut stream) => {
-                reject_peer(&mut stream, "this run does not accept dynamic joins");
-            }
-        }
-        rig.maybe_reap_failed_writes();
-    }
-
-    Ok(rig.finish(dispatch_order))
+    let mut rig = concurrent_setup(cfg, workers, weights)?;
+    rig.seed(sources);
+    rig.drive(Vec::new(), None)?;
+    Ok(rig.finish())
 }
 
 // -------------------------------------------------------------- elastic
@@ -1480,137 +1212,15 @@ pub fn run_concurrent_elastic<W: WeightProvider>(
     sources: Vec<DataBuffer>,
     weights: W,
 ) -> io::Result<ElasticOutcome> {
-    let hard_deadline = Instant::now() + cfg.deadline;
-    let mut rig = concurrent_setup(&cfg, workers, weights, hard_deadline)?;
+    let mut rig = concurrent_setup(cfg, workers, weights)?;
     rig.drv.net.attach_listener(listener)?;
-    let mut drains = drains;
-    drains.sort_by_key(|d| d.after_completions);
-    let mut next_drain = 0usize;
-    let mut joins = 0u32;
-    let mut drained = 0u32;
-
-    let mut expected = sources.len() as u64;
-    for b in sources {
-        rig.engine.seed_reader(rig.node, b);
-    }
-    rig.kick_live_workers();
-    let rec = cfg.recorder.clone();
-    let mut dispatch_order = Vec::new();
-
-    while rig.engine.total_done() < expected {
-        if Instant::now() >= hard_deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!(
-                    "elastic net run deadline exceeded: {}/{} buffers done, {} join(s), {} worker(s) dead; {}; inflight={:?} dead={:?}",
-                    rig.engine.total_done(),
-                    expected,
-                    joins,
-                    rig.deaths,
-                    rig.engine.debug_node_state(rig.node),
-                    rig.drv.inflight.iter().map(|v| v.len()).collect::<Vec<_>>(),
-                    rig.dead,
-                ),
-            ));
-        }
-        rig.fire_due_timers();
-        rig.check_heartbeats(cfg.heartbeat_timeout);
-        // Apply every drain whose completion threshold has been reached.
-        while next_drain < drains.len()
-            && rig.engine.total_done() >= drains[next_drain].after_completions
-        {
-            let slot = drains[next_drain].slot;
-            next_drain += 1;
-            if slot < rig.dead.len() && !rig.dead[slot] {
-                rig.engine.drain_worker(rig.node, slot);
-            }
-        }
-        drained += rig.reap_drained();
-        if rig.all_dead() {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                format!(
-                    "every worker died or drained with {}/{} buffers done",
-                    rig.engine.total_done(),
-                    expected
-                ),
-            ));
-        }
-        let wait = rig.wait_budget(Duration::from_millis(25));
-        let Some(event) = rig.drv.net.pump(wait) else {
-            rig.reap_failed_writes();
-            continue;
-        };
-        match event {
-            Pump::Closed(slot) => rig.kill(slot),
-            Pump::Incoming(stream) => {
-                if rig.handle_incoming(stream, &cfg.drops).is_ok() {
-                    joins += 1;
-                }
-            }
-            Pump::Frame(slot, frame) => {
-                rig.last_seen[slot] = Instant::now();
-                if rig.dead[slot] {
-                    continue; // a late frame from a retired slot
-                }
-                match frame {
-                    Frame::Request { reader, req_id } => {
-                        let kind = rig.engine.worker_device(0, slot).kind;
-                        let buffer = rig.engine.answer_request(reader as usize, kind);
-                        rig.engine
-                            .data_arrived(0, slot, req_id, buffer, &mut rig.drv);
-                    }
-                    Frame::Complete {
-                        buffer,
-                        proc_ns,
-                        span,
-                        recirculated,
-                    } => {
-                        let span_ns = span.end_ns.saturating_sub(span.start_ns);
-                        expected += rig.handle_complete(
-                            &rec,
-                            slot,
-                            buffer,
-                            proc_ns,
-                            span_ns,
-                            recirculated,
-                            &mut dispatch_order,
-                        );
-                    }
-                    Frame::BatchDone => {
-                        let procs = std::mem::take(&mut rig.pending_procs[slot]);
-                        rig.engine.worker_idle(0, slot, &procs, &mut rig.drv);
-                    }
-                    Frame::Join { .. } => {
-                        rig.drv.net.send(
-                            slot,
-                            &Frame::JoinRejected {
-                                reason:
-                                    "slot already joined; dynamic joins need a fresh connection"
-                                        .to_string(),
-                            },
-                        );
-                    }
-                    Frame::Heartbeat { .. }
-                    | Frame::Hello { .. }
-                    | Frame::Bye
-                    | Frame::Deliver { .. }
-                    | Frame::DeliverAt { .. }
-                    | Frame::CompleteAt { .. }
-                    | Frame::JoinAck { .. }
-                    | Frame::JoinRejected { .. }
-                    | Frame::Shutdown => {}
-                }
-            }
-        }
-        rig.maybe_reap_failed_writes();
-    }
-
-    drained += rig.reap_drained();
+    rig.seed(sources);
+    rig.drive(drains, None)?;
+    rig.sweep(); // drains that finished with the last completions
     Ok(ElasticOutcome {
-        outcome: rig.finish(dispatch_order),
-        joins,
-        drains: drained,
+        joins: rig.joins,
+        drains: rig.drained,
+        outcome: rig.finish(),
     })
 }
 
@@ -1679,6 +1289,186 @@ pub struct ElasticLoad<'a> {
     pub pool: &'a mut dyn WorkerPool<Worker = NetWorkerConn>,
 }
 
+/// What an open-loop run adds to the event loop: the arrival schedule and
+/// its injector, the admission controller in front of the engine, the
+/// queue-depth sampler (with the autoscaler riding its cadence), and the
+/// per-task timing callback.
+struct OpenLoop<'a, 'p> {
+    ctl: AdmissionController<DataBuffer>,
+    arrivals: &'a [u64],
+    make_task: &'a mut dyn FnMut(u64, u64) -> DataBuffer,
+    on_complete: &'a mut dyn FnMut(NetTaskTiming),
+    sample_every: Duration,
+    elastic: Option<ElasticLoad<'p>>,
+    /// Next arrival index to inject.
+    next: usize,
+    /// A task bounced with `Offer::Blocked`, waiting for intake space.
+    pending: Option<(u64, DataBuffer)>,
+    /// Scheduled arrival of tasks sitting in the admission intake.
+    queued_arrival: HashMap<u64, u64>,
+    /// Scheduled arrival of admitted, not-yet-completed tasks.
+    admitted_arrival: HashMap<u64, u64>,
+    samples: Vec<NetQueueSample>,
+    next_sample_ns: u64,
+    completed: u64,
+    /// The most recent completion's e2e latency: the autoscaler's latency
+    /// signal.
+    last_e2e: Option<u64>,
+    scale_ups: u64,
+    scale_downs: u64,
+}
+
+impl OpenLoop<'_, '_> {
+    /// Schedule injected to the end and nothing left in the intake.
+    fn drained(&self) -> bool {
+        self.next >= self.arrivals.len() && self.pending.is_none() && self.ctl.queued() == 0
+    }
+
+    fn admit<W: WeightProvider>(
+        &mut self,
+        rig: &mut ConcurrentRig<W>,
+        arrival_ns: u64,
+        buffer: DataBuffer,
+    ) {
+        self.admitted_arrival.insert(buffer.id.0, arrival_ns);
+        rig.expected += 1;
+        rig.engine.seed_live(rig.node, buffer, &mut rig.drv);
+    }
+
+    /// The open-loop work of one turn: admit intake entries freed by
+    /// completions, inject every due arrival, take the queue-depth sample
+    /// when due. Returns the reactor wait cap — the sample cadence and the
+    /// next scheduled arrival, whichever is nearer.
+    fn feed<W: WeightProvider>(&mut self, rig: &mut ConcurrentRig<W>) -> Duration {
+        let now_ns = rig.wall.now().as_nanos();
+        let polled = self.ctl.poll(now_ns);
+        for env in polled.expired {
+            self.queued_arrival.remove(&env.buffer);
+        }
+        for env in polled.admitted {
+            let arrival = self.queued_arrival.remove(&env.buffer).unwrap_or(now_ns);
+            self.admit(rig, arrival, env.payload);
+        }
+
+        // Inject every arrival that is due, a blocked task first.
+        loop {
+            let (arrival_ns, buf) = match self.pending.take() {
+                Some(p) => p,
+                None => {
+                    let Some(&due) = self.arrivals.get(self.next) else {
+                        break;
+                    };
+                    if due > rig.wall.now().as_nanos() {
+                        break;
+                    }
+                    let buf = (self.make_task)(self.next as u64, due);
+                    self.next += 1;
+                    (due, buf)
+                }
+            };
+            let id = buf.id.0;
+            match self
+                .ctl
+                .offer(rig.wall.now().as_nanos(), id, buf.level, buf)
+            {
+                Offer::Admitted(b) => self.admit(rig, arrival_ns, b),
+                Offer::Queued { shed } => {
+                    self.queued_arrival.insert(id, arrival_ns);
+                    if let Some(victim) = shed {
+                        self.queued_arrival.remove(&victim.buffer);
+                    }
+                }
+                Offer::ShedSelf(_) => {}
+                Offer::Blocked(b) => {
+                    // Back-pressure: the injector stalls until a
+                    // completion frees an admission slot.
+                    self.pending = Some((arrival_ns, b));
+                    break;
+                }
+            }
+        }
+
+        // Queue-depth sample on its cadence; the autoscaler rides the
+        // same cadence so its decisions are a pure function of the
+        // sampled congestion signals.
+        let now_ns = rig.wall.now().as_nanos();
+        if now_ns >= self.next_sample_ns {
+            let ready = rig.engine.reader_len(rig.node) as u64;
+            let intake = self.ctl.queued() as u64;
+            self.samples.push(NetQueueSample {
+                t_ns: now_ns,
+                ready,
+                intake,
+                inflight: self.ctl.inflight() as u64,
+            });
+            self.next_sample_ns = now_ns + self.sample_every.as_nanos() as u64;
+            self.autoscale(rig, now_ns, (ready + intake) as usize);
+        }
+
+        let mut cap = Duration::from_millis(25).min(self.sample_every);
+        if self.pending.is_none() {
+            if let Some(&due) = self.arrivals.get(self.next) {
+                let until = due.saturating_sub(rig.wall.now().as_nanos());
+                cap = cap.min(Duration::from_nanos(until));
+            }
+        }
+        cap
+    }
+
+    fn autoscale<W: WeightProvider>(
+        &mut self,
+        rig: &mut ConcurrentRig<W>,
+        now_ns: u64,
+        depth: usize,
+    ) {
+        let Some(el) = self.elastic.as_mut() else {
+            return;
+        };
+        let active = rig.engine.active_worker_count();
+        match el.autoscaler.decide(now_ns, depth, self.last_e2e, active) {
+            Some(ScaleAction::Grow) => {
+                if let Some(conn) = el.pool.grow() {
+                    if rig.admit_conn(conn).is_ok() {
+                        self.scale_ups += 1;
+                    }
+                }
+            }
+            Some(ScaleAction::Shrink) => {
+                let victim = (0..rig.dead.len()).rev().find(|&s| {
+                    !rig.dead[s]
+                        && rig.engine.worker_alive(rig.node, s)
+                        && !rig.engine.worker_draining(rig.node, s)
+                });
+                if let Some(slot) = victim {
+                    rig.engine.drain_worker(rig.node, slot);
+                    self.scale_downs += 1;
+                }
+            }
+            None => {}
+        }
+    }
+
+    /// First completion of an admitted task frees its admission slot and
+    /// reports its latency split; recirculated copies find no entry and
+    /// skip both.
+    fn task_completed(&mut self, finished_ns: u64, id: u64, span_ns: u64) {
+        let Some(arrival) = self.admitted_arrival.remove(&id) else {
+            return;
+        };
+        let e2e_ns = finished_ns.saturating_sub(arrival);
+        let service_ns = span_ns.min(e2e_ns);
+        self.completed += 1;
+        self.last_e2e = Some(e2e_ns);
+        (self.on_complete)(NetTaskTiming {
+            buffer: id,
+            queue_ns: e2e_ns - service_ns,
+            service_ns,
+            e2e_ns,
+        });
+        self.ctl.release();
+    }
+}
+
 /// Open-loop variant of [`run_concurrent`]: instead of seeding every
 /// source up front, tasks *arrive* on the wall-clock schedule `arrivals`
 /// (nanosecond offsets from the run start, ascending) and pass through an
@@ -1709,7 +1499,7 @@ pub fn run_concurrent_load<W: WeightProvider>(
     weights: W,
     on_complete: &mut dyn FnMut(NetTaskTiming),
 ) -> io::Result<NetLoadReport> {
-    run_concurrent_load_inner(
+    run_open_loop(
         cfg,
         admission,
         workers,
@@ -1740,7 +1530,7 @@ pub fn run_concurrent_load_autoscaled<W: WeightProvider>(
     on_complete: &mut dyn FnMut(NetTaskTiming),
     elastic: ElasticLoad<'_>,
 ) -> io::Result<NetLoadReport> {
-    run_concurrent_load_inner(
+    run_open_loop(
         cfg,
         admission,
         workers,
@@ -1754,7 +1544,7 @@ pub fn run_concurrent_load_autoscaled<W: WeightProvider>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run_concurrent_load_inner<W: WeightProvider>(
+fn run_open_loop<W: WeightProvider>(
     cfg: NetConfig,
     admission: AdmissionConfig,
     workers: Vec<NetWorkerConn>,
@@ -1763,273 +1553,38 @@ fn run_concurrent_load_inner<W: WeightProvider>(
     sample_every: Duration,
     weights: W,
     on_complete: &mut dyn FnMut(NetTaskTiming),
-    mut elastic: Option<ElasticLoad<'_>>,
+    elastic: Option<ElasticLoad<'_>>,
 ) -> io::Result<NetLoadReport> {
-    let hard_deadline = Instant::now() + cfg.deadline;
-    let mut rig = concurrent_setup(&cfg, workers, weights, hard_deadline)?;
-    let mut ctl: AdmissionController<DataBuffer> = AdmissionController::new(
-        admission,
-        cfg.recorder.clone(),
-        DeviceRef::node_scope(rig.node),
-    );
-    rig.kick_live_workers();
-    let rec = cfg.recorder.clone();
-    let sample_every = sample_every.max(Duration::from_micros(200));
-
-    let mut dispatch_order = Vec::new();
-    let mut samples: Vec<NetQueueSample> = Vec::new();
-    let mut next_sample_ns = 0u64;
-    // Scheduled arrival of tasks sitting in the admission intake.
-    let mut queued_arrival: HashMap<u64, u64> = HashMap::new();
-    // `(scheduled arrival, seed time)` of admitted, not-yet-completed tasks.
-    let mut inflight_meta: HashMap<u64, (u64, u64)> = HashMap::new();
-    // A task bounced with `Offer::Blocked`, waiting for intake space.
-    let mut pending: Option<(u64, DataBuffer)> = None;
-    let mut next = 0usize;
-    let mut expected = 0u64;
-    let mut completed = 0u64;
-    // Autoscaler state: the most recent completion's e2e latency is the
-    // policy's latency signal; scale counts feed the report.
-    let mut last_e2e: Option<u64> = None;
-    let mut scale_ups = 0u64;
-    let mut scale_downs = 0u64;
-
-    loop {
-        if next >= arrivals.len()
-            && pending.is_none()
-            && ctl.queued() == 0
-            && rig.engine.total_done() >= expected
-        {
-            break;
-        }
-        if Instant::now() >= hard_deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!(
-                    "net load run deadline exceeded: {}/{} arrivals injected, {}/{} done, {} worker(s) dead; {}",
-                    next,
-                    arrivals.len(),
-                    rig.engine.total_done(),
-                    expected,
-                    rig.deaths,
-                    rig.engine.debug_node_state(rig.node),
-                ),
-            ));
-        }
-        rig.fire_due_timers();
-        rig.check_heartbeats(cfg.heartbeat_timeout);
-        if rig.all_dead() {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                format!(
-                    "every worker died with {}/{} buffers done",
-                    rig.engine.total_done(),
-                    expected
-                ),
-            ));
-        }
-
-        // Admit intake entries freed by completions; expire overdue ones.
-        let now_ns = rig.wall.now().as_nanos();
-        let polled = ctl.poll(now_ns);
-        for env in polled.expired {
-            queued_arrival.remove(&env.buffer);
-        }
-        for env in polled.admitted {
-            let arrival = queued_arrival.remove(&env.buffer).unwrap_or(now_ns);
-            inflight_meta.insert(env.buffer, (arrival, now_ns));
-            expected += 1;
-            rig.engine.seed_live(rig.node, env.payload, &mut rig.drv);
-        }
-
-        // Inject every arrival that is due, a blocked task first.
-        loop {
-            let (arrival_ns, buf) = match pending.take() {
-                Some(p) => p,
-                None => {
-                    if next >= arrivals.len() {
-                        break;
-                    }
-                    let due = arrivals[next];
-                    if due > rig.wall.now().as_nanos() {
-                        break;
-                    }
-                    let buf = make_task(next as u64, due);
-                    next += 1;
-                    (due, buf)
-                }
-            };
-            let offer_ns = rig.wall.now().as_nanos();
-            let id = buf.id.0;
-            let level = buf.level;
-            match ctl.offer(offer_ns, id, level, buf) {
-                Offer::Admitted(b) => {
-                    inflight_meta.insert(id, (arrival_ns, offer_ns));
-                    expected += 1;
-                    rig.engine.seed_live(rig.node, b, &mut rig.drv);
-                }
-                Offer::Queued { shed } => {
-                    queued_arrival.insert(id, arrival_ns);
-                    if let Some(victim) = shed {
-                        queued_arrival.remove(&victim.buffer);
-                    }
-                }
-                Offer::ShedSelf(_) => {}
-                Offer::Blocked(b) => {
-                    // Back-pressure: the injector stalls until a
-                    // completion frees an admission slot.
-                    pending = Some((arrival_ns, b));
-                    break;
-                }
-            }
-        }
-
-        // Queue-depth sample on its cadence; the autoscaler rides the
-        // same cadence so its decisions are a pure function of the
-        // sampled congestion signals.
-        let now_ns = rig.wall.now().as_nanos();
-        if now_ns >= next_sample_ns {
-            let ready = rig.engine.reader_len(rig.node) as u64;
-            let intake = ctl.queued() as u64;
-            samples.push(NetQueueSample {
-                t_ns: now_ns,
-                ready,
-                intake,
-                inflight: ctl.inflight() as u64,
-            });
-            next_sample_ns = now_ns + sample_every.as_nanos() as u64;
-            if let Some(el) = elastic.as_mut() {
-                let depth = (ready + intake) as usize;
-                let active = rig.engine.active_worker_count();
-                match el.autoscaler.decide(now_ns, depth, last_e2e, active) {
-                    Some(ScaleAction::Grow) => {
-                        if let Some(conn) = el.pool.grow() {
-                            if rig.admit_conn(conn, &cfg.drops).is_ok() {
-                                scale_ups += 1;
-                            }
-                        }
-                    }
-                    Some(ScaleAction::Shrink) => {
-                        let victim = (0..rig.dead.len()).rev().find(|&s| {
-                            !rig.dead[s]
-                                && rig.engine.worker_alive(rig.node, s)
-                                && !rig.engine.worker_draining(rig.node, s)
-                        });
-                        if let Some(slot) = victim {
-                            rig.engine.drain_worker(rig.node, slot);
-                            scale_downs += 1;
-                        }
-                    }
-                    None => {}
-                }
-            }
-        }
-        rig.reap_drained();
-
-        // Wait for the next frame, bounded by the next timer, the next
-        // scheduled arrival, and the sample cadence.
-        let mut wait = rig.wait_budget(Duration::from_millis(25).min(sample_every));
-        if pending.is_none() {
-            if let Some(&due) = arrivals.get(next) {
-                let until = Duration::from_nanos(due.saturating_sub(rig.wall.now().as_nanos()));
-                wait = wait.min(until);
-            }
-        }
-        let Some(event) = rig.drv.net.pump(wait) else {
-            rig.reap_failed_writes();
-            continue;
-        };
-        match event {
-            Pump::Closed(slot) => rig.kill(slot),
-            Pump::Frame(slot, frame) => {
-                rig.last_seen[slot] = Instant::now();
-                if rig.dead[slot] {
-                    continue; // a late frame from a retired slot
-                }
-                match frame {
-                    Frame::Request { reader, req_id } => {
-                        let kind = rig.engine.worker_device(0, slot).kind;
-                        let buffer = rig.engine.answer_request(reader as usize, kind);
-                        rig.engine
-                            .data_arrived(0, slot, req_id, buffer, &mut rig.drv);
-                    }
-                    Frame::Complete {
-                        buffer,
-                        proc_ns,
-                        span,
-                        recirculated,
-                    } => {
-                        let id = buffer.id.0;
-                        let span_ns = span.end_ns.saturating_sub(span.start_ns);
-                        expected += rig.handle_complete(
-                            &rec,
-                            slot,
-                            buffer,
-                            proc_ns,
-                            span_ns,
-                            recirculated,
-                            &mut dispatch_order,
-                        );
-                        // First completion of an admitted task frees its
-                        // admission slot and reports its latency split;
-                        // recirculated copies find no entry and skip both.
-                        if let Some((arrival, _seeded)) = inflight_meta.remove(&id) {
-                            let finished_ns = rig.wall.now().as_nanos();
-                            let e2e_ns = finished_ns.saturating_sub(arrival);
-                            let service_ns = span_ns.min(e2e_ns);
-                            completed += 1;
-                            last_e2e = Some(e2e_ns);
-                            on_complete(NetTaskTiming {
-                                buffer: id,
-                                queue_ns: e2e_ns - service_ns,
-                                service_ns,
-                                e2e_ns,
-                            });
-                            ctl.release();
-                        }
-                    }
-                    Frame::BatchDone => {
-                        let procs = std::mem::take(&mut rig.pending_procs[slot]);
-                        rig.engine.worker_idle(0, slot, &procs, &mut rig.drv);
-                    }
-                    Frame::Join { .. } => {
-                        rig.drv.net.send(
-                            slot,
-                            &Frame::JoinRejected {
-                                reason:
-                                    "slot already joined; dynamic joins need a fresh connection"
-                                        .to_string(),
-                            },
-                        );
-                    }
-                    Frame::Heartbeat { .. }
-                    | Frame::Hello { .. }
-                    | Frame::Bye
-                    | Frame::Deliver { .. }
-                    | Frame::DeliverAt { .. }
-                    | Frame::CompleteAt { .. }
-                    | Frame::JoinAck { .. }
-                    | Frame::JoinRejected { .. }
-                    | Frame::Shutdown => {}
-                }
-            }
-            // The load harness scales through its worker pool, not the
-            // wire; a stray incoming connection gets the typed rejection.
-            Pump::Incoming(mut stream) => {
-                reject_peer(&mut stream, "this run does not accept dynamic joins");
-            }
-        }
-        rig.maybe_reap_failed_writes();
-    }
-
-    let admission = ctl.counters();
-    let outcome = rig.finish(dispatch_order);
+    let mut rig = concurrent_setup(cfg, workers, weights)?;
+    let mut load = OpenLoop {
+        ctl: AdmissionController::new(
+            admission,
+            rig.cfg.recorder.clone(),
+            DeviceRef::node_scope(rig.node),
+        ),
+        arrivals,
+        make_task,
+        on_complete,
+        sample_every: sample_every.max(Duration::from_micros(200)),
+        elastic,
+        next: 0,
+        pending: None,
+        queued_arrival: HashMap::new(),
+        admitted_arrival: HashMap::new(),
+        samples: Vec::new(),
+        next_sample_ns: 0,
+        completed: 0,
+        last_e2e: None,
+        scale_ups: 0,
+        scale_downs: 0,
+    };
+    rig.drive(Vec::new(), Some(&mut load))?;
     Ok(NetLoadReport {
-        outcome,
-        admission,
-        completed,
-        queue_depth: samples,
-        scale_ups,
-        scale_downs,
+        outcome: rig.finish(),
+        admission: load.ctl.counters(),
+        completed: load.completed,
+        queue_depth: load.samples,
+        scale_ups: load.scale_ups,
+        scale_downs: load.scale_downs,
     })
 }

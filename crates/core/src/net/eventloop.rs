@@ -4,10 +4,11 @@
 //! Every worker connection is a non-blocking [`Conn`] registered with
 //! the [`anthill_poller::Poller`] shim, the elastic listener registers
 //! alongside them, and one `wait` call multiplexes all of it on the
-//! coordinator thread. The reactor surfaces [`Pump`] events to the three
-//! concurrent run loops (`run_concurrent`, `run_concurrent_load`,
-//! `run_concurrent_elastic`), which own everything above the sockets —
-//! timers, heartbeat-silence checks, membership joins, and reaps.
+//! coordinator thread. The reactor surfaces [`Pump`] events to the one
+//! wall-clock run loop (`ConcurrentRig::turn` in [`super::driver`], behind
+//! `run_concurrent`, `run_concurrent_load` and `run_concurrent_elastic`),
+//! which owns everything above the sockets — timers, heartbeat-silence
+//! checks, membership joins, and reaps.
 //!
 //! Ordering contract: a slot's decoded frames are always surfaced before
 //! its [`Pump::Closed`] marker, and `Closed` fires at most once per
@@ -28,7 +29,7 @@ use anthill_hetsim::DeviceKind;
 use super::conn::{Conn, ReadStatus, WireStats};
 use super::frame::{encode_deliver_into, encode_frame_into, BufPool, Frame, FrameDecoder};
 
-/// One unit of work for the concurrent run loops, produced by the
+/// One unit of work for the wall-clock run loop, produced by the
 /// [`Reactor`].
 pub(crate) enum Pump {
     /// A decoded frame from a worker connection.

@@ -18,11 +18,12 @@
 //!   the `repro` binary's hidden `worker` subcommand, as the dedicated
 //!   `net_worker` binary, or as an in-process thread for fast loopback
 //!   tests.
-//! * [`driver`] — the coordinator: a lockstep deterministic mode whose
-//!   engine-callback order is identical to the sequential reference
-//!   driver (bit-identical per-device counts, pinned by the parity
-//!   suite), and a concurrent wall-clock mode where worker death — killed
-//!   process, severed connection
+//! * [`driver`] — the coordinator: a lockstep deterministic mode over a
+//!   dataflow graph whose engine-callback order is identical to the
+//!   sequential reference driver (bit-identical per-device counts, pinned
+//!   by the parity suite), and one wall-clock event loop, shared by the
+//!   batch, elastic and open-loop entry points, where worker death —
+//!   killed process, severed connection
 //!   ([`ConnectionDropSpec`](crate::faults::ConnectionDropSpec)),
 //!   heartbeat silence — flows into the engine's recovery path.
 //!
@@ -42,9 +43,9 @@ pub mod worker;
 pub use conn::{Conn, RawIo, ReadStatus, WireStats};
 pub use driver::{
     run_concurrent, run_concurrent_elastic, run_concurrent_load, run_concurrent_load_autoscaled,
-    run_deterministic, run_graph_deterministic, run_graph_deterministic_with, DrainAt, ElasticLoad,
-    ElasticOutcome, NetConfig, NetGraphOutcome, NetLoadReport, NetOutcome, NetQueueSample,
-    NetTaskTiming, NetWorkerConn,
+    run_graph_deterministic, run_graph_deterministic_with, DrainAt, ElasticLoad, ElasticOutcome,
+    NetConfig, NetGraphOutcome, NetLoadReport, NetOutcome, NetQueueSample, NetTaskTiming,
+    NetWorkerConn,
 };
 pub use frame::{
     encode_deliver_at_into, encode_deliver_into, encode_frame, encode_frame_into, BufPool, Frame,
@@ -74,6 +75,7 @@ pub fn tcp_pair() -> io::Result<(TcpStream, TcpStream)> {
 mod tests {
     use super::*;
     use crate::buffer::{BufferId, DataBuffer};
+    use crate::engine::sequential::SequentialOutcome;
     use crate::policy::Policy;
     use crate::weights::OracleWeights;
     use anthill_estimator::TaskParams;
@@ -114,19 +116,45 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn lockstep_loopback_processes_every_source_once() {
-        let workers = loopback_workers(&[DeviceKind::Cpu, DeviceKind::Gpu], Behavior::Identity);
-        let out = run_deterministic(
-            NetConfig::new(Policy::ddfcfs(4)),
-            workers,
-            (0..50).map(tile).collect(),
+    /// `n` tiles through the one-filter graph on one CPU and one GPU
+    /// loopback worker, in lockstep.
+    fn single_filter_lockstep(policy: Policy, behavior: Behavior, n: u64) -> NetGraphOutcome {
+        run_graph_deterministic(
+            NetConfig::new(policy),
+            &crate::graph::DataflowGraph::single("only"),
+            vec![loopback_workers(
+                &[DeviceKind::Cpu, DeviceKind::Gpu],
+                behavior,
+            )],
+            (0..n).map(|i| (0usize, tile(i))).collect(),
             OracleWeights::new(GpuParams::geforce_8800gt(), false),
         )
-        .expect("net run");
+        .expect("net run")
+    }
+
+    /// A one-filter graph outcome in the shape the sequential `run` reports.
+    fn flat(out: &NetGraphOutcome) -> SequentialOutcome {
+        SequentialOutcome {
+            assigned: out
+                .assigned
+                .iter()
+                .map(|(&(_, kind, level), &n)| ((kind, level), n))
+                .collect(),
+            dispatch_order: out
+                .dispatch_order
+                .iter()
+                .map(|&(_, kind, id)| (kind, id))
+                .collect(),
+            total: out.total,
+        }
+    }
+
+    #[test]
+    fn lockstep_loopback_processes_every_source_once() {
+        let out = single_filter_lockstep(Policy::ddfcfs(4), Behavior::Identity, 50);
         assert_eq!(out.total, 50);
         assert_eq!(out.deaths, 0);
-        let mut ids: Vec<u64> = out.dispatch_order.iter().map(|&(_, id)| id).collect();
+        let mut ids: Vec<u64> = out.dispatch_order.iter().map(|&(_, _, id)| id).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..50).collect::<Vec<u64>>());
     }
@@ -154,14 +182,7 @@ mod tests {
                 OracleWeights::new(GpuParams::geforce_8800gt(), false),
                 |_, _| Emission::default(),
             );
-            let workers = loopback_workers(&[DeviceKind::Cpu, DeviceKind::Gpu], Behavior::Identity);
-            let net = run_deterministic(
-                NetConfig::new(policy),
-                workers,
-                (0..60).map(tile).collect(),
-                OracleWeights::new(GpuParams::geforce_8800gt(), false),
-            )
-            .expect("net run");
+            let net = flat(&single_filter_lockstep(policy, Behavior::Identity, 60));
             assert_eq!(net.assigned, seq.assigned, "policy {policy:?}");
             assert_eq!(net.dispatch_order, seq.dispatch_order, "policy {policy:?}");
         }
@@ -175,101 +196,58 @@ mod tests {
     #[test]
     fn single_filter_graph_schedules_as_the_flat_lockstep_driver_did() {
         use crate::engine::sequential::dispatch_fnv;
-        use crate::graph::DataflowGraph;
         use DeviceKind::{Cpu, Gpu};
-        type Tally = &'static [((DeviceKind, u8), u64)];
-        let identity: Tally = &[((Cpu, 0), 30), ((Gpu, 0), 30)];
-        let recirc = Behavior::Recirc { rounds: 2 };
-        let golden: [(Policy, Behavior, usize, u64, Tally); 6] = [
+        type Tally = [((DeviceKind, u8), u64); 4];
+        let check = |policy, behavior, len, order_fnv, tally: &[((DeviceKind, u8), u64)]| {
+            let out = flat(&single_filter_lockstep(policy, behavior, 60));
+            assert_eq!(out.dispatch_order.len(), len, "{policy:?} {behavior:?}");
+            assert_eq!(
+                dispatch_fnv(&out.dispatch_order),
+                order_fnv,
+                "{policy:?} {behavior:?}"
+            );
+            assert_eq!(
+                out.assigned,
+                tally.iter().copied().collect(),
+                "{policy:?} {behavior:?}"
+            );
+        };
+        let tally = |c0, c1, g0, g1| {
+            [
+                ((Cpu, 0), c0),
+                ((Cpu, 1), c1),
+                ((Gpu, 0), g0),
+                ((Gpu, 1), g1),
+            ]
+        };
+        let recirc: [(Policy, u64, Tally); 3] = [
             (
                 Policy::ddfcfs(4),
-                Behavior::Identity,
-                60,
-                0x5ae1_38c9_f457_26b9,
-                identity,
-            ),
-            (
-                Policy::ddwrr(8),
-                Behavior::Identity,
-                60,
-                0x5ae1_38c9_f457_26b9,
-                identity,
-            ),
-            (
-                Policy::odds(),
-                Behavior::Identity,
-                60,
-                0x5ae1_38c9_f457_26b9,
-                identity,
-            ),
-            (
-                Policy::ddfcfs(4),
-                recirc,
-                120,
                 0x4ada_fd77_a6d9_af2f,
-                &[
-                    ((Cpu, 0), 27),
-                    ((Cpu, 1), 33),
-                    ((Gpu, 0), 33),
-                    ((Gpu, 1), 27),
-                ],
+                tally(27, 33, 33, 27),
             ),
             (
                 Policy::ddwrr(8),
-                recirc,
-                120,
                 0x12ee_320b_7f05_8409,
-                &[
-                    ((Cpu, 0), 28),
-                    ((Cpu, 1), 32),
-                    ((Gpu, 0), 32),
-                    ((Gpu, 1), 28),
-                ],
+                tally(28, 32, 32, 28),
             ),
-            (
-                Policy::odds(),
-                recirc,
-                120,
-                0x624e_53eb_3927_688d,
-                &[
-                    ((Cpu, 0), 30),
-                    ((Cpu, 1), 30),
-                    ((Gpu, 0), 30),
-                    ((Gpu, 1), 30),
-                ],
-            ),
+            (Policy::odds(), 0x624e_53eb_3927_688d, tally(30, 30, 30, 30)),
         ];
-        for (policy, behavior, len, order_fnv, tally) in golden {
-            let flat = run_deterministic(
-                NetConfig::new(policy),
-                loopback_workers(&[Cpu, Gpu], behavior),
-                (0..60).map(tile).collect(),
-                OracleWeights::new(GpuParams::geforce_8800gt(), false),
-            )
-            .expect("net run");
-            let g = run_graph_deterministic(
-                NetConfig::new(policy),
-                &DataflowGraph::single("only"),
-                vec![loopback_workers(&[Cpu, Gpu], behavior)],
-                (0..60).map(|i| (0usize, tile(i))).collect(),
-                OracleWeights::new(GpuParams::geforce_8800gt(), false),
-            )
-            .expect("graph net run");
-            let g_order: Vec<(DeviceKind, u64)> =
-                g.dispatch_order.iter().map(|&(_, k, id)| (k, id)).collect();
-            let mut g_tally: Vec<((DeviceKind, u8), u64)> = g
-                .assigned
-                .iter()
-                .map(|(&(_, kind, level), &n)| ((kind, level), n))
-                .collect();
-            g_tally.sort();
-            let mut flat_tally: Vec<_> = flat.assigned.iter().map(|(&k, &n)| (k, n)).collect();
-            flat_tally.sort();
-            for (order, got) in [(&flat.dispatch_order, &flat_tally), (&g_order, &g_tally)] {
-                assert_eq!(order.len(), len, "{policy:?} {behavior:?}");
-                assert_eq!(dispatch_fnv(order), order_fnv, "{policy:?} {behavior:?}");
-                assert_eq!(got.as_slice(), tally, "{policy:?} {behavior:?}");
-            }
+        for (policy, order_fnv, tally) in recirc {
+            check(
+                policy,
+                Behavior::Identity,
+                60,
+                0x5ae1_38c9_f457_26b9,
+                &[((Cpu, 0), 30), ((Gpu, 0), 30)],
+            );
+            check(
+                policy,
+                Behavior::Recirc { rounds: 2 },
+                120,
+                order_fnv,
+                &tally,
+            );
         }
     }
 

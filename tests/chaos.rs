@@ -23,7 +23,11 @@
 //!    middle of a shed-policy load run; admission must keep conserving
 //!    with no double-counted completions, and the rendered SLO report
 //!    must still validate against the `BENCH_load.json` schema.
-//! 6. **Rolling restart** — the elastic-membership acceptance scenario
+//! 6. **Heartbeat silence** — a peer that handshakes and then goes mute
+//!    (socket open, no EOF) is retired by `NetConfig::heartbeat_timeout`
+//!    alone, on the batch and on the open-loop entry point of the one
+//!    wall-clock event loop.
+//! 7. **Rolling restart** — the elastic-membership acceptance scenario
 //!    (DESIGN.md §14): every initial worker of a live TCP run is retired
 //!    exactly once through a graceful drain while a replacement joins
 //!    mid-run via the `Join`/`JoinAck` handshake. Zero task loss, zero
@@ -40,8 +44,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use common::{
-    at_millis, cpu_workers, emulated_cpu_workers, loopback_workers, oracle, pick_policy, pipeline3,
-    policies, task,
+    at_millis, cpu_workers, loopback_workers, oracle, pick_policy, pipeline3, policies, task,
 };
 
 use anthill_repro::core::buffer::DataBuffer;
@@ -377,10 +380,25 @@ fn killed_mid_stage_worker_conserves_every_edge() {
         .with_graph(pipeline3())
         .with_faults(faults);
     p.add_stage(Arc::new(Tag), cpu_workers(1));
-    // The victim's filter: two emulated CPU slots busy-wait each task's
-    // modeled cost, forcing both to interleave so slot 0 certainly
-    // reaches its 5-task death trigger while work remains.
-    p.add_stage(Arc::new(Tag), emulated_cpu_workers(2));
+    // The victim's filter: slot 0, the victim, runs natively (instant)
+    // while its sibling busy-waits 1 ms per task (the 5 µs modeled cost at
+    // scale 200). For the victim to miss its death trigger the sibling
+    // would have to take 115 of the 120 tasks — 115 ms of spinning during
+    // which a runnable, instant victim never pops six — so the victim
+    // out-runs it by construction, on one core as on many.
+    p.add_stage(
+        Arc::new(Tag),
+        vec![
+            WorkerSpec {
+                kind: DeviceKind::Cpu,
+                mode: ExecMode::Native,
+            },
+            WorkerSpec {
+                kind: DeviceKind::Cpu,
+                mode: ExecMode::Emulated { scale: 200.0 },
+            },
+        ],
+    );
     p.add_stage(Arc::new(Tag), cpu_workers(1));
 
     let recorder = Recorder::enabled();
@@ -644,6 +662,169 @@ fn killed_worker_mid_load_run_keeps_the_slo_report_schema_valid() {
     let text = jsonl::to_jsonl(&events);
     let parsed = jsonl::parse_jsonl(&text).expect("schema-valid trace");
     assert_eq!(parsed, events, "trace round-trip mismatch");
+}
+
+/// A peer that completes the `Hello` handshake and then goes mute: it keeps
+/// the socket open and keeps reading, but never echoes a request, never
+/// heartbeats, never completes anything — so no EOF and no failed write
+/// ever reaches the coordinator, and only heartbeat silence can retire its
+/// slot. The thread returns once the coordinator severs the connection.
+fn spawn_silent_peer(mut stream: std::net::TcpStream) -> std::thread::JoinHandle<()> {
+    use anthill_repro::core::net::{encode_frame, Frame, FrameDecoder};
+    use std::io::{Read, Write};
+    std::thread::spawn(move || {
+        let mut dec = FrameDecoder::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            match stream.read(&mut chunk) {
+                Ok(0) | Err(_) => return,
+                Ok(n) => dec.feed(&chunk[..n]),
+            }
+            while let Ok(Some(frame)) = dec.next_frame() {
+                if matches!(frame, Frame::Hello { .. }) {
+                    stream.write_all(&encode_frame(&frame)).expect("echo Hello");
+                }
+            }
+        }
+    })
+}
+
+/// Slot 0 a real loopback worker running `survivor`, slot 1 a
+/// [`spawn_silent_peer`]; the config arms recovery as the death tests
+/// above do and a 500 ms heartbeat timeout — above the worker loop's
+/// 200 ms idle-heartbeat period, so the healthy slot is never suspected.
+fn silent_peer_rig(
+    survivor: Behavior,
+    recorder: &Recorder,
+) -> (NetConfig, Vec<NetWorkerConn>, std::thread::JoinHandle<()>) {
+    use anthill_repro::core::net::tcp_pair;
+    let mut workers = loopback_workers(&[DeviceKind::Cpu], survivor);
+    let (coordinator, peer_side) = tcp_pair().expect("loopback socket pair");
+    let peer = spawn_silent_peer(peer_side);
+    workers.push(NetWorkerConn {
+        device: DeviceId {
+            node: 0,
+            kind: DeviceKind::Cpu,
+            index: 1,
+        },
+        stream: coordinator,
+    });
+    let mut cfg = NetConfig::new(Policy::ddfcfs(4));
+    cfg.recovery = RecoveryConfig::standard();
+    cfg.recorder = recorder.clone();
+    cfg.heartbeat_timeout = Some(std::time::Duration::from_millis(500));
+    cfg.deadline = std::time::Duration::from_secs(30);
+    (cfg, workers, peer)
+}
+
+/// The trace of a silent-peer run: exactly one `worker_died`, on the
+/// silent slot, and every worker span re-stamped onto the survivor.
+fn assert_only_the_silent_slot_died(events: &[TraceEvent], tasks: u64) {
+    let died: Vec<_> = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::WorkerDied { .. }))
+        .collect();
+    assert_eq!(died.len(), 1, "exactly one worker_died event");
+    assert_eq!(
+        died[0].origin.index, 1,
+        "the silent slot is the one that died"
+    );
+    let finishes: Vec<_> = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::RemoteFinish { .. }))
+        .collect();
+    assert_eq!(finishes.len() as u64, tasks);
+    assert!(
+        finishes.iter().all(|e| e.origin.index == 0),
+        "every task must complete on the survivor"
+    );
+}
+
+/// Heartbeat silence is a death signal of its own: a peer that handshakes
+/// and then says nothing — socket open, no EOF, no write error — must be
+/// declared dead once `heartbeat_timeout` passes, through the same
+/// `worker_died` recovery path as a sever, while the healthy slot carries
+/// the whole batch. The survivor spins 5 ms per task so the 150-task run
+/// outlasts the 500 ms timeout: silence is only observable while the loop
+/// is still turning.
+#[test]
+fn silent_worker_is_declared_dead_by_heartbeat_timeout() {
+    const TASKS: u64 = 150;
+    let recorder = Recorder::enabled();
+    let (cfg, workers, peer) = silent_peer_rig(Behavior::Busy { micros: 5_000 }, &recorder);
+    let sources: Vec<DataBuffer> = (0..TASKS).map(|id| task(id).buffer).collect();
+
+    let started = std::time::Instant::now();
+    let out = run_concurrent(cfg, workers, sources, oracle()).expect("net run");
+    let elapsed = started.elapsed();
+    peer.join().expect("silent peer thread");
+
+    assert_eq!(out.deaths, 1, "silence must retire exactly the mute slot");
+    assert_eq!(out.total, TASKS);
+    let mut ids: Vec<u64> = out.dispatch_order.iter().map(|&(_, id)| id).collect();
+    ids.sort_unstable();
+    assert_eq!(
+        ids,
+        (0..TASKS).collect::<Vec<_>>(),
+        "each task exactly once"
+    );
+    assert_only_the_silent_slot_died(&recorder.events(), TASKS);
+    assert!(
+        elapsed < std::time::Duration::from_secs(10),
+        "the run must finish well inside its 30 s deadline, took {elapsed:?}"
+    );
+}
+
+/// The same silent peer under open-loop load: 200 arrivals 5 ms apart keep
+/// the loop turning for a second, so the silence is noticed mid-schedule
+/// by the one event loop `run_concurrent_load` shares with
+/// `run_concurrent`; admission conserves and every arrival completes
+/// exactly once on the survivor.
+#[test]
+fn silent_worker_is_declared_dead_mid_load_run() {
+    use anthill_repro::core::engine::AdmissionConfig;
+    use anthill_repro::core::net::run_concurrent_load;
+
+    const TASKS: u64 = 200;
+    let recorder = Recorder::enabled();
+    let (cfg, workers, peer) = silent_peer_rig(Behavior::Identity, &recorder);
+    let arrivals: Vec<u64> = (0..TASKS).map(|i| i * 5_000_000).collect();
+
+    let mut ids: Vec<u64> = Vec::new();
+    let started = std::time::Instant::now();
+    let report = run_concurrent_load(
+        cfg,
+        AdmissionConfig::default(),
+        workers,
+        &arrivals,
+        &mut |i, _| task(i).buffer,
+        std::time::Duration::from_millis(1),
+        oracle(),
+        &mut |t| ids.push(t.buffer),
+    )
+    .expect("net load run");
+    let elapsed = started.elapsed();
+    peer.join().expect("silent peer thread");
+
+    assert_eq!(
+        report.outcome.deaths, 1,
+        "silence must retire the mute slot"
+    );
+    assert!(report.admission.conserved(), "{:?}", report.admission);
+    assert_eq!(report.admission.admitted, TASKS);
+    assert_eq!(report.completed, TASKS);
+    assert_eq!(report.outcome.total, TASKS);
+    ids.sort_unstable();
+    assert_eq!(
+        ids,
+        (0..TASKS).collect::<Vec<_>>(),
+        "each task exactly once"
+    );
+    assert_only_the_silent_slot_died(&recorder.events(), TASKS);
+    assert!(
+        elapsed < std::time::Duration::from_secs(10),
+        "the run must finish well inside its 30 s deadline, took {elapsed:?}"
+    );
 }
 
 /// The rolling-restart acceptance scenario: a live concurrent TCP run

@@ -32,7 +32,7 @@ use anthill_repro::core::engine::sequential::{run_graph, GraphEmission, Sequenti
 use anthill_repro::core::graph::DataflowGraph;
 use anthill_repro::core::local::{Emitter, LocalFilter, LocalTask, Pipeline};
 use anthill_repro::core::membership::{MemberAction, MembershipSchedule, ScheduledAction};
-use anthill_repro::core::net::{run_deterministic, run_graph_deterministic, Behavior, NetConfig};
+use anthill_repro::core::net::{run_graph_deterministic, Behavior, NetConfig};
 use anthill_repro::core::policy::learned::{LearnedConfig, LearnedWeights};
 use anthill_repro::core::policy::Policy;
 use anthill_repro::core::sim::{run_graph_sim, run_nbia, GraphSimConfig, SimConfig, WorkloadSpec};
@@ -126,18 +126,19 @@ fn native_counts(policy: Policy) -> HashMap<DeviceKind, u64> {
 /// with.
 fn net_counts(policy: Policy) -> HashMap<DeviceKind, u64> {
     let w = neutral_workload();
-    let sources = (0..TILES).map(|t| w.low_buffer(t)).collect();
+    let sources = (0..TILES).map(|t| (0, w.low_buffer(t))).collect();
     let workers = loopback_workers(&[DeviceKind::Cpu, DeviceKind::Gpu], Behavior::Identity);
-    let out = run_deterministic(
+    let out = run_graph_deterministic(
         NetConfig::new(policy),
-        workers,
+        &single_filter_graph(),
+        vec![workers],
         sources,
         parity_provider(policy),
     )
     .expect("loopback net run");
     assert_eq!(out.total, TILES);
     let mut counts = HashMap::new();
-    for (&(kind, _node), &n) in &out.assigned {
+    for (&(_filter, kind, _level), &n) in &out.assigned {
         *counts.entry(kind).or_insert(0) += n;
     }
     counts
@@ -530,10 +531,10 @@ fn elastic_script() -> MembershipSchedule {
 
 /// Sequential reference driver under the elastic script.
 fn seq_elastic_counts(policy: Policy) -> HashMap<DeviceKind, u64> {
-    use anthill_repro::core::engine::sequential::{run_elastic, Emission};
+    use anthill_repro::core::engine::sequential::run_graph_elastic;
     let w = neutral_workload();
-    let sources = (0..TILES).map(|t| w.low_buffer(t)).collect();
-    let devices = [
+    let sources = (0..TILES).map(|t| (0, w.low_buffer(t))).collect();
+    let devices = vec![
         DeviceId {
             node: 0,
             kind: DeviceKind::Cpu,
@@ -545,17 +546,18 @@ fn seq_elastic_counts(policy: Policy) -> HashMap<DeviceKind, u64> {
             index: 0,
         },
     ];
-    let out = run_elastic(
+    let out = run_graph_elastic(
         SequentialConfig::new(policy),
-        &devices,
+        &single_filter_graph(),
+        &[devices],
         sources,
         neutral_oracle(),
         elastic_script(),
-        |_, _| Emission::default(),
+        |_, _, _| GraphEmission::default(),
     );
     assert_eq!(out.total, TILES);
     let mut counts = HashMap::new();
-    for (&(kind, _level), &n) in &out.assigned {
+    for (&(_filter, kind, _level), &n) in &out.assigned {
         *counts.entry(kind).or_insert(0) += n;
     }
     counts
