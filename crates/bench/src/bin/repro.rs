@@ -49,7 +49,7 @@
 //! fan-in scale gate (DESIGN.md §15): one event-loop coordinator runs a
 //! 1000-worker in-process loopback fan-in. Fails (exit 1) unless every
 //! task completes exactly once, no worker dies, and the write path
-//! allocates at most one buffer per frame. Writes and schema-validates
+//! allocates at most one buffer per hundred frames. Writes and schema-validates
 //! `BENCH_net.json`; with `--trace <dir>`, the run's trace lands there
 //! too.
 //!
@@ -1014,7 +1014,7 @@ fn netbench_run(
 /// coordinator over 1000 in-process loopback workers. Writes and
 /// schema-validates `BENCH_net.json`; exits nonzero if a task is lost, a
 /// worker dies, or the write path allocates more than one buffer per
-/// frame (all enforced by the report's own schema gate).
+/// hundred frames (all enforced by the report's own schema gate).
 fn netbench_gate(quick: bool, trace_dir: Option<&str>) {
     header(
         "Netbench: 1000-worker loopback fan-in on one event-loop coordinator",

@@ -9,8 +9,10 @@
 //!
 //! [`validate_netbench_report`] is the schema gate CI runs against the
 //! written file: structural presence, nothing lost, nobody killed, an
-//! amortized allocation rate of at most one buffer per frame, and
-//! full-size scale evidence on non-`--quick` documents.
+//! amortized allocation rate of at most one buffer per hundred frames
+//! (a pool that retains fewer buffers than the fan-in holds between two
+//! flushes reads 0.1–0.4 here), and full-size scale evidence on
+//! non-`--quick` documents.
 
 use anthill::obs::json;
 
@@ -82,8 +84,8 @@ pub const SCALE_WORKERS_FULL: u64 = 1000;
 /// Schema-validate a `BENCH_net.json` document. Beyond structural
 /// presence this enforces the gate's meaning: the scale run lost nothing
 /// and killed nobody, the write path amortizes to at most one allocation
-/// per frame, and a non-`--quick` document proves the full 1000-worker
-/// fan-in.
+/// per hundred frames, and a non-`--quick` document proves the full
+/// 1000-worker fan-in.
 pub fn validate_netbench_report(text: &str) -> Result<(), String> {
     let v = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
     v.get("seed")
@@ -111,8 +113,8 @@ pub fn validate_netbench_report(text: &str) -> Result<(), String> {
     if s_deaths != 0 {
         return Err(format!("scale: {s_deaths} worker death(s)"));
     }
-    if !(0.0..=1.0).contains(&s_apf) {
-        return Err(format!("scale: alloc_per_frame {s_apf} outside [0, 1]"));
+    if !(0.0..=0.01).contains(&s_apf) {
+        return Err(format!("scale: alloc_per_frame {s_apf} outside [0, 0.01]"));
     }
     if !quick && s_workers < SCALE_WORKERS_FULL {
         return Err(format!(
@@ -150,7 +152,7 @@ mod tests {
 
         let leaky = good.replace(
             "\"alloc_per_frame\": 0.010000",
-            "\"alloc_per_frame\": 1.500000",
+            "\"alloc_per_frame\": 0.050000",
         );
         assert!(validate_netbench_report(&leaky).is_err(), "alloc gate");
 

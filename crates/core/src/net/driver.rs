@@ -97,8 +97,9 @@ pub struct NetConfig {
     /// connection is always fatal regardless. Must exceed the worker
     /// loop's 200 ms idle-heartbeat period (`net/worker.rs`), or a healthy
     /// idle worker is declared dead. Silence is noticed by the event
-    /// loop's slot sweep, so detection lags the timeout by at most 64
-    /// pumped events or one reactor wait (≤ 25 ms).
+    /// loop's slot sweep, which runs every 64 pumped events or 25 ms,
+    /// whichever comes first, checked between reactor waits of at most
+    /// 25 ms: detection lags the timeout by at most 50 ms.
     pub heartbeat_timeout: Option<Duration>,
     /// Upper bound on buffers per `Deliver` frame (the in-flight frame
     /// bound; 1 matches the sequential reference driver and is required
@@ -633,8 +634,9 @@ pub fn run_graph_deterministic_with<W: WeightProvider>(
 
 // ----------------------------------------------------------- wall clock
 
-/// Wall-clock driver: frames go out immediately; timeouts live in a heap
-/// keyed by wall-clock fire time.
+/// Wall-clock driver: frames queue on the [`Reactor`] and leave at its
+/// next wait boundary; timeouts live in a heap keyed by wall-clock fire
+/// time.
 struct ConcurrentDriver {
     net: Reactor,
     inflight: Vec<Vec<Arc<DataBuffer>>>,
@@ -701,6 +703,8 @@ struct ConcurrentRig<W: WeightProvider> {
     pending_procs: Vec<Vec<SimDuration>>,
     /// Events handled since the last [`ConcurrentRig::sweep`].
     events_since_sweep: u32,
+    /// When the next sweep is due whatever the event count.
+    sweep_due: Instant,
     /// Completions the run must reach: seeds plus every recirculated copy.
     expected: u64,
     dispatch_order: Vec<(DeviceKind, u64)>,
@@ -708,10 +712,15 @@ struct ConcurrentRig<W: WeightProvider> {
 
 /// Slot-sweep cadence, in pumped events. The sweep is O(slots) — scanning
 /// every slot after every frame was a real cost at 1000-worker fan-in —
-/// so it runs every `REAP_EVERY` events and on every pump timeout (a quiet
-/// run still sweeps within one wait budget): detection latency is a
+/// so it runs every `REAP_EVERY` events: detection latency is a
 /// sub-millisecond burst under load, the per-event cost amortized O(1).
 const REAP_EVERY: u32 = 64;
+
+/// Slot-sweep cadence, in time, for a run too quiet to pump `REAP_EVERY`
+/// events. It is a period and not "on every pump timeout": the reactor
+/// wakes at the exact next deadline, so on an open-loop run a pump times
+/// out once per arrival.
+const SWEEP_PERIOD: Duration = Duration::from_millis(25);
 
 /// Answer an unknown or unwanted peer with a typed [`Frame::JoinRejected`]
 /// before closing, so the remote side sees the reason instead of a silent
@@ -767,6 +776,7 @@ fn concurrent_setup<W: WeightProvider>(
         last_seen: Vec::new(),
         pending_procs: Vec::new(),
         events_since_sweep: 0,
+        sweep_due: Instant::now() + SWEEP_PERIOD,
         expected: 0,
         dispatch_order: Vec::new(),
     };
@@ -798,6 +808,7 @@ impl<W: WeightProvider> ConcurrentRig<W> {
             io_slot.dec,
             io_slot.sever_after,
             io_slot.frames_sent,
+            io_slot.scratch,
         )?;
         debug_assert_eq!(
             slot,
@@ -847,8 +858,8 @@ impl<W: WeightProvider> ConcurrentRig<W> {
         }
     }
 
-    /// The one O(slots) pass, on the [`REAP_EVERY`] cadence: a slot whose
-    /// writes failed inside an engine callback, or that has been silent
+    /// The one O(slots) pass, on the [`REAP_EVERY`] / [`SWEEP_PERIOD`]
+    /// cadence: a slot whose writes failed at a flush, or that has been silent
     /// past the heartbeat timeout, dies; a slot whose drain has completed
     /// is retired gracefully — the engine has already recorded
     /// `worker_left`, so the socket gets a `Shutdown` and closes without
@@ -856,6 +867,7 @@ impl<W: WeightProvider> ConcurrentRig<W> {
     fn sweep(&mut self) {
         self.events_since_sweep = 0;
         let now = Instant::now();
+        self.sweep_due = now + SWEEP_PERIOD;
         for slot in 0..self.dead.len() {
             if self.dead[slot] {
                 continue;
@@ -877,15 +889,21 @@ impl<W: WeightProvider> ConcurrentRig<W> {
         }
     }
 
-    /// Sleep bound for the reactor wait: the next request timeout, capped
-    /// at `cap` and floored at 1 ms so a just-missed timer cannot spin.
+    /// Sleep bound for the reactor wait: the time left until the next
+    /// request timeout, capped at `cap`. No floor is needed to keep a
+    /// just-missed timer from spinning: a zero wait means the timer is
+    /// already due, so the next turn's [`ConcurrentRig::fire_due_timers`]
+    /// pops it, and a non-zero wait sleeps at least that long (the poller
+    /// never returns a timed-out wait early, and where it cannot be exact it
+    /// rounds a sub-millisecond wait up), after which the timer is due.
     fn wait_budget(&self, cap: Duration) -> Duration {
-        let mut wait = cap;
-        if let Some(&Reverse((fire, _, _))) = self.drv.timers.peek() {
-            let until = Duration::from_nanos(fire.saturating_sub(self.wall.now().as_nanos()));
-            wait = wait.min(until.max(Duration::from_millis(1)));
+        match self.drv.timers.peek() {
+            Some(&Reverse((fire, _, _))) => {
+                let until = fire.saturating_sub(self.wall.now().as_nanos());
+                cap.min(Duration::from_nanos(until))
+            }
+            None => cap,
         }
-        wait
     }
 
     /// Install a handshaken connection as a brand-new worker slot:
@@ -992,11 +1010,14 @@ impl<W: WeightProvider> ConcurrentRig<W> {
 
     /// One turn of the event loop: deadline, due timers, the slot sweep on
     /// its cadence, the all-dead check, then one reactor event (waiting at
-    /// most `cap`, less when a request timeout is nearer). Returns the
+    /// most `cap`, less when a request timeout is nearer). Every frame the
+    /// turn's engine callbacks send stays queued in the reactor until the
+    /// turn that finds no event ready flushes it and waits. Returns the
     /// `(buffer id, worker span)` of the completion this turn handled, if
     /// it handled one, for the open-loop part to time.
     fn turn(&mut self, cap: Duration) -> io::Result<Option<(u64, u64)>> {
-        if Instant::now() >= self.hard_deadline {
+        let now = Instant::now();
+        if now >= self.hard_deadline {
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
                 format!(
@@ -1012,7 +1033,7 @@ impl<W: WeightProvider> ConcurrentRig<W> {
             ));
         }
         self.fire_due_timers();
-        if self.events_since_sweep >= REAP_EVERY {
+        if self.events_since_sweep >= REAP_EVERY || now >= self.sweep_due {
             self.sweep();
         }
         if self.live == 0 {
@@ -1027,7 +1048,6 @@ impl<W: WeightProvider> ConcurrentRig<W> {
         }
         let wait = self.wait_budget(cap);
         let Some(event) = self.drv.net.pump(wait) else {
-            self.sweep();
             return Ok(None);
         };
         self.events_since_sweep += 1;
@@ -1587,4 +1607,101 @@ fn run_open_loop<W: WeightProvider>(
         scale_ups: load.scale_ups,
         scale_downs: load.scale_downs,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::buffer::BufferId;
+    use crate::net::tcp_pair;
+    use crate::weights::OracleWeights;
+    use anthill_estimator::TaskParams;
+    use anthill_hetsim::{GpuParams, TaskShape};
+    use std::io::Write as _;
+
+    /// `wait_budget` hands the poller the exact time left to the next
+    /// request timeout, with no floor under it. A timer that is pending, just
+    /// due, or just missed must cost the loop a handful of turns — each one
+    /// a real sleep or a timer pop — never a spin on zero-length waits.
+    #[test]
+    fn a_pending_request_timeout_is_slept_on_not_spun_on() {
+        const TIMEOUT_MS: u64 = 40;
+        let (coordinator, mut peer) = tcp_pair().expect("loopback pair");
+        // Echoes `Hello`, then says nothing: the request can only time out.
+        let silent = std::thread::spawn(move || {
+            let mut dec = FrameDecoder::new();
+            let mut chunk = [0u8; 4096];
+            loop {
+                match peer.read(&mut chunk) {
+                    Ok(0) | Err(_) => return,
+                    Ok(n) => dec.feed(&chunk[..n]),
+                }
+                while let Ok(Some(frame)) = dec.next_frame() {
+                    if matches!(frame, Frame::Hello { .. }) {
+                        peer.write_all(&encode_frame(&frame)).expect("echo Hello");
+                    }
+                }
+            }
+        });
+        let mut cfg = NetConfig::new(Policy::ddfcfs(1));
+        cfg.recovery = RecoveryConfig {
+            request_timeout: SimDuration::from_millis(TIMEOUT_MS),
+            ..RecoveryConfig::standard()
+        };
+        let device = DeviceId {
+            node: 0,
+            kind: DeviceKind::Cpu,
+            index: 0,
+        };
+        let mut rig = concurrent_setup(
+            cfg,
+            vec![NetWorkerConn {
+                device,
+                stream: coordinator,
+            }],
+            OracleWeights::new(GpuParams::geforce_8800gt(), false),
+        )
+        .expect("setup");
+        rig.seed(vec![DataBuffer {
+            id: BufferId(0),
+            params: TaskParams::nums(&[1.0]),
+            shape: TaskShape {
+                cpu: SimDuration::from_micros(10),
+                gpu_kernel: SimDuration::from_micros(10),
+                bytes_in: 0,
+                bytes_out: 0,
+            },
+            level: 0,
+            task: 0,
+        }]);
+        rig.engine
+            .data_arrived(rig.node, 0, u64::MAX, None, &mut rig.drv);
+        let next_fire = |rig: &ConcurrentRig<OracleWeights>| {
+            let &Reverse((fire, _, _)) = rig.drv.timers.peek().expect("a request timeout is armed");
+            fire
+        };
+
+        // Three timeouts in a row (the retries back off, so each is longer).
+        for round in 0..3 {
+            let fire = next_fire(&rig);
+            // One turn per capped wait, then the exact remainder, a zero
+            // wait if the clock moved between the two reads, and the pop.
+            let allowed = fire.saturating_sub(rig.wall.now().as_nanos()) / 25_000_000 + 4;
+            let mut turns = 0;
+            while next_fire(&rig) == fire {
+                assert!(rig.turn(Duration::from_millis(25)).expect("turn").is_none());
+                turns += 1;
+                assert!(
+                    turns <= allowed,
+                    "round {round}: {turns} turns, {allowed} allowed"
+                );
+            }
+            assert!(
+                rig.wall.now().as_nanos() >= fire,
+                "round {round}: the timeout fired early"
+            );
+        }
+        rig.kill(0);
+        silent.join().expect("silent peer thread");
+    }
 }

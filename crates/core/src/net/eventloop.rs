@@ -10,6 +10,16 @@
 //! which owns everything above the sockets — timers, heartbeat-silence
 //! checks, membership joins, and reaps.
 //!
+//! The wait boundary — `Reactor::pump` finding no surfaced event left —
+//! is the only place the coordinator talks to the kernel, in both
+//! directions. A send encodes into the connection's queue and marks the
+//! slot dirty, nothing more; at the boundary each dirty slot is flushed
+//! with one vectored write (writable interest is armed only for what the
+//! socket refused) and then the poller sleeps for exactly the time the run
+//! loop asked for — its next deadline, to the nanosecond where the kernel
+//! allows. So the loop wakes when a task is due, and every frame that
+//! wake-up produces leaves in one `writev` per peer.
+//!
 //! Ordering contract: a slot's decoded frames are always surfaced before
 //! its [`Pump::Closed`] marker, and `Closed` fires at most once per
 //! slot.
@@ -58,10 +68,12 @@ pub(crate) struct Reactor {
     events: Vec<Event>,
     /// Reused scratch for `Conn::drain_read`.
     sink: Vec<Frame>,
-    /// Slots with enqueued-but-unflushed frames. Sends only queue;
-    /// [`Reactor::pump`] flushes the dirty set right before blocking in
-    /// the poller, so every frame generated while the ready queue drains
-    /// coalesces into one `writev` per connection.
+    /// Slots with frames queued since the last wait boundary. Sends only
+    /// queue; [`Reactor::pump`] flushes the dirty set right before
+    /// blocking in the poller, so every frame generated while the ready
+    /// queue drains coalesces into one `writev` per connection. A slot
+    /// whose socket refused part of a flush leaves this list and is
+    /// `armed` for writable readiness instead.
     dirty: Vec<usize>,
     is_dirty: Vec<bool>,
     /// Interest currently armed with the poller, per slot (`None` once
@@ -97,13 +109,15 @@ impl Reactor {
     /// Register an established, handshaken connection as slot
     /// `self.len()`. `dec` carries the handshake's decoder state and
     /// `frames_sent` its write count (see [`Conn::new`]); any frames the
-    /// handshake buffered whole are surfaced immediately.
+    /// handshake buffered whole are surfaced immediately. `scratch`, the
+    /// handshake's encode buffer, joins the pool ([`BufPool::add_conn`]).
     pub fn register(
         &mut self,
         stream: TcpStream,
         dec: FrameDecoder,
         sever_after: Option<u64>,
         frames_sent: u64,
+        scratch: Vec<u8>,
     ) -> io::Result<usize> {
         let slot = self.conns.len();
         stream.set_nonblocking(true)?;
@@ -111,6 +125,7 @@ impl Reactor {
             .register(stream.as_raw_fd(), slot, Interest::READ)?;
         self.conns
             .push(Some(Conn::new(stream, dec, sever_after, frames_sent)));
+        self.pool.add_conn(scratch);
         self.closed_emitted.push(false);
         self.is_dirty.push(false);
         self.armed.push(Some(Interest::READ));
@@ -141,7 +156,8 @@ impl Reactor {
     }
 
     /// Queue one frame on `slot`; the bytes leave at the next
-    /// [`Reactor::pump`] wait boundary (or sooner on writable readiness).
+    /// [`Reactor::pump`] wait boundary, or at teardown
+    /// ([`Reactor::graceful_close`]); [`Reactor::sever`] drops them.
     pub fn send(&mut self, slot: usize, frame: &Frame) {
         self.send_with(slot, |out| encode_frame_into(out, frame));
     }
@@ -152,28 +168,17 @@ impl Reactor {
         self.send_with(slot, |out| encode_deliver_into(out, kind, buffers));
     }
 
+    /// The one send path: encode into the slot's queue and mark it dirty.
+    /// Nothing touches the socket here — [`Reactor::pump`] flushes the
+    /// dirty set at its wait boundary.
     fn send_with(&mut self, slot: usize, encode: impl FnOnce(&mut Vec<u8>)) {
         let Some(Some(conn)) = self.conns.get_mut(slot) else {
             return;
         };
         conn.enqueue_with(&mut self.pool, encode);
-        if !conn.wants_write() {
-            return;
-        }
-        if self.is_dirty[slot] {
-            // Already waiting out backpressure; the new frame coalesced
-            // into the queue and leaves with the next flush.
-            return;
-        }
-        // Latency path: push the frame at the socket now so the worker
-        // wakes immediately. A short write or EAGAIN parks the slot on
-        // the dirty list; from then on frames coalesce until the flush
-        // boundary (or writable readiness) drains it.
-        conn.try_flush(&mut self.pool);
-        if conn.wants_write() {
+        if conn.wants_write() && !self.is_dirty[slot] {
             self.is_dirty[slot] = true;
             self.dirty.push(slot);
-            self.update_interest(slot);
         }
     }
 
@@ -240,8 +245,10 @@ impl Reactor {
         total
     }
 
-    /// Surface the next [`Pump`] event, polling the OS for at most
-    /// `wait`. `None` means the timeout elapsed with nothing to do.
+    /// Surface the next [`Pump`] event. When none is left this is the
+    /// wait boundary: flush the dirty set, then poll the OS for at most
+    /// `wait` (exact where the poller is, see `anthill_poller`). `None`
+    /// means the timeout elapsed with nothing to do.
     pub fn pump(&mut self, wait: Duration) -> Option<Pump> {
         if let Some(ev) = self.ready.pop_front() {
             return Some(ev);
@@ -335,5 +342,170 @@ impl Reactor {
         for slot in 0..self.conns.len() {
             self.graceful_close(slot);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::tcp_pair;
+    use std::io::Read;
+
+    /// A reactor with `n` registered loopback slots and their peer ends.
+    fn reactor(n: usize) -> (Reactor, Vec<TcpStream>) {
+        let mut r = Reactor::new().expect("reactor");
+        let peers = (0..n)
+            .map(|slot| {
+                let (ours, peer) = tcp_pair().expect("loopback pair");
+                let got = r
+                    .register(ours, FrameDecoder::new(), None, 0, Vec::new())
+                    .expect("register");
+                assert_eq!(got, slot);
+                peer
+            })
+            .collect();
+        (r, peers)
+    }
+
+    fn hb(seq: u64) -> Frame {
+        Frame::Heartbeat { seq }
+    }
+
+    /// Blocking-read `peer` until `n` frames have decoded.
+    fn read_frames(peer: &mut TcpStream, n: usize) -> Vec<Frame> {
+        let mut dec = FrameDecoder::new();
+        let mut out = Vec::new();
+        let mut chunk = [0u8; 64 * 1024];
+        while out.len() < n {
+            let got = peer.read(&mut chunk).expect("peer read");
+            assert!(got > 0, "EOF after {} of {n} frames", out.len());
+            dec.feed(&chunk[..got]);
+            while let Some(f) = dec.next_frame().expect("valid wire bytes") {
+                out.push(f);
+            }
+        }
+        out
+    }
+
+    /// Everything `peer` receives up to EOF (a reset counts as EOF).
+    fn read_to_end(peer: &mut TcpStream) -> Vec<Frame> {
+        let mut bytes = Vec::new();
+        let _ = peer.read_to_end(&mut bytes);
+        let mut dec = FrameDecoder::new();
+        dec.feed(&bytes);
+        let mut out = Vec::new();
+        while let Some(f) = dec.next_frame().expect("valid wire bytes") {
+            out.push(f);
+        }
+        out
+    }
+
+    #[test]
+    fn sends_between_two_pumps_leave_in_one_write_per_slot() {
+        const K: u64 = 7;
+        let (mut r, mut peers) = reactor(3);
+        for seq in 0..K {
+            r.send(0, &hb(seq));
+        }
+        // A send never touches the socket.
+        assert_eq!(r.stats().flushes, 0);
+        assert_eq!(r.stats().tx_bytes, 0);
+        peers[0].set_nonblocking(true).expect("nonblocking");
+        let mut probe = [0u8; 1];
+        let early = peers[0]
+            .read(&mut probe)
+            .expect_err("bytes before the pump");
+        assert_eq!(early.kind(), io::ErrorKind::WouldBlock);
+        peers[0].set_nonblocking(false).expect("blocking");
+
+        assert!(r.pump(Duration::ZERO).is_none());
+        assert_eq!(r.stats().flushes, 1, "k frames, one slot, one writev");
+        assert_eq!(
+            read_frames(&mut peers[0], K as usize),
+            (0..K).map(hb).collect::<Vec<_>>()
+        );
+
+        // One write per slot that has something queued, none for the rest.
+        for seq in 0..K {
+            r.send((seq % 2) as usize + 1, &hb(seq));
+        }
+        assert!(r.pump(Duration::ZERO).is_none());
+        assert_eq!(r.stats().flushes, 3);
+        assert_eq!(r.stats().tx_frames, 2 * K);
+        assert_eq!(read_frames(&mut peers[1], 4), [0, 2, 4, 6].map(hb));
+        assert_eq!(read_frames(&mut peers[2], 3), [1, 3, 5].map(hb));
+        // Nothing queued: the next boundary writes nothing.
+        assert!(r.pump(Duration::ZERO).is_none());
+        assert_eq!(r.stats().flushes, 3);
+    }
+
+    #[test]
+    fn frames_queued_without_a_pump_leave_at_close_or_die_with_a_sever() {
+        let (mut r, mut peers) = reactor(4);
+        for slot in 0..4 {
+            for seq in 0..3 {
+                r.send(slot, &hb(seq));
+            }
+        }
+        let mut closed = (0..3).map(hb).collect::<Vec<_>>();
+        closed.push(Frame::Shutdown);
+
+        r.graceful_close(0);
+        assert_eq!(read_to_end(&mut peers[0]), closed);
+
+        // Dropped whole: the peer sees the connection end, never a frame
+        // or part of one.
+        r.sever(1);
+        let mut bytes = Vec::new();
+        let _ = peers[1].read_to_end(&mut bytes);
+        assert_eq!(bytes, [], "a severed slot wrote {} bytes", bytes.len());
+
+        r.shutdown_all();
+        assert_eq!(read_to_end(&mut peers[2]), closed);
+        assert_eq!(read_to_end(&mut peers[3]), closed);
+        assert_eq!(r.stats().tx_frames, 4 * 3 + 3, "three Shutdowns, one sever");
+    }
+
+    #[test]
+    fn short_write_keeps_the_slot_armed_until_drained_in_order() {
+        // 256 frames of 64 KiB against a peer that is not reading yet:
+        // the kernel takes what its buffers hold and refuses the rest.
+        const BIG: u64 = 256;
+        let big = |i: u64| Frame::JoinRejected {
+            reason: format!("{i:08}").repeat(8 * 1024),
+        };
+        let (mut r, mut peers) = reactor(1);
+        let mut sent = Vec::new();
+        for i in 0..BIG {
+            sent.push(big(i));
+            r.send(0, sent.last().expect("just pushed"));
+        }
+        assert!(r.pump(Duration::ZERO).is_none());
+        let queued = |r: &Reactor| r.conns[0].as_ref().expect("slot 0").wants_write();
+        let held = |r: &Reactor| r.is_dirty[0] || r.armed[0] == Some(Interest::READ_WRITE);
+        assert!(queued(&r), "16 MiB fitted the socket buffers");
+        assert!(r.stats().tx_bytes > 0, "nothing was written at all");
+        assert!(held(&r), "refused bytes with no writable interest armed");
+
+        // More sends while backpressured, small and large, then the peer
+        // starts reading: every pump either drains or stays armed.
+        for i in 0..64 {
+            sent.push(if i % 4 == 0 { big(BIG + i) } else { hb(i) });
+            r.send(0, sent.last().expect("just pushed"));
+            assert!(held(&r));
+        }
+        let mut peer = peers.pop().expect("one peer");
+        let want = sent.len();
+        let reader = std::thread::spawn(move || read_frames(&mut peer, want));
+        let give_up = std::time::Instant::now() + Duration::from_secs(30);
+        while queued(&r) {
+            assert!(r.pump(Duration::from_millis(10)).is_none());
+            assert!(!queued(&r) || held(&r), "stranded bytes");
+            assert!(std::time::Instant::now() < give_up, "never drained");
+        }
+        assert_eq!(r.armed[0], Some(Interest::READ), "drained but still armed");
+        let got = reader.join().expect("reader thread");
+        assert!(got == sent, "peer decoded a different sequence");
+        assert_eq!(r.stats().tx_frames, want as u64);
     }
 }

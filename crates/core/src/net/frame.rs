@@ -393,6 +393,8 @@ pub fn encode_deliver_at_into<B: std::borrow::Borrow<DataBuffer>>(
 #[derive(Debug, Default)]
 pub struct BufPool {
     free: Vec<Vec<u8>>,
+    /// Connections sharing this pool (see [`BufPool::add_conn`]).
+    conns: usize,
     /// Buffers served from the free list.
     pub hits: u64,
     /// Buffers that had to be freshly allocated.
@@ -400,14 +402,27 @@ pub struct BufPool {
 }
 
 impl BufPool {
-    /// Retain at most this many idle buffers.
-    const MAX_FREE: usize = 64;
+    /// Retain at least this many idle buffers however few connections
+    /// share the pool.
+    const MIN_FREE: usize = 64;
     /// Shrink buffers that ballooned past this before retaining them.
     const MAX_RETAINED_CAPACITY: usize = 256 * 1024;
 
     /// An empty pool.
     pub fn new() -> BufPool {
         BufPool::default()
+    }
+
+    /// One more connection draws on the pool, and brings `spare` (the
+    /// buffer its handshake encoded into) with it. Every connection with
+    /// queued frames holds a buffer until the reactor's wait boundary and
+    /// they all come back in that one flush, so the free list must be
+    /// allowed one buffer per connection or a wide fan-in allocates afresh
+    /// every round; stocking it with the handshake's buffers means the
+    /// first round allocates nothing either.
+    pub(crate) fn add_conn(&mut self, spare: Vec<u8>) {
+        self.conns += 1;
+        self.put(spare);
     }
 
     /// Take a cleared buffer, reusing a previously returned allocation
@@ -428,7 +443,7 @@ impl BufPool {
 
     /// Return a drained buffer to the free list.
     pub fn put(&mut self, mut buf: Vec<u8>) {
-        if self.free.len() >= Self::MAX_FREE {
+        if self.free.len() >= Self::MIN_FREE.max(self.conns) {
             return;
         }
         if buf.capacity() > Self::MAX_RETAINED_CAPACITY {

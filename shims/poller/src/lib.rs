@@ -6,8 +6,12 @@
 //! directly over the platform's C library, which is already linked by
 //! `std` on every unix target:
 //!
-//! * **Linux**: `epoll_create1` / `epoll_ctl` / `epoll_wait`
-//!   (level-triggered, O(ready) wakeups — the production path).
+//! * **Linux**: `epoll_create1` / `epoll_ctl` / `epoll_pwait2`
+//!   (level-triggered, O(ready) wakeups, nanosecond timeouts — the
+//!   production path). Where the kernel lacks `epoll_pwait2` (< 5.11:
+//!   `ENOSYS`), a seccomp profile refuses it (`EPERM`), or this target's
+//!   syscall number is not listed, the poller falls back for good to
+//!   `epoll_wait`, whose timeout is whole milliseconds.
 //! * **Other unix**: `poll(2)`, rebuilding the pollfd array from the
 //!   registration table on every wait (O(n) per wait, fine for the
 //!   fan-outs the tests run at).
@@ -26,6 +30,12 @@
 //!   some future `wait` must report it.
 //! * `wait` returns early on any event, or after `timeout`, whichever
 //!   comes first. A `None` timeout means "sleep until an event".
+//! * Timeout granularity: exact (nanoseconds) on Linux ≥ 5.11. On the
+//!   `epoll_wait` fall-back and the `poll(2)` path it is milliseconds,
+//!   and a non-zero timeout under 1 ms is rounded **up** to 1 ms, never
+//!   down to a busy-spinning zero. On every path a zero timeout returns
+//!   without sleeping and a timed-out `wait` never returns before its
+//!   timeout.
 //!
 //! [`bind_to_core`] is the core-binding idiom from the timely/graspan
 //! experiments (SNIPPETS.md): pin the calling thread to one CPU so the
@@ -92,6 +102,12 @@ pub struct Poller {
     regs: Vec<Registration>,
     #[cfg(target_os = "linux")]
     epfd: RawFd,
+    /// `epoll_pwait2` is unavailable (see the crate docs): set from the
+    /// start on an unlisted target, otherwise for good the first time the
+    /// call is refused; every wait then takes the millisecond `epoll_wait`
+    /// path.
+    #[cfg(target_os = "linux")]
+    coarse: bool,
 }
 
 impl Poller {
@@ -106,6 +122,7 @@ impl Poller {
             Ok(Poller {
                 regs: Vec::new(),
                 epfd,
+                coarse: !sys::HAS_EPOLL_PWAIT2,
             })
         }
         #[cfg(not(target_os = "linux"))]
@@ -200,7 +217,7 @@ impl Poller {
         }
         #[cfg(target_os = "linux")]
         {
-            sys::epoll_wait_into(self.epfd, events, timeout)
+            sys::epoll_wait_into(self.epfd, events, timeout, &mut self.coarse)
         }
         #[cfg(all(unix, not(target_os = "linux")))]
         {
@@ -235,6 +252,20 @@ impl Drop for Poller {
     }
 }
 
+/// A timeout for the calls that take whole milliseconds (`epoll_wait`,
+/// `poll`): `-1` blocks, and a non-zero wait under 1 ms becomes 1 ms so it
+/// sleeps instead of spinning at 0.
+#[cfg(unix)]
+fn coarse_millis(timeout: Option<Duration>) -> std::os::raw::c_int {
+    match timeout {
+        None => -1,
+        Some(t) => t
+            .as_millis()
+            .min(i32::MAX as u128)
+            .max(u128::from(!t.is_zero())) as std::os::raw::c_int,
+    }
+}
+
 /// Pin the calling thread to logical CPU `index % available_cores`.
 /// Returns `true` when the pin took effect, `false` where unsupported —
 /// callers treat `false` as a recorded no-op, never an error.
@@ -263,7 +294,7 @@ mod sys {
     use super::{Event, Interest};
     use std::io;
     use std::os::fd::RawFd;
-    use std::os::raw::{c_int, c_ulong, c_void};
+    use std::os::raw::{c_int, c_long, c_ulong, c_void};
     use std::time::Duration;
 
     pub const EPOLL_CLOEXEC: c_int = 0o2000000;
@@ -295,6 +326,7 @@ mod sys {
             maxevents: c_int,
             timeout: c_int,
         ) -> c_int;
+        fn syscall(num: c_long, ...) -> c_long;
         pub fn close(fd: c_int) -> c_int;
         fn sched_setaffinity(pid: c_int, cpusetsize: usize, mask: *const c_ulong) -> c_int;
         fn sched_getaffinity(pid: c_int, cpusetsize: usize, mask: *mut c_void) -> c_int;
@@ -327,28 +359,81 @@ mod sys {
         Ok(())
     }
 
+    /// `epoll_pwait2`'s syscall number, the same on every target listed in
+    /// [`HAS_EPOLL_PWAIT2`].
+    const SYS_EPOLL_PWAIT2: c_long = 441;
+    /// Targets whose syscall table has been checked for that number; any
+    /// other target uses the `epoll_wait` fall-back from the start.
+    pub const HAS_EPOLL_PWAIT2: bool = cfg!(any(
+        target_arch = "x86_64",
+        target_arch = "aarch64",
+        target_arch = "riscv64"
+    ));
+
+    // errno values of the targets listed above.
+    const ENOSYS: i32 = 38;
+    const EPERM: i32 = 1;
+
+    /// `struct __kernel_timespec`: 64-bit fields on every architecture.
+    #[repr(C)]
+    struct KernelTimespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+
+    /// One `epoll_pwait2` call with a null signal mask. `None` blocks
+    /// until an event.
+    fn epoll_pwait2(epfd: RawFd, raw: &mut [EpollEvent], timeout: Option<Duration>) -> c_long {
+        let ts = timeout.map(|t| KernelTimespec {
+            tv_sec: i64::try_from(t.as_secs()).unwrap_or(i64::MAX),
+            tv_nsec: i64::from(t.subsec_nanos()),
+        });
+        let ts_ptr = ts
+            .as_ref()
+            .map_or(std::ptr::null(), |ts| ts as *const KernelTimespec);
+        // SAFETY: `raw` is a live, writable array of `raw.len()` events and
+        // `ts_ptr` is null or points at `ts`, which outlives the call; the
+        // kernel ignores the mask size when the mask is null.
+        unsafe {
+            syscall(
+                SYS_EPOLL_PWAIT2,
+                epfd as c_long,
+                raw.as_mut_ptr(),
+                raw.len() as c_long,
+                ts_ptr,
+                std::ptr::null::<c_void>(),
+                0 as c_long,
+            )
+        }
+    }
+
+    /// One wait on `epfd`. `coarse` is the poller's memory that
+    /// `epoll_pwait2` is unavailable: once set, waits go through
+    /// `epoll_wait` and its millisecond timeout.
     pub fn epoll_wait_into(
         epfd: RawFd,
         events: &mut Vec<Event>,
         timeout: Option<Duration>,
+        coarse: &mut bool,
     ) -> io::Result<usize> {
         let mut raw = [EpollEvent { events: 0, u64_: 0 }; 256];
-        let ms: c_int = match timeout {
-            None => -1,
-            // Round up so a 100 µs timeout does not spin at 0 ms.
-            Some(t) => t
-                .as_millis()
-                .min(i32::MAX as u128)
-                .max(u128::from(!t.is_zero())) as c_int,
-        };
         let n = loop {
-            let rc = unsafe { epoll_wait(epfd, raw.as_mut_ptr(), raw.len() as c_int, ms) };
+            let rc = if *coarse {
+                let ms = super::coarse_millis(timeout);
+                // SAFETY: `raw` is a live, writable array of `raw.len()`
+                // events.
+                c_long::from(unsafe { epoll_wait(epfd, raw.as_mut_ptr(), raw.len() as c_int, ms) })
+            } else {
+                epoll_pwait2(epfd, &mut raw, timeout)
+            };
             if rc >= 0 {
                 break rc as usize;
             }
             let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
+            match err.raw_os_error() {
+                Some(ENOSYS | EPERM) if !*coarse => *coarse = true,
+                _ if err.kind() == io::ErrorKind::Interrupted => {}
+                _ => return Err(err),
             }
         };
         for e in &raw[..n] {
@@ -449,13 +534,7 @@ mod sys {
                 revents: 0,
             })
             .collect();
-        let ms: c_int = match timeout {
-            None => -1,
-            Some(t) => t
-                .as_millis()
-                .min(i32::MAX as u128)
-                .max(u128::from(!t.is_zero())) as c_int,
-        };
+        let ms = super::coarse_millis(timeout);
         let n = loop {
             let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, ms) };
             if rc >= 0 {
@@ -583,6 +662,109 @@ mod tests {
             }
             assert!(Instant::now() < deadline, "hangup never reported");
         }
+    }
+
+    /// The timeout contract, on the exact path (`coarse == false`, Linux
+    /// with `epoll_pwait2`) or with the millisecond fall-back forced.
+    #[cfg(unix)]
+    fn check_timeout_contract(force_coarse: bool) {
+        let (mut a, b) = pair();
+        b.set_nonblocking(true).expect("nonblocking");
+        let mut p = Poller::new().expect("poller");
+        #[cfg(target_os = "linux")]
+        {
+            p.coarse |= force_coarse;
+        }
+        p.register(b.as_raw_fd(), 9, Interest::READ)
+            .expect("register");
+        let exact = {
+            #[cfg(target_os = "linux")]
+            {
+                // One probe wait: a kernel or sandbox without the call
+                // flips the poller to the fall-back here.
+                p.wait(&mut Vec::new(), Some(Duration::ZERO)).expect("wait");
+                !p.coarse
+            }
+            #[cfg(not(target_os = "linux"))]
+            {
+                false
+            }
+        };
+        assert!(!(force_coarse && exact), "the forced fall-back must stick");
+        let mut events = Vec::new();
+
+        // A short timeout on an idle socket: never early, and not a
+        // millisecond late where timeouts are exact.
+        let timeout = Duration::from_micros(200);
+        let mut took: Vec<Duration> = (0..50)
+            .map(|_| {
+                let t0 = Instant::now();
+                let n = p.wait(&mut events, Some(timeout)).expect("wait");
+                let dt = t0.elapsed();
+                assert_eq!(n, 0, "idle socket reported {events:?}");
+                dt
+            })
+            .collect();
+        took.sort_unstable();
+        assert!(took[0] >= timeout, "returned early: {:?}", took[0]);
+        if exact {
+            assert!(
+                took[25] < Duration::from_millis(1),
+                "median {:?} of a 200 us wait",
+                took[25]
+            );
+        } else {
+            // Sub-millisecond rounds up, never down to a spinning zero.
+            assert!(took[0] >= Duration::from_millis(1), "{:?}", took[0]);
+        }
+
+        // Zero does not sleep.
+        let t0 = Instant::now();
+        for _ in 0..100 {
+            p.wait(&mut events, Some(Duration::ZERO)).expect("wait");
+        }
+        assert!(
+            t0.elapsed() < Duration::from_millis(50),
+            "100 zero waits took {:?}",
+            t0.elapsed()
+        );
+
+        // `None` blocks until the event; a timed wait returns early on one.
+        // The byte is written after the barrier that precedes the wait, so
+        // a wait that did not block would come back with nothing.
+        for wait in [None, Some(Duration::from_secs(5))] {
+            let gate = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    gate.wait();
+                    std::thread::sleep(Duration::from_millis(20));
+                    a.write_all(b"x").expect("write");
+                });
+                gate.wait();
+                let t0 = Instant::now();
+                let n = p.wait(&mut events, wait).expect("wait");
+                assert!(n >= 1, "no event after {:?}", t0.elapsed());
+                assert!(t0.elapsed() < Duration::from_secs(4), "slept through it");
+                assert!(
+                    events.iter().any(|e| e.token == 9 && e.readable),
+                    "{events:?}"
+                );
+            });
+            let mut byte = [0u8; 1];
+            (&b).read_exact(&mut byte).expect("drain");
+        }
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn timeouts_are_exact_where_the_kernel_allows() {
+        check_timeout_contract(false);
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn forced_fallback_rounds_sub_millisecond_up() {
+        check_timeout_contract(true);
     }
 
     #[test]

@@ -11,10 +11,14 @@
 //! scheduled number of frames reach the wire, counting frames the
 //! blocking handshake already sent.
 //!
-//! One socket-level test rides along: the tier-1 twin of `repro
+//! Two socket-level tests ride along: the tier-1 twin of `repro
 //! netbench`'s scale leg, a 32-worker loopback fan-in through
 //! `run_concurrent` checked for conservation, zero deaths and at most one
-//! write-path allocation per frame.
+//! write-path allocation per frame; and the wait-boundary flush rule seen
+//! from outside, a two-worker batch that must need far fewer `writev`s
+//! than it has tasks. (The reactor itself is crate-private; its own
+//! one-write-per-slot, no-stranded-frame and short-write tests are unit
+//! tests in `crates/core/src/net/eventloop.rs`.)
 //!
 //! Set `NET_CODEC_HEAVY=1` to multiply the frames per case (the CI net
 //! job does).
@@ -194,15 +198,29 @@ proptest! {
     /// Write path: random interleavings of enqueue and flush against a
     /// transport that takes 1..64 bytes per call or blocks outright. The
     /// bytes that reach the wire decode to exactly the enqueued sequence.
+    ///
+    /// The interleaving is the reactor's: a send only enqueues
+    /// (`Reactor::send_with` is `enqueue_with` plus a dirty mark), and
+    /// flushes happen at wait boundaries and on writable readiness, several
+    /// sends apart. What the reactor relies on is checked at every step: a
+    /// connection holding bytes says so (`wants_write`, which is what keeps
+    /// the slot dirty or armed), and what has reached the wire is always a
+    /// prefix of what was sent.
     #[test]
     fn short_writes_never_drop_or_reorder(seed in 0u64..1 << 48) {
         let mut rng = TestRng::new(seed);
         let frames: Vec<Frame> = (0..frames_per_case()).map(|_| arb_frame(&mut rng)).collect();
+        let wire: Vec<u8> = frames.iter().flat_map(encode_frame).collect();
 
         let mut conn = Conn::new(ScriptedIo::default(), FrameDecoder::new(), None, 0);
         let mut pool = BufPool::new();
+        let mut sent_bytes = 0;
         for f in &frames {
             conn.enqueue(f, &mut pool);
+            sent_bytes += encode_frame(f).len();
+            prop_assert!(conn.wants_write(), "a send left nothing to flush");
+            let on_wire = conn.io_mut().wrote.len();
+            prop_assert_eq!(conn.stats.tx_bytes, on_wire as u64);
             // Sometimes flush immediately, sometimes batch several frames,
             // and each flush may hit a short write or EAGAIN mid-frame.
             if rng.below(3) > 0 {
@@ -214,6 +232,13 @@ proptest! {
                         .push_back(WriteStep::Accept(rng.below(64) as usize + 1));
                 }
                 conn.try_flush(&mut pool);
+                let on_wire = conn.io_mut().wrote.len();
+                prop_assert_eq!(&conn.io_mut().wrote[..], &wire[..on_wire], "not a prefix");
+                prop_assert_eq!(
+                    conn.wants_write(),
+                    on_wire < sent_bytes,
+                    "{} of {} bytes written", on_wire, sent_bytes
+                );
             }
         }
         // Final flushes with no caps left drain everything.
@@ -389,6 +414,38 @@ fn loopback_fan_in_conserves_with_pooled_writes() {
         out.wire.pool_misses <= out.wire.tx_frames,
         "{} allocations for {} frames",
         out.wire.pool_misses,
+        out.wire.tx_frames
+    );
+}
+
+/// The reactor talks to the kernel only at its wait boundary: every frame
+/// a drained burst of completions produces (the next `Deliver` batch, the
+/// `Request`s behind it) leaves in one vectored write per peer. With a
+/// write per frame this batch costs 1.137 `writev`s per task.
+#[test]
+fn batch_run_flushes_once_per_wait_boundary_not_per_frame() {
+    const TASKS: u64 = 1_500;
+    let cfg = NetConfig {
+        batch_limit: 8,
+        ..NetConfig::new(Policy::ddwrr(30))
+    };
+    let out = run_concurrent(
+        cfg,
+        common::loopback_workers(&[DeviceKind::Cpu, DeviceKind::Gpu], Behavior::Identity),
+        (0..TASKS).map(|id| common::mk_task(id).buffer).collect(),
+        common::oracle(),
+    )
+    .expect("batch run completes");
+
+    let mut done: Vec<u64> = out.dispatch_order.iter().map(|&(_, id)| id).collect();
+    done.sort_unstable();
+    assert_eq!(done, (0..TASKS).collect::<Vec<_>>(), "every task once");
+    assert_eq!(out.deaths, 0);
+    assert!(out.wire.tx_frames >= TASKS / 8, "{:?}", out.wire);
+    assert!(
+        out.wire.flushes * 10 <= TASKS * 3,
+        "{} flushes for {TASKS} tasks ({} frames)",
+        out.wire.flushes,
         out.wire.tx_frames
     );
 }
