@@ -2,6 +2,16 @@
 //! computational filter (paper Section 2). La\*b\* separates intensity from
 //! color and makes pixel differences perceptually uniform, enabling
 //! Euclidean distances in the feature computation.
+//!
+//! An 8-bit channel has 256 possible values, so the sRGB transfer function
+//! is a 256-entry table filled once by its own formula; and the texture
+//! features read only the quantized L channel, so [`quantize_tile_l`]
+//! produces it straight from the pixels — one `cbrt` per pixel, no
+//! a\*/b\*, no intermediate `Lab` tile. Both are bit-identical to the
+//! per-pixel formulas (`rgb_to_lab`, then `quantize_l`), which the tests
+//! keep as the definition.
+
+use std::sync::OnceLock;
 
 /// An 8-bit RGB pixel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,13 +35,20 @@ pub struct Lab {
     pub b: f32,
 }
 
-#[inline]
+/// The sRGB transfer function: an encoded channel in `0..=1` to linear
+/// light.
 fn srgb_to_linear(c: f64) -> f64 {
     if c <= 0.04045 {
         c / 12.92
     } else {
         ((c + 0.055) / 1.055).powf(2.4)
     }
+}
+
+/// [`srgb_to_linear`] of every 8-bit channel value, indexed by the value.
+fn linear_table() -> &'static [f64; 256] {
+    static TABLE: OnceLock<[f64; 256]> = OnceLock::new();
+    TABLE.get_or_init(|| std::array::from_fn(|i| srgb_to_linear(i as f64 / 255.0)))
 }
 
 #[inline]
@@ -44,20 +61,44 @@ fn lab_f(t: f64) -> f64 {
     }
 }
 
+/// A pixel's three channels in linear light.
+#[inline]
+fn linear_rgb(lin: &[f64; 256], p: Rgb8) -> (f64, f64, f64) {
+    (
+        lin[usize::from(p.r)],
+        lin[usize::from(p.g)],
+        lin[usize::from(p.b)],
+    )
+}
+
+/// `f(Y/Yn)` of a linear-light pixel: the Y row of the sRGB D65 matrix
+/// (the reference white's Yn is 1), then [`lab_f`].
+#[inline]
+fn lab_fy(r: f64, g: f64, b: f64) -> f64 {
+    lab_f(0.212_672_9 * r + 0.715_152_2 * g + 0.072_175_0 * b)
+}
+
+/// L\* (0..100) from `f(Y/Yn)`.
+#[inline]
+fn lightness(fy: f64) -> f32 {
+    (116.0 * fy - 16.0) as f32
+}
+
+/// L\* to one of `top + 1` gray levels.
+#[inline]
+fn quantize(l: f32, top: f32) -> u8 {
+    ((l / 100.0).clamp(0.0, 1.0) * top).round() as u8
+}
+
 /// Convert one sRGB pixel to La\*b\* (D65).
 pub fn rgb_to_lab(p: Rgb8) -> Lab {
-    let r = srgb_to_linear(f64::from(p.r) / 255.0);
-    let g = srgb_to_linear(f64::from(p.g) / 255.0);
-    let b = srgb_to_linear(f64::from(p.b) / 255.0);
-    // sRGB D65 matrix.
+    let (r, g, b) = linear_rgb(linear_table(), p);
+    // The X and Z rows of the sRGB D65 matrix, over the reference white.
     let x = 0.412_456_4 * r + 0.357_576_1 * g + 0.180_437_5 * b;
-    let y = 0.212_672_9 * r + 0.715_152_2 * g + 0.072_175_0 * b;
     let z = 0.019_333_9 * r + 0.119_192_0 * g + 0.950_304_1 * b;
-    // D65 reference white.
-    let (xn, yn, zn) = (0.950_47, 1.0, 1.088_83);
-    let (fx, fy, fz) = (lab_f(x / xn), lab_f(y / yn), lab_f(z / zn));
+    let (fx, fy, fz) = (lab_f(x / 0.950_47), lab_fy(r, g, b), lab_f(z / 1.088_83));
     Lab {
-        l: (116.0 * fy - 16.0) as f32,
+        l: lightness(fy),
         a: (500.0 * (fx - fy)) as f32,
         b: (200.0 * (fy - fz)) as f32,
     }
@@ -68,32 +109,26 @@ pub fn convert_tile(pixels: &[Rgb8]) -> Vec<Lab> {
     pixels.iter().map(|&p| rgb_to_lab(p)).collect()
 }
 
-/// Parallel variant of [`convert_tile`]: the pixel range is split across
-/// `threads` scoped workers and the per-chunk outputs concatenated in
-/// chunk order. The conversion is elementwise, so the result is
-/// bit-identical to the sequential one.
-pub fn convert_tile_par(pixels: &[Rgb8], threads: usize) -> Vec<Lab> {
-    let parts = crate::par::run_chunks(pixels.len(), threads, |range| {
-        pixels[range]
-            .iter()
-            .map(|&p| rgb_to_lab(p))
-            .collect::<Vec<Lab>>()
-    });
-    let mut out = Vec::with_capacity(pixels.len());
-    for part in parts {
-        out.extend(part);
-    }
-    out
-}
-
 /// Quantize the L channel of a converted tile to `levels` gray levels
 /// (input to the co-occurrence computation).
 pub fn quantize_l(lab: &[Lab], levels: u8) -> Vec<u8> {
     assert!(levels >= 2, "need at least 2 levels");
-    lab.iter()
-        .map(|p| {
-            let norm = (p.l / 100.0).clamp(0.0, 1.0);
-            ((norm * f32::from(levels - 1)).round()) as u8
+    let top = f32::from(levels - 1);
+    lab.iter().map(|p| quantize(p.l, top)).collect()
+}
+
+/// The quantized L channel of an RGB tile: `quantize_l(&convert_tile(pixels),
+/// levels)` bit for bit, without computing a\*/b\* or storing the `Lab`
+/// tile. This is what the NBIA feature computation consumes.
+pub fn quantize_tile_l(pixels: &[Rgb8], levels: u8) -> Vec<u8> {
+    assert!(levels >= 2, "need at least 2 levels");
+    let lin = linear_table();
+    let top = f32::from(levels - 1);
+    pixels
+        .iter()
+        .map(|&p| {
+            let (r, g, b) = linear_rgb(lin, p);
+            quantize(lightness(lab_fy(r, g, b)), top)
         })
         .collect()
 }
@@ -168,14 +203,73 @@ mod tests {
         assert_eq!(out[1], rgb_to_lab(tile[1]));
     }
 
+    /// The conversion as first written: the transfer function called per
+    /// channel, all three rows of the matrix, the white point by name.
+    fn rgb_to_lab_oracle(p: Rgb8) -> Lab {
+        let r = srgb_to_linear(f64::from(p.r) / 255.0);
+        let g = srgb_to_linear(f64::from(p.g) / 255.0);
+        let b = srgb_to_linear(f64::from(p.b) / 255.0);
+        let x = 0.412_456_4 * r + 0.357_576_1 * g + 0.180_437_5 * b;
+        let y = 0.212_672_9 * r + 0.715_152_2 * g + 0.072_175_0 * b;
+        let z = 0.019_333_9 * r + 0.119_192_0 * g + 0.950_304_1 * b;
+        let (xn, yn, zn) = (0.950_47, 1.0, 1.088_83);
+        let (fx, fy, fz) = (lab_f(x / xn), lab_f(y / yn), lab_f(z / zn));
+        Lab {
+            l: (116.0 * fy - 16.0) as f32,
+            a: (500.0 * (fx - fy)) as f32,
+            b: (200.0 * (fy - fz)) as f32,
+        }
+    }
+
+    /// A strided sweep of the RGB cube (steps 3, 5, 7), then all 256 grays.
+    fn cube_sweep() -> Vec<Rgb8> {
+        let mut out = Vec::new();
+        for r in (0..=255).step_by(3) {
+            for g in (0..=255).step_by(5) {
+                for b in (0..=255).step_by(7) {
+                    out.push(px(r, g, b));
+                }
+            }
+        }
+        out.extend((0..=255).map(|v| px(v, v, v)));
+        out
+    }
+
     #[test]
-    fn parallel_conversion_is_bit_identical() {
-        let tile: Vec<Rgb8> = (0..97)
-            .map(|i| px((i * 7) as u8, (i * 13) as u8, (i * 29) as u8))
-            .collect();
-        let seq = convert_tile(&tile);
-        for threads in [1, 2, 4, 16] {
-            assert_eq!(seq, convert_tile_par(&tile, threads), "t={threads}");
+    fn table_is_the_transfer_function_bitwise() {
+        for (i, &v) in linear_table().iter().enumerate() {
+            let want = srgb_to_linear(i as f64 / 255.0);
+            assert_eq!(v.to_bits(), want.to_bits(), "entry {i}");
+        }
+    }
+
+    #[test]
+    fn table_driven_conversion_matches_the_formula_bitwise() {
+        for p in cube_sweep() {
+            let (got, want) = (rgb_to_lab(p), rgb_to_lab_oracle(p));
+            assert_eq!(
+                [got.l.to_bits(), got.a.to_bits(), got.b.to_bits()],
+                [want.l.to_bits(), want.a.to_bits(), want.b.to_bits()],
+                "{p:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn fused_l_quantization_matches_convert_then_quantize() {
+        use crate::tiles::{TileClass, TileGenerator};
+        let mut inputs = vec![cube_sweep()];
+        let mut gen = TileGenerator::new(7);
+        inputs.extend(TileClass::ALL.map(|class| gen.generate(class, 64)));
+        for pixels in &inputs {
+            let lab: Vec<Lab> = pixels.iter().map(|&p| rgb_to_lab_oracle(p)).collect();
+            for levels in [2, 8, 16, 255] {
+                assert_eq!(
+                    quantize_tile_l(pixels, levels),
+                    quantize_l(&lab, levels),
+                    "levels {levels}"
+                );
+            }
         }
     }
 }

@@ -23,7 +23,6 @@ pub mod eclat;
 pub mod heart;
 pub mod knn;
 pub mod nbody;
-pub mod par;
 pub mod pyramid;
 pub mod texture;
 pub mod tiles;

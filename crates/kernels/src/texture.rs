@@ -2,6 +2,14 @@
 //! (paper Section 2): gray-level co-occurrence (GLCM) statistics and local
 //! binary patterns (LBP), which together characterize the color/intensity
 //! variation of tissue structure.
+//!
+//! Both counting loops work in integers over row slices clipped once per
+//! row to the pixels whose neighbours exist, so the inner loops test no
+//! bounds; the counts become `f64` at the end, which is exact (they are
+//! far below 2^53) and leaves every statistic bit-identical to counting
+//! in `f64` one pixel at a time.
+
+use std::ops::Range;
 
 /// A gray-level co-occurrence matrix over `levels × levels` quantized
 /// intensities, for one pixel offset.
@@ -12,37 +20,9 @@ pub struct Glcm {
     total: f64,
 }
 
-/// Accumulate symmetric co-occurrence counts for anchor rows in
-/// `rows` only. Counts are integer-valued `f64` (each pair adds exactly
-/// 1.0 twice), so partial accumulators from disjoint row ranges merge
-/// exactly — the basis of `compute_par`'s bit-reproducibility.
-fn glcm_rows(
-    img: &[u8],
-    width: usize,
-    height: usize,
-    l: usize,
-    dx: isize,
-    dy: isize,
-    rows: std::ops::Range<usize>,
-) -> (Vec<f64>, f64) {
-    let mut counts = vec![0.0f64; l * l];
-    let mut total = 0.0f64;
-    for y in rows.start as isize..rows.end as isize {
-        for x in 0..width as isize {
-            let (nx, ny) = (x + dx, y + dy);
-            if nx < 0 || ny < 0 || nx >= width as isize || ny >= height as isize {
-                continue;
-            }
-            let a = img[y as usize * width + x as usize] as usize;
-            let b = img[ny as usize * width + nx as usize] as usize;
-            debug_assert!(a < l && b < l, "pixel exceeds quantization levels");
-            // Symmetric: count both (a,b) and (b,a).
-            counts[a * l + b] += 1.0;
-            counts[b * l + a] += 1.0;
-            total += 2.0;
-        }
-    }
-    (counts, total)
+/// The positions `i` in `0..n` whose neighbour `i + d` is also in `0..n`.
+fn anchors(n: usize, d: isize) -> Range<usize> {
+    d.min(0).unsigned_abs().min(n)..n.saturating_sub(d.max(0).unsigned_abs())
 }
 
 impl Glcm {
@@ -56,40 +36,36 @@ impl Glcm {
         dx: isize,
         dy: isize,
     ) -> Glcm {
-        Glcm::compute_par(img, width, height, levels, dx, dy, 1)
-    }
-
-    /// Parallel variant of [`Glcm::compute`]: anchor rows are split across
-    /// `threads` scoped workers and the partial count matrices merged in
-    /// row order. Bit-identical to the sequential computation (integer
-    /// counts, exact merge).
-    pub fn compute_par(
-        img: &[u8],
-        width: usize,
-        height: usize,
-        levels: u8,
-        dx: isize,
-        dy: isize,
-        threads: usize,
-    ) -> Glcm {
         assert_eq!(img.len(), width * height, "image size mismatch");
         assert!(levels >= 2);
         let l = levels as usize;
-        let parts = crate::par::run_chunks(height, threads, |rows| {
-            glcm_rows(img, width, height, l, dx, dy, rows)
-        });
-        let mut counts = vec![0.0f64; l * l];
-        let mut total = 0.0f64;
-        for (part_counts, part_total) in parts {
-            for (c, p) in counts.iter_mut().zip(&part_counts) {
-                *c += p;
+        // Ordered pairs (anchor level, neighbour level), counted once.
+        let mut ordered = vec![0u64; l * l];
+        let (xs, ys) = (anchors(width, dx), anchors(height, dy));
+        let pairs = xs.len() * ys.len();
+        if pairs > 0 {
+            for y in ys {
+                let row = y * width + xs.start;
+                let neighbour_row = row.wrapping_add_signed(dy * width as isize + dx);
+                let a_row = &img[row..][..xs.len()];
+                let b_row = &img[neighbour_row..][..xs.len()];
+                for (&a, &b) in a_row.iter().zip(b_row) {
+                    debug_assert!(a < levels && b < levels, "pixel exceeds levels");
+                    ordered[a as usize * l + b as usize] += 1;
+                }
             }
-            total += part_total;
+        }
+        // Symmetric: each pair counts as both (a,b) and (b,a).
+        let mut counts = vec![0.0f64; l * l];
+        for i in 0..l {
+            for j in 0..l {
+                counts[i * l + j] = (ordered[i * l + j] + ordered[j * l + i]) as f64;
+            }
         }
         Glcm {
             levels: l,
             counts,
-            total: total.max(1.0),
+            total: (2 * pairs).max(1) as f64,
         }
     }
 
@@ -272,37 +248,37 @@ pub fn lbp_code(img: &[u8], width: usize, height: usize, x: usize, y: usize) -> 
     code
 }
 
-/// Normalized 256-bin LBP histogram of a quantized image.
+/// Normalized 256-bin LBP histogram of a quantized image (all zeros for
+/// an empty one). Bin `c` is the share of pixels whose [`lbp_code`] is `c`.
 pub fn lbp_histogram(img: &[u8], width: usize, height: usize) -> Vec<f64> {
-    lbp_histogram_par(img, width, height, 1)
-}
-
-/// Parallel variant of [`lbp_histogram`]: rows are split across `threads`
-/// scoped workers, per-chunk integer counts are merged in row order, and
-/// normalization happens once at the end — bit-identical to the sequential
-/// histogram.
-pub fn lbp_histogram_par(img: &[u8], width: usize, height: usize, threads: usize) -> Vec<f64> {
     assert_eq!(img.len(), width * height);
-    let parts = crate::par::run_chunks(height, threads, |rows| {
-        let mut hist = vec![0.0f64; 256];
-        for y in rows {
+    let mut counts = [0u64; 256];
+    for y in 0..height {
+        if y == 0 || y + 1 == height || width < 3 {
+            // Border rows (and images with no interior column): the
+            // replicated border, by definition.
             for x in 0..width {
-                hist[lbp_code(img, width, height, x, y) as usize] += 1.0;
+                counts[lbp_code(img, width, height, x, y) as usize] += 1;
             }
+            continue;
         }
-        hist
-    });
-    let mut hist = vec![0.0f64; 256];
-    for part in parts {
-        for (h, p) in hist.iter_mut().zip(&part) {
-            *h += p;
+        counts[lbp_code(img, width, height, 0, y) as usize] += 1;
+        counts[lbp_code(img, width, height, width - 1, y) as usize] += 1;
+        // Interior pixels: all eight neighbours exist, so the code reads
+        // three 3-pixel windows, in `lbp_code`'s bit order.
+        let [up, mid, down] = [y - 1, y, y + 1].map(|r| &img[r * width..][..width]);
+        for ((u, m), d) in up.windows(3).zip(mid.windows(3)).zip(down.windows(3)) {
+            let c = m[1];
+            let ring = [u[0], u[1], u[2], m[2], d[2], d[1], d[0], m[0]];
+            let mut code = 0usize;
+            for (bit, &v) in ring.iter().enumerate() {
+                code |= usize::from(v >= c) << bit;
+            }
+            counts[code] += 1;
         }
     }
-    let n = (width * height) as f64;
-    for h in &mut hist {
-        *h /= n;
-    }
-    hist
+    let n = (width * height).max(1) as f64;
+    counts.iter().map(|&c| c as f64 / n).collect()
 }
 
 /// The four pixel offsets of the NBIA GLCM feature block.
@@ -311,61 +287,18 @@ const GLCM_OFFSETS: [(isize, isize); 4] = [(1, 0), (0, 1), (1, 1), (1, -1)];
 /// The NBIA per-tile feature vector: GLCM statistics at 4 offsets plus a
 /// compacted LBP histogram.
 pub fn feature_vector(img: &[u8], width: usize, height: usize, levels: u8) -> Vec<f64> {
-    feature_vector_par(img, width, height, levels, 1)
-}
-
-/// Parallel variant of [`feature_vector`]: the four GLCM offsets and the
-/// LBP histogram are five independent jobs, run on scoped workers and
-/// assembled in the fixed sequential order. With `threads <= 1` this runs
-/// entirely inline; either way the output is bit-identical to
-/// [`feature_vector`].
-pub fn feature_vector_par(
-    img: &[u8],
-    width: usize,
-    height: usize,
-    levels: u8,
-    threads: usize,
-) -> Vec<f64> {
-    let glcm_stats = |g: Glcm| -> [f64; 5] {
-        [
+    let mut out = Vec::with_capacity(4 * 5 + 16);
+    for (dx, dy) in GLCM_OFFSETS {
+        let g = Glcm::compute(img, width, height, levels, dx, dy);
+        out.extend([
             g.contrast(),
             g.energy(),
             g.homogeneity(),
             g.entropy(),
             g.correlation(),
-        ]
-    };
-    let mut out = Vec::with_capacity(4 * 5 + 16);
-    if threads <= 1 {
-        for (dx, dy) in GLCM_OFFSETS {
-            out.extend(glcm_stats(Glcm::compute(
-                img, width, height, levels, dx, dy,
-            )));
-        }
-        let hist = lbp_histogram(img, width, height);
-        for chunk in hist.chunks(16) {
-            out.push(chunk.iter().sum());
-        }
-        return out;
+        ]);
     }
-    let (blocks, hist) = crossbeam::thread::scope(|s| {
-        let glcm_handles: Vec<_> = GLCM_OFFSETS
-            .iter()
-            .map(|&(dx, dy)| {
-                s.spawn(move |_| glcm_stats(Glcm::compute(img, width, height, levels, dx, dy)))
-            })
-            .collect();
-        let lbp_handle = s.spawn(move |_| lbp_histogram(img, width, height));
-        let blocks: Vec<[f64; 5]> = glcm_handles
-            .into_iter()
-            .map(|h| h.join().expect("glcm worker panicked"))
-            .collect();
-        (blocks, lbp_handle.join().expect("lbp worker panicked"))
-    })
-    .expect("feature_vector scope panicked");
-    for block in blocks {
-        out.extend(block);
-    }
+    let hist = lbp_histogram(img, width, height);
     for chunk in hist.chunks(16) {
         out.push(chunk.iter().sum());
     }
@@ -477,28 +410,103 @@ mod tests {
         assert!((h.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn parallel_variants_are_bit_identical() {
-        // Integer-count accumulation merged in fixed order: the par
-        // variants must match the sequential ones bit for bit.
-        let img: Vec<u8> = (0..31 * 17).map(|i| ((i * 13) % 8) as u8).collect();
-        for threads in [2, 3, 8] {
-            for (dx, dy) in [(1isize, 0isize), (0, 1), (1, 1), (1, -1)] {
-                let seq = Glcm::compute(&img, 31, 17, 8, dx, dy);
-                let par = Glcm::compute_par(&img, 31, 17, 8, dx, dy, threads);
-                assert_eq!(seq.counts, par.counts, "glcm counts t={threads}");
-                assert_eq!(seq.total, par.total);
+    /// The co-occurrence count as first written: every pixel an anchor, the
+    /// neighbour bounds-tested, `f64` counts bumped once per direction.
+    fn glcm_oracle(
+        img: &[u8],
+        width: usize,
+        height: usize,
+        l: usize,
+        dx: isize,
+        dy: isize,
+    ) -> (Vec<f64>, f64) {
+        let mut counts = vec![0.0f64; l * l];
+        let mut total = 0.0f64;
+        for y in 0..height as isize {
+            for x in 0..width as isize {
+                let (nx, ny) = (x + dx, y + dy);
+                if nx < 0 || ny < 0 || nx >= width as isize || ny >= height as isize {
+                    continue;
+                }
+                let a = img[y as usize * width + x as usize] as usize;
+                let b = img[ny as usize * width + nx as usize] as usize;
+                counts[a * l + b] += 1.0;
+                counts[b * l + a] += 1.0;
+                total += 2.0;
             }
-            assert_eq!(
-                lbp_histogram(&img, 31, 17),
-                lbp_histogram_par(&img, 31, 17, threads),
-                "lbp t={threads}"
-            );
-            assert_eq!(
-                feature_vector(&img, 31, 17, 8),
-                feature_vector_par(&img, 31, 17, 8, threads),
-                "features t={threads}"
-            );
+        }
+        (counts, total.max(1.0))
+    }
+
+    /// Widths and heights below 3, a single row, a single column, and
+    /// sizes that are no multiple of anything.
+    const ODD_SHAPES: [(usize, usize); 8] = [
+        (0, 0),
+        (1, 1),
+        (1, 5),
+        (5, 1),
+        (2, 3),
+        (3, 2),
+        (7, 5),
+        (33, 17),
+    ];
+
+    fn textured(width: usize, height: usize) -> Vec<u8> {
+        (0..width * height)
+            .map(|i| ((i * 13 + i / 7) % 8) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn clipped_glcm_matches_the_bounds_checked_loop() {
+        // Offsets include negative ones and ones at least as large as the
+        // image, which leave no pair at all.
+        const OFFSETS: [(isize, isize); 10] = [
+            (1, 0),
+            (0, 1),
+            (1, 1),
+            (1, -1),
+            (-1, 0),
+            (-2, 3),
+            (9, 0),
+            (0, 9),
+            (-33, 0),
+            (0, 0),
+        ];
+        for (width, height) in ODD_SHAPES {
+            let img = textured(width, height);
+            for (dx, dy) in OFFSETS {
+                let g = Glcm::compute(&img, width, height, 8, dx, dy);
+                let (counts, total) = glcm_oracle(&img, width, height, 8, dx, dy);
+                assert_eq!(g.counts, counts, "{width}x{height} ({dx},{dy})");
+                assert_eq!(g.total, total, "{width}x{height} ({dx},{dy})");
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_lbp_matches_the_per_pixel_code() {
+        for (width, height) in ODD_SHAPES {
+            let img = textured(width, height);
+            let mut want = vec![0.0f64; 256];
+            for y in 0..height {
+                for x in 0..width {
+                    want[lbp_code(&img, width, height, x, y) as usize] += 1.0;
+                }
+            }
+            if width * height > 0 {
+                for h in &mut want {
+                    *h /= (width * height) as f64;
+                }
+            }
+            assert_eq!(lbp_histogram(&img, width, height), want, "{width}x{height}");
+        }
+    }
+
+    #[test]
+    fn lbp_of_an_empty_image_is_all_zero() {
+        for (width, height) in [(0, 0), (0, 4), (4, 0)] {
+            assert_eq!(lbp_histogram(&[], width, height), vec![0.0; 256]);
         }
     }
 

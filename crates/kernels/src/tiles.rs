@@ -9,9 +9,16 @@
 //! a tile's label only when the decision margin passes a hypothesis-test
 //! style confidence threshold — otherwise the tile is recomputed at the
 //! next resolution, exactly the control flow of Figure 1.
+//!
+//! [`tile_features`] is the one feature path every backend runs: the
+//! quantized L channel straight from the pixels
+//! ([`crate::color::quantize_tile_l`]), then the texture block
+//! ([`crate::texture::feature_vector`]). Its output bits are pinned in the
+//! workspace's `tests/paper_shapes.rs`; the generator's RNG stream is part
+//! of that pin.
 
-use crate::color::{convert_tile, convert_tile_par, quantize_l, Rgb8};
-use crate::texture::{feature_vector, feature_vector_par};
+use crate::color::{quantize_tile_l, Rgb8};
+use crate::texture::feature_vector;
 use anthill_simkit::SimRng;
 
 /// Tissue classes assigned by NBIA's stromal-development classification.
@@ -110,21 +117,11 @@ impl TileGenerator {
 
 /// Compute the NBIA feature vector of an RGB tile (color conversion,
 /// quantization, GLCM + LBP) — the work of the pipeline's two heavy
-/// filters, fused.
+/// filters, fused. Only the L channel feeds the texture features, so the
+/// conversion computes nothing else.
 pub fn tile_features(pixels: &[Rgb8], side: u32) -> Vec<f64> {
-    let lab = convert_tile(pixels);
-    let q = quantize_l(&lab, QUANT_LEVELS);
+    let q = quantize_tile_l(pixels, QUANT_LEVELS);
     feature_vector(&q, side as usize, side as usize, QUANT_LEVELS)
-}
-
-/// Parallel variant of [`tile_features`]: the color conversion and the
-/// feature computation fan out over `threads` scoped workers (the `par`
-/// knob of the native runtime). Bit-identical to [`tile_features`] — the
-/// underlying `_par` kernels merge integer counts in fixed chunk order.
-pub fn tile_features_par(pixels: &[Rgb8], side: u32, threads: usize) -> Vec<f64> {
-    let lab = convert_tile_par(pixels, threads);
-    let q = quantize_l(&lab, QUANT_LEVELS);
-    feature_vector_par(&q, side as usize, side as usize, QUANT_LEVELS, threads)
 }
 
 /// A nearest-centroid tile classifier with a confidence margin.
@@ -199,18 +196,22 @@ impl TileClassifier {
     /// Classify a feature vector, returning the class and a margin-based
     /// confidence (`1 − d_best / d_second`).
     pub fn classify(&self, features: &[f64]) -> Decision {
-        let mut scored: Vec<(f64, TileClass)> = self
-            .centroids
-            .iter()
-            .map(|(c, cen)| (self.dist(features, cen), *c))
-            .collect();
-        scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        let best = scored[0];
-        let second = scored[1];
-        let confidence = if second.0 <= 1e-12 {
+        // The two smallest distances; the earlier centroid wins a tie.
+        let mut best = (f64::INFINITY, self.centroids[0].0);
+        let mut second = f64::INFINITY;
+        for (class, centroid) in &self.centroids {
+            let d = self.dist(features, centroid);
+            if d < best.0 {
+                second = best.0;
+                best = (d, *class);
+            } else if d < second {
+                second = d;
+            }
+        }
+        let confidence = if second <= 1e-12 {
             0.0
         } else {
-            (1.0 - best.0 / second.0).clamp(0.0, 1.0)
+            (1.0 - best.0 / second).clamp(0.0, 1.0)
         };
         Decision {
             class: best.1,
@@ -239,16 +240,6 @@ mod tests {
             a.generate(TileClass::StromaPoor, 16),
             b.generate(TileClass::StromaPoor, 16)
         );
-    }
-
-    #[test]
-    fn parallel_tile_features_are_bit_identical() {
-        let mut gen = TileGenerator::new(3);
-        let tile = gen.generate(TileClass::StromaPoor, 32);
-        let seq = tile_features(&tile, 32);
-        for threads in [1, 2, 4] {
-            assert_eq!(seq, tile_features_par(&tile, 32, threads), "t={threads}");
-        }
     }
 
     #[test]
@@ -287,6 +278,26 @@ mod tests {
         let d = clf.classify(&f);
         assert_eq!(d.class, TileClass::Background);
         assert!(d.confidence > 0.3, "confidence {}", d.confidence);
+    }
+
+    #[test]
+    fn classify_breaks_ties_toward_the_earlier_centroid() {
+        // What a stable sort by distance gave: of two equidistant
+        // centroids the first listed wins, and the other is the runner-up.
+        let clf = TileClassifier {
+            centroids: vec![
+                (TileClass::StromaPoor, vec![3.0, 0.0]),
+                (TileClass::StromaRich, vec![1.0, 0.0]),
+                (TileClass::Background, vec![-1.0, 0.0]),
+            ],
+            scale: vec![1.0, 1.0],
+        };
+        let tied = clf.classify(&[0.0, 0.0]);
+        assert_eq!(tied.class, TileClass::StromaRich);
+        assert_eq!(tied.confidence, 0.0);
+        let clear = clf.classify(&[2.5, 0.0]);
+        assert_eq!(clear.class, TileClass::StromaPoor);
+        assert_eq!(clear.confidence, 1.0 - 0.5 / 1.5);
     }
 
     #[test]
