@@ -34,13 +34,15 @@
 //! | mixed GPU generations (§6.2 remark)      | [`experiments::transfer::mixed_gpus`] |
 //! | concurrent kernels (paper future work)   | [`experiments::transfer::concurrent_kernels`] |
 //! | filter fusion (the paper's setup choice) | [`experiments::transfer::ablate_fusion`] |
+//! | perturbed CPU-only node                  | [`experiments::cluster::perturb_slow_node`] |
+//! | learned policies vs DDWRR                | [`policies::head_to_head`] |
+//!
+//! [`load`] holds the open-loop arrival schedules `tests/load.rs` drives
+//! the backends with.
 
 #![warn(missing_docs)]
 
-pub mod elastic;
 pub mod experiments;
-pub mod graph;
 pub mod load;
-pub mod netbench;
 pub mod policies;
 pub mod viz;

@@ -1,7 +1,5 @@
-//! Open-loop load harness: arrival schedules, streaming latency sketches,
-//! a virtual-time admission model, and the `BENCH_load.json` schema.
-//!
-//! The pieces compose into the `repro load` gate:
+//! Open-loop load harness: arrival schedules, a streaming latency sketch
+//! and a virtual-time admission model — the inputs of `tests/load.rs`.
 //!
 //! * [`ArrivalProfile`] — seed-deterministic open-loop schedules
 //!   (Poisson, bursty on/off, diurnal ramp), produced as nanosecond
@@ -13,21 +11,16 @@
 //!   storing samples; the reported quantile is the upper edge of the
 //!   bucket holding the exact-rank sample, so its error is bounded by
 //!   one bucket width (< 1/32 relative).
-//! * [`Reservoir`] — Algorithm R uniform sample, for distribution-shape
-//!   debugging beyond fixed quantiles.
 //! * [`run_des_load`] — the admission controller replayed under virtual
 //!   time: the same `offer`/`poll`/`release` sequence the live backends
 //!   drive, with service time modeled as a constant, so admission
 //!   decisions are reproducible bit-for-bit (the determinism suite runs
 //!   it twice and compares decision logs).
-//! * [`render_load_report`] / [`validate_load_report`] — the
-//!   `BENCH_load.json` writer and its schema gate (conservation,
-//!   quantile monotonicity, queue-depth series present).
 
 use anthill::engine::{
     AdmissionConfig, AdmissionController, AdmissionCounters, AdmissionDecision, Offer,
 };
-use anthill::obs::{json, DeviceRef, Recorder};
+use anthill::obs::{DeviceRef, Recorder};
 use anthill_simkit::SimRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -69,8 +62,7 @@ pub enum ArrivalProfile {
 }
 
 impl ArrivalProfile {
-    /// Stable profile name (used in schedules' RNG fork labels and in
-    /// `BENCH_load.json`).
+    /// Stable profile name (the schedule's RNG fork label).
     pub fn name(&self) -> &'static str {
         match self {
             ArrivalProfile::Poisson { .. } => "poisson",
@@ -164,8 +156,6 @@ const SUB: u64 = 1 << SUB_BITS;
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
-    sum: u128,
-    min: u64,
     max: u64,
 }
 
@@ -204,39 +194,8 @@ impl LatencyHistogram {
             self.buckets.resize(idx + 1, 0);
         }
         self.buckets[idx] += 1;
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
+        self.max = self.max.max(v);
         self.count += 1;
-        self.sum += u128::from(v);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Smallest recorded sample (0 when empty).
-    pub fn min(&self) -> u64 {
-        self.min
-    }
-
-    /// Largest recorded sample (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean of all samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// Width of the bucket that `v` falls into — the bound on how far
@@ -263,55 +222,6 @@ impl LatencyHistogram {
             }
         }
         self.max
-    }
-}
-
-// ------------------------------------------------------------ reservoir
-
-/// Fixed-size uniform sample of a stream (Vitter's Algorithm R), seeded
-/// through [`SimRng`] so runs are reproducible. Complements the
-/// histogram: the histogram answers fixed quantiles with bounded error,
-/// the reservoir keeps raw values for shape inspection.
-#[derive(Debug, Clone)]
-pub struct Reservoir {
-    k: usize,
-    seen: u64,
-    samples: Vec<u64>,
-    rng: SimRng,
-}
-
-impl Reservoir {
-    /// A reservoir keeping at most `k` samples.
-    pub fn new(k: usize, seed: u64) -> Reservoir {
-        Reservoir {
-            k: k.max(1),
-            seen: 0,
-            samples: Vec::new(),
-            rng: SimRng::new(seed).fork("reservoir"),
-        }
-    }
-
-    /// Offer one stream value.
-    pub fn record(&mut self, v: u64) {
-        self.seen += 1;
-        if self.samples.len() < self.k {
-            self.samples.push(v);
-        } else {
-            let j = self.rng.below(self.seen);
-            if (j as usize) < self.k {
-                self.samples[j as usize] = v;
-            }
-        }
-    }
-
-    /// Stream length so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The current sample (uniform over the stream seen so far).
-    pub fn samples(&self) -> &[u64] {
-        &self.samples
     }
 }
 
@@ -395,298 +305,6 @@ pub fn run_des_load(arrivals: &[u64], service_ns: u64, cfg: AdmissionConfig) -> 
     }
 }
 
-// ----------------------------------------------------- report rendering
-
-/// p50/p99/p999/max/mean summary of one latency dimension, extracted
-/// from a [`LatencyHistogram`].
-#[derive(Debug, Clone, Copy)]
-pub struct LatencyStats {
-    /// Median, nanoseconds.
-    pub p50: u64,
-    /// 99th percentile, nanoseconds.
-    pub p99: u64,
-    /// 99.9th percentile, nanoseconds.
-    pub p999: u64,
-    /// Largest sample, nanoseconds.
-    pub max: u64,
-    /// Mean, nanoseconds.
-    pub mean: f64,
-}
-
-impl LatencyStats {
-    /// Extract the summary quantiles from a histogram.
-    pub fn from_histogram(h: &LatencyHistogram) -> LatencyStats {
-        LatencyStats {
-            p50: h.quantile(0.50),
-            p99: h.quantile(0.99),
-            p999: h.quantile(0.999),
-            max: h.max(),
-            mean: h.mean(),
-        }
-    }
-
-    fn render(&self) -> String {
-        format!(
-            "{{\"p50\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}, \"mean\": {:.1}}}",
-            self.p50, self.p99, self.p999, self.max, self.mean
-        )
-    }
-}
-
-/// One `(profile, backend)` run of the load gate, ready to render into
-/// `BENCH_load.json`.
-#[derive(Debug, Clone)]
-pub struct LoadRunRow {
-    /// Arrival profile name ([`ArrivalProfile::name`]).
-    pub profile: String,
-    /// Executing backend: `"native"` or `"net"`.
-    pub backend: String,
-    /// Overload policy name (`block`, `shed_oldest`, `deadline_drop`).
-    pub policy: String,
-    /// Schedule length offered to the run.
-    pub tasks: u64,
-    /// Admission counters at quiescence.
-    pub admission: AdmissionCounters,
-    /// Tasks that completed end to end.
-    pub completed: u64,
-    /// Queue-wait latency summary.
-    pub queue: LatencyStats,
-    /// Service latency summary.
-    pub service: LatencyStats,
-    /// End-to-end latency summary.
-    pub e2e: LatencyStats,
-    /// Queue-depth series sampled by the run's injector.
-    pub queue_depth: Vec<DepthPoint>,
-    /// Wall-clock duration of the run in milliseconds.
-    pub wall_ms: f64,
-}
-
-/// One rendered queue-depth sample. `per_stage` breaks `ready` down by
-/// filter for graph-shaped pipelines — the aggregate alone cannot show
-/// which filter of a DAG is backing up; it stays empty for backends with
-/// a single ready queue (e.g. the net coordinator).
-#[derive(Debug, Clone)]
-pub struct DepthPoint {
-    /// Monotonic nanoseconds since run start.
-    pub t_ns: u64,
-    /// Buffers across every ready lane (equals the `per_stage` sum when
-    /// that breakdown is present).
-    pub ready: u64,
-    /// Tasks waiting at the admission intake.
-    pub intake: u64,
-    /// Admitted-but-unfinished tasks.
-    pub inflight: u64,
-    /// Ready-lane depth per filter, indexed by filter id; empty when the
-    /// backend has no per-filter breakdown.
-    pub per_stage: Vec<u64>,
-}
-
-impl DepthPoint {
-    /// A sample without a per-filter breakdown.
-    pub fn flat(t_ns: u64, ready: u64, intake: u64, inflight: u64) -> DepthPoint {
-        DepthPoint {
-            t_ns,
-            ready,
-            intake,
-            inflight,
-            per_stage: Vec::new(),
-        }
-    }
-}
-
-impl From<&anthill::local::QueueDepthSample> for DepthPoint {
-    /// The native runtime samples every stage queue, so its points carry
-    /// the per-filter breakdown.
-    fn from(s: &anthill::local::QueueDepthSample) -> DepthPoint {
-        DepthPoint {
-            t_ns: s.t_ns,
-            ready: s.ready,
-            intake: s.intake,
-            inflight: s.inflight,
-            per_stage: s.per_stage.clone(),
-        }
-    }
-}
-
-impl From<&anthill::net::NetQueueSample> for DepthPoint {
-    /// The net coordinator has a single engine-side ready queue — no
-    /// per-filter breakdown.
-    fn from(s: &anthill::net::NetQueueSample) -> DepthPoint {
-        DepthPoint::flat(s.t_ns, s.ready, s.intake, s.inflight)
-    }
-}
-
-/// Cap on queue-depth points per run in the rendered report; longer
-/// series are evenly downsampled (the first and last samples are kept).
-const DEPTH_POINTS: usize = 200;
-
-fn render_point(p: &DepthPoint) -> String {
-    let stages: Vec<String> = p.per_stage.iter().map(u64::to_string).collect();
-    format!(
-        "{{\"t_ns\": {}, \"ready\": {}, \"intake\": {}, \"inflight\": {}, \"per_stage\": [{}]}}",
-        p.t_ns,
-        p.ready,
-        p.intake,
-        p.inflight,
-        stages.join(", ")
-    )
-}
-
-fn render_depth(series: &[DepthPoint]) -> String {
-    let step = series.len().div_ceil(DEPTH_POINTS).max(1);
-    let mut cells: Vec<String> = series.iter().step_by(step).map(render_point).collect();
-    if step > 1 && series.len() % step != 1 {
-        if let Some(p) = series.last() {
-            cells.push(render_point(p));
-        }
-    }
-    format!("[{}]", cells.join(", "))
-}
-
-/// Render the load gate's results as the `BENCH_load.json` document.
-/// The output always satisfies [`validate_load_report`] when every row's
-/// counters conserve.
-pub fn render_load_report(rows: &[LoadRunRow], quick: bool, seed: u64) -> String {
-    let runs: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\n",
-                    "      \"profile\": \"{}\", \"backend\": \"{}\", \"policy\": \"{}\",\n",
-                    "      \"tasks\": {}, \"generated\": {}, \"admitted\": {}, ",
-                    "\"shed\": {}, \"deadline_dropped\": {}, \"completed\": {},\n",
-                    "      \"latency_ns\": {{\n",
-                    "        \"queue\": {},\n",
-                    "        \"service\": {},\n",
-                    "        \"e2e\": {}\n",
-                    "      }},\n",
-                    "      \"queue_depth\": {},\n",
-                    "      \"wall_ms\": {:.2}\n",
-                    "    }}"
-                ),
-                r.profile,
-                r.backend,
-                r.policy,
-                r.tasks,
-                r.admission.generated,
-                r.admission.admitted,
-                r.admission.shed,
-                r.admission.deadline_dropped,
-                r.completed,
-                r.queue.render(),
-                r.service.render(),
-                r.e2e.render(),
-                render_depth(&r.queue_depth),
-                r.wall_ms
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"seed\": {seed},\n  \"quick\": {quick},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        runs.join(",\n")
-    )
-}
-
-fn require_u64(run: &json::Value, key: &str) -> Result<u64, String> {
-    run.get(key)
-        .and_then(|v| v.as_u64())
-        .ok_or_else(|| format!("run missing numeric '{key}'"))
-}
-
-fn check_stats(lat: &json::Value, dim: &str) -> Result<(), String> {
-    let d = lat
-        .get(dim)
-        .ok_or_else(|| format!("latency_ns missing '{dim}'"))?;
-    let p50 = require_u64(d, "p50").map_err(|e| format!("{dim}: {e}"))?;
-    let p99 = require_u64(d, "p99").map_err(|e| format!("{dim}: {e}"))?;
-    let p999 = require_u64(d, "p999").map_err(|e| format!("{dim}: {e}"))?;
-    let max = require_u64(d, "max").map_err(|e| format!("{dim}: {e}"))?;
-    if !(p50 <= p99 && p99 <= p999 && p999 <= max) {
-        return Err(format!(
-            "{dim}: quantiles not monotone (p50 {p50}, p99 {p99}, p999 {p999}, max {max})"
-        ));
-    }
-    Ok(())
-}
-
-/// Schema-validate a `BENCH_load.json` document: every run must carry the
-/// identifying fields, conserved admission counters
-/// (`admitted + shed + deadline_dropped == generated`), completions not
-/// exceeding admissions, monotone latency quantiles for all three
-/// dimensions, and a non-empty queue-depth series whose points each carry
-/// a `per_stage` array summing to `ready` whenever the breakdown is
-/// present.
-pub fn validate_load_report(text: &str) -> Result<(), String> {
-    let v = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    let runs = v
-        .get("runs")
-        .and_then(|r| r.as_arr())
-        .ok_or("missing 'runs' array")?;
-    if runs.is_empty() {
-        return Err("'runs' is empty".to_string());
-    }
-    v.get("seed")
-        .and_then(|s| s.as_u64())
-        .ok_or("missing numeric 'seed'")?;
-    for (i, run) in runs.iter().enumerate() {
-        let ctx = |e: String| format!("run {i}: {e}");
-        for key in ["profile", "backend", "policy"] {
-            run.get(key)
-                .and_then(|p| p.as_str())
-                .ok_or_else(|| ctx(format!("missing string '{key}'")))?;
-        }
-        let generated = require_u64(run, "generated").map_err(ctx)?;
-        let admitted = require_u64(run, "admitted").map_err(ctx)?;
-        let shed = require_u64(run, "shed").map_err(ctx)?;
-        let dropped = require_u64(run, "deadline_dropped").map_err(ctx)?;
-        let completed = require_u64(run, "completed").map_err(ctx)?;
-        if admitted + shed + dropped != generated {
-            return Err(ctx(format!(
-                "conservation broken: {admitted} + {shed} + {dropped} != {generated}"
-            )));
-        }
-        if completed > admitted {
-            return Err(ctx(format!("completed {completed} > admitted {admitted}")));
-        }
-        let lat = run
-            .get("latency_ns")
-            .ok_or_else(|| ctx("missing 'latency_ns'".to_string()))?;
-        for dim in ["queue", "service", "e2e"] {
-            check_stats(lat, dim).map_err(ctx)?;
-        }
-        let depth = run
-            .get("queue_depth")
-            .and_then(|d| d.as_arr())
-            .ok_or_else(|| ctx("missing 'queue_depth' array".to_string()))?;
-        if depth.is_empty() {
-            return Err(ctx("'queue_depth' is empty".to_string()));
-        }
-        for point in depth {
-            for key in ["t_ns", "ready", "intake", "inflight"] {
-                require_u64(point, key).map_err(|e| ctx(format!("queue_depth {e}")))?;
-            }
-            let stages = point
-                .get("per_stage")
-                .and_then(|s| s.as_arr())
-                .ok_or_else(|| ctx("queue_depth point missing 'per_stage' array".to_string()))?;
-            if !stages.is_empty() {
-                let mut sum = 0u64;
-                for (si, s) in stages.iter().enumerate() {
-                    sum += s
-                        .as_u64()
-                        .ok_or_else(|| ctx(format!("per_stage[{si}] is not a number")))?;
-                }
-                let ready = require_u64(point, "ready").map_err(ctx)?;
-                if sum != ready {
-                    return Err(ctx(format!("per_stage sums to {sum} but ready is {ready}")));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -754,17 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_keeps_k_and_counts_the_stream() {
-        let mut r = Reservoir::new(64, 5);
-        for v in 0..10_000u64 {
-            r.record(v);
-        }
-        assert_eq!(r.seen(), 10_000);
-        assert_eq!(r.samples().len(), 64);
-        assert!(r.samples().iter().all(|&v| v < 10_000));
-    }
-
-    #[test]
     fn des_load_is_deterministic_and_conserves() {
         let arrivals = ArrivalProfile::Poisson { rate_hz: 200_000.0 }.schedule(42, 5_000);
         let cfg = AdmissionConfig {
@@ -778,53 +385,5 @@ mod tests {
         assert!(a.counters.conserved(), "{:?}", a.counters);
         assert!(a.counters.shed > 0, "schedule saturates the cap");
         assert_eq!(a.completed, a.counters.admitted);
-    }
-
-    #[test]
-    fn report_renders_and_validates() {
-        let mut h = LatencyHistogram::new();
-        for v in [10_000u64, 20_000, 400_000, 9_000_000] {
-            h.record(v);
-        }
-        let stats = LatencyStats::from_histogram(&h);
-        let row = LoadRunRow {
-            profile: "poisson".into(),
-            backend: "native".into(),
-            policy: "block".into(),
-            tasks: 4,
-            admission: AdmissionCounters {
-                generated: 4,
-                admitted: 4,
-                shed: 0,
-                deadline_dropped: 0,
-            },
-            completed: 4,
-            queue: stats,
-            service: stats,
-            e2e: stats,
-            queue_depth: vec![
-                DepthPoint::flat(0, 0, 0, 1),
-                DepthPoint {
-                    t_ns: 1_000,
-                    ready: 2,
-                    intake: 1,
-                    inflight: 3,
-                    per_stage: vec![0, 2, 0],
-                },
-            ],
-            wall_ms: 1.25,
-        };
-        let text = render_load_report(&[row], true, 42);
-        validate_load_report(&text).expect("schema-valid report");
-
-        let broken = text.replace("\"admitted\": 4", "\"admitted\": 3");
-        assert!(validate_load_report(&broken).is_err(), "conservation gate");
-
-        // A per-stage breakdown that disagrees with the aggregate fails.
-        let skewed = text.replace("\"per_stage\": [0, 2, 0]", "\"per_stage\": [0, 1, 0]");
-        assert!(
-            validate_load_report(&skewed).is_err(),
-            "per-stage sum must match ready"
-        );
     }
 }

@@ -1,12 +1,12 @@
-//! Head-to-head benchmark of the learned scheduling policies (AFFINITY,
-//! BANDIT) against the paper's tuned DDWRR, plus the `BENCH_policies.json`
-//! schema and its render/validate pair.
+//! Head-to-head experiment of the learned scheduling policies (AFFINITY,
+//! BANDIT) against the paper's tuned DDWRR (`repro policies`), and the
+//! verdicts `tests/policies.rs` holds it to.
 //!
 //! Three DES scenarios, all on the virtual-time cluster executor:
 //!
 //! * `paper_hom` — the paper's homogeneous base case (one CPU+GPU node,
 //!   16% recalculation) with a well-calibrated estimator. Nothing to
-//!   learn; the gate only requires the learned policies stay within
+//!   learn; the learned policies only have to stay within
 //!   [`PAPER_TOLERANCE_PCT`] of DDWRR.
 //! * `paper_het` — the paper's heterogeneous base case (a CPU+GPU node
 //!   plus a CPU-only node, 8% recalculation), also well-calibrated, at
@@ -20,18 +20,18 @@
 //!   their online profile and recover the true ordering within a few
 //!   tasks per shape.
 //!
-//! The gate's verdicts, enforced by [`validate_policies_report`]: learned
-//! policies lose by at most the tolerance on the non-stale scenarios, at
-//! least one learned policy beats DDWRR outright on a heterogeneous
-//! scenario, and every stale scenario is won by a learned policy. Every
-//! row also records the run's `policy_decision` / `profile_updated` event
-//! counts, so the report doubles as evidence the learned paths engaged
-//! (and that the classic reference stayed inert).
+//! [`verdict`] states what must hold: learned policies lose by at most
+//! the tolerance on the non-stale scenarios, at least one learned policy
+//! beats DDWRR outright on a heterogeneous scenario, and every stale
+//! scenario is won by a learned policy. Every row also records the run's
+//! `policy_decision` / `profile_updated` event counts, as evidence the
+//! learned paths engaged (and that the classic reference stayed inert).
 
-use anthill::obs::{json, EventKind, Recorder, TraceEvent};
+use anthill::obs::{EventKind, Recorder};
 use anthill::policy::Policy;
 use anthill::sim::{run_nbia, SimConfig, WorkloadSpec};
 use anthill_hetsim::{ClusterSpec, DeviceKind};
+use std::collections::BTreeMap;
 
 use crate::experiments::cluster::DDWRR_WINDOW;
 
@@ -49,8 +49,7 @@ pub const STALE_SEED: u64 = 5;
 /// Root seed of the well-calibrated scenarios.
 pub const GATE_SEED: u64 = 0x5EED;
 
-/// One `(scenario, policy)` run of the gate, ready to render into
-/// `BENCH_policies.json`.
+/// One `(scenario, policy)` run of the head-to-head.
 #[derive(Debug, Clone)]
 pub struct PolicyRunRow {
     /// Scenario name (`paper_hom`, `paper_het`, `stale_profile`).
@@ -67,8 +66,6 @@ pub struct PolicyRunRow {
     pub stale: bool,
     /// Virtual makespan in milliseconds.
     pub makespan_ms: f64,
-    /// Speedup over the single-core CPU baseline.
-    pub speedup: f64,
     /// Buffers processed on CPU devices.
     pub tasks_cpu: u64,
     /// Buffers processed on GPU devices.
@@ -82,7 +79,7 @@ pub struct PolicyRunRow {
     pub vs_ddwrr_pct: f64,
 }
 
-/// One gate scenario: a cluster shape plus estimator calibration.
+/// One scenario: a cluster shape plus estimator calibration.
 struct Scenario {
     name: &'static str,
     hetero: bool,
@@ -144,11 +141,7 @@ fn policies() -> [(&'static str, Policy); 3] {
     ]
 }
 
-fn run_scenario(
-    sc: &Scenario,
-    tiles: u64,
-    on_run: &mut dyn FnMut(&PolicyRunRow, &[TraceEvent]),
-) -> Vec<PolicyRunRow> {
+fn run_scenario(sc: &Scenario, tiles: u64) -> Vec<PolicyRunRow> {
     let workload = WorkloadSpec {
         tiles,
         ..WorkloadSpec::paper_base(sc.rate)
@@ -176,14 +169,13 @@ fn run_scenario(
             ddwrr_ms = makespan_ms;
         }
         let tasks = |kind| (0..=1u8).map(|l| report.tasks(kind, l)).sum();
-        let row = PolicyRunRow {
+        rows.push(PolicyRunRow {
             scenario: sc.name.to_string(),
             policy: pname.to_string(),
             learned: policy.kind.learned(),
             hetero: sc.hetero,
             stale: sc.stale,
             makespan_ms,
-            speedup: report.speedup(),
             tasks_cpu: tasks(DeviceKind::Cpu),
             tasks_gpu: tasks(DeviceKind::Gpu),
             decisions,
@@ -193,9 +185,7 @@ fn run_scenario(
             } else {
                 0.0
             },
-        };
-        on_run(&row, &events);
-        rows.push(row);
+        });
     }
     rows
 }
@@ -203,172 +193,69 @@ fn run_scenario(
 /// Run the full head-to-head: every policy on every scenario, DDWRR first
 /// within each scenario so the deltas can be computed.
 pub fn head_to_head(quick: bool) -> Vec<PolicyRunRow> {
-    head_to_head_traced(quick, |_, _| {})
-}
-
-/// [`head_to_head`] with a per-run hook receiving each finished row and
-/// the run's full event trace (for round-trip checks and `--trace` dumps).
-pub fn head_to_head_traced(
-    quick: bool,
-    mut on_run: impl FnMut(&PolicyRunRow, &[TraceEvent]),
-) -> Vec<PolicyRunRow> {
     SCENARIOS
         .iter()
-        .flat_map(|sc| run_scenario(sc, sc.tiles[usize::from(quick)], &mut on_run))
+        .flat_map(|sc| run_scenario(sc, sc.tiles[usize::from(quick)]))
         .collect()
 }
 
-/// Render gate rows as the `BENCH_policies.json` document. The output
-/// satisfies [`validate_policies_report`] whenever the head-to-head
-/// verdicts hold.
-pub fn render_policies_report(rows: &[PolicyRunRow], quick: bool) -> String {
-    let runs: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\n",
-                    "      \"scenario\": \"{}\", \"policy\": \"{}\", ",
-                    "\"learned\": {}, \"hetero\": {}, \"stale\": {},\n",
-                    "      \"makespan_ms\": {:.3}, \"speedup\": {:.3}, ",
-                    "\"vs_ddwrr_pct\": {:.2},\n",
-                    "      \"tasks_cpu\": {}, \"tasks_gpu\": {}, ",
-                    "\"decisions\": {}, \"profile_updates\": {}\n",
-                    "    }}"
-                ),
-                r.scenario,
-                r.policy,
-                r.learned,
-                r.hetero,
-                r.stale,
-                r.makespan_ms,
-                r.speedup,
-                r.vs_ddwrr_pct,
-                r.tasks_cpu,
-                r.tasks_gpu,
-                r.decisions,
-                r.profile_updates
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"quick\": {quick},\n  \"tolerance_pct\": {PAPER_TOLERANCE_PCT},\n  \
-         \"runs\": [\n{}\n  ]\n}}\n",
-        runs.join(",\n")
-    )
-}
-
-fn require_u64(run: &json::Value, key: &str) -> Result<u64, String> {
-    run.get(key)
-        .and_then(|v| v.as_u64())
-        .ok_or_else(|| format!("run missing numeric '{key}'"))
-}
-
-fn require_f64(run: &json::Value, key: &str) -> Result<f64, String> {
-    run.get(key)
-        .and_then(|v| v.as_f64())
-        .ok_or_else(|| format!("run missing numeric '{key}'"))
-}
-
-fn require_bool(run: &json::Value, key: &str) -> Result<bool, String> {
-    run.get(key)
-        .and_then(|v| v.as_bool())
-        .ok_or_else(|| format!("run missing boolean '{key}'"))
-}
-
-/// Schema-validate a `BENCH_policies.json` document and enforce the gate's
-/// head-to-head verdicts:
+/// The head-to-head verdicts over a set of rows:
 ///
-/// * every run carries the identifying fields and processed tasks
-///   (`tasks_cpu + tasks_gpu > 0`);
+/// * every run processed tasks (`tasks_cpu + tasks_gpu > 0`) in positive
+///   virtual time;
 /// * learned runs engaged the learned paths (`decisions > 0` and
 ///   `profile_updates > 0`); classic runs stayed inert (both zero);
-/// * on non-stale scenarios every learned run is within the document's
-///   `tolerance_pct` of DDWRR;
+/// * on non-stale scenarios every learned run is within
+///   [`PAPER_TOLERANCE_PCT`] of DDWRR;
 /// * at least one learned run on a heterogeneous scenario beat DDWRR
 ///   outright (`vs_ddwrr_pct < 0`);
-/// * on every stale scenario at least one learned run beat DDWRR.
-pub fn validate_policies_report(text: &str) -> Result<(), String> {
-    let v = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    let tolerance = v
-        .get("tolerance_pct")
-        .and_then(|t| t.as_f64())
-        .ok_or("missing numeric 'tolerance_pct'")?;
-    let runs = v
-        .get("runs")
-        .and_then(|r| r.as_arr())
-        .ok_or("missing 'runs' array")?;
-    if runs.is_empty() {
-        return Err("'runs' is empty".to_string());
-    }
-    let mut stale_scenarios: Vec<String> = Vec::new();
-    let mut stale_wins: Vec<String> = Vec::new();
+/// * there is a stale scenario, and on every one at least one learned run
+///   beat DDWRR.
+pub fn verdict(rows: &[PolicyRunRow]) -> Result<(), String> {
+    // Stale scenario -> whether a learned policy won it.
+    let mut stale_won: BTreeMap<&str, bool> = BTreeMap::new();
     let mut hetero_win = false;
-    for (i, run) in runs.iter().enumerate() {
-        let ctx = |e: String| format!("run {i}: {e}");
-        let scenario = run
-            .get("scenario")
-            .and_then(|p| p.as_str())
-            .ok_or_else(|| ctx("missing string 'scenario'".to_string()))?
-            .to_string();
-        run.get("policy")
-            .and_then(|p| p.as_str())
-            .ok_or_else(|| ctx("missing string 'policy'".to_string()))?;
-        let learned = require_bool(run, "learned").map_err(ctx)?;
-        let hetero = require_bool(run, "hetero").map_err(ctx)?;
-        let stale = require_bool(run, "stale").map_err(ctx)?;
-        let makespan = require_f64(run, "makespan_ms").map_err(ctx)?;
-        if makespan <= 0.0 {
-            return Err(ctx(format!("non-positive makespan {makespan}")));
+    for r in rows {
+        let ctx = |e: String| format!("{}/{}: {e}", r.scenario, r.policy);
+        if r.makespan_ms <= 0.0 {
+            return Err(ctx(format!("non-positive makespan {}", r.makespan_ms)));
         }
-        require_f64(run, "speedup").map_err(ctx)?;
-        let delta = require_f64(run, "vs_ddwrr_pct").map_err(ctx)?;
-        let cpu = require_u64(run, "tasks_cpu").map_err(ctx)?;
-        let gpu = require_u64(run, "tasks_gpu").map_err(ctx)?;
-        if cpu + gpu == 0 {
+        if r.tasks_cpu + r.tasks_gpu == 0 {
             return Err(ctx("run processed no tasks".to_string()));
         }
-        let decisions = require_u64(run, "decisions").map_err(ctx)?;
-        let updates = require_u64(run, "profile_updates").map_err(ctx)?;
-        if learned && (decisions == 0 || updates == 0) {
+        let (decisions, updates) = (r.decisions, r.profile_updates);
+        if r.learned && (decisions == 0 || updates == 0) {
             return Err(ctx(format!(
                 "learned run never engaged the learner \
                  ({decisions} decisions, {updates} profile updates)"
             )));
         }
-        if !learned && (decisions != 0 || updates != 0) {
+        if !r.learned && (decisions != 0 || updates != 0) {
             return Err(ctx(format!(
                 "classic run emitted learner events \
                  ({decisions} decisions, {updates} profile updates)"
             )));
         }
-        if learned && !stale && delta > tolerance {
+        if r.learned && !r.stale && r.vs_ddwrr_pct > PAPER_TOLERANCE_PCT {
             return Err(ctx(format!(
-                "learned policy loses to DDWRR by {delta:.2}% \
-                 (tolerance {tolerance}%) on a well-calibrated scenario"
+                "learned policy loses to DDWRR by {:.2}% \
+                 (tolerance {PAPER_TOLERANCE_PCT}%) on a well-calibrated scenario",
+                r.vs_ddwrr_pct
             )));
         }
-        if learned && hetero && delta < 0.0 {
-            hetero_win = true;
-        }
-        if stale {
-            if !stale_scenarios.contains(&scenario) {
-                stale_scenarios.push(scenario.clone());
-            }
-            if learned && delta < 0.0 && !stale_wins.contains(&scenario) {
-                stale_wins.push(scenario);
-            }
+        let win = r.learned && r.vs_ddwrr_pct < 0.0;
+        hetero_win |= win && r.hetero;
+        if r.stale {
+            *stale_won.entry(&r.scenario).or_default() |= win;
         }
     }
-    if stale_scenarios.is_empty() {
-        return Err("no stale-profile scenario in the report".to_string());
+    if stale_won.is_empty() {
+        return Err("no stale-profile scenario among the rows".to_string());
     }
-    for sc in &stale_scenarios {
-        if !stale_wins.contains(sc) {
-            return Err(format!(
-                "no learned policy beat DDWRR on stale scenario '{sc}'"
-            ));
-        }
+    if let Some((sc, _)) = stale_won.iter().find(|(_, &won)| !won) {
+        return Err(format!(
+            "no learned policy beat DDWRR on stale scenario '{sc}'"
+        ));
     }
     if !hetero_win {
         return Err("no learned policy beat DDWRR on any heterogeneous scenario".to_string());
@@ -389,7 +276,6 @@ mod tests {
                 hetero,
                 stale,
                 makespan_ms: 100.0 + delta,
-                speedup: 4.0,
                 tasks_cpu: 70,
                 tasks_gpu: 30,
                 decisions: if policy == "DDWRR" { 0 } else { 50 },
@@ -407,59 +293,46 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_and_validates() {
-        let text = render_policies_report(&rows(), true);
-        validate_policies_report(&text).expect("schema-valid report");
-    }
+    fn verdicts_are_enforced() {
+        verdict(&rows()).expect("the reference rows pass");
 
-    #[test]
-    fn gate_verdicts_are_enforced() {
         // A learned loss beyond tolerance on a paper scenario fails.
         let mut r = rows();
         r[2].vs_ddwrr_pct = 9.0;
-        let text = render_policies_report(&r, false);
-        assert!(validate_policies_report(&text).is_err(), "paper tolerance");
+        assert!(verdict(&r).is_err(), "paper tolerance");
 
         // No learned win on the stale scenario fails.
         let mut r = rows();
         r[4].vs_ddwrr_pct = 1.0;
-        let text = render_policies_report(&r, false);
-        assert!(validate_policies_report(&text).is_err(), "stale win");
+        assert!(verdict(&r).is_err(), "stale win");
 
         // No learned win on any heterogeneous scenario fails.
         let mut r = rows();
         for row in &mut r {
             row.hetero = false;
         }
-        let text = render_policies_report(&r, false);
-        assert!(validate_policies_report(&text).is_err(), "hetero win");
+        assert!(verdict(&r).is_err(), "hetero win");
 
         // A learned run that never engaged the learner fails.
         let mut r = rows();
         r[4].decisions = 0;
-        let text = render_policies_report(&r, false);
-        assert!(validate_policies_report(&text).is_err(), "engagement");
+        assert!(verdict(&r).is_err(), "engagement");
 
         // A classic run that emitted learner events fails.
         let mut r = rows();
         r[0].profile_updates = 3;
-        let text = render_policies_report(&r, false);
-        assert!(validate_policies_report(&text).is_err(), "inertness");
+        assert!(verdict(&r).is_err(), "inertness");
 
-        // A report without any stale scenario fails.
-        let r: Vec<PolicyRunRow> = rows().into_iter().take(3).collect();
-        let text = render_policies_report(&r, false);
-        assert!(validate_policies_report(&text).is_err(), "stale presence");
-
-        assert!(validate_policies_report("{}").is_err(), "missing runs");
+        // Rows without any stale scenario fail.
+        assert!(verdict(&rows()[..3]).is_err(), "stale presence");
     }
 
     #[test]
     fn head_to_head_learned_paths_engage() {
         // A reduced stale-profile run: enough to prove the learned event
-        // paths engage and the classic reference stays inert (the real
-        // verdicts run at gate scale in `repro policies`).
-        let rows = run_scenario(&SCENARIOS[2], 250, &mut |_, _| {});
+        // paths engage and the classic reference stays inert (the
+        // verdicts run at full scale in `tests/policies.rs`).
+        let rows = run_scenario(&SCENARIOS[2], 250);
         assert_eq!(rows.len(), 3);
         for r in &rows {
             assert!(r.makespan_ms > 0.0, "{r:?}");

@@ -389,7 +389,7 @@ pub fn encode_deliver_at_into<B: std::borrow::Borrow<DataBuffer>>(
 /// The event loop encodes every outbound frame into a pooled `Vec<u8>`
 /// and returns the vector once the socket has drained it, so a steady
 /// run allocates a handful of buffers total instead of one per frame.
-/// `hits`/`misses` feed the `allocs_per_frame` metric in `BENCH_net.json`.
+/// `hits`/`misses` surface as `WireStats::pool_hits`/`pool_misses`.
 #[derive(Debug, Default)]
 pub struct BufPool {
     free: Vec<Vec<u8>>,

@@ -14,9 +14,8 @@
 //!   tolerates arbitrarily split or coalesced reads and rejects corrupt
 //!   headers before buffering a payload.
 //! * [`worker`] — the stateless worker loop (echo requests, execute
-//!   deliveries, heartbeat when idle), runnable as a child process via
-//!   the `repro` binary's hidden `worker` subcommand, as the dedicated
-//!   `net_worker` binary, or as an in-process thread for fast loopback
+//!   deliveries, heartbeat when idle), runnable as a child process (the
+//!   `net_worker` binary) or as an in-process thread for fast loopback
 //!   tests.
 //! * [`driver`] — the coordinator: a lockstep deterministic mode over a
 //!   dataflow graph whose engine-callback order is identical to the

@@ -238,8 +238,8 @@ pub fn run_worker_primed(
     }
 }
 
-/// Connect to `addr` and serve [`run_worker`] — the body of the hidden
-/// `worker` subcommand in the `repro` binary.
+/// Connect to `addr` and serve [`run_worker`] — the body of the
+/// `net_worker` binary.
 pub fn connect_and_run(addr: &str, behavior: Behavior) -> std::io::Result<u64> {
     let stream = TcpStream::connect(addr)?;
     run_worker(stream, behavior)

@@ -21,8 +21,7 @@
 //!    orphaned in-flight work, and the trace records the death.
 //! 5. **Death under open-loop load** — the same process kill lands in the
 //!    middle of a shed-policy load run; admission must keep conserving
-//!    with no double-counted completions, and the rendered SLO report
-//!    must still validate against the `BENCH_load.json` schema.
+//!    with no double-counted completions and a bounded intake.
 //! 6. **Heartbeat silence** — a peer that handshakes and then goes mute
 //!    (socket open, no EOF) is retired by `NetConfig::heartbeat_timeout`
 //!    alone, on the batch and on the open-loop entry point of the one
@@ -44,7 +43,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use common::{
-    at_millis, cpu_workers, loopback_workers, oracle, pick_policy, pipeline3, policies, task,
+    assert_jsonl_round_trip, at_millis, cpu_workers, loopback_workers, oracle, pick_policy,
+    pipeline3, policies, task,
 };
 
 use anthill_repro::core::buffer::DataBuffer;
@@ -269,11 +269,17 @@ fn ddwrr_beats_ddfcfs_under_drop_plus_gpu_death() {
                 _ => {}
             }
         }
+        // Whatever the policy: nothing lost, the death on record, and a
+        // trace that survives its schema.
+        assert_eq!(report.total_tasks, wl.total_buffers(), "{policy:?}");
+        assert_eq!(counts[0].1, 1, "{policy:?}: one worker_died per death");
+        assert_jsonl_round_trip(&events);
         (report, counts)
     };
 
     let (ddfcfs, _) = run(Policy::ddfcfs(8));
     let (ddwrr, counts) = run(Policy::ddwrr(30));
+    run(Policy::odds());
 
     assert_eq!(ddfcfs.total_tasks, wl.total_buffers());
     assert_eq!(ddwrr.total_tasks, wl.total_buffers());
@@ -523,22 +529,16 @@ fn killed_worker_process_is_absorbed_by_the_survivor() {
     );
     // The merged trace (including the survivors' re-stamped worker spans)
     // still round-trips the JSONL schema after a chaotic run.
-    let text = jsonl::to_jsonl(&events);
-    let parsed = jsonl::parse_jsonl(&text).expect("schema-valid trace");
-    assert_eq!(parsed, events, "trace round-trip mismatch");
+    assert_jsonl_round_trip(&events);
 }
 
 /// A worker process dies in the middle of an *open-loop* load run under
 /// the shed-oldest policy: the intake must stay bounded through the
-/// recovery, admission must conserve with every completion counted
-/// exactly once (reassigned tasks included), and the SLO report rendered
-/// from the run must still validate against the `BENCH_load.json` schema.
+/// recovery, and admission must conserve with every completion counted
+/// exactly once (reassigned tasks included).
 #[test]
-fn killed_worker_mid_load_run_keeps_the_slo_report_schema_valid() {
-    use anthill_repro::bench::load::{
-        render_load_report, validate_load_report, ArrivalProfile, DepthPoint, LatencyHistogram,
-        LatencyStats, LoadRunRow,
-    };
+fn killed_worker_mid_load_run_conserves_with_a_bounded_intake() {
+    use anthill_repro::bench::load::ArrivalProfile;
     use anthill_repro::core::engine::{AdmissionConfig, OverloadPolicy};
     use anthill_repro::core::net::run_concurrent_load;
 
@@ -587,7 +587,6 @@ fn killed_worker_mid_load_run_keeps_the_slo_report_schema_valid() {
         let _ = victim.wait();
     });
     let mut ids: Vec<u64> = Vec::new();
-    let mut hist = LatencyHistogram::new();
     let report = run_concurrent_load(
         cfg,
         admission,
@@ -596,10 +595,7 @@ fn killed_worker_mid_load_run_keeps_the_slo_report_schema_valid() {
         &mut |i, _| task(i).buffer,
         std::time::Duration::from_millis(1),
         oracle(),
-        &mut |t| {
-            ids.push(t.buffer);
-            hist.record(t.e2e_ns);
-        },
+        &mut |t| ids.push(t.buffer),
     )
     .expect("net load run survives the kill");
     killer.join().expect("killer thread");
@@ -634,24 +630,6 @@ fn killed_worker_mid_load_run_keeps_the_slo_report_schema_valid() {
         "intake must stay bounded through the recovery"
     );
 
-    // The run's SLO report still renders into a schema-valid document.
-    let stats = LatencyStats::from_histogram(&hist);
-    let row = LoadRunRow {
-        profile: "poisson".to_string(),
-        backend: "net".to_string(),
-        policy: "shed_oldest".to_string(),
-        tasks: 1_200,
-        admission: report.admission,
-        completed: report.completed,
-        queue: stats,
-        service: stats,
-        e2e: stats,
-        queue_depth: report.queue_depth.iter().map(DepthPoint::from).collect(),
-        wall_ms: 0.0,
-    };
-    let text = render_load_report(&[row], true, 21);
-    validate_load_report(&text).expect("SLO report must stay schema-valid after the death");
-
     // The merged trace still round-trips, and the death is recorded.
     let events = recorder.events();
     let died = events
@@ -659,9 +637,7 @@ fn killed_worker_mid_load_run_keeps_the_slo_report_schema_valid() {
         .filter(|e| matches!(e.kind, EventKind::WorkerDied { .. }))
         .count();
     assert_eq!(died, 1, "the trace must record the process death");
-    let text = jsonl::to_jsonl(&events);
-    let parsed = jsonl::parse_jsonl(&text).expect("schema-valid trace");
-    assert_eq!(parsed, events, "trace round-trip mismatch");
+    assert_jsonl_round_trip(&events);
 }
 
 /// A peer that completes the `Hello` handshake and then goes mute: it keeps

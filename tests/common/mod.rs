@@ -1,5 +1,5 @@
 //! Scaffolding shared by the integration-test suites
-//! (`tests/{chaos,policy_parity,hotpath}.rs`): device-neutral
+//! (`tests/{chaos,policy_parity,hotpath,…}.rs`): device-neutral
 //! task shapes, conventional policy windows, worker-spec builders, and
 //! loopback plumbing for the TCP backend. Each test binary compiles its
 //! own copy and uses a subset, hence the blanket `dead_code` allow.
@@ -9,7 +9,7 @@ use anthill_repro::core::buffer::{BufferId, DataBuffer};
 use anthill_repro::core::graph::DataflowGraph;
 use anthill_repro::core::local::{Emitter, ExecMode, LocalFilter, LocalTask, WorkerSpec};
 use anthill_repro::core::net::{spawn_worker_thread, tcp_pair, Behavior, NetWorkerConn};
-use anthill_repro::core::obs::{EventKind, TraceEvent};
+use anthill_repro::core::obs::{jsonl, EventKind, TraceEvent};
 use anthill_repro::core::policy::Policy;
 use anthill_repro::core::weights::OracleWeights;
 use anthill_repro::estimator::TaskParams;
@@ -263,4 +263,10 @@ pub fn load_buffer(id: u64, micros: u64) -> DataBuffer {
 /// Count trace events matching `pred`.
 pub fn count_events(events: &[TraceEvent], pred: fn(&EventKind) -> bool) -> u64 {
     events.iter().filter(|e| pred(&e.kind)).count() as u64
+}
+
+/// The trace survives the JSONL schema: `parse_jsonl(to_jsonl(ev)) == ev`.
+pub fn assert_jsonl_round_trip(events: &[TraceEvent]) {
+    let parsed = jsonl::parse_jsonl(&jsonl::to_jsonl(events)).expect("schema-valid trace");
+    assert_eq!(parsed, events, "trace round-trip mismatch");
 }

@@ -1,7 +1,7 @@
 //! Elastic-membership suite (DESIGN.md §14): the Joining → Active →
 //! Draining → Gone lifecycle proven under randomized schedules.
 //!
-//! Three layers of checks:
+//! Four layers of checks:
 //!
 //! 1. **Registry model check** — the [`Membership`] state machine under
 //!    random operation sequences never accepts an illegal transition and
@@ -15,20 +15,32 @@
 //! 3. **Warm-up** — a joiner enters with the DQAA cold-start window
 //!    (target 1) rather than stampeding the readers, and still ends up
 //!    with a measurable share of the remaining work.
+//! 4. **Autoscaler over real sockets** — a saturating open-loop schedule
+//!    against one busy TCP worker makes the DQAA congestion-signal
+//!    autoscaler grow the run from a standby pool, within its bounds and
+//!    with the admission counters conserved.
 
 mod common;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
-use common::pick_policy;
+use common::{load_buffer, loopback_workers, oracle, pick_policy};
 
+use anthill_repro::bench::load::ArrivalProfile;
+use anthill_repro::core::engine::{AdmissionConfig, OverloadPolicy};
 use anthill_repro::core::faults::{FaultConfig, FaultProb, RecoveryConfig, WorkerDeathSpec};
 use anthill_repro::core::membership::{
-    MemberAction, MemberPhase, Membership, MembershipSchedule, ScheduledAction,
+    Autoscaler, AutoscalerConfig, MemberAction, MemberPhase, Membership, MembershipSchedule,
+    ScheduledAction, WorkerPool,
+};
+use anthill_repro::core::net::{
+    run_concurrent_load_autoscaled, Behavior, ElasticLoad, NetConfig, NetWorkerConn,
 };
 use anthill_repro::core::obs::{DeviceRef, EventKind, Recorder};
+use anthill_repro::core::policy::Policy;
 use anthill_repro::core::sim::{run_nbia, SimConfig, WorkloadSpec};
 use anthill_repro::hetsim::{ClusterSpec, DeviceKind};
 use anthill_repro::simkit::SimTime;
@@ -270,10 +282,7 @@ fn joiner_warms_up_and_earns_a_share() {
     let recorder = Recorder::enabled();
     // ODDS runs DQAA, so the joiner's window must start from the cold
     // target of 1 (static-window policies enter at their fixed size).
-    let mut cfg = SimConfig::new(
-        ClusterSpec::homogeneous(1),
-        anthill_repro::core::policy::Policy::odds(),
-    );
+    let mut cfg = SimConfig::new(ClusterSpec::homogeneous(1), Policy::odds());
     cfg.membership = MembershipSchedule::new(vec![ScheduledAction {
         after_completions: 100,
         action: MemberAction::Join {
@@ -314,4 +323,76 @@ fn joiner_warms_up_and_earns_a_share() {
         events[..join_pos].iter().all(|e| e.origin != joiner),
         "the joiner must be silent before its join event"
     );
+}
+
+// ---------------------------------------------------------------------
+// 4. Autoscaler over real sockets
+// ---------------------------------------------------------------------
+
+/// Pre-connected standby workers: `grow` hands out the next idle
+/// connection until the standby set is exhausted.
+struct StandbyPool(VecDeque<NetWorkerConn>);
+
+impl WorkerPool for StandbyPool {
+    type Worker = NetWorkerConn;
+
+    fn grow(&mut self) -> Option<NetWorkerConn> {
+        self.0.pop_front()
+    }
+}
+
+/// One ~200 µs worker (~5k/s of capacity) against 10k/s of Poisson
+/// arrivals: the backlog crosses the grow watermark within milliseconds,
+/// so the autoscaler must scale up from the three standby workers — never
+/// past `max_workers` — while admission conserves, every admitted task
+/// completes and nobody dies.
+#[test]
+fn autoscaler_grows_a_saturated_tcp_run_within_its_bounds() {
+    const N: usize = 1_500;
+    const MAX_WORKERS: usize = 4;
+    let mut standby: VecDeque<NetWorkerConn> = loopback_workers(
+        &[DeviceKind::Cpu; MAX_WORKERS],
+        Behavior::Busy { micros: 200 },
+    )
+    .into();
+    let initial = vec![standby.pop_front().expect("four workers")];
+    let mut pool = StandbyPool(standby);
+    let arrivals = ArrivalProfile::Poisson { rate_hz: 10_000.0 }.schedule(45, N);
+    let mut cfg = NetConfig::new(Policy::ddfcfs(4));
+    cfg.deadline = Duration::from_secs(60);
+    let report = run_concurrent_load_autoscaled(
+        cfg,
+        AdmissionConfig {
+            inflight_cap: 32,
+            queue_cap: 64,
+            policy: OverloadPolicy::ShedOldest,
+        },
+        initial,
+        &arrivals,
+        &mut |i, _| load_buffer(i, 50),
+        Duration::from_millis(2),
+        oracle(),
+        &mut |_| {},
+        ElasticLoad {
+            autoscaler: Autoscaler::new(AutoscalerConfig::standard(1, MAX_WORKERS)),
+            pool: &mut pool,
+        },
+    )
+    .expect("autoscaled net load run");
+
+    assert!(report.admission.conserved(), "{:?}", report.admission);
+    assert_eq!(report.admission.generated, N as u64);
+    assert_eq!(report.completed, report.admission.admitted);
+    assert!(
+        report.scale_ups >= 1,
+        "the saturating schedule triggered no scale-up"
+    );
+    let live_at_end = 1 + report.scale_ups - report.scale_downs;
+    assert!(
+        live_at_end <= MAX_WORKERS as u64,
+        "{} ups, {} downs: the run grew past max_workers",
+        report.scale_ups,
+        report.scale_downs
+    );
+    assert_eq!(report.outcome.deaths, 0);
 }

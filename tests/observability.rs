@@ -3,6 +3,8 @@
 //! tile finishes exactly once), byte-identical DES traces across same-seed
 //! runs, and Fig. 12 window-trace reconstruction from events alone.
 
+mod common;
+
 use std::collections::HashMap;
 
 use anthill_repro::apps::nbia::{run_local_traced, NbiaLocalConfig};
@@ -78,6 +80,7 @@ fn sim_trace_conserves_every_tile_and_matches_report() {
     let report = run_nbia(&cfg, &workload);
     let events = rec.events();
     assert!(!events.is_empty());
+    common::assert_jsonl_round_trip(&events);
 
     // Conservation: every buffer of the workload — low tiles 0..tiles and
     // high recalcs tiles+i — goes through each lifecycle phase exactly once.

@@ -14,14 +14,18 @@
 //! 3. **Conservation** — random workloads (tiles, recalculation rate,
 //!    seed) under Affinity and Bandit lose or duplicate no tasks on the
 //!    DES, and the native deterministic executor returns every source.
+//! 4. **Head-to-head verdicts** — the `repro policies` experiment at
+//!    both scales: within 5 % of DDWRR on the paper's cases, a win on the
+//!    stale profile, learners engaged and the classic reference inert.
 
 mod common;
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use common::{cpu_gpu_workers, neutral_gpu};
+use common::{assert_jsonl_round_trip, cpu_gpu_workers, neutral_gpu};
 
+use anthill_repro::bench::policies::{head_to_head, verdict};
 use anthill_repro::core::buffer::DataBuffer;
 use anthill_repro::core::local::{Emitter, LocalFilter, LocalTask, Pipeline};
 use anthill_repro::core::obs::{EventKind, Recorder};
@@ -127,6 +131,7 @@ fn traced_bandit_run(seed: u64) -> (Vec<(u64, DeviceKind, u8)>, HashMap<DeviceKi
     cfg.recorder = Recorder::enabled();
     let report = run_nbia(&cfg, &workload);
     let events = cfg.recorder.take_events();
+    assert_jsonl_round_trip(&events);
     let decisions: Vec<(u64, DeviceKind, u8)> = events
         .iter()
         .filter_map(|e| match e.kind {
@@ -233,5 +238,18 @@ fn learned_policies_conserve_tasks_on_the_native_backend() {
         // The learner really was in the loop: one observation per task.
         assert_eq!(weights.updates(), TILES, "{:?}", policy.kind);
         assert!(weights.decisions() > 0, "{:?}: no decisions", policy.kind);
+    }
+}
+
+// ---------------------------------------------------------------------
+// 4. Head-to-head verdicts
+// ---------------------------------------------------------------------
+
+/// What `repro policies [--quick]` prints must keep saying what
+/// EXPERIMENTS.md says it does (seed-deterministic DES runs).
+#[test]
+fn learned_policies_hold_their_verdicts_against_ddwrr() {
+    for quick in [false, true] {
+        verdict(&head_to_head(quick)).unwrap_or_else(|e| panic!("quick={quick}: {e}"));
     }
 }

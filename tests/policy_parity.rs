@@ -24,15 +24,19 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use common::{
-    cpu_gpu_workers, diamond, graph_loopback_workers, loopback_workers, neutral_buffer,
-    neutral_gpu, neutral_oracle, neutral_shape, pipeline3, single_filter_graph,
+    assert_jsonl_round_trip, count_events, cpu_gpu_workers, diamond, graph_loopback_workers,
+    loopback_workers, neutral_buffer, neutral_gpu, neutral_oracle, neutral_shape, pipeline3,
+    single_filter_graph,
 };
 
-use anthill_repro::core::engine::sequential::{run_graph, GraphEmission, SequentialConfig};
+use anthill_repro::core::engine::sequential::{
+    run_graph, GraphEmission, GraphOutcome, SequentialConfig,
+};
 use anthill_repro::core::graph::DataflowGraph;
 use anthill_repro::core::local::{Emitter, LocalFilter, LocalTask, Pipeline};
 use anthill_repro::core::membership::{MemberAction, MembershipSchedule, ScheduledAction};
-use anthill_repro::core::net::{run_graph_deterministic, Behavior, NetConfig};
+use anthill_repro::core::net::{run_graph_deterministic, Behavior, NetConfig, NetGraphOutcome};
+use anthill_repro::core::obs::{EventKind, Recorder};
 use anthill_repro::core::policy::learned::{LearnedConfig, LearnedWeights};
 use anthill_repro::core::policy::Policy;
 use anthill_repro::core::sim::{run_graph_sim, run_nbia, GraphSimConfig, SimConfig, WorkloadSpec};
@@ -123,13 +127,17 @@ fn native_counts(policy: Policy) -> HashMap<DeviceKind, u64> {
 /// Per-device assignment counts from the TCP backend's lockstep
 /// coordinator, driving one CPU and one GPU worker thread over real
 /// loopback sockets — fed the same buffers the DES seeds its readers
-/// with.
+/// with. The merged trace carries one re-stamped worker span per task and
+/// survives the JSONL schema.
 fn net_counts(policy: Policy) -> HashMap<DeviceKind, u64> {
     let w = neutral_workload();
     let sources = (0..TILES).map(|t| (0, w.low_buffer(t))).collect();
     let workers = loopback_workers(&[DeviceKind::Cpu, DeviceKind::Gpu], Behavior::Identity);
+    let mut cfg = NetConfig::new(policy);
+    cfg.recorder = Recorder::enabled();
+    let recorder = cfg.recorder.clone();
     let out = run_graph_deterministic(
-        NetConfig::new(policy),
+        cfg,
         &single_filter_graph(),
         vec![workers],
         sources,
@@ -137,6 +145,13 @@ fn net_counts(policy: Policy) -> HashMap<DeviceKind, u64> {
     )
     .expect("loopback net run");
     assert_eq!(out.total, TILES);
+    let events = recorder.events();
+    assert_eq!(
+        count_events(&events, |k| matches!(k, EventKind::RemoteFinish { .. })),
+        out.total,
+        "one remote_finish per task"
+    );
+    assert_jsonl_round_trip(&events);
     let mut counts = HashMap::new();
     for (&(_filter, kind, _level), &n) in &out.assigned {
         *counts.entry(kind).or_insert(0) += n;
@@ -290,7 +305,7 @@ fn forward_all(
 }
 
 /// The sequential reference executor.
-fn seq_graph_counts(policy: Policy, graph: &DataflowGraph) -> GraphCounts {
+fn seq_graph_run(policy: Policy, graph: &DataflowGraph) -> GraphOutcome {
     let devices: Vec<Vec<DeviceId>> = (0..graph.n_filters())
         .map(|f| {
             [DeviceKind::Cpu, DeviceKind::Gpu]
@@ -303,14 +318,18 @@ fn seq_graph_counts(policy: Policy, graph: &DataflowGraph) -> GraphCounts {
                 .collect()
         })
         .collect();
-    let out = run_graph(
+    run_graph(
         SequentialConfig::new(policy),
         graph,
         &devices,
         graph_seeds(0),
         parity_provider(policy),
         forward_all,
-    );
+    )
+}
+
+fn seq_graph_counts(policy: Policy, graph: &DataflowGraph) -> GraphCounts {
+    let out = seq_graph_run(policy, graph);
     GraphCounts {
         assigned: collapse(&out.assigned),
         edges: out.edge_delivered,
@@ -367,18 +386,22 @@ fn native_graph_counts(policy: Policy, graph: &DataflowGraph) -> GraphCounts {
 }
 
 /// The TCP backend's graph lockstep coordinator over loopback sockets.
-fn net_graph_counts(policy: Policy, graph: &DataflowGraph) -> GraphCounts {
+fn net_graph_run(policy: Policy, graph: &DataflowGraph) -> NetGraphOutcome {
     let kinds = [DeviceKind::Cpu, DeviceKind::Gpu];
     let filters: Vec<&[DeviceKind]> = (0..graph.n_filters()).map(|_| &kinds[..]).collect();
     let workers = graph_loopback_workers(&filters, Behavior::Identity);
-    let out = run_graph_deterministic(
+    run_graph_deterministic(
         NetConfig::new(policy),
         graph,
         workers,
         graph_seeds(0),
         parity_provider(policy),
     )
-    .expect("loopback graph net run");
+    .expect("loopback graph net run")
+}
+
+fn net_graph_counts(policy: Policy, graph: &DataflowGraph) -> GraphCounts {
+    let out = net_graph_run(policy, graph);
     GraphCounts {
         assigned: collapse(&out.assigned),
         edges: out.edge_delivered,
@@ -402,6 +425,13 @@ fn assert_graph_parity(policy: Policy, graph: &DataflowGraph, name: &str, crossi
     assert_eq!(
         seq, net,
         "{name}: sequential and TCP graph runs assigned devices differently"
+    );
+    // The lockstep coordinator replays the reference's callback order, so
+    // the two also agree on which filter ran which buffer when.
+    assert_eq!(
+        seq_graph_run(policy, graph).dispatch_order,
+        net_graph_run(policy, graph).dispatch_order,
+        "{name}: sequential and TCP graph runs dispatched in different orders"
     );
     assert_eq!(
         seq.total,
