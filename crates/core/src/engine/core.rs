@@ -173,14 +173,6 @@ pub struct WorkerStats<'a> {
     pub service_hist: &'a DurationHistogram,
 }
 
-/// Metric-label token for a device class.
-pub(crate) fn kind_label(k: DeviceKind) -> &'static str {
-    match k {
-        DeviceKind::Cpu => "cpu",
-        DeviceKind::Gpu => "gpu",
-    }
-}
-
 /// The backend-agnostic scheduling engine (see the module docs).
 ///
 /// Generic over the driver-supplied [`Clock`] and the [`WeightProvider`]
@@ -406,7 +398,6 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
                 level: buffer.level,
             },
         );
-        self.rec.counter_add("edge_deliveries", &[], 1);
         *self.edge_delivered.entry(edge).or_insert(0) += 1;
         let w = select::weights_for(&self.weights, &buffer);
         self.nodes[reader].reader.insert_banded(buffer, w, None, 0);
@@ -458,13 +449,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             .window
             .settle_latency(req_id, now);
         if let Some(lat) = lat {
-            let kind = {
-                let w = &mut self.nodes[node].workers[worker];
-                w.latency_hist.record(lat);
-                w.device.kind
-            };
-            self.rec
-                .histogram_record("request_latency", &[("device", kind_label(kind))], lat);
+            self.nodes[node].workers[worker].latency_hist.record(lat);
         }
         match buffer {
             Some(buffer) => {
@@ -591,7 +576,6 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
                 level: buffer.level,
             },
         );
-        self.rec.counter_add("tasks_reassigned", &[], 1);
         let w = select::weights_for(&self.weights, &buffer);
         self.nodes[node].reader.insert_banded(buffer, w, None, 0);
         self.wake_starved(d);
@@ -636,8 +620,6 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
                 },
             );
         }
-        self.rec
-            .counter_add("tasks_finished", &[("device", kind_label(kind))], 1);
         *self.tasks_by.entry((kind, buffer.level)).or_insert(0) += 1;
         *self
             .tasks_by_node
@@ -669,7 +651,6 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             *a += 1;
             *a
         };
-        let kind = self.nodes[node].workers[worker].device.kind;
         self.rec.record(
             self.clock.now().as_nanos(),
             DeviceRef::device(self.nodes[node].workers[worker].device),
@@ -679,8 +660,6 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
                 attempt,
             },
         );
-        self.rec
-            .counter_add("task_retries", &[("device", kind_label(kind))], 1);
         {
             let w = &mut self.nodes[node].workers[worker];
             w.health = (w.health * self.cfg.recovery.health_decay).max(f64::MIN_POSITIVE);
@@ -729,8 +708,6 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
                 inflight: inflight.len() as u32,
             },
         );
-        self.rec
-            .counter_add("workers_died", &[("device", kind_label(dev.kind))], 1);
         let node_alive = self.nodes[node]
             .workers
             .iter()
@@ -752,7 +729,6 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
                         level: buffer.level,
                     },
                 );
-                self.rec.counter_add("tasks_reassigned", &[], 1);
                 let w = self.effective_weights(node, &buffer);
                 self.nodes[node].ready.insert(buffer, w, None);
             } else {
@@ -845,8 +821,6 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
                 window: target as u32,
             },
         );
-        self.rec
-            .counter_add("workers_joined", &[("device", kind_label(device.kind))], 1);
         self.pump_requests(node, worker, d);
         self.dispatch(node, d);
         worker
@@ -875,8 +849,6 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
                 outstanding: outstanding as u32,
             },
         );
-        self.rec
-            .counter_add("workers_draining", &[("device", kind_label(dev.kind))], 1);
         self.maybe_release_drained(node, worker);
     }
 
@@ -901,8 +873,6 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             DeviceRef::device(dev),
             EventKind::WorkerLeft,
         );
-        self.rec
-            .counter_add("workers_left", &[("device", kind_label(dev.kind))], 1);
     }
 
     /// The driver's timer fired for `req_id` on `worker`. If the reply
@@ -934,14 +904,10 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             self.maybe_release_drained(node, worker);
             return;
         }
-        let kind = self.nodes[node].workers[worker].device.kind;
-        self.rec
-            .counter_add("request_timeouts", &[("device", kind_label(kind))], 1);
         let recovery = self.cfg.recovery;
         if sent.attempt >= recovery.max_retries {
             // Retry chain exhausted: give the slot back and re-pump fresh
             // demand (possibly toward a different reader).
-            self.rec.counter_add("request_retries_exhausted", &[], 1);
             self.nodes[node].workers[worker].window.release_slot();
             self.pump_requests(node, worker, d);
             return;
@@ -964,8 +930,6 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             w.rr_cursor = cursor;
             w.window.note_resent(new_id, now, attempt);
         }
-        self.rec
-            .counter_add("request_retries", &[("device", kind_label(kind))], 1);
         let span = backoff_timeout(recovery.request_timeout, attempt, recovery.backoff_cap);
         d.schedule_timeout(wref, new_id, now + span);
         d.send_request(wref, reader, new_id);
@@ -1003,13 +967,6 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
                 target: target as u32,
             },
         );
-        if self.rec.is_enabled() {
-            let label = kind_label(dev.kind.expect("worker slots are device-scoped"));
-            for &dt in processed {
-                self.rec
-                    .histogram_record("service_time", &[("device", label)], dt);
-            }
-        }
         self.pump_requests(node, worker, d);
         self.dispatch(node, d);
         self.maybe_release_drained(node, worker);

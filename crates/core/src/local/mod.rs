@@ -20,10 +20,9 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use crate::buffer::DataBuffer;
@@ -564,7 +563,7 @@ impl Pipeline {
             .collect();
         let in_flight = AtomicUsize::new(0);
         let done = AtomicUsizeFlag::new();
-        let (out_tx, out_rx): (Sender<LocalTask>, Receiver<LocalTask>) = unbounded();
+        let (out_tx, out_rx) = mpsc::channel::<LocalTask>();
         type Counters = HashMap<(usize, DeviceKind, u8), u64>;
         let counters: Mutex<Counters> = Mutex::new(HashMap::new());
         let retries = AtomicUsize::new(0);
@@ -814,15 +813,10 @@ impl Pipeline {
                     );
                     let mut handled_n: u64 = 0;
                     scope.spawn(move || {
-                        let device_label = match spec.kind {
-                            DeviceKind::Cpu => "cpu",
-                            DeviceKind::Gpu => "gpu",
-                        };
                         // Per-worker tallies: completions by level, merged
                         // into the shared report exactly once when the
                         // worker retires.
                         let mut local_counts: HashMap<u8, u64> = HashMap::new();
-                        let mut finished_n: u64 = 0;
                         'work: loop {
                             // Pull the next buffer; the lane applies the
                             // policy's ordering rule (engine::select). The
@@ -863,8 +857,6 @@ impl Pipeline {
                                         level: popped.level,
                                     },
                                 );
-                                recorder.counter_add("workers_died", &[], 1);
-                                recorder.counter_add("tasks_reassigned", &[], 1);
                                 deaths.fetch_add(1, Ordering::SeqCst);
                                 let sq = &queues[si];
                                 let w = lane_weights(sq, &popped);
@@ -889,7 +881,6 @@ impl Pipeline {
                                         attempt,
                                     },
                                 );
-                                recorder.counter_add("task_retries", &[], 1);
                                 retries.fetch_add(1, Ordering::SeqCst);
                                 let sq = &queues[si];
                                 let w = lane_weights(sq, &popped);
@@ -966,7 +957,6 @@ impl Pipeline {
                                 },
                             );
                             *local_counts.entry(level).or_insert(0) += 1;
-                            finished_n += 1;
                             handled_n += 1;
                             // Account emissions before retiring this task so
                             // the in-flight count can never dip to zero early.
@@ -993,7 +983,6 @@ impl Pipeline {
                                                 level: t.buffer.level,
                                             },
                                         );
-                                        recorder.counter_add("edge_deliveries", &[], 1);
                                         enqueue_ref(to, t, queues, false);
                                     }
                                     None => enqueue_ref(si, t, queues, false),
@@ -1036,7 +1025,6 @@ impl Pipeline {
                                                 level: t.buffer.level,
                                             },
                                         );
-                                        recorder.counter_add("edge_deliveries", &[], 1);
                                     }
                                     enqueue_ref(to, t, queues, true);
                                 } else if let Some(load) = load {
@@ -1093,13 +1081,6 @@ impl Pipeline {
                             for (level, n) in local_counts {
                                 *c.entry((si, spec.kind, level)).or_insert(0) += n;
                             }
-                        }
-                        if finished_n > 0 {
-                            recorder.counter_add(
-                                "tasks_finished",
-                                &[("device", device_label)],
-                                finished_n,
-                            );
                         }
                     });
                 }

@@ -8,8 +8,7 @@
 //! | `Start`..`Finish` per (device, buffer) | `X` complete slice |
 //! | `Transfer` | `X` complete slice (`H2D`/`D2H`) |
 //! | `DqaaWindow`, `Streams` | `C` counter |
-//! | `Enqueue`, `Dispatch`, `DbsaSelect` | `i` instant |
-//! | `WorkerJoined`, `WorkerDraining`, `WorkerLeft` | `i` instant (process-scoped) |
+//! | every other kind | `i` instant, labelled and scoped by its row of the event table |
 //! | process/thread names | `M` metadata |
 //!
 //! `pid` is the node (sim) or stage (local); `tid` is derived from the
@@ -18,8 +17,9 @@
 //! so same-seed runs export byte-identical files.
 
 use std::collections::{BTreeSet, HashMap};
+use std::fmt::Write as _;
 
-use anthill_hetsim::CopyDir;
+use anthill_hetsim::{CopyDir, DeviceKind};
 
 use super::event::{DeviceRef, EventKind, TraceEvent};
 
@@ -28,8 +28,8 @@ use super::event::{DeviceRef, EventKind, TraceEvent};
 fn tid(origin: &DeviceRef) -> u32 {
     match origin.kind {
         None => 0,
-        Some(anthill_hetsim::DeviceKind::Cpu) => 1 + origin.index,
-        Some(anthill_hetsim::DeviceKind::Gpu) => 101 + origin.index,
+        Some(DeviceKind::Cpu) => 1 + origin.index,
+        Some(DeviceKind::Gpu) => 101 + origin.index,
     }
 }
 
@@ -38,20 +38,20 @@ fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-fn push_event(
-    out: &mut Vec<String>,
-    name: &str,
-    ph: char,
-    ts_ns: u64,
-    origin: &DeviceRef,
-    extra: &str,
-) {
-    out.push(format!(
-        "{{\"name\":\"{name}\",\"ph\":\"{ph}\",\"ts\":{},\"pid\":{},\"tid\":{}{extra}}}",
-        us(ts_ns),
-        origin.node,
-        tid(origin),
-    ));
+/// The body of a record's `args` object: the kind's payload fields in
+/// table order, minus `level`.
+fn args(kind: &EventKind) -> String {
+    let mut out = String::new();
+    kind.for_each_field(|name, value| {
+        if name != "level" {
+            if !out.is_empty() {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{name}\":");
+            value.write_chrome(&mut out);
+        }
+    });
+    out
 }
 
 /// Serialize events into one Chrome/Perfetto trace document.
@@ -83,10 +83,12 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
     // Open Start slices waiting for their Finish, per (origin, buffer).
     let mut open: HashMap<(DeviceRef, u64), u64> = HashMap::new();
     for ev in events {
-        match ev.kind {
-            EventKind::Start { buffer, .. } => {
-                open.insert((ev.origin, buffer), ev.ts_ns);
-            }
+        if let EventKind::Start { buffer, .. } = ev.kind {
+            open.insert((ev.origin, buffer), ev.ts_ns);
+            continue;
+        }
+        let args = args(&ev.kind);
+        let (name, ph, ts_ns, extra) = match ev.kind {
             EventKind::Finish {
                 buffer,
                 level,
@@ -97,260 +99,57 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
                 let begin = open
                     .remove(&(ev.origin, buffer))
                     .unwrap_or_else(|| ev.ts_ns.saturating_sub(proc_ns));
-                let dur = ev.ts_ns.saturating_sub(begin);
-                push_event(
-                    &mut out,
-                    &format!("task L{level}"),
+                let dur = us(ev.ts_ns.saturating_sub(begin));
+                (
+                    format!("task L{level}"),
                     'X',
                     begin,
-                    &ev.origin,
-                    &format!(
-                        ",\"dur\":{},\"cat\":\"task\",\"args\":{{\"buffer\":{buffer},\"proc_ns\":{proc_ns}}}",
-                        us(dur)
-                    ),
-                );
+                    format!(",\"dur\":{dur},\"cat\":\"task\",\"args\":{{{args}}}"),
+                )
             }
             EventKind::Transfer { dir, bytes, end_ns } => {
                 let name = match dir {
                     CopyDir::H2D => "H2D",
                     CopyDir::D2H => "D2H",
                 };
-                let dur = end_ns.saturating_sub(ev.ts_ns);
-                push_event(
-                    &mut out,
-                    name,
+                let dur = us(end_ns.saturating_sub(ev.ts_ns));
+                (
+                    name.to_string(),
                     'X',
                     ev.ts_ns,
-                    &ev.origin,
-                    &format!(
-                        ",\"dur\":{},\"cat\":\"transfer\",\"args\":{{\"bytes\":{bytes}}}",
-                        us(dur)
-                    ),
-                );
+                    format!(",\"dur\":{dur},\"cat\":\"transfer\",\"args\":{{\"bytes\":{bytes}}}"),
+                )
             }
-            EventKind::DqaaWindow { target } => {
-                push_event(
-                    &mut out,
-                    &format!("window {}", ev.origin),
-                    'C',
-                    ev.ts_ns,
-                    &ev.origin,
-                    &format!(",\"args\":{{\"target\":{target}}}"),
-                );
-            }
-            EventKind::Streams { count } => {
-                push_event(
-                    &mut out,
-                    &format!("streams {}", ev.origin),
-                    'C',
-                    ev.ts_ns,
-                    &ev.origin,
-                    &format!(",\"args\":{{\"count\":{count}}}"),
-                );
-            }
-            EventKind::Enqueue { buffer, .. } => {
-                push_event(
-                    &mut out,
-                    "enqueue",
+            EventKind::DqaaWindow { .. } => (
+                format!("window {}", ev.origin),
+                'C',
+                ev.ts_ns,
+                format!(",\"args\":{{{args}}}"),
+            ),
+            EventKind::Streams { .. } => (
+                format!("streams {}", ev.origin),
+                'C',
+                ev.ts_ns,
+                format!(",\"args\":{{{args}}}"),
+            ),
+            kind => {
+                let (label, scope) = kind
+                    .chrome_instant()
+                    .expect("slices and counters are drawn above");
+                (
+                    label.to_string(),
                     'i',
                     ev.ts_ns,
-                    &ev.origin,
-                    &format!(",\"s\":\"t\",\"args\":{{\"buffer\":{buffer}}}"),
-                );
+                    format!(",\"s\":\"{scope}\",\"args\":{{{args}}}"),
+                )
             }
-            EventKind::Dispatch { buffer, .. } => {
-                push_event(
-                    &mut out,
-                    "dispatch",
-                    'i',
-                    ev.ts_ns,
-                    &ev.origin,
-                    &format!(",\"s\":\"t\",\"args\":{{\"buffer\":{buffer}}}"),
-                );
-            }
-            EventKind::DbsaSelect { buffer, proctype } => {
-                push_event(
-                    &mut out,
-                    "dbsa",
-                    'i',
-                    ev.ts_ns,
-                    &ev.origin,
-                    &format!(
-                        ",\"s\":\"t\",\"args\":{{\"buffer\":{buffer},\"proctype\":\"{proctype}\"}}"
-                    ),
-                );
-            }
-            EventKind::TaskRetried {
-                buffer, attempt, ..
-            } => {
-                push_event(
-                    &mut out,
-                    "retry",
-                    'i',
-                    ev.ts_ns,
-                    &ev.origin,
-                    &format!(",\"s\":\"t\",\"args\":{{\"buffer\":{buffer},\"attempt\":{attempt}}}"),
-                );
-            }
-            EventKind::WorkerDied { inflight } => {
-                push_event(
-                    &mut out,
-                    "worker died",
-                    'i',
-                    ev.ts_ns,
-                    &ev.origin,
-                    &format!(",\"s\":\"p\",\"args\":{{\"inflight\":{inflight}}}"),
-                );
-            }
-            EventKind::TaskReassigned { buffer, .. } => {
-                push_event(
-                    &mut out,
-                    "reassign",
-                    'i',
-                    ev.ts_ns,
-                    &ev.origin,
-                    &format!(",\"s\":\"t\",\"args\":{{\"buffer\":{buffer}}}"),
-                );
-            }
-            // Membership transitions are process-scoped instants like
-            // `worker died`: they mark the pool changing shape, not work
-            // on a particular buffer.
-            EventKind::WorkerJoined { window } => {
-                push_event(
-                    &mut out,
-                    "worker joined",
-                    'i',
-                    ev.ts_ns,
-                    &ev.origin,
-                    &format!(",\"s\":\"p\",\"args\":{{\"window\":{window}}}"),
-                );
-            }
-            EventKind::WorkerDraining { outstanding } => {
-                push_event(
-                    &mut out,
-                    "worker draining",
-                    'i',
-                    ev.ts_ns,
-                    &ev.origin,
-                    &format!(",\"s\":\"p\",\"args\":{{\"outstanding\":{outstanding}}}"),
-                );
-            }
-            EventKind::WorkerLeft => {
-                push_event(
-                    &mut out,
-                    "worker left",
-                    'i',
-                    ev.ts_ns,
-                    &ev.origin,
-                    ",\"s\":\"p\",\"args\":{}",
-                );
-            }
-            // Remote worker spans are re-stamped to the coordinator clock,
-            // so they render as instants rather than slices (a slice would
-            // collide with the engine's own Start..Finish pair for the
-            // same buffer on the same device lane).
-            EventKind::RemoteStart { buffer, .. } => {
-                push_event(
-                    &mut out,
-                    "remote start",
-                    'i',
-                    ev.ts_ns,
-                    &ev.origin,
-                    &format!(",\"s\":\"t\",\"args\":{{\"buffer\":{buffer}}}"),
-                );
-            }
-            EventKind::RemoteFinish {
-                buffer, proc_ns, ..
-            } => {
-                push_event(
-                    &mut out,
-                    "remote finish",
-                    'i',
-                    ev.ts_ns,
-                    &ev.origin,
-                    &format!(",\"s\":\"t\",\"args\":{{\"buffer\":{buffer},\"proc_ns\":{proc_ns}}}"),
-                );
-            }
-            EventKind::EdgeEnqueued { edge, buffer, .. } => {
-                push_event(
-                    &mut out,
-                    "edge enqueue",
-                    'i',
-                    ev.ts_ns,
-                    &ev.origin,
-                    &format!(",\"s\":\"t\",\"args\":{{\"edge\":{edge},\"buffer\":{buffer}}}"),
-                );
-            }
-            EventKind::TaskAdmitted { buffer, .. } => {
-                push_event(
-                    &mut out,
-                    "admit",
-                    'i',
-                    ev.ts_ns,
-                    &ev.origin,
-                    &format!(",\"s\":\"t\",\"args\":{{\"buffer\":{buffer}}}"),
-                );
-            }
-            EventKind::TaskShed { buffer, .. } => {
-                push_event(
-                    &mut out,
-                    "shed",
-                    'i',
-                    ev.ts_ns,
-                    &ev.origin,
-                    &format!(",\"s\":\"t\",\"args\":{{\"buffer\":{buffer}}}"),
-                );
-            }
-            EventKind::TaskDeadlineDropped {
-                buffer, waited_ns, ..
-            } => {
-                push_event(
-                    &mut out,
-                    "deadline drop",
-                    'i',
-                    ev.ts_ns,
-                    &ev.origin,
-                    &format!(
-                        ",\"s\":\"t\",\"args\":{{\"buffer\":{buffer},\"waited_ns\":{waited_ns}}}"
-                    ),
-                );
-            }
-            EventKind::ProfileUpdated {
-                buffer,
-                key,
-                count,
-                mean_ns,
-            } => {
-                push_event(
-                    &mut out,
-                    "profile update",
-                    'i',
-                    ev.ts_ns,
-                    &ev.origin,
-                    &format!(
-                        ",\"s\":\"t\",\"args\":{{\"buffer\":{buffer},\"key\":{key},\"count\":{count},\"mean_ns\":{mean_ns}}}"
-                    ),
-                );
-            }
-            EventKind::PolicyDecision {
-                buffer,
-                arm,
-                explore,
-                cpu_ppm,
-                gpu_ppm,
-            } => {
-                push_event(
-                    &mut out,
-                    "policy decision",
-                    'i',
-                    ev.ts_ns,
-                    &ev.origin,
-                    &format!(
-                        ",\"s\":\"t\",\"args\":{{\"buffer\":{buffer},\"arm\":\"{arm}\",\"explore\":{explore},\"cpu_ppm\":{cpu_ppm},\"gpu_ppm\":{gpu_ppm}}}"
-                    ),
-                );
-            }
-        }
+        };
+        out.push(format!(
+            "{{\"name\":\"{name}\",\"ph\":\"{ph}\",\"ts\":{},\"pid\":{},\"tid\":{}{extra}}}",
+            us(ts_ns),
+            ev.origin.node,
+            tid(&ev.origin),
+        ));
     }
 
     format!(
@@ -361,60 +160,9 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
 
 #[cfg(test)]
 mod tests {
+    use super::super::event::sample_events;
     use super::super::json::{self, Value};
     use super::*;
-    use anthill_hetsim::DeviceKind;
-
-    fn sample_events() -> Vec<TraceEvent> {
-        let cpu = DeviceRef::worker(0, DeviceKind::Cpu, 0);
-        let gpu = DeviceRef::worker(1, DeviceKind::Gpu, 0);
-        vec![
-            TraceEvent {
-                ts_ns: 0,
-                origin: DeviceRef::node_scope(0),
-                kind: EventKind::Enqueue {
-                    buffer: 1,
-                    level: 0,
-                },
-            },
-            TraceEvent {
-                ts_ns: 1_000,
-                origin: cpu,
-                kind: EventKind::Start {
-                    buffer: 1,
-                    level: 0,
-                },
-            },
-            TraceEvent {
-                ts_ns: 5_500,
-                origin: cpu,
-                kind: EventKind::Finish {
-                    buffer: 1,
-                    level: 0,
-                    proc_ns: 4_500,
-                },
-            },
-            TraceEvent {
-                ts_ns: 2_000,
-                origin: gpu,
-                kind: EventKind::Transfer {
-                    dir: CopyDir::D2H,
-                    bytes: 256,
-                    end_ns: 3_250,
-                },
-            },
-            TraceEvent {
-                ts_ns: 4_000,
-                origin: gpu,
-                kind: EventKind::Streams { count: 8 },
-            },
-            TraceEvent {
-                ts_ns: 6_000,
-                origin: cpu,
-                kind: EventKind::DqaaWindow { target: 2 },
-            },
-        ]
-    }
 
     fn parse_trace(text: &str) -> Vec<Value> {
         let doc = json::parse(text.trim_end()).expect("valid JSON document");
@@ -426,8 +174,9 @@ mod tests {
 
     #[test]
     fn every_event_has_required_fields() {
-        let evs = parse_trace(&to_chrome_trace(&sample_events()));
-        assert!(!evs.is_empty());
+        let events = sample_events();
+        let evs = parse_trace(&to_chrome_trace(&events));
+        let mut drawn = 0;
         for e in &evs {
             let ph = e.get("ph").and_then(Value::as_str).expect("ph field");
             assert!(["X", "C", "i", "M"].contains(&ph), "phase {ph}");
@@ -435,59 +184,48 @@ mod tests {
             assert!(e.get("pid").and_then(Value::as_u64).is_some(), "pid field");
             assert!(e.get("tid").and_then(Value::as_u64).is_some(), "tid field");
             assert!(e.get("name").and_then(Value::as_str).is_some(), "name");
+            assert!(e.get("args").is_some(), "args");
             if ph == "X" {
                 assert!(e.get("dur").and_then(Value::as_f64).is_some(), "dur on X");
             }
+            drawn += usize::from(ph != "M");
         }
+        // Every kind draws one record, except `Start` (it only opens a slice).
+        assert_eq!(drawn, events.len() - 1);
     }
 
     #[test]
     fn start_finish_pairs_become_complete_slices() {
-        let evs = parse_trace(&to_chrome_trace(&sample_events()));
+        let cpu = DeviceRef::worker(0, DeviceKind::Cpu, 0);
+        let (buffer, level) = (1, 0);
+        let pair = [
+            TraceEvent {
+                ts_ns: 1_000,
+                origin: cpu,
+                kind: EventKind::Start { buffer, level },
+            },
+            TraceEvent {
+                ts_ns: 5_500,
+                origin: cpu,
+                kind: EventKind::Finish {
+                    buffer,
+                    level,
+                    proc_ns: 4_000,
+                },
+            },
+        ];
+        let evs = parse_trace(&to_chrome_trace(&pair));
         let slice = evs
             .iter()
             .find(|e| e.get("name").and_then(Value::as_str) == Some("task L0"))
             .expect("task slice");
-        // Start at 1000 ns = 1.000 µs, dur 4500 ns = 4.5 µs.
+        // Start at 1000 ns = 1.000 µs; dur 4500 ns from the pair, not `proc_ns`.
         assert_eq!(slice.get("ts").unwrap().as_f64(), Some(1.0));
         assert_eq!(slice.get("dur").unwrap().as_f64(), Some(4.5));
         assert_eq!(
             slice.get("args").unwrap().get("buffer").unwrap().as_u64(),
             Some(1)
         );
-    }
-
-    #[test]
-    fn transfers_and_counters_are_exported() {
-        let evs = parse_trace(&to_chrome_trace(&sample_events()));
-        let d2h = evs
-            .iter()
-            .find(|e| e.get("name").and_then(Value::as_str) == Some("D2H"))
-            .expect("D2H slice");
-        assert_eq!(d2h.get("dur").unwrap().as_f64(), Some(1.25));
-        let counters: Vec<&Value> = evs
-            .iter()
-            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("C"))
-            .collect();
-        assert_eq!(counters.len(), 2, "streams + window counters");
-    }
-
-    #[test]
-    fn metadata_names_processes_and_threads() {
-        let evs = parse_trace(&to_chrome_trace(&sample_events()));
-        let names: Vec<&str> = evs
-            .iter()
-            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("M"))
-            .filter_map(|e| {
-                e.get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(Value::as_str)
-            })
-            .collect();
-        assert!(names.contains(&"node0"), "{names:?}");
-        assert!(names.contains(&"node1"), "{names:?}");
-        assert!(names.contains(&"CPU0"), "{names:?}");
-        assert!(names.contains(&"GPU0"), "{names:?}");
     }
 
     #[test]

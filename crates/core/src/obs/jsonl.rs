@@ -6,15 +6,18 @@
 //! identical* dumps. [`parse_jsonl`] reads a dump back into events for
 //! offline analysis and round-trip tests.
 
-use anthill_hetsim::{CopyDir, DeviceKind};
+use std::fmt::Write as _;
 
-use super::event::{DeviceRef, EventKind, TraceEvent};
+use super::event::{
+    device_token, parse_device_token, read_int, read_str, DeviceRef, EventKind, TraceEvent,
+};
 use super::json::{self, Value};
 
 /// Serialize events, one JSON object per line.
 ///
 /// Line shape: `{"ts":N,"node":N,"dev":"cpu0"|null,"kind":"...",...}` with
-/// kind-specific integer fields after `kind`.
+/// the kind's payload fields after `kind`, in the order the event table
+/// declares them.
 pub fn to_jsonl(events: &[TraceEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 64);
     for ev in events {
@@ -25,142 +28,17 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
 }
 
 fn write_event(out: &mut String, ev: &TraceEvent) {
-    out.push_str(&format!(
-        "{{\"ts\":{},\"node\":{}",
-        ev.ts_ns, ev.origin.node
-    ));
-    match ev.origin.kind {
-        Some(k) => out.push_str(&format!(
-            ",\"dev\":\"{}{}\"",
-            kind_token(k),
-            ev.origin.index
-        )),
-        None => out.push_str(",\"dev\":null"),
-    }
-    out.push_str(&format!(",\"kind\":\"{}\"", ev.kind.name()));
-    match ev.kind {
-        EventKind::Enqueue { buffer, level }
-        | EventKind::Dispatch { buffer, level }
-        | EventKind::Start { buffer, level } => {
-            out.push_str(&format!(",\"buffer\":{buffer},\"level\":{level}"));
-        }
-        EventKind::Finish {
-            buffer,
-            level,
-            proc_ns,
-        } => {
-            out.push_str(&format!(
-                ",\"buffer\":{buffer},\"level\":{level},\"proc_ns\":{proc_ns}"
-            ));
-        }
-        EventKind::Transfer { dir, bytes, end_ns } => {
-            let d = match dir {
-                CopyDir::H2D => "h2d",
-                CopyDir::D2H => "d2h",
-            };
-            out.push_str(&format!(
-                ",\"dir\":\"{d}\",\"bytes\":{bytes},\"end_ns\":{end_ns}"
-            ));
-        }
-        EventKind::Streams { count } => out.push_str(&format!(",\"count\":{count}")),
-        EventKind::DqaaWindow { target } => out.push_str(&format!(",\"target\":{target}")),
-        EventKind::DbsaSelect { buffer, proctype } => {
-            out.push_str(&format!(
-                ",\"buffer\":{buffer},\"proctype\":\"{}\"",
-                kind_token(proctype)
-            ));
-        }
-        EventKind::TaskRetried {
-            buffer,
-            level,
-            attempt,
-        } => {
-            out.push_str(&format!(
-                ",\"buffer\":{buffer},\"level\":{level},\"attempt\":{attempt}"
-            ));
-        }
-        EventKind::WorkerDied { inflight } => {
-            out.push_str(&format!(",\"inflight\":{inflight}"));
-        }
-        EventKind::WorkerJoined { window } => {
-            out.push_str(&format!(",\"window\":{window}"));
-        }
-        EventKind::WorkerDraining { outstanding } => {
-            out.push_str(&format!(",\"outstanding\":{outstanding}"));
-        }
-        EventKind::WorkerLeft => {}
-        EventKind::TaskReassigned { buffer, level }
-        | EventKind::RemoteStart { buffer, level }
-        | EventKind::TaskAdmitted { buffer, level }
-        | EventKind::TaskShed { buffer, level } => {
-            out.push_str(&format!(",\"buffer\":{buffer},\"level\":{level}"));
-        }
-        EventKind::RemoteFinish {
-            buffer,
-            level,
-            proc_ns,
-        } => {
-            out.push_str(&format!(
-                ",\"buffer\":{buffer},\"level\":{level},\"proc_ns\":{proc_ns}"
-            ));
-        }
-        EventKind::TaskDeadlineDropped {
-            buffer,
-            level,
-            waited_ns,
-        } => {
-            out.push_str(&format!(
-                ",\"buffer\":{buffer},\"level\":{level},\"waited_ns\":{waited_ns}"
-            ));
-        }
-        EventKind::EdgeEnqueued {
-            edge,
-            buffer,
-            level,
-        } => {
-            out.push_str(&format!(
-                ",\"edge\":{edge},\"buffer\":{buffer},\"level\":{level}"
-            ));
-        }
-        EventKind::ProfileUpdated {
-            buffer,
-            key,
-            count,
-            mean_ns,
-        } => {
-            out.push_str(&format!(
-                ",\"buffer\":{buffer},\"key\":{key},\"count\":{count},\"mean_ns\":{mean_ns}"
-            ));
-        }
-        EventKind::PolicyDecision {
-            buffer,
-            arm,
-            explore,
-            cpu_ppm,
-            gpu_ppm,
-        } => {
-            out.push_str(&format!(
-                ",\"buffer\":{buffer},\"arm\":\"{}\",\"explore\":{explore},\"cpu_ppm\":{cpu_ppm},\"gpu_ppm\":{gpu_ppm}",
-                kind_token(arm)
-            ));
-        }
-    }
+    let _ = write!(out, "{{\"ts\":{},\"node\":{}", ev.ts_ns, ev.origin.node);
+    let _ = match ev.origin.kind {
+        Some(k) => write!(out, ",\"dev\":\"{}{}\"", device_token(k), ev.origin.index),
+        None => write!(out, ",\"dev\":null"),
+    };
+    let _ = write!(out, ",\"kind\":\"{}\"", ev.kind.name());
+    ev.kind.for_each_field(|name, value| {
+        let _ = write!(out, ",\"{name}\":");
+        value.write_jsonl(out);
+    });
     out.push('}');
-}
-
-fn kind_token(k: DeviceKind) -> &'static str {
-    match k {
-        DeviceKind::Cpu => "cpu",
-        DeviceKind::Gpu => "gpu",
-    }
-}
-
-fn parse_kind_token(s: &str) -> Result<DeviceKind, String> {
-    match s {
-        "cpu" => Ok(DeviceKind::Cpu),
-        "gpu" => Ok(DeviceKind::Gpu),
-        other => Err(format!("unknown device token '{other}'")),
-    }
 }
 
 /// Parse a JSONL dump produced by [`to_jsonl`] back into events.
@@ -176,21 +54,9 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
     Ok(events)
 }
 
-fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing integer field '{key}'"))
-}
-
-fn field_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
 fn parse_event(v: &Value) -> Result<TraceEvent, String> {
-    let ts_ns = field_u64(v, "ts")?;
-    let node = field_u64(v, "node")? as u32;
+    let ts_ns = read_int(v, "ts")?;
+    let node = read_int(v, "node")?;
     let origin = match v.get("dev") {
         Some(Value::Null) | None => DeviceRef {
             node,
@@ -203,7 +69,7 @@ fn parse_event(v: &Value) -> Result<TraceEvent, String> {
                 .ok_or_else(|| format!("device '{dev}' has no index"))?;
             DeviceRef {
                 node,
-                kind: Some(parse_kind_token(&dev[..split])?),
+                kind: Some(parse_device_token(&dev[..split])?),
                 index: dev[split..]
                     .parse::<u32>()
                     .map_err(|e| format!("device '{dev}': {e}"))?,
@@ -211,291 +77,18 @@ fn parse_event(v: &Value) -> Result<TraceEvent, String> {
         }
         Some(other) => return Err(format!("bad 'dev' field: {other}")),
     };
-    let kind = match field_str(v, "kind")? {
-        "enqueue" => EventKind::Enqueue {
-            buffer: field_u64(v, "buffer")?,
-            level: field_u64(v, "level")? as u8,
-        },
-        "dispatch" => EventKind::Dispatch {
-            buffer: field_u64(v, "buffer")?,
-            level: field_u64(v, "level")? as u8,
-        },
-        "start" => EventKind::Start {
-            buffer: field_u64(v, "buffer")?,
-            level: field_u64(v, "level")? as u8,
-        },
-        "finish" => EventKind::Finish {
-            buffer: field_u64(v, "buffer")?,
-            level: field_u64(v, "level")? as u8,
-            proc_ns: field_u64(v, "proc_ns")?,
-        },
-        "transfer" => EventKind::Transfer {
-            dir: match field_str(v, "dir")? {
-                "h2d" => CopyDir::H2D,
-                "d2h" => CopyDir::D2H,
-                other => return Err(format!("unknown copy direction '{other}'")),
-            },
-            bytes: field_u64(v, "bytes")?,
-            end_ns: field_u64(v, "end_ns")?,
-        },
-        "streams" => EventKind::Streams {
-            count: field_u64(v, "count")? as u32,
-        },
-        "dqaa_window" => EventKind::DqaaWindow {
-            target: field_u64(v, "target")? as u32,
-        },
-        "dbsa_select" => EventKind::DbsaSelect {
-            buffer: field_u64(v, "buffer")?,
-            proctype: parse_kind_token(field_str(v, "proctype")?)?,
-        },
-        "task_retried" => EventKind::TaskRetried {
-            buffer: field_u64(v, "buffer")?,
-            level: field_u64(v, "level")? as u8,
-            attempt: field_u64(v, "attempt")? as u32,
-        },
-        "worker_died" => EventKind::WorkerDied {
-            inflight: field_u64(v, "inflight")? as u32,
-        },
-        "task_reassigned" => EventKind::TaskReassigned {
-            buffer: field_u64(v, "buffer")?,
-            level: field_u64(v, "level")? as u8,
-        },
-        "worker_joined" => EventKind::WorkerJoined {
-            window: field_u64(v, "window")? as u32,
-        },
-        "worker_draining" => EventKind::WorkerDraining {
-            outstanding: field_u64(v, "outstanding")? as u32,
-        },
-        "worker_left" => EventKind::WorkerLeft,
-        "remote_start" => EventKind::RemoteStart {
-            buffer: field_u64(v, "buffer")?,
-            level: field_u64(v, "level")? as u8,
-        },
-        "remote_finish" => EventKind::RemoteFinish {
-            buffer: field_u64(v, "buffer")?,
-            level: field_u64(v, "level")? as u8,
-            proc_ns: field_u64(v, "proc_ns")?,
-        },
-        "task_admitted" => EventKind::TaskAdmitted {
-            buffer: field_u64(v, "buffer")?,
-            level: field_u64(v, "level")? as u8,
-        },
-        "task_shed" => EventKind::TaskShed {
-            buffer: field_u64(v, "buffer")?,
-            level: field_u64(v, "level")? as u8,
-        },
-        "task_deadline_dropped" => EventKind::TaskDeadlineDropped {
-            buffer: field_u64(v, "buffer")?,
-            level: field_u64(v, "level")? as u8,
-            waited_ns: field_u64(v, "waited_ns")?,
-        },
-        "edge_enqueued" => EventKind::EdgeEnqueued {
-            edge: field_u64(v, "edge")? as u32,
-            buffer: field_u64(v, "buffer")?,
-            level: field_u64(v, "level")? as u8,
-        },
-        "profile_updated" => EventKind::ProfileUpdated {
-            buffer: field_u64(v, "buffer")?,
-            key: field_u64(v, "key")?,
-            count: field_u64(v, "count")?,
-            mean_ns: field_u64(v, "mean_ns")?,
-        },
-        "policy_decision" => EventKind::PolicyDecision {
-            buffer: field_u64(v, "buffer")?,
-            arm: parse_kind_token(field_str(v, "arm")?)?,
-            explore: field_u64(v, "explore")? as u8,
-            cpu_ppm: field_u64(v, "cpu_ppm")?,
-            gpu_ppm: field_u64(v, "gpu_ppm")?,
-        },
-        other => return Err(format!("unknown event kind '{other}'")),
-    };
     Ok(TraceEvent {
         ts_ns,
         origin,
-        kind,
+        kind: EventKind::parse(read_str(v, "kind")?, v)?,
     })
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::event::sample_events;
     use super::*;
-
-    fn sample_events() -> Vec<TraceEvent> {
-        let cpu = DeviceRef::worker(0, DeviceKind::Cpu, 0);
-        let gpu = DeviceRef::worker(0, DeviceKind::Gpu, 1);
-        let node = DeviceRef::node_scope(2);
-        vec![
-            TraceEvent {
-                ts_ns: 0,
-                origin: node,
-                kind: EventKind::Enqueue {
-                    buffer: 7,
-                    level: 0,
-                },
-            },
-            TraceEvent {
-                ts_ns: 10,
-                origin: cpu,
-                kind: EventKind::Dispatch {
-                    buffer: 7,
-                    level: 0,
-                },
-            },
-            TraceEvent {
-                ts_ns: 10,
-                origin: cpu,
-                kind: EventKind::Start {
-                    buffer: 7,
-                    level: 0,
-                },
-            },
-            TraceEvent {
-                ts_ns: 900,
-                origin: cpu,
-                kind: EventKind::Finish {
-                    buffer: 7,
-                    level: 0,
-                    proc_ns: 890,
-                },
-            },
-            TraceEvent {
-                ts_ns: 20,
-                origin: gpu,
-                kind: EventKind::Transfer {
-                    dir: CopyDir::H2D,
-                    bytes: 3136,
-                    end_ns: 45,
-                },
-            },
-            TraceEvent {
-                ts_ns: 50,
-                origin: gpu,
-                kind: EventKind::Streams { count: 4 },
-            },
-            TraceEvent {
-                ts_ns: 60,
-                origin: cpu,
-                kind: EventKind::DqaaWindow { target: 3 },
-            },
-            TraceEvent {
-                ts_ns: 70,
-                origin: node,
-                kind: EventKind::DbsaSelect {
-                    buffer: 9,
-                    proctype: DeviceKind::Gpu,
-                },
-            },
-            TraceEvent {
-                ts_ns: 80,
-                origin: gpu,
-                kind: EventKind::TaskRetried {
-                    buffer: 7,
-                    level: 0,
-                    attempt: 1,
-                },
-            },
-            TraceEvent {
-                ts_ns: 90,
-                origin: gpu,
-                kind: EventKind::WorkerDied { inflight: 2 },
-            },
-            TraceEvent {
-                ts_ns: 95,
-                origin: node,
-                kind: EventKind::TaskReassigned {
-                    buffer: 7,
-                    level: 0,
-                },
-            },
-            TraceEvent {
-                ts_ns: 96,
-                origin: cpu,
-                kind: EventKind::WorkerJoined { window: 1 },
-            },
-            TraceEvent {
-                ts_ns: 97,
-                origin: cpu,
-                kind: EventKind::WorkerDraining { outstanding: 2 },
-            },
-            TraceEvent {
-                ts_ns: 98,
-                origin: cpu,
-                kind: EventKind::WorkerLeft,
-            },
-            TraceEvent {
-                ts_ns: 100,
-                origin: gpu,
-                kind: EventKind::RemoteStart {
-                    buffer: 8,
-                    level: 1,
-                },
-            },
-            TraceEvent {
-                ts_ns: 100,
-                origin: gpu,
-                kind: EventKind::RemoteFinish {
-                    buffer: 8,
-                    level: 1,
-                    proc_ns: 1234,
-                },
-            },
-            TraceEvent {
-                ts_ns: 110,
-                origin: node,
-                kind: EventKind::TaskAdmitted {
-                    buffer: 11,
-                    level: 0,
-                },
-            },
-            TraceEvent {
-                ts_ns: 120,
-                origin: node,
-                kind: EventKind::TaskShed {
-                    buffer: 12,
-                    level: 0,
-                },
-            },
-            TraceEvent {
-                ts_ns: 130,
-                origin: node,
-                kind: EventKind::TaskDeadlineDropped {
-                    buffer: 13,
-                    level: 0,
-                    waited_ns: 5_000_000,
-                },
-            },
-            TraceEvent {
-                ts_ns: 140,
-                origin: node,
-                kind: EventKind::EdgeEnqueued {
-                    edge: 1,
-                    buffer: 14,
-                    level: 0,
-                },
-            },
-            TraceEvent {
-                ts_ns: 150,
-                origin: gpu,
-                kind: EventKind::ProfileUpdated {
-                    buffer: 15,
-                    key: 0xfeed_beef,
-                    count: 4,
-                    mean_ns: 812_000,
-                },
-            },
-            TraceEvent {
-                ts_ns: 160,
-                origin: node,
-                kind: EventKind::PolicyDecision {
-                    buffer: 16,
-                    arm: DeviceKind::Gpu,
-                    explore: 1,
-                    cpu_ppm: 250_000,
-                    gpu_ppm: 16_000_000,
-                },
-            },
-        ]
-    }
+    use anthill_hetsim::DeviceKind;
 
     #[test]
     fn round_trips_every_event_kind() {
@@ -540,6 +133,51 @@ mod tests {
         assert!(parse_jsonl("{\"ts\":1}").is_err()); // missing node/kind
         assert!(parse_jsonl("not json").is_err());
         assert!(parse_jsonl("{\"ts\":1,\"node\":0,\"dev\":null,\"kind\":\"bogus\"}").is_err());
+        // A value too wide for its field is an error naming the field, not
+        // a silent wrap-around (`"level":256` used to read back as level 0).
+        let wide = u64::from(u32::MAX) + 1;
+        let head = r#"{"ts":1,"node":0,"dev":null,"kind""#;
+        let mut bad = vec![
+            (
+                format!(r#"{head}:"enqueue","buffer":1,"level":256}}"#),
+                "level",
+            ),
+            (
+                format!(r#"{head}:"task_retried","buffer":1,"level":0,"attempt":{wide}}}"#),
+                "attempt",
+            ),
+            (
+                format!(r#"{head}:"edge_enqueued","edge":{wide},"buffer":1,"level":0}}"#),
+                "edge",
+            ),
+            (
+                format!(
+                    r#"{head}:"policy_decision","buffer":1,"arm":"cpu","explore":256,"cpu_ppm":1,"gpu_ppm":1}}"#
+                ),
+                "explore",
+            ),
+            (
+                format!(r#"{{"ts":1,"node":{wide},"dev":null,"kind":"worker_left"}}"#),
+                "node",
+            ),
+            (
+                format!(r#"{{"ts":1,"node":0,"dev":"cpu{wide}","kind":"worker_left"}}"#),
+                "device",
+            ),
+        ];
+        for (kind, field) in [
+            ("streams", "count"),
+            ("dqaa_window", "target"),
+            ("worker_died", "inflight"),
+            ("worker_joined", "window"),
+            ("worker_draining", "outstanding"),
+        ] {
+            bad.push((format!(r#"{head}:"{kind}","{field}":{wide}}}"#), field));
+        }
+        for (line, field) in bad {
+            let err = parse_jsonl(&line).expect_err(&line);
+            assert!(err.contains(field), "{line}: {err}");
+        }
     }
 
     #[test]

@@ -8,12 +8,22 @@
 //!   and policy decisions (DQAA window updates, DBSA selections,
 //!   Algorithm 1 stream-count changes). Timestamps are virtual time in the
 //!   simulator and monotonic wall time since run start locally.
-//! * **Metrics registry** ([`MetricsRegistry`]): labeled counters, gauges
-//!   and log-bucketed duration histograms
-//!   (`anthill_simkit::DurationHistogram`).
 //! * **Exporters**: [`jsonl`] (line-oriented structured dump that
 //!   round-trips) and [`chrome`] (Chrome `trace_event` JSON, loadable in
 //!   Perfetto / `chrome://tracing`).
+//!
+//! The trace is the only signal: a count (tasks finished, retries,
+//! deaths) is the number of events of that kind, and a latency is the
+//! distance between two of them.
+//!
+//! ## One schema
+//!
+//! The 22 event kinds are declared once, as the rows of the `event_kinds!`
+//! table in `obs/event.rs`: variant, JSONL name, Chrome shape and label,
+//! payload fields in wire order with their types. [`EventKind`], its
+//! names, both exporters' field walks, the JSONL parser (range-checked)
+//! and the samples the round-trip tests iterate are generated from those
+//! rows. Adding an event is adding one row.
 //!
 //! ## Zero cost when disabled
 //!
@@ -53,7 +63,6 @@
 //! *byte-identical* JSONL dumps (asserted by `tests/observability.rs`).
 
 mod event;
-mod metrics;
 
 pub mod chrome;
 pub mod json;
@@ -63,11 +72,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use anthill_simkit::SimDuration;
 use parking_lot::Mutex;
 
 pub use event::{DeviceRef, EventKind, TraceEvent};
-pub use metrics::{MetricKey, MetricsRegistry};
 
 /// Stripe count of the batched sink's producer-side buffers. Worker
 /// threads are assigned stripes round-robin, so with up to this many
@@ -86,7 +93,7 @@ fn event_shard() -> usize {
     SHARD.with(|s| *s)
 }
 
-/// Storage half of a batched sink: per-producer stripes plus the events
+/// The batched sink: per-producer stripes plus the events
 /// already drained out of them, kept sorted by timestamp.
 struct BatchStore {
     shards: Box<[Mutex<Vec<TraceEvent>>; EVENT_SHARDS]>,
@@ -117,21 +124,14 @@ impl BatchStore {
     }
 }
 
-/// The shared sink behind an enabled recorder.
-struct Sink {
-    /// Striped producer-side buffers; ordered at drain time.
-    events: BatchStore,
-    metrics: Mutex<MetricsRegistry>,
-}
-
-/// A cloneable handle to an event/metrics sink — or to nothing.
+/// A cloneable handle to an event sink — or to nothing.
 ///
 /// Cloning an enabled recorder shares the sink (both handles append to
 /// the same trace); cloning a disabled one stays disabled. The default is
 /// disabled.
 #[derive(Clone, Default)]
 pub struct Recorder {
-    inner: Option<Arc<Sink>>,
+    inner: Option<Arc<BatchStore>>,
 }
 
 impl Recorder {
@@ -145,10 +145,7 @@ impl Recorder {
     /// events at drain time (see the module docs' ordering contract).
     pub fn enabled() -> Recorder {
         Recorder {
-            inner: Some(Arc::new(Sink {
-                events: BatchStore::new(),
-                metrics: Mutex::new(MetricsRegistry::new()),
-            })),
+            inner: Some(Arc::new(BatchStore::new())),
         }
     }
 
@@ -162,7 +159,7 @@ impl Recorder {
     #[inline]
     pub fn record(&self, ts_ns: u64, origin: DeviceRef, kind: EventKind) {
         let Some(sink) = &self.inner else { return };
-        sink.events.shards[event_shard()].lock().push(TraceEvent {
+        sink.shards[event_shard()].lock().push(TraceEvent {
             ts_ns,
             origin,
             kind,
@@ -184,31 +181,10 @@ impl Recorder {
         self.record(ts_ns, origin, kind);
     }
 
-    /// Add to a labeled counter (no-op when disabled).
-    #[inline]
-    pub fn counter_add(&self, name: &str, labels: &[(&str, &str)], v: u64) {
-        let Some(sink) = &self.inner else { return };
-        sink.metrics.lock().counter_add(name, labels, v);
-    }
-
-    /// Set a labeled gauge (no-op when disabled).
-    #[inline]
-    pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let Some(sink) = &self.inner else { return };
-        sink.metrics.lock().gauge_set(name, labels, v);
-    }
-
-    /// Record into a labeled duration histogram (no-op when disabled).
-    #[inline]
-    pub fn histogram_record(&self, name: &str, labels: &[(&str, &str)], d: SimDuration) {
-        let Some(sink) = &self.inner else { return };
-        sink.metrics.lock().histogram_record(name, labels, d);
-    }
-
     /// Number of recorded events (0 when disabled).
     pub fn event_count(&self) -> usize {
         match &self.inner {
-            Some(sink) => sink.events.drain().len(),
+            Some(sink) => sink.drain().len(),
             None => 0,
         }
     }
@@ -217,7 +193,7 @@ impl Recorder {
     /// disabled).
     pub fn events(&self) -> Vec<TraceEvent> {
         match &self.inner {
-            Some(sink) => sink.events.drain().clone(),
+            Some(sink) => sink.drain().clone(),
             None => Vec::new(),
         }
     }
@@ -226,16 +202,8 @@ impl Recorder {
     /// empty.
     pub fn take_events(&self) -> Vec<TraceEvent> {
         match &self.inner {
-            Some(sink) => std::mem::take(&mut *sink.events.drain()),
+            Some(sink) => std::mem::take(&mut *sink.drain()),
             None => Vec::new(),
-        }
-    }
-
-    /// Snapshot of the metrics registry (empty when disabled).
-    pub fn metrics(&self) -> MetricsRegistry {
-        match &self.inner {
-            Some(sink) => sink.metrics.lock().clone(),
-            None => MetricsRegistry::new(),
         }
     }
 }
@@ -266,11 +234,8 @@ mod tests {
                 level: 0,
             },
         );
-        r.counter_add("c", &[], 1);
-        r.histogram_record("h", &[], SimDuration::from_millis(1));
         assert_eq!(r.event_count(), 0);
         assert!(r.events().is_empty());
-        assert_eq!(r.metrics().counter("c", &[]), 0);
     }
 
     #[test]
@@ -285,10 +250,8 @@ mod tests {
                 level: 0,
             },
         );
-        clone.counter_add("tasks", &[("device", "cpu")], 1);
         assert_eq!(r.event_count(), 1);
         assert_eq!(r.events()[0].ts_ns, 7);
-        assert_eq!(r.metrics().counter("tasks", &[("device", "cpu")]), 1);
     }
 
     #[test]

@@ -120,7 +120,6 @@ struct DriverState {
     net: Network,
     /// `[filter][worker]` GPU engines for GPU slots, `None` for CPUs.
     gpus: Vec<Vec<Option<GpuEngines>>>,
-    rec: Recorder,
 }
 
 struct SimDriver<'a> {
@@ -443,7 +442,6 @@ where
         drv: DriverState {
             net: Network::new(graph.n_filters(), cfg.net.clone()),
             gpus,
-            rec: cfg.recorder.clone(),
         },
         graph: graph.clone(),
         cursors: RoutingCursors::new(graph),
@@ -475,11 +473,6 @@ where
     let assigned = world.engine.tasks_by_node().clone();
     let edge_delivered = world.engine.edge_delivered().clone();
     let total = world.engine.total_done();
-    world.drv.rec.gauge_set(
-        "makespan_seconds",
-        &[],
-        world.finish.since(SimTime::ZERO).as_secs_f64(),
-    );
     GraphSimReport {
         makespan: world.finish.since(SimTime::ZERO),
         outputs: world.outputs,

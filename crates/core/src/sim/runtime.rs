@@ -213,7 +213,6 @@ impl Transport for SimDriver<'_> {
             MessageFate::Drop => {
                 // Lost on the wire before reaching the network model. The
                 // request's retry timer recovers the demand slot.
-                self.drv.rec.counter_add("messages_dropped", &[], 1);
                 return;
             }
             MessageFate::Delay(dly) => dly,
@@ -445,7 +444,6 @@ impl World for NbiaWorld {
                         // popped buffer re-enters the reader's queue (at
                         // recirculation precedence — it was in flight).
                         // The requester's slot is recovered by its timer.
-                        self.drv.rec.counter_add("messages_dropped", &[], 1);
                         if let Some(buffer) = buffer {
                             let mut d = SimDriver {
                                 now,
@@ -824,10 +822,6 @@ pub fn run_nbia_with(
     assert_eq!(world.engine.total_done(), workload.total_buffers());
 
     let makespan = world.finish.since(SimTime::ZERO);
-    cfg.recorder
-        .gauge_set("makespan_seconds", &[], makespan.as_secs_f64());
-    cfg.recorder
-        .counter_add("tiles_classified", &[], world.finals_done);
     let horizon = world.finish;
     let mut request_traces = Vec::new();
     let mut util_traces = Vec::new();

@@ -8,12 +8,11 @@
 //! otherwise (Section 4).
 
 use crate::online::{fnv1a64_fold, ShapeKey, FNV_OFFSET};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// One task parameter: numeric or categorical.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ParamValue {
     /// A numeric parameter (sizes, counts, rates).
     Num(f64),
@@ -76,7 +75,7 @@ impl fmt::Display for ParamValue {
 /// so cloning a `TaskParams` (and therefore a `DataBuffer` carrying one)
 /// is a reference-count bump, never a deep copy — retries, fault
 /// re-enqueues and inter-stage hops in the runtimes are zero-copy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskParams(Arc<[ParamValue]>);
 
 impl Default for TaskParams {
@@ -189,7 +188,7 @@ mod tests {
     }
 
     /// Equality across allocations and kind / order / string-boundary
-    /// sensitivity are pinned in the facade's `tests/hotpath.rs`.
+    /// sensitivity are pinned in the facade's `tests/dispatch_exactness.rs`.
     #[test]
     fn shape_key_follows_the_documented_encoding() {
         assert_ne!(params![0.0].shape_key(), params![-0.0].shape_key());

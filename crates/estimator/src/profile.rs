@@ -5,12 +5,11 @@
 //! the targeted devices, and the measured execution times (Figure 3).
 
 use crate::param::TaskParams;
-use serde::{Deserialize, Serialize};
 
 /// A class of processing device, as seen by the estimator. The estimator is
 /// agnostic about what the classes mean; the runtime maps its device kinds
 /// onto them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeviceClass(pub u16);
 
 impl DeviceClass {
@@ -22,7 +21,7 @@ impl DeviceClass {
 
 /// One profiled job: its input parameters and the measured execution time on
 /// each benchmarked device class, in seconds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProfileSample {
     /// The job's input parameters.
     pub params: TaskParams,
@@ -53,7 +52,7 @@ impl ProfileSample {
 }
 
 /// The stored profile of one application: a bag of benchmarked jobs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ProfileStore {
     /// Application name (for reporting).
     pub app: String,

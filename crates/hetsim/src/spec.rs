@@ -3,11 +3,10 @@
 //! with one NVIDIA 8800GT, gigabit Ethernet. When the GPU is used, one CPU
 //! core is dedicated to managing it and is not available for tasks.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The class of a processing device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DeviceKind {
     /// A general-purpose CPU core.
     Cpu,
@@ -34,7 +33,7 @@ pub type NodeId = usize;
 
 /// Identifier of a device within a node: its kind and index among devices
 /// of that kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DeviceId {
     /// Hosting node.
     pub node: NodeId,
@@ -51,7 +50,7 @@ impl fmt::Display for DeviceId {
 }
 
 /// Hardware composition of one node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeSpec {
     /// Number of CPU cores usable for application tasks.
     pub cpu_cores: usize,
@@ -104,7 +103,7 @@ impl NodeSpec {
 }
 
 /// A whole cluster: an ordered list of node specs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterSpec {
     /// Per-node hardware.
     pub nodes: Vec<NodeSpec>,

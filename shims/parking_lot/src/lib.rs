@@ -1,5 +1,5 @@
 //! Offline shim for the `parking_lot` crate: the API subset this workspace
-//! uses (`Mutex`, `Condvar`, `RwLock`), implemented over `std::sync`.
+//! uses (`Mutex`, `Condvar`), implemented over `std::sync`.
 //!
 //! Differences from std are papered over to match parking_lot semantics:
 //! no lock poisoning (a poisoned std lock is recovered transparently) and
@@ -31,15 +31,6 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard(Some(self.0.lock().unwrap_or_else(|e| e.into_inner())))
-    }
-
-    /// Try to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard(Some(e.into_inner()))),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
     }
 
     /// Mutable access without locking (requires exclusive ownership).
@@ -145,53 +136,6 @@ impl fmt::Debug for Condvar {
     }
 }
 
-/// A reader-writer lock (parking_lot-style, no poisoning).
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-/// Shared-read guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized>(std::sync::RwLockReadGuard<'a, T>);
-/// Exclusive-write guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized>(std::sync::RwLockWriteGuard<'a, T>);
-
-impl<T> RwLock<T> {
-    /// Create a new RwLock protecting `value`.
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock(std::sync::RwLock::new(value))
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read lock.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(self.0.read().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Acquire an exclusive write lock.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(self.0.write().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,17 +156,5 @@ mod tests {
         *m.lock() = 7;
         cv.notify_all();
         assert_eq!(h.join().unwrap(), 7);
-    }
-
-    #[test]
-    fn rwlock_allows_readers() {
-        let l = RwLock::new(5);
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!(*a + *b, 10);
-        }
-        *l.write() += 1;
-        assert_eq!(*l.read(), 6);
     }
 }

@@ -1,5 +1,5 @@
 //! Scaffolding shared by the integration-test suites
-//! (`tests/{chaos,policy_parity,hotpath,…}.rs`): device-neutral
+//! (`tests/{chaos,policy_parity,dispatch_exactness,…}.rs`): device-neutral
 //! task shapes, conventional policy windows, worker-spec builders, and
 //! loopback plumbing for the TCP backend. Each test binary compiles its
 //! own copy and uses a subset, hence the blanket `dead_code` allow.

@@ -1,5 +1,5 @@
-//! Hot-path guarantees, exercised end-to-end on the threaded native
-//! runtime (DESIGN.md §10):
+//! What the dispatch path must get exactly right, exercised end-to-end
+//! (DESIGN.md §10):
 //!
 //! 1. **Exact accounting** — sharded dispatch state, tuned stage lanes and
 //!    join-time tallies lose and duplicate nothing: every task leaves the
@@ -78,7 +78,7 @@ fn run(
 /// but never between device kinds or levels, so the full handled map is
 /// exact: every stage handles every task once per level.
 #[test]
-fn hot_paths_agree_on_homogeneous_counts() {
+fn homogeneous_stages_count_every_handle_exactly() {
     for policy in [PolicyKind::DdFcfs, PolicyKind::DdWrr, PolicyKind::Odds] {
         let stages = vec![cpu_workers(4), cpu_workers(2)];
         let (out, report) = run(policy, &stages, &Recorder::disabled());
@@ -103,7 +103,7 @@ fn hot_paths_agree_on_homogeneous_counts() {
 /// Heterogeneous stages: per-kind counts are timing-dependent, but every
 /// task is conserved and delivered.
 #[test]
-fn hot_paths_conserve_mixed_kind_stages() {
+fn mixed_kind_stages_conserve_every_task() {
     for policy in [PolicyKind::DdFcfs, PolicyKind::DdWrr, PolicyKind::Odds] {
         let (out, report) = run(policy, &[mixed_workers()], &Recorder::disabled());
         assert_eq!(out.len() as u64, TASKS, "{policy:?} lost tasks");
@@ -122,10 +122,6 @@ fn batched_trace_is_ordered_and_conserves_lifecycle() {
     let recorder = Recorder::enabled();
     let (_, report) = run(PolicyKind::DdWrr, &[cpu_workers(4)], &recorder);
     assert_eq!(report.total(), HANDLES_PER_STAGE);
-    assert_eq!(
-        recorder.metrics().counter_total("tasks_finished"),
-        HANDLES_PER_STAGE
-    );
     let events = recorder.take_events();
     assert!(
         events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns),
