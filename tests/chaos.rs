@@ -60,6 +60,7 @@ use anthill_repro::core::net::{
 use anthill_repro::core::obs::{jsonl, EventKind, Recorder, TraceEvent};
 use anthill_repro::core::policy::Policy;
 use anthill_repro::core::sim::{run_nbia, SimConfig, SimReport, WorkloadSpec};
+use anthill_repro::estimator::fnv1a64;
 use anthill_repro::hetsim::{ClusterSpec, DeviceId, DeviceKind};
 use anthill_repro::simkit::SimTime;
 
@@ -230,6 +231,22 @@ fn inert_fault_layer_leaves_traces_byte_identical() {
     }
 }
 
+/// 20% uniform message drop and the GPU worker of node 0 dying 100 ms in,
+/// seed 42, recovery armed.
+fn drop_plus_gpu_death() -> FaultConfig {
+    FaultConfig {
+        drop: FaultProb::uniform(0.2),
+        deaths: vec![WorkerDeathSpec {
+            node: 0,
+            worker: 1, // homogeneous nodes are (cpu, gpu): worker 1 is the GPU
+            at: at_millis(100),
+        }],
+        recovery: RecoveryConfig::standard(),
+        seed: 42,
+        ..FaultConfig::none()
+    }
+}
+
 /// The issue's acceptance scenario, pinned: 20% uniform message drop and
 /// the GPU worker of node 0 dying 100 ms in. Both policies must complete
 /// the full workload; the DDWRR run must surface the death and the
@@ -243,18 +260,7 @@ fn ddwrr_beats_ddfcfs_under_drop_plus_gpu_death() {
     };
     let run = |policy: Policy| -> (SimReport, Vec<(String, u64)>) {
         let recorder = Recorder::enabled();
-        let faults = FaultConfig {
-            drop: FaultProb::uniform(0.2),
-            deaths: vec![WorkerDeathSpec {
-                node: 0,
-                worker: 1, // homogeneous nodes are (cpu, gpu): worker 1 is the GPU
-                at: at_millis(100),
-            }],
-            recovery: RecoveryConfig::standard(),
-            seed: 42,
-            ..FaultConfig::none()
-        };
-        let mut cfg = faulty_sim(policy, faults);
+        let mut cfg = faulty_sim(policy, drop_plus_gpu_death());
         cfg.recorder = recorder.clone();
         let report = run_nbia(&cfg, &wl);
         let events = recorder.events();
@@ -295,6 +301,34 @@ fn ddwrr_beats_ddfcfs_under_drop_plus_gpu_death() {
         ddwrr.makespan,
         ddfcfs.makespan
     );
+}
+
+/// The same scenario as literals: the virtual makespan and the FNV-1a-64 of
+/// the JSONL trace under each policy. Every drop, retry timer, reassignment
+/// and health-decayed weight of the flat DES's fault path is in these
+/// numbers; a change here is a change of fault handling or of scheduling.
+#[test]
+fn des_drop_plus_gpu_death_runs_are_pinned() {
+    let wl = WorkloadSpec {
+        tiles: 400,
+        ..WorkloadSpec::paper_base(0.2)
+    };
+    let pin = |policy: Policy| {
+        let mut cfg = faulty_sim(policy, drop_plus_gpu_death());
+        cfg.recorder = Recorder::enabled();
+        let report = run_nbia(&cfg, &wl);
+        let trace = jsonl::to_jsonl(&cfg.recorder.events());
+        (report.makespan.as_nanos(), fnv1a64(trace.as_bytes()))
+    };
+    assert_eq!(
+        pin(Policy::ddfcfs(8)),
+        (10_324_187_522, 0x6d33_6340_70ef_7c5a)
+    );
+    assert_eq!(
+        pin(Policy::ddwrr(30)),
+        (5_287_011_696, 0x3229_d3f5_2185_3791)
+    );
+    assert_eq!(pin(Policy::odds()), (40_952_925_846, 0xb284_3598_faf9_80b1));
 }
 
 /// The learned-policy chaos scenario (DESIGN.md §16): the same 20% drop

@@ -2,12 +2,14 @@
 //! virtual-time simulator implement the same model, so task accounting
 //! must agree, and each backend must be internally reproducible.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use anthill_repro::apps::nbia::{run_local, NbiaLocalConfig};
+use anthill_repro::core::engine::sequential::GraphEmission;
+use anthill_repro::core::graph::DataflowGraph;
 use anthill_repro::core::local::{ExecMode, WorkerSpec};
 use anthill_repro::core::policy::{Policy, PolicyKind};
-use anthill_repro::core::sim::{run_nbia, SimConfig, WorkloadSpec};
+use anthill_repro::core::sim::{run_graph_sim, run_nbia, GraphSimConfig, SimConfig, WorkloadSpec};
 use anthill_repro::core::weights::OracleWeights;
 use anthill_repro::hetsim::{ClusterSpec, DeviceKind, GpuParams};
 
@@ -113,4 +115,73 @@ fn estimator_and_oracle_weights_agree_on_routing() {
     assert!(diff < 10.0, "routing diverged by {diff} points");
     let perf = re.speedup() / ro.speedup();
     assert!((0.9..1.1).contains(&perf), "perf ratio {perf}");
+}
+
+/// The flat NBIA simulation and the graph simulation of a one-filter graph
+/// are one model: on a single CPU + GPU node with synchronous copies and
+/// oracle weights they agree on the virtual makespan to the nanosecond and
+/// on every per-(kind, level) count, with NBIA's recalculation loop
+/// expressed as a feedback emission.
+#[test]
+fn one_filter_graph_sim_equals_the_flat_sim_on_one_node() {
+    type Counts = HashMap<(DeviceKind, u8), u64>;
+    let both = |policy: Policy, recalc: f64| -> ((u64, Counts), (u64, Counts)) {
+        let w = WorkloadSpec {
+            tiles: 400,
+            ..WorkloadSpec::paper_base(recalc)
+        };
+        let mut cfg = SimConfig::new(ClusterSpec::homogeneous(1), policy);
+        cfg.async_transfers = false;
+        cfg.use_estimator = false;
+        let flat = run_nbia(&cfg, &w);
+        let graph = run_graph_sim(
+            &GraphSimConfig::new(policy),
+            &DataflowGraph::single("nbia"),
+            &[vec![DeviceKind::Cpu, DeviceKind::Gpu]],
+            (0..w.tiles).map(|t| (0, w.low_buffer(t))).collect(),
+            Box::new(OracleWeights::new(GpuParams::geforce_8800gt(), false)),
+            |_, _, b| {
+                let mut em = GraphEmission::default();
+                if b.level == 0 && w.is_recalc(b.task) {
+                    em.feedback.push(w.high_buffer(b.task));
+                } else {
+                    em.forward.push(b.clone());
+                }
+                em
+            },
+        );
+        let mut graph_counts = Counts::new();
+        for (&(_filter, kind, level), &n) in &graph.assigned {
+            *graph_counts.entry((kind, level)).or_insert(0) += n;
+        }
+        (
+            (flat.makespan.as_nanos(), flat.tasks_by),
+            (graph.makespan.as_nanos(), graph_counts),
+        )
+    };
+
+    for policy in [Policy::ddfcfs(4), Policy::ddwrr(8), Policy::odds()] {
+        let (flat, graph) = both(policy, 0.0);
+        assert_eq!(flat, graph, "{policy:?}, no recalculation");
+        assert_eq!(flat.0, 232_216_944, "{policy:?}");
+        assert_eq!(flat.1[&(DeviceKind::Cpu, 0)], 207, "{policy:?}");
+        assert_eq!(flat.1[&(DeviceKind::Gpu, 0)], 193, "{policy:?}");
+    }
+    for (policy, makespan) in [
+        (Policy::ddfcfs(4), 912_022_896),
+        (Policy::ddwrr(8), 719_083_672),
+    ] {
+        let (flat, graph) = both(policy, 0.12);
+        assert_eq!(flat, graph, "{policy:?}, 12% recalculation");
+        assert_eq!(flat.0, makespan, "{policy:?}");
+    }
+    // ODDS with recalculation is the one pair that differs, for one reason:
+    // the flat set-up calls `engine.set_batch_reserve(node, gpu, streams)`
+    // for every GPU slot even when copies are synchronous, so DQAA's window
+    // for the GPU carries a stream reserve the graph set-up never sets. The
+    // two agree once that call is conditional on asynchronous copies;
+    // whoever changes the reserve moves the first literal onto the second.
+    let (flat, graph) = both(Policy::odds(), 0.12);
+    assert_eq!(flat.0, 717_961_880);
+    assert_eq!(graph.0, 719_083_672);
 }

@@ -39,9 +39,10 @@ use anthill_repro::core::membership::{
 use anthill_repro::core::net::{
     run_concurrent_load_autoscaled, Behavior, ElasticLoad, NetConfig, NetWorkerConn,
 };
-use anthill_repro::core::obs::{DeviceRef, EventKind, Recorder};
+use anthill_repro::core::obs::{jsonl, DeviceRef, EventKind, Recorder};
 use anthill_repro::core::policy::Policy;
 use anthill_repro::core::sim::{run_nbia, SimConfig, WorkloadSpec};
+use anthill_repro::estimator::fnv1a64;
 use anthill_repro::hetsim::{ClusterSpec, DeviceKind};
 use anthill_repro::simkit::SimTime;
 
@@ -322,6 +323,48 @@ fn joiner_warms_up_and_earns_a_share() {
     assert!(
         events[..join_pos].iter().all(|e| e.origin != joiner),
         "the joiner must be silent before its join event"
+    );
+}
+
+/// One scripted elastic DES run as literals: a GPU joins node 0 (the
+/// asynchronous-copy join path with its stream reserve), a CPU joins
+/// node 1, and node 0's original CPU drains — virtual makespan and the
+/// FNV-1a-64 of the JSONL trace.
+#[test]
+fn des_join_and_drain_run_is_pinned() {
+    let wl = WorkloadSpec {
+        tiles: 300,
+        ..WorkloadSpec::paper_base(0.1)
+    };
+    let mut cfg = SimConfig::new(ClusterSpec::homogeneous(2), Policy::odds());
+    let step = |after_completions, action| ScheduledAction {
+        after_completions,
+        action,
+    };
+    cfg.membership = MembershipSchedule::new(vec![
+        step(
+            60,
+            MemberAction::Join {
+                node: 0,
+                kind: DeviceKind::Gpu,
+            },
+        ),
+        step(
+            100,
+            MemberAction::Join {
+                node: 1,
+                kind: DeviceKind::Cpu,
+            },
+        ),
+        step(150, MemberAction::Drain { node: 0, worker: 0 }),
+    ]);
+    cfg.recorder = Recorder::enabled();
+    let report = run_nbia(&cfg, &wl);
+    assert_eq!(report.total_tasks, wl.total_buffers());
+    let trace = jsonl::to_jsonl(&cfg.recorder.events());
+    assert_eq!(
+        (report.makespan.as_nanos(), fnv1a64(trace.as_bytes())),
+        (366_926_854, 0xcb8c_0ca9_1b11_bf7c)
     );
 }
 

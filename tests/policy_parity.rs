@@ -25,10 +25,11 @@ use std::sync::Arc;
 
 use common::{
     assert_jsonl_round_trip, count_events, cpu_gpu_workers, diamond, graph_loopback_workers,
-    loopback_workers, neutral_buffer, neutral_gpu, neutral_oracle, neutral_shape, pipeline3,
-    single_filter_graph,
+    loopback_workers, mk_task, neutral_buffer, neutral_gpu, neutral_oracle, neutral_shape, oracle,
+    pipeline3, single_filter_graph,
 };
 
+use anthill_repro::core::buffer::DataBuffer;
 use anthill_repro::core::engine::sequential::{
     run_graph, GraphEmission, GraphOutcome, SequentialConfig,
 };
@@ -39,8 +40,11 @@ use anthill_repro::core::net::{run_graph_deterministic, Behavior, NetConfig, Net
 use anthill_repro::core::obs::{EventKind, Recorder};
 use anthill_repro::core::policy::learned::{LearnedConfig, LearnedWeights};
 use anthill_repro::core::policy::Policy;
-use anthill_repro::core::sim::{run_graph_sim, run_nbia, GraphSimConfig, SimConfig, WorkloadSpec};
+use anthill_repro::core::sim::{
+    run_graph_sim, run_nbia, GraphSimConfig, GraphSimReport, SimConfig, WorkloadSpec,
+};
 use anthill_repro::core::weights::{OracleWeights, WeightProvider};
+use anthill_repro::estimator::fnv1a64;
 use anthill_repro::hetsim::{ClusterSpec, DeviceId, DeviceKind, NodeSpec};
 
 const TILES: u64 = 120;
@@ -285,7 +289,7 @@ fn collapse(assigned: &HashMap<(usize, DeviceKind, u8), u64>) -> HashMap<(usize,
     out
 }
 
-fn graph_seeds(filter: usize) -> Vec<(usize, anthill_repro::core::buffer::DataBuffer)> {
+fn graph_seeds(filter: usize) -> Vec<(usize, DataBuffer)> {
     (0..GRAPH_TILES)
         .map(|t| (filter, neutral_buffer(t)))
         .collect()
@@ -293,11 +297,7 @@ fn graph_seeds(filter: usize) -> Vec<(usize, anthill_repro::core::buffer::DataBu
 
 /// Pass-through filter logic for the buffer-level backends: forward every
 /// completion unchanged and let the graph's routing rule place it.
-fn forward_all(
-    _filter: usize,
-    _kind: DeviceKind,
-    b: &anthill_repro::core::buffer::DataBuffer,
-) -> GraphEmission {
+fn forward_all(_filter: usize, _kind: DeviceKind, b: &DataBuffer) -> GraphEmission {
     GraphEmission {
         forward: vec![b.clone()],
         feedback: Vec::new(),
@@ -672,4 +672,132 @@ fn diamond_split_is_exactly_half_on_every_backend() {
             assert_eq!(counts.edges[&edge], GRAPH_TILES / 2, "edge {edge}");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Graph DES pins: the virtual times, output order and edge tallies of the
+// graph simulator as literals, so a rewrite of the DES world behind
+// `run_graph_sim` shows up as a moved number rather than as a count that
+// still happens to agree with the other backends.
+// ---------------------------------------------------------------------
+
+/// What a graph DES run is pinned by: makespan in nanoseconds, FNV-1a-64 of
+/// the output buffer ids in completion order (little-endian `u64`s), and
+/// the per-edge delivery tallies in edge order.
+type GraphSimPin = (u64, u64, Vec<(u32, u64)>);
+
+fn graph_sim_pin(report: &GraphSimReport) -> GraphSimPin {
+    let ids: Vec<u8> = report
+        .outputs
+        .iter()
+        .flat_map(|b| b.id.0.to_le_bytes())
+        .collect();
+    let mut edges: Vec<(u32, u64)> = report
+        .edge_delivered
+        .iter()
+        .map(|(&e, &n)| (e, n))
+        .collect();
+    edges.sort_unstable();
+    (report.makespan.as_nanos(), fnv1a64(&ids), edges)
+}
+
+/// `[Cpu, Gpu]` per filter, 48 seeds into filter 0, pass-through logic.
+fn des_graph_pin(
+    cfg: &GraphSimConfig,
+    graph: &DataflowGraph,
+    seeds: Vec<(usize, DataBuffer)>,
+    weights: Box<dyn WeightProvider>,
+) -> GraphSimPin {
+    let devices = vec![vec![DeviceKind::Cpu, DeviceKind::Gpu]; graph.n_filters()];
+    graph_sim_pin(&run_graph_sim(
+        cfg,
+        graph,
+        &devices,
+        seeds,
+        weights,
+        forward_all,
+    ))
+}
+
+/// The parity runs above: device-neutral 400 us tasks with nothing on the
+/// wire. Every policy pops them in seed order and both topologies have the
+/// same depth, so all six runs share one makespan and one output order.
+#[test]
+fn graph_des_neutral_runs_are_pinned() {
+    let tallies = [
+        (pipeline3(), vec![(0, 48), (1, 48)]),
+        (diamond(), vec![(0, 24), (1, 24), (2, 24), (3, 24)]),
+    ];
+    for (graph, edges) in tallies {
+        for policy in [Policy::ddfcfs(4), Policy::ddwrr(8), Policy::odds()] {
+            let mut cfg = GraphSimConfig::new(policy);
+            cfg.gpu = neutral_gpu();
+            assert_eq!(
+                des_graph_pin(&cfg, &graph, graph_seeds(0), parity_provider(policy)),
+                (10_568_000, 0xb3b7_7ea8_2cd3_a625, edges.clone()),
+                "{policy:?}"
+            );
+        }
+    }
+}
+
+/// The same two topologies priced for real: [`mk_task`]'s four tile sizes
+/// on the paper's GPU and network, where the policies order, route and
+/// finish differently.
+#[test]
+fn graph_des_mixed_size_runs_are_pinned() {
+    let pin = |policy: Policy, graph: &DataflowGraph| {
+        let seeds = (0..GRAPH_TILES).map(|t| (0, mk_task(t).buffer)).collect();
+        des_graph_pin(
+            &GraphSimConfig::new(policy),
+            graph,
+            seeds,
+            Box::new(oracle()),
+        )
+    };
+    let (p3, p3_edges) = (pipeline3(), vec![(0, 48), (1, 48)]);
+    assert_eq!(
+        pin(Policy::ddfcfs(4), &p3),
+        (147_909_043, 0x27ab_0481_cc97_6e45, p3_edges.clone())
+    );
+    assert_eq!(
+        pin(Policy::ddwrr(8), &p3),
+        (147_755_551, 0x089b_7016_2758_dd05, p3_edges.clone())
+    );
+    assert_eq!(
+        pin(Policy::odds(), &p3),
+        (147_745_247, 0xdb0b_982f_52a9_2465, p3_edges)
+    );
+    let (d, d_edges) = (diamond(), vec![(0, 24), (1, 24), (2, 24), (3, 24)]);
+    assert_eq!(
+        pin(Policy::ddfcfs(4), &d),
+        (147_909_043, 0x0fdc_14e5_ac0a_36c5, d_edges.clone())
+    );
+    assert_eq!(
+        pin(Policy::ddwrr(8), &d),
+        (147_755_551, 0xca6d_2b1c_8818_c6e5, d_edges.clone())
+    );
+    assert_eq!(
+        pin(Policy::odds(), &d),
+        (147_745_247, 0x9ef5_aa48_7396_a2c5, d_edges)
+    );
+}
+
+/// The NBIA reader -> feature -> classifier graph with its feedback edge:
+/// the one graph DES run with a mixed-device filter between two CPU-only
+/// ones, recirculation, and the application's own emissions.
+#[test]
+fn graph_des_nbia_run_is_pinned() {
+    use anthill_repro::apps::nbia::{graph::run_sim, NbiaLocalConfig};
+    let (results, report) = run_sim(&NbiaLocalConfig::default());
+    assert_eq!(results.len(), 48);
+    assert_eq!(report.total, 176);
+    assert_eq!(
+        graph_sim_pin(&report),
+        (
+            128_235_472,
+            0x36ff_9dd3_fffb_e265,
+            vec![(0, 48), (1, 64), (2, 16)]
+        )
+    );
 }
