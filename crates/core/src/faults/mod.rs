@@ -22,8 +22,8 @@
 //! faults, which is what lets the chaos tests compare policies under the
 //! same failure trace and lets CI replay a failing schedule. At zero
 //! probability every query short-circuits before touching the RNG, so a
-//! fault-wrapped driver is byte-identical to an unwrapped one (asserted by
-//! the chaos parity tests).
+//! driver consulting an all-zero schedule is byte-identical to one that
+//! consults none (asserted by the chaos parity tests).
 //!
 //! Recovery knobs live in [`RecoveryConfig`] and are consumed by
 //! `engine::core`: per-request timeouts, bounded exponential-backoff
@@ -31,8 +31,6 @@
 //! (DESIGN.md "Failure model").
 
 use anthill_simkit::{SimDuration, SimRng, SimTime};
-
-use crate::engine::core::{Transport, WorkerRef};
 
 /// A per-worker-overridable probability in `[0, 1]`.
 #[derive(Debug, Clone, Default)]
@@ -259,63 +257,9 @@ impl FaultInjector {
     }
 }
 
-/// A [`Transport`] wrapper that drops requests per the injector's message
-/// schedule — the generic fault layer for drivers whose transport has no
-/// native notion of loss (the DES driver instead consults the injector
-/// inline, because dropping there must also skip the modeled network
-/// send). Delay requires a driver-owned timer and is therefore driver
-/// cooperation, not wrappable; see the module docs.
-pub struct FaultyTransport<'a, D> {
-    inner: &'a mut D,
-    injector: &'a mut FaultInjector,
-    /// Requests swallowed by the wrapper.
-    pub dropped: u64,
-}
-
-impl<'a, D: Transport> FaultyTransport<'a, D> {
-    /// Wrap `inner`, consulting `injector` for every request hop.
-    pub fn new(inner: &'a mut D, injector: &'a mut FaultInjector) -> FaultyTransport<'a, D> {
-        FaultyTransport {
-            inner,
-            injector,
-            dropped: 0,
-        }
-    }
-}
-
-impl<D: Transport> Transport for FaultyTransport<'_, D> {
-    fn send_request(&mut self, from: WorkerRef, reader: usize, req_id: u64) {
-        match self.injector.message_fate(from.node, from.worker) {
-            MessageFate::Drop => self.dropped += 1,
-            // A pure Transport has no timer; a delayed request degrades to
-            // a delivered one here (the DES driver prices real delays).
-            MessageFate::Delay(_) | MessageFate::Deliver => {
-                self.inner.send_request(from, reader, req_id);
-            }
-        }
-    }
-
-    fn schedule_timeout(&mut self, worker: WorkerRef, req_id: u64, fire_at: SimTime) {
-        self.inner.schedule_timeout(worker, req_id, fire_at);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anthill_hetsim::{DeviceId, DeviceKind};
-
-    fn wref() -> WorkerRef {
-        WorkerRef {
-            node: 0,
-            worker: 0,
-            device: DeviceId {
-                node: 0,
-                kind: DeviceKind::Cpu,
-                index: 0,
-            },
-        }
-    }
 
     #[test]
     fn per_worker_override_wins_over_base() {
@@ -377,42 +321,5 @@ mod tests {
         let fa: Vec<_> = (0..32).map(|_| a.message_fate(0, 0)).collect();
         let fb: Vec<_> = (0..32).map(|_| b.message_fate(0, 0)).collect();
         assert_eq!(fa, fb);
-    }
-
-    #[test]
-    fn faulty_transport_drops_per_schedule() {
-        struct Count(u64);
-        impl Transport for Count {
-            fn send_request(&mut self, _f: WorkerRef, _r: usize, _id: u64) {
-                self.0 += 1;
-            }
-        }
-        let mut inner = Count(0);
-        let mut inj = FaultInjector::new(&FaultConfig::message_drop(5, 0.4));
-        let mut t = FaultyTransport::new(&mut inner, &mut inj);
-        for id in 0..1_000 {
-            t.send_request(wref(), 0, id);
-        }
-        let dropped = t.dropped;
-        assert_eq!(inner.0 + dropped, 1_000, "every request accounted for");
-        assert!((250..550).contains(&dropped), "dropped = {dropped}");
-    }
-
-    #[test]
-    fn faulty_transport_is_transparent_at_zero_probability() {
-        struct Log(Vec<u64>);
-        impl Transport for Log {
-            fn send_request(&mut self, _f: WorkerRef, _r: usize, id: u64) {
-                self.0.push(id);
-            }
-        }
-        let mut inner = Log(Vec::new());
-        let mut inj = FaultInjector::new(&FaultConfig::none());
-        let mut t = FaultyTransport::new(&mut inner, &mut inj);
-        for id in 0..64 {
-            t.send_request(wref(), 0, id);
-        }
-        assert_eq!(t.dropped, 0);
-        assert_eq!(inner.0, (0..64).collect::<Vec<_>>());
     }
 }

@@ -1,7 +1,8 @@
 //! The virtual-time graph executor: the DES counterpart of
 //! [`crate::engine::sequential::run_graph`], driving a whole
 //! [`DataflowGraph`] of replicated filters through the shared scheduling
-//! engine in modeled time.
+//! engine in modeled time — a set-up over the one DES world
+//! ([`crate::sim::world`]) that cluster runs share.
 //!
 //! Each filter of the graph is one engine node whose reader is scoped to
 //! its own input queue, so *every edge* runs its own demand-driven stream:
@@ -12,30 +13,22 @@
 //! emissions are routed over the graph's out-edges (round-robin, labeled,
 //! or broadcast) or over a declared feedback edge.
 //!
-//! Faults and the asynchronous GPU transfer pipeline are the single-filter
-//! runtime's department ([`crate::sim::runtime`]); this runner prices GPU
-//! batches synchronously, which keeps cross-backend parity exact on
-//! neutral workloads.
+//! GPU batches are priced synchronously and nothing fails or joins, which
+//! keeps cross-backend parity exact on neutral workloads.
 
 use std::collections::HashMap;
 
-use anthill_hetsim::{DeviceId, DeviceKind, GpuEngines, GpuParams, NetParams, Network};
-use anthill_simkit::{Scheduler, SimDuration, SimTime, World};
+use anthill_hetsim::{ClusterSpec, DeviceKind, GpuParams, NetParams};
+use anthill_simkit::{SimDuration, SimTime};
 
 use crate::buffer::DataBuffer;
-use crate::engine::core::{Executor, Transport, WorkerRef};
 use crate::engine::sequential::GraphEmission;
-use crate::engine::{Engine as SchedEngine, EngineConfig, VirtualClock};
-use crate::faults::RecoveryConfig;
 use crate::graph::{DataflowGraph, RoutingCursors};
 use crate::obs::Recorder;
 use crate::policy::Policy;
+use crate::sim::runtime::SimConfig;
+use crate::sim::world::{Completion, Hop, Sim, RECALC_BYTES};
 use crate::weights::WeightProvider;
-
-/// Bytes of a data-request control message (as in the single-filter sim).
-const REQUEST_BYTES: u64 = 64;
-/// Bytes of a feedback/recirculation notification message.
-const RECALC_BYTES: u64 = 128;
 
 /// Configuration of one simulated graph run.
 #[derive(Clone)]
@@ -81,287 +74,42 @@ pub struct GraphSimReport {
     pub total: u64,
 }
 
-enum Ev {
-    /// A data request arriving at a filter's reader.
-    Request {
-        reader: usize,
-        wnode: usize,
-        thread: usize,
-        proctype: DeviceKind,
-        req_id: u64,
-    },
-    /// A data (or empty) reply arriving at a worker.
-    Data {
-        wnode: usize,
-        thread: usize,
-        req_id: u64,
-        buffer: Option<DataBuffer>,
-    },
-    /// A task finished on a device.
-    TaskDone {
-        node: usize,
-        thread: usize,
-        buffer: DataBuffer,
-        proc_time: SimDuration,
-    },
-    /// A routed emission arriving at the destination filter of an edge.
-    Deliver { edge: usize, buffer: DataBuffer },
-    /// A self-recirculated buffer re-entering its own filter's queue.
-    Feedback { filter: usize, buffer: DataBuffer },
-    /// A per-request retry timer fired (no-op if the reply settled).
-    Timeout {
-        node: usize,
-        thread: usize,
-        req_id: u64,
-    },
-}
-
-struct DriverState {
-    net: Network,
-    /// `[filter][worker]` GPU engines for GPU slots, `None` for CPUs.
-    gpus: Vec<Vec<Option<GpuEngines>>>,
-}
-
-struct SimDriver<'a> {
-    now: SimTime,
-    drv: &'a mut DriverState,
-    sched: &'a mut Scheduler<Ev>,
-}
-
-impl Transport for SimDriver<'_> {
-    fn send_request(&mut self, from: WorkerRef, reader: usize, req_id: u64) {
-        let arrival = self
-            .drv
-            .net
-            .send(self.now, from.node, reader, REQUEST_BYTES);
-        self.sched.at(
-            arrival,
-            Ev::Request {
-                reader,
-                wnode: from.node,
-                thread: from.worker,
-                proctype: from.device.kind,
-                req_id,
-            },
-        );
-    }
-
-    fn schedule_timeout(&mut self, worker: WorkerRef, req_id: u64, fire_at: SimTime) {
-        self.sched.at(
-            fire_at,
-            Ev::Timeout {
-                node: worker.node,
-                thread: worker.worker,
-                req_id,
-            },
-        );
-    }
-}
-
-impl Executor for SimDriver<'_> {
-    fn batch_limit(&mut self, _worker: WorkerRef) -> usize {
-        1
-    }
-
-    fn launch(&mut self, worker: WorkerRef, batch: Vec<DataBuffer>) {
-        let now = self.now;
-        for buffer in batch {
-            let (fin, dt) = match worker.device.kind {
-                DeviceKind::Cpu => {
-                    let dt = buffer.shape.cpu;
-                    (now + dt, dt)
-                }
-                DeviceKind::Gpu => {
-                    let gpu = self.drv.gpus[worker.node][worker.worker]
-                        .as_mut()
-                        .expect("GPU slot has engines");
-                    let (_, fin) = gpu.run_sync(
-                        now,
-                        buffer.shape.bytes_in,
-                        buffer.shape.gpu_kernel,
-                        buffer.shape.bytes_out,
-                    );
-                    (fin, fin.since(now))
-                }
-            };
-            self.sched.at(
-                fin,
-                Ev::TaskDone {
-                    node: worker.node,
-                    thread: worker.worker,
-                    buffer,
-                    proc_time: dt,
-                },
-            );
-        }
-    }
-}
-
-struct GraphWorld<F> {
-    engine: SchedEngine<VirtualClock, Box<dyn WeightProvider>>,
-    clock: VirtualClock,
-    drv: DriverState,
-    graph: DataflowGraph,
+/// A graph's completion rule: call the filter logic, then price every
+/// emission over the edge the graph routes it to.
+struct GraphRouting<'a, F> {
+    graph: &'a DataflowGraph,
     cursors: RoutingCursors,
     handle: F,
     outputs: Vec<DataBuffer>,
-    finish: SimTime,
 }
 
-impl<F> World for GraphWorld<F>
+impl<F> Completion for GraphRouting<'_, F>
 where
     F: FnMut(usize, DeviceKind, &DataBuffer) -> GraphEmission,
 {
-    type Event = Ev;
-
-    fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
-        self.clock.set(now);
-        match ev {
-            Ev::Request {
-                reader,
-                wnode,
-                thread,
-                proctype,
-                req_id,
-            } => {
-                let buffer = self.engine.answer_request(reader, proctype);
-                let bytes = buffer
-                    .as_ref()
-                    .map(DataBuffer::wire_bytes)
-                    .unwrap_or(REQUEST_BYTES);
-                let arrival = self.drv.net.send(now, reader, wnode, bytes);
-                sched.at(
-                    arrival,
-                    Ev::Data {
-                        wnode,
-                        thread,
-                        req_id,
-                        buffer,
-                    },
-                );
+    fn completed(&mut self, hop: &mut Hop<'_>, kind: DeviceKind, buffer: &DataBuffer) {
+        let filter = hop.node;
+        let em = (self.handle)(filter, kind, buffer);
+        for b in em.feedback {
+            // Feedback goes over the filter's declared feedback edge when
+            // one exists; self-recirculation otherwise. Either way the hop
+            // is priced as a control message.
+            let edge = self.graph.feedback_edge(filter);
+            let to = edge.map_or(filter, |ei| self.graph.edge(ei).to);
+            hop.send(to, RECALC_BYTES, edge, b);
+        }
+        for b in em.forward {
+            let targets = self.graph.route_forward(filter, b.level, &mut self.cursors);
+            let Some((&last, rest)) = targets.split_last() else {
+                // No matching out-edge: the buffer leaves the graph.
+                self.outputs.push(b);
+                hop.leave();
+                continue;
+            };
+            for &ei in rest {
+                hop.send(self.graph.edge(ei).to, b.wire_bytes(), Some(ei), b.clone());
             }
-            Ev::Data {
-                wnode,
-                thread,
-                req_id,
-                buffer,
-            } => {
-                let mut d = SimDriver {
-                    now,
-                    drv: &mut self.drv,
-                    sched,
-                };
-                self.engine
-                    .data_arrived(wnode, thread, req_id, buffer, &mut d);
-            }
-            Ev::TaskDone {
-                node,
-                thread,
-                buffer,
-                proc_time,
-            } => {
-                self.engine.task_finished(node, thread, &buffer, proc_time);
-                let kind = self.engine.worker_device(node, thread).kind;
-                let em = (self.handle)(node, kind, &buffer);
-                for b in em.feedback {
-                    // Feedback goes over the filter's declared feedback
-                    // edge when one exists; self-recirculation otherwise.
-                    // Either way the hop is priced as a control message.
-                    match self.graph.feedback_edge(node) {
-                        Some(ei) => {
-                            let to = self.graph.edge(ei).to;
-                            let arrival = self.drv.net.send(now, node, to, RECALC_BYTES);
-                            sched.at(
-                                arrival,
-                                Ev::Deliver {
-                                    edge: ei,
-                                    buffer: b,
-                                },
-                            );
-                        }
-                        None => {
-                            let arrival = self.drv.net.send(now, node, node, RECALC_BYTES);
-                            sched.at(
-                                arrival,
-                                Ev::Feedback {
-                                    filter: node,
-                                    buffer: b,
-                                },
-                            );
-                        }
-                    }
-                }
-                for b in em.forward {
-                    let targets = self.graph.route_forward(node, b.level, &mut self.cursors);
-                    match targets.split_last() {
-                        None => {
-                            // No matching out-edge: the buffer leaves the
-                            // graph.
-                            self.outputs.push(b);
-                            if now > self.finish {
-                                self.finish = now;
-                            }
-                        }
-                        Some((&last, rest)) => {
-                            for &ei in rest {
-                                let to = self.graph.edge(ei).to;
-                                let arrival = self.drv.net.send(now, node, to, b.wire_bytes());
-                                sched.at(
-                                    arrival,
-                                    Ev::Deliver {
-                                        edge: ei,
-                                        buffer: b.clone(),
-                                    },
-                                );
-                            }
-                            let to = self.graph.edge(last).to;
-                            let arrival = self.drv.net.send(now, node, to, b.wire_bytes());
-                            sched.at(
-                                arrival,
-                                Ev::Deliver {
-                                    edge: last,
-                                    buffer: b,
-                                },
-                            );
-                        }
-                    }
-                }
-                let mut d = SimDriver {
-                    now,
-                    drv: &mut self.drv,
-                    sched,
-                };
-                self.engine.worker_idle(node, thread, &[proc_time], &mut d);
-            }
-            Ev::Deliver { edge, buffer } => {
-                let to = self.graph.edge(edge).to;
-                let mut d = SimDriver {
-                    now,
-                    drv: &mut self.drv,
-                    sched,
-                };
-                self.engine.deliver_edge(edge as u32, to, buffer, &mut d);
-            }
-            Ev::Feedback { filter, buffer } => {
-                let mut d = SimDriver {
-                    now,
-                    drv: &mut self.drv,
-                    sched,
-                };
-                self.engine.recirculate(filter, buffer, &mut d);
-            }
-            Ev::Timeout {
-                node,
-                thread,
-                req_id,
-            } => {
-                let mut d = SimDriver {
-                    now,
-                    drv: &mut self.drv,
-                    sched,
-                };
-                self.engine.request_timed_out(node, thread, req_id, &mut d);
-            }
+            hop.send(self.graph.edge(last).to, b.wire_bytes(), Some(last), b);
         }
     }
 }
@@ -388,97 +136,45 @@ where
         graph.n_filters(),
         "one device list per graph filter"
     );
-    let clock = VirtualClock::new();
-    let mut engine = SchedEngine::new(
-        EngineConfig {
-            policy: cfg.policy,
-            max_window: cfg.max_request_window,
-            recovery: RecoveryConfig::disabled(),
-        },
-        clock.clone(),
-        weights,
-        cfg.recorder.clone(),
-    );
-
-    let mut gpus: Vec<Vec<Option<GpuEngines>>> = Vec::with_capacity(devices.len());
-    for (f, kinds) in devices.iter().enumerate() {
-        let node = engine.add_node();
-        debug_assert_eq!(node, f);
-        assert!(!kinds.is_empty(), "filter {f} has no worker slots");
-        let mut slots = Vec::with_capacity(kinds.len());
-        let mut index: HashMap<DeviceKind, usize> = HashMap::new();
-        for &kind in kinds {
-            let slot = index.entry(kind).or_insert(0);
-            engine.add_worker(
-                node,
-                DeviceId {
-                    node: f,
-                    kind,
-                    index: *slot,
-                },
-            );
-            *slot += 1;
-            slots.push(match kind {
-                DeviceKind::Cpu => None,
-                DeviceKind::Gpu => Some(GpuEngines::new(cfg.gpu.clone())),
-            });
-        }
-        gpus.push(slots);
-    }
-    for f in 0..graph.n_filters() {
-        // Per-filter reader scope: workers of filter f request only from
-        // their own filter's input queue, giving every edge its own
-        // demand-driven stream instance.
-        engine.set_reader_scope(f, vec![f]);
-    }
-    for (f, b) in seeds {
-        engine.seed_reader(f, b);
-    }
-    let workers = engine.worker_refs();
-
-    let world = GraphWorld {
-        engine,
-        clock,
-        drv: DriverState {
-            net: Network::new(graph.n_filters(), cfg.net.clone()),
-            gpus,
-        },
-        graph: graph.clone(),
+    // A graph run is a cluster run with nothing switched on — no faults, no
+    // membership schedule, calibrated CPUs, synchronous copies — and with
+    // the graph's filters where the cluster's nodes would be.
+    let flat = SimConfig {
+        async_transfers: false,
+        gpu: cfg.gpu.clone(),
+        net: cfg.net.clone(),
+        max_request_window: cfg.max_request_window,
+        recorder: cfg.recorder.clone(),
+        ..SimConfig::new(ClusterSpec { nodes: Vec::new() }, cfg.policy)
+    };
+    let routing = GraphRouting {
+        graph,
         cursors: RoutingCursors::new(graph),
         handle,
         outputs: Vec::new(),
-        finish: SimTime::ZERO,
     };
-
-    let mut des = anthill_simkit::Engine::new(world);
-    for w in &workers {
-        des.schedule(
-            SimTime::ZERO,
-            Ev::Data {
-                wnode: w.node,
-                thread: w.worker,
-                req_id: u64::MAX,
-                buffer: None,
-            },
-        );
+    let mut sim = Sim::new(&flat, graph.n_filters(), 1, weights, routing);
+    for (f, kinds) in devices.iter().enumerate() {
+        assert!(!kinds.is_empty(), "filter {f} has no worker slots");
+        for &kind in kinds {
+            sim.add_worker(f, kind);
+        }
+        // Per-filter reader scope: workers of filter f request only from
+        // their own filter's input queue, giving every edge its own
+        // demand-driven stream instance.
+        sim.engine.set_reader_scope(f, vec![f]);
     }
-    let outcome = des.run_bounded(SimTime::MAX, 2_000_000_000);
-    assert_eq!(
-        outcome,
-        anthill_simkit::RunOutcome::Drained,
-        "graph simulation exceeded the event budget"
-    );
+    for (f, b) in seeds {
+        sim.engine.seed_reader(f, b);
+    }
 
-    let world = des.into_world();
-    let assigned = world.engine.tasks_by_node().clone();
-    let edge_delivered = world.engine.edge_delivered().clone();
-    let total = world.engine.total_done();
+    let sim = sim.run();
     GraphSimReport {
-        makespan: world.finish.since(SimTime::ZERO),
-        outputs: world.outputs,
-        assigned,
-        edge_delivered,
-        total,
+        makespan: sim.finish.since(SimTime::ZERO),
+        assigned: sim.engine.tasks_by_node().clone(),
+        edge_delivered: sim.engine.edge_delivered().clone(),
+        total: sim.engine.total_done(),
+        outputs: sim.hook.outputs,
     }
 }
 

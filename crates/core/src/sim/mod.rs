@@ -7,6 +7,7 @@ mod graph;
 mod report;
 mod runtime;
 mod workload;
+mod world;
 
 pub use graph::{run_graph_sim, GraphSimConfig, GraphSimReport};
 pub use report::SimReport;
