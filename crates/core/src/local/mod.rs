@@ -19,7 +19,7 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -243,8 +243,9 @@ pub struct LocalReport {
     /// Worker threads retired by the fault schedule.
     pub deaths: u64,
     /// Buffers delivered over each dataflow-graph edge (`edge id ->
-    /// count`, every edge present). Empty for implicit linear chains run
-    /// without [`Pipeline::with_graph`].
+    /// count`, every edge present). An implicit linear chain is the graph
+    /// [`DataflowGraph::pipeline`] builds: edge `i` is the hop from stage
+    /// `i` to stage `i + 1`.
     pub edge_delivered: HashMap<u32, u64>,
 }
 
@@ -362,7 +363,10 @@ impl Pipeline {
     }
 
     /// Route emissions through an explicit dataflow graph instead of the
-    /// implicit linear chain: stage `i` hosts filter `i` of the graph, a
+    /// default linear chain — which is itself the graph
+    /// [`DataflowGraph::pipeline`] builds over the stages, so reports and
+    /// traces have the same shape either way. Stage `i` hosts filter `i` of
+    /// the graph, a
     /// handler's `forward` output travels over the filter's matching
     /// out-edge (round-robin or labeled, see
     /// [`route_forward`](DataflowGraph::route_forward)), and
@@ -510,6 +514,26 @@ impl Pipeline {
         }
     }
 
+    /// The dataflow this pipeline runs: the graph given to
+    /// [`with_graph`](Pipeline::with_graph), or else the linear chain over
+    /// the stages — one round-robin edge between consecutive stages.
+    fn dataflow(&self) -> DataflowGraph {
+        assert!(!self.stages.is_empty(), "pipeline has no stages");
+        let graph = self.graph.clone().unwrap_or_else(|| {
+            let names: Vec<String> = (0..self.stages.len())
+                .map(|i| format!("stage{i}"))
+                .collect();
+            let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+            DataflowGraph::pipeline(&refs)
+        });
+        assert_eq!(
+            graph.n_filters(),
+            self.stages.len(),
+            "graph filters must match pipeline stages one to one"
+        );
+        graph
+    }
+
     fn run_inner<W: WeightProvider + Sync>(
         &self,
         sources: Vec<LocalTask>,
@@ -517,14 +541,7 @@ impl Pipeline {
         weights: &W,
         recorder: &Recorder,
     ) -> (Vec<LocalTask>, LocalReport) {
-        assert!(!self.stages.is_empty(), "pipeline has no stages");
-        if let Some(g) = &self.graph {
-            assert_eq!(
-                g.n_filters(),
-                self.stages.len(),
-                "graph filters must match pipeline stages one to one"
-            );
-        }
+        let graph = &self.dataflow();
         if let Some(f) = &self.faults {
             assert!(
                 (0.0..1.0).contains(&f.task_fail),
@@ -550,10 +567,10 @@ impl Pipeline {
             }
         }
         let started = Instant::now();
-        let n_stages = self.stages.len();
-        // Each stage picks the cheapest lane layout that preserves the
-        // policy's pop order.
-        let queues: Vec<StageQueue> = self
+        // Everything the threads below share is bound as a reference here, so
+        // their `move` closures copy the reference. Each stage picks the
+        // cheapest lane layout that preserves the policy's pop order.
+        let queues: &Vec<StageQueue> = &self
             .stages
             .iter()
             .map(|stage| {
@@ -561,62 +578,85 @@ impl Pipeline {
                 StageQueue::new(ReadyLane::tuned(self.policy, &kinds))
             })
             .collect();
-        let in_flight = AtomicUsize::new(0);
-        let done = AtomicUsizeFlag::new();
+        let in_flight = &AtomicUsize::new(0);
+        let done = &AtomicBool::new(false);
         let (out_tx, out_rx) = mpsc::channel::<LocalTask>();
         type Counters = HashMap<(usize, DeviceKind, u8), u64>;
-        let counters: Mutex<Counters> = Mutex::new(HashMap::new());
-        let retries = AtomicUsize::new(0);
-        let deaths = AtomicUsize::new(0);
+        let counters: &Mutex<Counters> = &Mutex::new(HashMap::new());
+        let retries = &AtomicUsize::new(0);
+        let deaths = &AtomicUsize::new(0);
 
         // Payload storage: SharedQueue holds only metadata, so payloads are
         // parked in a sharded side table keyed by buffer id, together with
         // per-buffer failure counts (the `attempt` field of `TaskRetried`).
-        let dispatch = DispatchState::new();
+        let dispatch = &DispatchState::new();
 
         // Graph routing state: each filter's round-robin out-edge cursor
-        // (one short lock per forwarded task) and one delivery counter per
-        // edge for the conservation report.
-        let graph = self.graph.as_ref();
-        let cursors = graph.map(|g| Mutex::new(RoutingCursors::new(g)));
-        let edge_counts: Vec<AtomicU64> = (0..graph.map_or(0, |g| g.edges().len()))
-            .map(|_| AtomicU64::new(0))
-            .collect();
+        // (one short lock per task forwarded over an edge) and one delivery
+        // counter per edge for the conservation report.
+        let cursors = &Mutex::new(RoutingCursors::new(graph));
+        let edge_counts: Vec<AtomicU64> = graph.edges().iter().map(|_| AtomicU64::new(0)).collect();
 
         let capacity = self.capacity;
-        // Per-push weight vector: skipped entirely for FIFO lanes.
-        let lane_weights = |sq: &StageQueue, buf: &crate::buffer::DataBuffer| -> [f64; 2] {
-            if !sq.needs_weights {
-                return [0.0; 2];
-            }
-            select::weights_for(weights, buf)
-        };
-        let enqueue = |stage: usize, task: LocalTask, queues: &[StageQueue], bounded: bool| {
-            // Everything except the push itself stays outside the queue
-            // lock: weight computation, payload parking, trace emission.
+        // Insert a buffer into a stage's lane. Everything except the push
+        // itself stays outside the queue lock; the per-push weight vector is
+        // skipped entirely for FIFO lanes.
+        let push = &|stage: usize, buffer: DataBuffer, bounded: bool| {
             let sq = &queues[stage];
-            let w = lane_weights(sq, &task.buffer);
-            let id = task.buffer.id.0;
-            let level = task.buffer.level;
+            let w = if sq.needs_weights {
+                select::weights_for(weights, &buffer)
+            } else {
+                [0.0; 2]
+            };
+            let mut q = sq.queue.lock();
+            if bounded {
+                if let Some(cap) = capacity {
+                    while q.len() >= cap && !done.load(Ordering::SeqCst) {
+                        sq.space.wait(&mut q);
+                    }
+                }
+            }
+            q.push(buffer, w, None);
+            drop(q);
+            sq.cv.notify_one();
+        };
+        let enqueue = &|stage: usize, task: LocalTask, bounded: bool| {
+            let (id, level) = (task.buffer.id.0, task.buffer.level);
             dispatch.park(id, task.payload);
             recorder.record_now(
                 started,
                 DeviceRef::node_scope(stage),
                 EventKind::Enqueue { buffer: id, level },
             );
-            let mut q = sq.queue.lock();
-            if bounded {
-                if let Some(cap) = capacity {
-                    while q.len() >= cap && !done.is_set() {
-                        sq.space.wait(&mut q);
-                    }
-                }
-            }
-            q.push(task.buffer, w, None);
-            drop(q);
-            sq.cv.notify_one();
+            push(stage, task.buffer, bounded);
         };
-
+        // Send a task over a graph edge: tally it, trace it, enqueue it at
+        // the edge's destination.
+        let deliver = &|edge: usize, task: LocalTask, bounded: bool| {
+            let to = graph.edge(edge).to;
+            edge_counts[edge].fetch_add(1, Ordering::SeqCst);
+            recorder.record_now(
+                started,
+                DeviceRef::node_scope(to),
+                EventKind::EdgeEnqueued {
+                    edge: edge as u32,
+                    buffer: task.buffer.id.0,
+                    level: task.buffer.level,
+                },
+            );
+            enqueue(to, task, bounded);
+        };
+        // End the run: wake everyone to exit. Taking each queue lock before
+        // notifying closes the missed-wakeup window against workers between
+        // their done-check and wait.
+        let shutdown = &|| {
+            done.store(true, Ordering::SeqCst);
+            for q in queues {
+                let _guard = q.queue.lock();
+                q.cv.notify_all();
+                q.space.notify_all();
+            }
+        };
         // An open-loop run starts with one in-flight token held by the
         // injector thread, so the count cannot hit zero between arrivals.
         in_flight.store(
@@ -624,38 +664,26 @@ impl Pipeline {
             Ordering::SeqCst,
         );
         for t in sources {
-            enqueue(0, t, &queues, false);
+            enqueue(0, t, false);
         }
         if in_flight.load(Ordering::SeqCst) == 0 {
-            return (
-                Vec::new(),
-                LocalReport {
-                    handled: HashMap::new(),
-                    elapsed: started.elapsed(),
-                    retries: 0,
-                    deaths: 0,
-                    edge_delivered: edge_counts
-                        .iter()
-                        .enumerate()
-                        .map(|(ei, _)| (ei as u32, 0))
-                        .collect(),
-                },
-            );
+            // Nothing to run: the workers exit as soon as they start.
+            shutdown();
         }
 
         std::thread::scope(|scope| {
             if let Some(load) = load {
-                let queues = &queues;
-                let in_flight = &in_flight;
-                let done = &done;
-                let enqueue_ref = &enqueue;
                 scope.spawn(move || {
                     let sample_every = load.sample_every;
                     let mut next_sample = Duration::ZERO;
                     // Depth snapshot: each lock is taken and dropped on its
                     // own (never nested), so this cannot deadlock against
                     // workers holding admission-then-queue.
-                    let sample_now = |now: Duration| {
+                    let mut sample_if_due = |now: Duration| {
+                        if now < next_sample {
+                            return;
+                        }
+                        next_sample = now + sample_every;
                         let mut per_stage = Vec::with_capacity(queues.len());
                         let mut ready = 0u64;
                         for sq in queues.iter() {
@@ -678,14 +706,11 @@ impl Pipeline {
                     'arrivals: for (i, &offset) in load.arrivals.iter().enumerate() {
                         let target = Duration::from_nanos(offset);
                         loop {
-                            if done.is_set() {
+                            if done.load(Ordering::SeqCst) {
                                 break 'arrivals;
                             }
                             let now = started.elapsed();
-                            if now >= next_sample {
-                                sample_now(now);
-                                next_sample = now + sample_every;
-                            }
+                            sample_if_due(now);
                             if now >= target {
                                 break;
                             }
@@ -711,7 +736,7 @@ impl Pipeline {
                                 Offer::Admitted(t) => {
                                     drop(ctl);
                                     in_flight.fetch_add(1, Ordering::SeqCst);
-                                    enqueue_ref(0, t, queues, false);
+                                    enqueue(0, t, false);
                                     break;
                                 }
                                 Offer::Queued { shed } => {
@@ -729,7 +754,7 @@ impl Pipeline {
                                 }
                                 Offer::Blocked(t) => {
                                     task = t;
-                                    if done.is_set() {
+                                    if done.load(Ordering::SeqCst) {
                                         break 'arrivals;
                                     }
                                     let _ = load.space.wait_for(&mut ctl, Duration::from_millis(2));
@@ -741,14 +766,11 @@ impl Pipeline {
                     // queued task has been admitted or dropped, so the run
                     // cannot terminate with work still parked at intake.
                     loop {
-                        if done.is_set() {
+                        if done.load(Ordering::SeqCst) {
                             return;
                         }
                         let now = started.elapsed();
-                        if now >= next_sample {
-                            sample_now(now);
-                            next_sample = now + sample_every;
-                        }
+                        sample_if_due(now);
                         let (admitted, drained) = {
                             let mut ctl = load.admission.lock();
                             let polled = ctl.poll(now.as_nanos() as u64);
@@ -757,7 +779,7 @@ impl Pipeline {
                         if !admitted.is_empty() {
                             in_flight.fetch_add(admitted.len(), Ordering::SeqCst);
                             for env in admitted {
-                                enqueue_ref(0, env.payload, queues, false);
+                                enqueue(0, env.payload, false);
                             }
                         }
                         if drained {
@@ -766,12 +788,7 @@ impl Pipeline {
                         std::thread::sleep(Duration::from_micros(500));
                     }
                     if in_flight.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        done.set();
-                        for q in queues.iter() {
-                            let _guard = q.queue.lock();
-                            q.cv.notify_all();
-                            q.space.notify_all();
-                        }
+                        shutdown();
                     }
                 });
             }
@@ -783,18 +800,9 @@ impl Pipeline {
                     let origin = DeviceRef::worker(si, spec.kind, *slot);
                     *slot += 1;
                     let filter = Arc::clone(&stage.filter);
-                    let queues = &queues;
-                    let in_flight = &in_flight;
-                    let done = &done;
                     let out_tx = out_tx.clone();
-                    let counters = &counters;
-                    let dispatch = &dispatch;
-                    let enqueue_ref = &enqueue;
-                    let lane_weights = &lane_weights;
-                    let retries = &retries;
-                    let deaths = &deaths;
-                    let cursors = &cursors;
-                    let edge_counts = &edge_counts;
+                    let feedback_edge = graph.feedback_edge(si);
+                    let is_sink = graph.out_edges(si).is_empty();
                     let death_after = self.faults.as_ref().and_then(|f| {
                         f.deaths
                             .iter()
@@ -825,7 +833,7 @@ impl Pipeline {
                                 let sq = &queues[si];
                                 let mut q = sq.queue.lock();
                                 loop {
-                                    if done.is_set() {
+                                    if done.load(Ordering::SeqCst) {
                                         break None;
                                     }
                                     match q.pop(spec.kind) {
@@ -858,12 +866,7 @@ impl Pipeline {
                                     },
                                 );
                                 deaths.fetch_add(1, Ordering::SeqCst);
-                                let sq = &queues[si];
-                                let w = lane_weights(sq, &popped);
-                                let mut q = sq.queue.lock();
-                                q.push(popped, w, None);
-                                drop(q);
-                                sq.cv.notify_one();
+                                push(si, popped, false);
                                 break 'work;
                             }
                             if fault_p > 0.0 && frng.chance(fault_p) {
@@ -882,12 +885,7 @@ impl Pipeline {
                                     },
                                 );
                                 retries.fetch_add(1, Ordering::SeqCst);
-                                let sq = &queues[si];
-                                let w = lane_weights(sq, &popped);
-                                let mut q = sq.queue.lock();
-                                q.push(popped, w, None);
-                                drop(q);
-                                sq.cv.notify_one();
+                                push(si, popped, false);
                                 continue;
                             }
                             recorder.record_now(
@@ -938,12 +936,7 @@ impl Pipeline {
                                     );
                                 }));
                             if let Err(payload) = handled {
-                                done.set();
-                                for q in queues.iter() {
-                                    let _guard = q.queue.lock();
-                                    q.cv.notify_all();
-                                    q.space.notify_all();
-                                }
+                                shutdown();
                                 std::panic::resume_unwind(payload);
                             }
                             let proc_ns = work_started.elapsed().as_nanos() as u64;
@@ -969,64 +962,33 @@ impl Pipeline {
                                 // must not block on its own stage's queue. A
                                 // declared feedback edge overrides the
                                 // self-recirculation default.
-                                match graph.and_then(|g| g.feedback_edge(si)) {
-                                    Some(ei) => {
-                                        let g = graph.expect("feedback edge implies a graph");
-                                        let to = g.edge(ei).to;
-                                        edge_counts[ei].fetch_add(1, Ordering::SeqCst);
-                                        recorder.record_now(
-                                            started,
-                                            DeviceRef::node_scope(to),
-                                            EventKind::EdgeEnqueued {
-                                                edge: ei as u32,
-                                                buffer: t.buffer.id.0,
-                                                level: t.buffer.level,
-                                            },
-                                        );
-                                        enqueue_ref(to, t, queues, false);
-                                    }
-                                    None => enqueue_ref(si, t, queues, false),
+                                match feedback_edge {
+                                    Some(ei) => deliver(ei, t, false),
+                                    None => enqueue(si, t, false),
                                 }
                             }
                             for t in fwd {
-                                // Destination: the matching graph out-edge,
-                                // or the next stage of the implicit linear
-                                // chain. `None` means the task leaves the
-                                // run.
-                                let dest = match graph {
-                                    Some(g) => {
-                                        let targets = {
-                                            let mut cur = cursors
-                                                .as_ref()
-                                                .expect("cursors allocated with the graph")
-                                                .lock();
-                                            g.route_forward(si, t.buffer.level, &mut cur)
-                                        };
-                                        assert!(
-                                            targets.len() <= 1,
-                                            "native runtime cannot duplicate a payload across \
-                                             {} matching out-edges",
-                                            targets.len()
-                                        );
-                                        targets.first().map(|&ei| (g.edge(ei).to, Some(ei)))
-                                    }
-                                    None if si + 1 < n_stages => Some((si + 1, None)),
-                                    None => None,
+                                // The matching out-edge; none means the task
+                                // leaves the run. A sink decides that without
+                                // touching the shared cursors.
+                                let edge = if is_sink {
+                                    None
+                                } else {
+                                    let targets = graph.route_forward(
+                                        si,
+                                        t.buffer.level,
+                                        &mut cursors.lock(),
+                                    );
+                                    assert!(
+                                        targets.len() <= 1,
+                                        "native runtime cannot duplicate a payload across \
+                                         {} matching out-edges",
+                                        targets.len()
+                                    );
+                                    targets.first().copied()
                                 };
-                                if let Some((to, edge)) = dest {
-                                    if let Some(ei) = edge {
-                                        edge_counts[ei].fetch_add(1, Ordering::SeqCst);
-                                        recorder.record_now(
-                                            started,
-                                            DeviceRef::node_scope(to),
-                                            EventKind::EdgeEnqueued {
-                                                edge: ei as u32,
-                                                buffer: t.buffer.id.0,
-                                                level: t.buffer.level,
-                                            },
-                                        );
-                                    }
-                                    enqueue_ref(to, t, queues, true);
+                                if let Some(ei) = edge {
+                                    deliver(ei, t, true);
                                 } else if let Some(load) = load {
                                     // Open-loop terminal emission: hand the
                                     // task to the latency callback, release
@@ -1047,7 +1009,7 @@ impl Pipeline {
                                     if !admitted.is_empty() {
                                         in_flight.fetch_add(admitted.len(), Ordering::SeqCst);
                                         for env in admitted {
-                                            enqueue_ref(0, env.payload, queues, false);
+                                            enqueue(0, env.payload, false);
                                         }
                                     }
                                     in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -1058,24 +1020,15 @@ impl Pipeline {
                                 }
                             }
                             if in_flight.fetch_sub(1, Ordering::SeqCst) == 1 {
-                                // Last task retired: wake everyone to exit.
-                                // Taking each queue lock before notifying
-                                // closes the missed-wakeup window against
-                                // workers between their done-check and wait.
-                                done.set();
-                                for q in queues.iter() {
-                                    let _guard = q.queue.lock();
-                                    q.cv.notify_all();
-                                    q.space.notify_all();
-                                }
+                                // Last task retired.
+                                shutdown();
                             }
                         }
                         // Worker retired (shutdown or scheduled death):
                         // fold the per-worker tallies into the shared
-                        // report and metrics in one step each. This runs
-                        // before the scope joins, so callers reading the
-                        // report or metrics after run_traced returns see
-                        // every completion.
+                        // report in one step. This runs before the scope
+                        // joins, so callers reading the report after
+                        // run_traced returns see every completion.
                         if !local_counts.is_empty() {
                             let mut c = counters.lock();
                             for (level, n) in local_counts {
@@ -1091,7 +1044,7 @@ impl Pipeline {
         let outputs: Vec<LocalTask> = out_rx.try_iter().collect();
         // Every worker has joined: move the counter map out instead of
         // cloning a snapshot under its lock.
-        let handled = counters.into_inner();
+        let handled = std::mem::take(&mut *counters.lock());
         (
             outputs,
             LocalReport {
@@ -1152,27 +1105,8 @@ impl Pipeline {
         weights: &W,
         schedule: crate::membership::MembershipSchedule,
     ) -> (Vec<LocalTask>, LocalReport) {
-        assert!(!self.stages.is_empty(), "pipeline has no stages");
+        let graph = self.dataflow();
         let started = Instant::now();
-        let graph = match &self.graph {
-            Some(g) => {
-                assert_eq!(
-                    g.n_filters(),
-                    self.stages.len(),
-                    "graph filters must match pipeline stages one to one"
-                );
-                g.clone()
-            }
-            None => {
-                // Implicit linear chain as the degenerate graph: one
-                // round-robin edge between consecutive stages.
-                let names: Vec<String> = (0..self.stages.len())
-                    .map(|i| format!("stage{i}"))
-                    .collect();
-                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-                DataflowGraph::pipeline(&refs)
-            }
-        };
         let devices: Vec<Vec<DeviceId>> = self
             .stages
             .iter()
@@ -1261,21 +1195,6 @@ impl Pipeline {
                 edge_delivered: outcome.edge_delivered,
             },
         )
-    }
-}
-
-/// A tiny settable flag (Condvar-friendly shutdown signal).
-struct AtomicUsizeFlag(AtomicUsize);
-
-impl AtomicUsizeFlag {
-    fn new() -> AtomicUsizeFlag {
-        AtomicUsizeFlag(AtomicUsize::new(0))
-    }
-    fn set(&self) {
-        self.0.store(1, Ordering::SeqCst);
-    }
-    fn is_set(&self) -> bool {
-        self.0.load(Ordering::SeqCst) == 1
     }
 }
 
@@ -1772,8 +1691,8 @@ mod tests {
 
     #[test]
     fn graph_pipeline_matches_the_implicit_chain() {
-        // A 3-stage chain expressed as an explicit graph behaves like the
-        // linear default — and additionally reports per-edge deliveries.
+        // A 3-stage chain expressed as an explicit graph is the linear
+        // default, per-edge deliveries included.
         let mk = |graph: bool| {
             let mut p = Pipeline::new(PolicyKind::DdFcfs);
             if graph {
@@ -1798,7 +1717,7 @@ mod tests {
         assert_eq!(rep_g.total(), rep_l.total());
         assert_eq!(rep_g.edge_delivered.get(&0), Some(&60));
         assert_eq!(rep_g.edge_delivered.get(&1), Some(&60));
-        assert!(rep_l.edge_delivered.is_empty());
+        assert_eq!(rep_l.edge_delivered, rep_g.edge_delivered);
         assert!(out_g
             .iter()
             .all(|t| *t.payload.downcast_ref::<u64>().unwrap() == 8));
