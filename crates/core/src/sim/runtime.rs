@@ -211,9 +211,10 @@ pub fn run_nbia_with(
         }
         for _ in 0..spec.gpus {
             let wi = sim.add_worker(node, DeviceKind::Gpu);
-            // Asynchronous copies or not. This is the one decision input
-            // the flat and the graph set-up differ in; whether synchronous
-            // runs should carry it is ROADMAP item 7's question.
+            // Reserved whether or not copies are asynchronous: the one
+            // decision input the flat and the graph set-up differ in.
+            // Whether synchronous runs should carry it is ROADMAP item 7's
+            // question.
             sim.reserve_streams(node, wi);
         }
     }

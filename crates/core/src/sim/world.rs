@@ -75,7 +75,7 @@ enum Ev {
         thread: usize,
         req_id: u64,
     },
-    /// A scheduled permanent worker death ([`crate::faults::FaultConfig::deaths`]).
+    /// A scheduled permanent worker death (`FaultConfig::deaths`).
     WorkerDeath { node: usize, thread: usize },
 }
 
@@ -84,7 +84,7 @@ enum Ev {
 pub(super) struct WorkerExec {
     /// GPU engines + Algorithm 1 stream controller for GPU slots.
     gpu: Option<(GpuEngines, AdaptiveStreams)>,
-    /// Slot killed by a [`crate::faults::FaultConfig::deaths`] entry: completion events
+    /// Slot killed by a `FaultConfig::deaths` entry: completion events
     /// still in the DES queue are dropped on arrival.
     dead: bool,
     /// Buffers currently executing on the slot — the in-flight set handed
@@ -327,14 +327,10 @@ impl<H: Completion> Sim<H> {
     /// Grow the execution table by one `kind` slot on `node`; its device
     /// index continues the node's same-kind numbering.
     fn new_slot(&mut self, node: usize, kind: DeviceKind) -> DeviceId {
-        let same_kind = |w: &WorkerRef| w.node == node && w.device.kind == kind;
-        let index = self
-            .engine
-            .worker_refs()
-            .iter()
-            .filter(|w| same_kind(w))
-            .count();
-        self.drv.exec[node].push(WorkerExec::new(kind, &self.gpu, self.max_streams));
+        let slots = &mut self.drv.exec[node];
+        let is_gpu = kind == DeviceKind::Gpu;
+        let index = slots.iter().filter(|s| s.gpu.is_some() == is_gpu).count();
+        slots.push(WorkerExec::new(kind, &self.gpu, self.max_streams));
         DeviceId { node, kind, index }
     }
 
@@ -432,7 +428,7 @@ pub(super) trait Completion {
 /// The completion hook's view of the world at one completion.
 pub(super) struct Hop<'a> {
     /// Virtual time of the completion.
-    pub now: SimTime,
+    now: SimTime,
     /// Engine node (cluster node or graph filter) the buffer finished on.
     pub node: usize,
     net: &'a mut Network,
