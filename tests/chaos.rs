@@ -43,19 +43,21 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use common::{
-    assert_jsonl_round_trip, at_millis, cpu_workers, loopback_workers, oracle, pick_policy,
-    pipeline3, policies, task,
+    assert_jsonl_round_trip, at_millis, cpu_workers, graph_loopback_workers, loopback_workers,
+    neutral_buffer, oracle, pick_policy, pipeline3, policies, task,
 };
 
 use anthill_repro::core::buffer::DataBuffer;
-use anthill_repro::core::faults::{FaultConfig, FaultProb, RecoveryConfig, WorkerDeathSpec};
+use anthill_repro::core::faults::{
+    ConnectionDropSpec, FaultConfig, FaultProb, RecoveryConfig, WorkerDeathSpec,
+};
 use anthill_repro::core::local::{
     Emitter, ExecMode, LocalDeathSpec, LocalFaults, LocalFilter, LocalTask, Pipeline, WorkerSpec,
 };
 use anthill_repro::core::membership::{MemberAction, MembershipSchedule, ScheduledAction};
 use anthill_repro::core::net::{
-    run_concurrent, run_concurrent_elastic, spawn_joining_worker_thread, Behavior, DrainAt,
-    NetConfig, NetWorkerConn,
+    run_concurrent, run_concurrent_elastic, run_graph_deterministic, spawn_joining_worker_thread,
+    Behavior, DrainAt, NetConfig, NetWorkerConn,
 };
 use anthill_repro::core::obs::{jsonl, EventKind, Recorder, TraceEvent};
 use anthill_repro::core::policy::Policy;
@@ -486,6 +488,64 @@ fn killed_mid_stage_worker_conserves_every_edge() {
         reassigned[0].origin.kind, None,
         "reassignment is filter-scoped, not device-scoped"
     );
+}
+
+/// The same scenario on the TCP lockstep coordinator, where frame counts
+/// are deterministic: the first of filter 1's two connections is severed
+/// after its twelfth frame, the survivor absorbs what it held, every seed
+/// still crosses all three filters once, neither edge sees an extra
+/// delivery, and the death and every reassignment are scoped to filter 1.
+#[test]
+fn lockstep_sever_mid_stage_conserves_every_edge() {
+    const SEEDS: u64 = 30;
+    let cpu = [DeviceKind::Cpu];
+    let workers = graph_loopback_workers(
+        &[&cpu, &[DeviceKind::Cpu, DeviceKind::Cpu], &cpu],
+        Behavior::Identity,
+    );
+    let recorder = Recorder::enabled();
+    let mut cfg = NetConfig::new(Policy::ddwrr(4));
+    cfg.recorder = recorder.clone();
+    cfg.drops = vec![ConnectionDropSpec {
+        node: 1,
+        worker: 0,
+        after_frames: 12,
+    }];
+    let seeds = (0..SEEDS).map(|i| (0, neutral_buffer(i))).collect();
+    let out =
+        run_graph_deterministic(cfg, &pipeline3(), workers, seeds, oracle()).expect("lockstep run");
+
+    assert_eq!(out.total, 3 * SEEDS, "one completion per seed per filter");
+    assert_eq!(out.outputs.len() as u64, SEEDS);
+    assert_eq!(out.deaths, 1);
+    assert_eq!(
+        out.edge_delivered,
+        [(0, SEEDS), (1, SEEDS)].into_iter().collect()
+    );
+    let events = recorder.events();
+    let died: Vec<_> = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::WorkerDied { .. }))
+        .collect();
+    assert_eq!(died.len(), 1, "exactly one worker died");
+    assert_eq!(died[0].origin.node, 1, "the death happened on filter 1");
+    assert_eq!(died[0].kind, EventKind::WorkerDied { inflight: 1 });
+    assert_eq!(
+        died[0].ts_ns, 27,
+        "the tick the twelfth frame was refused at"
+    );
+    let reassigned: Vec<_> = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::TaskReassigned { .. }))
+        .collect();
+    assert_eq!(
+        reassigned.len(),
+        1,
+        "the severed slot held exactly one task"
+    );
+    assert!(reassigned
+        .iter()
+        .all(|e| e.origin.node == 1 && e.origin.kind.is_none()));
 }
 
 /// The TCP backend against *real* process death: two `net_worker` child

@@ -801,3 +801,85 @@ fn graph_des_nbia_run_is_pinned() {
         )
     );
 }
+
+// ---------------------------------------------------------------------
+// The TCP lockstep coordinator's dispatch order and trace as literals, so
+// a rewrite of that loop shows up as a moved number.
+// ---------------------------------------------------------------------
+
+/// FNV-1a-64 of a traced lockstep run's dispatch order (`[filter, kind,
+/// id as 8 LE bytes]` per entry) and of its JSONL with every
+/// `remote_finish.proc_ns` zeroed: ticks are deterministic, the worker's
+/// wall-clock span is not. The JSONL hash holds the event order, so
+/// `remote_start`/`remote_finish` stay immediately before `finish`.
+fn lockstep_pin(policy: Policy, graph: &DataflowGraph) -> (u64, u64) {
+    let kinds = [DeviceKind::Cpu, DeviceKind::Gpu];
+    let filters: Vec<&[DeviceKind]> = (0..graph.n_filters()).map(|_| &kinds[..]).collect();
+    let mut cfg = NetConfig::new(policy);
+    cfg.recorder = Recorder::enabled();
+    let out = run_graph_deterministic(
+        cfg.clone(),
+        graph,
+        graph_loopback_workers(&filters, Behavior::Identity),
+        graph_seeds(0),
+        parity_provider(policy),
+    )
+    .expect("loopback graph net run");
+    let order: Vec<u8> = out
+        .dispatch_order
+        .iter()
+        .flat_map(|&(filter, kind, id)| {
+            [filter as u8, u8::from(kind == DeviceKind::Gpu)]
+                .into_iter()
+                .chain(id.to_le_bytes())
+        })
+        .collect();
+    let mut events = cfg.recorder.events();
+    for e in &mut events {
+        if let EventKind::RemoteFinish { proc_ns, .. } = &mut e.kind {
+            *proc_ns = 0;
+        }
+    }
+    for (i, e) in events.iter().enumerate() {
+        if let EventKind::Finish { buffer, .. } = e.kind {
+            assert!(
+                matches!(events[i - 2].kind, EventKind::RemoteStart { buffer: b, .. } if b == buffer)
+                    && matches!(events[i - 1].kind, EventKind::RemoteFinish { buffer: b, .. } if b == buffer),
+                "the remote span of buffer {buffer} must sit right before its finish"
+            );
+        }
+    }
+    let trace = anthill_repro::core::obs::jsonl::to_jsonl(&events);
+    (fnv1a64(&order), fnv1a64(trace.as_bytes()))
+}
+
+/// The device-neutral workload dispatches in one order under all three
+/// policies; their traces differ (request windows, `dbsa_select`).
+#[test]
+fn graph_lockstep_traced_runs_are_pinned() {
+    let golden = [
+        (
+            Policy::ddfcfs(4),
+            0x5aa7_40a0_43ac_50d1,
+            0xa443_09bd_efe5_dfda,
+        ),
+        (
+            Policy::ddwrr(8),
+            0xc366_b3c8_1018_f5aa,
+            0x4b82_8108_b2ad_01f5,
+        ),
+        (Policy::odds(), 0x90d4_fe6a_5100_3c65, 0x21e8_7488_7f76_a1b7),
+    ];
+    for (policy, p3_trace, d_trace) in golden {
+        assert_eq!(
+            lockstep_pin(policy, &pipeline3()),
+            (0x45a3_6e5f_7eb5_98dd, p3_trace),
+            "{policy:?}"
+        );
+        assert_eq!(
+            lockstep_pin(policy, &diamond()),
+            (0x20b8_c244_b3ac_3d15, d_trace),
+            "{policy:?}"
+        );
+    }
+}
