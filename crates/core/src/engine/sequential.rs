@@ -5,17 +5,19 @@
 //! the clock ticks once per message. Because every scheduling decision is
 //! made by the shared [`Engine`](super::Engine), the assignment a workload
 //! receives here is the engine's *reference* behaviour — the cross-backend
-//! policy-parity tests pin the DES against it, and
-//! [`crate::local::Pipeline::run_deterministic`] uses it to execute real
-//! filters reproducibly. It is also the template for adding a new backend:
-//! implement [`Transport`] + [`Executor`], feed the five engine callbacks,
-//! done.
+//! policy-parity tests pin the DES against it. It is also the template for
+//! adding a new backend: implement [`Transport`] + [`Executor`], feed the
+//! five engine callbacks, done.
 //!
-//! There is one loop, [`run_graph_elastic`], and it runs a
-//! [`DataflowGraph`] — the paper's programming model has no "flat"
-//! program. [`run_graph`] is that loop without a membership schedule;
-//! [`run`] is the one-filter graph behind the signature older callers
-//! bind.
+//! There is one loop, `run_lockstep`, and it runs a [`DataflowGraph`] — the
+//! paper's programming model has no "flat" program. What a hop costs is
+//! the caller's `Hops`, and there are two: free hops with the handler run
+//! inline ([`run_graph_elastic`], through which
+//! [`crate::local::Pipeline::run_deterministic`] executes real filters
+//! reproducibly), and a socket round trip to a worker per hop
+//! ([`crate::net::run_graph_deterministic`]). [`run_graph`] is the first
+//! without a membership schedule; [`run`] is the one-filter graph behind
+//! the signature older callers bind.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -74,6 +76,47 @@ pub struct SequentialOutcome {
     pub total: u64,
 }
 
+/// What the hops of a lockstep run cost, and what can go wrong on them.
+/// Only [`Hops::executed`] has to exist; every default is the reference
+/// driver's, where messages cost nothing and no worker is ever lost.
+pub(crate) trait Hops {
+    /// The engine sent `from`'s request `req_id` towards `reader`.
+    fn request_sent(&mut self, _from: WorkerRef, _reader: usize, _req_id: u64) {}
+
+    /// The request's turn came: did it reach the reader?
+    fn request_arrived(&mut self, _from: WorkerRef, _req_id: u64) -> bool {
+        true
+    }
+
+    /// The engine handed `buffer` to `worker`.
+    fn launched(&mut self, _worker: WorkerRef, _buffer: &DataBuffer) {}
+
+    /// The buffer's turn came at tick `now`: run it and say what it emits.
+    /// `None` means the worker was lost with the buffer in flight.
+    fn executed(
+        &mut self,
+        worker: WorkerRef,
+        buffer: &DataBuffer,
+        now: SimTime,
+    ) -> Option<GraphEmission>;
+
+    /// `(node, worker)` of every slot lost since the last call.
+    fn lost(&mut self) -> Vec<(usize, usize)> {
+        Vec::new()
+    }
+}
+
+/// The closure-taking entry points: every hop is free, the handler runs
+/// inline. (A blanket `impl Hops for F` would break argument inference at
+/// every `|f, k, b| …` call site.)
+struct Inline<F>(F);
+
+impl<F: FnMut(usize, DeviceKind, &DataBuffer) -> GraphEmission> Hops for Inline<F> {
+    fn executed(&mut self, w: WorkerRef, buffer: &DataBuffer, _: SimTime) -> Option<GraphEmission> {
+        Some((self.0)(w.node, w.device.kind, buffer))
+    }
+}
+
 enum Msg {
     Request {
         from: WorkerRef,
@@ -86,15 +129,16 @@ enum Msg {
     },
 }
 
-/// Instant transport/executor: messages cost nothing and drain in FIFO
-/// order; workers run one buffer at a time.
-#[derive(Default)]
-struct InstantDriver {
+/// Lockstep transport/executor: messages drain in FIFO order, one tick
+/// each; workers run one buffer at a time.
+struct LockstepDriver<'h, H> {
     inbox: VecDeque<Msg>,
+    hops: &'h mut H,
 }
 
-impl Transport for InstantDriver {
+impl<H: Hops> Transport for LockstepDriver<'_, H> {
     fn send_request(&mut self, from: WorkerRef, reader: usize, req_id: u64) {
+        self.hops.request_sent(from, reader, req_id);
         self.inbox.push_back(Msg::Request {
             from,
             reader,
@@ -103,15 +147,38 @@ impl Transport for InstantDriver {
     }
 }
 
-impl Executor for InstantDriver {
+impl<H: Hops> Executor for LockstepDriver<'_, H> {
     fn batch_limit(&mut self, _worker: WorkerRef) -> usize {
         1
     }
 
     fn launch(&mut self, worker: WorkerRef, batch: Vec<DataBuffer>) {
         for buffer in batch {
+            self.hops.launched(worker, &buffer);
             self.inbox.push_back(Msg::Exec { worker, buffer });
         }
+    }
+}
+
+/// Retire every slot the hops lost since the last engine call. What was
+/// in the inbox for it went down with it: its requests vanish, the
+/// buffers it was to execute are the in-flight set the engine re-homes.
+fn retire_lost<W: WeightProvider, H: Hops>(
+    engine: &mut Engine<VirtualClock, W>,
+    drv: &mut LockstepDriver<'_, H>,
+) {
+    for (node, slot) in drv.hops.lost() {
+        let mut inflight = Vec::new();
+        for msg in std::mem::take(&mut drv.inbox) {
+            match msg {
+                Msg::Exec { worker, buffer } if (worker.node, worker.worker) == (node, slot) => {
+                    inflight.push(buffer)
+                }
+                Msg::Request { from, .. } if (from.node, from.worker) == (node, slot) => {}
+                other => drv.inbox.push_back(other),
+            }
+        }
+        engine.worker_died(node, slot, inflight, drv);
     }
 }
 
@@ -120,10 +187,10 @@ impl Executor for InstantDriver {
 /// same-kind worker count (mirroring how drivers enumerate static
 /// topologies); drains go straight to [`Engine::drain_worker`], which
 /// releases an already-idle worker immediately.
-fn apply_membership<W: WeightProvider>(
+fn apply_membership<W: WeightProvider, H: Hops>(
     engine: &mut Engine<VirtualClock, W>,
     schedule: &mut MembershipSchedule,
-    drv: &mut InstantDriver,
+    drv: &mut LockstepDriver<'_, H>,
 ) {
     while let Some(action) = schedule.pop_due(engine.total_done()) {
         match action {
@@ -240,15 +307,8 @@ where
     W: WeightProvider,
     F: FnMut(usize, DeviceKind, &DataBuffer) -> GraphEmission,
 {
-    run_graph_elastic(
-        cfg,
-        graph,
-        devices,
-        seeds,
-        weights,
-        MembershipSchedule::none(),
-        handle,
-    )
+    let none = MembershipSchedule::none();
+    run_graph_elastic(cfg, graph, devices, seeds, weights, none, handle)
 }
 
 /// [`run_graph`] with a membership schedule: scheduled joins and drains
@@ -263,13 +323,30 @@ pub fn run_graph_elastic<W, F>(
     devices: &[Vec<DeviceId>],
     seeds: Vec<(usize, DataBuffer)>,
     weights: W,
-    mut schedule: MembershipSchedule,
-    mut handle: F,
+    schedule: MembershipSchedule,
+    handle: F,
 ) -> GraphOutcome
 where
     W: WeightProvider,
     F: FnMut(usize, DeviceKind, &DataBuffer) -> GraphEmission,
 {
+    let mut hops = Inline(handle);
+    run_lockstep(cfg, graph, devices, seeds, weights, schedule, &mut hops).0
+}
+
+/// The lockstep loop: one FIFO inbox, one tick and one engine callback
+/// per message, hops priced by `hops`. Also returns the first filter whose
+/// reader still held buffers when the inbox ran dry, with their count —
+/// every worker that could have asked for them is gone.
+pub(crate) fn run_lockstep<W: WeightProvider, H: Hops>(
+    cfg: SequentialConfig,
+    graph: &DataflowGraph,
+    devices: &[Vec<DeviceId>],
+    seeds: Vec<(usize, DataBuffer)>,
+    weights: W,
+    mut schedule: MembershipSchedule,
+    hops: &mut H,
+) -> (GraphOutcome, Option<(usize, usize)>) {
     assert_eq!(
         devices.len(),
         graph.n_filters(),
@@ -286,11 +363,11 @@ where
         weights,
         cfg.recorder.clone(),
     );
-    for (f, devs) in devices.iter().enumerate() {
-        let node = engine.add_node();
-        debug_assert_eq!(node, f);
+    for devs in devices {
+        let f = engine.add_node();
+        engine.set_reader_scope(f, vec![f]);
         for d in devs {
-            engine.add_worker(node, *d);
+            engine.add_worker(f, *d);
         }
         assert!(
             !devs.is_empty(),
@@ -298,18 +375,21 @@ where
             graph.filters()[f].name
         );
     }
-    for f in 0..graph.n_filters() {
-        engine.set_reader_scope(f, vec![f]);
-    }
     for (f, b) in seeds {
         engine.seed_reader(f, b);
     }
 
-    let mut drv = InstantDriver::default();
-    // Kick every worker's requester with an unknown-id empty reply, as the
-    // DES driver does at t = 0.
+    let mut drv = LockstepDriver {
+        inbox: VecDeque::new(),
+        hops,
+    };
+    retire_lost(&mut engine, &mut drv);
+    // Kick every live worker's requester with an unknown-id empty reply,
+    // as the DES driver does at t = 0.
     for w in engine.worker_refs() {
-        engine.data_arrived(w.node, w.worker, u64::MAX, None, &mut drv);
+        if engine.worker_alive(w.node, w.worker) {
+            engine.data_arrived(w.node, w.worker, u64::MAX, None, &mut drv);
+        }
     }
     // Zero-threshold actions fire before the first completion.
     apply_membership(&mut engine, &mut schedule, &mut drv);
@@ -318,7 +398,11 @@ where
     let mut dispatch_order = Vec::new();
     let mut outputs = Vec::new();
     let mut tick = 0u64;
-    while let Some(msg) = drv.inbox.pop_front() {
+    loop {
+        retire_lost(&mut engine, &mut drv);
+        let Some(msg) = drv.inbox.pop_front() else {
+            break;
+        };
         tick += 1;
         clock.set(SimTime(tick));
         match msg {
@@ -327,13 +411,18 @@ where
                 reader,
                 req_id,
             } => {
-                let buffer = engine.answer_request(reader, from.device.kind);
-                engine.data_arrived(from.node, from.worker, req_id, buffer, &mut drv);
+                if drv.hops.request_arrived(from, req_id) {
+                    let buffer = engine.answer_request(reader, from.device.kind);
+                    engine.data_arrived(from.node, from.worker, req_id, buffer, &mut drv);
+                }
             }
             Msg::Exec { worker, buffer } => {
-                let filter = worker.node;
-                dispatch_order.push((filter, worker.device.kind, buffer.id.0));
-                let emission = handle(filter, worker.device.kind, &buffer);
+                let Some(emission) = drv.hops.executed(worker, &buffer, SimTime(tick)) else {
+                    // Back in flight: `lost` names the slot next.
+                    drv.inbox.push_front(Msg::Exec { worker, buffer });
+                    continue;
+                };
+                dispatch_order.push((worker.node, worker.device.kind, buffer.id.0));
                 let proc = match worker.device.kind {
                     DeviceKind::Cpu => buffer.shape.cpu,
                     DeviceKind::Gpu => buffer.shape.gpu_kernel,
@@ -341,7 +430,7 @@ where
                 engine.task_finished(worker.node, worker.worker, &buffer, proc);
                 apply_membership(&mut engine, &mut schedule, &mut drv);
                 graph.deliver_emission(
-                    filter,
+                    worker.node,
                     emission,
                     &mut cursors,
                     &mut engine,
@@ -353,13 +442,17 @@ where
         }
     }
 
-    GraphOutcome {
+    let stranded = (0..graph.n_filters())
+        .map(|f| (f, engine.reader_len(f)))
+        .find(|&(_, unread)| unread > 0);
+    let outcome = GraphOutcome {
         assigned: engine.tasks_by_node().clone(),
         dispatch_order,
         outputs,
         edge_delivered: engine.edge_delivered().clone(),
         total: engine.total_done(),
-    }
+    };
+    (outcome, stranded)
 }
 
 /// FNV-1a-64 over a dispatch order, one `[kind, id as 8 LE bytes]` record

@@ -1,17 +1,20 @@
-//! The coordinator-side net driver: [`Transport`] + [`Executor`] over TCP.
+//! The coordinator side of the TCP backend.
 //!
-//! Two run modes share the engine, the protocol, and the worker binary:
+//! Two run modes share the engine, the protocol (one `Request` echo, one
+//! `Deliver` answered by `Complete`s and a `BatchDone`), and the worker
+//! binary:
 //!
-//! * [`run_graph_deterministic`] — a lockstep loop over a dataflow graph,
-//!   structured exactly like the sequential reference driver: one FIFO
-//!   message inbox, a [`VirtualClock`] ticked once per message, batch
-//!   limit 1. The only difference is that every request hop and every
-//!   execution makes a *real* socket round trip — the frame is written,
-//!   the worker answers, and the coordinator blocks for that answer at the
-//!   moment the sequential driver would have handled the message. Because
-//!   the engine sees callbacks in the identical order, per-device
-//!   assignment counts are bit-identical to the sequential/native/DES
-//!   backends (the policy-parity suite pins this). A single filter is the
+//! * [`run_graph_deterministic`] — the sequential reference driver's loop
+//!   ([`crate::engine::sequential`]) with sockets for hops: handshake, then
+//!   that loop over `SocketHops`, then `Shutdown`. Every request hop and
+//!   every execution makes a *real* socket round trip — the frame is
+//!   written when the engine sends, the worker answers, and the
+//!   coordinator blocks for that answer at the moment the reference would
+//!   have handled the message. It is the same loop, so the engine sees
+//!   the same callbacks in the same order, and per-device assignment
+//!   counts are bit-identical to the sequential/native/DES backends (the
+//!   policy-parity suite pins this). A connection serves one `(filter,
+//!   slot)`, so no frame names a filter; a single filter is the
 //!   one-filter graph ([`DataflowGraph::single`]), not a driver of its own.
 //! * [`run_concurrent`] and its siblings — one wall-clock event loop
 //!   (`ConcurrentRig::turn`): every connection is a non-blocking socket
@@ -33,7 +36,7 @@
 //! ever buffers an unbounded frame backlog.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -43,14 +46,14 @@ use anthill_hetsim::{DeviceId, DeviceKind};
 use anthill_simkit::{SimDuration, SimTime};
 
 use crate::buffer::DataBuffer;
-use crate::engine::sequential::GraphEmission;
+use crate::engine::sequential::{run_lockstep, GraphEmission, Hops, SequentialConfig};
 use crate::engine::{
     AdmissionConfig, AdmissionController, AdmissionCounters, Clock, Engine, EngineConfig, Executor,
-    Offer, Transport, VirtualClock, WallClock, WorkerRef,
+    Offer, Transport, WallClock, WorkerRef,
 };
 use crate::faults::{ConnectionDropSpec, RecoveryConfig};
-use crate::graph::{DataflowGraph, RoutingCursors};
-use crate::membership::{Autoscaler, ScaleAction, WorkerPool};
+use crate::graph::DataflowGraph;
+use crate::membership::{Autoscaler, MembershipSchedule, ScaleAction, WorkerPool};
 use crate::obs::{DeviceRef, EventKind, Recorder};
 use crate::policy::Policy;
 use crate::weights::WeightProvider;
@@ -58,9 +61,8 @@ use crate::weights::WeightProvider;
 use super::conn::WireStats;
 use super::eventloop::{Pump, Reactor};
 use super::frame::{
-    encode_deliver_at_into, encode_frame, encode_frame_into, Frame, FrameDecoder, FrameError,
+    encode_deliver_into, encode_frame, encode_frame_into, Frame, FrameDecoder, FrameError,
 };
-use super::worker::modeled_proc_ns;
 
 /// One established coordinator↔worker connection and the device identity
 /// its slot schedules for. The caller owns connection establishment
@@ -82,7 +84,7 @@ pub struct NetConfig {
     /// Upper bound on any worker's request window.
     pub max_window: usize,
     /// Engine recovery knobs (timeouts/retries; concurrent mode only —
-    /// the lockstep driver never arms timers, like the sequential one).
+    /// the lockstep loop never arms timers).
     pub recovery: RecoveryConfig,
     /// Observability sink for engine events and the re-stamped
     /// `remote_start`/`remote_finish` worker spans.
@@ -93,7 +95,9 @@ pub struct NetConfig {
     /// an error so a wedged run can never hang CI.
     pub deadline: Duration,
     /// Declare a worker dead after this much silence (no frame of any
-    /// kind, heartbeats included). `None` disables the check; EOF on the
+    /// kind, heartbeats included; concurrent mode only — a lockstep read
+    /// waits for its answer until [`NetConfig::deadline`]). `None`
+    /// disables the check; EOF on the
     /// connection is always fatal regardless. Must exceed the worker
     /// loop's 200 ms idle-heartbeat period (`net/worker.rs`), or a healthy
     /// idle worker is declared dead. Silence is noticed by the event
@@ -102,8 +106,8 @@ pub struct NetConfig {
     /// 25 ms: detection lags the timeout by at most 50 ms.
     pub heartbeat_timeout: Option<Duration>,
     /// Upper bound on buffers per `Deliver` frame (the in-flight frame
-    /// bound; 1 matches the sequential reference driver and is required
-    /// for cross-backend parity).
+    /// bound; concurrent mode only — the lockstep loop is the sequential
+    /// reference driver's and always delivers one).
     pub batch_limit: usize,
 }
 
@@ -182,27 +186,24 @@ impl SlotIo {
         self.open = false;
     }
 
-    /// Apply the sever schedule; returns false if the slot just severed
-    /// (or was already closed) and the write must not happen.
-    fn pre_write(&mut self) -> bool {
+    /// Serialize one frame into the scratch buffer with `encode` and write
+    /// it, unless the sever schedule says the connection goes first. A
+    /// failed write closes the slot instead of propagating: the engine
+    /// learns about the death via the reap path, exactly as it would for a
+    /// real crashed peer.
+    fn write_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        use std::io::Write as _;
         if !self.open {
-            return false;
+            return;
         }
         if self
             .sever_after
             .is_some_and(|limit| self.frames_sent >= limit)
         {
-            self.close();
-            return false;
+            return self.close();
         }
-        true
-    }
-
-    /// Write the frame serialized in `scratch`. Failures close the slot
-    /// instead of propagating: the engine learns about the death via the
-    /// reap path, exactly as it would for a real crashed peer.
-    fn write_scratch(&mut self) {
-        use std::io::Write as _;
+        self.scratch.clear();
+        encode(&mut self.scratch);
         if self.stream.write_all(&self.scratch).is_err() {
             self.close();
         } else {
@@ -210,25 +211,8 @@ impl SlotIo {
         }
     }
 
-    /// Write one frame, applying the sever schedule.
     fn write(&mut self, frame: &Frame) {
-        if !self.pre_write() {
-            return;
-        }
-        self.scratch.clear();
-        encode_frame_into(&mut self.scratch, frame);
-        self.write_scratch();
-    }
-
-    /// Write a `DeliverAt` frame encoded straight from the shared
-    /// `Arc<DataBuffer>`s the inflight table keeps — no payload clone.
-    fn write_deliver_at(&mut self, filter: u32, kind: DeviceKind, buffers: &[Arc<DataBuffer>]) {
-        if !self.pre_write() {
-            return;
-        }
-        self.scratch.clear();
-        encode_deliver_at_into(&mut self.scratch, filter, kind, buffers);
-        self.write_scratch();
+        self.write_with(|out| encode_frame_into(out, frame));
     }
 
     /// Blocking-read the next non-heartbeat frame, bounded by `deadline`.
@@ -318,18 +302,6 @@ fn sever_for(drops: &[ConnectionDropSpec], node: usize, worker: usize) -> Option
 
 // ------------------------------------------------------------- lockstep
 
-enum Msg {
-    Request {
-        from: WorkerRef,
-        reader: usize,
-        req_id: u64,
-    },
-    Exec {
-        worker: WorkerRef,
-        buffer: Arc<DataBuffer>,
-    },
-}
-
 /// Result of a lockstep networked run ([`run_graph_deterministic`]).
 #[derive(Debug, Clone)]
 pub struct NetGraphOutcome {
@@ -348,80 +320,114 @@ pub struct NetGraphOutcome {
     pub deaths: u32,
 }
 
-/// Lockstep driver: the sequential reference driver's FIFO inbox, plus a
-/// socket write at each send so every hop crosses the wire. One engine
-/// node per filter, slots keyed by `(filter, slot)`, and
-/// `DeliverAt`/`CompleteAt` frames carrying the filter id so the stateless
-/// worker echoes where the completion routes.
-struct GraphLockstepDriver {
-    inbox: VecDeque<Msg>,
-    slots: Vec<Vec<SlotIo>>,
-    inflight: Vec<Vec<Vec<Arc<DataBuffer>>>>,
-    dead: Vec<Vec<bool>>,
+/// The reference loop's hops as socket round trips: a frame is written
+/// when the engine sends, and the coordinator blocks for the worker's
+/// answer where the reference would have handled the message. A slot is
+/// `(filter, slot)`; `None` once its connection failed and the loop was
+/// told. The loop drops a lost slot's messages with it, so everything it
+/// asks about is open.
+struct SocketHops<'a> {
+    slots: Vec<Vec<Option<SlotIo>>>,
+    deadline: Instant,
+    recorder: Recorder,
+    emit: &'a mut dyn FnMut(usize, DeviceKind, &DataBuffer) -> Option<GraphEmission>,
 }
 
-impl GraphLockstepDriver {
+impl SocketHops<'_> {
     fn io(&mut self, w: WorkerRef) -> &mut SlotIo {
-        &mut self.slots[w.node][w.worker]
-    }
-
-    /// Can `w` still answer? False once its connection failed, whether or
-    /// not the reap has retired it yet.
-    fn live(&self, w: WorkerRef) -> bool {
-        !self.dead[w.node][w.worker] && self.slots[w.node][w.worker].open
+        self.slots[w.node][w.worker]
+            .as_mut()
+            .expect("a retired slot has no messages")
     }
 }
 
-impl Transport for GraphLockstepDriver {
-    fn send_request(&mut self, from: WorkerRef, reader: usize, req_id: u64) {
+impl Hops for SocketHops<'_> {
+    fn request_sent(&mut self, from: WorkerRef, reader: usize, req_id: u64) {
         self.io(from).write(&Frame::Request {
             reader: reader as u32,
             req_id,
         });
-        self.inbox.push_back(Msg::Request {
-            from,
-            reader,
-            req_id,
+    }
+
+    fn request_arrived(&mut self, from: WorkerRef, req_id: u64) -> bool {
+        let deadline = self.deadline;
+        let io = self.io(from);
+        let echo = io.read_frame(deadline);
+        let echoed = matches!(echo, Ok(Frame::Request { req_id: id, .. }) if id == req_id);
+        if !echoed {
+            io.close();
+        }
+        echoed
+    }
+
+    fn launched(&mut self, worker: WorkerRef, buffer: &DataBuffer) {
+        self.io(worker).write_with(|out| {
+            encode_deliver_into(out, worker.device.kind, std::slice::from_ref(buffer))
         });
     }
-}
 
-impl Executor for GraphLockstepDriver {
-    fn batch_limit(&mut self, _worker: WorkerRef) -> usize {
-        1
+    fn executed(
+        &mut self,
+        worker: WorkerRef,
+        buffer: &DataBuffer,
+        now: SimTime,
+    ) -> Option<GraphEmission> {
+        let deadline = self.deadline;
+        let io = self.io(worker);
+        let answer = io
+            .read_frame(deadline)
+            .and_then(|done| Ok((done, io.read_frame(deadline)?)));
+        let (done, span, recirculated) = match answer {
+            Ok((
+                Frame::Complete {
+                    buffer: done,
+                    span,
+                    recirculated,
+                    ..
+                },
+                Frame::BatchDone,
+            )) if done.id == buffer.id => (done, span, recirculated),
+            _ => {
+                io.close();
+                return None;
+            }
+        };
+        let span_ns = span.end_ns.saturating_sub(span.start_ns);
+        record_remote_span(
+            &self.recorder,
+            now.as_nanos(),
+            worker.device,
+            &done,
+            span_ns,
+        );
+        Some(match (self.emit)(worker.node, worker.device.kind, &done) {
+            Some(e) => e,
+            // Default routing: worker recirculated copies are feedback; a
+            // completion that produced any is a feedback-only emission (the
+            // other backends' recirculating filters forward nothing), a
+            // clean completion forwards.
+            None if recirculated.is_empty() => GraphEmission {
+                forward: vec![done],
+                feedback: Vec::new(),
+            },
+            None => GraphEmission {
+                forward: Vec::new(),
+                feedback: recirculated,
+            },
+        })
     }
 
-    fn launch(&mut self, worker: WorkerRef, batch: Vec<DataBuffer>) {
-        for buffer in batch {
-            // One shared allocation serves the wire encode, the inflight
-            // table, and the inbox.
-            let buffer = Arc::new(buffer);
-            self.io(worker).write_deliver_at(
-                worker.node as u32,
-                worker.device.kind,
-                std::slice::from_ref(&buffer),
-            );
-            self.inflight[worker.node][worker.worker].push(Arc::clone(&buffer));
-            self.inbox.push_back(Msg::Exec { worker, buffer });
-        }
-    }
-}
-
-/// Retire every slot whose connection failed since the last engine call.
-fn reap_graph<C: Clock, W: WeightProvider>(
-    engine: &mut Engine<C, W>,
-    drv: &mut GraphLockstepDriver,
-    deaths: &mut u32,
-) {
-    for node in 0..drv.slots.len() {
-        for slot in 0..drv.slots[node].len() {
-            if !drv.slots[node][slot].open && !drv.dead[node][slot] {
-                drv.dead[node][slot] = true;
-                *deaths += 1;
-                let inflight = unwrap_inflight(std::mem::take(&mut drv.inflight[node][slot]));
-                engine.worker_died(node, slot, inflight, drv);
+    fn lost(&mut self) -> Vec<(usize, usize)> {
+        let mut lost = Vec::new();
+        for (node, slots) in self.slots.iter_mut().enumerate() {
+            for (worker, slot) in slots.iter_mut().enumerate() {
+                if slot.as_ref().is_some_and(|io| !io.open) {
+                    *slot = None;
+                    lost.push((node, worker));
+                }
             }
         }
+        lost
     }
 }
 
@@ -435,6 +441,11 @@ fn reap_graph<C: Clock, W: WeightProvider>(
 /// forwarding, recirculation — is whatever the remote side was started
 /// with. A single-filter run passes [`DataflowGraph::single`]: the
 /// recirculated copies its workers echo re-enter the filter's own queue.
+///
+/// A run that cannot finish is an error, not a short outcome: when a
+/// filter loses its last worker with buffers still unread the result is
+/// `BrokenPipe`, or `TimedOut` once [`NetConfig::deadline`] has passed
+/// (every read past it fails, which loses every worker).
 pub fn run_graph_deterministic<W: WeightProvider>(
     cfg: NetConfig,
     graph: &DataflowGraph,
@@ -463,171 +474,64 @@ pub fn run_graph_deterministic_with<W: WeightProvider>(
     weights: W,
     emit: &mut dyn FnMut(usize, DeviceKind, &DataBuffer) -> Option<GraphEmission>,
 ) -> io::Result<NetGraphOutcome> {
-    assert_eq!(
-        workers.len(),
-        graph.n_filters(),
-        "one worker connection set per graph filter"
-    );
-    let hard_deadline = Instant::now() + cfg.deadline;
-    let clock = VirtualClock::new();
-    let mut engine = Engine::new(
-        EngineConfig {
-            policy: cfg.policy,
-            max_window: cfg.max_window,
-            recovery: RecoveryConfig::disabled(),
-        },
-        clock.clone(),
-        weights,
-        cfg.recorder.clone(),
-    );
-    let mut drv = GraphLockstepDriver {
-        inbox: VecDeque::new(),
-        slots: Vec::with_capacity(workers.len()),
-        inflight: Vec::new(),
-        dead: Vec::new(),
-    };
+    let deadline = Instant::now() + cfg.deadline;
+    let mut devices = Vec::with_capacity(workers.len());
+    let mut slots = Vec::with_capacity(workers.len());
     for (f, conns) in workers.into_iter().enumerate() {
-        let node = engine.add_node();
-        debug_assert_eq!(node, f, "engine nodes must mirror filter ids");
-        engine.set_reader_scope(f, vec![f]);
-        let mut ios = Vec::with_capacity(conns.len());
-        for (i, conn) in conns.into_iter().enumerate() {
-            engine.add_worker(f, conn.device);
-            ios.push(SlotIo::new(conn.stream, sever_for(&cfg.drops, f, i)));
-        }
-        assert!(!ios.is_empty(), "filter {f} has no worker connections");
-        drv.inflight.push(vec![Vec::new(); ios.len()]);
-        drv.dead.push(vec![false; ios.len()]);
-        drv.slots.push(ios);
+        devices.push(conns.iter().map(|c| c.device).collect());
+        let ios = conns.into_iter().enumerate().map(|(i, conn)| {
+            // A slot that fails the handshake is closed: the loop retires
+            // it before the first kick.
+            let mut io = SlotIo::new(conn.stream, sever_for(&cfg.drops, f, i));
+            io.hello(f, i, deadline);
+            Some(io)
+        });
+        slots.push(ios.collect());
     }
-    for (f, ios) in drv.slots.iter_mut().enumerate() {
-        for (i, slot) in ios.iter_mut().enumerate() {
-            slot.hello(f, i, hard_deadline);
-        }
-    }
-    for (f, b) in seeds {
-        engine.seed_reader(f, b);
-    }
+    let mut hops = SocketHops {
+        slots,
+        deadline,
+        recorder: cfg.recorder.clone(),
+        emit,
+    };
+    let seq = SequentialConfig {
+        policy: cfg.policy,
+        max_window: cfg.max_window,
+        recorder: cfg.recorder,
+    };
+    let none = MembershipSchedule::none();
+    let (out, stranded) = run_lockstep(seq, graph, &devices, seeds, weights, none, &mut hops);
 
-    let mut cursors = RoutingCursors::new(graph);
-    let mut outputs = Vec::new();
-    let mut deaths = 0u32;
-    reap_graph(&mut engine, &mut drv, &mut deaths);
-    // Kick every live worker's requester, as the sequential driver does.
-    for w in engine.worker_refs() {
-        if !drv.dead[w.node][w.worker] {
-            engine.data_arrived(w.node, w.worker, u64::MAX, None, &mut drv);
+    let mut deaths = 0;
+    for slot in hops.slots.iter_mut().flatten() {
+        match slot {
+            Some(io) => {
+                io.write(&Frame::Shutdown);
+                let _ = io.stream.shutdown(Shutdown::Write);
+            }
+            None => deaths += 1,
         }
     }
-
-    let mut dispatch_order = Vec::new();
-    let mut tick = 0u64;
-    loop {
-        reap_graph(&mut engine, &mut drv, &mut deaths);
-        let Some(msg) = drv.inbox.pop_front() else {
-            break;
+    if let Some((filter, unread)) = stranded {
+        let kind = if Instant::now() >= deadline {
+            io::ErrorKind::TimedOut
+        } else {
+            io::ErrorKind::BrokenPipe
         };
-        tick += 1;
-        clock.set(SimTime(tick));
-        match msg {
-            Msg::Request {
-                from,
-                reader,
-                req_id,
-            } => {
-                if !drv.live(from) {
-                    continue; // the request died with its connection
-                }
-                match drv.io(from).read_frame(hard_deadline) {
-                    Ok(Frame::Request {
-                        req_id: echoed_id, ..
-                    }) if echoed_id == req_id => {
-                        let buffer = engine.answer_request(reader, from.device.kind);
-                        engine.data_arrived(from.node, from.worker, req_id, buffer, &mut drv);
-                    }
-                    Ok(_) | Err(_) => drv.io(from).close(),
-                }
-            }
-            Msg::Exec { worker, buffer } => {
-                if !drv.live(worker) {
-                    continue; // already re-homed by reap
-                }
-                let io = drv.io(worker);
-                let completion = io.read_frame(hard_deadline).and_then(|first| {
-                    let second = io.read_frame(hard_deadline)?;
-                    Ok((first, second))
-                });
-                match completion {
-                    Ok((
-                        Frame::CompleteAt {
-                            filter,
-                            buffer: done,
-                            proc_ns: _,
-                            span,
-                            recirculated,
-                        },
-                        Frame::BatchDone,
-                    )) if done.id == buffer.id && filter as usize == worker.node => {
-                        drv.inflight[worker.node][worker.worker].retain(|b| b.id != done.id);
-                        dispatch_order.push((worker.node, worker.device.kind, done.id.0));
-                        // Charge the modeled time (computed locally from the
-                        // shape, identical to what the worker reports) so the
-                        // engine's DQAA/accounting inputs match the other
-                        // backends bit-for-bit.
-                        let proc =
-                            SimDuration(modeled_proc_ns(buffer.as_ref(), worker.device.kind));
-                        record_remote_span(
-                            &cfg.recorder,
-                            clock.now().as_nanos(),
-                            worker.device,
-                            &done,
-                            span.end_ns.saturating_sub(span.start_ns),
-                        );
-                        engine.task_finished(worker.node, worker.worker, &done, proc);
-                        let emission = match emit(worker.node, worker.device.kind, &done) {
-                            Some(e) => e,
-                            // Default routing: worker recirculated copies
-                            // are feedback; a completion that produced
-                            // any is a feedback-only emission (the other
-                            // backends' recirculating filters forward
-                            // nothing), a clean completion forwards.
-                            None if recirculated.is_empty() => GraphEmission {
-                                forward: vec![done],
-                                feedback: Vec::new(),
-                            },
-                            None => GraphEmission {
-                                forward: Vec::new(),
-                                feedback: recirculated,
-                            },
-                        };
-                        graph.deliver_emission(
-                            worker.node,
-                            emission,
-                            &mut cursors,
-                            &mut engine,
-                            &mut outputs,
-                            &mut drv,
-                        );
-                        engine.worker_idle(worker.node, worker.worker, &[proc], &mut drv);
-                    }
-                    Ok(_) | Err(_) => drv.io(worker).close(),
-                }
-            }
-        }
-    }
-
-    for slot in drv.slots.iter_mut().flatten() {
-        if slot.open {
-            slot.write(&Frame::Shutdown);
-            let _ = slot.stream.shutdown(Shutdown::Write);
-        }
+        let total = out.total;
+        return Err(io::Error::new(
+            kind,
+            format!(
+                "filter {filter} lost its last worker with {unread} buffers unread, {total} done"
+            ),
+        ));
     }
     Ok(NetGraphOutcome {
-        assigned: engine.tasks_by_node().clone(),
-        dispatch_order,
-        outputs,
-        edge_delivered: engine.edge_delivered().clone(),
-        total: engine.total_done(),
+        assigned: out.assigned,
+        dispatch_order: out.dispatch_order,
+        outputs: out.outputs,
+        edge_delivered: out.edge_delivered,
+        total: out.total,
         deaths,
     })
 }
@@ -1110,8 +1014,6 @@ impl<W: WeightProvider> ConcurrentRig<W> {
             | Frame::Hello { .. }
             | Frame::Bye
             | Frame::Deliver { .. }
-            | Frame::DeliverAt { .. }
-            | Frame::CompleteAt { .. }
             | Frame::JoinAck { .. }
             | Frame::JoinRejected { .. }
             | Frame::Shutdown => {}

@@ -93,7 +93,8 @@ pub enum Frame {
         /// Engine request id; the echo must carry it unchanged.
         req_id: u64,
     },
-    /// A batch of buffers for the worker to execute.
+    /// A batch of buffers for the worker to execute — the one delivery
+    /// frame: a connection serves one `(filter, slot)`, so it names no filter.
     Deliver {
         /// Device class the executing slot schedules for.
         kind: DeviceKind,
@@ -124,31 +125,6 @@ pub enum Frame {
     Shutdown,
     /// Worker → coordinator: last frame before the worker closes.
     Bye,
-    /// A batch of buffers for the worker to execute on behalf of a graph
-    /// filter (multi-filter runs; single-filter runs keep [`Frame::Deliver`]
-    /// so their wire traffic is byte-identical to pre-graph builds).
-    DeliverAt {
-        /// Graph filter id hosting the executing slot.
-        filter: u32,
-        /// Device class the executing slot schedules for.
-        kind: DeviceKind,
-        /// The buffers, in dispatch order.
-        buffers: Vec<DataBuffer>,
-    },
-    /// One executed buffer coming back from a graph filter.
-    CompleteAt {
-        /// Graph filter id, echoed unchanged from the [`Frame::DeliverAt`]
-        /// (workers are stateless; the coordinator routes by this field).
-        filter: u32,
-        /// The buffer that ran.
-        buffer: DataBuffer,
-        /// Modeled device occupancy, nanoseconds.
-        proc_ns: u64,
-        /// Measured worker-side handler span.
-        span: WireSpan,
-        /// Follow-up buffers the handler recirculated.
-        recirculated: Vec<DataBuffer>,
-    },
     /// Worker → coordinator, first frame of a *mid-run* connection: ask to
     /// join the live pool on `node` as a device of `kind` (elastic
     /// membership; connection-time slots use [`Frame::Hello`] instead).
@@ -186,16 +162,14 @@ impl Frame {
             Frame::Heartbeat { .. } => 6,
             Frame::Shutdown => 7,
             Frame::Bye => 8,
-            Frame::DeliverAt { .. } => 9,
-            Frame::CompleteAt { .. } => 10,
-            Frame::Join { .. } => 11,
-            Frame::JoinAck { .. } => 12,
-            Frame::JoinRejected { .. } => 13,
+            Frame::Join { .. } => 9,
+            Frame::JoinAck { .. } => 10,
+            Frame::JoinRejected { .. } => 11,
         }
     }
 }
 
-const MAX_TAG: u8 = 13;
+const MAX_TAG: u8 = 11;
 
 // ---------------------------------------------------------------- encode
 
@@ -276,7 +250,7 @@ fn close_header(out: &mut [u8], payload_start: usize) {
 pub fn encode_frame_into(out: &mut Vec<u8>, frame: &Frame) {
     let start = open_header(out, frame.tag());
     match frame {
-        Frame::Hello { node, slot } => {
+        Frame::Hello { node, slot } | Frame::JoinAck { node, slot } => {
             put_u32(out, *node);
             put_u32(out, *slot);
         }
@@ -302,36 +276,9 @@ pub fn encode_frame_into(out: &mut Vec<u8>, frame: &Frame) {
         }
         Frame::BatchDone | Frame::Shutdown | Frame::Bye => {}
         Frame::Heartbeat { seq } => put_u64(out, *seq),
-        Frame::DeliverAt {
-            filter,
-            kind,
-            buffers,
-        } => {
-            put_u32(out, *filter);
-            out.push(kind_byte(*kind));
-            put_buffers(out, buffers);
-        }
-        Frame::CompleteAt {
-            filter,
-            buffer,
-            proc_ns,
-            span,
-            recirculated,
-        } => {
-            put_u32(out, *filter);
-            put_buffer(out, buffer);
-            put_u64(out, *proc_ns);
-            put_u64(out, span.start_ns);
-            put_u64(out, span.end_ns);
-            put_buffers(out, recirculated);
-        }
         Frame::Join { node, kind } => {
             put_u32(out, *node);
             out.push(kind_byte(*kind));
-        }
-        Frame::JoinAck { node, slot } => {
-            put_u32(out, *node);
-            put_u32(out, *slot);
         }
         Frame::JoinRejected { reason } => {
             put_u32(out, reason.len() as u32);
@@ -358,24 +305,6 @@ pub fn encode_deliver_into<B: std::borrow::Borrow<DataBuffer>>(
     buffers: &[B],
 ) {
     let start = open_header(out, 3);
-    out.push(kind_byte(kind));
-    put_u32(out, buffers.len() as u32);
-    for b in buffers {
-        put_buffer(out, b.borrow());
-    }
-    close_header(out, start);
-}
-
-/// Encode a `DeliverAt` frame directly from borrowed buffers (graph-mode
-/// counterpart of [`encode_deliver_into`]).
-pub fn encode_deliver_at_into<B: std::borrow::Borrow<DataBuffer>>(
-    out: &mut Vec<u8>,
-    filter: u32,
-    kind: DeviceKind,
-    buffers: &[B],
-) {
-    let start = open_header(out, 9);
-    put_u32(out, filter);
     out.push(kind_byte(kind));
     put_u32(out, buffers.len() as u32);
     for b in buffers {
@@ -581,30 +510,15 @@ fn decode_payload(tag: u8, bytes: &[u8]) -> Result<Frame, FrameError> {
         6 => Frame::Heartbeat { seq: r.u64()? },
         7 => Frame::Shutdown,
         8 => Frame::Bye,
-        9 => Frame::DeliverAt {
-            filter: r.u32()?,
-            kind: r.kind()?,
-            buffers: r.buffers()?,
-        },
-        10 => Frame::CompleteAt {
-            filter: r.u32()?,
-            buffer: r.buffer()?,
-            proc_ns: r.u64()?,
-            span: WireSpan {
-                start_ns: r.u64()?,
-                end_ns: r.u64()?,
-            },
-            recirculated: r.buffers()?,
-        },
-        11 => Frame::Join {
+        9 => Frame::Join {
             node: r.u32()?,
             kind: r.kind()?,
         },
-        12 => Frame::JoinAck {
+        10 => Frame::JoinAck {
             node: r.u32()?,
             slot: r.u32()?,
         },
-        13 => {
+        11 => {
             let len = r.u32()? as usize;
             let raw = r.take(len)?;
             let reason = std::str::from_utf8(raw)
@@ -730,21 +644,6 @@ mod tests {
             Frame::Heartbeat { seq: 4 },
             Frame::Shutdown,
             Frame::Bye,
-            Frame::DeliverAt {
-                filter: 2,
-                kind: DeviceKind::Cpu,
-                buffers: vec![buffer(3)],
-            },
-            Frame::CompleteAt {
-                filter: 2,
-                buffer: buffer(3),
-                proc_ns: 400_000,
-                span: WireSpan {
-                    start_ns: 5,
-                    end_ns: 400_005,
-                },
-                recirculated: vec![],
-            },
             Frame::Join {
                 node: 1,
                 kind: DeviceKind::Gpu,
@@ -851,8 +750,8 @@ mod tests {
     fn membership_tags_validate_their_payloads() {
         // The first tag past MAX_TAG rejects at the header.
         let mut dec = FrameDecoder::new();
-        dec.feed(&[MAGIC, 14, 0, 0, 0, 0]);
-        assert_eq!(dec.next_frame(), Err(FrameError::BadTag(14)));
+        dec.feed(&[MAGIC, 12, 0, 0, 0, 0]);
+        assert_eq!(dec.next_frame(), Err(FrameError::BadTag(12)));
         // A rejection reason must be UTF-8.
         let mut bytes = encode_frame(&Frame::JoinRejected {
             reason: "no".to_owned(),

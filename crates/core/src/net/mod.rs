@@ -47,8 +47,8 @@ pub use driver::{
     NetWorkerConn,
 };
 pub use frame::{
-    encode_deliver_at_into, encode_deliver_into, encode_frame, encode_frame_into, BufPool, Frame,
-    FrameDecoder, FrameError, WireSpan,
+    encode_deliver_into, encode_frame, encode_frame_into, BufPool, Frame, FrameDecoder, FrameError,
+    WireSpan,
 };
 pub use worker::{
     connect_and_run, join_and_run, join_handshake, run_worker, run_worker_primed,

@@ -50,7 +50,7 @@ pub enum Behavior {
 }
 
 impl Behavior {
-    /// Parse the CLI spelling used by the hidden `worker` subcommand:
+    /// Parse the spelling the `net_worker` binary takes as its argument:
     /// `identity`, `recirc:N`, or `busy:N`.
     pub fn parse(s: &str) -> Option<Behavior> {
         if s == "identity" {
@@ -170,32 +170,6 @@ pub fn run_worker_primed(
                     }
                     encode_frame_into(&mut scratch, &Frame::BatchDone);
                 }
-                Frame::DeliverAt {
-                    filter,
-                    kind,
-                    buffers,
-                } => {
-                    // Graph runs: same execution loop as `Deliver`, but the
-                    // filter id rides along unchanged so the coordinator can
-                    // route the completion — the worker stays stateless.
-                    for buffer in buffers {
-                        let start_ns = epoch.elapsed().as_nanos() as u64;
-                        let recirculated = behavior.apply(&buffer);
-                        let end_ns = epoch.elapsed().as_nanos() as u64;
-                        executed += 1;
-                        encode_frame_into(
-                            &mut scratch,
-                            &Frame::CompleteAt {
-                                filter,
-                                proc_ns: modeled_proc_ns(&buffer, kind),
-                                buffer,
-                                span: WireSpan { start_ns, end_ns },
-                                recirculated,
-                            },
-                        );
-                    }
-                    encode_frame_into(&mut scratch, &Frame::BatchDone);
-                }
                 Frame::Shutdown => {
                     encode_frame_into(&mut scratch, &Frame::Bye);
                     stream.write_all(&scratch).ok();
@@ -206,7 +180,6 @@ pub fn run_worker_primed(
                 Frame::JoinAck { .. } => {}
                 // Coordinator never sends these; tolerate them.
                 Frame::Complete { .. }
-                | Frame::CompleteAt { .. }
                 | Frame::BatchDone
                 | Frame::Heartbeat { .. }
                 | Frame::Join { .. }
@@ -315,8 +288,7 @@ pub fn join_handshake(
 }
 
 /// Connect to `addr`, complete the [`join_handshake`], then serve
-/// [`run_worker`] — the elastic entry point of the hidden `worker`
-/// subcommand (`--join node:kind`).
+/// [`run_worker`] — how a worker enters a run that is already live.
 pub fn join_and_run(
     addr: &str,
     node: usize,

@@ -548,6 +548,43 @@ fn lockstep_sever_mid_stage_conserves_every_edge() {
         .all(|e| e.origin.node == 1 && e.origin.kind.is_none()));
 }
 
+/// A lockstep run that cannot finish says so: filter 1's *only* connection
+/// is severed, the engine re-homes its work to a reader nobody can ask
+/// any more, and the coordinator reports the stranded buffers instead of
+/// returning a short outcome (it used to: `Ok` with 31 of 60 done).
+#[test]
+fn lockstep_run_that_strands_buffers_is_an_error() {
+    let cpu = [DeviceKind::Cpu];
+    let graph = anthill_repro::core::graph::DataflowGraph::pipeline(&["head", "tail"]);
+    let run = |cfg: NetConfig| {
+        let workers = graph_loopback_workers(&[&cpu, &cpu], Behavior::Identity);
+        let seeds = (0..30).map(|i| (0, neutral_buffer(i))).collect();
+        run_graph_deterministic(cfg, &graph, workers, seeds, oracle())
+    };
+    let mut cfg = NetConfig::new(Policy::ddwrr(4));
+    cfg.drops = vec![ConnectionDropSpec {
+        node: 1,
+        worker: 0,
+        after_frames: 12,
+    }];
+    let err = run(cfg).expect_err("29 buffers never reached filter 1");
+    assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
+    assert_eq!(
+        err.to_string(),
+        "filter 1 lost its last worker with 29 buffers unread, 31 done"
+    );
+
+    // A deadline that has already passed fails every read, which loses
+    // every worker: the same ending, reported as the timeout it is.
+    let mut cfg = NetConfig::new(Policy::ddwrr(4));
+    cfg.deadline = std::time::Duration::ZERO;
+    let err = run(cfg).expect_err("nothing can run past the deadline");
+    assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
+    assert!(err
+        .to_string()
+        .starts_with("filter 0 lost its last worker with 30 buffers unread"));
+}
+
 /// The TCP backend against *real* process death: two `net_worker` child
 /// processes serve a concurrent run over loopback, and one is killed
 /// outright mid-run. The OS closing the victim's socket is the only
