@@ -6,7 +6,7 @@
 //! policy and no execution, only the topology and the per-edge routing
 //! rule that decides where a buffer emitted by filter *i* is delivered
 //! ([`DataflowGraph::deliver_emission`] applies that rule to an engine for
-//! the drivers whose deliveries are instant).
+//! the driver whose deliveries are instant).
 //!
 //! Routing modes mirror Anthill's stream kinds:
 //!
@@ -379,9 +379,9 @@ impl DataflowGraph {
         targets
     }
 
-    /// Deliver what one completion at `filter` emitted, for the drivers
-    /// whose deliveries cost nothing (the sequential and TCP lockstep
-    /// loops): feedback goes over the filter's feedback edge, or — with
+    /// Deliver what one completion at `filter` emitted, for the driver
+    /// whose deliveries are instant (the lockstep loop of
+    /// [`crate::engine::sequential`]): feedback goes over the filter's feedback edge, or — with
     /// none declared — re-enters its own queue at recirculation
     /// precedence; each forward buffer goes to every
     /// [`route_forward`](DataflowGraph::route_forward) target (cloned for

@@ -39,9 +39,9 @@
 //!   template for adding new backends.
 //! * [`net`] — a TCP multi-process backend: the engine runs in a
 //!   coordinator process, workers are separate processes speaking a
-//!   length-prefixed frame protocol. Its lockstep mode reproduces the
-//!   sequential driver's callback order over real sockets (same counts,
-//!   proven by the parity suite); its concurrent mode executes in wall
+//!   length-prefixed frame protocol. Its lockstep mode is the sequential
+//!   driver's loop with a socket round trip for every hop (same counts,
+//!   pinned by the parity suite); its concurrent mode executes in wall
 //!   time with the full recovery path (process kill, connection sever,
 //!   heartbeat silence all map onto `worker_died`).
 //!

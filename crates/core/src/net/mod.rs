@@ -18,9 +18,9 @@
 //!   `net_worker` binary) or as an in-process thread for fast loopback
 //!   tests.
 //! * [`driver`] — the coordinator: a lockstep deterministic mode over a
-//!   dataflow graph whose engine-callback order is identical to the
-//!   sequential reference driver (bit-identical per-device counts, pinned
-//!   by the parity suite), and one wall-clock event loop, shared by the
+//!   dataflow graph that *is* the sequential reference driver's loop, a
+//!   socket round trip at every hop (bit-identical per-device counts,
+//!   pinned by the parity suite), and one wall-clock event loop, shared by the
 //!   batch, elastic and open-loop entry points, where worker death —
 //!   killed process, severed connection
 //!   ([`ConnectionDropSpec`](crate::faults::ConnectionDropSpec)),
