@@ -387,17 +387,16 @@ fn native_graph_counts(policy: Policy, graph: &DataflowGraph) -> GraphCounts {
 
 /// The TCP backend's graph lockstep coordinator over loopback sockets.
 fn net_graph_run(policy: Policy, graph: &DataflowGraph) -> NetGraphOutcome {
+    net_graph_run_with(NetConfig::new(policy), graph)
+}
+
+fn net_graph_run_with(cfg: NetConfig, graph: &DataflowGraph) -> NetGraphOutcome {
     let kinds = [DeviceKind::Cpu, DeviceKind::Gpu];
     let filters: Vec<&[DeviceKind]> = (0..graph.n_filters()).map(|_| &kinds[..]).collect();
     let workers = graph_loopback_workers(&filters, Behavior::Identity);
-    run_graph_deterministic(
-        NetConfig::new(policy),
-        graph,
-        workers,
-        graph_seeds(0),
-        parity_provider(policy),
-    )
-    .expect("loopback graph net run")
+    let weights = parity_provider(cfg.policy);
+    run_graph_deterministic(cfg, graph, workers, graph_seeds(0), weights)
+        .expect("loopback graph net run")
 }
 
 fn net_graph_counts(policy: Policy, graph: &DataflowGraph) -> GraphCounts {
@@ -813,18 +812,9 @@ fn graph_des_nbia_run_is_pinned() {
 /// wall-clock span is not. The JSONL hash holds the event order, so
 /// `remote_start`/`remote_finish` stay immediately before `finish`.
 fn lockstep_pin(policy: Policy, graph: &DataflowGraph) -> (u64, u64) {
-    let kinds = [DeviceKind::Cpu, DeviceKind::Gpu];
-    let filters: Vec<&[DeviceKind]> = (0..graph.n_filters()).map(|_| &kinds[..]).collect();
     let mut cfg = NetConfig::new(policy);
     cfg.recorder = Recorder::enabled();
-    let out = run_graph_deterministic(
-        cfg.clone(),
-        graph,
-        graph_loopback_workers(&filters, Behavior::Identity),
-        graph_seeds(0),
-        parity_provider(policy),
-    )
-    .expect("loopback graph net run");
+    let out = net_graph_run_with(cfg.clone(), graph);
     let order: Vec<u8> = out
         .dispatch_order
         .iter()
