@@ -147,6 +147,9 @@ struct NodeState {
     /// sorts at the receiver — DDWRR/ODDS).
     ready: SharedQueue,
     workers: Vec<WorkerState>,
+    /// Buffers completed on this node by `[level][device kind]`
+    /// (`DeviceKind::ALL` order), grown to the highest level seen.
+    done: Vec<[u64; 2]>,
     /// Cached GPU-first dispatch visit order ([`select::dispatch_order`]
     /// over the slot kinds), rebuilt whenever the worker count changes.
     dispatch_order: Vec<usize>,
@@ -156,6 +159,14 @@ struct NodeState {
     /// engine. Graph runners scope each filter's workers to that filter's
     /// own input queue, giving every edge its own ODDS/DQAA/DBSA instance.
     scope: Option<Vec<usize>>,
+}
+
+/// The dense counter `counters[i]`, grown with zeros to hold it.
+fn counter<T: Clone + Default>(counters: &mut Vec<T>, i: usize) -> &mut T {
+    if i >= counters.len() {
+        counters.resize(i + 1, T::default());
+    }
+    &mut counters[i]
 }
 
 /// Per-worker measurement series the engine accumulates, borrowed for
@@ -184,13 +195,12 @@ pub struct Engine<C: Clock, W: WeightProvider> {
     rec: Recorder,
     nodes: Vec<NodeState>,
     next_req_id: u64,
-    tasks_by: HashMap<(DeviceKind, u8), u64>,
-    /// `(node, device kind, level) -> completed buffers` — the per-filter
-    /// view graph runners report from (node = filter id in graph runs).
-    tasks_by_node: HashMap<(usize, DeviceKind, u8), u64>,
-    /// `edge id -> buffers delivered` by [`Engine::deliver_edge`].
-    edge_delivered: HashMap<u32, u64>,
+    /// Buffers delivered by [`Engine::deliver_edge`], by edge id.
+    edge_delivered: Vec<u64>,
     total_done: u64,
+    /// Workers that are starved, alive and not draining: the ones
+    /// [`Engine::wake_starved`] would pump.
+    starved: usize,
     /// Transient-failure count per buffer id (the `attempt` of the next
     /// `TaskRetried` event).
     task_retries: HashMap<u64, u32>,
@@ -206,10 +216,9 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             rec,
             nodes: Vec::new(),
             next_req_id: 0,
-            tasks_by: HashMap::new(),
-            tasks_by_node: HashMap::new(),
-            edge_delivered: HashMap::new(),
+            edge_delivered: Vec::new(),
             total_done: 0,
+            starved: 0,
             task_retries: HashMap::new(),
         }
     }
@@ -221,6 +230,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             reader: SharedQueue::new(),
             ready: SharedQueue::new(),
             workers: Vec::new(),
+            done: Vec::new(),
             dispatch_order: Vec::new(),
             scope: None,
         });
@@ -305,22 +315,49 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
 
     /// `(device kind, level) -> completed buffers`, accumulated by
     /// [`Engine::task_finished`].
-    pub fn tasks_by(&self) -> &HashMap<(DeviceKind, u8), u64> {
-        &self.tasks_by
+    pub fn tasks_by(&self) -> HashMap<(DeviceKind, u8), u64> {
+        let mut by = HashMap::new();
+        for (_, kind, level, n) in self.completions() {
+            *by.entry((kind, level)).or_insert(0) += n;
+        }
+        by
     }
 
     /// `(node, device kind, level) -> completed buffers` — node = filter
     /// id in graph runs, so this is the per-filter completion view.
-    pub fn tasks_by_node(&self) -> &HashMap<(usize, DeviceKind, u8), u64> {
-        &self.tasks_by_node
+    pub fn tasks_by_node(&self) -> HashMap<(usize, DeviceKind, u8), u64> {
+        self.completions()
+            .map(|(node, kind, level, n)| ((node, kind, level), n))
+            .collect()
+    }
+
+    /// Every non-zero completion counter as `(node, kind, level, count)`.
+    fn completions(&self) -> impl Iterator<Item = (usize, DeviceKind, u8, u64)> + '_ {
+        self.nodes.iter().enumerate().flat_map(|(node, ns)| {
+            ns.done
+                .iter()
+                .enumerate()
+                .flat_map(move |(level, by_kind)| {
+                    DeviceKind::ALL
+                        .into_iter()
+                        .zip(*by_kind)
+                        .filter(|&(_, n)| n > 0)
+                        .map(move |(kind, n)| (node, kind, level as u8, n))
+                })
+        })
     }
 
     /// `edge id -> buffers delivered` over dataflow edges via
     /// [`Engine::deliver_edge`]. Together with per-filter completions this
     /// is the per-edge side of the conservation invariant (delivered =
-    /// consumed + still queued).
-    pub fn edge_delivered(&self) -> &HashMap<u32, u64> {
-        &self.edge_delivered
+    /// consumed + still queued). An edge appears once it has delivered.
+    pub fn edge_delivered(&self) -> HashMap<u32, u64> {
+        self.edge_delivered
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(edge, &n)| (edge as u32, n))
+            .collect()
     }
 
     /// Total completed buffers.
@@ -346,6 +383,16 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             node,
             worker,
             device: self.nodes[node].workers[worker].device,
+        }
+    }
+
+    /// The timestamp of a trace event nothing else needs the time for:
+    /// the clock is read only when a sink will keep the event.
+    fn stamp(&self) -> u64 {
+        if self.rec.is_enabled() {
+            self.clock.now().as_nanos()
+        } else {
+            0
         }
     }
 
@@ -390,7 +437,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
         d: &mut D,
     ) {
         self.rec.record(
-            self.clock.now().as_nanos(),
+            self.stamp(),
             DeviceRef::node_scope(reader),
             EventKind::EdgeEnqueued {
                 edge,
@@ -398,7 +445,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
                 level: buffer.level,
             },
         );
-        *self.edge_delivered.entry(edge).or_insert(0) += 1;
+        *counter(&mut self.edge_delivered, edge as usize) += 1;
         let w = select::weights_for(&self.weights, &buffer);
         self.nodes[reader].reader.insert_banded(buffer, w, None, 0);
         self.wake_starved(d);
@@ -419,7 +466,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
         if sender_sorted {
             if let Some(b) = &buffer {
                 self.rec.record(
-                    self.clock.now().as_nanos(),
+                    self.stamp(),
                     DeviceRef::node_scope(reader),
                     EventKind::DbsaSelect {
                         buffer: b.id.0,
@@ -548,7 +595,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
         match self.weights.decide(buffer, &ctx) {
             Some(dec) => {
                 self.rec.record(
-                    self.clock.now().as_nanos(),
+                    self.stamp(),
                     DeviceRef::node_scope(node),
                     EventKind::PolicyDecision {
                         buffer: buffer.id.0,
@@ -569,7 +616,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     /// worker's demand can fetch it.
     fn reassign_to_reader<D: Transport>(&mut self, node: usize, buffer: DataBuffer, d: &mut D) {
         self.rec.record(
-            self.clock.now().as_nanos(),
+            self.stamp(),
             DeviceRef::node_scope(node),
             EventKind::TaskReassigned {
                 buffer: buffer.id.0,
@@ -597,7 +644,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
         let kind = w.device.kind;
         let device = w.device;
         self.rec.record(
-            self.clock.now().as_nanos(),
+            self.stamp(),
             DeviceRef::device(device),
             EventKind::Finish {
                 buffer: buffer.id.0,
@@ -610,7 +657,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             .observe(buffer, node, worker, kind, proc_time.as_secs_f64())
         {
             self.rec.record(
-                self.clock.now().as_nanos(),
+                self.stamp(),
                 DeviceRef::device(device),
                 EventKind::ProfileUpdated {
                     buffer: buffer.id.0,
@@ -620,11 +667,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
                 },
             );
         }
-        *self.tasks_by.entry((kind, buffer.level)).or_insert(0) += 1;
-        *self
-            .tasks_by_node
-            .entry((node, kind, buffer.level))
-            .or_insert(0) += 1;
+        counter(&mut self.nodes[node].done, usize::from(buffer.level))[kind as usize] += 1;
         self.total_done += 1;
         if self.cfg.recovery.enabled {
             let w = &mut self.nodes[node].workers[worker];
@@ -652,7 +695,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             *a
         };
         self.rec.record(
-            self.clock.now().as_nanos(),
+            self.stamp(),
             DeviceRef::device(self.nodes[node].workers[worker].device),
             EventKind::TaskRetried {
                 buffer: buffer.id.0,
@@ -694,6 +737,9 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             let w = &mut self.nodes[node].workers[worker];
             if !w.alive {
                 return;
+            }
+            if w.window.is_starved() && !w.draining {
+                self.starved -= 1;
             }
             w.alive = false;
             w.health = 0.0;
@@ -815,7 +861,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
         let worker = self.add_worker(node, device);
         let target = self.nodes[node].workers[worker].window.target();
         self.rec.record(
-            self.clock.now().as_nanos(),
+            self.stamp(),
             DeviceRef::device(device),
             EventKind::WorkerJoined {
                 window: target as u32,
@@ -839,11 +885,14 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             if !w.alive || w.draining {
                 return;
             }
+            if w.window.is_starved() {
+                self.starved -= 1;
+            }
             w.draining = true;
             (w.device, w.window.outstanding())
         };
         self.rec.record(
-            self.clock.now().as_nanos(),
+            self.stamp(),
             DeviceRef::device(dev),
             EventKind::WorkerDraining {
                 outstanding: outstanding as u32,
@@ -856,12 +905,13 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     /// idle with no outstanding requests. Called after every event that
     /// can settle the slot's last in-flight item.
     fn maybe_release_drained(&mut self, node: usize, worker: usize) {
+        let w = &self.nodes[node].workers[worker];
+        if !w.draining || !w.alive || w.busy || w.window.outstanding() > 0 {
+            return;
+        }
         let now = self.clock.now();
         let dev = {
             let w = &mut self.nodes[node].workers[worker];
-            if !w.draining || !w.alive || w.busy || w.window.outstanding() > 0 {
-                return;
-            }
             w.alive = false;
             w.busy = true; // never dispatchable again
             w.health = 0.0;
@@ -917,7 +967,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             // Nothing readable anywhere right now: stop retrying, release
             // the slot and wait starved for a recirculation to wake us.
             self.nodes[node].workers[worker].window.release_slot();
-            self.nodes[node].workers[worker].window.set_starved();
+            self.set_starved(node, worker);
             return;
         };
         let new_id = self.next_req_id;
@@ -1116,7 +1166,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             }
             let Some(reader) = self.choose_reader(node, worker) else {
                 // Nothing anywhere: wait for a recirculation to materialize.
-                self.nodes[node].workers[worker].window.set_starved();
+                self.set_starved(node, worker);
                 return;
             };
             let req_id = self.next_req_id;
@@ -1127,6 +1177,9 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
                 let cursor = self.cursor_after(node, reader);
                 let w = &mut self.nodes[node].workers[worker];
                 w.rr_cursor = cursor;
+                if w.window.is_starved() {
+                    self.starved -= 1;
+                }
                 w.window.note_sent(req_id, now);
             }
             if recovery.enabled {
@@ -1136,22 +1189,80 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
         }
     }
 
-    /// Re-pump every starved live worker (a reader just became non-empty).
-    fn wake_starved<D: Transport>(&mut self, d: &mut D) {
-        let idx: Vec<(usize, usize)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .flat_map(|(n, ns)| {
-                ns.workers
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, w)| w.window.is_starved() && w.alive && !w.draining)
-                    .map(move |(i, _)| (n, i))
-            })
-            .collect();
-        for (n, w) in idx {
-            self.pump_requests(n, w, d);
+    /// Mark a live, assignable `worker` as waiting for a reader to fill.
+    fn set_starved(&mut self, node: usize, worker: usize) {
+        let window = &mut self.nodes[node].workers[worker].window;
+        if !window.is_starved() {
+            window.set_starved();
+            self.starved += 1;
         }
+    }
+
+    /// Re-pump every starved live worker (a reader just became non-empty),
+    /// node-major in slot order. Pumping one worker changes no other
+    /// worker's state, so each is tested as the walk reaches it.
+    fn wake_starved<D: Transport>(&mut self, d: &mut D) {
+        if self.starved == 0 {
+            return;
+        }
+        let mut left = self.starved;
+        for n in 0..self.nodes.len() {
+            for i in 0..self.nodes[n].workers.len() {
+                let w = &self.nodes[n].workers[i];
+                if w.window.is_starved() && w.alive && !w.draining {
+                    self.pump_requests(n, i, d);
+                    left -= 1;
+                }
+            }
+        }
+        debug_assert_eq!(left, 0, "the starved count names workers the walk found");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use anthill_estimator::TaskParams;
+    use anthill_hetsim::{GpuParams, NbiaCostModel};
+
+    use super::*;
+    use crate::buffer::BufferId;
+    use crate::engine::clock::VirtualClock;
+    use crate::weights::OracleWeights;
+
+    #[test]
+    fn a_high_level_grows_only_its_own_counter() {
+        let cfg = EngineConfig {
+            policy: Policy::ddfcfs(4),
+            max_window: 256,
+            recovery: RecoveryConfig::disabled(),
+        };
+        let weights = OracleWeights::new(GpuParams::geforce_8800gt(), false);
+        let mut engine = Engine::new(cfg, VirtualClock::new(), weights, Recorder::disabled());
+        for node in 0..3 {
+            engine.add_node();
+            for kind in DeviceKind::ALL {
+                let index = 0;
+                engine.add_worker(node, DeviceId { node, kind, index });
+            }
+        }
+        let deep = DataBuffer {
+            id: BufferId(7),
+            params: TaskParams::nums(&[32.0]),
+            shape: NbiaCostModel::paper_calibrated().tile(32),
+            level: u8::MAX,
+            task: 7,
+        };
+        engine.task_finished(0, 0, &deep, SimDuration::from_micros(5));
+        assert_eq!(
+            engine.tasks_by_node(),
+            HashMap::from([((0, DeviceKind::Cpu, u8::MAX), 1)])
+        );
+        assert_eq!(
+            engine.tasks_by(),
+            HashMap::from([((DeviceKind::Cpu, u8::MAX), 1)])
+        );
+        assert!(engine.edge_delivered().is_empty(), "nothing delivered yet");
+        let allocated: Vec<usize> = engine.nodes.iter().map(|n| n.done.capacity()).collect();
+        assert_eq!(allocated, [256, 0, 0], "node 0's counters, to level 255");
     }
 }

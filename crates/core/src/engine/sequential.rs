@@ -32,7 +32,7 @@ use crate::obs::Recorder;
 use crate::policy::Policy;
 use crate::weights::WeightProvider;
 
-use super::clock::VirtualClock;
+use super::clock::{Clock, VirtualClock};
 use super::core::{Engine, EngineConfig, Executor, Transport, WorkerRef};
 
 /// Configuration of a sequential run.
@@ -163,8 +163,8 @@ impl<H: Hops> Executor for LockstepDriver<'_, H> {
 /// Retire every slot the hops lost since the last engine call. What was
 /// in the inbox for it went down with it: its requests vanish, the
 /// buffers it was to execute are the in-flight set the engine re-homes.
-fn retire_lost<W: WeightProvider, H: Hops>(
-    engine: &mut Engine<VirtualClock, W>,
+fn retire_lost<C: Clock, W: WeightProvider, H: Hops>(
+    engine: &mut Engine<C, W>,
     drv: &mut LockstepDriver<'_, H>,
 ) {
     for (node, slot) in drv.hops.lost() {
@@ -187,8 +187,8 @@ fn retire_lost<W: WeightProvider, H: Hops>(
 /// same-kind worker count (mirroring how drivers enumerate static
 /// topologies); drains go straight to [`Engine::drain_worker`], which
 /// releases an already-idle worker immediately.
-fn apply_membership<W: WeightProvider, H: Hops>(
-    engine: &mut Engine<VirtualClock, W>,
+fn apply_membership<C: Clock, W: WeightProvider, H: Hops>(
+    engine: &mut Engine<C, W>,
     schedule: &mut MembershipSchedule,
     drv: &mut LockstepDriver<'_, H>,
 ) {
@@ -334,32 +334,57 @@ where
     run_lockstep(cfg, graph, devices, seeds, weights, schedule, &mut hops).0
 }
 
-/// The lockstep loop: one FIFO inbox, one tick and one engine callback
-/// per message, hops priced by `hops`. Also returns the first filter whose
-/// reader still held buffers when the inbox ran dry, with their count —
-/// every worker that could have asked for them is gone.
+/// A lockstep run: [`lockstep_engine`] on the run's own tick clock, then
+/// [`lockstep_loop`]. Also returns the first filter whose reader still
+/// held buffers when the inbox ran dry, with their count — every worker
+/// that could have asked for them is gone.
 pub(crate) fn run_lockstep<W: WeightProvider, H: Hops>(
     cfg: SequentialConfig,
     graph: &DataflowGraph,
     devices: &[Vec<DeviceId>],
     seeds: Vec<(usize, DataBuffer)>,
     weights: W,
-    mut schedule: MembershipSchedule,
+    schedule: MembershipSchedule,
     hops: &mut H,
 ) -> (GraphOutcome, Option<(usize, usize)>) {
+    let ticks = VirtualClock::new();
+    let mut engine = lockstep_engine(&cfg, ticks.clone(), graph, devices, seeds, weights);
+    let (dispatch_order, outputs) = lockstep_loop(&mut engine, &ticks, graph, schedule, hops);
+    let stranded = (0..graph.n_filters())
+        .map(|f| (f, engine.reader_len(f)))
+        .find(|&(_, unread)| unread > 0);
+    let outcome = GraphOutcome {
+        assigned: engine.tasks_by_node(),
+        dispatch_order,
+        outputs,
+        edge_delivered: engine.edge_delivered(),
+        total: engine.total_done(),
+    };
+    (outcome, stranded)
+}
+
+/// The engine of a lockstep run: one node per filter, scoped to its own
+/// input queue, with that filter's workers and seeds.
+fn lockstep_engine<C: Clock, W: WeightProvider>(
+    cfg: &SequentialConfig,
+    clock: C,
+    graph: &DataflowGraph,
+    devices: &[Vec<DeviceId>],
+    seeds: Vec<(usize, DataBuffer)>,
+    weights: W,
+) -> Engine<C, W> {
     assert_eq!(
         devices.len(),
         graph.n_filters(),
         "one device list per filter"
     );
-    let clock = VirtualClock::new();
     let mut engine = Engine::new(
         EngineConfig {
             policy: cfg.policy,
             max_window: cfg.max_window,
             recovery: RecoveryConfig::disabled(),
         },
-        clock.clone(),
+        clock,
         weights,
         cfg.recorder.clone(),
     );
@@ -378,12 +403,25 @@ pub(crate) fn run_lockstep<W: WeightProvider, H: Hops>(
     for (f, b) in seeds {
         engine.seed_reader(f, b);
     }
+    engine
+}
 
+/// The lockstep loop: one FIFO inbox, one tick of `ticks` (the time
+/// `engine`'s clock tells) and one engine callback per message, hops
+/// priced by `hops`. Returns the dispatch order and the buffers that left
+/// the graph.
+fn lockstep_loop<C: Clock, W: WeightProvider, H: Hops>(
+    engine: &mut Engine<C, W>,
+    ticks: &VirtualClock,
+    graph: &DataflowGraph,
+    mut schedule: MembershipSchedule,
+    hops: &mut H,
+) -> (Vec<(usize, DeviceKind, u64)>, Vec<DataBuffer>) {
     let mut drv = LockstepDriver {
         inbox: VecDeque::new(),
         hops,
     };
-    retire_lost(&mut engine, &mut drv);
+    retire_lost(engine, &mut drv);
     // Kick every live worker's requester with an unknown-id empty reply,
     // as the DES driver does at t = 0.
     for w in engine.worker_refs() {
@@ -392,19 +430,19 @@ pub(crate) fn run_lockstep<W: WeightProvider, H: Hops>(
         }
     }
     // Zero-threshold actions fire before the first completion.
-    apply_membership(&mut engine, &mut schedule, &mut drv);
+    apply_membership(engine, &mut schedule, &mut drv);
 
     let mut cursors = RoutingCursors::new(graph);
     let mut dispatch_order = Vec::new();
     let mut outputs = Vec::new();
     let mut tick = 0u64;
     loop {
-        retire_lost(&mut engine, &mut drv);
+        retire_lost(engine, &mut drv);
         let Some(msg) = drv.inbox.pop_front() else {
             break;
         };
         tick += 1;
-        clock.set(SimTime(tick));
+        ticks.set(SimTime(tick));
         match msg {
             Msg::Request {
                 from,
@@ -428,12 +466,12 @@ pub(crate) fn run_lockstep<W: WeightProvider, H: Hops>(
                     DeviceKind::Gpu => buffer.shape.gpu_kernel,
                 };
                 engine.task_finished(worker.node, worker.worker, &buffer, proc);
-                apply_membership(&mut engine, &mut schedule, &mut drv);
+                apply_membership(engine, &mut schedule, &mut drv);
                 graph.deliver_emission(
                     worker.node,
                     emission,
                     &mut cursors,
-                    &mut engine,
+                    engine,
                     &mut outputs,
                     &mut drv,
                 );
@@ -441,18 +479,7 @@ pub(crate) fn run_lockstep<W: WeightProvider, H: Hops>(
             }
         }
     }
-
-    let stranded = (0..graph.n_filters())
-        .map(|f| (f, engine.reader_len(f)))
-        .find(|&(_, unread)| unread > 0);
-    let outcome = GraphOutcome {
-        assigned: engine.tasks_by_node().clone(),
-        dispatch_order,
-        outputs,
-        edge_delivered: engine.edge_delivered().clone(),
-        total: engine.total_done(),
-    };
-    (outcome, stranded)
+    (dispatch_order, outputs)
 }
 
 /// FNV-1a-64 over a dispatch order, one `[kind, id as 8 LE bytes]` record
@@ -566,17 +593,15 @@ mod tests {
         assert_eq!(a.assigned, b.assigned);
     }
 
-    #[test]
-    fn degenerate_graph_is_bit_identical_to_the_single_filter_run() {
-        // Acceptance criterion: a 1-node graph must reproduce today's
-        // engine exactly — same per-device assignment AND same dispatch
-        // order — for all three policies, including with recirculation.
-        // The literals are what `run` produced at 78014d1, when it was
-        // still a separate flat loop: 74 dispatches each, the FNV-1a-64 of
-        // the `(kind, id)` order, and the `(kind, level)` tallies.
+    type Tally = &'static [((DeviceKind, u8), u64)];
+
+    /// The reference run's goldens — what `run` produced at 78014d1, when
+    /// it was still a separate flat loop: per policy the FNV-1a-64 of the
+    /// `(kind, id)` dispatch order (74 dispatches each) and the `(kind,
+    /// level)` tallies.
+    fn golden() -> [(Policy, u64, Tally); 3] {
         use DeviceKind::{Cpu, Gpu};
-        type Tally = &'static [((DeviceKind, u8), u64)];
-        let golden: [(Policy, u64, Tally); 3] = [
+        [
             (
                 Policy::ddfcfs(4),
                 0x68ab_bf5c_86a4_e448,
@@ -597,20 +622,35 @@ mod tests {
                 0x7679_cdbc_a6d0_a5b4,
                 &[((Cpu, 0), 5), ((Cpu, 1), 32), ((Gpu, 0), 37)],
             ),
-        ];
-        for (policy, order_fnv, tally) in golden {
-            let sources: Vec<DataBuffer> = (0..64)
-                .map(|i| tile(i, if i % 3 == 0 { 512 } else { 32 }))
-                .collect();
-            let recirc = |b: &DataBuffer| {
-                if b.level == 0 && b.task.is_multiple_of(4) {
-                    let mut high = tile(b.id.0 + 1_000, 512);
-                    high.task = b.task;
-                    Some(high)
-                } else {
-                    None
-                }
-            };
+        ]
+    }
+
+    /// The reference run's 64 sources: every third tile high-resolution.
+    fn reference_sources() -> Vec<DataBuffer> {
+        (0..64)
+            .map(|i| tile(i, if i % 3 == 0 { 512 } else { 32 }))
+            .collect()
+    }
+
+    /// The reference run's feedback: every fourth low-resolution tile
+    /// comes back at high resolution.
+    fn reference_recirc(b: &DataBuffer) -> Option<DataBuffer> {
+        if b.level == 0 && b.task.is_multiple_of(4) {
+            let mut high = tile(b.id.0 + 1_000, 512);
+            high.task = b.task;
+            Some(high)
+        } else {
+            None
+        }
+    }
+
+    #[test]
+    fn degenerate_graph_is_bit_identical_to_the_single_filter_run() {
+        // Acceptance criterion: a 1-node graph must reproduce today's
+        // engine exactly — same per-device assignment AND same dispatch
+        // order — for all three policies, including with recirculation.
+        for (policy, order_fnv, tally) in golden() {
+            let sources = reference_sources();
             let flat = run(
                 SequentialConfig::new(policy),
                 &devices(),
@@ -618,7 +658,7 @@ mod tests {
                 OracleWeights::new(GpuParams::geforce_8800gt(), false),
                 |_, b| {
                     let mut em = Emission::default();
-                    em.recirculate.extend(recirc(b));
+                    em.recirculate.extend(reference_recirc(b));
                     em
                 },
             );
@@ -631,7 +671,7 @@ mod tests {
                 OracleWeights::new(GpuParams::geforce_8800gt(), false),
                 |_, _, b| {
                     let mut em = GraphEmission::default();
-                    em.feedback.extend(recirc(b));
+                    em.feedback.extend(reference_recirc(b));
                     em.forward.push(b.clone());
                     em
                 },
@@ -658,6 +698,114 @@ mod tests {
             // Every handled buffer left the degenerate graph as an output.
             assert_eq!(g.outputs.len() as u64, g.total, "{policy:?}");
         }
+    }
+
+    /// A tick clock that counts how often the engine asks it.
+    struct Counting {
+        ticks: VirtualClock,
+        reads: std::rc::Rc<std::cell::Cell<u64>>,
+    }
+
+    impl Clock for Counting {
+        fn now(&self) -> SimTime {
+            self.reads.set(self.reads.get() + 1);
+            self.ticks.now()
+        }
+    }
+
+    /// The reference run on a counting clock: its dispatch order and how
+    /// often the engine read the time.
+    fn counted_reference_run(policy: Policy, recorder: Recorder) -> (Vec<(DeviceKind, u64)>, u64) {
+        let cfg = SequentialConfig {
+            recorder,
+            ..SequentialConfig::new(policy)
+        };
+        let graph = DataflowGraph::single("filter");
+        let ticks = VirtualClock::new();
+        let clock = Counting {
+            ticks: ticks.clone(),
+            reads: Default::default(),
+        };
+        let reads = clock.reads.clone();
+        let mut engine = lockstep_engine(
+            &cfg,
+            clock,
+            &graph,
+            &[devices()],
+            reference_sources().into_iter().map(|b| (0, b)).collect(),
+            OracleWeights::new(GpuParams::geforce_8800gt(), false),
+        );
+        let mut hops = Inline(|_, _, b: &DataBuffer| GraphEmission {
+            forward: Vec::new(),
+            feedback: reference_recirc(b).into_iter().collect(),
+        });
+        let none = MembershipSchedule::none();
+        let (order, _) = lockstep_loop(&mut engine, &ticks, &graph, none, &mut hops);
+        let order = order.into_iter().map(|(_, k, id)| (k, id)).collect();
+        (order, reads.get())
+    }
+
+    #[test]
+    fn a_recorder_that_is_off_costs_no_clock_reads() {
+        // With the recorder off the clock is read for a latency sample, a
+        // utilisation tracker or a window trace and for nothing else: about
+        // four times per dispatch, pinned. Recording adds one read per
+        // stamped event and moves no decision.
+        for ((policy, order_fnv, _), reads_off) in golden().into_iter().zip([300, 310, 300]) {
+            let (off_order, off) = counted_reference_run(policy, Recorder::disabled());
+            let rec = Recorder::enabled();
+            let (on_order, on) = counted_reference_run(policy, rec.clone());
+            assert_eq!(off_order.len(), 74, "{policy:?}");
+            assert_eq!(dispatch_fnv(&off_order), order_fnv, "{policy:?}");
+            assert_eq!(dispatch_fnv(&on_order), order_fnv, "{policy:?}");
+            assert_eq!(off, reads_off, "{policy:?}");
+            assert!(off < on, "{policy:?}: {off} reads off, {on} recorded");
+            assert!(rec.event_count() > 0);
+        }
+    }
+
+    #[test]
+    fn tallies_by_kind_are_the_per_filter_tallies_summed() {
+        // The pricing diamond's shape: split, two branches, merge.
+        let graph = DataflowGraph::diamond("split", "price_a", "price_b", "merge");
+        let ticks = VirtualClock::new();
+        let mut engine = lockstep_engine(
+            &SequentialConfig::new(Policy::ddwrr(4)),
+            ticks.clone(),
+            &graph,
+            &[devices(), devices(), devices(), devices()],
+            (0..40)
+                .map(|i| (0, tile(i, if i % 5 == 0 { 512 } else { 32 })))
+                .collect(),
+            OracleWeights::new(GpuParams::geforce_8800gt(), false),
+        );
+        let mut hops = Inline(|_, _, b: &DataBuffer| GraphEmission {
+            forward: vec![b.clone()],
+            feedback: Vec::new(),
+        });
+        let none = MembershipSchedule::none();
+        lockstep_loop(&mut engine, &ticks, &graph, none, &mut hops);
+        assert_eq!(engine.total_done(), 120, "split + one branch + merge each");
+        let by_node = engine.tasks_by_node();
+        assert!(by_node.values().all(|&n| n > 0), "an entry is a completion");
+        for filter in 0..4 {
+            let at: u64 = by_node
+                .iter()
+                .filter(|((f, _, _), _)| *f == filter)
+                .map(|(_, n)| n)
+                .sum();
+            assert_eq!(at, if filter == 1 || filter == 2 { 20 } else { 40 });
+        }
+        let mut summed = HashMap::new();
+        for (&(_, kind, level), n) in &by_node {
+            *summed.entry((kind, level)).or_insert(0) += n;
+        }
+        assert_eq!(engine.tasks_by(), summed);
+        assert_eq!(summed.values().sum::<u64>(), 120);
+        assert_eq!(
+            engine.edge_delivered(),
+            HashMap::from([(0, 20), (1, 20), (2, 20), (3, 20)])
+        );
     }
 
     #[test]

@@ -3,8 +3,6 @@
 //! plus the outstanding-request accounting that keeps a worker's demand at
 //! its target.
 
-use std::collections::HashMap;
-
 use anthill_simkit::{SimDuration, SimTime};
 
 use crate::dqaa::Dqaa;
@@ -24,8 +22,9 @@ pub struct RequestWindow {
     batch_reserve: usize,
     outstanding: usize,
     starved: bool,
-    /// In-flight requests keyed by request id.
-    sent: HashMap<u64, SentRequest>,
+    /// In-flight requests by request id, in no order. There are at most
+    /// `max_window` of them, so a scan beats hashing the id.
+    sent: Vec<(u64, SentRequest)>,
 }
 
 /// Book-keeping for one in-flight request.
@@ -62,7 +61,7 @@ impl RequestWindow {
             batch_reserve: 0,
             outstanding: 0,
             starved: false,
-            sent: HashMap::new(),
+            sent: Vec::new(),
         }
     }
 
@@ -100,20 +99,18 @@ impl RequestWindow {
     pub(crate) fn note_sent(&mut self, req_id: u64, now: SimTime) {
         self.outstanding += 1;
         self.starved = false;
-        self.sent.insert(
-            req_id,
-            SentRequest {
-                at: now,
-                attempt: 0,
-            },
-        );
+        let first = SentRequest {
+            at: now,
+            attempt: 0,
+        };
+        self.sent.push((req_id, first));
     }
 
     /// Account a retry of a timed-out request under a fresh id. The window
     /// slot is still held by the original send, so `outstanding` does not
     /// move; the attempt count carries over the retry chain.
     pub(crate) fn note_resent(&mut self, req_id: u64, now: SimTime, attempt: u32) {
-        self.sent.insert(req_id, SentRequest { at: now, attempt });
+        self.sent.push((req_id, SentRequest { at: now, attempt }));
     }
 
     /// Remove and return an in-flight request without settling it (the
@@ -121,13 +118,14 @@ impl RequestWindow {
     /// healthy latencies, not timeout spans). `None` when the reply won
     /// the race and already settled.
     pub(crate) fn take_sent(&mut self, req_id: u64) -> Option<SentRequest> {
-        self.sent.remove(&req_id)
+        let i = self.sent.iter().position(|&(id, _)| id == req_id)?;
+        Some(self.sent.swap_remove(i).1)
     }
 
     /// Settle the round-trip of `req_id` at `now`, feeding DQAA's latency
     /// estimate. `None` for unknown ids (e.g. the drivers' kick events).
     pub(crate) fn settle_latency(&mut self, req_id: u64, now: SimTime) -> Option<SimDuration> {
-        let lat = now.since(self.sent.remove(&req_id)?.at);
+        let lat = now.since(self.take_sent(req_id)?.at);
         self.dqaa.observe_latency(lat);
         Some(lat)
     }
@@ -238,6 +236,24 @@ mod tests {
         assert_eq!(w.take_sent(2).expect("resent").attempt, 1);
         assert!(w.take_sent(1).is_none(), "old id is gone");
         assert!(w.take_sent(2).is_none(), "taking twice settles nothing");
+    }
+
+    #[test]
+    fn a_full_window_settles_in_any_order() {
+        let max_window = 256;
+        let mut w = RequestWindow::new(&Policy::odds(), max_window);
+        for id in 0..max_window as u64 {
+            w.note_sent(id, SimTime(id));
+        }
+        assert_eq!(w.outstanding(), max_window);
+        for id in (0..max_window as u64).rev() {
+            let lat = w.settle_latency(id, SimTime(1_000)).expect("in flight");
+            assert_eq!(lat, SimDuration(1_000 - id), "each id keeps its send time");
+            assert!(w.take_sent(id).is_none(), "settled once");
+            w.release_slot();
+        }
+        assert_eq!(w.outstanding(), 0);
+        assert!(w.sent.is_empty());
     }
 
     #[test]

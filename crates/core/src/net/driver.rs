@@ -603,6 +603,8 @@ struct ConcurrentRig<W: WeightProvider> {
     joins: u32,
     /// Graceful drains completed.
     drained: u32,
+    /// When each slot last sent a frame; kept current only for a run with
+    /// a heartbeat timeout, the one reader.
     last_seen: Vec<Instant>,
     pending_procs: Vec<Vec<SimDuration>>,
     /// Events handled since the last [`ConcurrentRig::sweep`].
@@ -751,6 +753,9 @@ impl<W: WeightProvider> ConcurrentRig<W> {
 
     /// Fire every request timeout whose wall-clock deadline has passed.
     fn fire_due_timers(&mut self) {
+        if self.drv.timers.is_empty() {
+            return;
+        }
         let now_ns = self.wall.now().as_nanos();
         while let Some(&Reverse((fire, slot, req_id))) = self.drv.timers.peek() {
             if fire > now_ns {
@@ -901,8 +906,10 @@ impl<W: WeightProvider> ConcurrentRig<W> {
         self.drv.inflight[slot].retain(|b| b.id != buffer.id);
         let device = self.engine.worker_device(self.node, slot);
         self.dispatch_order.push((device.kind, buffer.id.0));
-        let ts = self.wall.now().as_nanos();
-        record_remote_span(&self.cfg.recorder, ts, device, &buffer, span_ns);
+        if self.cfg.recorder.is_enabled() {
+            let ts = self.wall.now().as_nanos();
+            record_remote_span(&self.cfg.recorder, ts, device, &buffer, span_ns);
+        }
         let proc = SimDuration(proc_ns);
         self.engine.task_finished(self.node, slot, &buffer, proc);
         self.pending_procs[slot].push(proc);
@@ -969,7 +976,9 @@ impl<W: WeightProvider> ConcurrentRig<W> {
                 return Ok(None);
             }
         };
-        self.last_seen[slot] = Instant::now();
+        if self.cfg.heartbeat_timeout.is_some() {
+            self.last_seen[slot] = Instant::now();
+        }
         if self.dead[slot] {
             return Ok(None); // a late frame from a retired slot
         }
@@ -1067,7 +1076,7 @@ impl<W: WeightProvider> ConcurrentRig<W> {
     fn finish(mut self) -> NetOutcome {
         self.drv.net.shutdown_all();
         NetOutcome {
-            assigned: self.engine.tasks_by().clone(),
+            assigned: self.engine.tasks_by(),
             dispatch_order: self.dispatch_order,
             total: self.engine.total_done(),
             deaths: self.deaths,

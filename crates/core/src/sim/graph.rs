@@ -171,8 +171,8 @@ where
     let sim = sim.run();
     GraphSimReport {
         makespan: sim.finish.since(SimTime::ZERO),
-        assigned: sim.engine.tasks_by_node().clone(),
-        edge_delivered: sim.engine.edge_delivered().clone(),
+        assigned: sim.engine.tasks_by_node(),
+        edge_delivered: sim.engine.edge_delivered(),
         total: sim.engine.total_done(),
         outputs: sim.hook.outputs,
     }

@@ -262,7 +262,7 @@ pub fn run_nbia_with(
     SimReport {
         makespan: horizon.since(SimTime::ZERO),
         cpu_baseline: workload.cpu_baseline(),
-        tasks_by: sim.engine.tasks_by().clone(),
+        tasks_by: sim.engine.tasks_by(),
         total_tasks: sim.engine.total_done(),
         request_traces,
         util_traces,

@@ -5,49 +5,32 @@
 //! a plain mutable struct, and handlers receive a [`Scheduler`] to enqueue
 //! follow-up events. Determinism is guaranteed by (a) integer virtual time
 //! and (b) FIFO tie-breaking of simultaneous events via a sequence number.
+//!
+//! The heap orders 24-byte `Key`s only; the events themselves sit in a
+//! slab and are moved twice (in at schedule, out at pop) however large
+//! they are and however deep the heap is.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::HashSet;
 
 use crate::time::{SimDuration, SimTime};
 
-/// Identifier of a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
-
-struct Scheduled<E> {
+/// What the heap sifts: fire time, then schedule order. `seq` is unique,
+/// so `slot` (where the event waits in the slab) never decides a
+/// comparison.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
     at: SimTime,
     seq: u64,
-    ev: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first,
-        // with the lowest sequence number winning ties (FIFO).
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+    slot: u32,
 }
 
 /// The pending-event queue handed to world handlers for scheduling.
 pub struct Scheduler<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    cancelled: HashSet<u64>,
+    heap: BinaryHeap<Reverse<Key>>,
+    /// Pending events by slot; `None` slots are listed in `free`.
+    events: Vec<Option<E>>,
+    free: Vec<u32>,
     seq: u64,
     now: SimTime,
 }
@@ -56,7 +39,8 @@ impl<E> Scheduler<E> {
     fn new() -> Self {
         Scheduler {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            events: Vec::new(),
+            free: Vec::new(),
             seq: 0,
             now: SimTime::ZERO,
         }
@@ -70,59 +54,49 @@ impl<E> Scheduler<E> {
 
     /// Schedule `ev` at absolute time `at`. Times in the past are clamped
     /// to `now` (the event still runs, immediately after current ones).
-    pub fn at(&mut self, at: SimTime, ev: E) -> EventId {
+    pub fn at(&mut self, at: SimTime, ev: E) {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Scheduled { at, seq, ev });
-        EventId(seq)
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.events[slot as usize] = Some(ev);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.events.len()).expect("under 2^32 pending events");
+                self.events.push(Some(ev));
+                slot
+            }
+        };
+        self.heap.push(Reverse(Key { at, seq, slot }));
     }
 
     /// Schedule `ev` after a delay from the current time.
     #[inline]
-    pub fn after(&mut self, delay: SimDuration, ev: E) -> EventId {
+    pub fn after(&mut self, delay: SimDuration, ev: E) {
         self.at(self.now + delay, ev)
     }
 
     /// Schedule `ev` to run at the current instant, after already-pending
     /// events at this instant.
     #[inline]
-    pub fn immediately(&mut self, ev: E) -> EventId {
+    pub fn immediately(&mut self, ev: E) {
         self.at(self.now, ev)
     }
 
-    /// Cancel a previously scheduled event. Safe to call more than once or
-    /// after the event has fired (it is then a no-op).
-    pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id.0);
-    }
-
-    /// Number of pending (non-cancelled, best-effort) events.
-    pub fn pending(&self) -> usize {
-        self.heap.len().saturating_sub(self.cancelled.len())
-    }
-
     fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(s) = self.heap.pop() {
-            if self.cancelled.remove(&s.seq) {
-                continue;
-            }
-            self.now = s.at;
-            return Some((s.at, s.ev));
-        }
-        None
+        let Reverse(Key { at, slot, .. }) = self.heap.pop()?;
+        let ev = self.events[slot as usize]
+            .take()
+            .expect("a heap key names an occupied slot");
+        self.free.push(slot);
+        self.now = at;
+        Some((at, ev))
     }
 
-    fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(s) = self.heap.peek() {
-            if self.cancelled.contains(&s.seq) {
-                let s = self.heap.pop().unwrap();
-                self.cancelled.remove(&s.seq);
-                continue;
-            }
-            return Some(s.at);
-        }
-        None
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|k| k.0.at)
     }
 }
 
@@ -191,7 +165,7 @@ impl<W: World> Engine<W> {
     }
 
     /// Schedule an event before or between runs.
-    pub fn schedule(&mut self, at: SimTime, ev: W::Event) -> EventId {
+    pub fn schedule(&mut self, at: SimTime, ev: W::Event) {
         self.sched.at(at, ev)
     }
 
@@ -230,6 +204,7 @@ impl<W: World> Engine<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     #[derive(Debug, PartialEq)]
     enum Ev {
@@ -302,16 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_suppresses_events() {
-        let mut eng = Engine::new(Log::default());
-        let a = eng.schedule(SimTime(10), Ev::Tick(1));
-        eng.schedule(SimTime(20), Ev::Tick(2));
-        eng.sched.cancel(a);
-        eng.run();
-        assert_eq!(eng.world().seen, vec![(20, 2)]);
-    }
-
-    #[test]
     fn past_scheduling_clamps_to_now() {
         struct Clamper {
             fired_at: Vec<u64>,
@@ -338,5 +303,79 @@ mod tests {
         eng.schedule(SimTime(0), Ev::Chain(1_000_000));
         assert_eq!(eng.run_bounded(SimTime::MAX, 10), RunOutcome::LimitReached);
         assert_eq!(eng.steps(), 10);
+    }
+    /// Every event carries the `(at, seq)` the scheduler must have given
+    /// it; handlers schedule children until `budget` events exist.
+    struct Spawner {
+        rng: SimRng,
+        budget: u64,
+        scheduled: u64,
+        fired: Vec<(SimTime, u64)>,
+        peak_pending: usize,
+    }
+
+    impl Spawner {
+        /// A time near `now`: equal to it, before it (clamped) or after.
+        fn schedule(&mut self, now: SimTime, mut put: impl FnMut(SimTime, (SimTime, u64))) {
+            let at = match self.rng.below(4) {
+                0 => now,
+                1 => SimTime(now.as_nanos().saturating_sub(self.rng.below(50))),
+                _ => now + SimDuration::from_nanos(self.rng.below(40)),
+            };
+            put(at, (at.max(now), self.scheduled));
+            self.scheduled += 1;
+            let pending = (self.scheduled as usize) - self.fired.len();
+            self.peak_pending = self.peak_pending.max(pending);
+        }
+    }
+
+    impl World for Spawner {
+        type Event = (SimTime, u64);
+        fn handle(&mut self, now: SimTime, ev: Self::Event, sched: &mut Scheduler<Self::Event>) {
+            assert_eq!(now, ev.0, "fired at the clamped time it was scheduled for");
+            self.fired.push(ev);
+            for _ in 0..self.rng.below(3) {
+                if self.scheduled < self.budget {
+                    self.schedule(now, |at, ev| sched.at(at, ev));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_schedules_fire_in_at_seq_order_and_reuse_slab_slots() {
+        for seed in 0..4 {
+            let mut eng = Engine::new(Spawner {
+                rng: SimRng::new(seed),
+                budget: 10_000,
+                scheduled: 0,
+                fired: Vec::new(),
+                peak_pending: 0,
+            });
+            // From outside in rounds with the clock run in between, so all
+            // but the first land on a running engine, some in its past.
+            while eng.world().scheduled < eng.world().budget {
+                for _ in 0..200 {
+                    let Engine { world, sched, .. } = &mut eng;
+                    if world.scheduled < world.budget {
+                        world.schedule(sched.now(), |at, ev| sched.at(at, ev));
+                    }
+                }
+                eng.run_until(eng.now() + SimDuration::from_nanos(30));
+            }
+            assert_eq!(eng.run(), RunOutcome::Drained);
+            let w = eng.world();
+            assert_eq!(w.fired.len() as u64, w.budget, "seed {seed}");
+            let mut expected = w.fired.clone();
+            expected.sort();
+            assert_eq!(w.fired, expected, "seed {seed}: pop order is (at, seq)");
+            assert_eq!(
+                eng.sched.events.len(),
+                w.peak_pending,
+                "seed {seed}: the slab holds the peak pending count, no more"
+            );
+            assert!(w.peak_pending < 2_000, "seed {seed}: slots were reused");
+            assert_eq!(eng.sched.free.len(), eng.sched.events.len());
+        }
     }
 }

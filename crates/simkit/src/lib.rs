@@ -10,7 +10,8 @@
 //!
 //! * [`SimTime`]/[`SimDuration`] — integer nanosecond virtual time,
 //! * [`Engine`]/[`World`]/[`Scheduler`] — a minimal, deterministic
-//!   event loop with FIFO tie-breaking and event cancellation,
+//!   event loop with FIFO tie-breaking: a heap of 24-byte keys over
+//!   a slab of events,
 //! * [`SimRng`] — a self-contained xoshiro256** PRNG with stable,
 //!   label-addressed stream forking,
 //! * [`FifoServer`]/[`MultiServer`]/[`Pipe`] — timed-resource building
@@ -51,7 +52,7 @@ mod rng;
 mod stats;
 mod time;
 
-pub use engine::{Engine, EventId, RunOutcome, Scheduler, World};
+pub use engine::{Engine, RunOutcome, Scheduler, World};
 pub use resource::{FifoServer, MultiServer, Pipe};
 pub use rng::SimRng;
 pub use stats::{DurationHistogram, TimeWeightedMean, TraceSeries, UtilizationTracker, Welford};
