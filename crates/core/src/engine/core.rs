@@ -120,7 +120,6 @@ struct WorkerState {
     /// Target-window trace `(time, target)` per idle transition.
     req_trace: Vec<(SimTime, usize)>,
     latency_hist: DurationHistogram,
-    service_hist: DurationHistogram,
 }
 
 impl WorkerState {
@@ -180,8 +179,6 @@ pub struct WorkerStats<'a> {
     pub req_trace: &'a [(SimTime, usize)],
     /// Request round-trip latencies observed by this worker.
     pub latency_hist: &'a DurationHistogram,
-    /// Per-buffer service times on this device.
-    pub service_hist: &'a DurationHistogram,
 }
 
 /// The backend-agnostic scheduling engine (see the module docs).
@@ -263,7 +260,6 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             util: UtilizationTracker::new(),
             req_trace: Vec::new(),
             latency_hist: DurationHistogram::new(),
-            service_hist: DurationHistogram::new(),
         };
         self.nodes[node].workers.push(w);
         self.nodes[node].workers.len() - 1
@@ -373,7 +369,6 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
                 util: &w.util,
                 req_trace: &w.req_trace,
                 latency_hist: &w.latency_hist,
-                service_hist: &w.service_hist,
             })
         })
     }
@@ -1004,7 +999,6 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             w.util.set_idle(now);
             for &dt in processed {
                 w.window.observe_processing(dt);
-                w.service_hist.record(dt);
             }
             let target = w.window.target();
             w.req_trace.push((now, target));

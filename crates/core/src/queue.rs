@@ -67,9 +67,10 @@ impl Ord for OrdWeight {
 /// One multiply per word, high half folded into the low half so that keys
 /// differing only in their high bits (`f64` patterns of round numbers)
 /// still spread over the buckets. For keys made inside the program only:
-/// buffer ids and weight bit patterns.
+/// buffer ids, weight bit patterns and the estimator memo's shape keys
+/// (already an FNV-1a fold of the parameters).
 #[derive(Debug, Default, Clone, Copy)]
-struct MulHasher(u64);
+pub(crate) struct MulHasher(u64);
 
 impl Hasher for MulHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -85,7 +86,7 @@ impl Hasher for MulHasher {
     }
 }
 
-type MulMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
+pub(crate) type MulMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
 
 /// Null link.
 const NIL: u32 = u32::MAX;

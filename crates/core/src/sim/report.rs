@@ -26,8 +26,6 @@ pub struct SimReport {
     pub stream_traces: Vec<(DeviceId, Vec<usize>)>,
     /// Request round-trip latency distribution per worker thread.
     pub latency_hists: Vec<(DeviceId, DurationHistogram)>,
-    /// Per-buffer service-time distribution per worker thread.
-    pub service_hists: Vec<(DeviceId, DurationHistogram)>,
 }
 
 impl SimReport {
@@ -57,17 +55,6 @@ impl SimReport {
     pub fn latency_quantile(&self, kind: DeviceKind, q: f64) -> SimDuration {
         let mut merged = DurationHistogram::new();
         for (dev, h) in &self.latency_hists {
-            if dev.kind == kind {
-                merged.merge(h);
-            }
-        }
-        merged.quantile(q)
-    }
-
-    /// Aggregate service-time quantile across all threads of a kind.
-    pub fn service_quantile(&self, kind: DeviceKind, q: f64) -> SimDuration {
-        let mut merged = DurationHistogram::new();
-        for (dev, h) in &self.service_hists {
             if dev.kind == kind {
                 merged.merge(h);
             }
@@ -127,7 +114,6 @@ mod tests {
             ],
             stream_traces: vec![],
             latency_hists: vec![],
-            service_hists: vec![],
         }
     }
 

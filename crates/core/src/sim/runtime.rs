@@ -16,7 +16,7 @@ use anthill_estimator::{KnnEstimator, ProfileStore};
 use anthill_hetsim::{ClusterSpec, DeviceKind, GpuParams, NetParams};
 use anthill_simkit::{SimDuration, SimRng, SimTime};
 
-use crate::buffer::DataBuffer;
+use crate::buffer::{BufferId, DataBuffer};
 use crate::faults::FaultConfig;
 use crate::membership::MembershipSchedule;
 use crate::obs::Recorder;
@@ -105,6 +105,9 @@ impl SimConfig {
 /// completion is a tile's final classification.
 struct NbiaLoop<'a> {
     workload: &'a WorkloadSpec,
+    /// `high_buffer(0)`: every recalculated buffer is this one with its
+    /// tile's id and task, sharing its parameters.
+    high: DataBuffer,
     n_nodes: u64,
     finals_done: u64,
 }
@@ -113,7 +116,11 @@ impl Completion for NbiaLoop<'_> {
     fn completed(&mut self, hop: &mut Hop<'_>, _kind: DeviceKind, buffer: &DataBuffer) {
         if buffer.level == 0 && self.workload.is_recalc(buffer.task) {
             let owner = (buffer.task % self.n_nodes) as usize;
-            let high = self.workload.high_buffer(buffer.task);
+            let high = DataBuffer {
+                id: BufferId(self.workload.tiles + buffer.task),
+                task: buffer.task,
+                ..self.high.clone()
+            };
             hop.send(owner, RECALC_BYTES, None, high);
         } else {
             self.finals_done += 1;
@@ -196,6 +203,7 @@ pub fn run_nbia_with(
     let n_nodes = cfg.cluster.len();
     let nbia = NbiaLoop {
         workload,
+        high: workload.high_buffer(0),
         n_nodes: n_nodes as u64,
         finals_done: 0,
     };
@@ -225,9 +233,17 @@ pub fn run_nbia_with(
 
     // Decluster the tiles round-robin over the readers. Initial tiles sit
     // in the low-priority FIFO band; recirculated buffers preempt them.
+    // Every tile is `low_buffer(0)` with its own id and task, sharing its
+    // parameters.
+    let low = workload.low_buffer(0);
     for tile in 0..workload.tiles {
         let owner = (tile % n_nodes as u64) as usize;
-        sim.engine.seed_reader(owner, workload.low_buffer(tile));
+        let buffer = DataBuffer {
+            id: BufferId(tile),
+            task: tile,
+            ..low.clone()
+        };
+        sim.engine.seed_reader(owner, buffer);
     }
 
     let sim = sim.run();
@@ -243,12 +259,10 @@ pub fn run_nbia_with(
     let mut utilization = Vec::new();
     let mut stream_traces = Vec::new();
     let mut latency_hists = Vec::new();
-    let mut service_hists = Vec::new();
     for (stats, slot) in sim.engine.worker_stats().zip(sim.slots()) {
         utilization.push((stats.device, stats.util.utilization(horizon)));
         request_traces.push((stats.device, stats.req_trace.to_vec()));
         latency_hists.push((stats.device, stats.latency_hist.clone()));
-        service_hists.push((stats.device, stats.service_hist.clone()));
         if cfg.trace_buckets > 0 && horizon > SimTime::ZERO {
             let bucket =
                 SimDuration::from_nanos((horizon.as_nanos() / cfg.trace_buckets as u64).max(1));
@@ -269,6 +283,61 @@ pub fn run_nbia_with(
         utilization,
         stream_traces,
         latency_hists,
-        service_hists,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+    use std::collections::BTreeSet;
+    use std::rc::Rc;
+
+    /// Oracle weights that keep a copy of every buffer they weigh.
+    struct Witness {
+        oracle: OracleWeights,
+        seen: Rc<RefCell<Vec<DataBuffer>>>,
+    }
+
+    impl WeightProvider for Witness {
+        fn predict_time(&self, buf: &DataBuffer, kind: DeviceKind) -> f64 {
+            self.oracle.predict_time(buf, kind)
+        }
+
+        fn weights_pair(&self, buf: &DataBuffer) -> [f64; 2] {
+            self.seen.borrow_mut().push(buf.clone());
+            self.oracle.weights_pair(buf)
+        }
+    }
+
+    #[test]
+    fn templated_buffers_equal_the_workload_buffers_field_for_field() {
+        let cfg = SimConfig::new(ClusterSpec::heterogeneous(7, 7), Policy::odds());
+        let w = WorkloadSpec {
+            tiles: 3_000,
+            ..WorkloadSpec::paper_base(0.12)
+        };
+        let seen = Rc::default();
+        let witness = Witness {
+            oracle: OracleWeights::new(cfg.gpu.clone(), cfg.async_transfers),
+            seen: Rc::clone(&seen),
+        };
+        run_nbia_with(&cfg, &w, Box::new(witness));
+        let seen = seen.borrow();
+        let firsts = [0, 1].map(|level| seen.iter().find(|b| b.level == level).unwrap());
+        for b in seen.iter() {
+            let own = match b.level {
+                0 => w.low_buffer(b.task),
+                _ => w.high_buffer(b.task),
+            };
+            assert_eq!(*b, own);
+            let first = firsts[usize::from(b.level)];
+            assert!(
+                b.params.shares_storage(&first.params),
+                "one allocation per level"
+            );
+        }
+        let ids: BTreeSet<u64> = seen.iter().map(|b| b.id.0).collect();
+        assert_eq!(ids.len() as u64, w.total_buffers(), "every buffer weighed");
     }
 }

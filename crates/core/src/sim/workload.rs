@@ -70,7 +70,9 @@ impl WorkloadSpec {
     /// evenly interleaved.
     pub fn is_recalc(&self, tile: u64) -> bool {
         let r = self.recalc_rate.clamp(0.0, 1.0);
-        (((tile + 1) as f64 * r).floor() - (tile as f64 * r).floor()) >= 1.0
+        // Both products are ≥ 0 (or NaN, which casts to 0): truncation is
+        // their floor.
+        ((tile + 1) as f64 * r) as u64 > (tile as f64 * r) as u64
     }
 
     /// Number of recalculated tiles.
@@ -130,6 +132,17 @@ mod tests {
                 (15..=17).contains(&in_window),
                 "window {start}: {in_window}"
             );
+        }
+    }
+
+    #[test]
+    fn is_recalc_equals_the_floor_definition_on_every_paper_tile() {
+        for r in [0.0, 0.08, 0.12, 0.16, 0.2, 1.0] {
+            let w = WorkloadSpec::paper_base(r);
+            for t in 0..w.tiles {
+                let by_floor = ((t + 1) as f64 * r).floor() - (t as f64 * r).floor() >= 1.0;
+                assert_eq!(w.is_recalc(t), by_floor, "rate {r}, tile {t}");
+            }
         }
     }
 

@@ -15,15 +15,16 @@
 //! [`WeightProvider::weights_pair`]: one predicted time per device class
 //! yields both weights. For [`EstimatorWeights`] the pair is one memo
 //! lookup. The memo is keyed by [`TaskParams::shape_key`] — an
-//! allocation-free hash of the parameters — and each entry keeps the
-//! parameters it was computed for: a lookup whose parameters differ from
-//! the stored ones is a miss, so two shapes sharing a key recompute
-//! instead of reading each other's times.
+//! allocation-free FNV-1a hash of the parameters, so the map spreads it
+//! with the queue's one-multiply `MulHasher` rather than SipHash — and
+//! each entry keeps the parameters it was computed for: a lookup whose
+//! parameters differ from the stored ones is a miss, so two shapes sharing
+//! a key recompute instead of reading each other's times.
 
 use crate::buffer::DataBuffer;
+use crate::queue::MulMap;
 use anthill_estimator::{DeviceClass, KnnEstimator, OnlineProfile, ShapeKey, TaskParams};
 use anthill_hetsim::{CopyMode, DeviceKind, GpuParams};
-use std::collections::HashMap;
 
 /// Engine state visible to a learned provider at decision time — the
 /// contextual features of [`WeightProvider::decide`].
@@ -262,7 +263,7 @@ const CACHE_CAP: usize = 4096;
 /// Predicted `[cpu, gpu]` times per shape key. Each entry holds the
 /// parameters it was computed for, because distinct shapes may share a key.
 #[derive(Default)]
-struct Memo(HashMap<ShapeKey, (TaskParams, [f64; 2])>);
+struct Memo(MulMap<ShapeKey, (TaskParams, [f64; 2])>);
 
 impl Memo {
     /// The times stored under `key`, if they were computed for `params`.

@@ -6,28 +6,41 @@
 //! follow-up events. Determinism is guaranteed by (a) integer virtual time
 //! and (b) FIFO tie-breaking of simultaneous events via a sequence number.
 //!
-//! The heap orders 24-byte `Key`s only; the events themselves sit in a
-//! slab and are moved twice (in at schedule, out at pop) however large
-//! they are and however deep the heap is.
+//! The heap orders 16-byte keys only, one `u128` per event; the events
+//! themselves sit in a slab and are moved twice (in at schedule, out at
+//! pop) however large they are and however deep the heap is.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
-/// What the heap sifts: fire time, then schedule order. `seq` is unique,
-/// so `slot` (where the event waits in the slab) never decides a
-/// comparison.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Key {
-    at: SimTime,
-    seq: u64,
-    slot: u32,
+/// Bits of a heap key below the fire time: schedule order above the slot,
+/// so at most 2^40 events are scheduled and 2^24 pending.
+const SEQ_BITS: u32 = 40;
+const SLOT_BITS: u32 = 24;
+
+/// What the heap sifts: fire time in the high 64 bits, schedule order in
+/// the next 40, and the slab slot the event waits in in the low 24. `seq`
+/// is unique, so the slot never decides a comparison: keys pop in exactly
+/// `(at, seq)` order.
+fn pack(at: SimTime, seq: u64, slot: u32) -> u128 {
+    (u128::from(at.as_nanos()) << 64) | (u128::from(seq) << SLOT_BITS) | u128::from(slot)
+}
+
+/// `(at, seq, slot)` of a key made by [`pack`].
+fn unpack(key: u128) -> (SimTime, u64, u32) {
+    let low = key as u64;
+    (
+        SimTime((key >> 64) as u64),
+        low >> SLOT_BITS,
+        (low & ((1 << SLOT_BITS) - 1)) as u32,
+    )
 }
 
 /// The pending-event queue handed to world handlers for scheduling.
 pub struct Scheduler<E> {
-    heap: BinaryHeap<Reverse<Key>>,
+    heap: BinaryHeap<Reverse<u128>>,
     /// Pending events by slot; `None` slots are listed in `free`.
     events: Vec<Option<E>>,
     free: Vec<u32>,
@@ -57,6 +70,7 @@ impl<E> Scheduler<E> {
     pub fn at(&mut self, at: SimTime, ev: E) {
         let at = at.max(self.now);
         let seq = self.seq;
+        assert!(seq >> SEQ_BITS == 0, "under 2^40 events scheduled");
         self.seq += 1;
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -64,12 +78,13 @@ impl<E> Scheduler<E> {
                 slot
             }
             None => {
-                let slot = u32::try_from(self.events.len()).expect("under 2^32 pending events");
+                let slot = self.events.len();
+                assert!(slot >> SLOT_BITS == 0, "under 2^24 pending events");
                 self.events.push(Some(ev));
-                slot
+                slot as u32
             }
         };
-        self.heap.push(Reverse(Key { at, seq, slot }));
+        self.heap.push(Reverse(pack(at, seq, slot)));
     }
 
     /// Schedule `ev` after a delay from the current time.
@@ -86,7 +101,7 @@ impl<E> Scheduler<E> {
     }
 
     fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(Key { at, slot, .. }) = self.heap.pop()?;
+        let (at, _, slot) = unpack(self.heap.pop()?.0);
         let ev = self.events[slot as usize]
             .take()
             .expect("a heap key names an occupied slot");
@@ -96,7 +111,7 @@ impl<E> Scheduler<E> {
     }
 
     fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|k| k.0.at)
+        self.heap.peek().map(|k| unpack(k.0).0)
     }
 }
 
@@ -230,6 +245,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn keys_round_trip_at_the_field_limits() {
+        let top = (SimTime(u64::MAX), (1 << SEQ_BITS) - 1, (1 << SLOT_BITS) - 1);
+        for (at, seq, slot) in [top, (SimTime::ZERO, 0, 0)] {
+            assert_eq!(unpack(pack(at, seq, slot)), (at, seq, slot));
+        }
+        assert_eq!(pack(top.0, top.1, top.2), u128::MAX);
+    }
+
+    #[test]
+    fn equal_times_order_by_seq_whatever_the_slots() {
+        let at = SimTime(7);
+        for (a, b) in [(0, 1), (1, 0), ((1 << SLOT_BITS) - 1, 0)] {
+            assert!(pack(at, 3, a) < pack(at, 4, b), "slots {a} {b}");
+        }
+        assert!(pack(SimTime(6), (1 << SEQ_BITS) - 1, 9) < pack(at, 0, 0));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! * [`SimTime`]/[`SimDuration`] — integer nanosecond virtual time,
 //! * [`Engine`]/[`World`]/[`Scheduler`] — a minimal, deterministic
-//!   event loop with FIFO tie-breaking: a heap of 24-byte keys over
+//!   event loop with FIFO tie-breaking: a heap of 16-byte keys over
 //!   a slab of events,
 //! * [`SimRng`] — a self-contained xoshiro256** PRNG with stable,
 //!   label-addressed stream forking,

@@ -248,7 +248,9 @@ impl DurationHistogram {
         let idx = if (ns as f64) < self.base_ns {
             0
         } else {
-            (((ns as f64) / self.base_ns).ln() / self.growth.ln()).floor() as usize
+            // `ns ≥ base`, so the log ratio is ≥ 0 and truncating it is
+            // its floor.
+            (((ns as f64) / self.base_ns).ln() / self.growth.ln()) as usize
         };
         let idx = idx.min(self.counts.len() - 1);
         self.counts[idx] += 1;
@@ -472,6 +474,30 @@ mod tests {
         assert_eq!(a.count(), 100);
         let p50 = a.quantile(0.5).as_secs_f64();
         assert!((0.045..0.075).contains(&p50), "p50 {p50}");
+    }
+
+    #[test]
+    fn histogram_index_equals_the_floor_formula_at_every_bucket_edge() {
+        let fresh = DurationHistogram::new();
+        let (base, growth, buckets) = (fresh.base_ns, fresh.growth, fresh.counts.len());
+        let by_floor = |ns: u64| {
+            let idx = if (ns as f64) < base {
+                0
+            } else {
+                (((ns as f64) / base).ln() / growth.ln()).floor() as usize
+            };
+            idx.min(buckets - 1)
+        };
+        for i in 0..=buckets as i32 + 1 {
+            let edge = base * growth.powi(i);
+            let (lo, hi) = (edge.floor() as u64, edge.ceil() as u64);
+            for ns in [lo.saturating_sub(1), lo, hi, hi + 1] {
+                let mut h = fresh.clone();
+                h.record(SimDuration::from_nanos(ns));
+                let idx = h.counts.iter().position(|&c| c == 1);
+                assert_eq!(idx, Some(by_floor(ns)), "{ns} ns at edge {i}");
+            }
+        }
     }
 
     #[test]

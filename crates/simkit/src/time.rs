@@ -83,14 +83,19 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Build a duration from fractional seconds. Negative and non-finite
-    /// inputs are clamped to zero.
+    /// Build a duration from fractional seconds, rounding half away from
+    /// zero to nanoseconds and saturating at `u64::MAX`. Negative and
+    /// non-finite inputs are clamped to zero.
     #[inline]
     pub fn from_secs_f64(s: f64) -> SimDuration {
         if !s.is_finite() || s <= 0.0 {
             return SimDuration(0);
         }
-        SimDuration((s * 1e9).round() as u64)
+        // Rounding without a libm call: below 2^53 the fraction `ns -
+        // whole` is exact, and above it `ns` is already integral.
+        let ns = s * 1e9;
+        let whole = ns as u64;
+        SimDuration(whole.saturating_add(u64::from(ns - whole as f64 >= 0.5)))
     }
 
     /// Nanoseconds in this duration.
