@@ -1083,6 +1083,82 @@ fn rolling_restart_drains_and_rejoins_every_worker_with_zero_loss() {
     );
 }
 
+/// A sever, a drain and a join in one live TCP run: 2 000 tasks on three
+/// CPU workers, slot 1's connection severed after its 40th frame, slot 0
+/// drained at 500 completions, and one replacement admitted mid-run from
+/// the listener. Every buffer completes exactly once; the run counts one
+/// death, one drain and one join, and its trace carries exactly one of
+/// each membership event; the drained slot is never dispatched to after
+/// its `worker_draining`.
+#[test]
+fn elastic_sever_drain_join_conserves() {
+    const TASKS: u64 = 2_000;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("listener addr").to_string();
+    let behavior = Behavior::Busy { micros: 20 };
+    let workers = loopback_workers(&[DeviceKind::Cpu; 3], behavior);
+    let joiner = spawn_joining_worker_thread(addr, 0, DeviceKind::Cpu, behavior);
+    let recorder = Recorder::enabled();
+    let mut cfg = NetConfig::new(Policy::ddwrr(8));
+    cfg.recovery = RecoveryConfig::standard();
+    cfg.recorder = recorder.clone();
+    cfg.drops = vec![ConnectionDropSpec {
+        node: 0,
+        worker: 1,
+        after_frames: 40,
+    }];
+    let drains = vec![DrainAt {
+        after_completions: 500,
+        slot: 0,
+    }];
+    let sources: Vec<DataBuffer> = (0..TASKS).map(|id| task(id).buffer).collect();
+
+    let out = run_concurrent_elastic(cfg, listener, drains, workers, sources, oracle())
+        .expect("elastic net run");
+    joiner
+        .join()
+        .expect("joiner thread")
+        .expect("joiner exits cleanly on Shutdown");
+
+    assert_eq!(out.outcome.total, TASKS);
+    let mut ids: Vec<u64> = out
+        .outcome
+        .dispatch_order
+        .iter()
+        .map(|&(_, id)| id)
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(
+        ids,
+        (0..TASKS).collect::<Vec<_>>(),
+        "each task exactly once"
+    );
+    assert_eq!(
+        (out.outcome.deaths, out.drains, out.joins),
+        (1, 1, 1),
+        "(deaths, drains, joins)"
+    );
+
+    let events = recorder.events();
+    let count = |pred: fn(&EventKind) -> bool| events.iter().filter(|e| pred(&e.kind)).count();
+    assert_eq!(count(|k| matches!(k, EventKind::WorkerDied { .. })), 1);
+    assert_eq!(count(|k| matches!(k, EventKind::WorkerDraining { .. })), 1);
+    assert_eq!(count(|k| matches!(k, EventKind::WorkerLeft)), 1);
+    assert_eq!(count(|k| matches!(k, EventKind::WorkerJoined { .. })), 1);
+    let drain_pos = events
+        .iter()
+        .position(|e| matches!(e.kind, EventKind::WorkerDraining { .. }))
+        .expect("worker_draining in trace");
+    let drained = events[drain_pos].origin;
+    assert_eq!(drained.index, 0, "slot 0 is the one drained");
+    assert!(
+        !events[drain_pos + 1..]
+            .iter()
+            .any(|e| e.origin == drained && matches!(e.kind, EventKind::Dispatch { .. })),
+        "slot 0 dispatched to after draining"
+    );
+}
+
 /// Deterministic companion to the rolling restart: the same join/drain
 /// choreography replayed as a completion-keyed script on the
 /// three-filter pipeline (native deterministic executor). Stage 1 gains
