@@ -3,12 +3,12 @@
 //! The engine stamps every decision — request send times, trace events,
 //! utilization transitions — through a [`Clock`] supplied by the driver.
 //! The DES driver advances a [`VirtualClock`] to each event's virtual
-//! time; the sequential reference driver ticks it once per message; a
-//! real-time driver would use a [`WallClock`].
+//! time; the sequential reference driver ticks it once per message; the
+//! TCP wall-clock coordinator sets it to the time its shell read for each
+//! input.
 
 use std::cell::Cell;
 use std::rc::Rc;
-use std::time::Instant;
 
 use anthill_simkit::SimTime;
 
@@ -47,34 +47,6 @@ impl Clock for VirtualClock {
     }
 }
 
-/// Monotonic wall-clock nanoseconds since an epoch, for drivers that
-/// execute in real time.
-#[derive(Debug, Clone)]
-pub struct WallClock {
-    epoch: Instant,
-}
-
-impl WallClock {
-    /// A wall clock whose zero is "now".
-    pub fn start() -> WallClock {
-        WallClock {
-            epoch: Instant::now(),
-        }
-    }
-
-    /// A wall clock measuring from an existing epoch (e.g. the run start
-    /// the driver already stamps its own events with).
-    pub fn from_epoch(epoch: Instant) -> WallClock {
-        WallClock { epoch }
-    }
-}
-
-impl Clock for WallClock {
-    fn now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed().as_nanos() as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,14 +58,6 @@ mod tests {
         assert_eq!(b.now(), SimTime::ZERO);
         a.set(SimTime(42));
         assert_eq!(b.now(), SimTime(42));
-    }
-
-    #[test]
-    fn wall_clock_is_monotonic() {
-        let c = WallClock::start();
-        let t1 = c.now();
-        let t2 = c.now();
-        assert!(t2 >= t1);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use admission::{
     AdmissionConfig, AdmissionController, AdmissionCounters, AdmissionDecision, Offer,
     OverloadPolicy, Poll, TaskEnvelope,
 };
-pub use clock::{Clock, VirtualClock, WallClock};
+pub use clock::{Clock, VirtualClock};
 pub use core::{Engine, EngineConfig, Executor, Transport, WorkerRef, WorkerStats};
 pub use select::ReadyLane;
 pub use window::RequestWindow;
