@@ -156,7 +156,7 @@ impl<IO: RawIo> Conn<IO> {
 
     /// Is the write side still usable? Mirrors the blocking path's
     /// `SlotIo::open`: cleared by a write failure or a sever, after which
-    /// the reap path hands the slot to `Engine::worker_died`.
+    /// the reactor reports the slot closed.
     pub fn write_open(&self) -> bool {
         self.write_open
     }
@@ -176,7 +176,7 @@ impl<IO: RawIo> Conn<IO> {
     /// encoded straight into the tail queue buffer (coalescing) or a
     /// pooled buffer — no intermediate allocation. Respects the sever
     /// schedule; failures are reported via [`Conn::write_open`], never as
-    /// errors (the reap path owns the consequence).
+    /// errors (the reactor reports the slot closed).
     pub fn enqueue_with(&mut self, pool: &mut BufPool, encode: impl FnOnce(&mut Vec<u8>)) {
         if !self.write_open || self.sever_when_drained {
             return;
