@@ -14,16 +14,24 @@
 //!    calls it replaced, for every provider; shape keys are structural.
 //! 4. **Memo transparency** — the DES schedules exactly as it would with
 //!    an estimator provider that has no memo at all.
+//! 5. **No lost wake-up** — a hand-off that skips a notify it owed leaves
+//!    a task behind a sleeping worker, and the run hangs. Hundreds of
+//!    zero-work runs through capacity-1 lanes, each under a watchdog,
+//!    turn that hang into a failure.
 
 mod common;
 
-use std::sync::Arc;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use common::{cpu_workers, mixed_workers, mk_task};
 
 use anthill_repro::core::buffer::{BufferId, DataBuffer};
-use anthill_repro::core::engine::select;
-use anthill_repro::core::local::{Emitter, LocalFilter, LocalTask, Pipeline, WorkerSpec};
+use anthill_repro::core::engine::{select, AdmissionConfig, OverloadPolicy};
+use anthill_repro::core::local::{
+    Emitter, ExecMode, LoadConfig, LocalFilter, LocalReport, LocalTask, Pipeline, WorkerSpec,
+};
 use anthill_repro::core::obs::{EventKind, Recorder};
 use anthill_repro::core::policy::learned::{LearnedConfig, LearnedWeights};
 use anthill_repro::core::policy::{Policy, PolicyKind};
@@ -39,18 +47,17 @@ const TASKS: u64 = 300;
 /// Each task is handled once per level per stage.
 const HANDLES_PER_STAGE: u64 = TASKS * (ROUNDS as u64 + 1);
 
-/// Recirculates every task [`ROUNDS`] times, then forwards it downstream
-/// at level 0: the handler does no work, so the run is all enqueue / park
-/// / claim / tally traffic on the concurrent worker threads.
-struct Recirc;
+/// Recirculates every task the given number of rounds, then forwards it
+/// downstream at level 0: the handler does no work, so the run is all
+/// enqueue / park / claim / tally traffic on the concurrent worker threads.
+struct Recirc(u8);
 impl LocalFilter for Recirc {
     fn handle(&self, _d: DeviceKind, task: LocalTask, out: &mut Emitter<'_>) {
-        if task.buffer.level < ROUNDS {
-            let mut task = task;
+        let mut task = task;
+        if task.buffer.level < self.0 {
             task.buffer.level += 1;
             out.recirculate(task);
         } else {
-            let mut task = task;
             task.buffer.level = 0;
             out.forward(task);
         }
@@ -61,11 +68,11 @@ fn run(
     policy: PolicyKind,
     stages: &[Vec<WorkerSpec>],
     recorder: &Recorder,
-) -> (Vec<u64>, anthill_repro::core::local::LocalReport) {
+) -> (Vec<u64>, LocalReport) {
     let weights = OracleWeights::new(GpuParams::geforce_8800gt(), true);
     let mut p = Pipeline::new(policy);
     for specs in stages {
-        p.add_stage(Arc::new(Recirc), specs.clone());
+        p.add_stage(Arc::new(Recirc(ROUNDS)), specs.clone());
     }
     let sources: Vec<LocalTask> = (0..TASKS).map(mk_task).collect();
     let (out, report) = p.run_traced(sources, &weights, recorder);
@@ -142,6 +149,144 @@ fn batched_trace_is_ordered_and_conserves_lifecycle() {
         recorder.take_events().is_empty(),
         "drain must empty the sink"
     );
+}
+
+const STRESS_RUNS: usize = 200;
+const STRESS_TASKS: u64 = 300;
+const STRESS_STAGES: usize = 3;
+/// Orders of magnitude above a healthy run (a few milliseconds).
+const WATCHDOG: Duration = Duration::from_secs(10);
+
+/// Runs `job` on its own thread and fails the test if it has not finished
+/// within [`WATCHDOG`]: a lost wake-up parks a worker forever, and the
+/// watchdog turns that hang into a failure naming the run.
+fn within_watchdog<T: Send + 'static>(what: String, job: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let out = job();
+        let _ = tx.send(());
+        out
+    });
+    match rx.recv_timeout(WATCHDOG) {
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("{what}: no result within {WATCHDOG:?}, a wake-up was lost")
+        }
+        // Finished, or panicked and dropped the sender: join to get either.
+        _ => handle
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+    }
+}
+
+/// `n` native slots of alternating kind, the first a GPU when `odd`.
+fn alternating_workers(n: usize, odd: bool) -> Vec<WorkerSpec> {
+    (0..n)
+        .map(|j| WorkerSpec {
+            kind: if (j % 2 == 1) ^ odd {
+                DeviceKind::Gpu
+            } else {
+                DeviceKind::Cpu
+            },
+            mode: ExecMode::Native,
+        })
+        .collect()
+}
+
+/// The stress chain of run `i`: [`STRESS_STAGES`] stages of 1, 2 or 4
+/// mixed-kind workers behind capacity-1 lanes, each stage recirculating
+/// every task `rounds` times.
+fn stress_chain(i: usize, rounds: u8) -> Pipeline {
+    let policy = [PolicyKind::DdFcfs, PolicyKind::DdWrr, PolicyKind::Odds][(i / 3) % 3];
+    let mut p = Pipeline::new(policy).with_capacity(1);
+    for stage in 0..STRESS_STAGES {
+        p.add_stage(
+            Arc::new(Recirc(rounds)),
+            alternating_workers([1, 2, 4][i % 3], (i + stage) % 2 == 1),
+        );
+    }
+    p
+}
+
+/// Every stage handled every task once per level, whichever kind of
+/// worker took it.
+fn assert_levels_exact(what: &str, report: &LocalReport, rounds: u8) {
+    for stage in 0..STRESS_STAGES {
+        for level in 0..=rounds {
+            let handled = report.count(stage, DeviceKind::Cpu, level)
+                + report.count(stage, DeviceKind::Gpu, level);
+            assert_eq!(
+                handled, STRESS_TASKS,
+                "{what}: stage {stage} level {level} miscounted"
+            );
+        }
+    }
+    assert_eq!(
+        report.total(),
+        STRESS_STAGES as u64 * STRESS_TASKS * (u64::from(rounds) + 1),
+        "{what}: handles outside the expected levels"
+    );
+}
+
+/// Zero-work tasks through capacity-1 lanes put a worker to sleep on
+/// nearly every hand-off, on both condvars of a lane: consumers on an
+/// empty lane, producers on a full one. Run 0 also recirculates every
+/// task once.
+#[test]
+fn capacity_one_chains_never_lose_a_wakeup() {
+    for i in 0..STRESS_RUNS {
+        let rounds = u8::from(i == 0);
+        let what = format!("run {i}");
+        let (ids, report) = within_watchdog(what.clone(), move || {
+            let weights = OracleWeights::new(GpuParams::geforce_8800gt(), true);
+            let sources = (0..STRESS_TASKS).map(mk_task).collect();
+            let (out, report) = stress_chain(i, rounds).run(sources, &weights);
+            let mut ids: Vec<u64> = out.iter().map(|t| t.buffer.id.0).collect();
+            ids.sort_unstable();
+            (ids, report)
+        });
+        assert_eq!(
+            ids,
+            (0..STRESS_TASKS).collect::<Vec<_>>(),
+            "{what}: outputs are not every id once"
+        );
+        assert_levels_exact(&what, &report, rounds);
+    }
+}
+
+/// The open-loop injector blocks on a one-slot intake far more often
+/// than not: every completion must reach it, or it waits out its timeout
+/// on each of the run's tasks.
+#[test]
+fn blocked_injector_is_woken_by_every_completion() {
+    let (ids, report) = within_watchdog("open-loop Block run".into(), || {
+        let weights = OracleWeights::new(GpuParams::geforce_8800gt(), true);
+        let arrivals = vec![0; STRESS_TASKS as usize];
+        let completed = Mutex::new(Vec::new());
+        let report = stress_chain(1, 0).run_load(
+            &arrivals,
+            &|i, _arrival_ns| mk_task(i),
+            LoadConfig {
+                admission: AdmissionConfig {
+                    inflight_cap: 1,
+                    queue_cap: 1,
+                    policy: OverloadPolicy::Block,
+                },
+                sample_every: Duration::from_millis(1),
+            },
+            &weights,
+            &Recorder::disabled(),
+            &|t, _started_ns, _finished_ns| completed.lock().unwrap().push(t.buffer.id.0),
+        );
+        let mut ids = completed.into_inner().unwrap();
+        ids.sort_unstable();
+        (ids, report)
+    });
+    assert_eq!(ids, (0..STRESS_TASKS).collect::<Vec<_>>());
+    assert_eq!(report.admission.generated, STRESS_TASKS);
+    assert_eq!(report.admission.admitted, STRESS_TASKS);
+    assert!(report.admission.conserved());
+    assert_eq!(report.completed, STRESS_TASKS);
+    assert_levels_exact("open-loop Block run", &report.local, 0);
 }
 
 /// The paper's tile sides from tiny to huge, plus one buffer whose only
