@@ -13,6 +13,15 @@
 //! cores), with accelerator speed differences optionally *emulated* by
 //! calibrated busy-waits (see [`ExecMode`]).
 //!
+//! A task pays only for hand-off work something consumes. Each stage's
+//! ready lane sits under one mutex together with how many threads sleep
+//! on each of its two condvars: workers on an empty lane, producers on a
+//! full one. A push or pop notifies only when that count, read under the
+//! lock, is nonzero — `Condvar::notify_one` makes a futex syscall even
+//! when nobody waits. Each worker keeps its terminal outputs, its emit
+//! buffers and its completion tallies to itself, and the clock is read
+//! per task only for a trace or an open-loop latency.
+//!
 //! For bit-reproducible runs (the cross-backend parity tests), use
 //! [`Pipeline::run_deterministic`]: the same filters executed by the
 //! engine's sequential reference driver instead of free-running threads.
@@ -20,7 +29,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -32,6 +41,7 @@ use crate::engine::sequential::{self, GraphEmission, SequentialConfig};
 use crate::graph::{DataflowGraph, RoutingCursors};
 use crate::obs::{DeviceRef, EventKind, Recorder};
 use crate::policy::{Policy, PolicyKind};
+use crate::queue::MulMap;
 use crate::weights::WeightProvider;
 use anthill_hetsim::{DeviceId, DeviceKind};
 use anthill_simkit::SimRng;
@@ -153,8 +163,8 @@ impl LocalFaults {
 /// failure counts (both keyed by buffer id, so they share a shard).
 #[derive(Default)]
 struct DispatchShard {
-    payloads: HashMap<u64, Box<dyn Any + Send>>,
-    attempts: HashMap<u64, u32>,
+    payloads: MulMap<u64, Box<dyn Any + Send>>,
+    attempts: MulMap<u64, u32>,
 }
 
 /// The payload/attempt side table, split over independently locked shards
@@ -206,14 +216,29 @@ impl DispatchState {
     }
 }
 
-struct StageQueue {
+/// What a stage's lock guards: the ready lane and the sleepers on each of
+/// the stage's condvars. The counts change only under the lock, so the
+/// thread that pushes or pops reads them exactly and skips the notify when
+/// nobody sleeps.
+struct Lane {
     /// Policy-ordered lane from the engine: the pop-order decision lives
-    /// in [`crate::engine::select`], not here. The critical section around
-    /// it is push/pop only — trace emission, weight computation and
-    /// payload parking all happen outside this lock.
-    queue: Mutex<ReadyLane>,
+    /// in [`crate::engine::select`], not here.
+    ready: ReadyLane,
+    /// Workers asleep on `cv` because the lane was empty.
+    idle: u32,
+    /// Producers asleep on `space` because the lane was at capacity.
+    full: u32,
+}
+
+struct StageQueue {
+    /// The critical section around the lane is push/pop only — trace
+    /// emission, weight computation and payload parking all happen outside
+    /// this lock.
+    queue: Mutex<Lane>,
+    /// Signalled when a push finds an idle worker.
     cv: Condvar,
-    /// Signalled when the queue drops below capacity (backpressure).
+    /// Signalled when a pop finds a producer blocked on capacity
+    /// (backpressure).
     space: Condvar,
     /// Cached [`ReadyLane::needs_weights`]: FIFO lanes let producers skip
     /// the per-push weight computation entirely.
@@ -221,14 +246,25 @@ struct StageQueue {
 }
 
 impl StageQueue {
-    fn new(lane: ReadyLane) -> StageQueue {
+    fn new(ready: ReadyLane) -> StageQueue {
         StageQueue {
-            needs_weights: lane.needs_weights(),
-            queue: Mutex::new(lane),
+            needs_weights: ready.needs_weights(),
+            queue: Mutex::new(Lane {
+                ready,
+                idle: 0,
+                full: 0,
+            }),
             cv: Condvar::new(),
             space: Condvar::new(),
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Notifies outside `shutdown` in the last threaded run this thread
+    /// started: the unit tests' view of the wake rule.
+    static RUN_WAKES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Per-stage, per-device execution counters.
@@ -314,14 +350,22 @@ pub struct LoadRunReport {
     pub queue_depth: Vec<QueueDepthSample>,
 }
 
+/// What the open-loop admission lock guards: the controller and the
+/// injectors asleep until a completion frees a slot (the lane's wake rule).
+struct Intake {
+    ctl: AdmissionController<LocalTask>,
+    blocked: u32,
+}
+
 /// Shared state of one open-loop run, threaded through the worker loop.
 struct LoadSpec<'a> {
     /// Arrival offsets from run start, nanoseconds, non-decreasing.
     arrivals: &'a [u64],
     /// Builds the i-th task; receives `(index, arrival_ns)`.
     make_task: &'a (dyn Fn(u64, u64) -> LocalTask + Sync),
-    admission: &'a Mutex<AdmissionController<LocalTask>>,
-    /// Signalled after every completion so a blocked injector re-offers.
+    intake: &'a Mutex<Intake>,
+    /// Signalled after a completion that finds an injector blocked, so it
+    /// re-offers.
     space: &'a Condvar,
     /// Invoked per terminal output with `(task, started_ns, finished_ns)`.
     on_complete: &'a (dyn Fn(LocalTask, u64, u64) + Sync),
@@ -484,11 +528,14 @@ impl Pipeline {
         recorder: &Recorder,
         on_complete: &(dyn Fn(LocalTask, u64, u64) + Sync),
     ) -> LoadRunReport {
-        let admission = Mutex::new(AdmissionController::new(
-            cfg.admission,
-            recorder.clone(),
-            DeviceRef::node_scope(0),
-        ));
+        let intake = Mutex::new(Intake {
+            ctl: AdmissionController::new(
+                cfg.admission,
+                recorder.clone(),
+                DeviceRef::node_scope(0),
+            ),
+            blocked: 0,
+        });
         let space = Condvar::new();
         let samples = Mutex::new(Vec::new());
         let completed = AtomicU64::new(0);
@@ -499,7 +546,7 @@ impl Pipeline {
         let spec = LoadSpec {
             arrivals,
             make_task,
-            admission: &admission,
+            intake: &intake,
             space: &space,
             on_complete: &counted,
             sample_every: cfg.sample_every.max(Duration::from_micros(200)),
@@ -507,7 +554,7 @@ impl Pipeline {
         };
         let (_outputs, local) = self.run_inner(Vec::new(), Some(&spec), weights, recorder);
         LoadRunReport {
-            admission: admission.into_inner().counters(),
+            admission: intake.into_inner().ctl.counters(),
             completed: completed.load(Ordering::SeqCst),
             local,
             queue_depth: samples.into_inner(),
@@ -580,7 +627,6 @@ impl Pipeline {
             .collect();
         let in_flight = &AtomicUsize::new(0);
         let done = &AtomicBool::new(false);
-        let (out_tx, out_rx) = mpsc::channel::<LocalTask>();
         type Counters = HashMap<(usize, DeviceKind, u8), u64>;
         let counters: &Mutex<Counters> = &Mutex::new(HashMap::new());
         let retries = &AtomicUsize::new(0);
@@ -597,6 +643,16 @@ impl Pipeline {
         let cursors = &Mutex::new(RoutingCursors::new(graph));
         let edge_counts: Vec<AtomicU64> = graph.edges().iter().map(|_| AtomicU64::new(0)).collect();
 
+        #[cfg(test)]
+        let wakes = &AtomicU64::new(0);
+        // Every notify outside `shutdown`, issued only after a sleeper count
+        // read under the condvar's lock came out nonzero.
+        let wake = &|cv: &Condvar| {
+            #[cfg(test)]
+            wakes.fetch_add(1, Ordering::Relaxed);
+            cv.notify_one();
+        };
+
         let capacity = self.capacity;
         // Insert a buffer into a stage's lane. Everything except the push
         // itself stays outside the queue lock; the per-push weight vector is
@@ -611,14 +667,19 @@ impl Pipeline {
             let mut q = sq.queue.lock();
             if bounded {
                 if let Some(cap) = capacity {
-                    while q.len() >= cap && !done.load(Ordering::SeqCst) {
+                    while q.ready.len() >= cap && !done.load(Ordering::SeqCst) {
+                        q.full += 1;
                         sq.space.wait(&mut q);
+                        q.full -= 1;
                     }
                 }
             }
-            q.push(buffer, w, None);
+            q.ready.push(buffer, w, None);
+            let worker_asleep = q.idle > 0;
             drop(q);
-            sq.cv.notify_one();
+            if worker_asleep {
+                wake(&sq.cv);
+            }
         };
         let enqueue = &|stage: usize, task: LocalTask, bounded: bool| {
             let (id, level) = (task.buffer.id.0, task.buffer.level);
@@ -671,7 +732,9 @@ impl Pipeline {
             shutdown();
         }
 
-        std::thread::scope(|scope| {
+        // Only a trace or an open-loop latency reads a task's work span.
+        let timed = recorder.is_enabled() || load.is_some();
+        let outputs: Vec<LocalTask> = std::thread::scope(|scope| {
             if let Some(load) = load {
                 scope.spawn(move || {
                     let sample_every = load.sample_every;
@@ -687,13 +750,13 @@ impl Pipeline {
                         let mut per_stage = Vec::with_capacity(queues.len());
                         let mut ready = 0u64;
                         for sq in queues.iter() {
-                            let depth = sq.queue.lock().len() as u64;
+                            let depth = sq.queue.lock().ready.len() as u64;
                             ready += depth;
                             per_stage.push(depth);
                         }
                         let (intake, inflight) = {
-                            let c = load.admission.lock();
-                            (c.queued() as u64, c.inflight() as u64)
+                            let g = load.intake.lock();
+                            (g.ctl.queued() as u64, g.ctl.inflight() as u64)
                         };
                         load.samples.lock().push(QueueDepthSample {
                             t_ns: now.as_nanos() as u64,
@@ -727,20 +790,20 @@ impl Pipeline {
                             }
                         }
                         let mut task = (load.make_task)(i as u64, offset);
-                        let mut ctl = load.admission.lock();
+                        let mut intake = load.intake.lock();
                         loop {
                             let now_ns = started.elapsed().as_nanos() as u64;
                             let id = task.buffer.id.0;
                             let level = task.buffer.level;
-                            match ctl.offer(now_ns, id, level, task) {
+                            match intake.ctl.offer(now_ns, id, level, task) {
                                 Offer::Admitted(t) => {
-                                    drop(ctl);
+                                    drop(intake);
                                     in_flight.fetch_add(1, Ordering::SeqCst);
                                     enqueue(0, t, false);
                                     break;
                                 }
                                 Offer::Queued { shed } => {
-                                    drop(ctl);
+                                    drop(intake);
                                     // A shed victim's payload is reclaimed
                                     // here; the controller already counted
                                     // and traced it.
@@ -748,7 +811,7 @@ impl Pipeline {
                                     break;
                                 }
                                 Offer::ShedSelf(t) => {
-                                    drop(ctl);
+                                    drop(intake);
                                     drop(t);
                                     break;
                                 }
@@ -757,7 +820,10 @@ impl Pipeline {
                                     if done.load(Ordering::SeqCst) {
                                         break 'arrivals;
                                     }
-                                    let _ = load.space.wait_for(&mut ctl, Duration::from_millis(2));
+                                    intake.blocked += 1;
+                                    let _ =
+                                        load.space.wait_for(&mut intake, Duration::from_millis(2));
+                                    intake.blocked -= 1;
                                 }
                             }
                         }
@@ -772,9 +838,9 @@ impl Pipeline {
                         let now = started.elapsed();
                         sample_if_due(now);
                         let (admitted, drained) = {
-                            let mut ctl = load.admission.lock();
-                            let polled = ctl.poll(now.as_nanos() as u64);
-                            (polled.admitted, ctl.queued() == 0)
+                            let mut g = load.intake.lock();
+                            let polled = g.ctl.poll(now.as_nanos() as u64);
+                            (polled.admitted, g.ctl.queued() == 0)
                         };
                         if !admitted.is_empty() {
                             in_flight.fetch_add(admitted.len(), Ordering::SeqCst);
@@ -792,6 +858,7 @@ impl Pipeline {
                     }
                 });
             }
+            let mut workers = Vec::new();
             for (si, stage) in self.stages.iter().enumerate() {
                 let mut kind_counts: HashMap<DeviceKind, usize> = HashMap::new();
                 for spec in &stage.workers {
@@ -800,7 +867,6 @@ impl Pipeline {
                     let origin = DeviceRef::worker(si, spec.kind, *slot);
                     *slot += 1;
                     let filter = Arc::clone(&stage.filter);
-                    let out_tx = out_tx.clone();
                     let feedback_edge = graph.feedback_edge(si);
                     let is_sink = graph.out_edges(si).is_empty();
                     let death_after = self.faults.as_ref().and_then(|f| {
@@ -820,11 +886,15 @@ impl Pipeline {
                         &format!("local-faults-{si}-{:?}-{}", spec.kind, origin.index),
                     );
                     let mut handled_n: u64 = 0;
-                    scope.spawn(move || {
-                        // Per-worker tallies: completions by level, merged
-                        // into the shared report exactly once when the
-                        // worker retires.
-                        let mut local_counts: HashMap<u8, u64> = HashMap::new();
+                    workers.push(scope.spawn(move || {
+                        // Per-worker state, reused task after task: the
+                        // terminal outputs, the emit buffers, and the
+                        // completions by level, merged into the shared
+                        // report exactly once when the worker retires.
+                        let mut outputs = Vec::new();
+                        let mut fwd = Vec::new();
+                        let mut back = Vec::new();
+                        let mut tallies = [0u64; 256];
                         'work: loop {
                             // Pull the next buffer; the lane applies the
                             // policy's ordering rule (engine::select). The
@@ -836,13 +906,17 @@ impl Pipeline {
                                     if done.load(Ordering::SeqCst) {
                                         break None;
                                     }
-                                    match q.pop(spec.kind) {
-                                        Some((buffer, _)) => {
-                                            sq.space.notify_one();
-                                            break Some(buffer);
+                                    if let Some((buffer, _)) = q.ready.pop(spec.kind) {
+                                        let producer_asleep = q.full > 0;
+                                        drop(q);
+                                        if producer_asleep {
+                                            wake(&sq.space);
                                         }
-                                        None => sq.cv.wait(&mut q),
+                                        break Some(buffer);
                                     }
+                                    q.idle += 1;
+                                    sq.cv.wait(&mut q);
+                                    q.idle -= 1;
                                 }
                             };
                             let Some(popped) = popped else { break 'work };
@@ -910,7 +984,7 @@ impl Pipeline {
                                 },
                             );
                             let task_id = task.buffer.id.0;
-                            let work_started = Instant::now();
+                            let work_started = timed.then(Instant::now);
                             if let ExecMode::Emulated { scale } = spec.mode {
                                 let modeled = match spec.kind {
                                     DeviceKind::Cpu => task.buffer.shape.cpu,
@@ -918,12 +992,10 @@ impl Pipeline {
                                 };
                                 spin_for(Duration::from_secs_f64(modeled.as_secs_f64() * scale));
                             }
-                            let mut fwd = Vec::new();
-                            let mut back = Vec::new();
                             let level = task.buffer.level;
                             // A panicking handler must not strand the other
                             // workers: shut the pipeline down, then let the
-                            // panic propagate through the scope.
+                            // panic propagate through this worker's join.
                             let handled =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                     filter.handle(
@@ -939,7 +1011,7 @@ impl Pipeline {
                                 shutdown();
                                 std::panic::resume_unwind(payload);
                             }
-                            let proc_ns = work_started.elapsed().as_nanos() as u64;
+                            let proc_ns = work_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
                             recorder.record_now(
                                 started,
                                 origin,
@@ -949,7 +1021,7 @@ impl Pipeline {
                                     proc_ns,
                                 },
                             );
-                            *local_counts.entry(level).or_insert(0) += 1;
+                            tallies[usize::from(level)] += 1;
                             handled_n += 1;
                             // Account emissions before retiring this task so
                             // the in-flight count can never dip to zero early.
@@ -957,7 +1029,7 @@ impl Pipeline {
                             if emitted > 0 {
                                 in_flight.fetch_add(emitted, Ordering::SeqCst);
                             }
-                            for t in back {
+                            for t in back.drain(..) {
                                 // Recirculation bypasses the bound: a worker
                                 // must not block on its own stage's queue. A
                                 // declared feedback edge overrides the
@@ -967,7 +1039,7 @@ impl Pipeline {
                                     None => enqueue(si, t, false),
                                 }
                             }
-                            for t in fwd {
+                            for t in fwd.drain(..) {
                                 // The matching out-edge; none means the task
                                 // leaves the run. A sink decides that without
                                 // touching the shared cursors.
@@ -995,17 +1067,21 @@ impl Pipeline {
                                     // its admission slot, and inject any
                                     // newly admitted intake entries before
                                     // retiring this one.
-                                    let started_ns =
-                                        work_started.duration_since(started).as_nanos() as u64;
+                                    let started_ns = work_started
+                                        .expect("open-loop runs time every task")
+                                        .duration_since(started)
+                                        .as_nanos()
+                                        as u64;
                                     let finished_ns = started.elapsed().as_nanos() as u64;
                                     (load.on_complete)(t, started_ns, finished_ns);
-                                    let admitted = {
-                                        let mut ctl = load.admission.lock();
-                                        ctl.release();
-                                        let polled = ctl.poll(finished_ns);
-                                        load.space.notify_all();
-                                        polled.admitted
+                                    let (admitted, injector_asleep) = {
+                                        let mut g = load.intake.lock();
+                                        g.ctl.release();
+                                        (g.ctl.poll(finished_ns).admitted, g.blocked > 0)
                                     };
+                                    if injector_asleep {
+                                        wake(load.space);
+                                    }
                                     if !admitted.is_empty() {
                                         in_flight.fetch_add(admitted.len(), Ordering::SeqCst);
                                         for env in admitted {
@@ -1015,7 +1091,7 @@ impl Pipeline {
                                     in_flight.fetch_sub(1, Ordering::SeqCst);
                                 } else {
                                     // Terminal emission: leaves the pipeline.
-                                    let _ = out_tx.send(t);
+                                    outputs.push(t);
                                     in_flight.fetch_sub(1, Ordering::SeqCst);
                                 }
                             }
@@ -1026,22 +1102,27 @@ impl Pipeline {
                         }
                         // Worker retired (shutdown or scheduled death):
                         // fold the per-worker tallies into the shared
-                        // report in one step. This runs before the scope
-                        // joins, so callers reading the report after
-                        // run_traced returns see every completion.
-                        if !local_counts.is_empty() {
+                        // report in one step.
+                        if handled_n > 0 {
                             let mut c = counters.lock();
-                            for (level, n) in local_counts {
-                                *c.entry((si, spec.kind, level)).or_insert(0) += n;
+                            for (level, &n) in tallies.iter().enumerate().filter(|(_, &n)| n > 0) {
+                                *c.entry((si, spec.kind, level as u8)).or_insert(0) += n;
                             }
                         }
-                    });
+                        outputs
+                    }));
                 }
             }
+            // `run` promises no output order: concatenate per worker. A
+            // worker's panic resumes here with its payload.
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
+        #[cfg(test)]
+        RUN_WAKES.with(|w| w.set(wakes.load(Ordering::Relaxed)));
 
-        drop(out_tx);
-        let outputs: Vec<LocalTask> = out_rx.try_iter().collect();
         // Every worker has joined: move the counter map out instead of
         // cloning a snapshot under its lock.
         let handled = std::mem::take(&mut *counters.lock());
@@ -1338,6 +1419,56 @@ mod tests {
         fn handle(&self, _d: DeviceKind, task: LocalTask, out: &mut Emitter<'_>) {
             out.forward(task);
         }
+    }
+
+    fn run_wakes() -> u64 {
+        RUN_WAKES.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn a_worker_that_never_sleeps_is_never_woken() {
+        // Every task is queued before the worker starts, and the worker
+        // retires the last one itself: no thread ever waits, so no notify
+        // outside shutdown may be paid.
+        let mut p = Pipeline::new(PolicyKind::DdWrr);
+        p.add_stage(
+            Arc::new(Identity),
+            vec![WorkerSpec {
+                kind: DeviceKind::Cpu,
+                mode: ExecMode::Native,
+            }],
+        );
+        let (out, report) = p.run((0..1_000).map(|i| task(i, ())).collect(), &oracle());
+        assert_eq!(out.len(), 1_000);
+        assert_eq!(report.total(), 1_000);
+        assert_eq!(run_wakes(), 0, "a notify found no sleeper");
+    }
+
+    #[test]
+    fn a_capacity_one_chain_wakes_its_sleepers() {
+        // The stress chain of `tests/dispatch_exactness.rs`: downstream
+        // workers start on empty lanes and producers fill capacity-1
+        // lanes, so threads sleep and the hand-off must wake them.
+        let mut p = Pipeline::new(PolicyKind::DdWrr).with_capacity(1);
+        for _ in 0..3 {
+            p.add_stage(
+                Arc::new(Identity),
+                vec![
+                    WorkerSpec {
+                        kind: DeviceKind::Cpu,
+                        mode: ExecMode::Native,
+                    },
+                    WorkerSpec {
+                        kind: DeviceKind::Gpu,
+                        mode: ExecMode::Native,
+                    },
+                ],
+            );
+        }
+        let (out, report) = p.run((0..300).map(|i| task(i, ())).collect(), &oracle());
+        assert_eq!(out.len(), 300);
+        assert_eq!(report.total(), 900);
+        assert!(run_wakes() > 0, "sleepers were never woken");
     }
 
     #[test]
