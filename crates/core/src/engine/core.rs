@@ -265,11 +265,6 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
         self.nodes[node].workers.len() - 1
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of worker slots across all nodes.
     pub fn worker_count(&self) -> usize {
         self.nodes.iter().map(|n| n.workers.len()).sum()
@@ -829,12 +824,6 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             .flat_map(|n| n.workers.iter())
             .filter(|w| w.alive && !w.draining)
             .count()
-    }
-
-    /// The worker slot's current health estimate (1.0 = pristine, 0.0 =
-    /// dead).
-    pub fn worker_health(&self, node: usize, worker: usize) -> f64 {
-        self.nodes[node].workers[worker].health
     }
 
     /// A worker slot joined a live run (elastic membership): added exactly
