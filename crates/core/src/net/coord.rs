@@ -15,9 +15,16 @@
 //! longer assignable) and Gone. The coordinator only counts how slots came
 //! and went, remembers when each last spoke (`last_seen_ns`) and which
 //! drains it started and has not yet seen finish.
+//!
+//! A `Request` echo that finds its reader empty waits there, as the
+//! paper's DBSA sender parks it (Algorithms 4–5), instead of coming back
+//! empty: the input that next puts a buffer in the reader answers it, so
+//! the delivery leaves in that input's flush. A drain answers the slot's
+//! waiting requests empty, a death drops them, and a request whose timer
+//! fires stops waiting before the engine re-sends it under a fresh id.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -150,6 +157,9 @@ pub(crate) struct Coordinator<'a, W: WeightProvider> {
     drain_at: std::iter::Peekable<std::vec::IntoIter<DrainAt>>,
     /// Slots whose drain started and whose retirement is not yet seen.
     draining: Vec<usize>,
+    /// `(slot, reader, req_id)` of request echoes waiting at an empty
+    /// reader, oldest first; each slot is alive and not draining.
+    parked: VecDeque<(usize, usize, u64)>,
     load: Option<OpenLoop<'a>>,
     /// Completions the run must reach: seeds, admitted tasks and every
     /// recirculated copy.
@@ -202,6 +212,7 @@ impl<'a, W: WeightProvider> Coordinator<'a, W> {
             pending_procs: Vec::new(),
             drain_at: drains.into_iter().peekable(),
             draining: Vec::new(),
+            parked: VecDeque::new(),
             load,
             expected: sources.len() as u64,
             dispatch_order: Vec::new(),
@@ -333,11 +344,15 @@ impl<'a, W: WeightProvider> Coordinator<'a, W> {
             return; // a late frame from a retired slot
         }
         match frame {
+            // An empty reader keeps the request until a buffer arrives; a
+            // draining slot's is answered now, so the drain can finish.
             Frame::Request { reader, req_id } => {
-                let kind = self.engine.worker_device(NODE, slot).kind;
-                let buffer = self.engine.answer_request(reader as usize, kind);
-                self.engine
-                    .data_arrived(NODE, slot, req_id, buffer, &mut self.fx);
+                let reader = reader as usize;
+                if self.engine.reader_len(reader) == 0 && !self.engine.worker_draining(NODE, slot) {
+                    self.parked.push_back((slot, reader, req_id));
+                } else {
+                    self.answer(slot, reader, req_id);
+                }
             }
             // Retire the inflight entry, re-stamp the worker span, credit
             // the engine, recirculate (each copy one more completion due).
@@ -391,15 +406,48 @@ impl<'a, W: WeightProvider> Coordinator<'a, W> {
         }
     }
 
+    /// Answer `slot`'s request `req_id` from `reader`: a buffer, or empty
+    /// if the reader has none. Its round trip, as the engine settles it,
+    /// includes any wait at the reader.
+    fn answer(&mut self, slot: usize, reader: usize, req_id: u64) {
+        let kind = self.engine.worker_device(NODE, slot).kind;
+        let buffer = self.engine.answer_request(reader, kind);
+        self.engine
+            .data_arrived(NODE, slot, req_id, buffer, &mut self.fx);
+    }
+
+    /// Take `slot`'s parked requests out of the queue; returns their ids.
+    fn unpark(&mut self, slot: usize) -> Vec<u64> {
+        let ids = self.parked.iter().filter(|p| p.0 == slot).map(|p| p.2);
+        let ids = ids.collect();
+        self.parked.retain(|p| p.0 != slot);
+        ids
+    }
+
+    /// Answer parked requests, oldest first, while their reader holds
+    /// buffers.
+    fn serve_parked(&mut self) {
+        while let Some(&(slot, reader, req_id)) = self.parked.front() {
+            if self.engine.reader_len(reader) == 0 {
+                break;
+            }
+            debug_assert!(self.alive(slot) && !self.engine.worker_draining(NODE, slot));
+            self.parked.pop_front();
+            self.answer(slot, reader, req_id);
+        }
+    }
+
     /// Retire a live slot through the engine's death and recovery path.
     /// Once the shell has sent a delivery, the inflight table holds its
-    /// buffers' only strong reference, so re-homing them moves them.
+    /// buffers' only strong reference, so re-homing them moves them. Its
+    /// parked requests die with it.
     fn kill(&mut self, slot: usize) {
         if !self.alive(slot) {
             return;
         }
         self.deaths += 1;
         self.draining.retain(|&s| s != slot);
+        self.unpark(slot);
         self.fx.out.push(Out::Sever(slot));
         let inflight = std::mem::take(&mut self.fx.inflight[slot]).into_iter();
         let inflight = inflight.map(|a| Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()));
@@ -420,7 +468,8 @@ impl<'a, W: WeightProvider> Coordinator<'a, W> {
         self.engine.join_worker(NODE, device, &mut self.fx);
     }
 
-    /// Start draining `slot` if it exists, is alive and is not draining.
+    /// Start draining `slot` if it exists, is alive and is not draining;
+    /// its parked requests are answered empty, so it can retire.
     fn drain(&mut self, slot: usize) {
         if slot < self.last_seen_ns.len()
             && self.alive(slot)
@@ -428,16 +477,29 @@ impl<'a, W: WeightProvider> Coordinator<'a, W> {
         {
             self.draining.push(slot);
             self.engine.drain_worker(NODE, slot);
+            for req_id in self.unpark(slot) {
+                self.engine
+                    .data_arrived(NODE, slot, req_id, None, &mut self.fx);
+            }
         }
     }
 
-    /// Everything the time makes due, then the drains that retired.
+    /// Everything the time makes due, the parked requests a buffer can
+    /// now fill, then the drains that retired.
     fn advance(&mut self, now_ns: u64) {
         while let Some(&Reverse((fire, slot, req_id))) = self.fx.timers.peek() {
             if fire > now_ns {
                 break;
             }
             self.fx.timers.pop();
+            // A timed-out request stops waiting: its retry has a new id.
+            let parked = self
+                .parked
+                .iter()
+                .position(|&(s, _, id)| (s, id) == (slot, req_id));
+            if let Some(i) = parked {
+                self.parked.remove(i);
+            }
             self.engine
                 .request_timed_out(NODE, slot, req_id, &mut self.fx);
         }
@@ -449,6 +511,7 @@ impl<'a, W: WeightProvider> Coordinator<'a, W> {
             }
             self.feed(now_ns);
         }
+        self.serve_parked();
         // A drained slot's connection closes at the input that retired it.
         let mut i = 0;
         while let Some(&slot) = self.draining.get(i) {
@@ -787,8 +850,9 @@ mod tests {
     }
 
     /// Play the workers in memory from the `pending` outbox on: one input
-    /// per frame, 1 µs apart after `*t`, until the run stops running.
-    /// Returns each input's time and outbox.
+    /// per frame, 1 µs apart after `*t`, until the run stops running or
+    /// no worker has anything left to say. Returns each input's time and
+    /// outbox.
     fn play(
         coord: &mut Coordinator<'_, OracleWeights>,
         t: &mut u64,
@@ -798,7 +862,9 @@ mod tests {
         answer(pending, &mut frames);
         let mut steps = Vec::new();
         while coord.status() == Status::Running {
-            let input = frames.pop_front().expect("a worker has something to say");
+            let Some(input) = frames.pop_front() else {
+                break;
+            };
             *t += 1_000;
             coord.on(*t, input);
             let out: Vec<Out> = coord.drain_outbox().collect();
@@ -924,6 +990,238 @@ mod tests {
         assert_eq!(c.status(), Status::Done);
         assert_eq!(c.joins(), 0);
         assert_eq!(c.report(WireStats::default()).outcome.deaths, 0);
+    }
+
+    /// An open-loop run over `slots` CPU slots whose arrival `i` is
+    /// `buffer(i)`, behind a blocking 16-task intake.
+    fn open_loop<'a>(
+        cfg: &NetConfig,
+        slots: usize,
+        drains: Vec<DrainAt>,
+        arrivals: &'a [u64],
+        make_task: &'a mut dyn FnMut(u64, u64) -> DataBuffer,
+        on_complete: &'a mut dyn FnMut(NetTaskTiming),
+    ) -> Coordinator<'a, OracleWeights> {
+        let admission = AdmissionConfig {
+            inflight_cap: 16,
+            queue_cap: 16,
+            policy: OverloadPolicy::Block,
+        };
+        let load = OpenLoop::new(
+            admission,
+            &cfg.recorder,
+            arrivals,
+            make_task,
+            Duration::from_secs(1),
+            on_complete,
+            None,
+        );
+        Coordinator::new(
+            cfg,
+            &initial(slots),
+            oracle(),
+            Vec::new(),
+            drains,
+            Some(load),
+        )
+    }
+
+    /// The ids each `Deliver` in `out` carries, with its slot.
+    fn deliveries(out: &[Out]) -> Vec<(usize, u64)> {
+        let each = |o: &Out| match o {
+            Out::Deliver(slot, _, buffers) => buffers.iter().map(|b| (*slot, b.id.0)).collect(),
+            _ => Vec::new(),
+        };
+        out.iter().flat_map(each).collect()
+    }
+
+    /// The `(slot, req_id)` of each `Request` in `out`.
+    fn requests(out: &[Out]) -> Vec<(usize, u64)> {
+        let each = |o: &Out| match *o {
+            Out::Send(slot, Frame::Request { req_id, .. }) => Some((slot, req_id)),
+            _ => None,
+        };
+        out.iter().filter_map(each).collect()
+    }
+
+    /// Once the first arrival has filled the window and every echo but the
+    /// one that took its buffer waits at the empty reader, each later
+    /// arrival is delivered by the very input that admits it: no echo
+    /// comes between. That input's one `Request` refills the window slot
+    /// the delivery frees (the engine wakes the starved worker as the
+    /// buffer enters the reader); no later echo is answered with a buffer.
+    #[test]
+    fn an_arrival_is_delivered_by_the_input_that_admits_it() {
+        let cfg = NetConfig::new(Policy::ddfcfs(4));
+        let arrivals: Vec<u64> = (1..=5).map(|k| k * 1_000_000).collect();
+        let mut make = |i: u64, _: u64| buffer(i);
+        let mut heard = |_: NetTaskTiming| {};
+        let mut c = open_loop(&cfg, 1, Vec::new(), &arrivals, &mut make, &mut heard);
+        assert_eq!(c.drain_outbox().count(), 0, "nothing to ask for yet");
+        for (k, &due) in arrivals.iter().enumerate() {
+            c.on(due, Input::Tick);
+            let out: Vec<Out> = c.drain_outbox().collect();
+            let echoes_delivered = if k == 0 {
+                assert_eq!(requests(&out).len(), 4, "the window fills: {out:?}");
+                assert!(deliveries(&out).is_empty());
+                1
+            } else {
+                assert_eq!(requests(&out).len(), 1, "{out:?}");
+                assert_eq!(deliveries(&out), [(0, k as u64)], "{out:?}");
+                0
+            };
+            let mut t = due;
+            let steps = play(&mut c, &mut t, &out);
+            let later = steps.iter().filter(|(_, o)| !deliveries(o).is_empty());
+            assert_eq!(later.count(), echoes_delivered, "arrival {k}: {steps:?}");
+        }
+        assert_eq!(c.status(), Status::Done);
+        assert_eq!(c.report(WireStats::default()).completed, 5);
+    }
+
+    /// Slot 1 starts draining at the first completion with both of its
+    /// requests waiting at the empty reader: they are answered empty, and
+    /// it retires with `Close` at that very input, before any buffer
+    /// arrives.
+    #[test]
+    fn a_draining_slot_answers_its_parked_requests_empty_and_retires() {
+        let trace = Recorder::enabled();
+        let mut cfg = NetConfig::new(Policy::ddfcfs(2));
+        cfg.recorder = trace.clone();
+        let arrivals = [100_000, 10_000_000];
+        let drains = vec![DrainAt {
+            after_completions: 1,
+            slot: 1,
+        }];
+        let mut make = |i: u64, _: u64| buffer(i);
+        let mut heard = |_: NetTaskTiming| {};
+        let mut c = open_loop(&cfg, 2, drains, &arrivals, &mut make, &mut heard);
+        let mut t = arrivals[0];
+        c.on(t, Input::Tick);
+        let fill: Vec<Out> = c.drain_outbox().collect();
+        assert_eq!(requests(&fill).len(), 4, "both windows fill: {fill:?}");
+        let steps = play(&mut c, &mut t, &fill);
+
+        let closed: Vec<u64> = steps
+            .iter()
+            .filter(|(_, out)| out.contains(&Out::Close(1)))
+            .map(|&(at, _)| at)
+            .collect();
+        let at = |want: fn(&EventKind) -> bool| -> Vec<u64> {
+            let events = trace.events();
+            events
+                .iter()
+                .filter(|e| want(&e.kind))
+                .map(|e| e.ts_ns)
+                .collect()
+        };
+        let drained = at(|k| matches!(k, EventKind::WorkerDraining { .. }));
+        let left = at(|k| matches!(k, EventKind::WorkerLeft));
+        assert_eq!(closed.len(), 1, "one Close");
+        assert_eq!(
+            (&drained, &left),
+            (&closed, &closed),
+            "drained and closed at once"
+        );
+        assert!(closed[0] < arrivals[1], "before the next buffer arrives");
+        let delivered: Vec<_> = steps.iter().flat_map(|(_, out)| deliveries(out)).collect();
+        assert_eq!(delivered, [(0, 0)], "slot 1 is never delivered to");
+
+        c.on(arrivals[1], Input::Tick);
+        let out: Vec<Out> = c.drain_outbox().collect();
+        assert_eq!(deliveries(&out), [(0, 1)], "{out:?}");
+        t = arrivals[1];
+        play(&mut c, &mut t, &out);
+        assert_eq!(c.status(), Status::Done);
+        assert_eq!(c.drains(), 1);
+        assert_eq!(c.report(WireStats::default()).outcome.deaths, 0);
+    }
+
+    /// Slot 1 dies with both of its requests waiting at the empty reader:
+    /// they die with it, and every later arrival goes to slot 0.
+    #[test]
+    fn parked_requests_die_with_their_slot() {
+        let cfg = NetConfig::new(Policy::ddfcfs(2));
+        let arrivals = [100_000, 1_000_000, 2_000_000, 3_000_000];
+        let mut make = |i: u64, _: u64| buffer(i);
+        let mut heard = |_: NetTaskTiming| {};
+        let mut c = open_loop(&cfg, 2, Vec::new(), &arrivals, &mut make, &mut heard);
+        let mut t = arrivals[0];
+        c.on(t, Input::Tick);
+        let fill: Vec<Out> = c.drain_outbox().collect();
+        assert_eq!(requests(&fill).len(), 4, "both windows fill: {fill:?}");
+        play(&mut c, &mut t, &fill);
+
+        c.on(t + 1_000, Input::Closed(1));
+        assert_eq!(c.drain_outbox().collect::<Vec<_>>(), [Out::Sever(1)]);
+        for (k, &due) in arrivals.iter().enumerate().skip(1) {
+            c.on(due, Input::Tick);
+            let out: Vec<Out> = c.drain_outbox().collect();
+            assert_eq!(deliveries(&out), [(0, k as u64)], "{out:?}");
+            t = due;
+            let steps = play(&mut c, &mut t, &out);
+            assert!(steps.iter().all(|(_, out)| deliveries(out).is_empty()));
+        }
+        assert_eq!(c.status(), Status::Done);
+        let report = c.report(WireStats::default());
+        assert_eq!((report.completed, report.outcome.deaths), (4, 1));
+    }
+
+    /// Slot 1's only request waits at the empty reader until its timer
+    /// fires at the input that also puts a recirculated buffer there: it
+    /// is re-sent once, under a fresh id, and is not answered as well. The
+    /// buffer is delivered and completes once.
+    #[test]
+    fn a_parked_request_that_times_out_is_resent_once_under_a_fresh_id() {
+        let mut cfg = NetConfig::new(Policy::ddfcfs(1));
+        cfg.recovery = RecoveryConfig {
+            request_timeout: SimDuration::from_millis(1),
+            max_retries: 2,
+            ..RecoveryConfig::standard()
+        };
+        let mut c = coordinator(&cfg, 2, 1, Vec::new());
+        let kick: Vec<Out> = c.drain_outbox().collect();
+        let [(0, first), (1, parked)] = requests(&kick)[..] else {
+            panic!("one request per slot: {kick:?}");
+        };
+        let echo = |slot, req_id| Input::Frame(slot, Frame::Request { reader: 0, req_id });
+        c.on(1_000, echo(0, first));
+        assert_eq!(deliveries(&c.drain_outbox().collect::<Vec<_>>()), [(0, 0)]);
+        c.on(2_000, echo(1, parked));
+        assert_eq!(c.drain_outbox().count(), 0, "the reader is empty: it waits");
+
+        let fire = cfg.recovery.request_timeout.as_nanos();
+        assert_eq!(c.next_deadline(), Some(fire));
+        let complete = Frame::Complete {
+            buffer: buffer(0),
+            proc_ns: 5_000,
+            span: WireSpan {
+                start_ns: 0,
+                end_ns: 5_000,
+            },
+            recirculated: vec![DataBuffer {
+                level: 1,
+                ..buffer(1)
+            }],
+        };
+        c.on(fire, Input::Frame(0, complete));
+        let out: Vec<Out> = c.drain_outbox().collect();
+        let sent = requests(&out);
+        assert!(deliveries(&out).is_empty(), "nothing answers it: {out:?}");
+        let retries: Vec<u64> = sent.iter().filter(|r| r.0 == 1).map(|r| r.1).collect();
+        assert_eq!(retries.len(), 1, "{out:?}");
+        assert_ne!(retries[0], parked, "a fresh id");
+
+        let mut t = fire;
+        let steps = play(&mut c, &mut t, &out);
+        assert_eq!(c.status(), Status::Done);
+        let delivered: Vec<u64> = steps
+            .iter()
+            .flat_map(|(_, o)| deliveries(o))
+            .map(|d| d.1)
+            .collect();
+        assert_eq!(delivered, [1], "the recirculated buffer, once");
+        assert_eq!(c.report(WireStats::default()).outcome.total, 2);
     }
 
     /// `n` in-process loopback workers on CPU slots `0..n`.
