@@ -578,8 +578,10 @@ impl<'p> Shell<'p> {
     }
 
     /// Turn the event loop until the coordinator is done (`Ok`), has no
-    /// slot left, or the hard deadline passes (both `Err`).
+    /// slot left, or the hard deadline passes (both `Err`). Its waits end
+    /// at the coordinator's deadlines, not up to a timer slack later.
     fn run<W: WeightProvider>(&mut self, coord: &mut Coordinator<'_, W>) -> io::Result<()> {
+        let _exact = anthill_poller::exact_timers();
         #[cfg(test)]
         super::tests::RunLog::append(None, coord.outbox());
         self.carry_out(coord);
