@@ -252,7 +252,7 @@ impl Reactor {
 
     /// Surface the next [`Pump`] event. When none is left this is the
     /// wait boundary: flush the dirty set, then poll the OS for at most
-    /// `wait` (exact where the poller is, see `anthill_poller`). `None`
+    /// `wait` (plus the thread's timer slack, see `anthill_poller`). `None`
     /// means the timeout elapsed with nothing to do.
     pub fn pump(&mut self, wait: Duration) -> Option<Pump> {
         if let Some(ev) = self.ready.pop_front() {

@@ -5,9 +5,11 @@
 //! handshake, and then serves a simple request/response loop:
 //!
 //! * `Request` frames are echoed back — the demand path is
-//!   coordinator→worker→coordinator so that the real socket round-trip is
-//!   exercised on every window refill, exactly where Anthill's labeled
-//!   stream messages would travel.
+//!   coordinator→worker→coordinator so that every window refill crosses a
+//!   real socket, exactly where Anthill's labeled stream messages would
+//!   travel. The coordinator answers an echo when its reader holds a
+//!   buffer and otherwise keeps it until one arrives, so a refill is
+//!   already waiting at the reader when a task does.
 //! * `Deliver` frames are executed buffer-by-buffer: the worker measures a
 //!   wall-clock span, derives the modeled device occupancy from the
 //!   buffer's [`TaskShape`](anthill_hetsim::TaskShape) and the delivered
