@@ -25,7 +25,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::Arc;
 use std::time::Duration;
 
 use anthill_hetsim::{DeviceId, DeviceKind};
@@ -65,8 +64,9 @@ pub(crate) enum Input {
 pub(crate) enum Out {
     /// Queue a frame on a slot.
     Send(usize, Frame),
-    /// Queue a `Deliver` of these buffers, shared with the inflight table.
-    Deliver(usize, DeviceKind, Vec<Arc<DataBuffer>>),
+    /// Queue a `Deliver` of these buffers; the inflight table holds
+    /// clones, each a reference-count bump on its parameters.
+    Deliver(usize, DeviceKind, Vec<DataBuffer>),
     /// Tear a dead slot's connection down.
     Sever(usize),
     /// Shut a drained slot's connection down gracefully.
@@ -90,7 +90,7 @@ pub(crate) enum Status {
 struct Effects {
     out: Vec<Out>,
     /// Buffers launched on each slot and not yet completed.
-    inflight: Vec<Vec<Arc<DataBuffer>>>,
+    inflight: Vec<Vec<DataBuffer>>,
     /// `(fire_ns, slot, req_id)` min-heap of request timeouts.
     timers: BinaryHeap<Reverse<(u64, usize, u64)>>,
     batch_limit: usize,
@@ -115,7 +115,6 @@ impl Executor for Effects {
     }
 
     fn launch(&mut self, worker: WorkerRef, batch: Vec<DataBuffer>) {
-        let batch: Vec<Arc<DataBuffer>> = batch.into_iter().map(Arc::new).collect();
         self.inflight[worker.worker].extend(batch.iter().cloned());
         self.out
             .push(Out::Deliver(worker.worker, worker.device.kind, batch));
@@ -437,10 +436,9 @@ impl<'a, W: WeightProvider> Coordinator<'a, W> {
         }
     }
 
-    /// Retire a live slot through the engine's death and recovery path.
-    /// Once the shell has sent a delivery, the inflight table holds its
-    /// buffers' only strong reference, so re-homing them moves them. Its
-    /// parked requests die with it.
+    /// Retire a live slot through the engine's death and recovery path,
+    /// which re-homes its inflight buffers. Its parked requests die with
+    /// it.
     fn kill(&mut self, slot: usize) {
         if !self.alive(slot) {
             return;
@@ -449,9 +447,7 @@ impl<'a, W: WeightProvider> Coordinator<'a, W> {
         self.draining.retain(|&s| s != slot);
         self.unpark(slot);
         self.fx.out.push(Out::Sever(slot));
-        let inflight = std::mem::take(&mut self.fx.inflight[slot]).into_iter();
-        let inflight = inflight.map(|a| Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()));
-        let inflight = inflight.collect();
+        let inflight = std::mem::take(&mut self.fx.inflight[slot]);
         self.engine.worker_died(NODE, slot, inflight, &mut self.fx);
         self.slot_retired();
     }
@@ -832,7 +828,7 @@ mod tests {
                 Out::Deliver(slot, _, buffers) => {
                     for b in buffers {
                         let complete = Frame::Complete {
-                            buffer: DataBuffer::clone(b),
+                            buffer: b.clone(),
                             proc_ns: 5_000,
                             span: WireSpan {
                                 start_ns: 0,
@@ -1269,6 +1265,14 @@ mod tests {
         assert_eq!(coord.status(), Status::Done);
     }
 
+    /// How many distinct times the recorded inputs take; they never
+    /// decrease.
+    fn distinct_input_times(log: &RunLog) -> usize {
+        let times: Vec<u64> = log.inputs.iter().map(|&(t, _)| t).collect();
+        assert!(times.is_sorted(), "an input's time went backwards");
+        1 + times.windows(2).filter(|w| w[0] != w[1]).count()
+    }
+
     fn assert_same_outcome(replayed: &NetOutcome, live: &NetOutcome) {
         assert_eq!(replayed.dispatch_order, live.dispatch_order);
         assert_eq!(replayed.assigned, live.assigned);
@@ -1303,6 +1307,11 @@ mod tests {
             .expect("joiner exits cleanly");
         let counts = (live.outcome.deaths, live.drains, live.joins);
         assert_eq!(counts, (1, 1, 1), "a sever, a drain and a join");
+        let times = distinct_input_times(&log);
+        assert!(
+            times < log.inputs.len(),
+            "one wake-up's frames share its time"
+        );
 
         let trace = Recorder::enabled();
         let cfg = severing(Policy::ddwrr(8), &trace);
@@ -1359,6 +1368,7 @@ mod tests {
         let live = live.expect("open-loop run");
         assert_eq!(live.outcome.deaths, 1, "the sever");
         assert!(live.admission.conserved(), "{:?}", live.admission);
+        distinct_input_times(&log);
 
         let trace = Recorder::enabled();
         let mut timings = Vec::new();

@@ -524,7 +524,8 @@ struct Shell<'p> {
     drops: Vec<ConnectionDropSpec>,
     /// Time zero of the coordinator's clock.
     epoch: Instant,
-    /// When the latest input happened.
+    /// When the latest input happened: the wake-up that read it, or the
+    /// end of the handshake that admitted a worker.
     now: Instant,
     hard_deadline: Instant,
     /// Accepted connections in accept order, each with the helper thread
@@ -598,9 +599,11 @@ impl<'p> Shell<'p> {
     }
 
     /// One input: the first joiner in accept order whose first frame has
-    /// been read, else the next reactor event, waiting at most until the
-    /// coordinator's next deadline. The frames an input's effects queue
-    /// leave at the turn whose wait finds no event ready.
+    /// been read, else the next reactor event. Only a turn that finds no
+    /// event ready waits, at most until the coordinator's next deadline,
+    /// and reads the clock when it wakes; the events that wake-up
+    /// surfaced carry its time. The frames an input's effects queue leave
+    /// at that wait.
     fn turn<W: WeightProvider>(&mut self, coord: &mut Coordinator<'_, W>) -> io::Result<()> {
         if self.now >= self.hard_deadline {
             let what = format!("net run deadline exceeded: {}", coord.progress());
@@ -614,14 +617,22 @@ impl<'p> Shell<'p> {
                 let Some(device) = first.and_then(|(io, f)| self.admit_joiner(io, f)) else {
                     return Ok(());
                 };
+                self.now = Instant::now();
                 Input::Joined(device)
             }
             None => {
-                let wait = coord.next_deadline().map_or(MAX_WAIT, |due| {
+                // An event already surfaced is returned without a wait.
+                let fresh = !self.net.has_ready();
+                let due = fresh.then(|| coord.next_deadline()).flatten();
+                let wait = due.map_or(MAX_WAIT, |due| {
                     let left = due.saturating_sub(self.nanos(Instant::now()));
                     MAX_WAIT.min(Duration::from_nanos(left))
                 });
-                match self.net.pump(wait) {
+                let event = self.net.pump(wait);
+                if fresh {
+                    self.now = Instant::now();
+                }
+                match event {
                     None => Input::Tick,
                     Some(Pump::Frame(slot, frame)) => Input::Frame(slot, frame),
                     Some(Pump::Closed(slot)) => Input::Closed(slot),
@@ -636,11 +647,10 @@ impl<'p> Shell<'p> {
         Ok(())
     }
 
-    /// The coordinator's one call site: stamp the input with the time and
-    /// carry out what it decides — a pool worker it asks for joins as the
-    /// next input.
+    /// The coordinator's one call site: stamp the input with `self.now`
+    /// and carry out what it decides — a pool worker it asks for joins as
+    /// the next input, stamped when its handshake ends.
     fn input<W: WeightProvider>(&mut self, coord: &mut Coordinator<'_, W>, input: Input) {
-        self.now = Instant::now();
         let now_ns = self.nanos(self.now);
         #[cfg(test)]
         let logged = (now_ns, input.clone());
@@ -648,6 +658,7 @@ impl<'p> Shell<'p> {
         #[cfg(test)]
         super::tests::RunLog::append(Some(logged), coord.outbox());
         if let Some(device) = self.carry_out(coord).then(|| self.grow()).flatten() {
+            self.now = Instant::now();
             self.input(coord, Input::Joined(device));
         }
     }

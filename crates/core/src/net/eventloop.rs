@@ -30,7 +30,6 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::Arc;
 use std::time::Duration;
 
 use anthill_poller::{Event, Interest, Poller};
@@ -156,9 +155,9 @@ impl Reactor {
         self.send_with(slot, |out| encode_frame_into(out, frame));
     }
 
-    /// Queue a `Deliver` frame encoded straight from the shared
-    /// `Arc<DataBuffer>`s the inflight table retains — no payload clone.
-    pub fn send_deliver(&mut self, slot: usize, kind: DeviceKind, buffers: &[Arc<DataBuffer>]) {
+    /// Queue a `Deliver` frame encoded straight from the dispatched batch,
+    /// with no [`Frame`] built around it.
+    pub fn send_deliver(&mut self, slot: usize, kind: DeviceKind, buffers: &[DataBuffer]) {
         self.send_with(slot, |out| encode_deliver_into(out, kind, buffers));
     }
 
@@ -248,6 +247,12 @@ impl Reactor {
         total.pool_hits = self.pool.hits;
         total.pool_misses = self.pool.misses;
         total
+    }
+
+    /// Whether [`Reactor::pump`] holds an event already, which it returns
+    /// without a wait.
+    pub fn has_ready(&self) -> bool {
+        !self.ready.is_empty()
     }
 
     /// Surface the next [`Pump`] event. When none is left this is the

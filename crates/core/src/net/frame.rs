@@ -103,8 +103,10 @@ pub enum Frame {
     },
     /// One executed buffer coming back.
     Complete {
-        /// The buffer that ran (round-tripped so completion needs no
-        /// coordinator-side lookup table).
+        /// The buffer that ran, round-tripped whole so the completion is
+        /// credited from the frame; the wall-clock coordinator still keeps
+        /// its in-flight table, which it retires by this buffer's id and
+        /// re-homes when the slot dies.
         buffer: DataBuffer,
         /// Modeled device occupancy (`shape.cpu` / `shape.gpu_kernel` by
         /// the delivered kind), nanoseconds.
@@ -296,20 +298,12 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 }
 
 /// Encode a `Deliver` frame directly from borrowed buffers — the hot
-/// dispatch path. Generic over [`Borrow`](std::borrow::Borrow) so drivers
-/// whose inflight tables hold `Arc<DataBuffer>` encode from the same
-/// allocation they retain, with zero payload clones.
-pub fn encode_deliver_into<B: std::borrow::Borrow<DataBuffer>>(
-    out: &mut Vec<u8>,
-    kind: DeviceKind,
-    buffers: &[B],
-) {
+/// dispatch path, which encodes the batch it dispatched without building
+/// a [`Frame`] around it.
+pub fn encode_deliver_into(out: &mut Vec<u8>, kind: DeviceKind, buffers: &[DataBuffer]) {
     let start = open_header(out, 3);
     out.push(kind_byte(kind));
-    put_u32(out, buffers.len() as u32);
-    for b in buffers {
-        put_buffer(out, b.borrow());
-    }
+    put_buffers(out, buffers);
     close_header(out, start);
 }
 
@@ -384,6 +378,24 @@ impl BufPool {
 
 // ---------------------------------------------------------------- decode
 
+/// Fewest payload bytes one buffer can take: id, task, level, the four
+/// shape fields and an empty parameter list.
+const MIN_BUFFER_BYTES: usize = 8 + 8 + 1 + 4 * 8 + 4;
+
+/// One parameter as it sits in a payload, validated and not yet copied.
+enum RawParam<'a> {
+    Num(f64),
+    Cat(&'a str),
+}
+
+/// The latest parameter list a decoder built, and its encoded bytes: a
+/// run's consecutive buffers mostly carry the same list.
+#[derive(Debug, Default)]
+struct ParamsMemo {
+    encoded: Vec<u8>,
+    params: Option<TaskParams>,
+}
+
 /// Cursor over one frame's payload bytes.
 struct Reader<'a> {
     bytes: &'a [u8],
@@ -420,32 +432,54 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn params(&mut self) -> Result<TaskParams, FrameError> {
-        let n = self.u32()? as usize;
-        // Each parameter needs at least its kind byte + one length/value
-        // field; a hostile count cannot force a large allocation because
-        // the whole payload is already bounded by MAX_FRAME.
-        if n > self.bytes.len() {
-            return Err(FrameError::BadPayload("parameter count exceeds payload"));
-        }
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            match self.u8()? {
-                0 => values.push(ParamValue::Num(f64::from_bits(self.u64()?))),
-                1 => {
-                    let len = self.u32()? as usize;
-                    let raw = self.take(len)?;
-                    let s = std::str::from_utf8(raw)
-                        .map_err(|_| FrameError::BadPayload("categorical param not UTF-8"))?;
-                    values.push(ParamValue::Cat(s.to_owned()));
-                }
-                _ => return Err(FrameError::BadPayload("unknown param kind")),
+    fn param(&mut self) -> Result<RawParam<'a>, FrameError> {
+        match self.u8()? {
+            0 => Ok(RawParam::Num(f64::from_bits(self.u64()?))),
+            1 => {
+                let len = self.u32()? as usize;
+                let raw = self.take(len)?;
+                let s = std::str::from_utf8(raw)
+                    .map_err(|_| FrameError::BadPayload("categorical param not UTF-8"))?;
+                Ok(RawParam::Cat(s))
             }
+            _ => Err(FrameError::BadPayload("unknown param kind")),
         }
-        Ok(TaskParams::new(values))
     }
 
-    fn buffer(&mut self) -> Result<DataBuffer, FrameError> {
+    /// The memo's list if the payload repeats its bytes, else the list
+    /// validated whole and then built in one allocation.
+    fn params(&mut self, memo: &mut ParamsMemo) -> Result<TaskParams, FrameError> {
+        // The encoding delimits itself: a payload that goes on with the
+        // memo's bytes goes on with the memo's list, already validated.
+        if let Some(params) = &memo.params {
+            if self.bytes[self.pos..].starts_with(&memo.encoded) {
+                self.pos += memo.encoded.len();
+                return Ok(params.clone());
+            }
+        }
+        let start = self.pos;
+        let n = self.u32()? as usize;
+        for _ in 0..n {
+            self.param()?;
+        }
+        let encoded = &self.bytes[start..self.pos];
+        let mut list = Reader {
+            bytes: encoded,
+            pos: 4,
+        };
+        let params: TaskParams = (0..n)
+            .map(|_| match list.param().expect("validated above") {
+                RawParam::Num(x) => ParamValue::Num(x),
+                RawParam::Cat(s) => ParamValue::Cat(s.to_owned()),
+            })
+            .collect();
+        memo.encoded.clear();
+        memo.encoded.extend_from_slice(encoded);
+        memo.params = Some(params.clone());
+        Ok(params)
+    }
+
+    fn buffer(&mut self, memo: &mut ParamsMemo) -> Result<DataBuffer, FrameError> {
         let id = BufferId(self.u64()?);
         let task = self.u64()?;
         let level = self.u8()?;
@@ -455,7 +489,7 @@ impl<'a> Reader<'a> {
             bytes_in: self.u64()?,
             bytes_out: self.u64()?,
         };
-        let params = self.params()?;
+        let params = self.params(memo)?;
         Ok(DataBuffer {
             id,
             params,
@@ -465,12 +499,17 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn buffers(&mut self) -> Result<Vec<DataBuffer>, FrameError> {
+    fn buffers(&mut self, memo: &mut ParamsMemo) -> Result<Vec<DataBuffer>, FrameError> {
         let n = self.u32()? as usize;
-        if n > self.bytes.len() {
+        // A count the rest of the payload cannot hold sizes no `Vec`.
+        if n > (self.bytes.len() - self.pos) / MIN_BUFFER_BYTES {
             return Err(FrameError::BadPayload("buffer count exceeds payload"));
         }
-        (0..n).map(|_| self.buffer()).collect()
+        let mut buffers = Vec::with_capacity(n);
+        for _ in 0..n {
+            buffers.push(self.buffer(memo)?);
+        }
+        Ok(buffers)
     }
 
     fn finish(self) -> Result<(), FrameError> {
@@ -482,7 +521,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn decode_payload(tag: u8, bytes: &[u8]) -> Result<Frame, FrameError> {
+fn decode_payload(tag: u8, bytes: &[u8], memo: &mut ParamsMemo) -> Result<Frame, FrameError> {
     let mut r = Reader { bytes, pos: 0 };
     let frame = match tag {
         1 => Frame::Hello {
@@ -495,16 +534,16 @@ fn decode_payload(tag: u8, bytes: &[u8]) -> Result<Frame, FrameError> {
         },
         3 => Frame::Deliver {
             kind: r.kind()?,
-            buffers: r.buffers()?,
+            buffers: r.buffers(memo)?,
         },
         4 => Frame::Complete {
-            buffer: r.buffer()?,
+            buffer: r.buffer(memo)?,
             proc_ns: r.u64()?,
             span: WireSpan {
                 start_ns: r.u64()?,
                 end_ns: r.u64()?,
             },
-            recirculated: r.buffers()?,
+            recirculated: r.buffers(memo)?,
         },
         5 => Frame::BatchDone,
         6 => Frame::Heartbeat { seq: r.u64()? },
@@ -533,12 +572,15 @@ fn decode_payload(tag: u8, bytes: &[u8]) -> Result<Frame, FrameError> {
 }
 
 /// Incremental frame decoder: buffer bytes as the socket yields them, pop
-/// complete frames as they materialize.
+/// complete frames as they materialize. A parameter list whose bytes equal
+/// the previous list's shares its storage
+/// ([`TaskParams::shares_storage`]).
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
     /// Consumed prefix of `buf` (compacted opportunistically).
     start: usize,
+    memo: ParamsMemo,
 }
 
 impl FrameDecoder {
@@ -588,7 +630,7 @@ impl FrameDecoder {
         if avail.len() < total {
             return Ok(None);
         }
-        let frame = decode_payload(tag, &avail[6..total])?;
+        let frame = decode_payload(tag, &avail[6..total], &mut self.memo)?;
         self.start += total;
         // Compact once the consumed prefix dominates, keeping the buffer
         // bounded by one partial frame plus whatever was coalesced.
@@ -743,6 +785,22 @@ mod tests {
         assert_eq!(
             dec.next_frame(),
             Err(FrameError::BadPayload("trailing bytes after payload"))
+        );
+    }
+
+    #[test]
+    fn a_buffer_count_the_payload_cannot_hold_is_rejected() {
+        let mut bytes = encode_frame(&Frame::Deliver {
+            kind: DeviceKind::Cpu,
+            buffers: vec![buffer(1)],
+        });
+        // Header, kind byte, then the count.
+        bytes[7..11].copy_from_slice(&2u32.to_le_bytes());
+        let mut dec = FrameDecoder::new();
+        dec.feed(&bytes);
+        assert_eq!(
+            dec.next_frame(),
+            Err(FrameError::BadPayload("buffer count exceeds payload"))
         );
     }
 

@@ -55,8 +55,8 @@ pub use frame::{
     WireSpan,
 };
 pub use worker::{
-    connect_and_run, join_and_run, join_handshake, run_worker, run_worker_primed,
-    spawn_joining_worker_thread, spawn_worker_thread, Behavior,
+    connect_and_run, join_and_run, run_worker, spawn_joining_worker_thread, spawn_worker_thread,
+    Behavior,
 };
 
 use std::io;

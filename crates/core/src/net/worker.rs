@@ -10,12 +10,15 @@
 //!   travel. The coordinator answers an echo when its reader holds a
 //!   buffer and otherwise keeps it until one arrives, so a refill is
 //!   already waiting at the reader when a task does.
-//! * `Deliver` frames are executed buffer-by-buffer: the worker measures a
-//!   wall-clock span, derives the modeled device occupancy from the
-//!   buffer's [`TaskShape`](anthill_hetsim::TaskShape) and the delivered
-//!   device kind, applies its [`Behavior`] (identity forwarding,
-//!   recirculation, or busy-spinning), and answers with one `Complete` per
-//!   buffer followed by `BatchDone`.
+//! * `Deliver` frames are executed buffer-by-buffer: the worker derives
+//!   the modeled device occupancy from the buffer's
+//!   [`TaskShape`](anthill_hetsim::TaskShape) and the delivered device
+//!   kind, applies its [`Behavior`] (identity forwarding, recirculation, or
+//!   busy-spinning), and answers with one `Complete` per buffer followed by
+//!   `BatchDone`. Each `Complete` carries a wall-clock span; the clock is
+//!   read once per buffer boundary, so a buffer's span starts where the
+//!   previous buffer's ended (the first at the batch start) and includes
+//!   encoding the previous buffer's `Complete`.
 //! * `Shutdown` is answered with `Bye` and a clean exit.
 //!
 //! When the socket is idle past the read timeout the worker emits a
@@ -125,7 +128,7 @@ pub fn run_worker(stream: TcpStream, behavior: Behavior) -> std::io::Result<u64>
 /// `JoinAck`, the join pump's `Request`s, even an immediate `Deliver`
 /// can arrive coalesced in one segment) hands its decoder here so no
 /// buffered frame is lost between the handshake and the serve loop.
-pub fn run_worker_primed(
+fn run_worker_primed(
     mut stream: TcpStream,
     behavior: Behavior,
     mut dec: FrameDecoder,
@@ -155,8 +158,8 @@ pub fn run_worker_primed(
                 Frame::Hello { .. } => encode_frame_into(&mut scratch, &frame),
                 Frame::Request { .. } => encode_frame_into(&mut scratch, &frame),
                 Frame::Deliver { kind, buffers } => {
+                    let mut start_ns = epoch.elapsed().as_nanos() as u64;
                     for buffer in buffers {
-                        let start_ns = epoch.elapsed().as_nanos() as u64;
                         let recirculated = behavior.apply(&buffer);
                         let end_ns = epoch.elapsed().as_nanos() as u64;
                         executed += 1;
@@ -169,6 +172,7 @@ pub fn run_worker_primed(
                                 recirculated,
                             },
                         );
+                        start_ns = end_ns;
                     }
                     encode_frame_into(&mut scratch, &Frame::BatchDone);
                 }
@@ -228,14 +232,14 @@ pub fn connect_and_run(addr: &str, behavior: Behavior) -> std::io::Result<u64> {
 /// from "crashed".
 ///
 /// `dec` is the connection's frame decoder and MUST be carried into the
-/// serve loop afterwards (see [`run_worker_primed`]): the coordinator
+/// serve loop afterwards ([`run_worker_primed`]): the coordinator
 /// pumps demand the instant it installs the slot, so the read that
 /// returns `JoinAck` routinely also returns the first `Request`s — and,
 /// when the ready queue is non-empty at join time, a `Deliver`. A
 /// handshake with a private decoder would silently eat those frames,
 /// stranding the delivered buffer forever (the coordinator retries
 /// requests, but never re-sends a dispatched batch to a live slot).
-pub fn join_handshake(
+fn join_handshake(
     stream: &mut TcpStream,
     node: usize,
     kind: DeviceKind,
