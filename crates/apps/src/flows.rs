@@ -259,22 +259,6 @@ pub mod pricing {
         policy: PolicyKind,
         weights: &W,
     ) -> (Vec<(u64, Priced)>, LocalReport) {
-        run_diamond_traced(
-            options,
-            policy,
-            weights,
-            &anthill::obs::Recorder::disabled(),
-        )
-    }
-
-    /// [`run_diamond`] with observability: per-edge `edge_enqueued` events
-    /// and the task lifecycle land in `recorder`.
-    pub fn run_diamond_traced<W: WeightProvider + Sync>(
-        options: &[Option_],
-        policy: PolicyKind,
-        weights: &W,
-        recorder: &anthill::obs::Recorder,
-    ) -> (Vec<(u64, Priced)>, LocalReport) {
         let mut pipeline = Pipeline::new(policy).with_graph(DataflowGraph::diamond(
             "split", "price_a", "price_b", "merge",
         ));
@@ -295,7 +279,7 @@ pub mod pricing {
                 )
             })
             .collect();
-        let (outputs, report) = pipeline.run_traced(sources, weights, recorder);
+        let (outputs, report) = pipeline.run(sources, weights);
         let mut priced: Vec<(u64, Priced)> = outputs
             .into_iter()
             .map(|t| {

@@ -6,10 +6,10 @@
 //! * [`simulated`] — the paper-scale cluster configuration on the
 //!   virtual-time executor (what the evaluation harness runs); thin
 //!   conveniences over [`anthill::sim`].
-//! * [`NbiaLocal`](run_local) — the real pipeline on the native threaded
-//!   runtime: it generates synthetic tissue tiles, builds their
-//!   multi-resolution pyramids, converts RGB → La\*b\*, extracts GLCM/LBP
-//!   features, classifies stromal development with a hypothesis test, and
+//! * [`run_local`] — the real pipeline on the native threaded runtime:
+//!   it generates synthetic tissue tiles, builds their multi-resolution
+//!   pyramids, converts RGB → La\*b\*, extracts GLCM/LBP features,
+//!   classifies stromal development with a hypothesis test, and
 //!   recirculates low-confidence tiles at the next pyramid level — the
 //!   full control flow of the paper's Figure 1, computing real values.
 //!
@@ -258,9 +258,8 @@ fn collect_results(outputs: Vec<LocalTask>) -> Vec<TileResult> {
 /// The same topology runs on four backends: the native threaded runtime
 /// (payload-carrying filters computing real values), and the three
 /// buffer-level backends — sequential reference, DES, and TCP — where a
-/// [`GraphModel`](graph::GraphModel) evaluates the identical feature and
-/// classification math coordinator-side while workers model the compute
-/// cost. Because every classification is a pure function of the tile's
+/// `GraphModel` evaluates the identical feature and classification math
+/// coordinator-side while workers model the compute cost. Because every classification is a pure function of the tile's
 /// pixels at a pyramid level, the classifier seed, and the threshold, all
 /// deployments produce byte-identical [`TileResult`]s — including against
 /// the fused single-filter pipeline ([`run_local`]).
@@ -281,11 +280,11 @@ pub mod graph {
     use anthill_kernels::color::Rgb8;
 
     /// Filter id of the reader (pyramid decomposition) stage.
-    pub const READER: usize = 0;
+    pub(crate) const READER: usize = 0;
     /// Filter id of the feature-extraction stage.
-    pub const FEATURE: usize = 1;
+    pub(crate) const FEATURE: usize = 1;
     /// Filter id of the classifier stage.
-    pub const CLASSIFIER: usize = 2;
+    pub(crate) const CLASSIFIER: usize = 2;
 
     /// The NBIA dataflow: a three-filter chain with the classifier's
     /// rejection feedback edge into the feature filter.
@@ -481,18 +480,8 @@ pub mod graph {
         config: &NbiaLocalConfig,
         weights: &W,
     ) -> (Vec<TileResult>, anthill::local::LocalReport) {
-        run_native_traced(config, weights, &anthill::obs::Recorder::disabled())
-    }
-
-    /// [`run_native`] with observability: per-edge `edge_enqueued` events
-    /// and the usual task lifecycle land in `recorder`.
-    pub fn run_native_traced<W: WeightProvider + Sync>(
-        config: &NbiaLocalConfig,
-        weights: &W,
-        recorder: &anthill::obs::Recorder,
-    ) -> (Vec<TileResult>, anthill::local::LocalReport) {
         let (pipeline, sources) = build_graph_pipeline(config);
-        let (outputs, report) = pipeline.run_traced(sources, weights, recorder);
+        let (outputs, report) = pipeline.run(sources, weights);
         (collect_results(outputs), report)
     }
 
@@ -514,7 +503,7 @@ pub mod graph {
     /// workers model only the compute cost. The math is shared with the
     /// payload-carrying native deployment, so every backend produces
     /// byte-identical [`TileResult`]s.
-    pub struct GraphModel {
+    pub(crate) struct GraphModel {
         classifier: TileClassifier,
         cost: NbiaCostModel,
         threshold: f64,
@@ -527,7 +516,7 @@ pub mod graph {
 
     impl GraphModel {
         /// Build the model and the seed buffers entering the reader.
-        pub fn new(config: &NbiaLocalConfig) -> (GraphModel, Vec<(usize, DataBuffer)>) {
+        pub(crate) fn new(config: &NbiaLocalConfig) -> (GraphModel, Vec<(usize, DataBuffer)>) {
             let cost = NbiaCostModel::paper_calibrated();
             let classifier = TileClassifier::train(config.seed ^ 0x7EAC, 6, config.low_side);
             let mut gen = TileGenerator::new(config.seed);
@@ -570,7 +559,7 @@ pub mod graph {
 
         /// Handle one completion at `filter`, producing the emission the
         /// backend routes over the graph.
-        pub fn handle(
+        pub(crate) fn handle(
             &mut self,
             filter: usize,
             _kind: DeviceKind,
@@ -619,7 +608,7 @@ pub mod graph {
         }
 
         /// The classified tiles, sorted by tile index.
-        pub fn into_results(self) -> Vec<TileResult> {
+        pub(crate) fn into_results(self) -> Vec<TileResult> {
             let mut results = self.results;
             results.sort_by_key(|r| r.tile);
             results
@@ -651,7 +640,7 @@ pub mod graph {
     }
 
     /// Run the three-filter pipeline on the engine's sequential reference
-    /// driver (buffer-level; the [`GraphModel`] computes the semantics).
+    /// driver (buffer-level; the `GraphModel` computes the semantics).
     pub fn run_reference(config: &NbiaLocalConfig) -> (Vec<TileResult>, seq::GraphOutcome) {
         let (mut model, seeds) = GraphModel::new(config);
         let devices: Vec<Vec<DeviceId>> = device_kinds()
@@ -696,20 +685,10 @@ pub mod graph {
     }
 
     /// Run the three-filter pipeline over TCP loopback workers in
-    /// lockstep deterministic mode; the [`GraphModel`] drives routing
+    /// lockstep deterministic mode; the `GraphModel` drives routing
     /// through the coordinator-side emission hook.
     pub fn run_net(
         config: &NbiaLocalConfig,
-    ) -> std::io::Result<(Vec<TileResult>, NetGraphOutcome)> {
-        run_net_traced(config, &anthill::obs::Recorder::disabled())
-    }
-
-    /// [`run_net`] with observability: the coordinator's merged trace
-    /// (engine events plus re-stamped remote worker spans) lands in
-    /// `recorder`.
-    pub fn run_net_traced(
-        config: &NbiaLocalConfig,
-        recorder: &anthill::obs::Recorder,
     ) -> std::io::Result<(Vec<TileResult>, NetGraphOutcome)> {
         let (mut model, seeds) = GraphModel::new(config);
         let workers: std::io::Result<Vec<Vec<NetWorkerConn>>> = device_kinds()
@@ -734,10 +713,8 @@ pub mod graph {
                     .collect()
             })
             .collect();
-        let mut cfg = NetConfig::new(engine_policy(config.policy));
-        cfg.recorder = recorder.clone();
         let outcome = run_graph_deterministic_with(
-            cfg,
+            NetConfig::new(engine_policy(config.policy)),
             &topology(),
             workers?,
             seeds,

@@ -11,7 +11,7 @@ use anthill_hetsim::{TaskShape, ViCostModel};
 
 /// Number of passes over each value (per the paper: "iterating over each
 /// value six times").
-pub const ITERATIONS: u32 = 6;
+pub(crate) const ITERATIONS: u32 = 6;
 
 /// VI workload parameters.
 #[derive(Debug, Clone)]
@@ -55,7 +55,7 @@ impl ViWorkload {
 
 /// The actual VI kernel: increment every element, iterating [`ITERATIONS`]
 /// times (what the paper's GPU kernel computes).
-pub fn increment_chunk(chunk: &mut [u32]) {
+pub(crate) fn increment_chunk(chunk: &mut [u32]) {
     for _ in 0..ITERATIONS {
         for v in chunk.iter_mut() {
             *v = v.wrapping_add(1);

@@ -27,7 +27,7 @@ use anthill_hetsim::NbiaCostModel;
 use anthill_kernels::color::Rgb8;
 use anthill_kernels::pyramid::downsample;
 use anthill_kernels::tiles::{TileClass, TileGenerator};
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// The slide: a `cols × rows` grid of square tiles, synthesized on demand
 /// (the "disk" of the read filter).
@@ -45,7 +45,7 @@ pub struct Slide {
 
 impl Slide {
     /// Deterministic tissue class of a tile (a coarse tissue map).
-    pub fn class_at(&self, col: u32, row: u32) -> TileClass {
+    pub(crate) fn class_at(&self, col: u32, row: u32) -> TileClass {
         // Blobby regions: hash the coarse coordinates.
         let h = (u64::from(col / 3))
             .wrapping_mul(0x9E37_79B9)
@@ -55,7 +55,7 @@ impl Slide {
     }
 
     /// Synthesize ("read and decompress") one full-resolution tile.
-    pub fn read_tile(&self, col: u32, row: u32) -> Vec<Rgb8> {
+    pub(crate) fn read_tile(&self, col: u32, row: u32) -> Vec<Rgb8> {
         assert!(col < self.cols && row < self.rows, "tile out of slide");
         let tile_seed = self.seed ^ (u64::from(row) << 32 | u64::from(col));
         TileGenerator::new(tile_seed).generate(self.class_at(col, row), self.tile_side)
@@ -165,7 +165,7 @@ impl LocalFilter for CompositeFilter {
             .sum::<f64>()
             / t.pixels.len().max(1) as f64;
         let done = {
-            let mut pending = self.pending.lock();
+            let mut pending = self.pending.lock().unwrap();
             let entry = pending
                 .entry(t.query.id)
                 .or_insert((t.query.tile_count(), 0.0));

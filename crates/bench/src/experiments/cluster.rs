@@ -6,14 +6,13 @@
 use anthill::policy::Policy;
 use anthill::sim::{run_nbia, SimConfig, SimReport, WorkloadSpec};
 use anthill_hetsim::{ClusterSpec, DeviceKind, NodeSpec};
-use anthill_simkit::SimTime;
 
 /// Static request window used for DDFCFS when not swept (a small window
 /// minimizes its load imbalance, per Figure 11's discussion).
-pub const DDFCFS_WINDOW: usize = 8;
+pub(crate) const DDFCFS_WINDOW: usize = 8;
 /// Static request window used for DDWRR when not swept (a large window
 /// creates intra-filter scheduling opportunity, per Figure 11).
-pub const DDWRR_WINDOW: usize = 30;
+pub(crate) const DDWRR_WINDOW: usize = 30;
 
 fn config(cluster: ClusterSpec, policy: Policy) -> SimConfig {
     SimConfig::new(cluster, policy)
@@ -352,19 +351,20 @@ pub fn perturb_slow_node(speeds: &[f64], tiles: u64) -> Vec<PerturbRow> {
         .collect()
 }
 
-/// Helper: end time of a report's utilization traces (for plotting).
-pub fn trace_horizon(report: &SimReport) -> SimTime {
-    report
-        .util_traces
-        .iter()
-        .flat_map(|(_, t)| t.last().map(|&(at, _)| at))
-        .max()
-        .unwrap_or(SimTime::ZERO)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anthill_simkit::SimTime;
+
+    /// Helper: end time of a report's utilization traces (for plotting).
+    fn trace_horizon(report: &SimReport) -> SimTime {
+        report
+            .util_traces
+            .iter()
+            .flat_map(|(_, t)| t.last().map(|&(at, _)| at))
+            .max()
+            .unwrap_or(SimTime::ZERO)
+    }
 
     const T: u64 = 2_000; // reduced tile count for unit tests
 

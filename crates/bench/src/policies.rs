@@ -7,14 +7,14 @@
 //! * `paper_hom` — the paper's homogeneous base case (one CPU+GPU node,
 //!   16% recalculation) with a well-calibrated estimator. Nothing to
 //!   learn; the learned policies only have to stay within
-//!   [`PAPER_TOLERANCE_PCT`] of DDWRR.
+//!   `PAPER_TOLERANCE_PCT` of DDWRR.
 //! * `paper_het` — the paper's heterogeneous base case (a CPU+GPU node
 //!   plus a CPU-only node, 8% recalculation), also well-calibrated, at
 //!   the full workload scale where the learned corrections settle. Same
 //!   tolerance; empirically both learned policies edge out DDWRR here.
 //! * `stale_profile` — the CPU+GPU node scheduled from a badly noisy
-//!   phase-one profile ([`STALE_NOISE`] lognormal sigma at
-//!   [`STALE_SEED`], which inverts the low/high-resolution device
+//!   phase-one profile (`STALE_NOISE` lognormal sigma at
+//!   `STALE_SEED`, which inverts the low/high-resolution device
 //!   ordering). DDWRR trusts the broken predictions for the whole run;
 //!   the learned policies fold observed `task_finished` spans back into
 //!   their online profile and recover the true ordering within a few
@@ -37,17 +37,17 @@ use crate::experiments::cluster::DDWRR_WINDOW;
 
 /// Learned policies may lose to DDWRR by at most this much (percent of
 /// DDWRR's makespan) on the non-stale scenarios.
-pub const PAPER_TOLERANCE_PCT: f64 = 5.0;
+pub(crate) const PAPER_TOLERANCE_PCT: f64 = 5.0;
 /// Lognormal sigma of the `stale_profile` scenario's phase-one benchmark
 /// noise — large enough that the kNN fit can invert the two tile
 /// resolutions' device ordering.
-pub const STALE_NOISE: f64 = 2.0;
+pub(crate) const STALE_NOISE: f64 = 2.0;
 /// Seed of the `stale_profile` scenario: one where [`STALE_NOISE`]
 /// actually inverts the ordering (DDWRR degrades ~65% against its
 /// well-calibrated self, which the learned policies claw back).
-pub const STALE_SEED: u64 = 5;
+pub(crate) const STALE_SEED: u64 = 5;
 /// Root seed of the well-calibrated scenarios.
-pub const GATE_SEED: u64 = 0x5EED;
+pub(crate) const GATE_SEED: u64 = 0x5EED;
 
 /// One `(scenario, policy)` run of the head-to-head.
 #[derive(Debug, Clone)]
@@ -206,7 +206,7 @@ pub fn head_to_head(quick: bool) -> Vec<PolicyRunRow> {
 /// * learned runs engaged the learned paths (`decisions > 0` and
 ///   `profile_updates > 0`); classic runs stayed inert (both zero);
 /// * on non-stale scenarios every learned run is within
-///   [`PAPER_TOLERANCE_PCT`] of DDWRR;
+///   `PAPER_TOLERANCE_PCT` of DDWRR;
 /// * at least one learned run on a heterogeneous scenario beat DDWRR
 ///   outright (`vs_ddwrr_pct < 0`);
 /// * there is a stale scenario, and on every one at least one learned run

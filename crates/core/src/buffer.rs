@@ -31,7 +31,7 @@ pub struct DataBuffer {
 
 impl DataBuffer {
     /// Bytes this buffer occupies on the wire (payload plus framing).
-    pub fn wire_bytes(&self) -> u64 {
+    pub(crate) fn wire_bytes(&self) -> u64 {
         self.shape.bytes_in
     }
 }

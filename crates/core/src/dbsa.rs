@@ -13,7 +13,6 @@ use std::collections::VecDeque;
 
 use crate::buffer::DataBuffer;
 use crate::engine::select;
-use crate::obs::{DeviceRef, EventKind, Recorder};
 use crate::queue::SharedQueue;
 use crate::weights::WeightProvider;
 use anthill_hetsim::DeviceKind;
@@ -32,8 +31,6 @@ pub struct SendQueue<R> {
     queue: SharedQueue,
     parked: VecDeque<ParkedRequest<R>>,
     sorted: bool,
-    recorder: Recorder,
-    origin: DeviceRef,
 }
 
 impl<R: Copy> SendQueue<R> {
@@ -44,18 +41,7 @@ impl<R: Copy> SendQueue<R> {
             queue: SharedQueue::new(),
             parked: VecDeque::new(),
             sorted,
-            recorder: Recorder::disabled(),
-            origin: DeviceRef::node_scope(0),
         }
-    }
-
-    /// Install an observability sink: subsequent [`push_at`](Self::push_at)
-    /// and [`request_at`](Self::request_at) calls record
-    /// [`EventKind::DbsaSelect`] against `origin` whenever sorted selection
-    /// answers a request.
-    pub fn attach_recorder(&mut self, recorder: Recorder, origin: DeviceRef) {
-        self.recorder = recorder;
-        self.origin = origin;
     }
 
     /// Buffers currently queued.
@@ -68,11 +54,6 @@ impl<R: Copy> SendQueue<R> {
         self.queue.is_empty()
     }
 
-    /// Number of parked (unanswered) requests.
-    pub fn parked(&self) -> usize {
-        self.parked.len()
-    }
-
     /// Enqueue an outgoing buffer (ThreadBufferQueuer). If requests are
     /// parked, the oldest is answered immediately: returns
     /// `Some((request, buffer))` that the caller must deliver.
@@ -81,90 +62,29 @@ impl<R: Copy> SendQueue<R> {
         buffer: DataBuffer,
         weights: &W,
     ) -> Option<(ParkedRequest<R>, DataBuffer)> {
-        self.push_inner(buffer, weights, None)
-    }
-
-    /// [`push`](Self::push) with a timestamp: if the insert answers a
-    /// parked request by sorted selection, a [`EventKind::DbsaSelect`]
-    /// event is recorded at `ts_ns` (no-op without an attached recorder).
-    pub fn push_at<W: WeightProvider + ?Sized>(
-        &mut self,
-        ts_ns: u64,
-        buffer: DataBuffer,
-        weights: &W,
-    ) -> Option<(ParkedRequest<R>, DataBuffer)> {
-        self.push_inner(buffer, weights, Some(ts_ns))
-    }
-
-    fn push_inner<W: WeightProvider + ?Sized>(
-        &mut self,
-        buffer: DataBuffer,
-        weights: &W,
-        record_ts: Option<u64>,
-    ) -> Option<(ParkedRequest<R>, DataBuffer)> {
         let w = select::weights_for(weights, &buffer);
         self.queue.insert(buffer, w, None);
-        if let Some(req) = self.parked.pop_front() {
-            let buf = self
-                .select(req.proctype, record_ts)
-                .expect("buffer was just inserted");
-            return Some((req, buf));
-        }
-        None
+        let req = self.parked.pop_front()?;
+        let buf = self.select(req.proctype).expect("buffer was just inserted");
+        Some((req, buf))
     }
 
     /// Handle a data request (ThreadBufferSender): select the best buffer
     /// for the requesting processor type, or park the request if empty.
     pub fn request(&mut self, proctype: DeviceKind, requester: R) -> Option<DataBuffer> {
-        self.request_inner(proctype, requester, None)
-    }
-
-    /// [`request`](Self::request) with a timestamp: a successful sorted
-    /// selection records [`EventKind::DbsaSelect`] at `ts_ns` (no-op
-    /// without an attached recorder).
-    pub fn request_at(
-        &mut self,
-        ts_ns: u64,
-        proctype: DeviceKind,
-        requester: R,
-    ) -> Option<DataBuffer> {
-        self.request_inner(proctype, requester, Some(ts_ns))
-    }
-
-    fn request_inner(
-        &mut self,
-        proctype: DeviceKind,
-        requester: R,
-        record_ts: Option<u64>,
-    ) -> Option<DataBuffer> {
-        match self.select(proctype, record_ts) {
-            Some(buf) => Some(buf),
-            None => {
-                self.parked.push_back(ParkedRequest {
-                    proctype,
-                    requester,
-                });
-                None
-            }
-        }
-    }
-
-    fn select(&mut self, proctype: DeviceKind, record_ts: Option<u64>) -> Option<DataBuffer> {
-        // The sorted-vs-FIFO rule is the engine's, not re-decided here.
-        let buf = select::pop_for(&mut self.queue, self.sorted, proctype).map(|(b, _)| b);
-        if let (Some(ts), Some(b)) = (record_ts, &buf) {
-            if self.sorted {
-                self.recorder.record(
-                    ts,
-                    self.origin,
-                    EventKind::DbsaSelect {
-                        buffer: b.id.0,
-                        proctype,
-                    },
-                );
-            }
+        let buf = self.select(proctype);
+        if buf.is_none() {
+            self.parked.push_back(ParkedRequest {
+                proctype,
+                requester,
+            });
         }
         buf
+    }
+
+    fn select(&mut self, proctype: DeviceKind) -> Option<DataBuffer> {
+        // The sorted-vs-FIFO rule is the engine's, not re-decided here.
+        select::pop_for(&mut self.queue, self.sorted, proctype).map(|(b, _)| b)
     }
 
     /// Iterate queued buffers (FIFO order), for diagnostics.
@@ -180,6 +100,13 @@ mod tests {
     use crate::weights::OracleWeights;
     use anthill_estimator::TaskParams;
     use anthill_hetsim::{GpuParams, NbiaCostModel};
+
+    impl<R> SendQueue<R> {
+        /// Number of parked (unanswered) requests.
+        fn parked(&self) -> usize {
+            self.parked.len()
+        }
+    }
 
     fn tile(id: u64, side: u32) -> DataBuffer {
         DataBuffer {
@@ -242,31 +169,6 @@ mod tests {
         sq.push(tile(2, 512), &w);
         assert_eq!(sq.request(DeviceKind::Gpu, 0).unwrap().id.0, 1);
         assert_eq!(sq.request(DeviceKind::Gpu, 0).unwrap().id.0, 2);
-    }
-
-    #[test]
-    fn attached_recorder_sees_sorted_selections() {
-        let w = oracle();
-        let mut sq: SendQueue<u32> = SendQueue::new(true);
-        let rec = Recorder::enabled();
-        sq.attach_recorder(rec.clone(), DeviceRef::node_scope(4));
-        // Parked request answered by a push, then a direct hit.
-        assert!(sq.request_at(3, DeviceKind::Gpu, 7).is_none());
-        assert!(sq.push_at(5, tile(1, 512), &w).is_some());
-        sq.push_at(6, tile(2, 32), &w);
-        assert!(sq.request_at(9, DeviceKind::Cpu, 8).is_some());
-        let events = rec.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].ts_ns, 5);
-        assert_eq!(
-            events[0].kind,
-            EventKind::DbsaSelect {
-                buffer: 1,
-                proctype: DeviceKind::Gpu,
-            }
-        );
-        assert_eq!(events[1].ts_ns, 9);
-        assert_eq!(events[0].origin, DeviceRef::node_scope(4));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Section 5.3).
 //!
 //! This module holds the adaptation state machine alone; the engine's
-//! per-worker request windows ([`crate::engine::RequestWindow`]) own when
+//! per-worker request windows (`engine::window::RequestWindow`) own when
 //! it is fed and how its target bounds in-flight requests, identically on
 //! every backend.
 

@@ -157,7 +157,7 @@ pub struct AdmissionCounters {
 
 impl AdmissionCounters {
     /// Classifications reached so far: `admitted + shed + deadline_dropped`.
-    pub fn resolved(&self) -> u64 {
+    pub(crate) fn resolved(&self) -> u64 {
         self.admitted + self.shed + self.deadline_dropped
     }
 
@@ -319,7 +319,7 @@ impl<T> AdmissionController<T> {
     }
 
     /// Tasks waiting at intake right now.
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.intake.len()
     }
 

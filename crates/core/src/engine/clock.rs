@@ -2,7 +2,7 @@
 //!
 //! The engine stamps every decision — request send times, trace events,
 //! utilization transitions — through a [`Clock`] supplied by the driver.
-//! The DES driver advances a [`VirtualClock`] to each event's virtual
+//! The DES driver advances a `VirtualClock` to each event's virtual
 //! time; the sequential reference driver ticks it once per message; the
 //! TCP wall-clock coordinator sets it to the time its shell read for each
 //! input.
@@ -21,16 +21,16 @@ pub trait Clock {
 /// A clock set explicitly by the driver. Cloning shares the underlying
 /// cell, so the driver keeps one handle and the engine another.
 #[derive(Debug, Clone)]
-pub struct VirtualClock(Rc<Cell<SimTime>>);
+pub(crate) struct VirtualClock(Rc<Cell<SimTime>>);
 
 impl VirtualClock {
     /// A virtual clock starting at time zero.
-    pub fn new() -> VirtualClock {
+    pub(crate) fn new() -> VirtualClock {
         VirtualClock(Rc::new(Cell::new(SimTime::ZERO)))
     }
 
     /// Move the clock to `t` (the virtual time of the event being handled).
-    pub fn set(&self, t: SimTime) {
+    pub(crate) fn set(&self, t: SimTime) {
         self.0.set(t);
     }
 }

@@ -8,11 +8,11 @@
 //! [`Executor`] (how a batch actually runs). A driver is a loop that feeds
 //! engine callbacks:
 //!
-//! * a reader received a request → [`Engine::answer_request`];
-//! * a (possibly empty) reply reached a worker → [`Engine::data_arrived`];
+//! * a reader received a request → `Engine::answer_request`;
+//! * a (possibly empty) reply reached a worker → `Engine::data_arrived`;
 //! * a recalculated buffer materialized → [`Engine::recirculate`];
-//! * a task completed on a device → [`Engine::task_finished`];
-//! * a worker became free → [`Engine::worker_idle`].
+//! * a task completed on a device → `Engine::task_finished`;
+//! * a worker became free → `Engine::worker_idle`.
 //!
 //! The DES ([`crate::sim`]), the threaded runtime ([`crate::local`]) and
 //! the sequential reference driver ([`super::sequential`]) are all thin
@@ -51,14 +51,14 @@ pub struct WorkerRef {
 /// The engine decides *that* a worker requests a buffer from a reader; the
 /// driver decides what that costs (a modeled network hop, a channel send,
 /// nothing at all) and must eventually route the reader's answer back
-/// through [`Engine::answer_request`] followed by [`Engine::data_arrived`]
+/// through `Engine::answer_request` followed by `Engine::data_arrived`
 /// with the same `req_id`.
 pub trait Transport {
     /// Deliver a data request from worker `from` to node `reader`'s reader
     /// instance. The requesting processor type is `from.device.kind`.
     fn send_request(&mut self, from: WorkerRef, reader: usize, req_id: u64);
 
-    /// Arm a timer that calls [`Engine::request_timed_out`] for `worker`
+    /// Arm a timer that calls `Engine::request_timed_out` for `worker`
     /// and `req_id` at `fire_at`, unless the request settles first (the
     /// engine treats a late timeout for a settled request as a no-op, so
     /// drivers need not cancel timers). The default is a no-op: drivers
@@ -73,8 +73,8 @@ pub trait Transport {
 ///
 /// The engine decides *which* buffers a worker runs and in what batch; the
 /// driver runs them (virtual-time hardware models, OS threads, real
-/// kernels) and reports back via [`Engine::task_finished`] per buffer and
-/// [`Engine::worker_idle`] when the slot frees up.
+/// kernels) and reports back via `Engine::task_finished` per buffer and
+/// `Engine::worker_idle` when the slot frees up.
 pub trait Executor {
     /// Upper bound on the batch handed to `worker` in one dispatch: 1 for
     /// one-at-a-time devices, the current stream count for an async GPU
@@ -82,7 +82,7 @@ pub trait Executor {
     fn batch_limit(&mut self, worker: WorkerRef) -> usize;
 
     /// Execute `batch` (never empty) on `worker`. The slot counts as busy
-    /// until the driver calls [`Engine::worker_idle`].
+    /// until the driver calls `Engine::worker_idle`.
     fn launch(&mut self, worker: WorkerRef, batch: Vec<DataBuffer>);
 }
 
@@ -170,7 +170,7 @@ fn counter<T: Clone + Default>(counters: &mut Vec<T>, i: usize) -> &mut T {
 
 /// Per-worker measurement series the engine accumulates, borrowed for
 /// report building.
-pub struct WorkerStats<'a> {
+pub(crate) struct WorkerStats<'a> {
     /// The worker's device identity.
     pub device: DeviceId,
     /// Busy/idle utilization tracker.
@@ -222,7 +222,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
 
     /// Add a node (one reader instance + one ready queue); returns its
     /// index.
-    pub fn add_node(&mut self) -> usize {
+    pub(crate) fn add_node(&mut self) -> usize {
         self.nodes.push(NodeState {
             reader: SharedQueue::new(),
             ready: SharedQueue::new(),
@@ -238,7 +238,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     /// given round-robin order). Graph runners scope each filter to its
     /// own input queue; without a scope the node keeps the original
     /// all-readers n×m behaviour.
-    pub fn set_reader_scope(&mut self, node: usize, readers: Vec<usize>) {
+    pub(crate) fn set_reader_scope(&mut self, node: usize, readers: Vec<usize>) {
         assert!(!readers.is_empty(), "reader scope cannot be empty");
         assert!(
             readers.iter().all(|&r| r < self.nodes.len()),
@@ -248,7 +248,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     }
 
     /// Add a worker slot for `device` on `node`; returns its slot index.
-    pub fn add_worker(&mut self, node: usize, device: DeviceId) -> usize {
+    pub(crate) fn add_worker(&mut self, node: usize, device: DeviceId) -> usize {
         let w = WorkerState {
             device,
             window: RequestWindow::new(&self.cfg.policy, self.cfg.max_window),
@@ -266,12 +266,12 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     }
 
     /// Number of worker slots across all nodes.
-    pub fn worker_count(&self) -> usize {
+    pub(crate) fn worker_count(&self) -> usize {
         self.nodes.iter().map(|n| n.workers.len()).sum()
     }
 
     /// All worker references, node-major in slot order.
-    pub fn worker_refs(&self) -> Vec<WorkerRef> {
+    pub(crate) fn worker_refs(&self) -> Vec<WorkerRef> {
         self.nodes
             .iter()
             .enumerate()
@@ -286,14 +286,14 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     }
 
     /// The device a worker slot schedules for.
-    pub fn worker_device(&self, node: usize, worker: usize) -> DeviceId {
+    pub(crate) fn worker_device(&self, node: usize, worker: usize) -> DeviceId {
         self.nodes[node].workers[worker].device
     }
 
     /// Set a worker's batch reserve (see
-    /// [`RequestWindow::set_batch_reserve`]); drivers call this at worker
+    /// `RequestWindow::set_batch_reserve`); drivers call this at worker
     /// creation and whenever the stream controller changes its count.
-    pub fn set_batch_reserve(&mut self, node: usize, worker: usize, slots: usize) {
+    pub(crate) fn set_batch_reserve(&mut self, node: usize, worker: usize, slots: usize) {
         self.nodes[node].workers[worker]
             .window
             .set_batch_reserve(slots);
@@ -305,7 +305,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     }
 
     /// `(device kind, level) -> completed buffers`, accumulated by
-    /// [`Engine::task_finished`].
+    /// `Engine::task_finished`.
     pub fn tasks_by(&self) -> HashMap<(DeviceKind, u8), u64> {
         let mut by = HashMap::new();
         for (_, kind, level, n) in self.completions() {
@@ -316,7 +316,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
 
     /// `(node, device kind, level) -> completed buffers` — node = filter
     /// id in graph runs, so this is the per-filter completion view.
-    pub fn tasks_by_node(&self) -> HashMap<(usize, DeviceKind, u8), u64> {
+    pub(crate) fn tasks_by_node(&self) -> HashMap<(usize, DeviceKind, u8), u64> {
         self.completions()
             .map(|(node, kind, level, n)| ((node, kind, level), n))
             .collect()
@@ -339,7 +339,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     }
 
     /// `edge id -> buffers delivered` over dataflow edges via
-    /// [`Engine::deliver_edge`]. Together with per-filter completions this
+    /// `Engine::deliver_edge`. Together with per-filter completions this
     /// is the per-edge side of the conservation invariant (delivered =
     /// consumed + still queued). An edge appears once it has delivered.
     pub fn edge_delivered(&self) -> HashMap<u32, u64> {
@@ -352,12 +352,12 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     }
 
     /// Total completed buffers.
-    pub fn total_done(&self) -> u64 {
+    pub(crate) fn total_done(&self) -> u64 {
         self.total_done
     }
 
     /// Borrow every worker's measurement series, node-major in slot order.
-    pub fn worker_stats(&self) -> impl Iterator<Item = WorkerStats<'_>> {
+    pub(crate) fn worker_stats(&self) -> impl Iterator<Item = WorkerStats<'_>> {
         self.nodes.iter().flat_map(|ns| {
             ns.workers.iter().map(|w| WorkerStats {
                 device: w.device,
@@ -388,7 +388,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
 
     /// Seed a reader with a not-yet-requested buffer. Seeds join the
     /// low-priority FIFO band so recirculated work keeps precedence.
-    pub fn seed_reader(&mut self, reader: usize, buffer: DataBuffer) {
+    pub(crate) fn seed_reader(&mut self, reader: usize, buffer: DataBuffer) {
         let w = select::weights_for(&self.weights, &buffer);
         self.nodes[reader].reader.insert_banded(buffer, w, None, 1);
     }
@@ -407,7 +407,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     /// low-priority seed band exactly like [`Engine::seed_reader`], then
     /// every starved worker is woken — a seed arriving after workers have
     /// drained the reader would otherwise never be requested.
-    pub fn seed_live<D: Transport>(&mut self, reader: usize, buffer: DataBuffer, d: &mut D) {
+    pub(crate) fn seed_live<D: Transport>(&mut self, reader: usize, buffer: DataBuffer, d: &mut D) {
         let w = select::weights_for(&self.weights, &buffer);
         self.nodes[reader].reader.insert_banded(buffer, w, None, 1);
         self.wake_starved(d);
@@ -419,7 +419,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     /// precedence over unread seeds; starved workers are woken. Emits the
     /// `edge_enqueued` trace event at the destination filter and counts
     /// the delivery toward the per-edge conservation invariant.
-    pub fn deliver_edge<D: Transport>(
+    pub(crate) fn deliver_edge<D: Transport>(
         &mut self,
         edge: u32,
         reader: usize,
@@ -442,14 +442,18 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     }
 
     /// Buffers currently queued at a reader.
-    pub fn reader_len(&self, reader: usize) -> usize {
+    pub(crate) fn reader_len(&self, reader: usize) -> usize {
         self.nodes[reader].reader.len()
     }
 
     /// Answer a data request arriving at `reader` from a device of
     /// `proctype`: DBSA sorted selection when the policy selects at the
     /// sender, FIFO otherwise. `None` means the reader has drained.
-    pub fn answer_request(&mut self, reader: usize, proctype: DeviceKind) -> Option<DataBuffer> {
+    pub(crate) fn answer_request(
+        &mut self,
+        reader: usize,
+        proctype: DeviceKind,
+    ) -> Option<DataBuffer> {
         let sender_sorted = self.cfg.policy.kind.sender_selects();
         let buffer = select::pop_for(&mut self.nodes[reader].reader, sender_sorted, proctype)
             .map(|(b, _)| b);
@@ -473,7 +477,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     /// ready queue (or releases the window slot on an empty reply), and
     /// re-pumps/dispatches. Unknown `req_id`s (e.g. `u64::MAX`) settle
     /// nothing — drivers use them as pure kicks to start the requesters.
-    pub fn data_arrived<D: Transport + Executor>(
+    pub(crate) fn data_arrived<D: Transport + Executor>(
         &mut self,
         node: usize,
         worker: usize,
@@ -622,8 +626,8 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     /// occupancy: records the finish and the completion counters. The
     /// driver decides what the completion *means* (final result,
     /// recalculation loop-back) and separately frees the slot via
-    /// [`Engine::worker_idle`].
-    pub fn task_finished(
+    /// `Engine::worker_idle`.
+    pub(crate) fn task_finished(
         &mut self,
         node: usize,
         worker: usize,
@@ -672,7 +676,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     /// re-enqueues the buffer on the node's ready queue — a task is never
     /// abandoned, so completion accounting stays exactly-once. The driver
     /// still frees the slot via [`Engine::worker_idle`] as usual.
-    pub fn task_failed<D: Transport + Executor>(
+    pub(crate) fn task_failed<D: Transport + Executor>(
         &mut self,
         node: usize,
         worker: usize,
@@ -780,7 +784,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     /// slot's alive/draining/busy/outstanding/starved state. Drivers embed
     /// it in deadline errors so a stalled run reports *where* the missing
     /// work sits instead of just that it never finished.
-    pub fn debug_node_state(&self, node: usize) -> String {
+    pub(crate) fn debug_node_state(&self, node: usize) -> String {
         let n = &self.nodes[node];
         let workers: Vec<String> = n
             .workers
@@ -807,7 +811,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     }
 
     /// Is the worker slot still alive?
-    pub fn worker_alive(&self, node: usize, worker: usize) -> bool {
+    pub(crate) fn worker_alive(&self, node: usize, worker: usize) -> bool {
         self.nodes[node].workers[worker].alive
     }
 
@@ -818,7 +822,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
 
     /// Worker slots that can still be assigned work: alive and not
     /// draining. The autoscaler sizes the pool against this count.
-    pub fn active_worker_count(&self) -> usize {
+    pub(crate) fn active_worker_count(&self) -> usize {
         self.nodes
             .iter()
             .flat_map(|n| n.workers.iter())
@@ -836,7 +840,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     /// readers; DDWRR/DBSA weights come from the run's shared
     /// [`WeightProvider`], so a joiner of an already-profiled device class
     /// inherits the estimator's bootstrap profiles at full fidelity.
-    pub fn join_worker<D: Transport + Executor>(
+    pub(crate) fn join_worker<D: Transport + Executor>(
         &mut self,
         node: usize,
         device: DeviceId,
@@ -863,7 +867,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     /// item settles the slot is released with a `worker_left` event; an
     /// already-idle slot with no outstanding requests releases
     /// immediately. Draining a dead or already-draining slot is a no-op.
-    pub fn drain_worker(&mut self, node: usize, worker: usize) {
+    pub(crate) fn drain_worker(&mut self, node: usize, worker: usize) {
         let (dev, outstanding) = {
             let w = &mut self.nodes[node].workers[worker];
             if !w.alive || w.draining {
@@ -917,7 +921,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     /// requested *data* is never lost, because a reader hands a buffer out
     /// only when the reply is actually delivered or conserved by the
     /// driver's drop path.
-    pub fn request_timed_out<D: Transport>(
+    pub(crate) fn request_timed_out<D: Transport>(
         &mut self,
         node: usize,
         worker: usize,
@@ -971,7 +975,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
 
     /// `worker` became free after processing the given per-buffer
     /// durations: DQAA adaptation, window trace, re-request, re-dispatch.
-    pub fn worker_idle<D: Transport + Executor>(
+    pub(crate) fn worker_idle<D: Transport + Executor>(
         &mut self,
         node: usize,
         worker: usize,

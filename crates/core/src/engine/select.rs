@@ -2,7 +2,7 @@
 //!
 //! Table 5 of the paper distinguishes the three policies by *where* queues
 //! are consumed sorted-by-speedup versus FIFO. Every such decision in the
-//! codebase funnels through [`pop_for`]: the engine's receiver-side ready
+//! codebase funnels through `pop_for`: the engine's receiver-side ready
 //! queues, the reader/DBSA sender side ([`crate::dbsa::SendQueue`]), and
 //! the threaded runtime's stage queues (via [`ReadyLane`]). Backends never
 //! re-implement the ordering rule.
@@ -19,7 +19,7 @@ use crate::weights::WeightProvider;
 /// Pop the next buffer from `queue` for a device of `kind`: the
 /// highest-weighted buffer for that device when `sorted`, the oldest
 /// buffer otherwise. Returns the buffer and its requesting-worker tag.
-pub fn pop_for(
+pub(crate) fn pop_for(
     queue: &mut SharedQueue,
     sorted: bool,
     kind: DeviceKind,
@@ -94,7 +94,7 @@ impl ReadyLane {
 
     /// True if `push` consults the weight vector: FIFO-only lanes ignore
     /// it, so callers can skip computing weights entirely.
-    pub fn needs_weights(&self) -> bool {
+    pub(crate) fn needs_weights(&self) -> bool {
         !matches!(self.store, LaneStore::Fifo(_))
     }
 

@@ -3,7 +3,7 @@
 //! The smallest possible backend: transport is a FIFO message queue with
 //! zero cost, the executor runs handlers inline one buffer at a time, and
 //! the clock ticks once per message. Because every scheduling decision is
-//! made by the shared [`Engine`](super::Engine), the assignment a workload
+//! made by the shared [`Engine`], the assignment a workload
 //! receives here is the engine's *reference* behaviour — the cross-backend
 //! policy-parity tests pin the DES against it. It is also the template for
 //! adding a new backend: implement [`Transport`] + [`Executor`], feed the
@@ -260,7 +260,7 @@ where
 #[derive(Debug, Default)]
 pub struct GraphEmission {
     /// Buffers emitted downstream: routed over the filter's forward
-    /// out-edges ([`DataflowGraph::route_forward`]); with no matching
+    /// out-edges (`DataflowGraph::route_forward`); with no matching
     /// out-edge they leave the graph as run outputs.
     pub forward: Vec<DataBuffer>,
     /// Buffers explicitly recirculated: delivered over the filter's

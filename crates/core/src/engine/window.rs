@@ -15,7 +15,7 @@ use crate::policy::Policy;
 /// batch reserve for dynamic ones (a batched GPU manager must hold the
 /// in-service batch *and* the latency-hiding window).
 #[derive(Debug, Clone)]
-pub struct RequestWindow {
+pub(crate) struct RequestWindow {
     dqaa: Dqaa,
     static_target: usize,
     dynamic: bool,
@@ -41,7 +41,7 @@ pub(crate) struct SentRequest {
 /// schedule well-defined at any attempt count and any virtual time — a
 /// deadline computed from it can at worst pin to `SimTime::MAX` ("never"),
 /// it can never wrap to the past.
-pub fn backoff_timeout(base: SimDuration, attempt: u32, cap: SimDuration) -> SimDuration {
+pub(crate) fn backoff_timeout(base: SimDuration, attempt: u32, cap: SimDuration) -> SimDuration {
     let scaled = if attempt >= 64 {
         SimDuration(u64::MAX)
     } else {
@@ -53,7 +53,7 @@ pub fn backoff_timeout(base: SimDuration, attempt: u32, cap: SimDuration) -> Sim
 impl RequestWindow {
     /// A fresh window for one worker under `policy`, with the DQAA target
     /// bounded by `max_window`.
-    pub fn new(policy: &Policy, max_window: usize) -> RequestWindow {
+    pub(crate) fn new(policy: &Policy, max_window: usize) -> RequestWindow {
         RequestWindow {
             dqaa: Dqaa::new(max_window),
             static_target: policy.request_size,
@@ -66,7 +66,7 @@ impl RequestWindow {
     }
 
     /// Current target window.
-    pub fn target(&self) -> usize {
+    pub(crate) fn target(&self) -> usize {
         if self.dynamic {
             self.dqaa.target() + self.batch_reserve
         } else {
@@ -75,19 +75,19 @@ impl RequestWindow {
     }
 
     /// Requests in flight (sent but not yet settled).
-    pub fn outstanding(&self) -> usize {
+    pub(crate) fn outstanding(&self) -> usize {
         self.outstanding
     }
 
     /// True when the worker found no reader with data and is waiting for a
     /// wake-up.
-    pub fn is_starved(&self) -> bool {
+    pub(crate) fn is_starved(&self) -> bool {
         self.starved
     }
 
     /// Extra target slots covering an in-service batch (an async GPU
     /// manager's current stream count); ignored by static policies.
-    pub fn set_batch_reserve(&mut self, slots: usize) {
+    pub(crate) fn set_batch_reserve(&mut self, slots: usize) {
         self.batch_reserve = slots;
     }
 

@@ -7,10 +7,10 @@
 //! hop:
 //!
 //! * **Message faults** — every request or reply traversing the transport
-//!   asks [`FaultInjector::message_fate`] whether it is delivered, delayed
+//!   asks `FaultInjector::message_fate` whether it is delivered, delayed
 //!   by a fixed span, or dropped on the wire.
 //! * **Transient task failures** — a completed execution asks
-//!   [`FaultInjector::task_fails`] whether the result is discarded (the
+//!   `FaultInjector::task_fails` whether the result is discarded (the
 //!   device time was still spent — the buffer must be re-run).
 //! * **Permanent worker death** — [`FaultConfig::deaths`] lists `(node,
 //!   worker, at)` triples; the driver kills the slot at the given virtual
@@ -51,7 +51,7 @@ impl FaultProb {
     }
 
     /// The probability in effect for `(node, worker)`.
-    pub fn for_worker(&self, node: usize, worker: usize) -> f64 {
+    pub(crate) fn for_worker(&self, node: usize, worker: usize) -> f64 {
         self.per_worker
             .iter()
             .find(|&&(n, w, _)| n == node && w == worker)
@@ -176,29 +176,11 @@ impl FaultConfig {
             recovery: RecoveryConfig::disabled(),
         }
     }
-
-    /// A uniform message-drop schedule with standard recovery.
-    pub fn message_drop(seed: u64, p: f64) -> FaultConfig {
-        FaultConfig {
-            seed,
-            drop: FaultProb::uniform(p),
-            recovery: RecoveryConfig::standard(),
-            ..FaultConfig::none()
-        }
-    }
-
-    /// Does this schedule inject anything at all?
-    pub fn is_active(&self) -> bool {
-        !self.drop.is_zero()
-            || !self.delay.is_zero()
-            || !self.task_fail.is_zero()
-            || !self.deaths.is_empty()
-    }
 }
 
 /// What the injector decided for one message hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MessageFate {
+pub(crate) enum MessageFate {
     /// Delivered normally.
     Deliver,
     /// Delivered after the extra span.
@@ -210,7 +192,7 @@ pub enum MessageFate {
 /// The deterministic decision core: per-category RNG streams forked from
 /// one seed, queried by drivers at each hop.
 #[derive(Debug, Clone)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     drop: FaultProb,
     delay: FaultProb,
     delay_by: SimDuration,
@@ -221,7 +203,7 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// An injector for the given schedule.
-    pub fn new(cfg: &FaultConfig) -> FaultInjector {
+    pub(crate) fn new(cfg: &FaultConfig) -> FaultInjector {
         let root = SimRng::new(cfg.seed);
         FaultInjector {
             drop: cfg.drop.clone(),
@@ -238,7 +220,7 @@ impl FaultInjector {
     /// The zero-probability fast path never touches the RNG, so an
     /// all-zero schedule draws an identical (empty) random stream to no
     /// schedule at all.
-    pub fn message_fate(&mut self, node: usize, worker: usize) -> MessageFate {
+    pub(crate) fn message_fate(&mut self, node: usize, worker: usize) -> MessageFate {
         let p_drop = self.drop.for_worker(node, worker);
         if p_drop > 0.0 && self.rng_msg.chance(p_drop) {
             return MessageFate::Drop;
@@ -251,7 +233,7 @@ impl FaultInjector {
     }
 
     /// Decide whether a completion on `(node, worker)` transiently fails.
-    pub fn task_fails(&mut self, node: usize, worker: usize) -> bool {
+    pub(crate) fn task_fails(&mut self, node: usize, worker: usize) -> bool {
         let p = self.task_fail.for_worker(node, worker);
         p > 0.0 && self.rng_task.chance(p)
     }
@@ -260,6 +242,26 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultConfig {
+        /// A uniform message-drop schedule with standard recovery.
+        fn message_drop(seed: u64, p: f64) -> FaultConfig {
+            FaultConfig {
+                seed,
+                drop: FaultProb::uniform(p),
+                recovery: RecoveryConfig::standard(),
+                ..FaultConfig::none()
+            }
+        }
+
+        /// Does this schedule inject anything at all?
+        fn is_active(&self) -> bool {
+            !self.drop.is_zero()
+                || !self.delay.is_zero()
+                || !self.task_fail.is_zero()
+                || !self.deaths.is_empty()
+        }
+    }
 
     #[test]
     fn per_worker_override_wins_over_base() {

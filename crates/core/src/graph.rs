@@ -5,7 +5,7 @@
 //! module is the structural layer the runtime schedules over — it owns no
 //! policy and no execution, only the topology and the per-edge routing
 //! rule that decides where a buffer emitted by filter *i* is delivered
-//! ([`DataflowGraph::deliver_emission`] applies that rule to an engine for
+//! (`DataflowGraph::deliver_emission` applies that rule to an engine for
 //! the driver whose deliveries are instant).
 //!
 //! Routing modes mirror Anthill's stream kinds:
@@ -87,19 +87,9 @@ impl EdgeSpec {
         }
     }
 
-    /// A forward labeled stream receiving buffers of level `label`.
-    pub fn labeled(from: usize, to: usize, label: u8) -> EdgeSpec {
-        EdgeSpec {
-            from,
-            to,
-            routing: Routing::Labeled,
-            label: Some(label),
-            feedback: false,
-        }
-    }
-
     /// A forward broadcast stream.
-    pub fn broadcast(from: usize, to: usize) -> EdgeSpec {
+    #[cfg(test)]
+    pub(crate) fn broadcast(from: usize, to: usize) -> EdgeSpec {
         EdgeSpec {
             from,
             to,
@@ -178,8 +168,6 @@ pub struct DataflowGraph {
     in_edges: Vec<Vec<usize>>,
     /// Per filter: its feedback out-edge, if declared.
     feedback: Vec<Option<usize>>,
-    /// Filters in one valid topological order of the forward edges.
-    topo: Vec<usize>,
 }
 
 impl DataflowGraph {
@@ -216,12 +204,13 @@ impl DataflowGraph {
                 in_edges[e.to].push(ei);
             }
         }
-        // Kahn's algorithm over the forward edges.
+        // Kahn's algorithm over the forward edges: it visits every filter
+        // exactly when they are acyclic.
         let mut indegree: Vec<usize> = in_edges.iter().map(Vec::len).collect();
         let mut frontier: Vec<usize> = (0..n).filter(|&f| indegree[f] == 0).collect();
-        let mut topo = Vec::with_capacity(n);
+        let mut visited = 0;
         while let Some(f) = frontier.pop() {
-            topo.push(f);
+            visited += 1;
             for &ei in &out_edges[f] {
                 let t = edges[ei].to;
                 indegree[t] -= 1;
@@ -230,7 +219,7 @@ impl DataflowGraph {
                 }
             }
         }
-        if topo.len() != n {
+        if visited != n {
             return Err(GraphError::Cycle);
         }
         Ok(DataflowGraph {
@@ -239,7 +228,6 @@ impl DataflowGraph {
             out_edges,
             in_edges,
             feedback,
-            topo,
         })
     }
 
@@ -299,17 +287,12 @@ impl DataflowGraph {
     }
 
     /// Forward out-edge ids of `filter`, in declaration order.
-    pub fn out_edges(&self, filter: usize) -> &[usize] {
+    pub(crate) fn out_edges(&self, filter: usize) -> &[usize] {
         &self.out_edges[filter]
     }
 
-    /// Forward in-edge ids of `filter`, in declaration order.
-    pub fn in_edges(&self, filter: usize) -> &[usize] {
-        &self.in_edges[filter]
-    }
-
     /// The filter's feedback out-edge, if declared.
-    pub fn feedback_edge(&self, filter: usize) -> Option<usize> {
+    pub(crate) fn feedback_edge(&self, filter: usize) -> Option<usize> {
         self.feedback[filter]
     }
 
@@ -320,21 +303,9 @@ impl DataflowGraph {
             .collect()
     }
 
-    /// Filters with no forward out-edges (the graph's sinks).
-    pub fn sinks(&self) -> Vec<usize> {
-        (0..self.n_filters())
-            .filter(|&f| self.out_edges[f].is_empty())
-            .collect()
-    }
-
-    /// Filters in a valid topological order of the forward edges.
-    pub fn topo_order(&self) -> &[usize] {
-        &self.topo
-    }
-
     /// True if any edge uses broadcast routing (backends whose task
     /// payloads cannot be cloned reject such graphs).
-    pub fn has_broadcast(&self) -> bool {
+    pub(crate) fn has_broadcast(&self) -> bool {
         self.edges.iter().any(|e| e.routing == Routing::Broadcast)
     }
 
@@ -344,7 +315,7 @@ impl DataflowGraph {
     /// delivered — one round-robin out-edge (rotated via `cursors`)
     /// receives it. An empty result means the emission leaves the graph
     /// (`from` is a sink for this buffer).
-    pub fn route_forward(
+    pub(crate) fn route_forward(
         &self,
         from: usize,
         level: u8,
@@ -386,7 +357,7 @@ impl DataflowGraph {
     /// precedence; each forward buffer goes to every
     /// [`route_forward`](DataflowGraph::route_forward) target (cloned for
     /// all but the last) and joins `outputs` when no edge matches.
-    pub fn deliver_emission<C: Clock, W: WeightProvider, D: Transport>(
+    pub(crate) fn deliver_emission<C: Clock, W: WeightProvider, D: Transport>(
         &self,
         filter: usize,
         emission: GraphEmission,
@@ -423,13 +394,13 @@ impl DataflowGraph {
 /// round-robin edge, which every backend must preserve for cross-backend
 /// parity.
 #[derive(Debug, Clone)]
-pub struct RoutingCursors {
+pub(crate) struct RoutingCursors {
     next_out: Vec<usize>,
 }
 
 impl RoutingCursors {
     /// Fresh cursors (first round-robin edge next) for `graph`.
-    pub fn new(graph: &DataflowGraph) -> RoutingCursors {
+    pub(crate) fn new(graph: &DataflowGraph) -> RoutingCursors {
         RoutingCursors {
             next_out: vec![0; graph.n_filters()],
         }
@@ -439,6 +410,33 @@ impl RoutingCursors {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DataflowGraph {
+        /// Forward in-edge ids of `filter`, in declaration order.
+        fn in_edges(&self, filter: usize) -> &[usize] {
+            &self.in_edges[filter]
+        }
+
+        /// Filters with no forward out-edges (the graph's sinks).
+        fn sinks(&self) -> Vec<usize> {
+            (0..self.n_filters())
+                .filter(|&f| self.out_edges[f].is_empty())
+                .collect()
+        }
+    }
+
+    impl EdgeSpec {
+        /// A forward labeled stream receiving buffers of level `label`.
+        fn labeled(from: usize, to: usize, label: u8) -> EdgeSpec {
+            EdgeSpec {
+                from,
+                to,
+                routing: Routing::Labeled,
+                label: Some(label),
+                feedback: false,
+            }
+        }
+    }
 
     #[test]
     fn single_filter_graph_is_degenerate() {
@@ -590,18 +588,5 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, GraphError::MultipleFeedback { filter: 1 });
-    }
-
-    #[test]
-    fn topo_order_respects_forward_edges() {
-        let g = DataflowGraph::diamond("s", "l", "r", "k");
-        let pos: Vec<usize> = {
-            let order = g.topo_order();
-            (0..4)
-                .map(|f| order.iter().position(|&x| x == f).unwrap())
-                .collect()
-        };
-        assert!(pos[0] < pos[1] && pos[0] < pos[2]);
-        assert!(pos[1] < pos[3] && pos[2] < pos[3]);
     }
 }

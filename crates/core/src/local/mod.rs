@@ -29,10 +29,8 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::buffer::DataBuffer;
 use crate::engine::admission::{AdmissionConfig, AdmissionController, AdmissionCounters, Offer};
@@ -169,7 +167,7 @@ struct DispatchShard {
 
 /// The payload/attempt side table, split over independently locked shards
 /// so concurrent workers touching different buffers never contend (see
-/// `DESIGN.md` §10 for the lock map).
+/// `DESIGN.md` §8 for the lock map).
 struct DispatchState {
     shards: Vec<Mutex<DispatchShard>>,
 }
@@ -195,13 +193,14 @@ impl DispatchState {
 
     /// Park a payload while its buffer sits in a stage queue.
     fn park(&self, id: u64, payload: Box<dyn Any + Send>) {
-        self.shard(id).lock().payloads.insert(id, payload);
+        self.shard(id).lock().unwrap().payloads.insert(id, payload);
     }
 
     /// Claim the payload of a dispatched buffer.
     fn claim(&self, id: u64) -> Box<dyn Any + Send> {
         self.shard(id)
             .lock()
+            .unwrap()
             .payloads
             .remove(&id)
             .expect("payload parked for queued buffer")
@@ -209,7 +208,7 @@ impl DispatchState {
 
     /// Bump and return the buffer's transient-failure count.
     fn bump_attempt(&self, id: u64) -> u32 {
-        let mut s = self.shard(id).lock();
+        let mut s = self.shard(id).lock().unwrap();
         let e = s.attempts.entry(id).or_insert(0);
         *e += 1;
         *e
@@ -373,6 +372,20 @@ struct LoadSpec<'a> {
     samples: &'a Mutex<Vec<QueueDepthSample>>,
 }
 
+/// Shuts the run down if its thread unwinds: a panic anywhere in a worker
+/// or the injector (a handler, `make_task`, `on_complete`) wakes every
+/// sleeper, and reaches the caller through the scope's join instead of
+/// leaving the other threads asleep.
+struct ShutdownOnPanic<F: Fn()>(F);
+
+impl<F: Fn()> Drop for ShutdownOnPanic<F> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            (self.0)();
+        }
+    }
+}
+
 struct Stage {
     filter: Arc<dyn LocalFilter>,
     workers: Vec<WorkerSpec>,
@@ -410,14 +423,12 @@ impl Pipeline {
     /// default linear chain — which is itself the graph
     /// [`DataflowGraph::pipeline`] builds over the stages, so reports and
     /// traces have the same shape either way. Stage `i` hosts filter `i` of
-    /// the graph, a
-    /// handler's `forward` output travels over the filter's matching
-    /// out-edge (round-robin or labeled, see
-    /// [`route_forward`](DataflowGraph::route_forward)), and
-    /// `recirculate` uses the filter's declared feedback edge when one
-    /// exists (self-recirculation otherwise). Forward emissions with no
-    /// matching out-edge leave the run as outputs. Sources are still
-    /// seeded into stage 0.
+    /// the graph, a handler's `forward` output travels over the filter's
+    /// matching out-edge (round-robin or labeled), and `recirculate` uses
+    /// the filter's declared feedback edge when one exists
+    /// (self-recirculation otherwise). Forward emissions with no matching
+    /// out-edge leave the run as outputs. Sources are still seeded into
+    /// stage 0.
     ///
     /// Broadcast edges are rejected here: the native runtime moves opaque
     /// `Box<dyn Any>` payloads, which cannot be duplicated — broadcast
@@ -554,10 +565,10 @@ impl Pipeline {
         };
         let (_outputs, local) = self.run_inner(Vec::new(), Some(&spec), weights, recorder);
         LoadRunReport {
-            admission: intake.into_inner().ctl.counters(),
+            admission: intake.into_inner().unwrap().ctl.counters(),
             completed: completed.load(Ordering::SeqCst),
             local,
-            queue_depth: samples.into_inner(),
+            queue_depth: samples.into_inner().unwrap(),
         }
     }
 
@@ -664,12 +675,12 @@ impl Pipeline {
             } else {
                 [0.0; 2]
             };
-            let mut q = sq.queue.lock();
+            let mut q = sq.queue.lock().unwrap();
             if bounded {
                 if let Some(cap) = capacity {
                     while q.ready.len() >= cap && !done.load(Ordering::SeqCst) {
                         q.full += 1;
-                        sq.space.wait(&mut q);
+                        q = sq.space.wait(q).unwrap();
                         q.full -= 1;
                     }
                 }
@@ -709,11 +720,13 @@ impl Pipeline {
         };
         // End the run: wake everyone to exit. Taking each queue lock before
         // notifying closes the missed-wakeup window against workers between
-        // their done-check and wait.
+        // their done-check and wait. This is the one place a poisoned lock
+        // is recovered: a thread that panicked under a lane lock must still
+        // wake every sleeper; anywhere else the run has already panicked.
         let shutdown = &|| {
             done.store(true, Ordering::SeqCst);
             for q in queues {
-                let _guard = q.queue.lock();
+                let _guard = q.queue.lock().unwrap_or_else(PoisonError::into_inner);
                 q.cv.notify_all();
                 q.space.notify_all();
             }
@@ -737,6 +750,7 @@ impl Pipeline {
         let outputs: Vec<LocalTask> = std::thread::scope(|scope| {
             if let Some(load) = load {
                 scope.spawn(move || {
+                    let _shutdown = ShutdownOnPanic(shutdown);
                     let sample_every = load.sample_every;
                     let mut next_sample = Duration::ZERO;
                     // Depth snapshot: each lock is taken and dropped on its
@@ -750,15 +764,15 @@ impl Pipeline {
                         let mut per_stage = Vec::with_capacity(queues.len());
                         let mut ready = 0u64;
                         for sq in queues.iter() {
-                            let depth = sq.queue.lock().ready.len() as u64;
+                            let depth = sq.queue.lock().unwrap().ready.len() as u64;
                             ready += depth;
                             per_stage.push(depth);
                         }
                         let (intake, inflight) = {
-                            let g = load.intake.lock();
+                            let g = load.intake.lock().unwrap();
                             (g.ctl.queued() as u64, g.ctl.inflight() as u64)
                         };
-                        load.samples.lock().push(QueueDepthSample {
+                        load.samples.lock().unwrap().push(QueueDepthSample {
                             t_ns: now.as_nanos() as u64,
                             ready,
                             intake,
@@ -790,7 +804,7 @@ impl Pipeline {
                             }
                         }
                         let mut task = (load.make_task)(i as u64, offset);
-                        let mut intake = load.intake.lock();
+                        let mut intake = load.intake.lock().unwrap();
                         loop {
                             let now_ns = started.elapsed().as_nanos() as u64;
                             let id = task.buffer.id.0;
@@ -821,8 +835,11 @@ impl Pipeline {
                                         break 'arrivals;
                                     }
                                     intake.blocked += 1;
-                                    let _ =
-                                        load.space.wait_for(&mut intake, Duration::from_millis(2));
+                                    intake = load
+                                        .space
+                                        .wait_timeout(intake, Duration::from_millis(2))
+                                        .unwrap()
+                                        .0;
                                     intake.blocked -= 1;
                                 }
                             }
@@ -838,7 +855,7 @@ impl Pipeline {
                         let now = started.elapsed();
                         sample_if_due(now);
                         let (admitted, drained) = {
-                            let mut g = load.intake.lock();
+                            let mut g = load.intake.lock().unwrap();
                             let polled = g.ctl.poll(now.as_nanos() as u64);
                             (polled.admitted, g.ctl.queued() == 0)
                         };
@@ -887,6 +904,7 @@ impl Pipeline {
                     );
                     let mut handled_n: u64 = 0;
                     workers.push(scope.spawn(move || {
+                        let _shutdown = ShutdownOnPanic(shutdown);
                         // Per-worker state, reused task after task: the
                         // terminal outputs, the emit buffers, and the
                         // completions by level, merged into the shared
@@ -901,7 +919,7 @@ impl Pipeline {
                             // critical section is the pop alone.
                             let popped = {
                                 let sq = &queues[si];
-                                let mut q = sq.queue.lock();
+                                let mut q = sq.queue.lock().unwrap();
                                 loop {
                                     if done.load(Ordering::SeqCst) {
                                         break None;
@@ -915,7 +933,7 @@ impl Pipeline {
                                         break Some(buffer);
                                     }
                                     q.idle += 1;
-                                    sq.cv.wait(&mut q);
+                                    q = sq.cv.wait(q).unwrap();
                                     q.idle -= 1;
                                 }
                             };
@@ -993,24 +1011,14 @@ impl Pipeline {
                                 spin_for(Duration::from_secs_f64(modeled.as_secs_f64() * scale));
                             }
                             let level = task.buffer.level;
-                            // A panicking handler must not strand the other
-                            // workers: shut the pipeline down, then let the
-                            // panic propagate through this worker's join.
-                            let handled =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    filter.handle(
-                                        spec.kind,
-                                        task,
-                                        &mut Emitter {
-                                            forward: &mut fwd,
-                                            back: &mut back,
-                                        },
-                                    );
-                                }));
-                            if let Err(payload) = handled {
-                                shutdown();
-                                std::panic::resume_unwind(payload);
-                            }
+                            filter.handle(
+                                spec.kind,
+                                task,
+                                &mut Emitter {
+                                    forward: &mut fwd,
+                                    back: &mut back,
+                                },
+                            );
                             let proc_ns = work_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
                             recorder.record_now(
                                 started,
@@ -1049,7 +1057,7 @@ impl Pipeline {
                                     let targets = graph.route_forward(
                                         si,
                                         t.buffer.level,
-                                        &mut cursors.lock(),
+                                        &mut cursors.lock().unwrap(),
                                     );
                                     assert!(
                                         targets.len() <= 1,
@@ -1075,7 +1083,7 @@ impl Pipeline {
                                     let finished_ns = started.elapsed().as_nanos() as u64;
                                     (load.on_complete)(t, started_ns, finished_ns);
                                     let (admitted, injector_asleep) = {
-                                        let mut g = load.intake.lock();
+                                        let mut g = load.intake.lock().unwrap();
                                         g.ctl.release();
                                         (g.ctl.poll(finished_ns).admitted, g.blocked > 0)
                                     };
@@ -1104,7 +1112,7 @@ impl Pipeline {
                         // fold the per-worker tallies into the shared
                         // report in one step.
                         if handled_n > 0 {
-                            let mut c = counters.lock();
+                            let mut c = counters.lock().unwrap();
                             for (level, &n) in tallies.iter().enumerate().filter(|(_, &n)| n > 0) {
                                 *c.entry((si, spec.kind, level as u8)).or_insert(0) += n;
                             }
@@ -1125,7 +1133,7 @@ impl Pipeline {
 
         // Every worker has joined: move the counter map out instead of
         // cloning a snapshot under its lock.
-        let handled = std::mem::take(&mut *counters.lock());
+        let handled = std::mem::take(&mut *counters.lock().unwrap());
         (
             outputs,
             LocalReport {
@@ -1761,7 +1769,7 @@ mod tests {
             &Recorder::disabled(),
             &|t, started_ns, finished_ns| {
                 assert!(finished_ns >= started_ns);
-                completions.lock().push(t.buffer.id.0);
+                completions.lock().unwrap().push(t.buffer.id.0);
             },
         );
         assert_eq!(report.admission.generated, 500);
@@ -1769,7 +1777,7 @@ mod tests {
         assert!(report.admission.conserved());
         assert_eq!(report.completed, 500);
         assert_eq!(report.local.total(), 500);
-        let mut ids = completions.into_inner();
+        let mut ids = completions.into_inner().unwrap();
         ids.sort_unstable();
         assert_eq!(ids, (0..500).collect::<Vec<_>>());
         assert!(!report.queue_depth.is_empty(), "sampled queue depths");

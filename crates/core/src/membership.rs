@@ -6,10 +6,10 @@
 //! the sequential reference driver, the DES, the native threaded runtime
 //! and the TCP backend, because all of them route through the engine's
 //! Clock/Transport/Executor seam. A slot's lifecycle itself is the
-//! engine's and nobody else's: [`crate::engine::Engine::join_worker`]
-//! makes it Active, [`crate::engine::Engine::drain_worker`] Draining, and
-//! the drain's last settled item (or [`crate::engine::Engine::worker_died`])
-//! Gone; every transition is a no-op where it is not legal.
+//! engine's and nobody else's: `Engine::join_worker` makes it Active,
+//! `Engine::drain_worker` Draining, and the drain's last settled item (or
+//! [`crate::engine::Engine::worker_died`]) Gone; every transition is a
+//! no-op where it is not legal.
 //!
 //! * [`MembershipSchedule`] — a deterministic script of join/drain
 //!   actions keyed on the run's completion count. Virtual-time backends
@@ -63,10 +63,9 @@ pub struct ScheduledAction {
 }
 
 /// A deterministic script of membership changes, consumed in completion
-/// order. Drivers call [`MembershipSchedule::pop_due`] after every task
-/// completion and apply the returned actions through
-/// [`crate::engine::Engine::join_worker`] /
-/// [`crate::engine::Engine::drain_worker`].
+/// order. Drivers call `MembershipSchedule::pop_due` after every task
+/// completion and apply the returned actions through `Engine::join_worker`
+/// / `Engine::drain_worker`.
 #[derive(Debug, Clone, Default)]
 pub struct MembershipSchedule {
     actions: Vec<ScheduledAction>,
@@ -88,7 +87,7 @@ impl MembershipSchedule {
 
     /// Pop the next action whose threshold `completions` has reached, if
     /// any. Call in a loop — several actions may share a threshold.
-    pub fn pop_due(&mut self, completions: u64) -> Option<MemberAction> {
+    pub(crate) fn pop_due(&mut self, completions: u64) -> Option<MemberAction> {
         let a = self.actions.get(self.next)?;
         if a.after_completions <= completions {
             self.next += 1;

@@ -1,5 +1,5 @@
 //! `net::conn` — the per-connection non-blocking state machine used by
-//! the event-loop coordinator ([`super::eventloop`]).
+//! the event-loop coordinator (`super::eventloop`).
 //!
 //! A [`Conn`] owns one peer's read and write halves:
 //!
@@ -162,7 +162,7 @@ impl<IO: RawIo> Conn<IO> {
     }
 
     /// Is the read side still open?
-    pub fn read_open(&self) -> bool {
+    pub(crate) fn read_open(&self) -> bool {
         self.read_open
     }
 

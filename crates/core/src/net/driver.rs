@@ -17,14 +17,14 @@
 //!   slot)`, so no frame names a filter; a single filter is the
 //!   one-filter graph ([`DataflowGraph::single`]), not a driver of its own.
 //! * [`run_concurrent`] and its siblings — wall clock: every connection
-//!   is a non-blocking socket multiplexed by one [`Reactor`] on the
+//!   is a non-blocking socket multiplexed by one `Reactor` on the
 //!   coordinator thread, and workers genuinely execute in parallel. Every
 //!   decision — DQAA windows, DBSA picks, request timeouts, heartbeat
 //!   silence, worker death and drain, open-loop admission, the
-//!   autoscaler — is made by the [`Coordinator`], a function of time and
+//!   autoscaler — is made by the `Coordinator`, a function of time and
 //!   input that touches no socket. This module is its shell: it reads the
 //!   clock, performs the `Hello`, `Join` and pool-grow handshakes, hands
-//!   the coordinator one [`Input`] per socket event, finished handshake or
+//!   the coordinator one `Input` per socket event, finished handshake or
 //!   elapsed wait, and carries out the outbox each input leaves. The entry
 //!   points differ only in what they hand the coordinator: a join
 //!   listener and scripted [`DrainAt`]s ([`run_concurrent_elastic`]), or
@@ -889,15 +889,16 @@ pub struct ElasticLoad<'a> {
 /// Open-loop variant of [`run_concurrent`]: instead of seeding every
 /// source up front, tasks *arrive* on the wall-clock schedule `arrivals`
 /// (nanosecond offsets from the run start, ascending) and pass through an
-/// [`AdmissionController`] before reaching the engine.
+/// [`AdmissionController`](crate::engine::AdmissionController) before
+/// reaching the engine.
 ///
 /// `make_task(index, arrival_ns)` materialises the task for each arrival;
 /// buffer ids must be unique across the schedule. Admitted tasks are
-/// seeded live into the ready queue; under [`OverloadPolicy::Block`]
-/// (see [`crate::engine::OverloadPolicy`]) a full intake stalls the
-/// injector — the arrival index does not advance, modelling generator
-/// back-pressure — while the shedding policies keep the schedule on time
-/// and drop work instead, emitting `task_shed` /
+/// seeded live into the ready queue; under
+/// [`OverloadPolicy::Block`](crate::engine::OverloadPolicy::Block) a full
+/// intake stalls the injector — the arrival index does not advance,
+/// modelling generator back-pressure — while the shedding policies keep
+/// the schedule on time and drop work instead, emitting `task_shed` /
 /// `task_deadline_dropped` events through the configured recorder.
 ///
 /// `on_complete` fires once per completed *admitted* task (recirculated

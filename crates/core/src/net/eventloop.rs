@@ -4,7 +4,7 @@
 //! Every worker connection is a non-blocking [`Conn`] registered with
 //! the [`anthill_poller::Poller`] shim, the elastic listener registers
 //! alongside them, and one `wait` call multiplexes all of it on the
-//! coordinator thread. The reactor surfaces [`Pump`] events to the
+//! coordinator thread. The reactor surfaces `Pump` events to the
 //! wall-clock shell in [`super::driver`] (behind `run_concurrent`,
 //! `run_concurrent_load` and `run_concurrent_elastic`), which turns each
 //! into one input of the coordinator (`super::coord`) — the owner of
@@ -22,7 +22,7 @@
 //! wake-up produces leaves in one `writev` per peer.
 //!
 //! Ordering contract: a slot's decoded frames are always surfaced before
-//! its [`Pump::Closed`] marker, and `Closed` fires at most once per
+//! its `Pump::Closed` marker, and `Closed` fires at most once per
 //! slot — for EOF or a read error, and equally for a write side that a
 //! failed flush or a scheduled sever closed.
 
@@ -86,7 +86,7 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
-    pub fn new() -> io::Result<Reactor> {
+    pub(crate) fn new() -> io::Result<Reactor> {
         Ok(Reactor {
             poller: Poller::new()?,
             conns: Vec::new(),
@@ -104,7 +104,7 @@ impl Reactor {
     }
 
     /// Number of slots ever registered (dead slots keep their index).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.conns.len()
     }
 
@@ -113,7 +113,7 @@ impl Reactor {
     /// `frames_sent` its write count (see [`Conn::new`]); any frames the
     /// handshake buffered whole are surfaced immediately. `scratch`, the
     /// handshake's encode buffer, joins the pool ([`BufPool::add_conn`]).
-    pub fn register(
+    pub(crate) fn register(
         &mut self,
         stream: TcpStream,
         dec: FrameDecoder,
@@ -140,7 +140,7 @@ impl Reactor {
     /// [`Pump::Incoming`] with the stream switched back to blocking mode
     /// for the join handshake (the admit path re-registers it
     /// non-blocking via [`Reactor::register`]).
-    pub fn attach_listener(&mut self, listener: TcpListener) -> io::Result<()> {
+    pub(crate) fn attach_listener(&mut self, listener: TcpListener) -> io::Result<()> {
         listener.set_nonblocking(true)?;
         self.poller
             .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
@@ -151,13 +151,13 @@ impl Reactor {
     /// Queue one frame on `slot`; the bytes leave at the next
     /// [`Reactor::pump`] wait boundary, or at teardown
     /// ([`Reactor::graceful_close`]); [`Reactor::sever`] drops them.
-    pub fn send(&mut self, slot: usize, frame: &Frame) {
+    pub(crate) fn send(&mut self, slot: usize, frame: &Frame) {
         self.send_with(slot, |out| encode_frame_into(out, frame));
     }
 
     /// Queue a `Deliver` frame encoded straight from the dispatched batch,
     /// with no [`Frame`] built around it.
-    pub fn send_deliver(&mut self, slot: usize, kind: DeviceKind, buffers: &[DataBuffer]) {
+    pub(crate) fn send_deliver(&mut self, slot: usize, kind: DeviceKind, buffers: &[DataBuffer]) {
         self.send_with(slot, |out| encode_deliver_into(out, kind, buffers));
     }
 
@@ -194,7 +194,7 @@ impl Reactor {
 
     /// Tear down a slot in both directions (kill/sever path). Late
     /// events for the slot are dropped; its counters are retained.
-    pub fn sever(&mut self, slot: usize) {
+    pub(crate) fn sever(&mut self, slot: usize) {
         if let Some(Some(conn)) = self.conns.get_mut(slot) {
             conn.sever(&mut self.pool);
         }
@@ -204,7 +204,7 @@ impl Reactor {
     /// Graceful close for a drained slot: flush the queue in blocking
     /// mode, send `Shutdown`, and half-close the write side. The slot is
     /// retired — the drained worker's `Bye`/EOF needs no further events.
-    pub fn graceful_close(&mut self, slot: usize) {
+    pub(crate) fn graceful_close(&mut self, slot: usize) {
         if let Some(Some(conn)) = self.conns.get_mut(slot) {
             if conn.write_open() {
                 conn.io_mut().set_nonblocking(false).ok();
@@ -239,7 +239,7 @@ impl Reactor {
 
     /// Wire counters for the whole run so far: retired connections plus
     /// everything still live, plus the shared pool's hit/miss counts.
-    pub fn stats(&self) -> WireStats {
+    pub(crate) fn stats(&self) -> WireStats {
         let mut total = self.retired;
         for conn in self.conns.iter().flatten() {
             total.absorb(&conn.stats);
@@ -251,7 +251,7 @@ impl Reactor {
 
     /// Whether [`Reactor::pump`] holds an event already, which it returns
     /// without a wait.
-    pub fn has_ready(&self) -> bool {
+    pub(crate) fn has_ready(&self) -> bool {
         !self.ready.is_empty()
     }
 
@@ -259,7 +259,7 @@ impl Reactor {
     /// wait boundary: flush the dirty set, then poll the OS for at most
     /// `wait` (plus the thread's timer slack, see `anthill_poller`). `None`
     /// means the timeout elapsed with nothing to do.
-    pub fn pump(&mut self, wait: Duration) -> Option<Pump> {
+    pub(crate) fn pump(&mut self, wait: Duration) -> Option<Pump> {
         if let Some(ev) = self.ready.pop_front() {
             return Some(ev);
         }
@@ -340,7 +340,7 @@ impl Reactor {
     }
 
     /// Gracefully close every remaining slot (run teardown).
-    pub fn shutdown_all(&mut self) {
+    pub(crate) fn shutdown_all(&mut self) {
         for slot in 0..self.conns.len() {
             self.graceful_close(slot);
         }

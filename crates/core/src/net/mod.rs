@@ -17,7 +17,7 @@
 //!   deliveries, heartbeat when idle), runnable as a child process (the
 //!   `net_worker` binary) or as an in-process thread for fast loopback
 //!   tests.
-//! * [`driver`] — the coordinator: a lockstep deterministic mode over a
+//! * `driver` — the coordinator: a lockstep deterministic mode over a
 //!   dataflow graph that *is* the sequential reference driver's loop, a
 //!   socket round trip at every hop (bit-identical per-device counts,
 //!   pinned by the parity suite), and one wall-clock event loop, shared by the
@@ -38,8 +38,8 @@
 
 pub mod conn;
 pub(crate) mod coord;
-pub mod driver;
-pub mod eventloop;
+pub(crate) mod driver;
+pub(crate) mod eventloop;
 pub mod frame;
 pub mod worker;
 

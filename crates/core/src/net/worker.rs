@@ -95,7 +95,7 @@ impl Behavior {
 
 /// Modeled device occupancy for `buffer` on a device of `kind` — the same
 /// number every other backend charges, so completion accounting matches.
-pub fn modeled_proc_ns(buffer: &DataBuffer, kind: DeviceKind) -> u64 {
+pub(crate) fn modeled_proc_ns(buffer: &DataBuffer, kind: DeviceKind) -> u64 {
     match kind {
         DeviceKind::Cpu => buffer.shape.cpu.as_nanos(),
         DeviceKind::Gpu => buffer.shape.gpu_kernel.as_nanos(),
@@ -293,7 +293,7 @@ fn join_handshake(
     }
 }
 
-/// Connect to `addr`, complete the [`join_handshake`], then serve
+/// Connect to `addr`, complete the `join_handshake`, then serve
 /// [`run_worker`] — how a worker enters a run that is already live.
 pub fn join_and_run(
     addr: &str,

@@ -35,7 +35,7 @@
 //! ## Batched emission
 //!
 //! The sink ([`Recorder::enabled`]) is *batched*: each producer thread
-//! appends into one of [`EVENT_SHARDS`] striped buffers (threads are
+//! appends into one of `EVENT_SHARDS` striped buffers (threads are
 //! assigned shards round-robin, so a push is an uncontended mutex acquire
 //! plus a `Vec` push); the events are collected and ordered only when a
 //! reader drains the sink ([`Recorder::events`] /
@@ -47,7 +47,7 @@
 //! `ts_ns` order**, and events with equal timestamps keep their arrival
 //! order (a single producer's program order is preserved — a producer
 //! always appends to the same shard buffer and the drain-time sort is
-//! stable). [`Recorder::record_now`] reads the clock *before* touching
+//! stable). `Recorder::record_now` reads the clock *before* touching
 //! any shared structure, so a producer can never be stamped late by
 //! waiting on a lock; cross-thread ordering is established by the stable
 //! drain-time sort keyed on `ts_ns`, not by serializing every producer
@@ -69,10 +69,8 @@ pub mod json;
 pub mod jsonl;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 pub use event::{DeviceRef, EventKind, TraceEvent};
 
@@ -111,11 +109,11 @@ impl BatchStore {
     /// Pull everything queued in the stripes and restore the ordering
     /// contract (stable sort by `ts_ns`; ties keep each producer's
     /// program order). Returns the drained store, locked.
-    fn drain(&self) -> parking_lot::MutexGuard<'_, Vec<TraceEvent>> {
-        let mut drained = self.drained.lock();
+    fn drain(&self) -> MutexGuard<'_, Vec<TraceEvent>> {
+        let mut drained = self.drained.lock().unwrap();
         let before = drained.len();
         for shard in self.shards.iter() {
-            drained.append(&mut shard.lock());
+            drained.append(&mut shard.lock().unwrap());
         }
         if drained.len() != before {
             drained.sort_by_key(|e| e.ts_ns);
@@ -151,7 +149,7 @@ impl Recorder {
 
     /// Is a sink installed?
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
@@ -159,7 +157,7 @@ impl Recorder {
     #[inline]
     pub fn record(&self, ts_ns: u64, origin: DeviceRef, kind: EventKind) {
         let Some(sink) = &self.inner else { return };
-        sink.shards[event_shard()].lock().push(TraceEvent {
+        sink.shards[event_shard()].lock().unwrap().push(TraceEvent {
             ts_ns,
             origin,
             kind,
@@ -173,7 +171,7 @@ impl Recorder {
     /// Trace order agrees with timestamp order because the drain sorts
     /// stably by `ts_ns` (see the module docs).
     #[inline]
-    pub fn record_now(&self, epoch: Instant, origin: DeviceRef, kind: EventKind) {
+    pub(crate) fn record_now(&self, epoch: Instant, origin: DeviceRef, kind: EventKind) {
         if self.inner.is_none() {
             return;
         }

@@ -47,17 +47,17 @@ pub enum PolicyKind {
 
 impl PolicyKind {
     /// Does the receiver consume its queue sorted by per-device speedup?
-    pub fn receiver_sorted(self) -> bool {
+    pub(crate) fn receiver_sorted(self) -> bool {
         !matches!(self, PolicyKind::DdFcfs)
     }
 
     /// Does the sender select buffers per requesting processor type (DBSA)?
-    pub fn sender_selects(self) -> bool {
+    pub(crate) fn sender_selects(self) -> bool {
         matches!(self, PolicyKind::Odds)
     }
 
     /// Is the per-worker request window adapted at run time (DQAA)?
-    pub fn dynamic_requests(self) -> bool {
+    pub(crate) fn dynamic_requests(self) -> bool {
         matches!(self, PolicyKind::Odds)
     }
 

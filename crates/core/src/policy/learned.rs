@@ -43,9 +43,10 @@ use crate::weights::{pair_weight, Decision, DecisionCtx, ProfileUpdate, WeightPr
 use anthill_estimator::{fnv1a64, DeviceClass, OnlineProfile};
 use anthill_hetsim::DeviceKind;
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// Feature-vector arity of the bandit (see module docs).
-pub const FEATURES: usize = 5;
+pub(crate) const FEATURES: usize = 5;
 
 /// Bound on remembered decision features awaiting their span (guards
 /// workloads whose tasks are shed before finishing).
@@ -150,7 +151,7 @@ pub struct LearnedWeights<W> {
     base: W,
     kind: PolicyKind,
     cfg: LearnedConfig,
-    state: parking_lot::Mutex<State>,
+    state: Mutex<State>,
 }
 
 impl<W: WeightProvider> LearnedWeights<W> {
@@ -165,7 +166,7 @@ impl<W: WeightProvider> LearnedWeights<W> {
             base,
             kind,
             cfg,
-            state: parking_lot::Mutex::new(State {
+            state: Mutex::new(State {
                 profile: OnlineProfile::new(cfg.alpha, cfg.history),
                 residency: BTreeMap::new(),
                 worker_obs: BTreeMap::new(),
@@ -175,18 +176,6 @@ impl<W: WeightProvider> LearnedWeights<W> {
                 updates: 0,
             }),
         }
-    }
-
-    /// Like [`new`](Self::new), warm-started from a persisted profile.
-    pub fn with_profile(
-        kind: PolicyKind,
-        base: W,
-        cfg: LearnedConfig,
-        profile: OnlineProfile,
-    ) -> LearnedWeights<W> {
-        let lw = LearnedWeights::new(kind, base, cfg);
-        lw.state.lock().profile = profile;
-        lw
     }
 
     /// Stable shape key of a buffer (hash of its parameters) — matches
@@ -256,36 +245,21 @@ impl<W: WeightProvider> LearnedWeights<W> {
         ]
     }
 
-    /// Spans observed from `(node, worker)` so far.
-    pub fn observations_for(&self, node: usize, worker: usize) -> u64 {
-        *self
-            .state
-            .lock()
-            .worker_obs
-            .get(&(node, worker))
-            .unwrap_or(&0)
-    }
-
     /// Total decisions rendered.
     pub fn decisions(&self) -> u64 {
-        self.state.lock().decisions
+        self.state.lock().unwrap().decisions
     }
 
     /// Total profile updates ingested.
     pub fn updates(&self) -> u64 {
-        self.state.lock().updates
-    }
-
-    /// Serialize the online profile (see [`OnlineProfile::to_text`]).
-    pub fn profile_text(&self) -> String {
-        self.state.lock().profile.to_text()
+        self.state.lock().unwrap().updates
     }
 }
 
 impl<W: WeightProvider> WeightProvider for LearnedWeights<W> {
     fn predict_time(&self, buf: &DataBuffer, kind: DeviceKind) -> f64 {
         let shape = Self::shape_key(buf);
-        let state = self.state.lock();
+        let state = self.state.lock().unwrap();
         self.blended_time(&state, buf, kind, shape)
     }
 
@@ -299,7 +273,7 @@ impl<W: WeightProvider> WeightProvider for LearnedWeights<W> {
     ) -> Option<ProfileUpdate> {
         let shape = Self::shape_key(buf);
         let class = Self::class_of(kind);
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap();
         let count = state.profile.observe(class, shape, secs);
         let mean = state.profile.mean(class, shape).unwrap_or(secs);
         *state.residency.entry((node, class.0, shape)).or_insert(0) += 1;
@@ -320,7 +294,7 @@ impl<W: WeightProvider> WeightProvider for LearnedWeights<W> {
 
     fn decide(&self, buf: &DataBuffer, ctx: &DecisionCtx) -> Option<Decision> {
         let shape = Self::shape_key(buf);
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap();
         let tc = self.blended_time(&state, buf, DeviceKind::Cpu, shape);
         let tg = self.blended_time(&state, buf, DeviceKind::Gpu, shape);
         let decision = match self.kind {
@@ -392,6 +366,24 @@ mod tests {
     use crate::weights::OracleWeights;
     use anthill_estimator::TaskParams;
     use anthill_hetsim::{GpuParams, NbiaCostModel};
+
+    impl<W: WeightProvider> LearnedWeights<W> {
+        /// Spans observed from `(node, worker)` so far.
+        fn observations_for(&self, node: usize, worker: usize) -> u64 {
+            *self
+                .state
+                .lock()
+                .unwrap()
+                .worker_obs
+                .get(&(node, worker))
+                .unwrap_or(&0)
+        }
+
+        /// Serialize the online profile (see [`OnlineProfile::to_text`]).
+        fn profile_text(&self) -> String {
+            self.state.lock().unwrap().profile.to_text()
+        }
+    }
 
     fn tile(id: u64, side: u32) -> DataBuffer {
         let m = NbiaCostModel::paper_calibrated();

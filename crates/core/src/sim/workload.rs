@@ -44,25 +44,17 @@ impl WorkloadSpec {
     }
 
     /// The shape of a low-resolution tile (override or cost model).
-    pub fn low_shape(&self) -> TaskShape {
+    pub(crate) fn low_shape(&self) -> TaskShape {
         self.shapes
             .map(|(low, _)| low)
             .unwrap_or_else(|| self.cost.tile(self.low_side))
     }
 
     /// The shape of a high-resolution tile (override or cost model).
-    pub fn high_shape(&self) -> TaskShape {
+    pub(crate) fn high_shape(&self) -> TaskShape {
         self.shapes
             .map(|(_, high)| high)
             .unwrap_or_else(|| self.cost.tile(self.high_side))
-    }
-
-    /// The paper's scaling workload: 267,420 tiles (Section 6.4.3).
-    pub fn paper_scaling(recalc_rate: f64) -> WorkloadSpec {
-        WorkloadSpec {
-            tiles: 267_420,
-            ..WorkloadSpec::paper_base(recalc_rate)
-        }
     }
 
     /// Is tile `i` recalculated at the high resolution? Deterministic

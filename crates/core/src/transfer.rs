@@ -53,7 +53,7 @@ pub struct AdaptiveStreams {
 /// pipelines observe throughput once per batch indefinitely; the
 /// controller only ever needs the recent trajectory (diagnostics and the
 /// trace exporters), so older entries are dropped FIFO.
-pub const HISTORY_CAP: usize = 1024;
+pub(crate) const HISTORY_CAP: usize = 1024;
 
 impl AdaptiveStreams {
     /// Start as Algorithm 1 does: two concurrent events, step 2,
@@ -105,7 +105,7 @@ impl AdaptiveStreams {
     }
 
     /// The sequence of counts chosen after each batch — the most recent
-    /// [`HISTORY_CAP`] entries, oldest first.
+    /// `HISTORY_CAP` entries, oldest first.
     pub fn history(&self) -> &[usize] {
         &self.history
     }
@@ -122,16 +122,6 @@ pub struct PipelineOutcome {
     pub compute_busy: SimDuration,
     /// Total copy-engine busy time (both directions).
     pub copy_busy: SimDuration,
-}
-
-impl PipelineOutcome {
-    /// Mean throughput in tasks per second.
-    pub fn throughput(&self) -> f64 {
-        if self.makespan.is_zero() {
-            return 0.0;
-        }
-        self.completions.len() as f64 / self.makespan.as_secs_f64()
-    }
 }
 
 /// Batched GPU pipeline execution (Algorithm 1's structure).
@@ -161,7 +151,7 @@ pub mod pipeline {
     /// H2D copies for all, kernels as inputs land, D2H as kernels finish,
     /// then the batch barrier. Returns per-task completion times and the
     /// batch end time. (Also used by the cluster simulator's GPU workers.)
-    pub fn execute_batch(
+    pub(crate) fn execute_batch(
         gpu: &mut GpuEngines,
         now: SimTime,
         batch: &[TaskShape],
@@ -178,7 +168,7 @@ pub mod pipeline {
     /// [`execute_batch`] plus copy-engine observability: each H2D/D2H copy
     /// records a [`EventKind::Transfer`] event (timestamped at engine
     /// occupancy start) against `origin` when the recorder is enabled.
-    pub fn execute_batch_traced(
+    pub(crate) fn execute_batch_traced(
         gpu: &mut GpuEngines,
         now: SimTime,
         batch: &[TaskShape],
@@ -287,6 +277,16 @@ pub mod pipeline {
 mod tests {
     use super::*;
     use anthill_hetsim::{NbiaCostModel, ViCostModel};
+
+    impl PipelineOutcome {
+        /// Mean throughput in tasks per second.
+        fn throughput(&self) -> f64 {
+            if self.makespan.is_zero() {
+                return 0.0;
+            }
+            self.completions.len() as f64 / self.makespan.as_secs_f64()
+        }
+    }
 
     #[test]
     fn adaptive_grows_exponentially_then_backs_off() {

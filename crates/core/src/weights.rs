@@ -25,6 +25,7 @@ use crate::buffer::DataBuffer;
 use crate::queue::MulMap;
 use anthill_estimator::{DeviceClass, KnnEstimator, OnlineProfile, ShapeKey, TaskParams};
 use anthill_hetsim::{CopyMode, DeviceKind, GpuParams};
+use std::sync::Mutex;
 
 /// Engine state visible to a learned provider at decision time — the
 /// contextual features of [`WeightProvider::decide`].
@@ -251,8 +252,8 @@ impl WeightProvider for OracleWeights {
 /// shape — a stale cached pair must never outlive a `profile_updated`.
 pub struct EstimatorWeights {
     est: KnnEstimator,
-    memo: parking_lot::Mutex<Memo>,
-    online: Option<parking_lot::Mutex<OnlineProfile>>,
+    memo: Mutex<Memo>,
+    online: Option<Mutex<OnlineProfile>>,
     min_obs: u64,
 }
 
@@ -287,14 +288,14 @@ impl Memo {
 
 /// Online observations of a cell before its EWMA mean overrides the
 /// static kNN prediction.
-pub const ONLINE_MIN_OBS: u64 = 3;
+pub(crate) const ONLINE_MIN_OBS: u64 = 3;
 
 impl EstimatorWeights {
     /// Wrap a fitted estimator (static: observed spans are ignored).
     pub fn new(est: KnnEstimator) -> EstimatorWeights {
         EstimatorWeights {
             est,
-            memo: parking_lot::Mutex::default(),
+            memo: Mutex::default(),
             online: None,
             min_obs: ONLINE_MIN_OBS,
         }
@@ -311,8 +312,8 @@ impl EstimatorWeights {
     ) -> EstimatorWeights {
         EstimatorWeights {
             est,
-            memo: parking_lot::Mutex::default(),
-            online: Some(parking_lot::Mutex::new(profile)),
+            memo: Mutex::default(),
+            online: Some(Mutex::new(profile)),
             min_obs: min_obs.max(1),
         }
     }
@@ -334,11 +335,11 @@ impl EstimatorWeights {
     /// shape was seen before, the estimator (and online profile) otherwise.
     fn times(&self, buf: &DataBuffer) -> [f64; 2] {
         let key = Self::shape_key(buf);
-        if let Some(times) = self.memo.lock().get(key, &buf.params) {
+        if let Some(times) = self.memo.lock().unwrap().get(key, &buf.params) {
             return times;
         }
         let times = self.predicted_times(buf, key);
-        self.memo.lock().insert(key, &buf.params, times);
+        self.memo.lock().unwrap().insert(key, &buf.params, times);
         times
     }
 
@@ -352,7 +353,7 @@ impl EstimatorWeights {
             .predict_time(DeviceClass::GPU, &buf.params)
             .unwrap_or(f64::INFINITY);
         if let Some(online) = &self.online {
-            let online = online.lock();
+            let online = online.lock().unwrap();
             for (class, t) in [(DeviceClass::CPU, &mut cpu), (DeviceClass::GPU, &mut gpu)] {
                 if online.count(class, shape) >= self.min_obs {
                     if let Some(mean) = online.mean(class, shape) {
@@ -391,13 +392,13 @@ impl WeightProvider for EstimatorWeights {
         let shape = Self::shape_key(buf);
         let class = Self::class_of(kind);
         let (count, mean) = {
-            let mut online = online.lock();
+            let mut online = online.lock().unwrap();
             let count = online.observe(class, shape, secs);
             (count, online.mean(class, shape).unwrap_or(secs))
         };
         // The memoized pair for this shape is now stale (and so is a
         // colliding shape's, which merely recomputes).
-        self.memo.lock().remove(shape);
+        self.memo.lock().unwrap().remove(shape);
         Some(ProfileUpdate {
             key: shape,
             count,
@@ -619,7 +620,13 @@ mod tests {
         b.params = TaskParams::nums(&[f64::NAN]);
         let first = est.weights_pair(&b).map(f64::to_bits);
         assert_eq!(est.weights_pair(&b).map(f64::to_bits), first);
-        assert_eq!(est.memo.lock().get(b.params.shape_key(), &b.params), None);
+        assert_eq!(
+            est.memo
+                .lock()
+                .unwrap()
+                .get(b.params.shape_key(), &b.params),
+            None
+        );
     }
 
     /// A static (PR-2 shaped) estimator ignores observed spans entirely.

@@ -44,7 +44,7 @@ impl Normalizer {
     }
 
     /// Number of dimensions this normalizer expects.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.scales.len()
     }
 

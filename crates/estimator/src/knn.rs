@@ -11,7 +11,7 @@ use crate::param::TaskParams;
 use crate::profile::{DeviceClass, ProfileStore};
 
 /// Default number of neighbours, per the paper.
-pub const DEFAULT_K: usize = 2;
+pub(crate) const DEFAULT_K: usize = 2;
 
 /// A fitted kNN performance estimator for one application.
 #[derive(Debug, Clone)]
@@ -45,11 +45,6 @@ impl KnnEstimator {
     /// The `k` in use.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// Number of training samples.
-    pub fn train_len(&self) -> usize {
-        self.store.len()
     }
 
     /// Indices of the `k` nearest training samples to `query`, closest

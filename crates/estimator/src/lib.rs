@@ -46,7 +46,7 @@ mod profile;
 
 pub use crossval::{cross_validate, sweep_k, CrossValReport};
 pub use distance::Normalizer;
-pub use knn::{KnnEstimator, DEFAULT_K};
+pub use knn::KnnEstimator;
 pub use online::{fnv1a64, OnlineCell, OnlineProfile, ShapeKey};
 pub use param::{ParamValue, TaskParams};
 pub use profile::{DeviceClass, ProfileSample, ProfileStore};

@@ -48,9 +48,9 @@ pub(crate) fn fnv1a64_fold(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// Default EWMA smoothing factor: recent spans get 20% of the mass.
-pub const DEFAULT_ALPHA: f64 = 0.2;
+pub(crate) const DEFAULT_ALPHA: f64 = 0.2;
 /// Default bounded-history window per cell.
-pub const DEFAULT_HISTORY: usize = 64;
+pub(crate) const DEFAULT_HISTORY: usize = 64;
 
 /// One `(device class, task shape)` cell of an [`OnlineProfile`].
 #[derive(Debug, Clone, PartialEq)]
@@ -181,11 +181,6 @@ impl OnlineProfile {
         self.cells.is_empty()
     }
 
-    /// Total observations across all cells.
-    pub fn total_observations(&self) -> u64 {
-        self.cells.values().map(OnlineCell::count).sum()
-    }
-
     /// Serialize to the self-describing `# anthill-online-profile v1`
     /// text format (deterministic: cells in key order).
     pub fn to_text(&self) -> String {
@@ -267,6 +262,13 @@ impl OnlineProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl OnlineProfile {
+        /// Total observations across all cells.
+        fn total_observations(&self) -> u64 {
+            self.cells.values().map(OnlineCell::count).sum()
+        }
+    }
 
     const K: ShapeKey = 0xfeed;
 

@@ -22,16 +22,11 @@ pub enum ParamValue {
 
 impl ParamValue {
     /// The numeric value, if this parameter is numeric.
-    pub fn as_num(&self) -> Option<f64> {
+    pub(crate) fn as_num(&self) -> Option<f64> {
         match self {
             ParamValue::Num(x) => Some(*x),
             ParamValue::Cat(_) => None,
         }
-    }
-
-    /// True if this parameter is categorical.
-    pub fn is_cat(&self) -> bool {
-        matches!(self, ParamValue::Cat(_))
     }
 }
 
@@ -161,6 +156,13 @@ macro_rules! params {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ParamValue {
+        /// True if this parameter is categorical.
+        fn is_cat(&self) -> bool {
+            matches!(self, ParamValue::Cat(_))
+        }
+    }
 
     #[test]
     fn conversions() {

@@ -44,15 +44,6 @@ impl ConcurrentGpu {
         self.compute.len()
     }
 
-    /// The largest slot count that keeps `occupancy`-sized kernels from
-    /// contending for execution resources.
-    pub fn max_useful_slots(occupancy: f64) -> usize {
-        if occupancy <= 0.0 {
-            return usize::MAX;
-        }
-        ((1.0 / occupancy).floor() as usize).max(1)
-    }
-
     /// Submit one task (async copies + kernel on any free slot); returns
     /// its completion time.
     pub fn submit(&mut self, now: SimTime, task: &TaskShape, active: usize) -> SimTime {
@@ -86,25 +77,36 @@ impl ConcurrentGpu {
     }
 }
 
-/// Convenience: makespan of a task stream on a GPU with the given kernel
-/// occupancy, choosing the slot count automatically (`⌊1/occupancy⌋`,
-/// capped at `max_slots`).
-pub fn concurrent_makespan(
-    params: &GpuParams,
-    tasks: &[TaskShape],
-    occupancy: f64,
-    max_slots: usize,
-    batch: usize,
-) -> SimDuration {
-    let slots = ConcurrentGpu::max_useful_slots(occupancy).min(max_slots.max(1));
-    let mut gpu = ConcurrentGpu::new(params.clone(), slots);
-    gpu.run_stream(tasks, batch.max(slots))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::NbiaCostModel;
+
+    impl ConcurrentGpu {
+        /// The largest slot count that keeps `occupancy`-sized kernels from
+        /// contending for execution resources.
+        fn max_useful_slots(occupancy: f64) -> usize {
+            if occupancy <= 0.0 {
+                return usize::MAX;
+            }
+            ((1.0 / occupancy).floor() as usize).max(1)
+        }
+    }
+
+    /// Convenience: makespan of a task stream on a GPU with the given kernel
+    /// occupancy, choosing the slot count automatically (`⌊1/occupancy⌋`,
+    /// capped at `max_slots`).
+    fn concurrent_makespan(
+        params: &GpuParams,
+        tasks: &[TaskShape],
+        occupancy: f64,
+        max_slots: usize,
+        batch: usize,
+    ) -> SimDuration {
+        let slots = ConcurrentGpu::max_useful_slots(occupancy).min(max_slots.max(1));
+        let mut gpu = ConcurrentGpu::new(params.clone(), slots);
+        gpu.run_stream(tasks, batch.max(slots))
+    }
 
     fn small_tiles(n: usize) -> Vec<TaskShape> {
         vec![NbiaCostModel::paper_calibrated().tile(32); n]

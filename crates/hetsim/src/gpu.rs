@@ -195,29 +195,14 @@ impl GpuEngines {
         self.compute.submit(now, total)
     }
 
-    /// When the compute engine next becomes free.
-    pub fn compute_free(&self) -> SimTime {
-        self.compute.next_free()
-    }
-
     /// Total busy time of the compute engine.
     pub fn compute_busy(&self) -> SimDuration {
         self.compute.busy_time()
     }
 
-    /// Compute-engine utilization over `[0, horizon]`.
-    pub fn compute_utilization(&self, horizon: SimTime) -> f64 {
-        self.compute.utilization(horizon)
-    }
-
     /// Total busy time of both copy engines.
     pub fn copy_busy(&self) -> SimDuration {
         self.h2d.busy_time() + self.d2h.busy_time()
-    }
-
-    /// Number of kernels launched (sync tasks count once).
-    pub fn kernels_launched(&self) -> u64 {
-        self.compute.jobs()
     }
 }
 

@@ -87,27 +87,23 @@ impl Network {
         // itself a FIFO pipe (queueing handled internally).
         self.downlinks[to].send(at_switch, bytes)
     }
-
-    /// Round-trip estimate for a small control message pair, unloaded.
-    pub fn rtt_estimate(&self) -> SimDuration {
-        let one_way = self.params.per_message * 2 + self.params.switch_latency;
-        one_way * 2
-    }
-
-    /// Total bytes-serialization busy time on a node's uplink.
-    pub fn uplink_busy(&self, node: NodeId) -> SimDuration {
-        self.uplinks[node].busy_time()
-    }
-
-    /// Messages sent from a node.
-    pub fn messages_from(&self, node: NodeId) -> u64 {
-        self.uplinks[node].messages()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Network {
+        /// Total bytes-serialization busy time on a node's uplink.
+        fn uplink_busy(&self, node: NodeId) -> SimDuration {
+            self.uplinks[node].busy_time()
+        }
+
+        /// Messages sent from a node.
+        fn messages_from(&self, node: NodeId) -> u64 {
+            self.uplinks[node].messages()
+        }
+    }
 
     #[test]
     fn loopback_is_cheap_and_bandwidth_free() {

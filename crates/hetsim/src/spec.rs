@@ -61,7 +61,7 @@ pub struct NodeSpec {
 impl NodeSpec {
     /// The paper's GPU-equipped node: a dual-core CPU with one 8800GT.
     /// One core manages the GPU, leaving 1 worker core + 1 GPU.
-    pub fn paper_gpu_node() -> NodeSpec {
+    pub(crate) fn paper_gpu_node() -> NodeSpec {
         NodeSpec {
             cpu_cores: 1,
             gpus: 1,
@@ -69,7 +69,7 @@ impl NodeSpec {
     }
 
     /// The paper's GPU-less node: both CPU cores available for tasks.
-    pub fn paper_cpu_node() -> NodeSpec {
+    pub(crate) fn paper_cpu_node() -> NodeSpec {
         NodeSpec {
             cpu_cores: 2,
             gpus: 0,
@@ -94,11 +94,6 @@ impl NodeSpec {
             });
         }
         out
-    }
-
-    /// Total devices on the node.
-    pub fn device_count(&self) -> usize {
-        self.cpu_cores + self.gpus
     }
 }
 
@@ -147,22 +142,24 @@ impl ClusterSpec {
             .flat_map(|(i, n)| n.devices(i))
             .collect()
     }
-
-    /// Count of devices of a kind across the cluster.
-    pub fn count_kind(&self, kind: DeviceKind) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| match kind {
-                DeviceKind::Cpu => n.cpu_cores,
-                DeviceKind::Gpu => n.gpus,
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ClusterSpec {
+        /// Count of devices of a kind across the cluster.
+        fn count_kind(&self, kind: DeviceKind) -> usize {
+            self.nodes
+                .iter()
+                .map(|n| match kind {
+                    DeviceKind::Cpu => n.cpu_cores,
+                    DeviceKind::Gpu => n.gpus,
+                })
+                .sum()
+        }
+    }
 
     #[test]
     fn paper_nodes() {

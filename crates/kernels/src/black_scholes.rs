@@ -6,7 +6,7 @@
 //! ~1.5e-7, plenty for workload purposes).
 
 /// Error function approximation (Abramowitz & Stegun 7.1.26).
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.327_591_1 * x);
@@ -20,7 +20,7 @@ pub fn erf(x: f64) -> f64 {
 
 /// Standard normal cumulative distribution function.
 #[inline]
-pub fn norm_cdf(x: f64) -> f64 {
+pub(crate) fn norm_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }
 

@@ -94,7 +94,7 @@ fn quantize(l: f32, top: f32) -> u8 {
 }
 
 /// Convert one sRGB pixel to La\*b\* (D65).
-pub fn rgb_to_lab(p: Rgb8) -> Lab {
+pub(crate) fn rgb_to_lab(p: Rgb8) -> Lab {
     let (r, g, b) = linear_rgb(linear_table(), p);
     // The X and Z rows of the sRGB D65 matrix, over the reference white.
     let x = 0.412_456_4 * r + 0.357_576_1 * g + 0.180_437_5 * b;

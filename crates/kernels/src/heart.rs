@@ -115,16 +115,18 @@ impl HeartGrid {
     pub fn mean_activation(&self) -> f64 {
         self.v.iter().sum::<f64>() / self.v.len() as f64
     }
-
-    /// Fraction of cells whose activation exceeds `threshold`.
-    pub fn excited_fraction(&self, threshold: f64) -> f64 {
-        self.v.iter().filter(|&&v| v > threshold).count() as f64 / self.v.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl HeartGrid {
+        /// Fraction of cells whose activation exceeds `threshold`.
+        fn excited_fraction(&self, threshold: f64) -> f64 {
+            self.v.iter().filter(|&&v| v > threshold).count() as f64 / self.v.len() as f64
+        }
+    }
 
     #[test]
     fn resting_tissue_stays_at_rest() {

@@ -14,7 +14,7 @@ pub struct LabelledPoint {
 
 /// Squared Euclidean distance between two coordinate slices.
 #[inline]
-pub fn dist2(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dist2(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }

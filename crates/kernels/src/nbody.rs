@@ -51,7 +51,7 @@ impl System {
     }
 
     /// All-pairs accelerations (the O(n²) kernel).
-    pub fn accelerations(&self) -> Vec<[f64; 3]> {
+    pub(crate) fn accelerations(&self) -> Vec<[f64; 3]> {
         let eps2 = self.softening * self.softening;
         let bodies = &self.bodies;
         bodies
@@ -106,22 +106,24 @@ impl System {
         }
         e
     }
-
-    /// Center-of-mass momentum (should stay ~0 for symmetric systems).
-    pub fn momentum(&self) -> [f64; 3] {
-        let mut p = [0.0f64; 3];
-        for b in &self.bodies {
-            for (pk, vk) in p.iter_mut().zip(&b.vel) {
-                *pk += b.mass * vk;
-            }
-        }
-        p
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl System {
+        /// Center-of-mass momentum (should stay ~0 for symmetric systems).
+        fn momentum(&self) -> [f64; 3] {
+            let mut p = [0.0f64; 3];
+            for b in &self.bodies {
+                for (pk, vk) in p.iter_mut().zip(&b.vel) {
+                    *pk += b.mass * vk;
+                }
+            }
+            p
+        }
+    }
 
     #[test]
     fn two_body_attraction_is_symmetric() {

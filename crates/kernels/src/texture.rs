@@ -224,7 +224,7 @@ impl Glcm {
 
 /// The 8-neighbour local binary pattern code of the pixel at `(x, y)`.
 /// Border pixels clamp to the edge (replicated border).
-pub fn lbp_code(img: &[u8], width: usize, height: usize, x: usize, y: usize) -> u8 {
+pub(crate) fn lbp_code(img: &[u8], width: usize, height: usize, x: usize, y: usize) -> u8 {
     let center = img[y * width + x];
     // Clockwise from top-left.
     const OFFS: [(isize, isize); 8] = [
@@ -249,7 +249,7 @@ pub fn lbp_code(img: &[u8], width: usize, height: usize, x: usize, y: usize) -> 
 }
 
 /// Normalized 256-bin LBP histogram of a quantized image (all zeros for
-/// an empty one). Bin `c` is the share of pixels whose [`lbp_code`] is `c`.
+/// an empty one). Bin `c` is the share of pixels whose `lbp_code` is `c`.
 pub fn lbp_histogram(img: &[u8], width: usize, height: usize) -> Vec<f64> {
     assert_eq!(img.len(), width * height);
     let mut counts = [0u64; 256];
@@ -286,7 +286,7 @@ const GLCM_OFFSETS: [(isize, isize); 4] = [(1, 0), (0, 1), (1, 1), (1, -1)];
 
 /// The NBIA per-tile feature vector: GLCM statistics at 4 offsets plus a
 /// compacted LBP histogram.
-pub fn feature_vector(img: &[u8], width: usize, height: usize, levels: u8) -> Vec<f64> {
+pub(crate) fn feature_vector(img: &[u8], width: usize, height: usize, levels: u8) -> Vec<f64> {
     let mut out = Vec::with_capacity(4 * 5 + 16);
     for (dx, dy) in GLCM_OFFSETS {
         let g = Glcm::compute(img, width, height, levels, dx, dy);

@@ -13,7 +13,7 @@
 //! [`tile_features`] is the one feature path every backend runs: the
 //! quantized L channel straight from the pixels
 //! ([`crate::color::quantize_tile_l`]), then the texture block
-//! ([`crate::texture::feature_vector`]). Its output bits are pinned in the
+//! (`crate::texture::feature_vector`). Its output bits are pinned in the
 //! workspace's `tests/paper_shapes.rs`; the generator's RNG stream is part
 //! of that pin, and so is every byte it emits.
 //!

@@ -93,13 +93,6 @@ impl<E> Scheduler<E> {
         self.at(self.now + delay, ev)
     }
 
-    /// Schedule `ev` to run at the current instant, after already-pending
-    /// events at this instant.
-    #[inline]
-    pub fn immediately(&mut self, ev: E) {
-        self.at(self.now, ev)
-    }
-
     fn pop(&mut self) -> Option<(SimTime, E)> {
         let (at, _, slot) = unpack(self.heap.pop()?.0);
         let ev = self.events[slot as usize]
@@ -168,12 +161,6 @@ impl<W: World> Engine<W> {
         &self.world
     }
 
-    /// Mutable access to the world (e.g. for pre-run configuration).
-    #[inline]
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Consume the engine, returning the world.
     pub fn into_world(self) -> W {
         self.world
@@ -187,12 +174,6 @@ impl<W: World> Engine<W> {
     /// Run until the queue drains.
     pub fn run(&mut self) -> RunOutcome {
         self.run_bounded(SimTime::MAX, u64::MAX)
-    }
-
-    /// Run until the queue drains or virtual time would pass `until`.
-    /// Events at exactly `until` are processed.
-    pub fn run_until(&mut self, until: SimTime) -> RunOutcome {
-        self.run_bounded(until, u64::MAX)
     }
 
     /// Run until the queue drains, `until` passes, or `max_steps` events
@@ -220,6 +201,14 @@ impl<W: World> Engine<W> {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+
+    impl<W: World> Engine<W> {
+        /// Run until the queue drains or virtual time would pass `until`.
+        /// Events at exactly `until` are processed.
+        fn run_until(&mut self, until: SimTime) -> RunOutcome {
+            self.run_bounded(until, u64::MAX)
+        }
+    }
 
     #[derive(Debug, PartialEq)]
     enum Ev {

@@ -16,8 +16,8 @@
 //!   label-addressed stream forking,
 //! * [`FifoServer`]/[`MultiServer`]/[`Pipe`] — timed-resource building
 //!   blocks for hardware models,
-//! * [`Welford`], [`TimeWeightedMean`], [`UtilizationTracker`],
-//!   [`TraceSeries`] — measurement utilities.
+//! * [`UtilizationTracker`], [`DurationHistogram`] — measurement
+//!   utilities.
 //!
 //! ## Example
 //!
@@ -55,5 +55,5 @@ mod time;
 pub use engine::{Engine, RunOutcome, Scheduler, World};
 pub use resource::{FifoServer, MultiServer, Pipe};
 pub use rng::SimRng;
-pub use stats::{DurationHistogram, TimeWeightedMean, TraceSeries, UtilizationTracker, Welford};
+pub use stats::{DurationHistogram, UtilizationTracker};
 pub use time::{SimDuration, SimTime};

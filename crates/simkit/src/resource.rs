@@ -43,14 +43,8 @@ impl FifoServer {
 
     /// When the server next becomes idle (given jobs submitted so far).
     #[inline]
-    pub fn next_free(&self) -> SimTime {
+    pub(crate) fn next_free(&self) -> SimTime {
         self.next_free
-    }
-
-    /// Whether a job submitted at `now` would start immediately.
-    #[inline]
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
-        self.next_free <= now
     }
 
     /// Total busy time accumulated.
@@ -119,15 +113,6 @@ impl MultiServer {
         (idx, start, finish)
     }
 
-    /// Earliest time any server becomes free.
-    pub fn earliest_free(&self) -> SimTime {
-        self.servers
-            .iter()
-            .map(|s| s.next_free())
-            .min()
-            .expect("pool is non-empty")
-    }
-
     /// Aggregate utilization over `[0, horizon]`.
     pub fn utilization(&self, horizon: SimTime) -> f64 {
         if horizon == SimTime::ZERO {
@@ -166,7 +151,7 @@ impl Pipe {
     }
 
     /// Time to serialize `bytes` on this pipe, excluding queueing/latency.
-    pub fn service_time(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn service_time(&self, bytes: u64) -> SimDuration {
         self.per_message + SimDuration::from_secs_f64(bytes as f64 / self.bandwidth_bps)
     }
 
@@ -192,6 +177,17 @@ impl Pipe {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MultiServer {
+        /// Earliest time any server becomes free.
+        fn earliest_free(&self) -> SimTime {
+            self.servers
+                .iter()
+                .map(|s| s.next_free())
+                .min()
+                .expect("pool is non-empty")
+        }
+    }
 
     #[test]
     fn fifo_server_serializes_jobs() {

@@ -112,13 +112,6 @@ impl SimRng {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in `[lo, hi)`. Panics if `lo >= hi`.
-    #[inline]
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range");
-        lo + self.below(hi - lo)
-    }
-
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
@@ -126,7 +119,7 @@ impl SimRng {
     }
 
     /// Standard normal deviate (Box-Muller, with caching of the pair).
-    pub fn gaussian(&mut self) -> f64 {
+    pub(crate) fn gaussian(&mut self) -> f64 {
         if let Some(z) = self.gauss_spare.take() {
             return z;
         }

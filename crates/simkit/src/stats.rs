@@ -1,113 +1,7 @@
-//! Statistics collected during simulation runs: online moments,
-//! time-weighted means, utilization tracking and time-series traces.
+//! Statistics collected during simulation runs: utilization tracking and
+//! duration histograms.
 
 use crate::time::{SimDuration, SimTime};
-
-/// Welford online mean/variance accumulator.
-#[derive(Debug, Clone, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Empty accumulator.
-    pub fn new() -> Welford {
-        Welford::default()
-    }
-
-    /// Add one observation.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 with fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Relative standard deviation (coefficient of variation); 0 when the
-    /// mean is 0.
-    pub fn rel_std_dev(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.std_dev() / m.abs()
-        }
-    }
-}
-
-/// Time-weighted mean of a piecewise-constant signal (e.g. queue length).
-#[derive(Debug, Clone)]
-pub struct TimeWeightedMean {
-    last_t: SimTime,
-    last_v: f64,
-    integral: f64,
-    start: SimTime,
-}
-
-impl TimeWeightedMean {
-    /// Start tracking at `t0` with initial value `v0`.
-    pub fn new(t0: SimTime, v0: f64) -> TimeWeightedMean {
-        TimeWeightedMean {
-            last_t: t0,
-            last_v: v0,
-            integral: 0.0,
-            start: t0,
-        }
-    }
-
-    /// Record that the signal changed to `v` at time `t`.
-    pub fn update(&mut self, t: SimTime, v: f64) {
-        let dt = t.since(self.last_t).as_secs_f64();
-        self.integral += self.last_v * dt;
-        self.last_t = t;
-        self.last_v = v;
-    }
-
-    /// Time-weighted mean over `[start, t]`.
-    pub fn mean_at(&self, t: SimTime) -> f64 {
-        let total = t.since(self.start).as_secs_f64();
-        if total <= 0.0 {
-            return self.last_v;
-        }
-        let tail = t.since(self.last_t).as_secs_f64();
-        (self.integral + self.last_v * tail) / total
-    }
-
-    /// Current value of the signal.
-    pub fn current(&self) -> f64 {
-        self.last_v
-    }
-}
 
 /// Tracks the busy/idle state of a device and produces utilization numbers
 /// and a utilization trace (fraction busy per sampling bucket).
@@ -143,11 +37,6 @@ impl UtilizationTracker {
             self.total_busy += end.since(since);
             self.intervals.push((since, end));
         }
-    }
-
-    /// Is the device currently busy?
-    pub fn is_busy(&self) -> bool {
-        self.busy_since.is_some()
     }
 
     /// Total busy time up to `t` (including an open interval).
@@ -317,99 +206,14 @@ impl Default for DurationHistogram {
     }
 }
 
-/// A recorded time series of `(time, value)` points.
-#[derive(Debug, Clone, Default)]
-pub struct TraceSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TraceSeries {
-    /// Empty series.
-    pub fn new() -> TraceSeries {
-        TraceSeries::default()
-    }
-
-    /// Append a point. Times should be non-decreasing (not enforced).
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        self.points.push((t, v));
-    }
-
-    /// All recorded points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if no points were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Last value, if any.
-    pub fn last(&self) -> Option<(SimTime, f64)> {
-        self.points.last().copied()
-    }
-
-    /// Downsample to at most `n` evenly spaced points (keeps first & last).
-    pub fn downsample(&self, n: usize) -> Vec<(SimTime, f64)> {
-        if n == 0 || self.points.is_empty() {
-            return Vec::new();
-        }
-        if self.points.len() <= n {
-            return self.points.clone();
-        }
-        let step = (self.points.len() - 1) as f64 / (n - 1).max(1) as f64;
-        (0..n)
-            .map(|i| self.points[(i as f64 * step).round() as usize])
-            .collect()
-    }
-
-    /// Mean of the recorded values (unweighted).
-    pub fn value_mean(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn welford_matches_direct_computation() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.add(x);
+    impl UtilizationTracker {
+        fn is_busy(&self) -> bool {
+            self.busy_since.is_some()
         }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert!((w.std_dev() - 2.0).abs() < 1e-12);
-        assert!((w.rel_std_dev() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_empty_is_zero() {
-        let w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_mean_integrates_steps() {
-        let mut m = TimeWeightedMean::new(SimTime(0), 0.0);
-        m.update(SimTime(1_000_000_000), 10.0); // 0 for 1s
-        m.update(SimTime(3_000_000_000), 0.0); // 10 for 2s
-                                               // mean over [0, 4s]: (0*1 + 10*2 + 0*1) / 4 = 5
-        assert!((m.mean_at(SimTime(4_000_000_000)) - 5.0).abs() < 1e-9);
-        assert_eq!(m.current(), 0.0);
     }
 
     #[test]
@@ -508,19 +312,5 @@ mod tests {
         h.record(SimDuration::from_secs(100_000));
         assert_eq!(h.count(), 2);
         assert!(h.quantile(1.0) >= SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn trace_series_downsamples_preserving_endpoints() {
-        let mut s = TraceSeries::new();
-        for i in 0..100 {
-            s.push(SimTime(i), i as f64);
-        }
-        let d = s.downsample(5);
-        assert_eq!(d.len(), 5);
-        assert_eq!(d[0].0, SimTime(0));
-        assert_eq!(d[4].0, SimTime(99));
-        assert!(s.downsample(0).is_empty());
-        assert_eq!(s.downsample(1000).len(), 100);
     }
 }

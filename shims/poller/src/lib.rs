@@ -21,7 +21,7 @@
 //!   one `WouldBlock` — correctness is preserved, only efficiency is
 //!   lost.
 //!
-//! The API contract the event loop relies on (DESIGN.md §15):
+//! The API contract the event loop relies on (DESIGN.md §10):
 //!
 //! * Level-triggered: a source that still has readable bytes (or writable
 //!   space) is reported again on the next `wait`.
@@ -51,7 +51,7 @@ use std::time::Duration;
 #[cfg(unix)]
 use std::os::fd::RawFd;
 #[cfg(not(unix))]
-pub type RawFd = i32;
+pub(crate) type RawFd = i32;
 
 /// What a registration wants to hear about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -333,10 +333,10 @@ mod sys {
     use std::os::raw::{c_int, c_long, c_ulong, c_void};
     use std::time::Duration;
 
-    pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-    pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLL_CTL_DEL: c_int = 2;
-    pub const EPOLL_CTL_MOD: c_int = 3;
+    pub(crate) const EPOLL_CLOEXEC: c_int = 0o2000000;
+    pub(crate) const EPOLL_CTL_ADD: c_int = 1;
+    pub(crate) const EPOLL_CTL_DEL: c_int = 2;
+    pub(crate) const EPOLL_CTL_MOD: c_int = 3;
     const EPOLLIN: u32 = 0x001;
     const EPOLLOUT: u32 = 0x004;
     const EPOLLERR: u32 = 0x008;
@@ -348,13 +348,13 @@ mod sys {
     #[repr(C)]
     #[cfg_attr(target_arch = "x86_64", repr(packed))]
     #[derive(Clone, Copy)]
-    pub struct EpollEvent {
+    pub(crate) struct EpollEvent {
         pub events: u32,
         pub u64_: u64,
     }
 
     extern "C" {
-        pub fn epoll_create1(flags: c_int) -> c_int;
+        pub(crate) fn epoll_create1(flags: c_int) -> c_int;
         fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
         fn epoll_wait(
             epfd: c_int,
@@ -363,7 +363,7 @@ mod sys {
             timeout: c_int,
         ) -> c_int;
         fn syscall(num: c_long, ...) -> c_long;
-        pub fn close(fd: c_int) -> c_int;
+        pub(crate) fn close(fd: c_int) -> c_int;
         fn sched_setaffinity(pid: c_int, cpusetsize: usize, mask: *const c_ulong) -> c_int;
         fn sched_getaffinity(pid: c_int, cpusetsize: usize, mask: *mut c_void) -> c_int;
         fn prctl(option: c_int, ...) -> c_int;
@@ -374,7 +374,7 @@ mod sys {
 
     /// The calling thread's timer slack in nanoseconds, or `None` where
     /// `prctl` refuses.
-    pub fn timer_slack() -> Option<c_ulong> {
+    pub(crate) fn timer_slack() -> Option<c_ulong> {
         // SAFETY: PR_GET_TIMERSLACK reads no argument and writes no memory.
         let rc = unsafe { prctl(PR_GET_TIMERSLACK, 0 as c_ulong, 0 as c_ulong, 0 as c_ulong) };
         c_ulong::try_from(rc).ok()
@@ -382,13 +382,13 @@ mod sys {
 
     /// Set the calling thread's timer slack to `ns` nanoseconds; says
     /// whether the kernel took it.
-    pub fn set_timer_slack(ns: c_ulong) -> bool {
+    pub(crate) fn set_timer_slack(ns: c_ulong) -> bool {
         // SAFETY: PR_SET_TIMERSLACK takes its value by argument and writes
         // no memory.
         unsafe { prctl(PR_SET_TIMERSLACK, ns, 0 as c_ulong, 0 as c_ulong) == 0 }
     }
 
-    pub fn epoll_op(
+    pub(crate) fn epoll_op(
         epfd: RawFd,
         op: c_int,
         fd: RawFd,
@@ -420,7 +420,7 @@ mod sys {
     const SYS_EPOLL_PWAIT2: c_long = 441;
     /// Targets whose syscall table has been checked for that number; any
     /// other target uses the `epoll_wait` fall-back from the start.
-    pub const HAS_EPOLL_PWAIT2: bool = cfg!(any(
+    pub(crate) const HAS_EPOLL_PWAIT2: bool = cfg!(any(
         target_arch = "x86_64",
         target_arch = "aarch64",
         target_arch = "riscv64"
@@ -466,7 +466,7 @@ mod sys {
     /// One wait on `epfd`. `coarse` is the poller's memory that
     /// `epoll_pwait2` is unavailable: once set, waits go through
     /// `epoll_wait` and its millisecond timeout.
-    pub fn epoll_wait_into(
+    pub(crate) fn epoll_wait_into(
         epfd: RawFd,
         events: &mut Vec<Event>,
         timeout: Option<Duration>,
@@ -507,7 +507,7 @@ mod sys {
 
     const CPU_SET_WORDS: usize = 16; // 1024 CPUs, glibc's cpu_set_t size
 
-    pub fn bind_to_core(index: usize) -> bool {
+    pub(crate) fn bind_to_core(index: usize) -> bool {
         // Pin within the CPUs this process may already be restricted to.
         let mut allowed = [0 as c_ulong; CPU_SET_WORDS];
         let got = unsafe {
@@ -568,7 +568,7 @@ mod sys {
         fn poll(fds: *mut PollFd, nfds: u64, timeout: c_int) -> c_int;
     }
 
-    pub fn poll_wait_into(
+    pub(crate) fn poll_wait_into(
         regs: &[Registration],
         events: &mut Vec<Event>,
         timeout: Option<Duration>,

@@ -1,5 +1,5 @@
 //! Weighing a buffer whose shape was seen before, and queueing it in a
-//! warm ready queue, touch the heap not at all (DESIGN.md §10), and a TCP
+//! warm ready queue, touch the heap not at all (DESIGN.md §8), and a TCP
 //! task allocates less than once per task at either end: a counting global
 //! allocator brackets the calls.
 //! Own test binary, since the allocator is process-wide; the count is

@@ -1,5 +1,5 @@
 //! Chaos suite: the fault-injection layer ([`anthill::faults`]) exercised
-//! end-to-end against the engine's recovery machinery (DESIGN.md §9).
+//! end-to-end against the engine's recovery machinery (DESIGN.md §7).
 //!
 //! Three families of checks:
 //!
@@ -27,7 +27,7 @@
 //!    alone, on the batch and on the open-loop entry point of the one
 //!    wall-clock event loop.
 //! 7. **Rolling restart** — the elastic-membership acceptance scenario
-//!    (DESIGN.md §14): every initial worker of a live TCP run is retired
+//!    (DESIGN.md §12): every initial worker of a live TCP run is retired
 //!    exactly once through a graceful drain while a replacement joins
 //!    mid-run via the `Join`/`JoinAck` handshake. Zero task loss, zero
 //!    deaths, the `worker_joined`/`worker_draining`/`worker_left` trio in
@@ -333,7 +333,7 @@ fn des_drop_plus_gpu_death_runs_are_pinned() {
     assert_eq!(pin(Policy::odds()), (40_952_925_846, 0xb284_3598_faf9_80b1));
 }
 
-/// The learned-policy chaos scenario (DESIGN.md §16): the same 20% drop
+/// The learned-policy chaos scenario (DESIGN.md §13): the same 20% drop
 /// plus mid-run GPU death, under the contextual bandit. The learner must
 /// not wedge the run: conservation holds, the online estimator stops
 /// crediting the dead worker the moment it dies (its `profile_updated`

@@ -19,7 +19,7 @@ use anthill_repro::simkit::{SimDuration, SimTime};
 /// A shape costing exactly the same on both device classes, with nothing
 /// on the wire — removes all cost asymmetry so assignment counts are
 /// purely the engine's doing.
-pub fn neutral_shape() -> TaskShape {
+pub(crate) fn neutral_shape() -> TaskShape {
     TaskShape {
         cpu: SimDuration::from_micros(400),
         gpu_kernel: SimDuration::from_micros(400),
@@ -30,7 +30,7 @@ pub fn neutral_shape() -> TaskShape {
 
 /// GPU parameters with all fixed per-task overheads zeroed, so a sync GPU
 /// task takes exactly `gpu_kernel`.
-pub fn neutral_gpu() -> GpuParams {
+pub(crate) fn neutral_gpu() -> GpuParams {
     GpuParams {
         kernel_launch: SimDuration::ZERO,
         sync_copy_call: SimDuration::ZERO,
@@ -39,28 +39,28 @@ pub fn neutral_gpu() -> GpuParams {
 }
 
 /// The paper GPU with synchronous transfers — the weights most tests use.
-pub fn oracle() -> OracleWeights {
+pub(crate) fn oracle() -> OracleWeights {
     OracleWeights::new(GpuParams::geforce_8800gt(), false)
 }
 
 /// Weights matching [`neutral_gpu`], for runs built on [`neutral_shape`].
-pub fn neutral_oracle() -> OracleWeights {
+pub(crate) fn neutral_oracle() -> OracleWeights {
     OracleWeights::new(neutral_gpu(), false)
 }
 
 /// The three policies at the repo's conventional window sizes
 /// (`crates/bench/src/experiments/cluster.rs`).
-pub fn policies() -> [Policy; 3] {
+pub(crate) fn policies() -> [Policy; 3] {
     [Policy::ddfcfs(8), Policy::ddwrr(30), Policy::odds()]
 }
 
-pub fn pick_policy(i: usize) -> Policy {
+pub(crate) fn pick_policy(i: usize) -> Policy {
     policies()[i % 3]
 }
 
 /// A tiny task whose payload is its own id — the chaos suite's unit of
 /// conservation accounting.
-pub fn task(id: u64) -> LocalTask {
+pub(crate) fn task(id: u64) -> LocalTask {
     let buffer = DataBuffer {
         id: BufferId(id),
         params: TaskParams::nums(&[id as f64]),
@@ -77,7 +77,7 @@ pub fn task(id: u64) -> LocalTask {
 }
 
 /// Mixed tile sizes so DDWRR/ODDS weights have real spread.
-pub fn mk_task(id: u64) -> LocalTask {
+pub(crate) fn mk_task(id: u64) -> LocalTask {
     let side = [16u64, 64, 256, 1024][(id % 4) as usize];
     LocalTask::new(
         DataBuffer {
@@ -98,25 +98,25 @@ pub fn mk_task(id: u64) -> LocalTask {
 
 /// The degenerate one-filter graph — the shape every pre-graph test ran,
 /// named like the implicit graph the native runtime builds.
-pub fn single_filter_graph() -> DataflowGraph {
+pub(crate) fn single_filter_graph() -> DataflowGraph {
     DataflowGraph::single("stage0")
 }
 
 /// A three-filter linear pipeline with round-robin streams, the smallest
 /// topology where mid-graph edges exist.
-pub fn pipeline3() -> DataflowGraph {
+pub(crate) fn pipeline3() -> DataflowGraph {
     DataflowGraph::pipeline(&["stage0", "stage1", "stage2"])
 }
 
 /// The fan-out/fan-in diamond: split round-robins over two identical
 /// branches that merge again.
-pub fn diamond() -> DataflowGraph {
+pub(crate) fn diamond() -> DataflowGraph {
     DataflowGraph::diamond("split", "left", "right", "merge")
 }
 
 /// A device-neutral buffer ([`neutral_shape`]) whose payload is its own
 /// id — the graph parity suites' unit of accounting.
-pub fn neutral_buffer(id: u64) -> DataBuffer {
+pub(crate) fn neutral_buffer(id: u64) -> DataBuffer {
     DataBuffer {
         id: BufferId(id),
         params: TaskParams::nums(&[id as f64]),
@@ -128,7 +128,7 @@ pub fn neutral_buffer(id: u64) -> DataBuffer {
 
 /// One CPU plus one GPU native worker slot — the per-filter replica set
 /// of the cross-backend graph parity runs.
-pub fn cpu_gpu_workers() -> Vec<WorkerSpec> {
+pub(crate) fn cpu_gpu_workers() -> Vec<WorkerSpec> {
     vec![
         WorkerSpec {
             kind: DeviceKind::Cpu,
@@ -141,7 +141,7 @@ pub fn cpu_gpu_workers() -> Vec<WorkerSpec> {
     ]
 }
 
-pub fn cpu_workers(n: usize) -> Vec<WorkerSpec> {
+pub(crate) fn cpu_workers(n: usize) -> Vec<WorkerSpec> {
     vec![
         WorkerSpec {
             kind: DeviceKind::Cpu,
@@ -151,7 +151,7 @@ pub fn cpu_workers(n: usize) -> Vec<WorkerSpec> {
     ]
 }
 
-pub fn mixed_workers() -> Vec<WorkerSpec> {
+pub(crate) fn mixed_workers() -> Vec<WorkerSpec> {
     let mut w = cpu_workers(3);
     w.push(WorkerSpec {
         kind: DeviceKind::Gpu,
@@ -163,7 +163,7 @@ pub fn mixed_workers() -> Vec<WorkerSpec> {
 /// One in-process loopback worker thread per requested device kind, all
 /// on node 0, returning the coordinator-side connections for
 /// `anthill::net`'s drivers.
-pub fn loopback_workers(kinds: &[DeviceKind], behavior: Behavior) -> Vec<NetWorkerConn> {
+pub(crate) fn loopback_workers(kinds: &[DeviceKind], behavior: Behavior) -> Vec<NetWorkerConn> {
     kinds
         .iter()
         .enumerate()
@@ -186,7 +186,7 @@ pub fn loopback_workers(kinds: &[DeviceKind], behavior: Behavior) -> Vec<NetWork
 /// loopback worker thread per `(filter, device kind)` pair, with
 /// `DeviceId::node` carrying the filter id — the worker pool shape
 /// `anthill::net::run_graph_deterministic` expects.
-pub fn graph_loopback_workers(
+pub(crate) fn graph_loopback_workers(
     filters: &[&[DeviceKind]],
     behavior: Behavior,
 ) -> Vec<Vec<NetWorkerConn>> {
@@ -216,7 +216,7 @@ pub fn graph_loopback_workers(
 
 /// Keep `SimTime` in the shared surface so suites that schedule deaths
 /// don't each re-import it under a different alias.
-pub fn at_millis(ms: u64) -> SimTime {
+pub(crate) fn at_millis(ms: u64) -> SimTime {
     SimTime(ms * 1_000_000)
 }
 
@@ -224,7 +224,7 @@ pub fn at_millis(ms: u64) -> SimTime {
 /// runs, where measured latency should be queueing plus runtime overhead
 /// (plus the emulated busy-wait when the workers are
 /// [`emulated_cpu_workers`]).
-pub struct Forward;
+pub(crate) struct Forward;
 impl LocalFilter for Forward {
     fn handle(&self, _d: DeviceKind, task: LocalTask, out: &mut Emitter<'_>) {
         out.forward(task);
@@ -233,7 +233,7 @@ impl LocalFilter for Forward {
 
 /// `n` CPU slots that busy-wait each task's modeled cost at scale 1 — a
 /// calibrated, shape-controlled service time for saturation tests.
-pub fn emulated_cpu_workers(n: usize) -> Vec<WorkerSpec> {
+pub(crate) fn emulated_cpu_workers(n: usize) -> Vec<WorkerSpec> {
     vec![
         WorkerSpec {
             kind: DeviceKind::Cpu,
@@ -245,7 +245,7 @@ pub fn emulated_cpu_workers(n: usize) -> Vec<WorkerSpec> {
 
 /// A constant-cost buffer for load schedules: `micros` of modeled work on
 /// either device class, the arrival index recoverable through `task`.
-pub fn load_buffer(id: u64, micros: u64) -> DataBuffer {
+pub(crate) fn load_buffer(id: u64, micros: u64) -> DataBuffer {
     DataBuffer {
         id: BufferId(id),
         params: TaskParams::nums(&[1.0]),
@@ -261,12 +261,12 @@ pub fn load_buffer(id: u64, micros: u64) -> DataBuffer {
 }
 
 /// Count trace events matching `pred`.
-pub fn count_events(events: &[TraceEvent], pred: fn(&EventKind) -> bool) -> u64 {
+pub(crate) fn count_events(events: &[TraceEvent], pred: fn(&EventKind) -> bool) -> u64 {
     events.iter().filter(|e| pred(&e.kind)).count() as u64
 }
 
 /// The trace survives the JSONL schema: `parse_jsonl(to_jsonl(ev)) == ev`.
-pub fn assert_jsonl_round_trip(events: &[TraceEvent]) {
+pub(crate) fn assert_jsonl_round_trip(events: &[TraceEvent]) {
     let parsed = jsonl::parse_jsonl(&jsonl::to_jsonl(events)).expect("schema-valid trace");
     assert_eq!(parsed, events, "trace round-trip mismatch");
 }

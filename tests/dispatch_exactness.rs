@@ -1,5 +1,5 @@
 //! What the dispatch path must get exactly right, exercised end-to-end
-//! (DESIGN.md §10):
+//! (DESIGN.md §8):
 //!
 //! 1. **Exact accounting** — sharded dispatch state, tuned stage lanes and
 //!    join-time tallies lose and duplicate nothing: every task leaves the

@@ -1,5 +1,5 @@
 //! Integration tests for the extensions beyond the paper's figures
-//! (DESIGN.md §7): perturbation adaptivity, concurrent kernels, mixed GPU
+//! (DESIGN.md §16): perturbation adaptivity, concurrent kernels, mixed GPU
 //! generations, the model zoo, profile persistence, and the Virtual
 //! Microscope application.
 

@@ -1,4 +1,4 @@
-//! Load-harness suite (DESIGN.md §12): arrival-schedule determinism,
+//! Load-harness suite (DESIGN.md §11): arrival-schedule determinism,
 //! histogram error bounds under adversarial distributions, and admission
 //! conservation with exactly-once shed accounting on both threaded
 //! backends.
@@ -308,6 +308,55 @@ fn native_load_conserves_and_traces_every_policy() {
             "{label}: each admitted task completes exactly once"
         );
         check_admission_events(label, &recorder, report.admission);
+    }
+}
+
+/// A panic outside a filter's `handle` ends the native run with that
+/// panic: one in `on_complete` (on a worker) and one in `make_task` (on
+/// the injector). Each case runs on a helper thread under a watchdog, so
+/// a run that leaves its other threads asleep fails here instead of
+/// hanging the suite.
+#[test]
+fn a_panicking_callback_or_task_factory_ends_the_native_run() {
+    let arrivals = ArrivalProfile::Poisson { rate_hz: 20_000.0 }.schedule(11, 200);
+    for (label, in_factory) in [("on_complete", false), ("make_task", true)] {
+        let arrivals = arrivals.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut p = Pipeline::new(PolicyKind::DdFcfs);
+            p.add_stage(Arc::new(Forward), emulated_cpu_workers(2));
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                p.run_load(
+                    &arrivals,
+                    &|i, _| {
+                        if in_factory && i == 50 {
+                            panic!("make_task panics on arrival 50");
+                        }
+                        LocalTask::new(load_buffer(i, 20), ())
+                    },
+                    LoadConfig {
+                        admission: AdmissionConfig {
+                            inflight_cap: 8,
+                            queue_cap: 16,
+                            policy: OverloadPolicy::Block,
+                        },
+                        sample_every: Duration::from_millis(1),
+                    },
+                    &oracle(),
+                    &Recorder::disabled(),
+                    &|t, _, _| {
+                        if !in_factory && t.buffer.task == 50 {
+                            panic!("on_complete panics on task 50");
+                        }
+                    },
+                )
+            }));
+            let _ = tx.send(run.is_err());
+        });
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(panicked) => assert!(panicked, "{label}: the panic must reach the caller"),
+            Err(_) => panic!("{label}: the run hung after the panic"),
+        }
     }
 }
 

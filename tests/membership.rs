@@ -1,4 +1,4 @@
-//! Elastic-membership suite (DESIGN.md §14): the engine's Active →
+//! Elastic-membership suite (DESIGN.md §12): the engine's Active →
 //! Draining → Gone slot lifecycle proven under randomized schedules.
 //!
 //! Four layers of checks:

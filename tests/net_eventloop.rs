@@ -382,7 +382,7 @@ proptest! {
     }
 }
 
-/// Coordinator fan-in at two scales (DESIGN.md §15): one event-loop
+/// Coordinator fan-in at two scales (DESIGN.md §10): one event-loop
 /// coordinator over 32 and over 1000 loopback workers completes every task
 /// exactly once, kills nobody, and allocates at most one encode buffer
 /// per hundred frames.

@@ -1,4 +1,4 @@
-//! The learned-policy test suite (DESIGN.md §16): properties of the
+//! The learned-policy test suite (DESIGN.md §13): properties of the
 //! online service-time estimator, determinism of the contextual bandit,
 //! and task conservation under the learned policies on the DES and
 //! native backends.

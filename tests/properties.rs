@@ -1,5 +1,5 @@
 //! Property-based tests over the core data structures and protocol state
-//! machines (DESIGN.md §6 lists the invariants).
+//! machines (DESIGN.md §16 lists the invariants).
 
 use anthill_repro::core::buffer::{BufferId, DataBuffer};
 use anthill_repro::core::dqaa::Dqaa;
