@@ -35,12 +35,13 @@ use proptest::prelude::*;
 use common::{count_events, emulated_cpu_workers, load_buffer, loopback_workers, oracle, Forward};
 
 use anthill_repro::bench::load::{run_des_load, ArrivalProfile, LatencyHistogram};
-use anthill_repro::core::engine::{AdmissionConfig, OverloadPolicy};
+use anthill_repro::core::engine::{AdmissionConfig, AdmissionDecision, OverloadPolicy};
 use anthill_repro::core::faults::{ConnectionDropSpec, RecoveryConfig};
 use anthill_repro::core::local::{LoadConfig, LocalTask, Pipeline};
 use anthill_repro::core::net::{run_concurrent_load, Behavior, NetConfig};
 use anthill_repro::core::obs::{EventKind, Recorder};
 use anthill_repro::core::policy::{Policy, PolicyKind};
+use anthill_repro::estimator::fnv1a64;
 use anthill_repro::hetsim::DeviceKind;
 use anthill_repro::simkit::{SimDuration, SimRng};
 
@@ -122,6 +123,60 @@ fn des_replay_reproduces_admission_decisions_twice() {
         );
         assert_eq!(a.counters.generated, 8_000, "{}", policy.name());
         assert_eq!(a.completed, a.counters.admitted, "{}", policy.name());
+    }
+}
+
+/// The replay's decisions, pinned per policy on the suite's schedule: the
+/// counters and an FNV-1a-64 hash over each decision's buffer id (u64 LE)
+/// followed by one byte, 0 admitted, 1 shed, 2 dropped. A change to how an
+/// arrival schedule meets the admission controller moves one of them.
+#[test]
+fn des_replay_decisions_are_pinned() {
+    let arrivals = ArrivalProfile::Poisson { rate_hz: 200_000.0 }.schedule(7, 8_000);
+    let pins = [
+        (OverloadPolicy::Block, 8_000, 0, 0, 0x8b3e_b902_99eb_26a5),
+        (
+            OverloadPolicy::ShedOldest,
+            6_519,
+            1_481,
+            0,
+            0x6ca6_f342_5077_d13c,
+        ),
+        (
+            OverloadPolicy::DeadlineDrop {
+                deadline: SimDuration::from_millis(1),
+            },
+            6_663,
+            0,
+            1_337,
+            0x8ae4_4b72_9068_666f,
+        ),
+    ];
+    for (policy, admitted, shed, dropped, hash) in pins {
+        let cfg = AdmissionConfig {
+            inflight_cap: 8,
+            queue_cap: 16,
+            policy,
+        };
+        let out = run_des_load(&arrivals, 50_000, cfg);
+        let c = out.counters;
+        let label = policy.name();
+        assert_eq!(
+            (c.generated, c.admitted, c.shed, c.deadline_dropped),
+            (8_000, admitted, shed, dropped),
+            "{label}"
+        );
+        assert_eq!(out.completed, admitted, "{label}");
+        let mut bytes = Vec::with_capacity(out.decisions.len() * 9);
+        for &(id, decision) in &out.decisions {
+            bytes.extend_from_slice(&id.to_le_bytes());
+            bytes.push(match decision {
+                AdmissionDecision::Admitted => 0,
+                AdmissionDecision::Shed => 1,
+                AdmissionDecision::DeadlineDropped => 2,
+            });
+        }
+        assert_eq!(fnv1a64(&bytes), hash, "{label}: decision log hash");
     }
 }
 
