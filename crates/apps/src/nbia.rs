@@ -27,6 +27,7 @@ use anthill::policy::PolicyKind;
 use anthill::weights::WeightProvider;
 use anthill_estimator::TaskParams;
 use anthill_hetsim::{DeviceKind, NbiaCostModel};
+use anthill_kernels::color::Rgb8;
 use anthill_kernels::pyramid::TilePyramid;
 use anthill_kernels::tiles::{tile_features, TileClass, TileClassifier, TileGenerator};
 
@@ -94,66 +95,105 @@ pub struct TileResult {
     pub confidence: f64,
 }
 
+/// NBIA's per-tile rules (paper §2, Fig. 1), one copy for every
+/// deployment: tile synthesis, and the hypothesis test that accepts a
+/// tile's classification or sends it one pyramid level up.
+struct Nbia {
+    classifier: TileClassifier,
+    cost: NbiaCostModel,
+    threshold: f64,
+    /// Id of the next recirculated buffer, counting past every tile index.
+    next_id: AtomicU64,
+}
+
+impl Nbia {
+    fn new(config: &NbiaLocalConfig) -> Nbia {
+        Nbia {
+            classifier: TileClassifier::train(config.seed ^ 0x7EAC, 6, config.low_side),
+            cost: NbiaCostModel::paper_calibrated(),
+            threshold: config.confidence_threshold,
+            next_id: AtomicU64::new(1_000_000),
+        }
+    }
+
+    /// A buffer carrying `tile` at pyramid `level`, whose side is `side`.
+    fn buffer(&self, id: u64, tile: u64, level: u8, side: u32) -> DataBuffer {
+        DataBuffer {
+            id: BufferId(id),
+            params: TaskParams::nums(&[f64::from(side)]),
+            shape: self.cost.tile(side),
+            level,
+            task: tile,
+        }
+    }
+
+    /// Each tile in index order: its level-0 buffer, its true class and its
+    /// full-resolution pixels. Classes rotate through [`TileClass::ALL`].
+    fn tiles<'a>(
+        &'a self,
+        config: &'a NbiaLocalConfig,
+    ) -> impl Iterator<Item = (DataBuffer, TileClass, Vec<Rgb8>)> + 'a {
+        let mut gen = TileGenerator::new(config.seed);
+        (0..config.tiles).map(move |tile| {
+            let truth = TileClass::ALL[(tile % 3) as usize];
+            let full = gen.generate(truth, config.high_side);
+            (self.buffer(tile, tile, 0, config.low_side), truth, full)
+        })
+    }
+
+    /// The hypothesis test on `buffer`'s tile at its pyramid level: the
+    /// tile's result if the classification is confident enough or the
+    /// pyramid has no higher level, else the buffer that carries the tile
+    /// one level up (Figure 1's feedback edge).
+    fn classify(
+        &self,
+        buffer: &DataBuffer,
+        truth: TileClass,
+        pyramid: &TilePyramid,
+        features: &[f64],
+    ) -> Result<TileResult, DataBuffer> {
+        let (decision, accepted) = self.classifier.accept(features, self.threshold);
+        let next = buffer.level + 1;
+        if accepted || usize::from(next) >= pyramid.depth() {
+            return Ok(TileResult {
+                tile: buffer.task,
+                truth,
+                predicted: decision.class,
+                level: buffer.level,
+                confidence: decision.confidence,
+            });
+        }
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        Err(self.buffer(id, buffer.task, next, pyramid.side(usize::from(next))))
+    }
+}
+
 /// Payload carried through the pipeline: the tile's whole pyramid (shared,
-/// as the decomposition step stores every resolution) and its identity.
+/// as the decomposition step stores every resolution) and its true class.
+/// The buffer's `task` is the tile index.
 struct TilePayload {
-    tile: u64,
     truth: TileClass,
     pyramid: Arc<TilePyramid>,
 }
 
-/// The fused analysis filter: color conversion + features + classifier +
-/// the multi-resolution hypothesis-test loop over the pyramid.
-struct AnalysisFilter {
-    classifier: TileClassifier,
-    cost: NbiaCostModel,
-    threshold: f64,
-    next_id: AtomicU64,
-}
+/// The fused analysis filter: color conversion + features + the
+/// hypothesis test, recirculating a rejected tile one level up.
+struct AnalysisFilter(Nbia);
 
 impl LocalFilter for AnalysisFilter {
     fn handle(&self, _device: DeviceKind, task: LocalTask, out: &mut Emitter<'_>) {
-        let payload = task
+        let p = task
             .payload
             .downcast::<TilePayload>()
             .expect("NBIA tile payload");
-        let level = task.buffer.level as usize;
-        let (side, pixels) = payload.pyramid.level(level);
+        let (side, pixels) = p.pyramid.level(task.buffer.level as usize);
         let features = tile_features(pixels, side);
-        let (decision, accepted) = self.classifier.accept(&features, self.threshold);
-        let at_top = level + 1 >= payload.pyramid.depth();
-        if accepted || at_top {
-            let buffer_level = task.buffer.level;
-            out.forward(LocalTask::new(
-                task.buffer,
-                TileResult {
-                    tile: payload.tile,
-                    truth: payload.truth,
-                    predicted: decision.class,
-                    level: buffer_level,
-                    confidence: decision.confidence,
-                },
-            ));
-        } else {
-            // Hypothesis test failed: climb one pyramid level and
-            // recirculate (Figure 1's feedback edge).
-            let next_level = (level + 1) as u8;
-            let next_side = payload.pyramid.side(next_level as usize);
-            let buffer = DataBuffer {
-                id: BufferId(self.next_id.fetch_add(1, Ordering::Relaxed)),
-                params: TaskParams::nums(&[f64::from(next_side)]),
-                shape: self.cost.tile(next_side),
-                level: next_level,
-                task: payload.tile,
-            };
-            out.recirculate(LocalTask::new(
-                buffer,
-                TilePayload {
-                    tile: payload.tile,
-                    truth: payload.truth,
-                    pyramid: payload.pyramid,
-                },
-            ));
+        match self
+            .0
+            .classify(&task.buffer, p.truth, &p.pyramid, &features)
+        {
+            Ok(result) => out.forward(LocalTask::new(task.buffer, result)),
+            Err(next) => out.recirculate(LocalTask::new(next, *p)),
         }
     }
 }
@@ -195,44 +235,20 @@ pub fn run_local_deterministic<W: WeightProvider + Sync>(
     (collect_results(outputs), report)
 }
 
-/// The shared setup of the native runs: train the classifier, decompose
-/// each full-resolution tile into its pyramid (analysis starts at the
-/// coarsest level), and assemble the single-stage pipeline.
+/// The shared setup of the native runs: decompose each full-resolution
+/// tile into its pyramid (analysis starts at the coarsest level) and
+/// assemble the single-stage pipeline.
 fn build_pipeline(config: &NbiaLocalConfig) -> (Pipeline, Vec<LocalTask>) {
-    let cost = NbiaCostModel::paper_calibrated();
-    let classifier = TileClassifier::train(config.seed ^ 0x7EAC, 6, config.low_side);
-    let mut gen = TileGenerator::new(config.seed);
-
-    let filter = Arc::new(AnalysisFilter {
-        classifier,
-        cost: cost.clone(),
-        threshold: config.confidence_threshold,
-        next_id: AtomicU64::new(1_000_000),
-    });
-
-    let mut sources = Vec::with_capacity(config.tiles as usize);
-    for tile in 0..config.tiles {
-        let truth = TileClass::ALL[(tile % 3) as usize];
-        let full = gen.generate(truth, config.high_side);
-        let pyramid = Arc::new(TilePyramid::build(full, config.high_side, config.low_side));
-        sources.push(LocalTask::new(
-            DataBuffer {
-                id: BufferId(tile),
-                params: TaskParams::nums(&[f64::from(config.low_side)]),
-                shape: cost.tile(config.low_side),
-                level: 0,
-                task: tile,
-            },
-            TilePayload {
-                tile,
-                truth,
-                pyramid,
-            },
-        ));
-    }
-
+    let nbia = Nbia::new(config);
+    let sources = nbia
+        .tiles(config)
+        .map(|(buffer, truth, full)| {
+            let pyramid = Arc::new(TilePyramid::build(full, config.high_side, config.low_side));
+            LocalTask::new(buffer, TilePayload { truth, pyramid })
+        })
+        .collect();
     let mut pipeline = Pipeline::new(config.policy);
-    pipeline.add_stage(filter, config.workers.clone());
+    pipeline.add_stage(Arc::new(AnalysisFilter(nbia)), config.workers.clone());
     (pipeline, sources)
 }
 
@@ -277,7 +293,6 @@ pub mod graph {
     use anthill::sim::{run_graph_sim, GraphSimConfig, GraphSimReport};
     use anthill::weights::OracleWeights;
     use anthill_hetsim::{DeviceId, GpuParams};
-    use anthill_kernels::color::Rgb8;
 
     /// Filter id of the reader (pyramid decomposition) stage.
     pub(crate) const READER: usize = 0;
@@ -307,7 +322,6 @@ pub mod graph {
     /// Source payload entering the reader: the tile's full-resolution
     /// pixels, not yet decomposed.
     struct TileSource {
-        tile: u64,
         truth: TileClass,
         full: Vec<Rgb8>,
     }
@@ -315,9 +329,7 @@ pub mod graph {
     /// Payload leaving the feature filter: the tile plus its extracted
     /// feature vector at the buffer's pyramid level.
     struct FeaturePayload {
-        tile: u64,
-        truth: TileClass,
-        pyramid: Arc<TilePyramid>,
+        tile: TilePayload,
         features: Vec<f64>,
     }
 
@@ -334,14 +346,8 @@ pub mod graph {
                 .downcast::<TileSource>()
                 .expect("NBIA tile source payload");
             let pyramid = Arc::new(TilePyramid::build(src.full, self.high_side, self.low_side));
-            out.forward(LocalTask::new(
-                task.buffer,
-                TilePayload {
-                    tile: src.tile,
-                    truth: src.truth,
-                    pyramid,
-                },
-            ));
+            let truth = src.truth;
+            out.forward(LocalTask::new(task.buffer, TilePayload { truth, pyramid }));
         }
     }
 
@@ -352,32 +358,23 @@ pub mod graph {
 
     impl LocalFilter for FeatureFilter {
         fn handle(&self, _device: DeviceKind, task: LocalTask, out: &mut Emitter<'_>) {
-            let p = task
+            let tile = *task
                 .payload
                 .downcast::<TilePayload>()
                 .expect("NBIA tile payload");
-            let (side, pixels) = p.pyramid.level(task.buffer.level as usize);
+            let (side, pixels) = tile.pyramid.level(task.buffer.level as usize);
             let features = tile_features(pixels, side);
             out.forward(LocalTask::new(
                 task.buffer,
-                FeaturePayload {
-                    tile: p.tile,
-                    truth: p.truth,
-                    pyramid: p.pyramid,
-                    features,
-                },
+                FeaturePayload { tile, features },
             ));
         }
     }
 
     /// The hypothesis test: accept the classification or push the tile
-    /// back to the feature filter one pyramid level up.
-    struct ClassifierFilter {
-        classifier: TileClassifier,
-        cost: NbiaCostModel,
-        threshold: f64,
-        next_id: AtomicU64,
-    }
+    /// back to the feature filter one pyramid level up, over the declared
+    /// feedback edge.
+    struct ClassifierFilter(Nbia);
 
     impl LocalFilter for ClassifierFilter {
         fn handle(&self, _device: DeviceKind, task: LocalTask, out: &mut Emitter<'_>) {
@@ -385,41 +382,10 @@ pub mod graph {
                 .payload
                 .downcast::<FeaturePayload>()
                 .expect("NBIA feature payload");
-            let level = task.buffer.level as usize;
-            let (decision, accepted) = self.classifier.accept(&p.features, self.threshold);
-            let at_top = level + 1 >= p.pyramid.depth();
-            if accepted || at_top {
-                let buffer_level = task.buffer.level;
-                out.forward(LocalTask::new(
-                    task.buffer,
-                    TileResult {
-                        tile: p.tile,
-                        truth: p.truth,
-                        predicted: decision.class,
-                        level: buffer_level,
-                        confidence: decision.confidence,
-                    },
-                ));
-            } else {
-                let next_level = (level + 1) as u8;
-                let next_side = p.pyramid.side(next_level as usize);
-                let buffer = DataBuffer {
-                    id: BufferId(self.next_id.fetch_add(1, Ordering::Relaxed)),
-                    params: TaskParams::nums(&[f64::from(next_side)]),
-                    shape: self.cost.tile(next_side),
-                    level: next_level,
-                    task: p.tile,
-                };
-                // Routed over the declared feedback edge back to the
-                // feature filter.
-                out.recirculate(LocalTask::new(
-                    buffer,
-                    TilePayload {
-                        tile: p.tile,
-                        truth: p.truth,
-                        pyramid: p.pyramid,
-                    },
-                ));
+            let (truth, pyramid) = (p.tile.truth, &p.tile.pyramid);
+            match self.0.classify(&task.buffer, truth, pyramid, &p.features) {
+                Ok(result) => out.forward(LocalTask::new(task.buffer, result)),
+                Err(next) => out.recirculate(LocalTask::new(next, p.tile)),
             }
         }
     }
@@ -434,26 +400,11 @@ pub mod graph {
     /// The native three-stage pipeline plus its sources: tiles enter as
     /// full-resolution pixels and the reader performs the decomposition.
     fn build_graph_pipeline(config: &NbiaLocalConfig) -> (Pipeline, Vec<LocalTask>) {
-        let cost = NbiaCostModel::paper_calibrated();
-        let classifier = TileClassifier::train(config.seed ^ 0x7EAC, 6, config.low_side);
-        let mut gen = TileGenerator::new(config.seed);
-
-        let mut sources = Vec::with_capacity(config.tiles as usize);
-        for tile in 0..config.tiles {
-            let truth = TileClass::ALL[(tile % 3) as usize];
-            let full = gen.generate(truth, config.high_side);
-            sources.push(LocalTask::new(
-                DataBuffer {
-                    id: BufferId(tile),
-                    params: TaskParams::nums(&[f64::from(config.low_side)]),
-                    shape: cost.tile(config.low_side),
-                    level: 0,
-                    task: tile,
-                },
-                TileSource { tile, truth, full },
-            ));
-        }
-
+        let nbia = Nbia::new(config);
+        let sources = nbia
+            .tiles(config)
+            .map(|(buffer, truth, full)| LocalTask::new(buffer, TileSource { truth, full }))
+            .collect();
         let mut pipeline = Pipeline::new(config.policy).with_graph(topology());
         pipeline.add_stage(
             Arc::new(ReaderFilter {
@@ -463,15 +414,7 @@ pub mod graph {
             cpu_native(),
         );
         pipeline.add_stage(Arc::new(FeatureFilter), config.workers.clone());
-        pipeline.add_stage(
-            Arc::new(ClassifierFilter {
-                classifier,
-                cost,
-                threshold: config.confidence_threshold,
-                next_id: AtomicU64::new(1_000_000),
-            }),
-            cpu_native(),
-        );
+        pipeline.add_stage(Arc::new(ClassifierFilter(nbia)), cpu_native());
         (pipeline, sources)
     }
 
@@ -504,57 +447,33 @@ pub mod graph {
     /// payload-carrying native deployment, so every backend produces
     /// byte-identical [`TileResult`]s.
     pub(crate) struct GraphModel {
-        classifier: TileClassifier,
-        cost: NbiaCostModel,
-        threshold: f64,
-        pyramids: HashMap<u64, Arc<TilePyramid>>,
-        truths: HashMap<u64, TileClass>,
+        nbia: Nbia,
+        tiles: HashMap<u64, TilePayload>,
         features: HashMap<(u64, u8), Vec<f64>>,
         results: Vec<TileResult>,
-        next_id: u64,
     }
 
     impl GraphModel {
         /// Build the model and the seed buffers entering the reader.
         pub(crate) fn new(config: &NbiaLocalConfig) -> (GraphModel, Vec<(usize, DataBuffer)>) {
-            let cost = NbiaCostModel::paper_calibrated();
-            let classifier = TileClassifier::train(config.seed ^ 0x7EAC, 6, config.low_side);
-            let mut gen = TileGenerator::new(config.seed);
-            let mut pyramids = HashMap::new();
-            let mut truths = HashMap::new();
-            let mut seeds = Vec::with_capacity(config.tiles as usize);
-            for tile in 0..config.tiles {
-                let truth = TileClass::ALL[(tile % 3) as usize];
-                let full = gen.generate(truth, config.high_side);
-                pyramids.insert(
-                    tile,
-                    Arc::new(TilePyramid::build(full, config.high_side, config.low_side)),
-                );
-                truths.insert(tile, truth);
-                seeds.push((
-                    READER,
-                    DataBuffer {
-                        id: BufferId(tile),
-                        params: TaskParams::nums(&[f64::from(config.low_side)]),
-                        shape: cost.tile(config.low_side),
-                        level: 0,
-                        task: tile,
-                    },
-                ));
-            }
-            (
-                GraphModel {
-                    classifier,
-                    cost,
-                    threshold: config.confidence_threshold,
-                    pyramids,
-                    truths,
-                    features: HashMap::new(),
-                    results: Vec::new(),
-                    next_id: 1_000_000,
-                },
-                seeds,
-            )
+            let nbia = Nbia::new(config);
+            let mut tiles = HashMap::new();
+            let seeds = nbia
+                .tiles(config)
+                .map(|(buffer, truth, full)| {
+                    let pyramid = TilePyramid::build(full, config.high_side, config.low_side);
+                    let pyramid = Arc::new(pyramid);
+                    tiles.insert(buffer.task, TilePayload { truth, pyramid });
+                    (READER, buffer)
+                })
+                .collect();
+            let model = GraphModel {
+                nbia,
+                tiles,
+                features: HashMap::new(),
+                results: Vec::new(),
+            };
+            (model, seeds)
         }
 
         /// Handle one completion at `filter`, producing the emission the
@@ -569,37 +488,24 @@ pub mod graph {
             match filter {
                 READER => em.forward.push(buffer.clone()),
                 FEATURE => {
-                    let pyramid = &self.pyramids[&buffer.task];
+                    let pyramid = &self.tiles[&buffer.task].pyramid;
                     let (side, pixels) = pyramid.level(buffer.level as usize);
                     self.features
                         .insert((buffer.task, buffer.level), tile_features(pixels, side));
                     em.forward.push(buffer.clone());
                 }
                 CLASSIFIER => {
+                    let tile = &self.tiles[&buffer.task];
                     let features = &self.features[&(buffer.task, buffer.level)];
-                    let (decision, accepted) = self.classifier.accept(features, self.threshold);
-                    let pyramid = &self.pyramids[&buffer.task];
-                    let at_top = buffer.level as usize + 1 >= pyramid.depth();
-                    if accepted || at_top {
-                        self.results.push(TileResult {
-                            tile: buffer.task,
-                            truth: self.truths[&buffer.task],
-                            predicted: decision.class,
-                            level: buffer.level,
-                            confidence: decision.confidence,
-                        });
-                        em.forward.push(buffer.clone());
-                    } else {
-                        let next_level = buffer.level + 1;
-                        let next_side = pyramid.side(next_level as usize);
-                        em.feedback.push(DataBuffer {
-                            id: BufferId(self.next_id),
-                            params: TaskParams::nums(&[f64::from(next_side)]),
-                            shape: self.cost.tile(next_side),
-                            level: next_level,
-                            task: buffer.task,
-                        });
-                        self.next_id += 1;
+                    match self
+                        .nbia
+                        .classify(buffer, tile.truth, &tile.pyramid, features)
+                    {
+                        Ok(result) => {
+                            self.results.push(result);
+                            em.forward.push(buffer.clone());
+                        }
+                        Err(next) => em.feedback.push(next),
                     }
                 }
                 f => unreachable!("NBIA has no filter {f}"),

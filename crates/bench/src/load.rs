@@ -11,19 +11,19 @@
 //!   storing samples; the reported quantile is the upper edge of the
 //!   bucket holding the exact-rank sample, so its error is bounded by
 //!   one bucket width (< 1/32 relative).
-//! * [`run_des_load`] — the admission controller replayed under virtual
-//!   time: the same `offer`/`poll`/`release` sequence the live backends
-//!   drive, with service time modeled as a constant, so admission
-//!   decisions are reproducible bit-for-bit (the determinism suite runs
-//!   it twice and compares decision logs).
+//! * [`run_des_load`] — the open-loop schedule replayed under virtual
+//!   time: the same `engine::OpenLoop` the live backends wrap, fed by a
+//!   heap of completions with service time modeled as a constant, so
+//!   admission decisions are reproducible bit-for-bit (the determinism
+//!   suite runs it twice and compares decision logs, and pins one log per
+//!   overload policy).
 
-use anthill::engine::{
-    AdmissionConfig, AdmissionController, AdmissionCounters, AdmissionDecision, Offer,
-};
-use anthill::obs::{DeviceRef, Recorder};
+use anthill::engine::{AdmissionConfig, AdmissionCounters, AdmissionDecision, OpenLoop};
+use anthill::obs::Recorder;
 use anthill_simkit::SimRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::time::Duration;
 
 // ------------------------------------------------------------- profiles
 
@@ -232,75 +232,50 @@ impl LatencyHistogram {
 pub struct DesLoadOutcome {
     /// Admission counters at quiescence.
     pub counters: AdmissionCounters,
-    /// The controller's `(now_ns, decision)` log, in decision order.
+    /// The controller's `(buffer id, decision)` log, in decision order.
     pub decisions: Vec<(u64, AdmissionDecision)>,
     /// Tasks that ran to completion.
     pub completed: u64,
 }
 
-/// Replay an arrival schedule through the admission controller under
+/// Replay an arrival schedule through the open-loop intake under
 /// *virtual* time: admitted tasks occupy one of the `inflight_cap` slots
-/// for exactly `service_ns`, completions release and re-poll exactly as
-/// the live drivers do, and a `Block` stall holds back the rest of the
-/// schedule (open-loop generator back-pressure). No threads, no clocks —
-/// two calls with the same inputs produce identical decision logs.
+/// for exactly `service_ns`, and each completion releases its slot before
+/// the intake runs, exactly as the live drivers do; a `Block` stall holds
+/// back the rest of the schedule (open-loop generator back-pressure). No
+/// threads, no clocks — two calls with the same inputs produce identical
+/// decision logs.
 pub fn run_des_load(arrivals: &[u64], service_ns: u64, cfg: AdmissionConfig) -> DesLoadOutcome {
     let service_ns = service_ns.max(1);
-    let mut ctl: AdmissionController<u64> =
-        AdmissionController::new(cfg, Recorder::disabled(), DeviceRef::node_scope(0));
+    // The model samples nothing, so the cadence is moot.
+    let mut open = OpenLoop::new(cfg, &Recorder::disabled(), arrivals, Duration::MAX);
     let mut running: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
-    let mut stalled: Option<u64> = None;
-    let mut i = 0usize;
-    let mut completed = 0u64;
-
     loop {
-        let next_arrival = if stalled.is_none() {
-            arrivals.get(i).copied()
-        } else {
-            None
-        };
         let next_completion = running.peek().map(|&Reverse(t)| t);
-        let now = match (next_arrival, next_completion) {
-            (Some(a), Some(c)) => a.min(c),
-            (Some(a), None) => a,
-            (None, Some(c)) => c,
-            (None, None) => break,
+        let Some(now) = [open.next_arrival(), next_completion]
+            .into_iter()
+            .flatten()
+            .min()
+        else {
+            break;
         };
         // Completions first at a tie: the live loops see the completion
         // frame before they inject the arrival due at the same instant.
-        while let Some(&Reverse(t)) = running.peek() {
-            if t > now {
-                break;
-            }
+        while running.peek().is_some_and(|&Reverse(t)| t <= now) {
             running.pop();
-            ctl.release();
-            completed += 1;
+            open.completed();
         }
-        let polled = ctl.poll(now);
-        for _ in polled.admitted {
-            running.push(Reverse(now + service_ns));
-        }
-        if let Some(id) = stalled.take() {
-            match ctl.offer(now, id, 0, id) {
-                Offer::Admitted(_) => running.push(Reverse(now + service_ns)),
-                Offer::Queued { .. } | Offer::ShedSelf(_) => {}
-                Offer::Blocked(_) => stalled = Some(id),
-            }
-        }
-        while stalled.is_none() && i < arrivals.len() && arrivals[i] <= now {
-            let id = i as u64;
-            i += 1;
-            match ctl.offer(now, id, 0, id) {
-                Offer::Admitted(_) => running.push(Reverse(now + service_ns)),
-                Offer::Queued { .. } | Offer::ShedSelf(_) => {}
-                Offer::Blocked(_) => stalled = Some(id),
-            }
-        }
+        open.intake(
+            now,
+            |i, _| i,
+            |_, _| running.push(Reverse(now + service_ns)),
+        );
     }
-
+    let decisions = open.decisions().to_vec();
+    let (counters, completed, _) = open.finish();
     DesLoadOutcome {
-        counters: ctl.counters(),
-        decisions: ctl.decisions().to_vec(),
+        counters,
+        decisions,
         completed,
     }
 }

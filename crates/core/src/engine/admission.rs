@@ -323,6 +323,17 @@ impl<T> AdmissionController<T> {
         self.intake.len()
     }
 
+    /// When the oldest queued task overstays the
+    /// [`OverloadPolicy::DeadlineDrop`] deadline; `None` under the other
+    /// policies or with an empty intake.
+    pub(crate) fn next_expiry(&self) -> Option<u64> {
+        let OverloadPolicy::DeadlineDrop { deadline } = self.cfg.policy else {
+            return None;
+        };
+        let front = self.intake.front()?;
+        Some(front.arrived_ns.saturating_add(deadline.as_nanos()))
+    }
+
     /// Terminal classifications in generation order — byte-comparable
     /// across runs for the determinism tests.
     pub fn decisions(&self) -> &[(u64, AdmissionDecision)] {

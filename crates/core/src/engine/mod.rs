@@ -30,11 +30,15 @@
 //! The submodules: [`core`] (the engine itself), [`clock`] (time
 //! sources), [`select`] (the sorted-vs-FIFO ordering primitive and the
 //! [`ReadyLane`] used by backends with their own queues), [`window`]
-//! (request-window state), and [`sequential`] (the reference driver).
+//! (request-window state), [`sequential`] (the reference driver),
+//! [`admission`] (the bounded intake of an open-loop run) and
+//! [`open_loop`] (an arrival schedule meeting that intake, the state
+//! machine every open-loop driver wraps).
 
 pub mod admission;
 pub mod clock;
 pub mod core;
+pub mod open_loop;
 pub mod select;
 pub mod sequential;
 pub mod window;
@@ -46,4 +50,5 @@ pub use admission::{
 pub use clock::Clock;
 pub(crate) use clock::VirtualClock;
 pub use core::{Engine, EngineConfig, Executor, Transport, WorkerRef};
+pub use open_loop::{Arrival, OpenLoop, QueueDepthSample};
 pub use select::ReadyLane;

@@ -33,7 +33,8 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::buffer::DataBuffer;
-use crate::engine::admission::{AdmissionConfig, AdmissionController, AdmissionCounters, Offer};
+use crate::engine::admission::{AdmissionConfig, AdmissionCounters};
+use crate::engine::open_loop::{OpenLoop, QueueDepthSample};
 use crate::engine::select::{self, ReadyLane};
 use crate::engine::sequential::{self, GraphEmission, SequentialConfig};
 use crate::graph::{DataflowGraph, RoutingCursors};
@@ -318,23 +319,6 @@ impl Default for LoadConfig {
     }
 }
 
-/// One point of the queue-depth time series sampled by the load injector.
-#[derive(Debug, Clone)]
-pub struct QueueDepthSample {
-    /// Monotonic time since run start, nanoseconds.
-    pub t_ns: u64,
-    /// Buffers across every stage's ready lane (the aggregate of
-    /// `per_stage`).
-    pub ready: u64,
-    /// Tasks waiting at the admission intake.
-    pub intake: u64,
-    /// Admitted-but-unfinished tasks.
-    pub inflight: u64,
-    /// Ready-lane depth of each stage (filter), indexed by stage id. The
-    /// aggregate alone cannot show which filter of a DAG is backing up.
-    pub per_stage: Vec<u64>,
-}
-
 /// Outcome of an open-loop [`Pipeline::run_load`] run.
 #[derive(Debug)]
 pub struct LoadRunReport {
@@ -349,27 +333,23 @@ pub struct LoadRunReport {
     pub queue_depth: Vec<QueueDepthSample>,
 }
 
-/// What the open-loop admission lock guards: the controller and the
-/// injectors asleep until a completion frees a slot (the lane's wake rule).
-struct Intake {
-    ctl: AdmissionController<LocalTask>,
-    blocked: u32,
+/// What the open-loop lock guards: the schedule's state machine, and when
+/// the injector plans to wake while it sleeps. A completion wakes it only
+/// if that made something due earlier (the lane's wake rule).
+struct Intake<'a> {
+    open: OpenLoop<'a, LocalTask>,
+    injector_wakes_at: Option<u64>,
 }
 
 /// Shared state of one open-loop run, threaded through the worker loop.
 struct LoadSpec<'a> {
-    /// Arrival offsets from run start, nanoseconds, non-decreasing.
-    arrivals: &'a [u64],
     /// Builds the i-th task; receives `(index, arrival_ns)`.
     make_task: &'a (dyn Fn(u64, u64) -> LocalTask + Sync),
-    intake: &'a Mutex<Intake>,
-    /// Signalled after a completion that finds an injector blocked, so it
-    /// re-offers.
-    space: &'a Condvar,
+    intake: Mutex<Intake<'a>>,
+    /// Signalled when a completion moves the injector's wake-up earlier.
+    wake: Condvar,
     /// Invoked per terminal output with `(task, started_ns, finished_ns)`.
     on_complete: &'a (dyn Fn(LocalTask, u64, u64) + Sync),
-    sample_every: Duration,
-    samples: &'a Mutex<Vec<QueueDepthSample>>,
 }
 
 /// Shuts the run down if its thread unwinds: a panic anywhere in a worker
@@ -520,16 +500,25 @@ impl Pipeline {
     /// classification traced (`task_admitted` / `task_shed` /
     /// `task_deadline_dropped`) and counted.
     ///
+    /// The schedule and the intake are one [`OpenLoop`] under one lock.
+    /// The injector thread offers what is due, samples the queue depth
+    /// every [`LoadConfig::sample_every`] (a stalled `Block` intake
+    /// included), and sleeps until the next arrival, sample or deadline
+    /// expiry. A worker whose task leaves the run releases its admission
+    /// slot and takes in whatever is then due itself, waking the injector
+    /// only if that moved its next wake-up earlier.
+    ///
     /// `make_task` builds the i-th task from `(index, arrival_ns)`; embed
-    /// the arrival in the payload to measure end-to-end latency.
-    /// `on_complete` runs on the worker thread for every terminal output
-    /// with `(task, started_ns, finished_ns)` — record latencies there
-    /// instead of collecting outputs (nothing is buffered).
+    /// the arrival in the payload to measure end-to-end latency. It runs
+    /// under the intake lock, on the injector or on a completing worker,
+    /// so keep it cheap. `on_complete` runs on the worker thread for every
+    /// terminal output with `(task, started_ns, finished_ns)` — record
+    /// latencies there instead of collecting outputs (nothing is
+    /// buffered).
     ///
     /// Requires filters that eventually forward exactly one terminal
     /// output per admitted task (each terminal output releases one
-    /// admission slot). The injector also samples a queue-depth time
-    /// series every [`LoadConfig::sample_every`].
+    /// admission slot).
     pub fn run_load<W: WeightProvider + Sync>(
         &self,
         arrivals: &[u64],
@@ -539,36 +528,22 @@ impl Pipeline {
         recorder: &Recorder,
         on_complete: &(dyn Fn(LocalTask, u64, u64) + Sync),
     ) -> LoadRunReport {
-        let intake = Mutex::new(Intake {
-            ctl: AdmissionController::new(
-                cfg.admission,
-                recorder.clone(),
-                DeviceRef::node_scope(0),
-            ),
-            blocked: 0,
-        });
-        let space = Condvar::new();
-        let samples = Mutex::new(Vec::new());
-        let completed = AtomicU64::new(0);
-        let counted = |t: LocalTask, started_ns: u64, finished_ns: u64| {
-            completed.fetch_add(1, Ordering::SeqCst);
-            on_complete(t, started_ns, finished_ns);
-        };
         let spec = LoadSpec {
-            arrivals,
             make_task,
-            intake: &intake,
-            space: &space,
-            on_complete: &counted,
-            sample_every: cfg.sample_every.max(Duration::from_micros(200)),
-            samples: &samples,
+            intake: Mutex::new(Intake {
+                open: OpenLoop::new(cfg.admission, recorder, arrivals, cfg.sample_every),
+                injector_wakes_at: None,
+            }),
+            wake: Condvar::new(),
+            on_complete,
         };
         let (_outputs, local) = self.run_inner(Vec::new(), Some(&spec), weights, recorder);
+        let (admission, completed, queue_depth) = spec.intake.into_inner().unwrap().open.finish();
         LoadRunReport {
-            admission: intake.into_inner().unwrap().ctl.counters(),
-            completed: completed.load(Ordering::SeqCst),
+            admission,
+            completed,
             local,
-            queue_depth: samples.into_inner().unwrap(),
+            queue_depth,
         }
     }
 
@@ -730,6 +705,20 @@ impl Pipeline {
                 q.cv.notify_all();
                 q.space.notify_all();
             }
+            if let Some(load) = load {
+                let _guard = load.intake.lock().unwrap_or_else(PoisonError::into_inner);
+                load.wake.notify_all();
+            }
+        };
+        // Admitted open-loop tasks enter stage 0 unbounded, as sources do,
+        // each holding its in-flight token before it is queued.
+        let inject = &|admitted: &mut Vec<LocalTask>| {
+            if !admitted.is_empty() {
+                in_flight.fetch_add(admitted.len(), Ordering::SeqCst);
+                for t in admitted.drain(..) {
+                    enqueue(0, t, false);
+                }
+            }
         };
         // An open-loop run starts with one in-flight token held by the
         // injector thread, so the count cannot hit zero between arrivals.
@@ -751,124 +740,56 @@ impl Pipeline {
             if let Some(load) = load {
                 scope.spawn(move || {
                     let _shutdown = ShutdownOnPanic(shutdown);
-                    let sample_every = load.sample_every;
-                    let mut next_sample = Duration::ZERO;
-                    // Depth snapshot: each lock is taken and dropped on its
-                    // own (never nested), so this cannot deadlock against
-                    // workers holding admission-then-queue.
-                    let mut sample_if_due = |now: Duration| {
-                        if now < next_sample {
-                            return;
-                        }
-                        next_sample = now + sample_every;
-                        let mut per_stage = Vec::with_capacity(queues.len());
-                        let mut ready = 0u64;
-                        for sq in queues.iter() {
-                            let depth = sq.queue.lock().unwrap().ready.len() as u64;
-                            ready += depth;
-                            per_stage.push(depth);
-                        }
-                        let (intake, inflight) = {
-                            let g = load.intake.lock().unwrap();
-                            (g.ctl.queued() as u64, g.ctl.inflight() as u64)
-                        };
-                        load.samples.lock().unwrap().push(QueueDepthSample {
-                            t_ns: now.as_nanos() as u64,
-                            ready,
-                            intake,
-                            inflight,
-                            per_stage,
-                        });
-                    };
-                    'arrivals: for (i, &offset) in load.arrivals.iter().enumerate() {
-                        let target = Duration::from_nanos(offset);
-                        loop {
-                            if done.load(Ordering::SeqCst) {
-                                break 'arrivals;
-                            }
-                            let now = started.elapsed();
-                            sample_if_due(now);
-                            if now >= target {
-                                break;
-                            }
-                            // Sleep in sampling-cadence slices; the last
-                            // stretch is finished by yielding so arrivals
-                            // land close to their schedule.
-                            let remaining = target - now;
-                            if remaining > Duration::from_micros(300) {
-                                std::thread::sleep(
-                                    (remaining - Duration::from_micros(150)).min(sample_every),
-                                );
-                            } else {
-                                std::thread::yield_now();
-                            }
-                        }
-                        let mut task = (load.make_task)(i as u64, offset);
-                        let mut intake = load.intake.lock().unwrap();
-                        loop {
-                            let now_ns = started.elapsed().as_nanos() as u64;
-                            let id = task.buffer.id.0;
-                            let level = task.buffer.level;
-                            match intake.ctl.offer(now_ns, id, level, task) {
-                                Offer::Admitted(t) => {
-                                    drop(intake);
-                                    in_flight.fetch_add(1, Ordering::SeqCst);
-                                    enqueue(0, t, false);
-                                    break;
-                                }
-                                Offer::Queued { shed } => {
-                                    drop(intake);
-                                    // A shed victim's payload is reclaimed
-                                    // here; the controller already counted
-                                    // and traced it.
-                                    drop(shed);
-                                    break;
-                                }
-                                Offer::ShedSelf(t) => {
-                                    drop(intake);
-                                    drop(t);
-                                    break;
-                                }
-                                Offer::Blocked(t) => {
-                                    task = t;
-                                    if done.load(Ordering::SeqCst) {
-                                        break 'arrivals;
-                                    }
-                                    intake.blocked += 1;
-                                    intake = load
-                                        .space
-                                        .wait_timeout(intake, Duration::from_millis(2))
-                                        .unwrap()
-                                        .0;
-                                    intake.blocked -= 1;
-                                }
-                            }
-                        }
-                    }
-                    // Drain: keep holding the injector token until every
-                    // queued task has been admitted or dropped, so the run
-                    // cannot terminate with work still parked at intake.
+                    let now_ns = || started.elapsed().as_nanos() as u64;
+                    let mut admitted = Vec::new();
+                    // Keep holding the injector token until the schedule is
+                    // offered and nothing waits at intake, so the run cannot
+                    // end with work still parked there.
                     loop {
                         if done.load(Ordering::SeqCst) {
                             return;
                         }
-                        let now = started.elapsed();
-                        sample_if_due(now);
-                        let (admitted, drained) = {
+                        let now = now_ns();
+                        let (sample, drained) = {
                             let mut g = load.intake.lock().unwrap();
-                            let polled = g.ctl.poll(now.as_nanos() as u64);
-                            (polled.admitted, g.ctl.queued() == 0)
+                            g.open.intake(now, load.make_task, |t, _| admitted.push(t));
+                            (g.open.sample_due(now), g.open.drained())
                         };
-                        if !admitted.is_empty() {
-                            in_flight.fetch_add(admitted.len(), Ordering::SeqCst);
-                            for env in admitted {
-                                enqueue(0, env.payload, false);
-                            }
-                        }
+                        inject(&mut admitted);
                         if drained {
                             break;
                         }
-                        std::thread::sleep(Duration::from_micros(500));
+                        // Lane depths first, each lock on its own: the
+                        // intake lock is never held with a lane lock.
+                        let per_stage: Option<Vec<u64>> = sample.then(|| {
+                            let depth = |sq: &StageQueue| sq.queue.lock().unwrap().ready.len();
+                            queues.iter().map(|sq| depth(sq) as u64).collect()
+                        });
+                        let mut g = load.intake.lock().unwrap();
+                        if let Some(per_stage) = per_stage {
+                            g.open.sample(now, per_stage);
+                        }
+                        // Read under the lock: a completion may have moved
+                        // the deadline since the intake above.
+                        let deadline = if g.open.drained() {
+                            now
+                        } else {
+                            g.open.next_deadline()
+                        };
+                        let now = now_ns();
+                        if deadline > now + 300_000 && !done.load(Ordering::SeqCst) {
+                            g.injector_wakes_at = Some(deadline);
+                            let sleep = Duration::from_nanos(deadline - now - 150_000);
+                            g = load.wake.wait_timeout(g, sleep).unwrap().0;
+                            g.injector_wakes_at = None;
+                        } else {
+                            // The last stretch is finished by yielding, so
+                            // arrivals land close to their schedule.
+                            drop(g);
+                            while now_ns() < deadline && !done.load(Ordering::SeqCst) {
+                                std::thread::yield_now();
+                            }
+                        }
                     }
                     if in_flight.fetch_sub(1, Ordering::SeqCst) == 1 {
                         shutdown();
@@ -912,6 +833,7 @@ impl Pipeline {
                         let mut outputs = Vec::new();
                         let mut fwd = Vec::new();
                         let mut back = Vec::new();
+                        let mut admitted = Vec::new();
                         let mut tallies = [0u64; 256];
                         'work: loop {
                             // Pull the next buffer; the lane applies the
@@ -1072,8 +994,8 @@ impl Pipeline {
                                 } else if let Some(load) = load {
                                     // Open-loop terminal emission: hand the
                                     // task to the latency callback, release
-                                    // its admission slot, and inject any
-                                    // newly admitted intake entries before
+                                    // its admission slot, and inject what
+                                    // that or the time made due before
                                     // retiring this one.
                                     let started_ns = work_started
                                         .expect("open-loop runs time every task")
@@ -1082,20 +1004,20 @@ impl Pipeline {
                                         as u64;
                                     let finished_ns = started.elapsed().as_nanos() as u64;
                                     (load.on_complete)(t, started_ns, finished_ns);
-                                    let (admitted, injector_asleep) = {
+                                    let wake_injector = {
                                         let mut g = load.intake.lock().unwrap();
-                                        g.ctl.release();
-                                        (g.ctl.poll(finished_ns).admitted, g.blocked > 0)
+                                        let now = started.elapsed().as_nanos() as u64;
+                                        g.open.completed();
+                                        let make = load.make_task;
+                                        g.open.intake(now, make, |t, _| admitted.push(t));
+                                        g.injector_wakes_at.is_some_and(|at| {
+                                            g.open.drained() || g.open.next_deadline() < at
+                                        })
                                     };
-                                    if injector_asleep {
-                                        wake(load.space);
+                                    if wake_injector {
+                                        wake(&load.wake);
                                     }
-                                    if !admitted.is_empty() {
-                                        in_flight.fetch_add(admitted.len(), Ordering::SeqCst);
-                                        for env in admitted {
-                                            enqueue(0, env.payload, false);
-                                        }
-                                    }
+                                    inject(&mut admitted);
                                     in_flight.fetch_sub(1, Ordering::SeqCst);
                                 } else {
                                     // Terminal emission: leaves the pipeline.

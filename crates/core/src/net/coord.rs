@@ -32,15 +32,14 @@ use anthill_simkit::{SimDuration, SimTime};
 
 use crate::buffer::DataBuffer;
 use crate::engine::{
-    AdmissionConfig, AdmissionController, Engine, EngineConfig, Executor, Offer, Transport,
-    VirtualClock, WorkerRef,
+    self, AdmissionConfig, Engine, EngineConfig, Executor, Transport, VirtualClock, WorkerRef,
 };
 use crate::membership::{Autoscaler, ScaleAction};
 use crate::obs::{DeviceRef, EventKind, Recorder};
 use crate::weights::WeightProvider;
 
 use super::conn::WireStats;
-use super::driver::{DrainAt, NetConfig, NetLoadReport, NetOutcome, NetQueueSample, NetTaskTiming};
+use super::driver::{DrainAt, NetConfig, NetLoadReport, NetOutcome, NetTaskTiming};
 use super::frame::Frame;
 
 /// The coordinator's one engine node: a wall-clock run is one filter.
@@ -255,11 +254,12 @@ impl<'a, W: WeightProvider> Coordinator<'a, W> {
     }
 
     /// When an input is due even if no socket speaks: the earliest request
-    /// timeout, arrival, queue-depth sample or heartbeat check.
+    /// timeout, arrival, queue-depth sample, intake deadline expiry or
+    /// heartbeat check.
     pub(crate) fn next_deadline(&self) -> Option<u64> {
         let timer = self.fx.timers.peek().map(|&Reverse((fire, _, _))| fire);
         let heartbeat = self.heartbeat_ns.map(|_| self.heartbeat_due_ns);
-        let load = self.load.as_ref().map(OpenLoop::next_deadline);
+        let load = self.load.as_ref().map(|l| l.open.next_deadline());
         [timer, heartbeat, load].into_iter().flatten().min()
     }
 
@@ -306,7 +306,7 @@ impl<'a, W: WeightProvider> Coordinator<'a, W> {
     /// The run's result, with the shell's socket counters.
     pub(crate) fn report(self, wire: WireStats) -> NetLoadReport {
         let (admission, completed, queue_depth) = match self.load {
-            Some(l) => (l.ctl.counters(), l.completed, l.samples),
+            Some(l) => l.open.finish(),
             None => Default::default(),
         };
         let outcome = NetOutcome {
@@ -558,7 +558,14 @@ impl<'a, W: WeightProvider> Coordinator<'a, W> {
         else {
             return;
         };
-        load.intake(now_ns, |buffer| {
+        let OpenLoop {
+            open,
+            make_task,
+            admitted_arrival,
+            ..
+        } = load;
+        open.intake(now_ns, &mut **make_task, |buffer, arrival_ns| {
+            admitted_arrival.insert(buffer.id.0, arrival_ns);
             *expected += 1;
             engine.seed_live(NODE, buffer, fx);
         });
@@ -584,31 +591,21 @@ impl<'a, W: WeightProvider> Coordinator<'a, W> {
 
     fn finished(&self) -> bool {
         self.engine.total_done() >= self.expected
-            && self.load.as_ref().is_none_or(OpenLoop::drained)
+            && self.load.as_ref().is_none_or(|l| l.open.drained())
     }
 }
 
-/// What an open-loop run adds: the arrival schedule and its injector, the
-/// admission controller in front of the engine, the queue-depth sampler
-/// with the autoscaler on its cadence, and the per-task timing callback.
+/// What an open-loop run adds to the coordinator: the schedule's state
+/// machine, and what only the coordinator has — the task factory, the
+/// per-task timing callback with each admitted task's scheduled arrival,
+/// and the autoscaler on the sample cadence.
 pub(crate) struct OpenLoop<'a> {
-    ctl: AdmissionController<DataBuffer>,
-    arrivals: &'a [u64],
+    open: engine::OpenLoop<'a, DataBuffer>,
     make_task: &'a mut dyn FnMut(u64, u64) -> DataBuffer,
     on_complete: &'a mut dyn FnMut(NetTaskTiming),
-    sample_every_ns: u64,
     autoscaler: Option<Autoscaler>,
-    /// Next arrival index to inject.
-    next: usize,
-    /// A task bounced with `Offer::Blocked`, waiting for intake space.
-    pending: Option<(u64, DataBuffer)>,
-    /// Scheduled arrival of tasks sitting in the admission intake.
-    queued_arrival: HashMap<u64, u64>,
     /// Scheduled arrival of admitted, not-yet-completed tasks.
     admitted_arrival: HashMap<u64, u64>,
-    samples: Vec<NetQueueSample>,
-    next_sample_ns: u64,
-    completed: u64,
     /// The latest completion's e2e latency, the autoscaler's signal.
     last_e2e: Option<u64>,
 }
@@ -627,82 +624,13 @@ impl<'a> OpenLoop<'a> {
         on_complete: &'a mut dyn FnMut(NetTaskTiming),
         autoscaler: Option<Autoscaler>,
     ) -> OpenLoop<'a> {
-        let origin = DeviceRef::node_scope(NODE);
-        let sample_every = sample_every.max(Duration::from_micros(200));
         OpenLoop {
-            ctl: AdmissionController::new(admission, recorder.clone(), origin),
-            arrivals,
+            open: engine::OpenLoop::new(admission, recorder, arrivals, sample_every),
             make_task,
             on_complete,
-            sample_every_ns: sample_every.as_nanos() as u64,
             autoscaler,
-            next: 0,
-            pending: None,
-            queued_arrival: HashMap::new(),
             admitted_arrival: HashMap::new(),
-            samples: Vec::new(),
-            next_sample_ns: 0,
-            completed: 0,
             last_e2e: None,
-        }
-    }
-
-    /// Schedule injected to the end and nothing left in the intake.
-    fn drained(&self) -> bool {
-        self.next >= self.arrivals.len() && self.pending.is_none() && self.ctl.queued() == 0
-    }
-
-    /// The next sample, or the next arrival if the injector is not blocked.
-    fn next_deadline(&self) -> u64 {
-        match (&self.pending, self.arrivals.get(self.next)) {
-            (None, Some(&due)) => due.min(self.next_sample_ns),
-            _ => self.next_sample_ns,
-        }
-    }
-
-    /// Admit intake entries freed by completions, then offer every due
-    /// arrival, a blocked task first; `admit` seeds each admitted task.
-    fn intake(&mut self, now_ns: u64, mut admit: impl FnMut(DataBuffer)) {
-        let polled = self.ctl.poll(now_ns);
-        for env in polled.expired {
-            self.queued_arrival.remove(&env.buffer);
-        }
-        for env in polled.admitted {
-            let arrival = self.queued_arrival.remove(&env.buffer).unwrap_or(now_ns);
-            self.admitted_arrival.insert(env.buffer, arrival);
-            admit(env.payload);
-        }
-        loop {
-            let (arrival_ns, buf) = match self.pending.take() {
-                Some(p) => p,
-                None => match self.arrivals.get(self.next) {
-                    Some(&due) if due <= now_ns => {
-                        self.next += 1;
-                        (due, (self.make_task)(self.next as u64 - 1, due))
-                    }
-                    _ => break,
-                },
-            };
-            let id = buf.id.0;
-            match self.ctl.offer(now_ns, id, buf.level, buf) {
-                Offer::Admitted(b) => {
-                    self.admitted_arrival.insert(id, arrival_ns);
-                    admit(b);
-                }
-                Offer::Queued { shed } => {
-                    self.queued_arrival.insert(id, arrival_ns);
-                    if let Some(victim) = shed {
-                        self.queued_arrival.remove(&victim.buffer);
-                    }
-                }
-                Offer::ShedSelf(_) => {}
-                // Back-pressure: the injector stalls until a completion
-                // frees an admission slot.
-                Offer::Blocked(b) => {
-                    self.pending = Some((arrival_ns, b));
-                    break;
-                }
-            }
         }
     }
 
@@ -713,22 +641,15 @@ impl<'a> OpenLoop<'a> {
         now_ns: u64,
         engine: &Engine<VirtualClock, W>,
     ) -> Option<ScaleAction> {
-        if now_ns < self.next_sample_ns {
+        if !self.open.sample_due(now_ns) {
             return None;
         }
-        let ready = engine.reader_len(NODE) as u64;
-        let intake = self.ctl.queued() as u64;
-        let inflight = self.ctl.inflight() as u64;
-        self.samples.push(NetQueueSample {
-            t_ns: now_ns,
-            ready,
-            intake,
-            inflight,
-        });
-        self.next_sample_ns = now_ns + self.sample_every_ns;
-        let depth = (ready + intake) as usize;
-        let active = engine.active_worker_count();
-        let decide = |a: &mut Autoscaler| a.decide(now_ns, depth, self.last_e2e, active);
+        let s = self
+            .open
+            .sample(now_ns, vec![engine.reader_len(NODE) as u64]);
+        let depth = (s.ready + s.intake) as usize;
+        let (last_e2e, active) = (self.last_e2e, engine.active_worker_count());
+        let decide = |a: &mut Autoscaler| a.decide(now_ns, depth, last_e2e, active);
         self.autoscaler.as_mut().and_then(decide)
     }
 
@@ -740,7 +661,6 @@ impl<'a> OpenLoop<'a> {
         };
         let e2e_ns = finished_ns.saturating_sub(arrival);
         let service_ns = span_ns.min(e2e_ns);
-        self.completed += 1;
         self.last_e2e = Some(e2e_ns);
         let queue_ns = e2e_ns - service_ns;
         (self.on_complete)(NetTaskTiming {
@@ -749,7 +669,7 @@ impl<'a> OpenLoop<'a> {
             service_ns,
             e2e_ns,
         });
-        self.ctl.release();
+        self.open.completed();
     }
 }
 

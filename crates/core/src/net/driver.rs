@@ -48,7 +48,7 @@ use anthill_simkit::SimTime;
 
 use crate::buffer::DataBuffer;
 use crate::engine::sequential::{run_lockstep, GraphEmission, Hops, SequentialConfig};
-use crate::engine::{AdmissionConfig, AdmissionCounters, WorkerRef};
+use crate::engine::{AdmissionConfig, AdmissionCounters, QueueDepthSample, WorkerRef};
 use crate::faults::{ConnectionDropSpec, RecoveryConfig};
 use crate::graph::DataflowGraph;
 use crate::membership::{Autoscaler, MembershipSchedule, WorkerPool};
@@ -841,19 +841,6 @@ pub struct NetTaskTiming {
     pub e2e_ns: u64,
 }
 
-/// One queue-depth sample from an open-loop net run.
-#[derive(Debug, Clone, Copy)]
-pub struct NetQueueSample {
-    /// Coordinator wall-clock nanoseconds since the run started.
-    pub t_ns: u64,
-    /// Buffers sitting in the engine's ready (reader) queue.
-    pub ready: u64,
-    /// Tasks waiting in the admission intake queue.
-    pub intake: u64,
-    /// Tasks admitted and not yet completed.
-    pub inflight: u64,
-}
-
 /// Result of [`run_concurrent_load`].
 #[derive(Debug, Clone)]
 pub struct NetLoadReport {
@@ -864,8 +851,9 @@ pub struct NetLoadReport {
     pub admission: AdmissionCounters,
     /// Tasks that completed and produced a timing callback.
     pub completed: u64,
-    /// Queue-depth time series on the `sample_every` cadence.
-    pub queue_depth: Vec<NetQueueSample>,
+    /// Queue-depth time series on the `sample_every` cadence; `per_stage`
+    /// holds the reader's depth.
+    pub queue_depth: Vec<QueueDepthSample>,
     /// Workers admitted by the autoscaler (0 without autoscaling).
     pub scale_ups: u64,
     /// Graceful drains initiated by the autoscaler (0 without

@@ -47,8 +47,7 @@ pub use conn::{Conn, RawIo, ReadStatus, WireStats};
 pub use driver::{
     run_concurrent, run_concurrent_elastic, run_concurrent_load, run_concurrent_load_autoscaled,
     run_graph_deterministic, run_graph_deterministic_with, DrainAt, ElasticLoad, ElasticOutcome,
-    NetConfig, NetGraphOutcome, NetLoadReport, NetOutcome, NetQueueSample, NetTaskTiming,
-    NetWorkerConn,
+    NetConfig, NetGraphOutcome, NetLoadReport, NetOutcome, NetTaskTiming, NetWorkerConn,
 };
 pub use frame::{
     encode_deliver_into, encode_frame, encode_frame_into, BufPool, Frame, FrameDecoder, FrameError,

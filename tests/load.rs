@@ -415,6 +415,62 @@ fn a_panicking_callback_or_task_factory_ends_the_native_run() {
     }
 }
 
+// ------------------------------------------------------------ sampling
+
+/// Both backends keep sampling the queue depth on the cadence while a
+/// `Block` intake holds the schedule back: three arrivals at t = 0 against
+/// one slot and a one-deep queue leave the third blocked for the whole
+/// first task, 50 ms natively and 20 ms per task over TCP, so a 1 ms
+/// cadence owes dozens of samples. A count, not a gap: the shared host
+/// stalls a thread for a few milliseconds now and then.
+#[test]
+fn both_backends_sample_queue_depth_through_a_blocked_injector() {
+    let arrivals = [0, 0, 0];
+    let admission = AdmissionConfig {
+        inflight_cap: 1,
+        queue_cap: 1,
+        policy: OverloadPolicy::Block,
+    };
+    let cadence = Duration::from_millis(1);
+
+    let mut p = Pipeline::new(PolicyKind::DdFcfs);
+    p.add_stage(Arc::new(Forward), emulated_cpu_workers(1));
+    let native = p.run_load(
+        &arrivals,
+        &|i, _| LocalTask::new(load_buffer(i, if i == 0 { 50_000 } else { 10 }), ()),
+        LoadConfig {
+            admission,
+            sample_every: cadence,
+        },
+        &oracle(),
+        &Recorder::disabled(),
+        &|_, _, _| {},
+    );
+    assert_eq!(native.completed, 3);
+    let samples = native.queue_depth.len();
+    assert!(
+        samples >= 10,
+        "native: {samples} samples over a 50 ms stall"
+    );
+
+    let workers = loopback_workers(&[DeviceKind::Cpu], Behavior::Busy { micros: 20_000 });
+    let net = run_concurrent_load(
+        NetConfig::new(Policy::ddfcfs(4)),
+        admission,
+        workers,
+        &arrivals,
+        &mut |i, _| load_buffer(i, 10),
+        cadence,
+        oracle(),
+        &mut |_| {},
+    )
+    .expect("net load run");
+    assert_eq!(net.completed, 3);
+    let samples = net.queue_depth.len();
+    assert!(samples >= 10, "TCP: {samples} samples over a 60 ms run");
+    assert!(net.queue_depth.iter().all(|s| s.per_stage == [s.ready]));
+}
+
 // -------------------------------------------------------- conservation: net
 
 /// Net backend, every overload policy: one deliberately slow loopback
