@@ -25,7 +25,6 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use crate::buffer::DataBuffer;
-use crate::local::LocalTask;
 use crate::obs::{DeviceRef, Recorder};
 
 use super::admission::{
@@ -46,15 +45,6 @@ impl Arrival for DataBuffer {
     }
     fn level(&self) -> u8 {
         self.level
-    }
-}
-
-impl Arrival for LocalTask {
-    fn id(&self) -> u64 {
-        self.buffer.id.0
-    }
-    fn level(&self) -> u8 {
-        self.buffer.level
     }
 }
 

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use crate::buffer::DataBuffer;
 use crate::engine::admission::{AdmissionConfig, AdmissionCounters};
-use crate::engine::open_loop::{OpenLoop, QueueDepthSample};
+use crate::engine::open_loop::{Arrival, OpenLoop, QueueDepthSample};
 use crate::engine::select::{self, ReadyLane};
 use crate::engine::sequential::{self, GraphEmission, SequentialConfig};
 use crate::graph::{DataflowGraph, RoutingCursors};
@@ -61,6 +61,15 @@ impl LocalTask {
             buffer,
             payload: Box::new(payload),
         }
+    }
+}
+
+impl Arrival for LocalTask {
+    fn id(&self) -> u64 {
+        self.buffer.id.0
+    }
+    fn level(&self) -> u8 {
+        self.buffer.level
     }
 }
 
