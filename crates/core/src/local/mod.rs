@@ -704,9 +704,11 @@ impl Pipeline {
         };
         // End the run: wake everyone to exit. Taking each queue lock before
         // notifying closes the missed-wakeup window against workers between
-        // their done-check and wait. This is the one place a poisoned lock
-        // is recovered: a thread that panicked under a lane lock must still
-        // wake every sleeper; anywhere else the run has already panicked.
+        // their done-check and wait; the injector is woken the same way.
+        // This is the one place a poisoned lock is recovered: a thread that
+        // panicked under a lane lock, or under the intake lock in the task
+        // factory, must still wake every sleeper; anywhere else the run has
+        // already panicked.
         let shutdown = &|| {
             done.store(true, Ordering::SeqCst);
             for q in queues {

@@ -8,7 +8,7 @@
 //! 1. **Determinism** — identical `(profile, seed, n)` triples render
 //!    byte-identical arrival schedules, and the virtual-time admission
 //!    replay ([`run_des_load`]) reproduces the same decision log twice
-//!    for every overload policy.
+//!    for every overload policy, and that log is pinned per policy.
 //! 2. **Histogram error bounds** — the bucketed p50/p99/p999 sit within
 //!    one bucket width of the exact order statistics computed from the
 //!    raw sample vector, for adversarial seeded distributions (bimodal
@@ -23,7 +23,8 @@
 //!    loopback worker, including the bounded-intake guarantee, and again
 //!    with short request timeouts and a severed slot; and the frame count
 //!    of `net_stream`'s shape, which pays for no request a buffer cannot
-//!    fill.
+//!    fill. Both backends also keep sampling the queue depth while a
+//!    `Block` intake holds the schedule back.
 
 mod common;
 
