@@ -333,6 +333,57 @@ fn des_drop_plus_gpu_death_runs_are_pinned() {
     assert_eq!(pin(Policy::odds()), (40_952_925_846, 0xb284_3598_faf9_80b1));
 }
 
+/// Transient task failures on top of a lossy network, pinned as literals
+/// under the three paper policies and the two learned ones. The run above
+/// has no task failure, so no worker's health ever decays there, and the
+/// learned policies are otherwise held only to cross-backend parity; this
+/// one pins the recovery constants (backoff cap, health decay and
+/// recovery) and the learner's (EWMA α, spans before the online cell
+/// overrides, affinity bonus, bandit ε and boost). Mutating any of those
+/// moves a pair below. Three things it does not see: the bandit's UCB
+/// width 0.5 → 0.6 leaves every decision in place, a bigger or smaller
+/// raw-span history changes nothing any run reads, and a request-window
+/// cap of 64 instead of 256 is never reached here (a cap of 16 does move
+/// `des_drop_plus_gpu_death_runs_are_pinned`).
+#[test]
+fn des_failure_and_learned_runs_are_pinned() {
+    let wl = WorkloadSpec {
+        tiles: 400,
+        ..WorkloadSpec::paper_base(0.2)
+    };
+    let pin = |policy: Policy| {
+        let faults = FaultConfig {
+            drop: FaultProb::uniform(0.3),
+            task_fail: FaultProb::uniform(0.1),
+            recovery: RecoveryConfig::standard(),
+            seed: 42,
+            ..FaultConfig::none()
+        };
+        let mut cfg = faulty_sim(policy, faults);
+        cfg.recorder = Recorder::enabled();
+        let report = run_nbia(&cfg, &wl);
+        let trace = jsonl::to_jsonl(&cfg.recorder.events());
+        (report.makespan.as_nanos(), fnv1a64(trace.as_bytes()))
+    };
+    assert_eq!(
+        pin(Policy::ddfcfs(8)),
+        (27_595_371_109, 0x76f6_ee54_7bdd_96a6)
+    );
+    assert_eq!(
+        pin(Policy::ddwrr(30)),
+        (4_288_312_544, 0x7977_e625_7321_ddf4)
+    );
+    assert_eq!(pin(Policy::odds()), (93_121_956_188, 0x7c66_43cf_9662_6899));
+    assert_eq!(
+        pin(Policy::affinity(30)),
+        (4_291_692_920, 0xfed9_494c_cb63_5c8c)
+    );
+    assert_eq!(
+        pin(Policy::bandit(30)),
+        (3_816_555_664, 0x9d00_7264_e655_5c36)
+    );
+}
+
 /// The learned-policy chaos scenario (DESIGN.md §13): the same 20% drop
 /// plus mid-run GPU death, under the contextual bandit. The learner must
 /// not wedge the run: conservation holds, the online estimator stops
