@@ -64,7 +64,7 @@ use anthill_repro::core::policy::Policy;
 use anthill_repro::core::sim::{run_nbia, SimConfig, SimReport, WorkloadSpec};
 use anthill_repro::estimator::fnv1a64;
 use anthill_repro::hetsim::{ClusterSpec, DeviceId, DeviceKind};
-use anthill_repro::simkit::SimTime;
+use anthill_repro::simkit::{SimDuration, SimTime};
 
 /// A small DES workload; `tiles` stays low because every proptest case is
 /// a full simulation run.
@@ -85,18 +85,22 @@ proptest! {
     /// Random message-layer chaos (drops, delays) plus transient task
     /// failures: the run drains, and completion accounting matches the
     /// workload exactly — at-least-once dispatch, exactly-once completion.
+    /// A delay reaches up to 2 s, past the 500 ms request timeout, so late
+    /// replies race the retries they provoked.
     #[test]
     fn des_conserves_tasks_under_random_message_faults(
         seed in 0u64..1 << 48,
         drop in 0.0f64..0.30,
         fail in 0.0f64..0.20,
         delay in 0.0f64..0.30,
+        delay_ms in 0u64..2_000,
         policy_i in 0usize..3,
         tiles in 24u64..64,
     ) {
         let faults = FaultConfig {
             drop: FaultProb::uniform(drop),
             delay: FaultProb::uniform(delay),
+            delay_by: SimDuration::from_millis(delay_ms),
             task_fail: FaultProb::uniform(fail),
             recovery: RecoveryConfig::standard(),
             seed,
