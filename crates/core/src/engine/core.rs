@@ -14,9 +14,12 @@
 //! * a task completed on a device → `Engine::task_finished`;
 //! * a worker became free → `Engine::worker_idle`.
 //!
-//! The DES ([`crate::sim`]), the threaded runtime ([`crate::local`]) and
-//! the sequential reference driver ([`super::sequential`]) are all thin
-//! shells around these five callbacks.
+//! The three drivers are thin shells around these five callbacks: the DES
+//! world ([`crate::sim`]), the lockstep loop ([`super::sequential`], which
+//! also runs `Pipeline::run_deterministic` and the TCP lockstep entry
+//! point) and the wall-clock TCP coordinator (`net/coord.rs`). The threaded
+//! runtime's `Pipeline::run` builds no engine; its threads use
+//! [`super::select::ReadyLane`] and [`super::OpenLoop`] directly.
 
 use std::collections::HashMap;
 
@@ -32,7 +35,14 @@ use crate::weights::{DecisionCtx, WeightProvider};
 
 use super::clock::Clock;
 use super::select;
-use super::window::{backoff_timeout, RequestWindow};
+use super::window::{backoff_timeout, RequestWindow, MAX_WINDOW};
+
+/// Cap on a retried request's exponentially backed-off timeout.
+const BACKOFF_CAP: SimDuration = SimDuration::from_secs(8);
+/// Multiplicative health decay per transient task failure (recovery on).
+const HEALTH_DECAY: f64 = 0.5;
+/// Additive health recovery per successful completion (recovery on).
+const HEALTH_RECOVERY: f64 = 0.05;
 
 /// Identity of one worker slot in the engine's topology, echoed through
 /// the driver traits so replies and completions find their way back.
@@ -91,8 +101,6 @@ pub trait Executor {
 pub struct EngineConfig {
     /// The scheduling policy.
     pub policy: Policy,
-    /// Upper bound on any worker's request window.
-    pub max_window: usize,
     /// Fault-recovery knobs (timeouts, retry, health-scaled demand). With
     /// [`RecoveryConfig::disabled`] the engine behaves exactly as before
     /// the fault layer existed — no timers, no weight decay.
@@ -251,7 +259,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     pub(crate) fn add_worker(&mut self, node: usize, device: DeviceId) -> usize {
         let w = WorkerState {
             device,
-            window: RequestWindow::new(&self.cfg.policy, self.cfg.max_window),
+            window: RequestWindow::new(&self.cfg.policy),
             busy: false,
             rr_cursor: node,
             alive: true,
@@ -666,14 +674,14 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
         if self.cfg.recovery.enabled {
             let w = &mut self.nodes[node].workers[worker];
             if w.alive && w.health < 1.0 {
-                w.health = (w.health + self.cfg.recovery.health_recovery).min(1.0);
+                w.health = (w.health + HEALTH_RECOVERY).min(1.0);
             }
         }
     }
 
     /// A transient execution failure on `worker`: the device time was
-    /// spent but the result is unusable. Decays the worker's health and
-    /// re-enqueues the buffer on the node's ready queue — a task is never
+    /// spent but the result is unusable. Decays the worker's health (when
+    /// recovery is on; nothing else reads it) and re-enqueues the buffer on the node's ready queue — a task is never
     /// abandoned, so completion accounting stays exactly-once. The driver
     /// still frees the slot via [`Engine::worker_idle`] as usual.
     pub(crate) fn task_failed<D: Transport + Executor>(
@@ -697,9 +705,9 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
                 attempt,
             },
         );
-        {
+        if self.cfg.recovery.enabled {
             let w = &mut self.nodes[node].workers[worker];
-            w.health = (w.health * self.cfg.recovery.health_decay).max(f64::MIN_POSITIVE);
+            w.health = (w.health * HEALTH_DECAY).max(f64::MIN_POSITIVE);
         }
         if self.nodes[node]
             .workers
@@ -968,7 +976,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             w.rr_cursor = cursor;
             w.window.note_resent(new_id, now, attempt);
         }
-        let span = backoff_timeout(recovery.request_timeout, attempt, recovery.backoff_cap);
+        let span = backoff_timeout(recovery.request_timeout, attempt, BACKOFF_CAP);
         d.schedule_timeout(wref, new_id, now + span);
         d.send_request(wref, reader, new_id);
     }
@@ -1148,7 +1156,7 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
             if !w.alive || w.draining {
                 return;
             }
-            if w.window.outstanding() >= w.effective_target(&recovery).min(self.cfg.max_window) {
+            if w.window.outstanding() >= w.effective_target(&recovery).min(MAX_WINDOW) {
                 return;
             }
             let Some(reader) = self.choose_reader(node, worker) else {
@@ -1220,7 +1228,6 @@ mod tests {
     fn a_high_level_grows_only_its_own_counter() {
         let cfg = EngineConfig {
             policy: Policy::ddfcfs(4),
-            max_window: 256,
             recovery: RecoveryConfig::disabled(),
         };
         let weights = OracleWeights::new(GpuParams::geforce_8800gt(), false);

@@ -8,14 +8,20 @@
 //!                    │  sender selection (DBSA)        │
 //!                    │  request windows  (DQAA/static) │
 //!                    │  dispatch, obs events           │
-//!                    └──────┬─────────┬────────┬───────┘
-//!              Clock + Transport + Executor traits
-//!          ┌──────┴───┐ ┌───┴────┐ ┌─┴────────────┐ ┌──────────┐
-//!          │ DES      │ │ native │ │ sequential   │ │ net      │
-//!          │ driver   │ │ driver │ │ reference    │ │ driver   │
-//!          │ (sim)    │ │ (local)│ │ driver       │ │ (TCP)    │
-//!          └──────────┘ └────────┘ └──────────────┘ └──────────┘
+//!                    └──┬──────────────┬──────────┬────┘
+//!                 Clock + Transport + Executor traits
+//!          ┌────────────┴─┐ ┌──────────┴───┐ ┌────┴─────────┐
+//!          │ DES world    │ │ lockstep     │ │ TCP          │
+//!          │ (sim, vir-   │ │ loop (refer- │ │ coordinator  │
+//!          │ tual time)   │ │ ence driver) │ │ (wall clock) │
+//!          └──────────────┘ └──────────────┘ └──────────────┘
 //! ```
+//!
+//! The lockstep loop ([`sequential`]) also runs the native
+//! `Pipeline::run_deterministic` and the TCP lockstep entry point. The
+//! threaded native runtime (`Pipeline::run`, `run_traced`, `run_load`)
+//! builds no [`Engine`]: its threads use the engine's [`ReadyLane`] and
+//! [`OpenLoop`] directly.
 //!
 //! The split: the engine owns every *decision* — which buffer a reader
 //! hands a requester (DBSA), in what order a device consumes its ready

@@ -40,18 +40,15 @@ use super::core::{Engine, EngineConfig, Executor, Transport, WorkerRef};
 pub struct SequentialConfig {
     /// The scheduling policy.
     pub policy: Policy,
-    /// Upper bound on any worker's request window.
-    pub max_window: usize,
     /// Observability sink for the engine's events.
     pub recorder: Recorder,
 }
 
 impl SequentialConfig {
-    /// Defaults: the given policy, a 256-wide window cap, no recording.
+    /// Defaults: the given policy, no recording.
     pub fn new(policy: Policy) -> SequentialConfig {
         SequentialConfig {
             policy,
-            max_window: 256,
             recorder: Recorder::disabled(),
         }
     }
@@ -381,7 +378,6 @@ fn lockstep_engine<C: Clock, W: WeightProvider>(
     let mut engine = Engine::new(
         EngineConfig {
             policy: cfg.policy,
-            max_window: cfg.max_window,
             recovery: RecoveryConfig::disabled(),
         },
         clock,

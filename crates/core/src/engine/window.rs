@@ -8,6 +8,10 @@ use anthill_simkit::{SimDuration, SimTime};
 use crate::dqaa::Dqaa;
 use crate::policy::Policy;
 
+/// Upper bound on any worker's request window, on every backend: DQAA's
+/// target never grows past it and no worker keeps more requests in flight.
+pub(crate) const MAX_WINDOW: usize = 256;
+
 /// One worker's outstanding-request window.
 ///
 /// The *target* is how many requests the worker keeps in flight: a fixed
@@ -23,7 +27,7 @@ pub(crate) struct RequestWindow {
     outstanding: usize,
     starved: bool,
     /// In-flight requests by request id, in no order. There are at most
-    /// `max_window` of them, so a scan beats hashing the id.
+    /// [`MAX_WINDOW`] of them, so a scan beats hashing the id.
     sent: Vec<(u64, SentRequest)>,
 }
 
@@ -52,10 +56,10 @@ pub(crate) fn backoff_timeout(base: SimDuration, attempt: u32, cap: SimDuration)
 
 impl RequestWindow {
     /// A fresh window for one worker under `policy`, with the DQAA target
-    /// bounded by `max_window`.
-    pub(crate) fn new(policy: &Policy, max_window: usize) -> RequestWindow {
+    /// bounded by [`MAX_WINDOW`].
+    pub(crate) fn new(policy: &Policy) -> RequestWindow {
         RequestWindow {
-            dqaa: Dqaa::new(max_window),
+            dqaa: Dqaa::new(MAX_WINDOW),
             static_target: policy.request_size,
             dynamic: policy.kind.dynamic_requests(),
             batch_reserve: 0,
@@ -153,7 +157,7 @@ mod tests {
 
     #[test]
     fn static_policies_keep_a_fixed_target() {
-        let mut w = RequestWindow::new(&Policy::ddwrr(7), 256);
+        let mut w = RequestWindow::new(&Policy::ddwrr(7));
         assert_eq!(w.target(), 7);
         w.note_sent(0, SimTime::ZERO);
         w.settle_latency(0, SimTime(ms(10).as_nanos()));
@@ -169,7 +173,7 @@ mod tests {
 
     #[test]
     fn dynamic_window_adapts_and_adds_the_batch_reserve() {
-        let mut w = RequestWindow::new(&Policy::odds(), 256);
+        let mut w = RequestWindow::new(&Policy::odds());
         assert_eq!(w.target(), 1);
         for id in 0..10 {
             w.note_sent(id, SimTime::ZERO);
@@ -183,7 +187,7 @@ mod tests {
 
     #[test]
     fn outstanding_accounting_round_trips() {
-        let mut w = RequestWindow::new(&Policy::ddfcfs(2), 256);
+        let mut w = RequestWindow::new(&Policy::ddfcfs(2));
         w.note_sent(11, SimTime(5));
         assert_eq!(w.outstanding(), 1);
         assert!(w.settle_latency(11, SimTime(9)).is_some());
@@ -225,7 +229,7 @@ mod tests {
 
     #[test]
     fn resend_keeps_the_slot_and_carries_the_attempt() {
-        let mut w = RequestWindow::new(&Policy::ddfcfs(4), 256);
+        let mut w = RequestWindow::new(&Policy::ddfcfs(4));
         w.note_sent(1, SimTime(10));
         assert_eq!(w.outstanding(), 1);
         let first = w.take_sent(1).expect("in flight");
@@ -240,13 +244,12 @@ mod tests {
 
     #[test]
     fn a_full_window_settles_in_any_order() {
-        let max_window = 256;
-        let mut w = RequestWindow::new(&Policy::odds(), max_window);
-        for id in 0..max_window as u64 {
+        let mut w = RequestWindow::new(&Policy::odds());
+        for id in 0..MAX_WINDOW as u64 {
             w.note_sent(id, SimTime(id));
         }
-        assert_eq!(w.outstanding(), max_window);
-        for id in (0..max_window as u64).rev() {
+        assert_eq!(w.outstanding(), MAX_WINDOW);
+        for id in (0..MAX_WINDOW as u64).rev() {
             let lat = w.settle_latency(id, SimTime(1_000)).expect("in flight");
             assert_eq!(lat, SimDuration(1_000 - id), "each id keeps its send time");
             assert!(w.take_sent(id).is_none(), "settled once");
@@ -258,7 +261,7 @@ mod tests {
 
     #[test]
     fn settled_requests_win_the_race_against_their_timeout() {
-        let mut w = RequestWindow::new(&Policy::ddfcfs(4), 256);
+        let mut w = RequestWindow::new(&Policy::ddfcfs(4));
         w.note_sent(5, SimTime(0));
         assert!(w.settle_latency(5, SimTime(100)).is_some());
         assert!(
@@ -269,7 +272,7 @@ mod tests {
 
     #[test]
     fn starvation_clears_on_send() {
-        let mut w = RequestWindow::new(&Policy::odds(), 256);
+        let mut w = RequestWindow::new(&Policy::odds());
         w.set_starved();
         assert!(w.is_starved());
         w.note_sent(0, SimTime::ZERO);

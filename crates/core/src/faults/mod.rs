@@ -106,12 +106,6 @@ pub struct RecoveryConfig {
     /// Retries per request before the demand slot is released (the task
     /// itself is never lost — a released slot just re-pumps fresh demand).
     pub max_retries: u32,
-    /// Cap on the exponentially backed-off timeout.
-    pub backoff_cap: SimDuration,
-    /// Multiplicative health decay on a transient task failure (0..1).
-    pub health_decay: f64,
-    /// Additive health recovery per successful completion.
-    pub health_recovery: f64,
 }
 
 impl RecoveryConfig {
@@ -122,24 +116,18 @@ impl RecoveryConfig {
             enabled: false,
             request_timeout: SimDuration::ZERO,
             max_retries: 0,
-            backoff_cap: SimDuration::ZERO,
-            health_decay: 1.0,
-            health_recovery: 0.0,
         }
     }
 
     /// Sensible defaults for the simulated cluster: 500 ms virtual-time
-    /// base timeout (fault-free round trips are well under 100 ms), 6
-    /// retries, 8 s backoff cap, halve health per failure, recover 5% per
-    /// success.
+    /// base timeout (fault-free round trips are well under 100 ms) and 6
+    /// retries. The backoff cap and the health rules are the engine's
+    /// constants (DESIGN.md §7).
     pub fn standard() -> RecoveryConfig {
         RecoveryConfig {
             enabled: true,
             request_timeout: SimDuration::from_millis(500),
             max_retries: 6,
-            backoff_cap: SimDuration::from_secs(8),
-            health_decay: 0.5,
-            health_recovery: 0.05,
         }
     }
 }

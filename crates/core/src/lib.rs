@@ -31,7 +31,9 @@
 //!   `anthill-hetsim`: deterministic, fast, and the vehicle for every
 //!   cluster experiment in the paper's Section 6.
 //! * [`local`] — real OS threads on the current machine: worker threads
-//!   per device slot pull from engine-ordered stage queues, handlers run
+//!   per device slot pull from stage queues ordered by the engine's
+//!   [`engine::ReadyLane`] (the threaded run builds no [`engine::Engine`];
+//!   its deterministic executor is the sequential driver), handlers run
 //!   actual computation, accelerator speed differences can be emulated by
 //!   calibrated busy-waits. Demonstrates the programming model end to end.
 //! * [`engine::sequential`] — a single-threaded reference driver; the

@@ -184,11 +184,9 @@ impl<'a, W: WeightProvider> Coordinator<'a, W> {
         mut drains: Vec<DrainAt>,
         load: Option<OpenLoop<'a>>,
     ) -> Coordinator<'a, W> {
-        let (policy, max_window, recovery) = (cfg.policy, cfg.max_window, cfg.recovery);
         let engine_cfg = EngineConfig {
-            policy,
-            max_window,
-            recovery,
+            policy: cfg.policy,
+            recovery: cfg.recovery,
         };
         let clock = VirtualClock::new();
         let mut engine = Engine::new(engine_cfg, clock.clone(), weights, cfg.recorder.clone());

@@ -34,7 +34,7 @@
 //!   [`run_concurrent_load_autoscaled`]).
 //!
 //! Backpressure is the engine's own demand-driven window: a worker slot
-//! holds at most `max_window` outstanding requests and
+//! holds at most 256 outstanding requests and
 //! [`NetConfig::batch_limit`] in-flight `Deliver` frames, so neither side
 //! ever buffers an unbounded frame backlog.
 
@@ -78,8 +78,6 @@ pub struct NetWorkerConn {
 pub struct NetConfig {
     /// The scheduling policy.
     pub policy: Policy,
-    /// Upper bound on any worker's request window.
-    pub max_window: usize,
     /// Engine recovery knobs (timeouts/retries; concurrent mode only —
     /// the lockstep loop never arms timers).
     pub recovery: RecoveryConfig,
@@ -109,12 +107,11 @@ pub struct NetConfig {
 }
 
 impl NetConfig {
-    /// Defaults: the given policy, a 256-wide window cap, recovery off,
+    /// Defaults: the given policy, recovery off,
     /// no recording, no severs, a 60 s deadline, batch limit 1.
     pub fn new(policy: Policy) -> NetConfig {
         NetConfig {
             policy,
-            max_window: 256,
             recovery: RecoveryConfig::disabled(),
             recorder: Recorder::disabled(),
             drops: Vec::new(),
@@ -463,7 +460,6 @@ pub fn run_graph_deterministic_with<W: WeightProvider>(
     };
     let seq = SequentialConfig {
         policy: cfg.policy,
-        max_window: cfg.max_window,
         recorder: cfg.recorder,
     };
     let none = MembershipSchedule::none();

@@ -52,44 +52,20 @@ pub(crate) const FEATURES: usize = 5;
 /// workloads whose tasks are shed before finishing).
 const PENDING_CAP: usize = 1 << 16;
 
-/// Tunables of a [`LearnedWeights`] provider.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LearnedConfig {
-    /// Seed of the deterministic exploration hash.
-    pub seed: u64,
-    /// EWMA factor of the online profile.
-    pub alpha: f64,
-    /// Bounded-history window of the online profile's quantile sketch.
-    pub history: usize,
-    /// Spans per `(device, shape)` cell before the online mean overrides
-    /// the base prediction.
-    pub min_obs: u64,
-    /// Fraction of predicted time credited when the class is resident
-    /// (the affinity bonus).
-    pub affinity_bonus: f64,
-    /// LinUCB exploration width.
-    pub ucb_alpha: f64,
-    /// Epsilon floor, parts-per-million of decisions forced to explore.
-    pub epsilon_ppm: u64,
-    /// Weight multiplier applied to the bandit's chosen arm.
-    pub bandit_boost: f64,
-}
-
-impl LearnedConfig {
-    /// The calibrated defaults every driver uses.
-    pub fn standard(seed: u64) -> LearnedConfig {
-        LearnedConfig {
-            seed,
-            alpha: 0.25,
-            history: 64,
-            min_obs: 2,
-            affinity_bonus: 0.25,
-            ucb_alpha: 0.5,
-            epsilon_ppm: 50_000,
-            bandit_boost: 4.0,
-        }
-    }
-}
+/// EWMA factor of the online profile.
+const ALPHA: f64 = 0.25;
+/// Spans per `(device, shape)` cell before the online mean overrides the
+/// base prediction.
+const MIN_OBS: u64 = 2;
+/// Fraction of predicted time credited when the class is resident (the
+/// affinity bonus).
+const AFFINITY_BONUS: f64 = 0.25;
+/// LinUCB exploration width.
+const UCB_ALPHA: f64 = 0.5;
+/// Epsilon floor, parts-per-million of decisions forced to explore.
+const EPSILON_PPM: u64 = 50_000;
+/// Weight multiplier applied to the bandit's chosen arm.
+const BANDIT_BOOST: f64 = 4.0;
 
 /// One diagonal-LinUCB arm: per-feature ridge accumulators.
 #[derive(Debug, Clone)]
@@ -108,15 +84,15 @@ impl Arm {
         }
     }
 
-    /// `theta · x + ucb_alpha * sqrt(sum x_i^2 / A_i)`.
-    fn score(&self, x: &[f64; FEATURES], ucb_alpha: f64) -> f64 {
+    /// `theta · x + UCB_ALPHA * sqrt(sum x_i^2 / A_i)`.
+    fn score(&self, x: &[f64; FEATURES]) -> f64 {
         let mut mean = 0.0;
         let mut width = 0.0;
         for (i, &xi) in x.iter().enumerate() {
             mean += (self.b[i] / self.a[i]) * xi;
             width += xi * xi / self.a[i];
         }
-        mean + ucb_alpha * width.sqrt()
+        mean + UCB_ALPHA * width.sqrt()
     }
 
     fn update(&mut self, x: &[f64; FEATURES], reward: f64) {
@@ -150,14 +126,16 @@ struct State {
 pub struct LearnedWeights<W> {
     base: W,
     kind: PolicyKind,
-    cfg: LearnedConfig,
+    /// Seed of the deterministic exploration hash.
+    seed: u64,
     state: Mutex<State>,
 }
 
 impl<W: WeightProvider> LearnedWeights<W> {
     /// Learned provider for `kind` (must be [`PolicyKind::learned`])
-    /// over a base provider supplying cold-start predictions.
-    pub fn new(kind: PolicyKind, base: W, cfg: LearnedConfig) -> LearnedWeights<W> {
+    /// over a base provider supplying cold-start predictions, exploring
+    /// by a hash of `seed`.
+    pub fn new(kind: PolicyKind, base: W, seed: u64) -> LearnedWeights<W> {
         assert!(
             kind.learned(),
             "LearnedWeights requires a learned policy kind"
@@ -165,9 +143,9 @@ impl<W: WeightProvider> LearnedWeights<W> {
         LearnedWeights {
             base,
             kind,
-            cfg,
+            seed,
             state: Mutex::new(State {
-                profile: OnlineProfile::new(cfg.alpha, cfg.history),
+                profile: OnlineProfile::new(ALPHA),
                 residency: BTreeMap::new(),
                 worker_obs: BTreeMap::new(),
                 arms: [Arm::new(), Arm::new()],
@@ -199,10 +177,10 @@ impl<W: WeightProvider> LearnedWeights<W> {
     }
 
     /// Base prediction overridden by the online EWMA once the cell has
-    /// `min_obs` spans.
+    /// [`MIN_OBS`] spans.
     fn blended_time(&self, state: &State, buf: &DataBuffer, kind: DeviceKind, shape: u64) -> f64 {
         let class = Self::class_of(kind);
-        if state.profile.count(class, shape) >= self.cfg.min_obs {
+        if state.profile.count(class, shape) >= MIN_OBS {
             if let Some(mean) = state.profile.mean(class, shape) {
                 return mean.max(1e-12);
             }
@@ -213,7 +191,7 @@ impl<W: WeightProvider> LearnedWeights<W> {
     /// Deterministic exploration hash of one buffer under this seed.
     fn explore_hash(&self, buf: &DataBuffer, shape: u64) -> u64 {
         let mut bytes = [0u8; 32];
-        bytes[..8].copy_from_slice(&self.cfg.seed.to_le_bytes());
+        bytes[..8].copy_from_slice(&self.seed.to_le_bytes());
         bytes[8..16].copy_from_slice(&buf.id.0.to_le_bytes());
         bytes[16..24].copy_from_slice(&buf.task.to_le_bytes());
         bytes[24..32].copy_from_slice(&shape.to_le_bytes());
@@ -305,7 +283,7 @@ impl<W: WeightProvider> WeightProvider for LearnedWeights<W> {
                         .get(&(ctx.node, class.0, shape))
                         .is_some_and(|&n| n > 0)
                     {
-                        t * (1.0 - self.cfg.affinity_bonus)
+                        t * (1.0 - AFFINITY_BONUS)
                     } else {
                         t
                     }
@@ -324,10 +302,10 @@ impl<W: WeightProvider> WeightProvider for LearnedWeights<W> {
             }
             PolicyKind::Bandit => {
                 let x = self.features(&state, ctx, tc, tg, shape);
-                let score_c = state.arms[0].score(&x, self.cfg.ucb_alpha);
-                let score_g = state.arms[1].score(&x, self.cfg.ucb_alpha);
+                let score_c = state.arms[0].score(&x);
+                let score_g = state.arms[1].score(&x);
                 let h = self.explore_hash(buf, shape);
-                let explore = h % 1_000_000 < self.cfg.epsilon_ppm;
+                let explore = h % 1_000_000 < EPSILON_PPM;
                 let arm = if explore {
                     if (h >> 33) & 1 == 1 {
                         DeviceKind::Gpu
@@ -340,7 +318,7 @@ impl<W: WeightProvider> WeightProvider for LearnedWeights<W> {
                     DeviceKind::Cpu
                 };
                 let mut weights = [pair_weight(tc, tg), pair_weight(tg, tc)];
-                weights[Self::class_index(arm)] *= self.cfg.bandit_boost;
+                weights[Self::class_index(arm)] *= BANDIT_BOOST;
                 if state.pending.len() >= PENDING_CAP {
                     let oldest = *state.pending.keys().next().expect("cap > 0");
                     state.pending.remove(&oldest);
@@ -378,11 +356,6 @@ mod tests {
                 .get(&(node, worker))
                 .unwrap_or(&0)
         }
-
-        /// Serialize the online profile (see [`OnlineProfile::to_text`]).
-        fn profile_text(&self) -> String {
-            self.state.lock().unwrap().profile.to_text()
-        }
     }
 
     fn tile(id: u64, side: u32) -> DataBuffer {
@@ -400,7 +373,7 @@ mod tests {
         LearnedWeights::new(
             kind,
             OracleWeights::new(GpuParams::geforce_8800gt(), false),
-            LearnedConfig::standard(7),
+            7,
         )
     }
 
@@ -522,8 +495,5 @@ mod tests {
         assert_eq!(lw.observations_for(0, 1), 2);
         assert_eq!(lw.observations_for(1, 0), 0);
         assert_eq!(lw.updates(), 3);
-        // And the profile round-trips through its text form.
-        let text = lw.profile_text();
-        assert!(OnlineProfile::from_text(&text).is_ok());
     }
 }

@@ -39,8 +39,6 @@ pub struct GraphSimConfig {
     pub gpu: GpuParams,
     /// Network timing parameters for the inter-filter links.
     pub net: NetParams,
-    /// Upper bound on any worker's request window.
-    pub max_request_window: usize,
     /// Observability sink; disabled by default.
     pub recorder: Recorder,
 }
@@ -52,7 +50,6 @@ impl GraphSimConfig {
             policy,
             gpu: GpuParams::geforce_8800gt(),
             net: NetParams::gigabit_ethernet(),
-            max_request_window: 256,
             recorder: Recorder::disabled(),
         }
     }
@@ -143,7 +140,6 @@ where
         async_transfers: false,
         gpu: cfg.gpu.clone(),
         net: cfg.net.clone(),
-        max_request_window: cfg.max_request_window,
         recorder: cfg.recorder.clone(),
         ..SimConfig::new(ClusterSpec { nodes: Vec::new() }, cfg.policy)
     };

@@ -20,7 +20,7 @@ use crate::buffer::{BufferId, DataBuffer};
 use crate::faults::FaultConfig;
 use crate::membership::MembershipSchedule;
 use crate::obs::Recorder;
-use crate::policy::learned::{LearnedConfig, LearnedWeights};
+use crate::policy::learned::LearnedWeights;
 use crate::policy::Policy;
 use crate::sim::report::SimReport;
 use crate::sim::workload::WorkloadSpec;
@@ -51,8 +51,6 @@ pub struct SimConfig {
     pub gpu: GpuParams,
     /// Network timing parameters.
     pub net: NetParams,
-    /// Upper bound on any worker's request window.
-    pub max_request_window: usize,
     /// Buckets for utilization traces (0 disables trace collection).
     pub trace_buckets: usize,
     /// Per-node CPU speed factors (1.0 = the calibrated core; 0.5 = half
@@ -90,7 +88,6 @@ impl SimConfig {
             seed: 0x5EED,
             gpu: GpuParams::geforce_8800gt(),
             net: NetParams::gigabit_ethernet(),
-            max_request_window: 256,
             trace_buckets: 0,
             cpu_speed: Vec::new(),
             recorder: Recorder::disabled(),
@@ -191,11 +188,7 @@ pub fn run_nbia_with(
     base: Box<dyn WeightProvider>,
 ) -> SimReport {
     let weights: Box<dyn WeightProvider> = if cfg.policy.kind.learned() {
-        Box::new(LearnedWeights::new(
-            cfg.policy.kind,
-            base,
-            LearnedConfig::standard(cfg.seed),
-        ))
+        Box::new(LearnedWeights::new(cfg.policy.kind, base, cfg.seed))
     } else {
         base
     };

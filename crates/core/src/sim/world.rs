@@ -287,7 +287,6 @@ impl<H: Completion> Sim<H> {
         let mut engine = SchedEngine::new(
             EngineConfig {
                 policy: cfg.policy,
-                max_window: cfg.max_request_window,
                 recovery: cfg.faults.recovery,
             },
             clock.clone(),

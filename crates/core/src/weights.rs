@@ -19,11 +19,14 @@
 //! with the queue's one-multiply `MulHasher` rather than SipHash — and
 //! each entry keeps the parameters it was computed for: a lookup whose
 //! parameters differ from the stored ones is a miss, so two shapes sharing
-//! a key recompute instead of reading each other's times.
+//! a key recompute instead of reading each other's times. The memo never
+//! goes stale: [`EstimatorWeights`] ignores observed spans, and the one
+//! provider that learns from them is
+//! [`LearnedWeights`](crate::policy::learned::LearnedWeights).
 
 use crate::buffer::DataBuffer;
 use crate::queue::MulMap;
-use anthill_estimator::{DeviceClass, KnnEstimator, OnlineProfile, ShapeKey, TaskParams};
+use anthill_estimator::{DeviceClass, KnnEstimator, ShapeKey, TaskParams};
 use anthill_hetsim::{CopyMode, DeviceKind, GpuParams};
 use std::sync::Mutex;
 
@@ -244,17 +247,13 @@ impl WeightProvider for OracleWeights {
 /// queried on the buffer's input parameters, with a bounded O(1) memo
 /// since replicated dataflows see many tasks with identical parameters.
 ///
-/// With [`EstimatorWeights::with_online`] the provider additionally keeps
-/// an [`OnlineProfile`] fed by [`observe`](WeightProvider::observe)d
-/// service-time spans; once a `(device, shape)` cell has at least
-/// `min_obs` observations its EWMA mean replaces the static kNN
-/// prediction. Every online update *invalidates the memo entry* for that
-/// shape — a stale cached pair must never outlive a `profile_updated`.
+/// The provider is static: it ignores observed spans (the trait's default
+/// [`observe`](WeightProvider::observe)), so a memoized pair never goes
+/// stale. Run-time correction from observed spans is
+/// [`LearnedWeights`](crate::policy::learned::LearnedWeights)' job.
 pub struct EstimatorWeights {
     est: KnnEstimator,
     memo: Mutex<Memo>,
-    online: Option<Mutex<OnlineProfile>>,
-    min_obs: u64,
 }
 
 /// Cap on memoized parameter keys (a replicated dataflow reuses a handful
@@ -280,89 +279,37 @@ impl Memo {
             self.0.insert(key, (params.clone(), times));
         }
     }
-
-    fn remove(&mut self, key: ShapeKey) {
-        self.0.remove(&key);
-    }
 }
 
-/// Online observations of a cell before its EWMA mean overrides the
-/// static kNN prediction.
-pub(crate) const ONLINE_MIN_OBS: u64 = 3;
-
 impl EstimatorWeights {
-    /// Wrap a fitted estimator (static: observed spans are ignored).
+    /// Wrap a fitted estimator.
     pub fn new(est: KnnEstimator) -> EstimatorWeights {
         EstimatorWeights {
             est,
             memo: Mutex::default(),
-            online: None,
-            min_obs: ONLINE_MIN_OBS,
         }
     }
 
-    /// Wrap a fitted estimator with an online correction profile: spans
-    /// fed through [`observe`](WeightProvider::observe) override the
-    /// static prediction per `(device, shape)` once `min_obs` spans of
-    /// that cell have been seen.
-    pub fn with_online(
-        est: KnnEstimator,
-        profile: OnlineProfile,
-        min_obs: u64,
-    ) -> EstimatorWeights {
-        EstimatorWeights {
-            est,
-            memo: Mutex::default(),
-            online: Some(Mutex::new(profile)),
-            min_obs: min_obs.max(1),
-        }
-    }
-
-    fn class_of(kind: DeviceKind) -> DeviceClass {
-        match kind {
-            DeviceKind::Cpu => DeviceClass::CPU,
-            DeviceKind::Gpu => DeviceClass::GPU,
-        }
-    }
-
-    /// Stable shape key of a buffer — the cell key the online profile and
-    /// the `profile_updated` trace use.
+    /// Stable shape key of a buffer — the memo key, and the cell key the
+    /// learned providers' `profile_updated` trace uses.
     pub fn shape_key(buf: &DataBuffer) -> ShapeKey {
         buf.params.shape_key()
     }
 
     /// Predicted `[cpu, gpu]` times of `buf`: one memo lookup when its
-    /// shape was seen before, the estimator (and online profile) otherwise.
+    /// shape was seen before, the estimator otherwise.
     fn times(&self, buf: &DataBuffer) -> [f64; 2] {
         let key = Self::shape_key(buf);
         if let Some(times) = self.memo.lock().unwrap().get(key, &buf.params) {
             return times;
         }
-        let times = self.predicted_times(buf, key);
+        let times = [DeviceClass::CPU, DeviceClass::GPU].map(|class| {
+            self.est
+                .predict_time(class, &buf.params)
+                .unwrap_or(f64::INFINITY)
+        });
         self.memo.lock().unwrap().insert(key, &buf.params, times);
         times
-    }
-
-    fn predicted_times(&self, buf: &DataBuffer, shape: ShapeKey) -> [f64; 2] {
-        let mut cpu = self
-            .est
-            .predict_time(DeviceClass::CPU, &buf.params)
-            .unwrap_or(f64::INFINITY);
-        let mut gpu = self
-            .est
-            .predict_time(DeviceClass::GPU, &buf.params)
-            .unwrap_or(f64::INFINITY);
-        if let Some(online) = &self.online {
-            let online = online.lock().unwrap();
-            for (class, t) in [(DeviceClass::CPU, &mut cpu), (DeviceClass::GPU, &mut gpu)] {
-                if online.count(class, shape) >= self.min_obs {
-                    if let Some(mean) = online.mean(class, shape) {
-                        *t = mean;
-                    }
-                }
-            }
-        }
-        [cpu, gpu]
     }
 }
 
@@ -378,32 +325,6 @@ impl WeightProvider for EstimatorWeights {
     fn weights_pair(&self, buf: &DataBuffer) -> [f64; 2] {
         let [cpu, gpu] = self.times(buf);
         [pair_weight(cpu, gpu), pair_weight(gpu, cpu)]
-    }
-
-    fn observe(
-        &self,
-        buf: &DataBuffer,
-        _node: usize,
-        _worker: usize,
-        kind: DeviceKind,
-        secs: f64,
-    ) -> Option<ProfileUpdate> {
-        let online = self.online.as_ref()?;
-        let shape = Self::shape_key(buf);
-        let class = Self::class_of(kind);
-        let (count, mean) = {
-            let mut online = online.lock().unwrap();
-            let count = online.observe(class, shape, secs);
-            (count, online.mean(class, shape).unwrap_or(secs))
-        };
-        // The memoized pair for this shape is now stale (and so is a
-        // colliding shape's, which merely recomputes).
-        self.memo.lock().unwrap().remove(shape);
-        Some(ProfileUpdate {
-            key: shape,
-            count,
-            mean_ns: (mean * 1e9).round() as u64,
-        })
     }
 }
 
@@ -518,50 +439,6 @@ mod tests {
         KnnEstimator::fit(profile, 1)
     }
 
-    /// Regression: an online profile update must bust the memo cache —
-    /// a stale cached weight is never served after `profile_updated`, on
-    /// any of the three read paths (the engine's is `select::weights_for`).
-    #[test]
-    fn online_update_busts_the_memo_cache() {
-        use crate::engine::select;
-        let est = EstimatorWeights::with_online(trained_estimator(), OnlineProfile::default(), 3);
-        let reference = EstimatorWeights::new(trained_estimator());
-        let b = tile_buffer(128);
-        // Prime the memo cache with the static kNN prediction.
-        let stale_cpu = est.predict_time(&b, DeviceKind::Cpu);
-        let gpu = reference.predict_time(&b, DeviceKind::Gpu);
-        let stale_pair = reference.weights_pair(&b);
-        assert_eq!(est.predict_time(&b, DeviceKind::Cpu), stale_cpu);
-        assert_eq!(est.weights_pair(&b), stale_pair);
-        assert_eq!(select::weights_for(&est, &b), stale_pair);
-        // Observe spans wildly different from the static profile.
-        let observed = stale_cpu * 10.0;
-        for i in 0..3 {
-            // Below `min_obs` every path still follows the static profile.
-            assert_eq!(est.weights_pair(&b), stale_pair);
-            assert_eq!(select::weights_for(&est, &b), stale_pair);
-            let up = est
-                .observe(&b, 0, 0, DeviceKind::Cpu, observed)
-                .expect("online estimator folds spans");
-            assert_eq!(up.count, i + 1);
-            assert_eq!(up.key, EstimatorWeights::shape_key(&b));
-            assert_eq!(up.key, b.params.shape_key());
-        }
-        // The cached pair must not be served: the prediction now follows
-        // the online EWMA (seeded at `observed`, so exactly `observed`).
-        let fresh = est.predict_time(&b, DeviceKind::Cpu);
-        assert!(
-            (fresh - observed).abs() < 1e-12,
-            "stale cache served: fresh={fresh} stale={stale_cpu} observed={observed}"
-        );
-        let fresh_pair = [pair_weight(fresh, gpu), pair_weight(gpu, fresh)];
-        assert_ne!(fresh_pair, stale_pair);
-        assert_eq!(est.weights_pair(&b), fresh_pair);
-        assert_eq!(select::weights_for(&est, &b), fresh_pair);
-        // The untouched GPU side still follows the static profile.
-        assert_eq!(est.predict_time(&b, DeviceKind::Gpu), gpu);
-    }
-
     /// A memo hit is confirmed against the stored parameters: shapes
     /// sharing a key never read each other's times.
     #[test]
@@ -581,8 +458,6 @@ mod tests {
         memo.insert(key, &b, [2.0, 20.0]);
         assert_eq!(memo.get(key, &b), Some([2.0, 20.0]));
         assert_eq!(memo.get(key, &a), None);
-        memo.remove(key);
-        assert_eq!(memo.get(key, &b), None);
 
         // 0.0 and -0.0 have different keys but compare equal; were they to
         // share a key the hit would be right, the estimator's distances
@@ -629,7 +504,7 @@ mod tests {
         );
     }
 
-    /// A static (PR-2 shaped) estimator ignores observed spans entirely.
+    /// The estimator provider ignores observed spans entirely.
     #[test]
     fn static_estimator_ignores_observed_spans() {
         let est = EstimatorWeights::new(trained_estimator());

@@ -33,13 +33,11 @@ use anthill_repro::core::local::{
     Emitter, ExecMode, LoadConfig, LocalFilter, LocalReport, LocalTask, Pipeline, WorkerSpec,
 };
 use anthill_repro::core::obs::{EventKind, Recorder};
-use anthill_repro::core::policy::learned::{LearnedConfig, LearnedWeights};
+use anthill_repro::core::policy::learned::LearnedWeights;
 use anthill_repro::core::policy::{Policy, PolicyKind};
 use anthill_repro::core::sim::{nbia_estimator, run_nbia, run_nbia_with, SimConfig, WorkloadSpec};
 use anthill_repro::core::weights::{EstimatorWeights, OracleWeights, WeightProvider};
-use anthill_repro::estimator::{
-    params, DeviceClass, KnnEstimator, OnlineProfile, ProfileStore, TaskParams,
-};
+use anthill_repro::estimator::{params, DeviceClass, KnnEstimator, ProfileStore, TaskParams};
 use anthill_repro::hetsim::{ClusterSpec, DeviceKind, GpuParams, NbiaCostModel};
 
 const ROUNDS: u8 = 3;
@@ -337,7 +335,7 @@ fn assert_pair_is_the_two_weights<W: WeightProvider>(what: &str, p: &W) {
 
 /// Feeds `p` spans ten times the oracle's CPU time, one per buffer per
 /// round, checking the pair before the first and after every round — so
-/// the check runs on both sides of the provider's `min_obs` threshold.
+/// the check runs on both sides of the learner's two-span threshold.
 fn assert_pair_across_online_updates<W: WeightProvider>(what: &str, p: &W, rounds: u64) {
     let oracle = paper_oracle(false);
     let bufs = weighed_buffers();
@@ -363,10 +361,8 @@ fn weights_for_is_bit_identical_to_the_per_kind_weights() {
     assert_pair_is_the_two_weights("oracle sync", &paper_oracle(false));
     assert_pair_is_the_two_weights("oracle async", &paper_oracle(true));
     assert_pair_is_the_two_weights("estimator", &EstimatorWeights::new(fitted_estimator()));
-    let online = EstimatorWeights::with_online(fitted_estimator(), OnlineProfile::default(), 3);
-    assert_pair_across_online_updates("online estimator", &online, 4);
     for kind in [PolicyKind::Affinity, PolicyKind::Bandit] {
-        let learned = LearnedWeights::new(kind, paper_oracle(false), LearnedConfig::standard(7));
+        let learned = LearnedWeights::new(kind, paper_oracle(false), 7);
         assert_pair_across_online_updates(&format!("{kind:?}"), &learned, 3);
     }
 }

@@ -29,7 +29,7 @@ use anthill_repro::bench::policies::{head_to_head, verdict};
 use anthill_repro::core::buffer::DataBuffer;
 use anthill_repro::core::local::{Emitter, LocalFilter, LocalTask, Pipeline};
 use anthill_repro::core::obs::{EventKind, Recorder};
-use anthill_repro::core::policy::learned::{LearnedConfig, LearnedWeights};
+use anthill_repro::core::policy::learned::LearnedWeights;
 use anthill_repro::core::policy::{Policy, PolicyKind};
 use anthill_repro::core::sim::{run_nbia, SimConfig, WorkloadSpec};
 use anthill_repro::core::weights::{OracleWeights, WeightProvider};
@@ -52,7 +52,7 @@ fn learner(kind: PolicyKind) -> LearnedWeights<OracleWeights> {
     LearnedWeights::new(
         kind,
         OracleWeights::new(GpuParams::geforce_8800gt(), false),
-        LearnedConfig::standard(7),
+        7,
     )
 }
 
@@ -70,7 +70,7 @@ proptest! {
         warmup in prop::collection::vec(1e-6f64..1.0, 0..40),
         target in 1e-3f64..1.0,
     ) {
-        let mut p = OnlineProfile::new(0.25, 64);
+        let mut p = OnlineProfile::new(0.25);
         let key = 42u64;
         for &s in &warmup {
             p.observe(DeviceClass::CPU, key, s);
@@ -91,7 +91,7 @@ proptest! {
         prop_assert_eq!(p.count(DeviceClass::GPU, key), 0);
     }
 
-    /// Once a cell has `min_obs` spans the learned prediction is the
+    /// Once a cell has two spans the learned prediction is the
     /// online mean — an EWMA seeded from the first span — so it can
     /// never leave the convex hull of the observed spans, no matter how
     /// wrong the base oracle is.
@@ -221,11 +221,7 @@ fn learned_policies_conserve_tasks_on_the_native_backend() {
         ..WorkloadSpec::paper_base(0.0)
     };
     for policy in [Policy::affinity(8), Policy::bandit(8)] {
-        let weights = LearnedWeights::new(
-            policy.kind,
-            OracleWeights::new(neutral_gpu(), false),
-            LearnedConfig::standard(7),
-        );
+        let weights = LearnedWeights::new(policy.kind, OracleWeights::new(neutral_gpu(), false), 7);
         let sources: Vec<LocalTask> = (0..TILES)
             .map(|t| LocalTask::new(workload.low_buffer(t), ()))
             .collect();

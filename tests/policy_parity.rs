@@ -38,7 +38,7 @@ use anthill_repro::core::local::{Emitter, LocalFilter, LocalTask, Pipeline};
 use anthill_repro::core::membership::{MemberAction, MembershipSchedule, ScheduledAction};
 use anthill_repro::core::net::{run_graph_deterministic, Behavior, NetConfig, NetGraphOutcome};
 use anthill_repro::core::obs::{EventKind, Recorder};
-use anthill_repro::core::policy::learned::{LearnedConfig, LearnedWeights};
+use anthill_repro::core::policy::learned::LearnedWeights;
 use anthill_repro::core::policy::Policy;
 use anthill_repro::core::sim::{
     run_graph_sim, run_nbia, GraphSimConfig, GraphSimReport, SimConfig, WorkloadSpec,
@@ -63,7 +63,7 @@ fn parity_provider(policy: Policy) -> Box<dyn WeightProvider> {
         Box::new(LearnedWeights::new(
             policy.kind,
             neutral_oracle(),
-            LearnedConfig::standard(PARITY_SEED),
+            PARITY_SEED,
         ))
     } else {
         Box::new(neutral_oracle())
