@@ -680,10 +680,11 @@ impl<C: Clock, W: WeightProvider> Engine<C, W> {
     }
 
     /// A transient execution failure on `worker`: the device time was
-    /// spent but the result is unusable. Decays the worker's health (when
-    /// recovery is on; nothing else reads it) and re-enqueues the buffer on the node's ready queue — a task is never
-    /// abandoned, so completion accounting stays exactly-once. The driver
-    /// still frees the slot via [`Engine::worker_idle`] as usual.
+    /// spent but the result is unusable. Decays the worker's health (with
+    /// recovery on, the only mode that reads it) and re-enqueues the buffer
+    /// on the node's ready queue — a task is never abandoned, so completion
+    /// accounting stays exactly-once. The driver still frees the slot via
+    /// [`Engine::worker_idle`] as usual.
     pub(crate) fn task_failed<D: Transport + Executor>(
         &mut self,
         node: usize,

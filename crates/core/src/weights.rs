@@ -246,11 +246,8 @@ impl WeightProvider for OracleWeights {
 /// Estimator-backed weights: a fitted kNN model per the paper's Section 4,
 /// queried on the buffer's input parameters, with a bounded O(1) memo
 /// since replicated dataflows see many tasks with identical parameters.
-///
-/// The provider is static: it ignores observed spans (the trait's default
-/// [`observe`](WeightProvider::observe)), so a memoized pair never goes
-/// stale. Run-time correction from observed spans is
-/// [`LearnedWeights`](crate::policy::learned::LearnedWeights)' job.
+/// It ignores observed spans (the trait's default
+/// [`observe`](WeightProvider::observe)).
 pub struct EstimatorWeights {
     est: KnnEstimator,
     memo: Mutex<Memo>,
