@@ -485,6 +485,32 @@ mod tests {
     }
 
     #[test]
+    fn a_fresh_arm_scores_half_the_feature_norm() {
+        // A = 1 and b = 0: no mean, so the score is UCB_ALPHA * |x|.
+        assert_eq!(Arm::new().score(&[1.0, 2.0, 2.0, 0.0, 4.0]), 2.5);
+    }
+
+    #[test]
+    fn the_width_term_decides_a_bandit_decision() {
+        let lw = learner(PolicyKind::Bandit);
+        let ctx = DecisionCtx::default();
+        let buf = tile(1, 128);
+        let shape = LearnedWeights::<OracleWeights>::shape_key(&buf);
+        let tc = lw.predict_time(&buf, DeviceKind::Cpu);
+        let tg = lw.predict_time(&buf, DeviceKind::Gpu);
+        let x = lw.features(&lw.state.lock().unwrap(), &ctx, tc, tg, shape);
+        assert_eq!(x[..3], [1.0, 0.0, 0.0]);
+        assert!((x[3] - 2.388_987_6).abs() < 1e-6, "{x:?}");
+        // One rewarded pull gives the GPU arm the higher mean (0.540
+        // against the fresh CPU arm's 0) but a narrower width: 0.540 +
+        // 0.581 = 1.121 against 0 + 1.295, so the CPU arm wins on width.
+        lw.state.lock().unwrap().arms[1].update(&x, 0.4);
+        let d = lw.decide(&buf, &ctx).unwrap();
+        assert!(!d.explore);
+        assert_eq!(d.arm, DeviceKind::Cpu);
+    }
+
+    #[test]
     fn worker_observation_tallies_accrue_per_worker() {
         let lw = learner(PolicyKind::Bandit);
         let b = tile(1, 128);
