@@ -7,7 +7,8 @@
 //! * [`vi`] — the vector-incrementer microbenchmark of Section 6.2.
 //! * [`vm`] — the Virtual Microscope (the paper's reference \[8\]): a
 //!   three-filter viewport-serving dataflow, exercising multi-stage
-//!   pipelines and replicated stateful filters.
+//!   pipelines and replicated stateful filters
+//!   (`examples/virtual_microscope.rs`).
 //! * [`bench_suite`] — the six estimator benchmark applications of
 //!   Table 1, with parameter spaces, device-time models and real CPU
 //!   kernels.
@@ -15,7 +16,6 @@
 #![warn(missing_docs)]
 
 pub mod bench_suite;
-pub mod flows;
 pub mod nbia;
 pub mod vi;
 pub mod vm;

@@ -273,22 +273,19 @@ fn collect_results(outputs: Vec<LocalTask>) -> Vec<TileResult> {
 ///
 /// The same topology runs on four backends: the native threaded runtime
 /// (payload-carrying filters computing real values), and the three
-/// buffer-level backends — sequential reference, DES, and TCP — where a
-/// `GraphModel` evaluates the identical feature and classification math
-/// coordinator-side while workers model the compute cost. Because every classification is a pure function of the tile's
-/// pixels at a pyramid level, the classifier seed, and the threshold, all
-/// deployments produce byte-identical [`TileResult`]s — including against
-/// the fused single-filter pipeline ([`run_local`]).
+/// buffer-level backends — sequential reference, DES, and TCP (driven
+/// from this file's tests) — where a `GraphModel` evaluates the identical
+/// feature and classification math coordinator-side while workers model
+/// the compute cost. Because every classification is a pure function of
+/// the tile's pixels at a pyramid level, the classifier seed, and the
+/// threshold, all deployments produce byte-identical [`TileResult`]s —
+/// including against the fused single-filter pipeline ([`run_local`]).
 pub mod graph {
     use super::*;
     use std::collections::HashMap;
 
     use anthill::engine::sequential::{self as seq, GraphEmission, SequentialConfig};
     use anthill::graph::{DataflowGraph, EdgeSpec, FilterSpec};
-    use anthill::net::{
-        run_graph_deterministic_with, spawn_worker_thread, tcp_pair, Behavior, NetConfig,
-        NetGraphOutcome, NetWorkerConn,
-    };
     use anthill::policy::Policy;
     use anthill::sim::{run_graph_sim, GraphSimConfig, GraphSimReport};
     use anthill::weights::OracleWeights;
@@ -399,7 +396,7 @@ pub mod graph {
 
     /// The native three-stage pipeline plus its sources: tiles enter as
     /// full-resolution pixels and the reader performs the decomposition.
-    fn build_graph_pipeline(config: &NbiaLocalConfig) -> (Pipeline, Vec<LocalTask>) {
+    pub(super) fn build_graph_pipeline(config: &NbiaLocalConfig) -> (Pipeline, Vec<LocalTask>) {
         let nbia = Nbia::new(config);
         let sources = nbia
             .tiles(config)
@@ -425,17 +422,6 @@ pub mod graph {
     ) -> (Vec<TileResult>, anthill::local::LocalReport) {
         let (pipeline, sources) = build_graph_pipeline(config);
         let (outputs, report) = pipeline.run(sources, weights);
-        (collect_results(outputs), report)
-    }
-
-    /// [`run_native`] under the sequential reference driver: assignments
-    /// and output order are a pure function of the configuration.
-    pub fn run_native_deterministic<W: WeightProvider>(
-        config: &NbiaLocalConfig,
-        weights: &W,
-    ) -> (Vec<TileResult>, anthill::local::LocalReport) {
-        let (pipeline, sources) = build_graph_pipeline(config);
-        let (outputs, report) = pipeline.run_deterministic(sources, weights);
         (collect_results(outputs), report)
     }
 
@@ -521,7 +507,7 @@ pub mod graph {
         }
     }
 
-    fn engine_policy(kind: PolicyKind) -> Policy {
+    pub(super) fn engine_policy(kind: PolicyKind) -> Policy {
         match kind {
             PolicyKind::DdFcfs => Policy::ddfcfs(8),
             PolicyKind::DdWrr => Policy::ddwrr(8),
@@ -537,7 +523,7 @@ pub mod graph {
 
     /// Per-filter device kinds of the buffer-level runs: one CPU for the
     /// reader and classifier, CPU + GPU replicas for the feature filter.
-    fn device_kinds() -> Vec<Vec<DeviceKind>> {
+    pub(super) fn device_kinds() -> Vec<Vec<DeviceKind>> {
         vec![
             vec![DeviceKind::Cpu],
             vec![DeviceKind::Cpu, DeviceKind::Gpu],
@@ -589,13 +575,36 @@ pub mod graph {
         );
         (model.into_results(), report)
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::graph::{build_graph_pipeline, device_kinds, engine_policy, topology, GraphModel};
+    use super::*;
+    use anthill::net::{
+        run_graph_deterministic_with, spawn_worker_thread, tcp_pair, Behavior, NetConfig,
+        NetGraphOutcome, NetWorkerConn,
+    };
+    use anthill::weights::OracleWeights;
+    use anthill_hetsim::{DeviceId, GpuParams};
+
+    fn oracle() -> OracleWeights {
+        OracleWeights::new(GpuParams::geforce_8800gt(), true)
+    }
+
+    /// [`graph::run_native`] under the sequential reference driver:
+    /// assignments and output order are a pure function of the
+    /// configuration.
+    fn run_native_deterministic(config: &NbiaLocalConfig) -> Vec<TileResult> {
+        let (pipeline, sources) = build_graph_pipeline(config);
+        let (outputs, _) = pipeline.run_deterministic(sources, &oracle());
+        collect_results(outputs)
+    }
 
     /// Run the three-filter pipeline over TCP loopback workers in
     /// lockstep deterministic mode; the `GraphModel` drives routing
     /// through the coordinator-side emission hook.
-    pub fn run_net(
-        config: &NbiaLocalConfig,
-    ) -> std::io::Result<(Vec<TileResult>, NetGraphOutcome)> {
+    fn run_net(config: &NbiaLocalConfig) -> std::io::Result<(Vec<TileResult>, NetGraphOutcome)> {
         let (mut model, seeds) = GraphModel::new(config);
         let workers: std::io::Result<Vec<Vec<NetWorkerConn>>> = device_kinds()
             .iter()
@@ -628,17 +637,6 @@ pub mod graph {
             &mut |f, k, b| Some(model.handle(f, k, b)),
         )?;
         Ok((model.into_results(), outcome))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use anthill::weights::OracleWeights;
-    use anthill_hetsim::GpuParams;
-
-    fn oracle() -> OracleWeights {
-        OracleWeights::new(GpuParams::geforce_8800gt(), true)
     }
 
     #[test]
@@ -747,10 +745,10 @@ mod tests {
             ..NbiaLocalConfig::default()
         };
         let (fused, _) = run_local(&config, &oracle());
-        let (native_det, _) = graph::run_native_deterministic(&config, &oracle());
+        let native_det = run_native_deterministic(&config);
         let (reference, ref_out) = graph::run_reference(&config);
         let (sim, sim_report) = graph::run_sim(&config);
-        let (net, net_out) = graph::run_net(&config).expect("net graph run");
+        let (net, net_out) = run_net(&config).expect("net graph run");
         assert_eq!(native_det, fused, "native deterministic");
         assert_eq!(reference, fused, "sequential reference");
         assert_eq!(sim, fused, "DES");

@@ -36,13 +36,9 @@
 //! | filter fusion (the paper's setup choice) | [`experiments::transfer::ablate_fusion`] |
 //! | perturbed CPU-only node                  | [`experiments::cluster::perturb_slow_node`] |
 //! | learned policies vs DDWRR                | [`policies::head_to_head`] |
-//!
-//! [`load`] holds the open-loop arrival schedules `tests/load.rs` drives
-//! the backends with.
 
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod load;
 pub mod policies;
 pub mod viz;

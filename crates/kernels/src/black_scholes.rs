@@ -49,7 +49,7 @@ pub struct Priced {
 }
 
 /// Price a single European option pair under Black-Scholes.
-pub fn price(o: Option_) -> Priced {
+fn price(o: Option_) -> Priced {
     assert!(o.spot > 0.0 && o.strike > 0.0 && o.expiry > 0.0 && o.volatility > 0.0);
     let sqrt_t = o.expiry.sqrt();
     let d1 = ((o.spot / o.strike).ln() + (o.rate + 0.5 * o.volatility * o.volatility) * o.expiry)

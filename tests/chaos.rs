@@ -724,9 +724,9 @@ fn killed_worker_process_is_absorbed_by_the_survivor() {
 /// exactly once (reassigned tasks included).
 #[test]
 fn killed_worker_mid_load_run_conserves_with_a_bounded_intake() {
-    use anthill_repro::bench::load::ArrivalProfile;
     use anthill_repro::core::engine::{AdmissionConfig, OverloadPolicy};
     use anthill_repro::core::net::run_concurrent_load;
+    use common::ArrivalProfile;
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("listener addr").to_string();

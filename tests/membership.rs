@@ -29,9 +29,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use common::{load_buffer, loopback_workers, oracle, pick_policy};
+use common::{load_buffer, loopback_workers, oracle, pick_policy, ArrivalProfile};
 
-use anthill_repro::bench::load::ArrivalProfile;
 use anthill_repro::core::engine::{AdmissionConfig, OverloadPolicy};
 use anthill_repro::core::faults::{FaultConfig, FaultProb, RecoveryConfig, WorkerDeathSpec};
 use anthill_repro::core::membership::{
