@@ -24,23 +24,22 @@ pub fn downsample(pixels: &[Rgb8], side: u32) -> Vec<Rgb8> {
         side >= 2 && side.is_multiple_of(2),
         "side must be even, got {side}"
     );
-    let out_side = side / 2;
-    let mut out = Vec::with_capacity((out_side * out_side) as usize);
-    for y in 0..out_side {
-        for x in 0..out_side {
-            let (mut r, mut g, mut b) = (0u32, 0u32, 0u32);
-            for dy in 0..2 {
-                for dx in 0..2 {
-                    let p = pixels[((2 * y + dy) * side + 2 * x + dx) as usize];
-                    r += u32::from(p.r);
-                    g += u32::from(p.g);
-                    b += u32::from(p.b);
-                }
-            }
+    let side = side as usize;
+    let mut out = Vec::with_capacity(side * side / 4);
+    for rows in pixels.chunks_exact(2 * side) {
+        let (top, bottom) = rows.split_at(side);
+        for (t, b) in top.chunks_exact(2).zip(bottom.chunks_exact(2)) {
+            let mean = |channel: fn(&Rgb8) -> u8| {
+                let sum = [t[0], t[1], b[0], b[1]]
+                    .iter()
+                    .map(|p| u32::from(channel(p)))
+                    .sum::<u32>();
+                (sum / 4) as u8
+            };
             out.push(Rgb8 {
-                r: (r / 4) as u8,
-                g: (g / 4) as u8,
-                b: (b / 4) as u8,
+                r: mean(|p| p.r),
+                g: mean(|p| p.g),
+                b: mean(|p| p.b),
             });
         }
     }

@@ -17,19 +17,48 @@
 //! workspace's `tests/paper_shapes.rs`; the generator's RNG stream is part
 //! of that pin, and so is every byte it emits.
 //!
-//! The generator pays per pixel only for what varies per pixel. A
-//! stroma-rich tile's coordinates depend on the row and the column alone,
-//! so `x = c / side` is computed once per column and `y = r / side` once
-//! per row — the same divisions on the same operands as a per-pixel
-//! `i % side` and `i / side`, hence the same bits. The columns' `x` values
-//! are one vector per tile: that allocation is cheaper than a float divide
-//! per pixel, which read 2–3 ns/px slower. A stroma-poor pixel's
-//! coin flip indexes a table instead of taking a branch. The bodies they
-//! replaced are the oracles of `crates/kernels/tests/generator_oracle.rs`.
+//! **Approximate, then exact where it matters.** A pixel's bytes are `as u8`
+//! truncations of a lightness `l`, `l·0.72` and `l·0.80` (stroma-rich),
+//! or of `245 + 2z` (background). The generator computes those values
+//! without a libm call per pixel, within `PIXEL_ERROR` of the exact
+//! expressions, and truncates them. Such a value gives the exact byte
+//! unless it lies within `GUARD` of an integer; then, and only then, the
+//! pixel recomputes the exact expression (Shewchuk's filter-then-exact
+//! rule for adaptive predicates, 1997). So every byte is the exact one,
+//! and about one pixel in 10⁶ pays for libm.
+//! - The noise `z` is a [`Deviate`] from [`SimRng::gaussian_row`]: a
+//!   table-driven Box-Muller value within [`DEVIATE_ERROR`] of the one
+//!   `SimRng::normal` returns for the same draw.
+//! - The stroma field `sin(a_c + b_r)` is separable: `a_c` depends on the
+//!   column, `b_r` on the row, so `sin a_c · cos b_r + cos a_c · sin b_r`
+//!   takes two libm calls per column and two per row, not one per pixel.
+//! - A row is made in two passes: the row's deviates first, then its
+//!   pixels and their guard checks in a loop that carries no state from
+//!   one pixel to the next.
+//!
+//! A stroma-poor pixel's coin flip indexes a table instead of taking a
+//! branch. The per-pixel bodies this replaced are the oracles of
+//! `crates/kernels/tests/generator_oracle.rs`.
+//!
+//! **The bound.** With `u` = 2⁻⁵³ the unit roundoff and libm within 1 ulp:
+//! - The exact angle `(x·freq + y·0.7·freq)·τ + phase` (below 22.3) rounds
+//!   to within 54.3`u` of its real value, and `a_c + b_r` to within
+//!   31.7`u`. With the four libm values, the angle-addition roundings and
+//!   the exact side's `sin` (15`u`), the separable field is within 101`u`
+//!   of the exact one: `FIELD_ERROR` is 110`u`.
+//! - A stroma-rich `l` is then within `25·FIELD_ERROR + 4·DEVIATE_ERROR`
+//!   plus each side's three roundings below 256 (990`u`) ≈ 6.2·10⁻¹³ of
+//!   the exact `l`. `l·0.72` and `l·0.80` are within 0.8 times that plus
+//!   two roundings, and a background `245 + 2z` within
+//!   `2·DEVIATE_ERROR + 526u` ≈ 1.6·10⁻¹³.
+//! - `PIXEL_ERROR` = 10⁻¹² bounds them all, and `GUARD` = 10⁻⁷ is 10⁵
+//!   times it. Over 10⁸ pixels the largest distance read 1.7·10⁻¹³ (the
+//!   ignored `sweep_of_approximate_values_against_the_per_pixel_bodies`).
 
 use crate::color::{quantize_tile_l, Rgb8};
 use crate::texture::feature_vector;
-use anthill_simkit::SimRng;
+use anthill_simkit::{Deviate, SimRng, DEVIATE_ERROR};
+use std::f64::consts::TAU;
 
 /// Tissue classes assigned by NBIA's stromal-development classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,6 +92,131 @@ const SPECKLE: [(f64, f64, [f64; 3]); 2] = [
     (40.0, 110.0, [0.55, 0.40, 1.0]),
 ];
 
+/// How far the separable stroma field may lie from the exact one (module
+/// docs): 101`u`, rounded up.
+const FIELD_ERROR: f64 = 110.0 * f64::EPSILON / 2.0;
+
+/// How far a truncated value may lie from the exact expression's (module
+/// docs): the stroma-rich lightness bound, rounded up.
+const PIXEL_ERROR: f64 = 1e-12;
+const _: () =
+    assert!(25.0 * FIELD_ERROR + 4.0 * DEVIATE_ERROR + 1_000.0 * f64::EPSILON / 2.0 <= PIXEL_ERROR);
+
+/// A truncated value at least this far from every integer gives the exact
+/// expression's byte.
+const GUARD: f64 = 1e-7;
+const _: () = assert!(GUARD >= 1e4 * PIXEL_ERROR);
+
+/// Whether `v` (≥ 0) lies within `GUARD` of an integer, where its
+/// truncation could differ from the exact value's.
+#[inline]
+fn near_integer(v: f64) -> bool {
+    (v - f64::from(v as i32) - 0.5).abs() > 0.5 - GUARD
+}
+
+/// A background pixel: near-white glass with faint sensor noise. Exact
+/// for the exact `z`: `SimRng::normal(0.0, 2.0)` is `0 + 2z`, which adds
+/// to 245 as `2z` does.
+#[inline]
+fn glass(z: f64) -> Rgb8 {
+    let v = (245.0 + 2.0 * z).clamp(0.0, 255.0) as u8;
+    Rgb8 { r: v, g: v, b: v }
+}
+
+/// A stroma-rich pixel of lightness `l`: smooth pink collagen.
+#[inline]
+fn collagen(l: f64) -> Rgb8 {
+    let l = l.clamp(0.0, 255.0);
+    Rgb8 {
+        r: l as u8,
+        g: (l * 0.72) as u8,
+        b: (l * 0.80) as u8,
+    }
+}
+
+/// One background row from its deviates: the approximate pixels, then
+/// the exact one wherever the value is near an integer.
+fn glass_row(px: &mut [Rgb8], zs: &[Deviate], near: &mut [bool]) {
+    for ((p, z), near) in px.iter_mut().zip(zs).zip(near.iter_mut()) {
+        let v = 245.0 + 2.0 * z.approx;
+        *p = glass(z.approx);
+        *near = near_integer(v);
+    }
+    for c in (0..px.len()).filter(|&c| near[c]) {
+        px[c] = glass(zs[c].exact());
+    }
+}
+
+/// A stroma-rich tile's lightness field, `sin(a_c + b_r)`: the sine and
+/// cosine of each column's `a_c`, and what each row's `b_r` needs.
+struct StromaField {
+    side: u32,
+    freq: f64,
+    phase: f64,
+    /// `(sin a_c, cos a_c)` per column, `a_c = x·freq·τ + phase`.
+    columns: Vec<(f64, f64)>,
+}
+
+impl StromaField {
+    fn new(side: u32, freq: f64, phase: f64) -> StromaField {
+        let columns = (0..side)
+            .map(|c| (f64::from(c) / f64::from(side) * freq * TAU + phase).sin_cos())
+            .collect();
+        StromaField {
+            side,
+            freq,
+            phase,
+            columns,
+        }
+    }
+
+    /// The exact pixel at column `c` of the row at `y` for the exact `z`:
+    /// `SimRng::normal(0.0, 4.0)` is `0 + 4z`, which adds as `4z` does.
+    fn exact(&self, c: usize, y: f64, z: f64) -> Rgb8 {
+        let x = c as f64 / f64::from(self.side);
+        let field = ((x * self.freq + y * 0.7 * self.freq) * TAU + self.phase).sin();
+        collagen(190.0 + 25.0 * field + 4.0 * z)
+    }
+
+    /// `y` and `(sin b_r, cos b_r)` of row `row`, `b_r = y·0.7·freq·τ`.
+    fn row_angle(&self, row: u32) -> (f64, (f64, f64)) {
+        let y = f64::from(row) / f64::from(self.side);
+        (y, (y * 0.7 * self.freq * TAU).sin_cos())
+    }
+
+    /// The approximate lightness where the column's `(sin a_c, cos a_c)`
+    /// meets the row's `(sin b_r, cos b_r)`, for the approximate `z`.
+    #[inline]
+    fn lightness((sin_a, cos_a): (f64, f64), (sin_b, cos_b): (f64, f64), z: f64) -> f64 {
+        let field = sin_a * cos_b + cos_a * sin_b;
+        (190.0 + 25.0 * field + 4.0 * z).clamp(0.0, 255.0)
+    }
+
+    /// Row `row` from its deviates: the approximate pixels, then the exact
+    /// one wherever `l`, `l·0.72` or `l·0.80` is near an integer.
+    fn row(&self, row: u32, px: &mut [Rgb8], zs: &[Deviate], near: &mut [bool]) {
+        let (y, b_r) = self.row_angle(row);
+        let cells = px
+            .iter_mut()
+            .zip(zs)
+            .zip(&self.columns)
+            .zip(near.iter_mut());
+        for (((p, z), &a_c), near) in cells {
+            let l = StromaField::lightness(a_c, b_r, z.approx);
+            let (g, b) = (l * 0.72, l * 0.80);
+            *p = Rgb8 {
+                r: l as u8,
+                g: g as u8,
+                b: b as u8,
+            };
+            *near = near_integer(l) | near_integer(g) | near_integer(b);
+        }
+        for c in (0..px.len()).filter(|&c| near[c]) {
+            px[c] = self.exact(c, y, zs[c].exact());
+        }
+    }
+}
+
 /// Generates synthetic tiles with class-typical texture statistics.
 #[derive(Debug, Clone)]
 pub struct TileGenerator {
@@ -80,48 +234,40 @@ impl TileGenerator {
     /// Generate a `side × side` RGB tile of the given class.
     pub fn generate(&mut self, class: TileClass, side: u32) -> Vec<Rgb8> {
         let n = (side * side) as usize;
-        let mut out = Vec::with_capacity(n);
+        // A 0-side tile has no rows (and `chunks_exact_mut(0)` panics).
+        let width = side.max(1) as usize;
+        let mut out = vec![Rgb8 { r: 0, g: 0, b: 0 }; n];
+        let mut zs = vec![Deviate::default(); side as usize];
+        let mut near = vec![false; side as usize];
         match class {
             TileClass::Background => {
-                // Near-white glass with faint sensor noise.
-                for _ in 0..n {
-                    let v = 245.0 + self.rng.normal(0.0, 2.0);
-                    let v = v.clamp(0.0, 255.0) as u8;
-                    out.push(Rgb8 { r: v, g: v, b: v });
+                for px in out.chunks_exact_mut(width) {
+                    self.rng.gaussian_row(&mut zs);
+                    glass_row(px, &zs, &mut near);
                 }
             }
             TileClass::StromaRich => {
                 // Smooth pink collagen: low-frequency sinusoidal lightness
                 // field plus mild noise.
-                let phase = self.rng.uniform_range(0.0, std::f64::consts::TAU);
+                let phase = self.rng.uniform_range(0.0, TAU);
                 let freq = self.rng.uniform_range(0.5, 1.5);
-                let xs: Vec<f64> = (0..side).map(|c| f64::from(c) / f64::from(side)).collect();
-                for row in 0..side {
-                    let y = f64::from(row) / f64::from(side);
-                    for &x in &xs {
-                        let field =
-                            ((x * freq + y * 0.7 * freq) * std::f64::consts::TAU + phase).sin();
-                        let l = 190.0 + 25.0 * field + self.rng.normal(0.0, 4.0);
-                        let l = l.clamp(0.0, 255.0);
-                        out.push(Rgb8 {
-                            r: l as u8,
-                            g: (l * 0.72) as u8,
-                            b: (l * 0.80) as u8,
-                        });
-                    }
+                let field = StromaField::new(side, freq, phase);
+                for (row, px) in (0..).zip(out.chunks_exact_mut(width)) {
+                    self.rng.gaussian_row(&mut zs);
+                    field.row(row, px, &zs, &mut near);
                 }
             }
             TileClass::StromaPoor => {
                 // Dense nuclei: high-frequency dark-purple speckle on a
                 // lighter eosin background.
-                for _ in 0..n {
+                for p in &mut out {
                     let (lo, hi, [mr, mg, mb]) = SPECKLE[usize::from(self.rng.chance(0.45))];
                     let l = self.rng.uniform_range(lo, hi);
-                    out.push(Rgb8 {
+                    *p = Rgb8 {
                         r: (l * mr) as u8,
                         g: (l * mg) as u8,
                         b: (l * mb) as u8,
-                    });
+                    };
                 }
             }
         }
@@ -312,6 +458,201 @@ mod tests {
         let clear = clf.classify(&[2.5, 0.0]);
         assert_eq!(clear.class, TileClass::StromaPoor);
         assert_eq!(clear.confidence, 1.0 - 0.5 / 1.5);
+    }
+
+    #[test]
+    fn near_integer_is_the_guard() {
+        for k in [0.0, 1.0, 130.0, 254.0] {
+            assert!(near_integer(k));
+            assert!(near_integer(k + GUARD / 2.0));
+            assert!(!near_integer(k + 2.0 * GUARD));
+            assert!(!near_integer(k + 0.5));
+        }
+        for k in [1.0, 130.0, 255.0] {
+            assert!(near_integer(k - GUARD / 2.0));
+            assert!(!near_integer(k - 2.0 * GUARD));
+        }
+    }
+
+    /// A cos-half deviate whose exact value puts `value(z)` at the integer
+    /// `k` (to ~10⁻¹³), and whose approximation puts it 10⁻⁸ past `k` on
+    /// the other side: truncating the approximation misses by one.
+    fn straddling(value: impl Fn(f64) -> f64, slope: f64, k: f64, z0: f64) -> Deviate {
+        let mut d = Deviate {
+            approx: 0.0,
+            u1: (-z0 * z0 / 2.0).exp(),
+            u2: 0.0,
+            spare: false,
+        };
+        let z = d.exact();
+        let exact = value(z);
+        assert!((exact - k).abs() < 1e-9, "{exact} is not at {k}");
+        let target = if exact < k { k + 1e-8 } else { k - 1e-8 };
+        d.approx = z + (target - exact) / slope;
+        let approx = value(d.approx);
+        assert!(near_integer(approx), "{approx} is not within the guard");
+        assert_ne!(approx as u8, exact as u8, "{approx} and {exact}");
+        d
+    }
+
+    #[test]
+    fn a_value_within_the_guard_takes_the_exact_expression() {
+        // Background, `245 + 2z` at 250.
+        let d = straddling(|z| 245.0 + 2.0 * z, 2.0, 250.0, 2.5);
+        let mut px = [Rgb8 { r: 0, g: 0, b: 0 }];
+        glass_row(&mut px, &[d], &mut [false]);
+        // The per-pixel body, as `generator_oracle.rs` has it.
+        let v = (245.0 + 2.0 * d.exact()).clamp(0.0, 255.0) as u8;
+        assert_eq!(px[0], Rgb8 { r: v, g: v, b: v });
+
+        // Stroma-rich on a 1 × 1 tile: the field is sin(phase) on both
+        // paths, so each case straddles through `z` alone.
+        let (freq, phase) = (1.0, 1.0);
+        let field = StromaField::new(1, freq, phase);
+        let exact_field = ((0.0 * freq + 0.0 * 0.7 * freq) * TAU + phase).sin();
+        let l = |z: f64| 190.0 + 25.0 * exact_field + 4.0 * z;
+        let z_at = |l: f64| (l - 190.0 - 25.0 * exact_field) / 4.0;
+        for (what, d) in [
+            ("l", straddling(l, 4.0, 213.0, z_at(213.0))),
+            (
+                "l·0.72",
+                straddling(|z| l(z) * 0.72, 2.88, 160.0, z_at(160.0 / 0.72)),
+            ),
+            (
+                "l·0.80",
+                straddling(|z| l(z) * 0.80, 3.2, 177.0, z_at(177.0 / 0.80)),
+            ),
+        ] {
+            let mut px = [Rgb8 { r: 0, g: 0, b: 0 }];
+            field.row(0, &mut px, &[d], &mut [false]);
+            let l = l(d.exact()).clamp(0.0, 255.0);
+            let want = Rgb8 {
+                r: l as u8,
+                g: (l * 0.72) as u8,
+                b: (l * 0.80) as u8,
+            };
+            assert_eq!(px[0], want, "{what}");
+        }
+    }
+
+    /// `generator_oracle.rs`'s per-pixel body, keeping each noisy pixel's
+    /// exact truncated value (`l`, or `245 + 2z`) beside its bytes.
+    fn oracle_values(rng: &mut SimRng, class: TileClass, side: u32) -> Vec<(Rgb8, f64)> {
+        let mut out = Vec::new();
+        let (phase, freq) = match class {
+            TileClass::StromaRich => (rng.uniform_range(0.0, TAU), rng.uniform_range(0.5, 1.5)),
+            _ => (0.0, 0.0),
+        };
+        for row in 0..side {
+            let y = f64::from(row) / f64::from(side);
+            for c in 0..side {
+                let x = f64::from(c) / f64::from(side);
+                if class == TileClass::Background {
+                    let v = 245.0 + rng.normal(0.0, 2.0);
+                    let b = v.clamp(0.0, 255.0) as u8;
+                    out.push((Rgb8 { r: b, g: b, b }, v));
+                } else if class == TileClass::StromaPoor {
+                    let px = if rng.chance(0.45) {
+                        let l = rng.uniform_range(40.0, 110.0);
+                        Rgb8 {
+                            r: (l * 0.55) as u8,
+                            g: (l * 0.40) as u8,
+                            b: l as u8,
+                        }
+                    } else {
+                        let l = rng.uniform_range(170.0, 230.0);
+                        Rgb8 {
+                            r: l as u8,
+                            g: (l * 0.75) as u8,
+                            b: (l * 0.85) as u8,
+                        }
+                    };
+                    out.push((px, f64::NAN));
+                } else {
+                    let field = ((x * freq + y * 0.7 * freq) * TAU + phase).sin();
+                    let l = 190.0 + 25.0 * field + rng.normal(0.0, 4.0);
+                    let l = l.clamp(0.0, 255.0);
+                    let px = Rgb8 {
+                        r: l as u8,
+                        g: (l * 0.72) as u8,
+                        b: (l * 0.80) as u8,
+                    };
+                    out.push((px, l));
+                }
+            }
+        }
+        out
+    }
+
+    /// The approximate truncated values `generate` computes for the tile
+    /// it draws next from `rng`, with whether each fell back.
+    fn approximate_values(rng: &mut SimRng, class: TileClass, side: u32) -> Vec<(f64, bool)> {
+        let mut zs = vec![Deviate::default(); side as usize];
+        let mut out = Vec::new();
+        if class == TileClass::StromaPoor {
+            return out;
+        }
+        if class == TileClass::Background {
+            for _ in 0..side {
+                rng.gaussian_row(&mut zs);
+                out.extend(zs.iter().map(|z| {
+                    let v = 245.0 + 2.0 * z.approx;
+                    (v, near_integer(v))
+                }));
+            }
+        } else {
+            let phase = rng.uniform_range(0.0, TAU);
+            let freq = rng.uniform_range(0.5, 1.5);
+            let field = StromaField::new(side, freq, phase);
+            for row in 0..side {
+                let (_, b_r) = field.row_angle(row);
+                rng.gaussian_row(&mut zs);
+                out.extend(zs.iter().zip(&field.columns).map(|(z, &a_c)| {
+                    let l = StromaField::lightness(a_c, b_r, z.approx);
+                    (
+                        l,
+                        near_integer(l) | near_integer(l * 0.72) | near_integer(l * 0.80),
+                    )
+                }));
+            }
+        }
+        out
+    }
+
+    /// At least 10⁸ pixels of every class at odd sides, each against the
+    /// per-pixel body: every byte equal, and every approximate value within
+    /// `PIXEL_ERROR` of the exact one. Prints the fallback count and the
+    /// largest |approximate − exact|.
+    #[test]
+    #[ignore = "10^8 pixels: cargo test --release -p anthill-kernels -- --ignored sweep"]
+    fn sweep_of_approximate_values_against_the_per_pixel_bodies() {
+        let (mut pixels, mut fallbacks, mut worst, mut seeds) = (0u64, 0u64, 0.0f64, 0);
+        while pixels < 100_000_000 {
+            let mut gen = TileGenerator::new(seeds);
+            let mut oracle = SimRng::new(seeds);
+            for side in [1, 3, 17, 65, 127, 129] {
+                for class in TileClass::ALL {
+                    let mut probe = gen.rng.clone();
+                    let tile = gen.generate(class, side);
+                    let want = oracle_values(&mut oracle, class, side);
+                    for (i, (p, (want, _))) in tile.iter().zip(&want).enumerate() {
+                        assert_eq!(p, want, "seed {seeds}, {class:?}, side {side}, pixel {i}");
+                    }
+                    let fast = approximate_values(&mut probe, class, side);
+                    for ((_, exact), (approx, near)) in want.iter().zip(&fast) {
+                        worst = worst.max((approx - exact).abs());
+                        fallbacks += u64::from(*near);
+                    }
+                    pixels += tile.len() as u64;
+                }
+            }
+            seeds += 1;
+        }
+        eprintln!(
+            "sweep: {pixels} pixels over {seeds} seeds, {fallbacks} fallbacks, \
+             max |approximate - exact| {worst:e}"
+        );
+        assert!(worst <= PIXEL_ERROR, "{worst:e}");
     }
 
     #[test]

@@ -54,6 +54,6 @@ mod time;
 
 pub use engine::{Engine, RunOutcome, Scheduler, World};
 pub use resource::{FifoServer, MultiServer, Pipe};
-pub use rng::SimRng;
+pub use rng::{Deviate, SimRng, DEVIATE_ERROR};
 pub use stats::{DurationHistogram, UtilizationTracker};
 pub use time::{SimDuration, SimTime};

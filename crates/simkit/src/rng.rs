@@ -6,6 +6,46 @@
 //! simulation component derives its own stream from a root seed with
 //! [`SimRng::fork`], so adding a new consumer never perturbs the draws seen
 //! by existing ones.
+//!
+//! Normal deviates come from Box-Muller, which has one exact definition
+//! here (the private `box_muller`). `SimRng::gaussian` returns its values
+//! one at a time, keeping the pair's second half as the spare for the next
+//! call. [`SimRng::gaussian_row`] draws the same deviates, from the same
+//! uniforms and with the same spare, a row at a time, for callers that
+//! only need each value to a known error and the exact value now and then:
+//! each [`Deviate`] carries a table-driven approximation within
+//! [`DEVIATE_ERROR`] of the exact value, and the two uniforms that give the
+//! exact value on demand ([`Deviate::exact`]).
+//!
+//! **The approximation.** With `u` = 2⁻⁵³ the unit roundoff, and libm's
+//! `ln`, `sin` and `cos` within 1 ulp:
+//! - `ln u1` is `e·ln 2 + ln c + log1p(f)`. Here `u1 = 2^e·m`, `c = 1 + k/256`
+//!   is the nearest of 257 steps to `m` (the top step, `c = 2`, moves up a
+//!   binade to `c = 1`), `f = (m − c)/c` with `|f| ≤ 2⁻⁹`, and `log1p` is
+//!   its degree-5 Taylor polynomial, truncation ≤ `|f|⁶/6` < 0.1`u`. The
+//!   table holds `(1/c, ln c)` for the 256 steps below 2. The error is at
+//!   most `u·(4|ln u1| + 6)`; just below 1 (`u1 ≥ 1 − 2⁻¹⁰`, the top step
+//!   of the last binade) it is `log1p(u1 − 1)` alone, within `7u·|ln u1|`,
+//!   so a radius near 0 keeps its relative precision.
+//! - The radius `r = √(−2 ln u1)` ≤ 8.58 then moves by `|Δln|/r`:
+//!   ≤ 160`u` where `|ln u1| ≥ 2⁻¹⁰` (so `r` ≥ 0.044), far less below
+//!   that, and ≤ 186`u` from the exact radius counting libm's `ln` and
+//!   both square roots.
+//! - `cos` and `sin` of `τ·u2` come from the nearest of 1 024 table angles
+//!   `τ·j/1024` (7.3`u` each, counting the rounded angle) turned by
+//!   `δ = τ·u2 − τ·j/1024`, `|δ| ≤ π/1024`, with Taylor terms to `δ⁴` and
+//!   `δ⁵` (truncation < 0.01`u`): within 22.3`u` of the exact `cos(τ·u2)`,
+//!   counting its rounded angle, the wrap from `j = 1024` to 0 and the
+//!   exact side's 1 ulp.
+//! - So `|approx − exact| ≤ 186u + 8.58·22.3u + 2·8.58u` ≈ 394`u` ≈
+//!   4.4·10⁻¹⁴ < [`DEVIATE_ERROR`].
+
+use std::f64::consts::{LN_2, TAU};
+use std::sync::OnceLock;
+
+/// How far a [`Deviate`]'s `approx` may lie from its exact value: the
+/// analytic bound of the module docs, ≈ 4.4·10⁻¹⁴, rounded up.
+pub const DEVIATE_ERROR: f64 = 5e-14;
 
 /// SplitMix64 step: used for seeding and for stream derivation.
 #[inline]
@@ -21,8 +61,118 @@ fn splitmix64(state: &mut u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct SimRng {
     s: [u64; 4],
-    /// Cached second normal deviate from Box-Muller.
-    gauss_spare: Option<f64>,
+    /// The second half of the last Box-Muller pair, not yet returned.
+    gauss_spare: Option<Spare>,
+}
+
+/// A Box-Muller pair's second (sin) half, waiting for the next draw.
+#[derive(Debug, Clone, Copy)]
+struct Spare {
+    deviate: Deviate,
+    /// `deviate.approx` is the exact value: `SimRng::gaussian` drew the
+    /// pair and computed it.
+    exact: bool,
+}
+
+/// One standard normal deviate from [`SimRng::gaussian_row`]: a
+/// table-driven approximation of the value `SimRng::gaussian` returns for
+/// the same draw, and what the exact value needs.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Deviate {
+    /// Within [`DEVIATE_ERROR`] of [`Deviate::exact`].
+    pub approx: f64,
+    /// The pair's first uniform, in `(f64::MIN_POSITIVE, 1)`.
+    pub u1: f64,
+    /// The pair's second uniform, in `[0, 1)`.
+    pub u2: f64,
+    /// Which half of the pair: `false` for the cos half, drawn first;
+    /// `true` for the sin half, the spare.
+    pub spare: bool,
+}
+
+impl Deviate {
+    /// The exact deviate, bit for bit what `SimRng::gaussian` returns for
+    /// this draw. Costs a libm `ln`, `sin` and `cos`.
+    pub fn exact(&self) -> f64 {
+        let (cos, sin) = box_muller(self.u1, self.u2);
+        if self.spare {
+            sin
+        } else {
+            cos
+        }
+    }
+}
+
+/// The exact Box-Muller pair of two uniforms: the cos half, then the sin
+/// half. Every normal deviate's exact value is computed here.
+#[inline]
+fn box_muller(u1: f64, u2: f64) -> (f64, f64) {
+    let r = (-2.0 * u1.ln()).sqrt();
+    let theta = TAU * u2;
+    (r * theta.cos(), r * theta.sin())
+}
+
+/// The tables behind [`Deviate::approx`], built once.
+struct Tables {
+    /// `(1/c, ln c)` at `c = 1 + k/256`, `k < 256`.
+    ln: [(f64, f64); 256],
+    /// `(cos, sin)` of `τ·j/1024`.
+    sincos: [(f64, f64); 1024],
+}
+
+fn tables() -> &'static Tables {
+    static TABLES: OnceLock<Tables> = OnceLock::new();
+    TABLES.get_or_init(|| Tables {
+        ln: std::array::from_fn(|k| {
+            let c = 1.0 + k as f64 / 256.0;
+            (1.0 / c, c.ln())
+        }),
+        sincos: std::array::from_fn(|j| {
+            let a = TAU * (j as f64 / 1024.0);
+            (a.cos(), a.sin())
+        }),
+    })
+}
+
+/// `ln u1` for a normal `u1 < 1`, within `u·(4|ln u1| + 6)` (module docs).
+#[inline]
+fn approx_ln(t: &Tables, u1: f64) -> f64 {
+    const FRACTION: u64 = (1 << 52) - 1;
+    let bits = u1.to_bits();
+    // The mantissa's nearest step k/256, 0..=256; the top one carries.
+    let k = ((bits & FRACTION) + (1 << 43)) >> 44;
+    let carry = k >> 8;
+    let e = ((bits >> 52) + carry) as i32 - 1023;
+    let m = f64::from_bits((bits & FRACTION) | ((1023 - carry) << 52));
+    let k = (k & 255) as usize;
+    let (inv_c, ln_c) = t.ln[k];
+    // Both in [1, 2] and within 2⁻⁹ of each other: the difference is exact.
+    let f = (m - (1.0 + k as f64 * (1.0 / 256.0))) * inv_c;
+    let log1p = f * (1.0 - f * (0.5 - f * (1.0 / 3.0 - f * (0.25 - f * 0.2))));
+    f64::from(e) * LN_2 + ln_c + log1p
+}
+
+/// The Box-Muller pair of `u1` and `u2`, approximated (module docs).
+#[inline(always)]
+fn approx_pair(t: &Tables, u1: f64, u2: f64) -> (f64, f64) {
+    let r = (-2.0 * approx_ln(t, u1)).sqrt();
+    let (cos, sin) = approx_sincos(t, u2);
+    (r * cos, r * sin)
+}
+
+/// `(cos, sin)` of `τ·u2` for `u2` in `[0, 1)`, within 22.3`u` of libm's.
+#[inline]
+fn approx_sincos(t: &Tables, u2: f64) -> (f64, f64) {
+    // Exact: a power-of-two scale, then an integer part of a number whose
+    // bits all sit above 2⁻⁴³.
+    let v = u2 * 1024.0;
+    let j = (v + 0.5) as i32;
+    let d = (v - f64::from(j)) * (TAU / 1024.0);
+    let (cos_j, sin_j) = t.sincos[(j & 1023) as usize];
+    let d2 = d * d;
+    let cos_d = 1.0 - d2 * (0.5 - d2 * (1.0 / 24.0));
+    let sin_d = d * (1.0 - d2 * (1.0 / 6.0 - d2 * (1.0 / 120.0)));
+    (cos_j * cos_d - sin_j * sin_d, sin_j * cos_d + cos_j * sin_d)
 }
 
 impl SimRng {
@@ -118,21 +268,91 @@ impl SimRng {
         self.uniform() < p.clamp(0.0, 1.0)
     }
 
-    /// Standard normal deviate (Box-Muller, with caching of the pair).
-    pub(crate) fn gaussian(&mut self) -> f64 {
-        if let Some(z) = self.gauss_spare.take() {
-            return z;
-        }
+    /// The two uniforms of a Box-Muller pair; `u1` is redrawn while it is
+    /// too small for `ln`.
+    fn box_muller_uniforms(&mut self) -> (f64, f64) {
         loop {
             let u1 = self.uniform();
-            if u1 <= f64::MIN_POSITIVE {
-                continue;
+            if u1 > f64::MIN_POSITIVE {
+                return (u1, self.uniform());
             }
-            let u2 = self.uniform();
-            let r = (-2.0 * u1.ln()).sqrt();
-            let theta = std::f64::consts::TAU * u2;
-            self.gauss_spare = Some(r * theta.sin());
-            return r * theta.cos();
+        }
+    }
+
+    /// Standard normal deviate (Box-Muller, with caching of the pair).
+    pub(crate) fn gaussian(&mut self) -> f64 {
+        if let Some(spare) = self.gauss_spare.take() {
+            return if spare.exact {
+                spare.deviate.approx
+            } else {
+                spare.deviate.exact()
+            };
+        }
+        let (u1, u2) = self.box_muller_uniforms();
+        let (cos, sin) = box_muller(u1, u2);
+        self.gauss_spare = Some(Spare {
+            deviate: Deviate {
+                approx: sin,
+                u1,
+                u2,
+                spare: true,
+            },
+            exact: true,
+        });
+        cos
+    }
+
+    /// Fill `row` with the next `row.len()` standard normal deviates: the
+    /// ones that as many `SimRng::gaussian` calls would return, from the
+    /// same uniforms, with the spare taken first and left for the next
+    /// draw of either kind. Each is an approximation (module docs) and the
+    /// uniforms of its exact value; no libm call is made.
+    pub fn gaussian_row(&mut self, row: &mut [Deviate]) {
+        let t = tables();
+        let mut rest = row;
+        if let Some(spare) = self.gauss_spare {
+            let Some((first, tail)) = rest.split_first_mut() else {
+                return;
+            };
+            *first = spare.deviate;
+            self.gauss_spare = None;
+            rest = tail;
+        }
+        let mut pairs = rest.chunks_exact_mut(2);
+        for pair in &mut pairs {
+            let (u1, u2) = self.box_muller_uniforms();
+            let (cos, sin) = approx_pair(t, u1, u2);
+            pair[0] = Deviate {
+                approx: cos,
+                u1,
+                u2,
+                spare: false,
+            };
+            pair[1] = Deviate {
+                approx: sin,
+                u1,
+                u2,
+                spare: true,
+            };
+        }
+        if let [last] = pairs.into_remainder() {
+            let (u1, u2) = self.box_muller_uniforms();
+            let (cos, sin) = approx_pair(t, u1, u2);
+            *last = Deviate {
+                approx: cos,
+                u1,
+                u2,
+                spare: false,
+            };
+            self.gauss_spare = Some(Spare {
+                deviate: Deviate {
+                    approx: sin,
+                    u1,
+                    u2,
+                    spare: true,
+                },
+                exact: false,
+            });
         }
     }
 
@@ -322,6 +542,76 @@ mod tests {
                 fnv_mix(&mut h[2], r.lognormal_noise(0.3));
             }
             assert_eq!(h, want, "seed {seed}: {h:#x?}");
+        }
+    }
+
+    #[test]
+    fn gaussian_row_draws_what_gaussian_draws() {
+        // Rows of every length up to 7, with single draws and uniforms
+        // between them, so the spare crosses rows and calls both ways.
+        let mut rows = SimRng::new(31);
+        let mut singles = SimRng::new(31);
+        let mut row = [Deviate::default(); 7];
+        let mut worst = 0.0f64;
+        for i in 0..30_000 {
+            let len = i % 8;
+            rows.gaussian_row(&mut row[..len]);
+            for d in &row[..len] {
+                let z = singles.gaussian();
+                assert_eq!(d.exact().to_bits(), z.to_bits(), "round {i}");
+                worst = worst.max((d.approx - z).abs());
+            }
+            if i % 3 == 0 {
+                assert_eq!(rows.gaussian().to_bits(), singles.gaussian().to_bits());
+            }
+            if i % 5 == 0 {
+                assert_eq!(rows.uniform().to_bits(), singles.uniform().to_bits());
+            }
+        }
+        assert!(worst <= DEVIATE_ERROR, "worst {worst:e}");
+    }
+
+    #[test]
+    fn approximations_hold_their_bounds_at_the_edges() {
+        let t = tables();
+        let u = f64::EPSILON / 2.0;
+        let mut r = SimRng::new(37);
+        // The ends of the range, both sides of every binade's top step and
+        // of the step boundaries, then a uniform sample.
+        let mut u1s: Vec<f64> = vec![f64::MIN_POSITIVE * 2.0, 1.0 / (1u64 << 53) as f64];
+        for e in 1..=53 {
+            let top = 1.0 / (1u64 << (e - 1)) as f64;
+            let step = top / 512.0;
+            for x in [
+                top,
+                top - step / 2.0,
+                top * (1.0 - 1.0 / 1024.0),
+                top * 0.75,
+            ] {
+                u1s.extend([
+                    f64::from_bits(x.to_bits() - 1),
+                    f64::from_bits(x.to_bits() + 1),
+                ]);
+            }
+        }
+        u1s.retain(|&x| x > f64::MIN_POSITIVE && x < 1.0);
+        u1s.extend((0..100_000).map(|_| r.uniform()).filter(|&x| x > 0.0));
+        for &u1 in &u1s {
+            let (exact, approx) = (u1.ln(), approx_ln(t, u1));
+            let err = (approx - exact).abs();
+            assert!(err <= u * (4.0 * exact.abs() + 6.0), "ln {u1:e}: {err:e}");
+            if u1 >= 1.0 - 1.0 / 1024.0 {
+                assert!(err <= 7.0 * u * exact.abs(), "ln {u1:e}: {err:e}");
+            }
+        }
+        let mut u2s: Vec<f64> = vec![0.0, 0.25, 0.5, 0.75, f64::from_bits(1.0f64.to_bits() - 1)];
+        u2s.extend((0..1024).map(|j| (j as f64 + 0.5) / 1024.0));
+        u2s.extend((0..100_000).map(|_| r.uniform()));
+        for &u2 in &u2s {
+            let (cos, sin) = approx_sincos(t, u2);
+            let theta = TAU * u2;
+            let err = (cos - theta.cos()).abs().max((sin - theta.sin()).abs());
+            assert!(err <= 22.3 * u, "sincos {u2}: {err:e}");
         }
     }
 

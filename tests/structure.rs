@@ -442,11 +442,15 @@ fn locks_are_std_sync() {
 }
 
 /// Each shared rule lives once: open-loop intake is built in the engine,
-/// and NBIA's per-tile rules sit in the one private `Nbia` core.
+/// NBIA's per-tile rules sit in the one private `Nbia` core, and
+/// Box-Muller has one exact definition.
 ///
 /// Every backend's open-loop driver is a shell around `engine::OpenLoop`,
 /// which owns the admission controller; every NBIA deployment calls the
-/// same core for tile synthesis, training and the hypothesis test.
+/// same core for tile synthesis, training and the hypothesis test; every
+/// normal deviate's exact value, whether drawn one at a time or a row at a
+/// time, is `simkit/src/rng.rs`'s `box_muller`, so a second `u1.ln()` …
+/// `.sqrt()` radius in non-test crate code is a fork of it.
 #[test]
 fn each_shared_rule_lives_once() {
     let outside: Vec<String> = occurrences(
@@ -466,6 +470,18 @@ fn each_shared_rule_lives_once() {
         let at = occurrences(sources(), &["crates/apps/src/nbia.rs"], &[rule]);
         assert_eq!(at.len(), 1, "{rule} in nbia.rs: {at:#?}");
     }
+    let mut radii = Vec::new();
+    for src in sources().iter().filter(|s| is_crate_source(&s.path)) {
+        let regions = test_regions(&src.code);
+        for (at, _) in src.code.match_indices("u1.ln()") {
+            let statement = src.code[at..].split(';').next().unwrap_or_default();
+            if !in_regions(&regions, at) && statement.contains(".sqrt()") {
+                let line = src.code[..at].matches('\n').count() + 1;
+                radii.push(format!("{}:{line}", src.path));
+            }
+        }
+    }
+    assert_eq!(radii.len(), 1, "Box-Muller radii: {radii:#?}");
 }
 
 /// Knobs that only ever held one value stay constants.
@@ -540,6 +556,7 @@ const ALLOWLIST: &[(&str, &str, &str)] = &[
     ("crates/core/src/obs/json.rs", "as_arr", "the unit tests of benchmark/src/report.rs and spans.rs"),
     // Unit tests of another crate.
     ("crates/simkit/src/rng.rs", "uniform", "the primitive draw; net/coord.rs's replay tests draw Poisson gaps from it"),
+    ("crates/simkit/src/rng.rs", "normal", "crates/kernels/tests/generator_oracle.rs: the tile generator's per-pixel oracle draws its noise with it"),
     ("crates/simkit/src/resource.rs", "messages", "hetsim's network unit tests count uplink messages with it"),
 ];
 
