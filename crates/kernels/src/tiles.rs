@@ -138,9 +138,8 @@ fn collagen(l: f64) -> Rgb8 {
 /// the exact one wherever the value is near an integer.
 fn glass_row(px: &mut [Rgb8], zs: &[Deviate], near: &mut [bool]) {
     for ((p, z), near) in px.iter_mut().zip(zs).zip(near.iter_mut()) {
-        let v = 245.0 + 2.0 * z.approx;
         *p = glass(z.approx);
-        *near = near_integer(v);
+        *near = near_integer(245.0 + 2.0 * z.approx);
     }
     for c in (0..px.len()).filter(|&c| near[c]) {
         px[c] = glass(zs[c].exact());
@@ -203,13 +202,8 @@ impl StromaField {
             .zip(near.iter_mut());
         for (((p, z), &a_c), near) in cells {
             let l = StromaField::lightness(a_c, b_r, z.approx);
-            let (g, b) = (l * 0.72, l * 0.80);
-            *p = Rgb8 {
-                r: l as u8,
-                g: g as u8,
-                b: b as u8,
-            };
-            *near = near_integer(l) | near_integer(g) | near_integer(b);
+            *p = collagen(l);
+            *near = near_integer(l) | near_integer(l * 0.72) | near_integer(l * 0.80);
         }
         for c in (0..px.len()).filter(|&c| near[c]) {
             px[c] = self.exact(c, y, zs[c].exact());

@@ -77,9 +77,10 @@ struct Spare {
 /// One standard normal deviate from [`SimRng::gaussian_row`]: a
 /// table-driven approximation of the value `SimRng::gaussian` returns for
 /// the same draw, and what the exact value needs.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Deviate {
-    /// Within [`DEVIATE_ERROR`] of [`Deviate::exact`].
+    /// Within [`DEVIATE_ERROR`] of [`Deviate::exact`] for every deviate
+    /// [`SimRng::gaussian_row`] returns.
     pub approx: f64,
     /// The pair's first uniform, in `(f64::MIN_POSITIVE, 1)`.
     pub u1: f64,
@@ -150,14 +151,6 @@ fn approx_ln(t: &Tables, u1: f64) -> f64 {
     let f = (m - (1.0 + k as f64 * (1.0 / 256.0))) * inv_c;
     let log1p = f * (1.0 - f * (0.5 - f * (1.0 / 3.0 - f * (0.25 - f * 0.2))));
     f64::from(e) * LN_2 + ln_c + log1p
-}
-
-/// The Box-Muller pair of `u1` and `u2`, approximated (module docs).
-#[inline(always)]
-fn approx_pair(t: &Tables, u1: f64, u2: f64) -> (f64, f64) {
-    let r = (-2.0 * approx_ln(t, u1)).sqrt();
-    let (cos, sin) = approx_sincos(t, u2);
-    (r * cos, r * sin)
 }
 
 /// `(cos, sin)` of `τ·u2` for `u2` in `[0, 1)`, within 22.3`u` of libm's.
@@ -320,40 +313,40 @@ impl SimRng {
         }
         let mut pairs = rest.chunks_exact_mut(2);
         for pair in &mut pairs {
-            let (u1, u2) = self.box_muller_uniforms();
-            let (cos, sin) = approx_pair(t, u1, u2);
-            pair[0] = Deviate {
-                approx: cos,
-                u1,
-                u2,
-                spare: false,
-            };
-            pair[1] = Deviate {
-                approx: sin,
-                u1,
-                u2,
-                spare: true,
-            };
+            pair.copy_from_slice(&self.approx_pair(t));
         }
         if let [last] = pairs.into_remainder() {
-            let (u1, u2) = self.box_muller_uniforms();
-            let (cos, sin) = approx_pair(t, u1, u2);
-            *last = Deviate {
-                approx: cos,
-                u1,
-                u2,
-                spare: false,
-            };
+            let [cos, sin] = self.approx_pair(t);
+            *last = cos;
             self.gauss_spare = Some(Spare {
-                deviate: Deviate {
-                    approx: sin,
-                    u1,
-                    u2,
-                    spare: true,
-                },
+                deviate: sin,
                 exact: false,
             });
         }
+    }
+
+    /// The next Box-Muller pair, approximated (module docs): its cos half,
+    /// then its sin half. Always inlined: called and returned through the
+    /// stack, the pair cost twice as much (12.8 against 5.7 ns a deviate).
+    #[inline(always)]
+    fn approx_pair(&mut self, t: &Tables) -> [Deviate; 2] {
+        let (u1, u2) = self.box_muller_uniforms();
+        let r = (-2.0 * approx_ln(t, u1)).sqrt();
+        let (cos, sin) = approx_sincos(t, u2);
+        let first = Deviate {
+            approx: r * cos,
+            u1,
+            u2,
+            spare: false,
+        };
+        [
+            first,
+            Deviate {
+                approx: r * sin,
+                spare: true,
+                ..first
+            },
+        ]
     }
 
     /// Normal deviate with the given mean and standard deviation.
