@@ -3,13 +3,109 @@
 //! binary patterns (LBP), which together characterize the color/intensity
 //! variation of tissue structure.
 //!
-//! Both counting loops work in integers over row slices clipped once per
-//! row to the pixels whose neighbours exist, so the inner loops test no
-//! bounds; the counts become `f64` at the end, which is exact (they are
-//! far below 2^53) and leaves every statistic bit-identical to counting
-//! in `f64` one pixel at a time.
+//! Both counters work in two passes. The first computes bins without a
+//! branch: a GLCM cell `a·levels + b` per pixel pair, over row slices
+//! clipped once per row to the pixels whose neighbours exist, and an LBP
+//! code per pixel, over a copy of the image with its replicated border
+//! made explicit, so every pixel is interior. The second counts the bins
+//! into `LANES` interleaved `u32` sub-histograms, consecutive bins into
+//! consecutive lanes, so neighbouring pixels that hit one bin (every pixel
+//! of a flat tile) add to different words and do not wait on each
+//! other's stores. The lanes are summed once at the end, and into `u64`
+//! totals whenever 2³² − 1 pixels have been counted since the last sum,
+//! so no lane wraps. The counts become `f64` at the end, which is exact
+//! (they are far below 2^53) and leaves every statistic bit-identical to
+//! counting in `f64` one pixel at a time.
 
 use std::ops::Range;
+
+/// Cells a GLCM computes before counting them: a few rows of a 32-pixel
+/// tile, and small enough to stay in the L1 cache.
+const CELL_BLOCK: usize = 2048;
+
+/// Sub-histograms per counter.
+const LANES: usize = 8;
+
+/// The most pixels the lanes take between two sums into `u64`: the lanes'
+/// sum is at most this, so it fits in a `u32`, and so does every lane.
+const LANE_ROOM: usize = u32::MAX as usize;
+
+/// A histogram counted in `LANES` `u32` sub-histograms, stored one after
+/// the other, that take consecutive bins in turn (module docs).
+struct LaneCounts {
+    bins: usize,
+    lanes: Vec<u32>,
+    /// What the lanes held at earlier flushes (empty until the first).
+    sums: Vec<u64>,
+    /// Pixels counted since the lanes were last added to `sums`: at most
+    /// `LANE_ROOM`, so neither a lane nor the lanes' sum can wrap.
+    pending: usize,
+}
+
+impl LaneCounts {
+    fn new(bins: usize) -> LaneCounts {
+        LaneCounts {
+            bins,
+            lanes: vec![0; LANES * bins],
+            sums: Vec::new(),
+            pending: 0,
+        }
+    }
+
+    /// Count `bins`, the `k`-th into lane `k % LANES`.
+    fn count<B: Copy + Into<usize>>(&mut self, bins: &[B]) {
+        let n = self.bins;
+        for run in bins.chunks(LANE_ROOM) {
+            if self.pending + run.len() > LANE_ROOM {
+                self.flush();
+            }
+            self.pending += run.len();
+            let mut quads = run.chunks_exact(LANES);
+            for quad in &mut quads {
+                for (lane, &bin) in quad.iter().enumerate() {
+                    self.lanes[lane * n + bin.into()] += 1;
+                }
+            }
+            for (lane, &bin) in quads.remainder().iter().enumerate() {
+                self.lanes[lane * n + bin.into()] += 1;
+            }
+        }
+    }
+
+    /// Sum the lanes into the first one and clear the others.
+    fn fold_lanes(&mut self) -> &mut [u32] {
+        let (first, rest) = self.lanes.split_at_mut(self.bins);
+        for lane in rest.chunks_exact_mut(self.bins) {
+            for (a, b) in first.iter_mut().zip(lane) {
+                *a += std::mem::take(b);
+            }
+        }
+        first
+    }
+
+    /// Add the lanes to `sums` and clear them.
+    fn flush(&mut self) {
+        let bins = self.bins;
+        let mut sums = std::mem::take(&mut self.sums);
+        sums.resize(bins, 0);
+        for (sum, a) in sums.iter_mut().zip(self.fold_lanes()) {
+            *sum += u64::from(std::mem::take(a));
+        }
+        self.sums = sums;
+        self.pending = 0;
+    }
+
+    /// Every bin's count, in bin order.
+    fn finish(mut self) -> impl Iterator<Item = u64> {
+        self.fold_lanes();
+        self.sums.resize(self.bins, 0);
+        let first = self.lanes.into_iter().take(self.bins);
+        self.sums
+            .into_iter()
+            .zip(first)
+            .map(|(s, a)| s + u64::from(a))
+    }
+}
 
 /// A gray-level co-occurrence matrix over `levels × levels` quantized
 /// intensities, for one pixel offset.
@@ -40,21 +136,31 @@ impl Glcm {
         assert!(levels >= 2);
         let l = levels as usize;
         // Ordered pairs (anchor level, neighbour level), counted once.
-        let mut ordered = vec![0u64; l * l];
+        let mut ordered = LaneCounts::new(l * l);
         let (xs, ys) = (anchors(width, dx), anchors(height, dy));
         let pairs = xs.len() * ys.len();
         if pairs > 0 {
-            for y in ys {
-                let row = y * width + xs.start;
-                let neighbour_row = row.wrapping_add_signed(dy * width as isize + dx);
-                let a_row = &img[row..][..xs.len()];
-                let b_row = &img[neighbour_row..][..xs.len()];
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    debug_assert!(a < levels && b < levels, "pixel exceeds levels");
-                    ordered[a as usize * l + b as usize] += 1;
+            // `l·l` ≤ 255² cells, so a cell index fits in a `u16`. A block
+            // of rows computes its cells, then counts them.
+            let rows = (CELL_BLOCK / xs.len()).clamp(1, ys.len());
+            let mut cells = vec![0u16; rows * xs.len()];
+            for block in ys.clone().step_by(rows) {
+                let block = block..(block + rows).min(ys.end);
+                let cells = &mut cells[..block.len() * xs.len()];
+                for (y, cells) in block.zip(cells.chunks_exact_mut(xs.len())) {
+                    let row = y * width + xs.start;
+                    let neighbour_row = row.wrapping_add_signed(dy * width as isize + dx);
+                    let a_row = &img[row..][..xs.len()];
+                    let b_row = &img[neighbour_row..][..xs.len()];
+                    for ((cell, &a), &b) in cells.iter_mut().zip(a_row).zip(b_row) {
+                        debug_assert!(a < levels && b < levels, "pixel exceeds levels");
+                        *cell = u16::from(a) * l as u16 + u16::from(b);
+                    }
                 }
+                ordered.count(cells);
             }
         }
+        let ordered: Vec<u64> = ordered.finish().collect();
         // Symmetric: each pair counts as both (a,b) and (b,a).
         let mut counts = vec![0.0f64; l * l];
         for i in 0..l {
@@ -222,63 +328,63 @@ impl Glcm {
     }
 }
 
-/// The 8-neighbour local binary pattern code of the pixel at `(x, y)`.
-/// Border pixels clamp to the edge (replicated border).
-pub(crate) fn lbp_code(img: &[u8], width: usize, height: usize, x: usize, y: usize) -> u8 {
-    let center = img[y * width + x];
-    // Clockwise from top-left.
-    const OFFS: [(isize, isize); 8] = [
-        (-1, -1),
-        (0, -1),
-        (1, -1),
-        (1, 0),
-        (1, 1),
-        (0, 1),
-        (-1, 1),
-        (-1, 0),
-    ];
-    let mut code = 0u8;
-    for (bit, (dx, dy)) in OFFS.iter().enumerate() {
-        let nx = (x as isize + dx).clamp(0, width as isize - 1) as usize;
-        let ny = (y as isize + dy).clamp(0, height as isize - 1) as usize;
-        if img[ny * width + nx] >= center {
-            code |= 1 << bit;
-        }
-    }
-    code
-}
-
 /// Normalized 256-bin LBP histogram of a quantized image (all zeros for
-/// an empty one). Bin `c` is the share of pixels whose `lbp_code` is `c`.
+/// an empty one). Bin `c` is the share of pixels whose 8-neighbour code
+/// is `c`: bit `k` is set iff the `k`-th neighbour, clockwise from the
+/// top-left, is at least the centre, with the border replicated.
 pub fn lbp_histogram(img: &[u8], width: usize, height: usize) -> Vec<f64> {
     assert_eq!(img.len(), width * height);
-    let mut counts = [0u64; 256];
-    for y in 0..height {
-        if y == 0 || y + 1 == height || width < 3 {
-            // Border rows (and images with no interior column): the
-            // replicated border, by definition.
-            for x in 0..width {
-                counts[lbp_code(img, width, height, x, y) as usize] += 1;
-            }
-            continue;
+    let mut counts = LaneCounts::new(256);
+    if width * height > 0 {
+        // The replicated border, made explicit: one more pixel at each end
+        // of every row, one more row above and below. Every pixel of `img`
+        // is then interior.
+        let stride = width + 2;
+        let mut padded = Vec::with_capacity(stride * (height + 2));
+        for y in [0].into_iter().chain(0..height).chain([height - 1]) {
+            let row = &img[y * width..][..width];
+            padded.push(row[0]);
+            padded.extend_from_slice(row);
+            padded.push(row[width - 1]);
         }
-        counts[lbp_code(img, width, height, 0, y) as usize] += 1;
-        counts[lbp_code(img, width, height, width - 1, y) as usize] += 1;
-        // Interior pixels: all eight neighbours exist, so the code reads
-        // three 3-pixel windows, in `lbp_code`'s bit order.
-        let [up, mid, down] = [y - 1, y, y + 1].map(|r| &img[r * width..][..width]);
-        for ((u, m), d) in up.windows(3).zip(mid.windows(3)).zip(down.windows(3)) {
-            let c = m[1];
-            let ring = [u[0], u[1], u[2], m[2], d[2], d[1], d[0], m[0]];
-            let mut code = 0usize;
-            for (bit, &v) in ring.iter().enumerate() {
-                code |= usize::from(v >= c) << bit;
-            }
-            counts[code] += 1;
+        let mut codes = vec![0u8; width];
+        for y in 0..height {
+            interior_codes(
+                [y, y + 1, y + 2].map(|r| &padded[r * stride..][..stride]),
+                &mut codes,
+            );
+            counts.count(&codes);
         }
     }
     let n = (width * height).max(1) as f64;
-    counts.iter().map(|&c| c as f64 / n).collect()
+    counts.finish().map(|c| c as f64 / n).collect()
+}
+
+/// The codes of a row's interior pixels, from the rows above, at and
+/// below it: all eight neighbours exist, so pixel `x` reads three 3-pixel
+/// windows, in the code's bit order, without a branch.
+fn interior_codes([up, mid, down]: [&[u8]; 3], codes: &mut [u8]) {
+    let n = codes.len();
+    // Clockwise from top-left, each neighbour as a slice aligned with the
+    // centres `mid[1..]`.
+    let ring = [
+        &up[..n],
+        &up[1..][..n],
+        &up[2..][..n],
+        &mid[2..][..n],
+        &down[2..][..n],
+        &down[1..][..n],
+        &down[..n],
+        &mid[..n],
+    ];
+    let centres = &mid[1..][..n];
+    for (x, code) in codes.iter_mut().enumerate() {
+        let c = centres[x];
+        *code = ring
+            .iter()
+            .enumerate()
+            .fold(0, |code, (bit, row)| code | u8::from(row[x] >= c) << bit);
+    }
 }
 
 /// The four pixel offsets of the NBIA GLCM feature block.
@@ -308,6 +414,33 @@ pub(crate) fn feature_vector(img: &[u8], width: usize, height: usize, levels: u8
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The 8-neighbour local binary pattern code of the pixel at `(x, y)`,
+    /// one pixel at a time: the definition `lbp_histogram` counts. Border
+    /// pixels clamp to the edge (replicated border).
+    fn lbp_code(img: &[u8], width: usize, height: usize, x: usize, y: usize) -> u8 {
+        let center = img[y * width + x];
+        // Clockwise from top-left.
+        const OFFS: [(isize, isize); 8] = [
+            (-1, -1),
+            (0, -1),
+            (1, -1),
+            (1, 0),
+            (1, 1),
+            (0, 1),
+            (-1, 1),
+            (-1, 0),
+        ];
+        let mut code = 0u8;
+        for (bit, (dx, dy)) in OFFS.iter().enumerate() {
+            let nx = (x as isize + dx).clamp(0, width as isize - 1) as usize;
+            let ny = (y as isize + dy).clamp(0, height as isize - 1) as usize;
+            if img[ny * width + nx] >= center {
+                code |= 1 << bit;
+            }
+        }
+        code
+    }
 
     fn constant(width: usize, height: usize, v: u8) -> Vec<u8> {
         vec![v; width * height]
@@ -501,6 +634,25 @@ mod tests {
             }
             assert_eq!(lbp_histogram(&img, width, height), want, "{width}x{height}");
         }
+    }
+
+    #[test]
+    fn lane_counts_survive_a_flush_between_rows() {
+        // What the lanes hold moves into the `u64` totals and the lanes
+        // start again from zero; a run of any length lands in the same bins.
+        let row: Vec<u8> = (0..37u8).map(|i| i % 5).collect();
+        let mut counts = LaneCounts::new(5);
+        counts.count(&row);
+        counts.flush();
+        counts.count(&row[..3]);
+        counts.flush();
+        counts.flush();
+        counts.count(&row);
+        assert_eq!(counts.pending, row.len());
+        let want: Vec<u64> = (0..5u8)
+            .map(|b| 2 * row.iter().filter(|&&v| v == b).count() as u64 + u64::from(b < 3))
+            .collect();
+        assert_eq!(counts.finish().collect::<Vec<_>>(), want);
     }
 
     #[test]
