@@ -112,8 +112,9 @@ impl LaneCounts {
 #[derive(Debug, Clone)]
 pub struct Glcm {
     levels: usize,
-    counts: Vec<f64>,
-    total: f64,
+    /// `p(i, j)` at `i·levels + j`: each cell's count over the total,
+    /// divided once, when the matrix is built.
+    p: Vec<f64>,
 }
 
 /// The positions `i` in `0..n` whose neighbour `i + d` is also in `0..n`.
@@ -162,22 +163,19 @@ impl Glcm {
         }
         let ordered: Vec<u64> = ordered.finish().collect();
         // Symmetric: each pair counts as both (a,b) and (b,a).
-        let mut counts = vec![0.0f64; l * l];
+        let total = (2 * pairs).max(1) as f64;
+        let mut p = Vec::with_capacity(l * l);
         for i in 0..l {
             for j in 0..l {
-                counts[i * l + j] = (ordered[i * l + j] + ordered[j * l + i]) as f64;
+                p.push((ordered[i * l + j] + ordered[j * l + i]) as f64 / total);
             }
         }
-        Glcm {
-            levels: l,
-            counts,
-            total: (2 * pairs).max(1) as f64,
-        }
+        Glcm { levels: l, p }
     }
 
     #[inline]
     fn p(&self, i: usize, j: usize) -> f64 {
-        self.counts[i * self.levels + j] / self.total
+        self.p[i * self.levels + j]
     }
 
     /// Haralick contrast: Σ p(i,j)·(i−j)².
@@ -611,8 +609,8 @@ mod tests {
             for (dx, dy) in OFFSETS {
                 let g = Glcm::compute(&img, width, height, 8, dx, dy);
                 let (counts, total) = glcm_oracle(&img, width, height, 8, dx, dy);
-                assert_eq!(g.counts, counts, "{width}x{height} ({dx},{dy})");
-                assert_eq!(g.total, total, "{width}x{height} ({dx},{dy})");
+                let p: Vec<f64> = counts.iter().map(|c| c / total).collect();
+                assert_eq!(g.p, p, "{width}x{height} ({dx},{dy})");
             }
         }
     }
