@@ -6,13 +6,35 @@
 //! An 8-bit channel has 256 possible values, so the sRGB transfer function
 //! is a 256-entry table filled once by its own formula; and the texture
 //! features read only the quantized L channel, so [`quantize_tile_l`]
-//! produces it straight from the pixels — one `cbrt` per distinct colour
-//! of the tile, no a\*/b\*, no intermediate `Lab` tile. A generated tile
-//! has a few hundred colours at most, so a per-call direct-mapped memo
-//! keyed by the 24-bit colour answers the other pixels; a colour evicted
-//! by a slot collision pays its `cbrt` again. Both are bit-identical to the
-//! per-pixel formulas (`rgb_to_lab`, then `quantize_l`), which the tests
-//! keep as the definition.
+//! produces it straight from the pixels — no a\*/b\*, no intermediate
+//! `Lab` tile. A generated tile has a few hundred colours at most, so a
+//! per-call direct-mapped memo keyed by the 24-bit colour answers the
+//! other pixels; a colour evicted by a slot collision is computed again.
+//! Both are bit-identical to the per-pixel formulas (`rgb_to_lab`, then
+//! `quantize_l`), which the tests keep as the definition.
+//!
+//! **Thresholds, then exact where it matters.** The level is a step
+//! function of the luminance `Y`: level `k` starts where the real L\* is
+//! `L_k` = 100·(k − ½)/(levels − 1). A memo miss compares the pixel's `Y`
+//! with the `levels − 1` thresholds, precomputed per call as the `Y` of
+//! `L_k ± L_GUARD`, and returns how many lie below it; only a `Y` inside
+//! a band `L_k ± L_GUARD` runs the exact chain (`cbrt`, `f32` rounding,
+//! `quantize`) — the filter-then-exact rule of `tiles.rs`. Both paths
+//! start from the same `f64` `Y`, and the exact chain's L\* is within
+//! `L_ERROR` of the real one:
+//! - `cbrt` (or the linear branch) and `116·f − 16` in `f64` err by
+//!   under 10⁻¹³;
+//! - L\* rounded to `f32`, then `/ 100` and `· (levels − 1)` in `f32`, are
+//!   three roundings of relative size 2⁻²⁴ each, so the value `round`
+//!   compares with `k − ½` is, in L\* units, within 3·2⁻²⁴·100 ≈
+//!   1.8·10⁻⁵ of the real L\*.
+//!
+//! So a `Y` whose real L\* is more than `L_ERROR` (2·10⁻⁵) from every
+//! `L_k` gets the threshold count from the exact chain too. `L_GUARD` is
+//! 100 times `L_ERROR` (2·10⁻³), and the thresholds' own `f64` error is
+//! ~10⁻¹⁵ in `Y`. At 8 levels 4 519 of the 2²⁴ colours (~1 in 3 700) lie
+//! inside a band; the ignored `every_colour_quantizes_as_convert_then_quantize`
+//! checks all of them at 2, 3, 8, 16 and 255 levels.
 
 use std::sync::OnceLock;
 
@@ -74,11 +96,11 @@ fn linear_rgb(lin: &[f64; 256], p: Rgb8) -> (f64, f64, f64) {
     )
 }
 
-/// `f(Y/Yn)` of a linear-light pixel: the Y row of the sRGB D65 matrix
-/// (the reference white's Yn is 1), then [`lab_f`].
+/// The luminance `Y/Yn` of a linear-light pixel: the Y row of the sRGB
+/// D65 matrix (the reference white's Yn is 1).
 #[inline]
-fn lab_fy(r: f64, g: f64, b: f64) -> f64 {
-    lab_f(0.212_672_9 * r + 0.715_152_2 * g + 0.072_175_0 * b)
+fn luminance(r: f64, g: f64, b: f64) -> f64 {
+    0.212_672_9 * r + 0.715_152_2 * g + 0.072_175_0 * b
 }
 
 /// L\* (0..100) from `f(Y/Yn)`.
@@ -93,13 +115,73 @@ fn quantize(l: f32, top: f32) -> u8 {
     ((l / 100.0).clamp(0.0, 1.0) * top).round() as u8
 }
 
+/// How far the L\* that [`quantize`] effectively compares may lie from
+/// the real L\* of the same `Y` (module docs): 1.8·10⁻⁵, rounded up.
+const L_ERROR: f64 = 2e-5;
+const _: () = assert!(100.0 * 3.0 * (f32::EPSILON as f64 / 2.0) * 1.001 + 1e-12 <= L_ERROR);
+
+/// Half the width, in L\*, of the band around a level boundary where
+/// [`quantize_tile_l`] runs the exact chain.
+const L_GUARD: f64 = 2e-3;
+const _: () = assert!(L_GUARD >= 100.0 * L_ERROR);
+
+/// The `Y` whose real L\* is `l`: L\* = 116·f − 16 solved for `f`, then
+/// [`lab_f`] inverted.
+fn luminance_at(l: f64) -> f64 {
+    const DELTA: f64 = 6.0 / 29.0;
+    let f = (l + 16.0) / 116.0;
+    if f > DELTA {
+        f * f * f
+    } else {
+        3.0 * DELTA * DELTA * (f - 4.0 / 29.0)
+    }
+}
+
+/// The `Y` bands around the boundaries between `levels` gray levels.
+/// Level `k` starts where L\* = 100·(k − ½)/(levels − 1); band `k − 1` holds
+/// the `Y` whose real L\* lies within `L_GUARD` of that.
+struct LevelBands {
+    /// `(lowest, highest)` `Y` of each band, in ascending order.
+    bands: Vec<(f64, f64)>,
+}
+
+impl LevelBands {
+    fn new(levels: u8) -> LevelBands {
+        let top = f64::from(levels - 1);
+        let bands = (1..levels)
+            .map(|k| {
+                let l = 100.0 * (f64::from(k) - 0.5) / top;
+                (luminance_at(l - L_GUARD), luminance_at(l + L_GUARD))
+            })
+            .collect();
+        LevelBands { bands }
+    }
+
+    /// The level of pixel `p` among `top + 1`: the bands' count below its
+    /// `Y`, or the exact chain if `Y` lies inside a band.
+    #[inline(never)]
+    fn quantize(&self, lin: &[f64; 256], p: Rgb8, top: f32) -> u8 {
+        let (r, g, b) = linear_rgb(lin, p);
+        let y = luminance(r, g, b);
+        let k = self.bands.partition_point(|&(_, hi)| hi <= y);
+        match self.bands.get(k) {
+            Some(&(lo, _)) if y > lo => quantize(lightness(lab_f(y)), top),
+            _ => k as u8,
+        }
+    }
+}
+
 /// Convert one sRGB pixel to La\*b\* (D65).
 pub(crate) fn rgb_to_lab(p: Rgb8) -> Lab {
     let (r, g, b) = linear_rgb(linear_table(), p);
     // The X and Z rows of the sRGB D65 matrix, over the reference white.
     let x = 0.412_456_4 * r + 0.357_576_1 * g + 0.180_437_5 * b;
     let z = 0.019_333_9 * r + 0.119_192_0 * g + 0.950_304_1 * b;
-    let (fx, fy, fz) = (lab_f(x / 0.950_47), lab_fy(r, g, b), lab_f(z / 1.088_83));
+    let (fx, fy, fz) = (
+        lab_f(x / 0.950_47),
+        lab_f(luminance(r, g, b)),
+        lab_f(z / 1.088_83),
+    );
     Lab {
         l: lightness(fy),
         a: (500.0 * (fx - fy)) as f32,
@@ -147,6 +229,7 @@ pub fn quantize_tile_l(pixels: &[Rgb8], levels: u8) -> Vec<u8> {
     assert!(levels >= 2, "need at least 2 levels");
     let lin = linear_table();
     let top = f32::from(levels - 1);
+    let bands = LevelBands::new(levels);
     let mut keys = [u32::MAX; MEMO_SLOTS];
     let mut quantized = [0u8; MEMO_SLOTS];
     pixels
@@ -155,9 +238,8 @@ pub fn quantize_tile_l(pixels: &[Rgb8], levels: u8) -> Vec<u8> {
             let key = colour_key(p);
             let slot = memo_slot(key);
             if keys[slot] != key {
-                let (r, g, b) = linear_rgb(lin, p);
                 keys[slot] = key;
-                quantized[slot] = quantize(lightness(lab_fy(r, g, b)), top);
+                quantized[slot] = bands.quantize(lin, p, top);
             }
             quantized[slot]
         })
@@ -289,6 +371,98 @@ mod tests {
     fn from_key(key: u32) -> Rgb8 {
         let [_, r, g, b] = key.to_be_bytes();
         px(r, g, b)
+    }
+
+    /// The luminance of `p`, as both paths compute it.
+    fn y_of(p: Rgb8) -> f64 {
+        let (r, g, b) = linear_rgb(linear_table(), p);
+        luminance(r, g, b)
+    }
+
+    /// Up to `per_band` colours inside each band of `bands`: for each
+    /// band, (red, green) pairs in a scrambled order, each with the least
+    /// blue whose `Y` passes the band's low end.
+    fn in_band_colours(bands: &LevelBands, per_band: usize) -> Vec<Rgb8> {
+        let blue: [u8; 256] = std::array::from_fn(|b| b as u8);
+        let mut out = Vec::new();
+        for &(lo, hi) in &bands.bands {
+            let hits = (0..1u32 << 16)
+                .map(|i| i.wrapping_mul(40_503) & 0xffff)
+                .filter_map(|rg| {
+                    let (r, g) = ((rg >> 8) as u8, rg as u8);
+                    let b = blue.partition_point(|&b| y_of(px(r, g, b)) <= lo);
+                    let p = px(r, g, *blue.get(b)?);
+                    (y_of(p) < hi).then_some(p)
+                });
+            out.extend(hits.take(per_band));
+        }
+        out
+    }
+
+    #[test]
+    fn colours_inside_a_guard_band_take_the_exact_chain() {
+        for levels in [2, 3, 8, 16, 255] {
+            let bands = LevelBands::new(levels);
+            let colours = in_band_colours(&bands, 3);
+            assert!(colours.len() >= 3 * bands.bands.len(), "levels {levels}");
+            let want = quantize_l(&convert_tile(&colours), levels);
+            assert_eq!(quantize_tile_l(&colours, levels), want, "levels {levels}");
+            // Without the exact chain, a colour would get the count of
+            // bands below its `Y`. That is one short wherever the real
+            // boundary lies below `Y`: the test must hold such colours.
+            let below = |p: &Rgb8| {
+                bands
+                    .bands
+                    .iter()
+                    .filter(|&&(_, hi)| hi <= y_of(*p))
+                    .count()
+            };
+            let short = colours
+                .iter()
+                .zip(&want)
+                .filter(|&(p, &w)| usize::from(w) == below(p) + 1)
+                .count();
+            assert!(
+                short > 0 && short < colours.len(),
+                "levels {levels}: {short} short"
+            );
+        }
+    }
+
+    /// Every colour of the cube at every level count the NBIA code and the
+    /// tests use, in 2^16-colour tiles. Prints how many colours lie inside
+    /// a band (and so run the exact chain).
+    #[test]
+    #[ignore = "2^24 colours: cargo test --release -p anthill-kernels -- --ignored every_colour"]
+    fn every_colour_quantizes_as_convert_then_quantize() {
+        const LEVELS: [u8; 5] = [2, 3, 8, 16, 255];
+        let bands = LEVELS.map(LevelBands::new);
+        let mut inside = [0u64; 5];
+        for start in (0..1u32 << 24).step_by(1 << 16) {
+            let tile: Vec<Rgb8> = (start..start + (1 << 16)).map(from_key).collect();
+            let lab = convert_tile(&tile);
+            for ((levels, bands), inside) in LEVELS.iter().zip(&bands).zip(&mut inside) {
+                let got = quantize_tile_l(&tile, *levels);
+                let want = quantize_l(&lab, *levels);
+                if let Some(i) = (0..tile.len()).find(|&i| got[i] != want[i]) {
+                    panic!(
+                        "levels {levels}: {:?} gives {} not {}",
+                        tile[i], got[i], want[i]
+                    );
+                }
+                *inside += tile
+                    .iter()
+                    .filter(|&&p| {
+                        let y = y_of(p);
+                        let k = bands.bands.partition_point(|&(_, hi)| hi <= y);
+                        bands.bands.get(k).is_some_and(|&(lo, _)| y > lo)
+                    })
+                    .count() as u64;
+            }
+        }
+        for (levels, inside) in LEVELS.iter().zip(inside) {
+            eprintln!("levels {levels}: {inside} of 2^24 colours inside a band");
+        }
     }
 
     #[test]
