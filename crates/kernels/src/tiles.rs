@@ -34,7 +34,10 @@
 //!   takes two libm calls per column and two per row, not one per pixel.
 //! - A row is made in two passes: the row's deviates first, then its
 //!   pixels and their guard checks in a loop that carries no state from
-//!   one pixel to the next.
+//!   one pixel to the next. There a stroma-rich channel is cast to an
+//!   integer once: the one truncation is both the byte and the integer
+//!   the guard check measures from, and the column angles are read as
+//!   two slices, sines and cosines.
 //!
 //! A stroma-poor pixel's coin flip indexes a table instead of taking a
 //! branch. The per-pixel bodies this replaced are the oracles of
@@ -114,6 +117,14 @@ fn near_integer(v: f64) -> bool {
     (v - f64::from(v as i32) - 0.5).abs() > 0.5 - GUARD
 }
 
+/// `v` (in `0..=255`) truncated to a byte, and whether `v` lies within
+/// `GUARD` of an integer: [`near_integer`] on the same cast.
+#[inline]
+fn truncate(v: f64) -> (u8, bool) {
+    let t = v as u8;
+    (t, (v - f64::from(t) - 0.5).abs() > 0.5 - GUARD)
+}
+
 /// A background pixel: near-white glass with faint sensor noise. Exact
 /// for the exact `z`: `SimRng::normal(0.0, 2.0)` is `0 + 2z`, which adds
 /// to 245 as `2z` does.
@@ -152,20 +163,23 @@ struct StromaField {
     side: u32,
     freq: f64,
     phase: f64,
-    /// `(sin a_c, cos a_c)` per column, `a_c = x·freq·τ + phase`.
-    columns: Vec<(f64, f64)>,
+    /// `sin a_c` per column, `a_c = x·freq·τ + phase`.
+    sin_a: Vec<f64>,
+    /// `cos a_c` per column.
+    cos_a: Vec<f64>,
 }
 
 impl StromaField {
     fn new(side: u32, freq: f64, phase: f64) -> StromaField {
-        let columns = (0..side)
+        let (sin_a, cos_a) = (0..side)
             .map(|c| (f64::from(c) / f64::from(side) * freq * TAU + phase).sin_cos())
-            .collect();
+            .unzip();
         StromaField {
             side,
             freq,
             phase,
-            columns,
+            sin_a,
+            cos_a,
         }
     }
 
@@ -183,27 +197,29 @@ impl StromaField {
         (y, (y * 0.7 * self.freq * TAU).sin_cos())
     }
 
-    /// The approximate lightness where the column's `(sin a_c, cos a_c)`
-    /// meets the row's `(sin b_r, cos b_r)`, for the approximate `z`.
+    /// The approximate lightness where the column's `sin a_c` and
+    /// `cos a_c` meet the row's `(sin b_r, cos b_r)`, for the approximate
+    /// `z`.
     #[inline]
-    fn lightness((sin_a, cos_a): (f64, f64), (sin_b, cos_b): (f64, f64), z: f64) -> f64 {
+    fn lightness(sin_a: f64, cos_a: f64, (sin_b, cos_b): (f64, f64), z: f64) -> f64 {
         let field = sin_a * cos_b + cos_a * sin_b;
         (190.0 + 25.0 * field + 4.0 * z).clamp(0.0, 255.0)
     }
 
     /// Row `row` from its deviates: the approximate pixels, then the exact
-    /// one wherever `l`, `l·0.72` or `l·0.80` is near an integer.
+    /// one wherever `l`, `l·0.72` or `l·0.80` is near an integer. Each
+    /// channel is cast once, for its byte and its guard check.
     fn row(&self, row: u32, px: &mut [Rgb8], zs: &[Deviate], near: &mut [bool]) {
         let (y, b_r) = self.row_angle(row);
-        let cells = px
-            .iter_mut()
-            .zip(zs)
-            .zip(&self.columns)
-            .zip(near.iter_mut());
-        for (((p, z), &a_c), near) in cells {
-            let l = StromaField::lightness(a_c, b_r, z.approx);
-            *p = collagen(l);
-            *near = near_integer(l) | near_integer(l * 0.72) | near_integer(l * 0.80);
+        let columns = self.sin_a.iter().zip(&self.cos_a);
+        let cells = px.iter_mut().zip(zs).zip(columns).zip(near.iter_mut());
+        for (((p, z), (&sin_a, &cos_a)), near) in cells {
+            let l = StromaField::lightness(sin_a, cos_a, b_r, z.approx);
+            let (r, near_r) = truncate(l);
+            let (g, near_g) = truncate(l * 0.72);
+            let (b, near_b) = truncate(l * 0.80);
+            *p = Rgb8 { r, g, b };
+            *near = near_r | near_g | near_b;
         }
         for c in (0..px.len()).filter(|&c| near[c]) {
             px[c] = self.exact(c, y, zs[c].exact());
@@ -468,6 +484,22 @@ mod tests {
         }
     }
 
+    #[test]
+    fn truncate_is_the_cast_and_the_guard() {
+        let edges = [
+            0.0,
+            GUARD / 2.0,
+            2.0 * GUARD,
+            0.5,
+            1.0 - GUARD / 2.0,
+            254.999_999_99,
+        ];
+        let steps = (0..=255 * 64).map(|i| f64::from(i) / 64.0 + 1e-9 * f64::from(i % 7));
+        for v in edges.into_iter().chain(steps).map(|v| v.min(255.0)) {
+            assert_eq!(truncate(v), (v as u8, near_integer(v)), "{v}");
+        }
+    }
+
     /// A cos-half deviate whose exact value puts `value(z)` at the integer
     /// `k` (to ~10⁻¹³), and whose approximation puts it 10⁻⁸ past `k` on
     /// the other side: truncating the approximation misses by one.
@@ -601,8 +633,9 @@ mod tests {
             for row in 0..side {
                 let (_, b_r) = field.row_angle(row);
                 rng.gaussian_row(&mut zs);
-                out.extend(zs.iter().zip(&field.columns).map(|(z, &a_c)| {
-                    let l = StromaField::lightness(a_c, b_r, z.approx);
+                let columns = field.sin_a.iter().zip(&field.cos_a);
+                out.extend(zs.iter().zip(columns).map(|(z, (&sin_a, &cos_a))| {
+                    let l = StromaField::lightness(sin_a, cos_a, b_r, z.approx);
                     (
                         l,
                         near_integer(l) | near_integer(l * 0.72) | near_integer(l * 0.80),
