@@ -9,6 +9,7 @@
 //! resolution informative.
 
 use crate::color::Rgb8;
+use crate::tiles::tile_pixels;
 
 /// One tile at every resolution level, highest resolution first.
 #[derive(Debug, Clone)]
@@ -19,7 +20,7 @@ pub struct TilePyramid {
 /// 2× box-filter downsample of a square RGB tile. Panics unless `side` is
 /// even and matches the pixel count.
 pub fn downsample(pixels: &[Rgb8], side: u32) -> Vec<Rgb8> {
-    assert_eq!(pixels.len(), (side * side) as usize, "size mismatch");
+    assert_eq!(pixels.len(), tile_pixels(side), "size mismatch");
     assert!(
         side >= 2 && side.is_multiple_of(2),
         "side must be even, got {side}"
@@ -91,7 +92,7 @@ mod tests {
     use crate::tiles::{TileClass, TileGenerator};
 
     fn solid(side: u32, v: u8) -> Vec<Rgb8> {
-        vec![Rgb8 { r: v, g: v, b: v }; (side * side) as usize]
+        vec![Rgb8 { r: v, g: v, b: v }; tile_pixels(side)]
     }
 
     #[test]
@@ -166,6 +167,14 @@ mod tests {
     #[should_panic(expected = "power-of-two multiple")]
     fn non_power_of_two_ratio_rejected() {
         let _ = TilePyramid::build(solid(96, 1), 96, 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "size mismatch")]
+    fn a_side_whose_square_wraps_in_u32_is_a_size_mismatch() {
+        // 65 536² is 2³², which wraps to 0 in `u32`: an empty tile used to
+        // pass the check.
+        let _ = downsample(&[], 65_536);
     }
 
     #[test]

@@ -227,6 +227,14 @@ impl StromaField {
     }
 }
 
+/// The pixel count of a `side × side` tile, computed in `usize` (in `u32`
+/// a side of 2¹⁶ or more wraps).
+pub(crate) fn tile_pixels(side: u32) -> usize {
+    let side = side as usize;
+    side.checked_mul(side)
+        .expect("a side × side pixel count fits in usize")
+}
+
 /// Generates synthetic tiles with class-typical texture statistics.
 #[derive(Debug, Clone)]
 pub struct TileGenerator {
@@ -243,7 +251,7 @@ impl TileGenerator {
 
     /// Generate a `side × side` RGB tile of the given class.
     pub fn generate(&mut self, class: TileClass, side: u32) -> Vec<Rgb8> {
-        let n = (side * side) as usize;
+        let n = tile_pixels(side);
         // A 0-side tile has no rows (and `chunks_exact_mut(0)` panics).
         let width = side.max(1) as usize;
         let mut out = vec![Rgb8 { r: 0, g: 0, b: 0 }; n];
@@ -468,6 +476,15 @@ mod tests {
         let clear = clf.classify(&[2.5, 0.0]);
         assert_eq!(clear.class, TileClass::StromaPoor);
         assert_eq!(clear.confidence, 1.0 - 0.5 / 1.5);
+    }
+
+    #[test]
+    fn tile_pixels_does_not_wrap() {
+        assert_eq!(tile_pixels(0), 0);
+        assert_eq!(tile_pixels(128), 16_384);
+        assert_eq!(tile_pixels(65_535), 4_294_836_225);
+        assert_eq!(tile_pixels(65_536), 4_294_967_296);
+        assert_eq!(tile_pixels(u32::MAX), 18_446_744_065_119_617_025);
     }
 
     #[test]
