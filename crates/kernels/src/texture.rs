@@ -412,6 +412,7 @@ pub(crate) fn feature_vector(img: &[u8], width: usize, height: usize, levels: u8
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anthill_simkit::SimRng;
 
     /// The 8-neighbour local binary pattern code of the pixel at `(x, y)`,
     /// one pixel at a time: the definition `lbp_histogram` counts. Border
@@ -569,23 +570,28 @@ mod tests {
         (counts, total.max(1.0))
     }
 
-    /// Widths and heights below 3, a single row, a single column, and
-    /// sizes that are no multiple of anything.
-    const ODD_SHAPES: [(usize, usize); 8] = [
-        (0, 0),
-        (1, 1),
-        (1, 5),
-        (5, 1),
-        (2, 3),
-        (3, 2),
-        (7, 5),
-        (33, 17),
-    ];
+    /// Widths and heights: empty, below 3 (no interior), and either side
+    /// of 32 and 64, the lane count's and the GLCM block's multiples.
+    const SIDES: [usize; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 63, 64, 65];
 
-    fn textured(width: usize, height: usize) -> Vec<u8> {
-        (0..width * height)
-            .map(|i| ((i * 13 + i / 7) % 8) as u8)
-            .collect()
+    /// Every `SIDES × SIDES` shape at 2 and at 8 levels, twice: seeded
+    /// random pixels, and one random level everywhere (a flat image,
+    /// where every pixel hits one bin). Each as `(width, height, levels,
+    /// image)`.
+    fn oracle_images() -> Vec<(usize, usize, u8, Vec<u8>)> {
+        let mut rng = SimRng::new(44);
+        let mut out = Vec::new();
+        for (width, height) in SIDES.into_iter().flat_map(|w| SIDES.map(|h| (w, h))) {
+            for levels in [2u8, 8] {
+                let n = width * height;
+                let level = |rng: &mut SimRng| rng.below(u64::from(levels)) as u8;
+                let random = (0..n).map(|_| level(&mut rng)).collect();
+                let flat = vec![level(&mut rng); n];
+                out.push((width, height, levels, random));
+                out.push((width, height, levels, flat));
+            }
+        }
+        out
     }
 
     #[test]
@@ -604,21 +610,20 @@ mod tests {
             (-33, 0),
             (0, 0),
         ];
-        for (width, height) in ODD_SHAPES {
-            let img = textured(width, height);
+        for (width, height, levels, img) in oracle_images() {
+            let l = usize::from(levels);
             for (dx, dy) in OFFSETS {
-                let g = Glcm::compute(&img, width, height, 8, dx, dy);
-                let (counts, total) = glcm_oracle(&img, width, height, 8, dx, dy);
+                let g = Glcm::compute(&img, width, height, levels, dx, dy);
+                let (counts, total) = glcm_oracle(&img, width, height, l, dx, dy);
                 let p: Vec<f64> = counts.iter().map(|c| c / total).collect();
-                assert_eq!(g.p, p, "{width}x{height} ({dx},{dy})");
+                assert_eq!(g.p, p, "{width}x{height}, {levels} levels, ({dx},{dy})");
             }
         }
     }
 
     #[test]
     fn windowed_lbp_matches_the_per_pixel_code() {
-        for (width, height) in ODD_SHAPES {
-            let img = textured(width, height);
+        for (width, height, levels, img) in oracle_images() {
             let mut want = vec![0.0f64; 256];
             for y in 0..height {
                 for x in 0..width {
@@ -630,7 +635,8 @@ mod tests {
                     *h /= (width * height) as f64;
                 }
             }
-            assert_eq!(lbp_histogram(&img, width, height), want, "{width}x{height}");
+            let got = lbp_histogram(&img, width, height);
+            assert_eq!(got, want, "{width}x{height}, {levels} levels");
         }
     }
 
