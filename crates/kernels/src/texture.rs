@@ -35,7 +35,7 @@ const LANE_ROOM: usize = u32::MAX as usize;
 struct LaneCounts {
     bins: usize,
     lanes: Vec<u32>,
-    /// What the lanes held at earlier flushes (empty until the first).
+    /// What the lanes held at earlier flushes (empty before the first).
     sums: Vec<u64>,
     /// Pixels counted since the lanes were last added to `sums`: at most
     /// `LANE_ROOM`, so neither a lane nor the lanes' sum can wrap.
@@ -52,58 +52,48 @@ impl LaneCounts {
         }
     }
 
-    /// Count `bins`, the `k`-th into lane `k % LANES`.
+    /// Count `bins`, the `k`-th into lane `k % LANES`. A bin past the
+    /// histogram panics.
     fn count<B: Copy + Into<usize>>(&mut self, bins: &[B]) {
-        let n = self.bins;
         for run in bins.chunks(LANE_ROOM) {
             if self.pending + run.len() > LANE_ROOM {
                 self.flush();
             }
             self.pending += run.len();
+            let mut lanes = self.lanes.chunks_exact_mut(self.bins);
+            let mut lanes: [&mut [u32]; LANES] =
+                std::array::from_fn(|_| lanes.next().expect("LANES lanes"));
             let mut quads = run.chunks_exact(LANES);
             for quad in &mut quads {
-                for (lane, &bin) in quad.iter().enumerate() {
-                    self.lanes[lane * n + bin.into()] += 1;
+                for (lane, &bin) in lanes.iter_mut().zip(quad) {
+                    lane[bin.into()] += 1;
                 }
             }
-            for (lane, &bin) in quads.remainder().iter().enumerate() {
-                self.lanes[lane * n + bin.into()] += 1;
+            for (lane, &bin) in lanes.iter_mut().zip(quads.remainder()) {
+                lane[bin.into()] += 1;
             }
         }
     }
 
-    /// Sum the lanes into the first one and clear the others.
-    fn fold_lanes(&mut self) -> &mut [u32] {
+    /// Add the lanes to `sums` and clear them.
+    fn flush(&mut self) {
+        self.sums.resize(self.bins, 0);
         let (first, rest) = self.lanes.split_at_mut(self.bins);
         for lane in rest.chunks_exact_mut(self.bins) {
             for (a, b) in first.iter_mut().zip(lane) {
                 *a += std::mem::take(b);
             }
         }
-        first
-    }
-
-    /// Add the lanes to `sums` and clear them.
-    fn flush(&mut self) {
-        let bins = self.bins;
-        let mut sums = std::mem::take(&mut self.sums);
-        sums.resize(bins, 0);
-        for (sum, a) in sums.iter_mut().zip(self.fold_lanes()) {
+        for (sum, a) in self.sums.iter_mut().zip(first) {
             *sum += u64::from(std::mem::take(a));
         }
-        self.sums = sums;
         self.pending = 0;
     }
 
     /// Every bin's count, in bin order.
-    fn finish(mut self) -> impl Iterator<Item = u64> {
-        self.fold_lanes();
-        self.sums.resize(self.bins, 0);
-        let first = self.lanes.into_iter().take(self.bins);
+    fn finish(mut self) -> Vec<u64> {
+        self.flush();
         self.sums
-            .into_iter()
-            .zip(first)
-            .map(|(s, a)| s + u64::from(a))
     }
 }
 
@@ -161,7 +151,7 @@ impl Glcm {
                 ordered.count(cells);
             }
         }
-        let ordered: Vec<u64> = ordered.finish().collect();
+        let ordered = ordered.finish();
         // Symmetric: each pair counts as both (a,b) and (b,a).
         let total = (2 * pairs).max(1) as f64;
         let mut p = Vec::with_capacity(l * l);
@@ -355,7 +345,7 @@ pub fn lbp_histogram(img: &[u8], width: usize, height: usize) -> Vec<f64> {
         }
     }
     let n = (width * height).max(1) as f64;
-    counts.finish().map(|c| c as f64 / n).collect()
+    counts.finish().into_iter().map(|c| c as f64 / n).collect()
 }
 
 /// The codes of a row's interior pixels, from the rows above, at and
@@ -656,7 +646,15 @@ mod tests {
         let want: Vec<u64> = (0..5u8)
             .map(|b| 2 * row.iter().filter(|&&v| v == b).count() as u64 + u64::from(b < 3))
             .collect();
-        assert_eq!(counts.finish().collect::<Vec<_>>(), want);
+        assert_eq!(counts.finish(), want);
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_pixel_past_the_levels_panics() {
+        // Cell 7·8 + 8 lies past the 8 × 8 matrix: it must not land in
+        // another lane's counts.
+        let _ = Glcm::compute(&[7, 8], 2, 1, 8, 1, 0);
     }
 
     #[test]
