@@ -76,9 +76,11 @@ fn linear_table() -> &'static [f64; 256] {
     TABLE.get_or_init(|| std::array::from_fn(|i| srgb_to_linear(i as f64 / 255.0)))
 }
 
+/// Where [`lab_f`] turns from its linear segment to the cube root, in `f`.
+const DELTA: f64 = 6.0 / 29.0;
+
 #[inline]
 fn lab_f(t: f64) -> f64 {
-    const DELTA: f64 = 6.0 / 29.0;
     if t > DELTA * DELTA * DELTA {
         t.cbrt()
     } else {
@@ -128,7 +130,6 @@ const _: () = assert!(L_GUARD >= 100.0 * L_ERROR);
 /// The `Y` whose real L\* is `l`: L\* = 116·f − 16 solved for `f`, then
 /// [`lab_f`] inverted.
 fn luminance_at(l: f64) -> f64 {
-    const DELTA: f64 = 6.0 / 29.0;
     let f = (l + 16.0) / 116.0;
     if f > DELTA {
         f * f * f
@@ -157,17 +158,26 @@ impl LevelBands {
         LevelBands { bands }
     }
 
-    /// The level of pixel `p` among `top + 1`: the bands' count below its
-    /// `Y`, or the exact chain if `Y` lies inside a band.
+    /// The level of luminance `y`: how many bands lie below it, or `None`
+    /// if `y` lies inside one.
+    #[inline]
+    fn level(&self, y: f64) -> Option<u8> {
+        let k = self.bands.partition_point(|&(_, hi)| hi <= y);
+        match self.bands.get(k) {
+            Some(&(lo, _)) if y > lo => None,
+            _ => Some(k as u8),
+        }
+    }
+
+    /// The level of pixel `p` among `top + 1`, by [`LevelBands::level`] or,
+    /// inside a band, by the exact chain. Kept out of line: the memo's
+    /// hit loop stays small, which timed faster on every tile class.
     #[inline(never)]
     fn quantize(&self, lin: &[f64; 256], p: Rgb8, top: f32) -> u8 {
         let (r, g, b) = linear_rgb(lin, p);
         let y = luminance(r, g, b);
-        let k = self.bands.partition_point(|&(_, hi)| hi <= y);
-        match self.bands.get(k) {
-            Some(&(lo, _)) if y > lo => quantize(lightness(lab_f(y)), top),
-            _ => k as u8,
-        }
+        self.level(y)
+            .unwrap_or_else(|| quantize(lightness(lab_f(y)), top))
     }
 }
 
@@ -452,11 +462,7 @@ mod tests {
                 }
                 *inside += tile
                     .iter()
-                    .filter(|&&p| {
-                        let y = y_of(p);
-                        let k = bands.bands.partition_point(|&(_, hi)| hi <= y);
-                        bands.bands.get(k).is_some_and(|&(lo, _)| y > lo)
-                    })
+                    .filter(|&&p| bands.level(y_of(p)).is_none())
                     .count() as u64;
             }
         }
