@@ -19,8 +19,8 @@
 
 use std::ops::Range;
 
-/// Cells a GLCM computes before counting them: a few rows of a 32-pixel
-/// tile, and small enough to stay in the L1 cache.
+/// Cells a GLCM computes before counting them: a whole 32² tile, or 16
+/// rows of a 128² one, in 4 KiB that stay in the L1 cache.
 const CELL_BLOCK: usize = 2048;
 
 /// Sub-histograms per counter.
