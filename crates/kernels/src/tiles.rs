@@ -60,7 +60,7 @@
 
 use crate::color::{quantize_tile_l, Rgb8};
 use crate::texture::feature_vector;
-use anthill_simkit::{Deviate, SimRng, DEVIATE_ERROR};
+use anthill_simkit::{NormalRow, SimRng, DEVIATE_ERROR};
 use std::f64::consts::TAU;
 
 /// Tissue classes assigned by NBIA's stromal-development classification.
@@ -145,15 +145,16 @@ fn collagen(l: f64) -> Rgb8 {
     }
 }
 
-/// One background row from its deviates: the approximate pixels, then
-/// the exact one wherever the value is near an integer.
-fn glass_row(px: &mut [Rgb8], zs: &[Deviate], near: &mut [bool]) {
-    for ((p, z), near) in px.iter_mut().zip(zs).zip(near.iter_mut()) {
-        *p = glass(z.approx);
-        *near = near_integer(245.0 + 2.0 * z.approx);
+/// One background row from its deviates' approximations `zs`: the
+/// approximate pixels, then the exact one, from deviate `c`'s exact value
+/// `exact(c)`, wherever the value is near an integer.
+fn glass_row(px: &mut [Rgb8], zs: &[f64], exact: impl Fn(usize) -> f64, near: &mut [bool]) {
+    for ((p, &z), near) in px.iter_mut().zip(zs).zip(near.iter_mut()) {
+        *p = glass(z);
+        *near = near_integer(245.0 + 2.0 * z);
     }
     for c in (0..px.len()).filter(|&c| near[c]) {
-        px[c] = glass(zs[c].exact());
+        px[c] = glass(exact(c));
     }
 }
 
@@ -206,15 +207,23 @@ impl StromaField {
         (190.0 + 25.0 * field + 4.0 * z).clamp(0.0, 255.0)
     }
 
-    /// Row `row` from its deviates: the approximate pixels, then the exact
-    /// one wherever `l`, `l·0.72` or `l·0.80` is near an integer. Each
-    /// channel is cast once, for its byte and its guard check.
-    fn row(&self, row: u32, px: &mut [Rgb8], zs: &[Deviate], near: &mut [bool]) {
+    /// Row `row` from its deviates' approximations `zs`: the approximate
+    /// pixels, then the exact one, from `exact(c)`, wherever `l`, `l·0.72`
+    /// or `l·0.80` is near an integer. Each channel is cast once, for its
+    /// byte and its guard check.
+    fn row(
+        &self,
+        row: u32,
+        px: &mut [Rgb8],
+        zs: &[f64],
+        exact: impl Fn(usize) -> f64,
+        near: &mut [bool],
+    ) {
         let (y, b_r) = self.row_angle(row);
         let columns = self.sin_a.iter().zip(&self.cos_a);
         let cells = px.iter_mut().zip(zs).zip(columns).zip(near.iter_mut());
-        for (((p, z), (&sin_a, &cos_a)), near) in cells {
-            let l = StromaField::lightness(sin_a, cos_a, b_r, z.approx);
+        for (((p, &z), (&sin_a, &cos_a)), near) in cells {
+            let l = StromaField::lightness(sin_a, cos_a, b_r, z);
             let (r, near_r) = truncate(l);
             let (g, near_g) = truncate(l * 0.72);
             let (b, near_b) = truncate(l * 0.80);
@@ -222,7 +231,7 @@ impl StromaField {
             *near = near_r | near_g | near_b;
         }
         for c in (0..px.len()).filter(|&c| near[c]) {
-            px[c] = self.exact(c, y, zs[c].exact());
+            px[c] = self.exact(c, y, exact(c));
         }
     }
 }
@@ -255,13 +264,14 @@ impl TileGenerator {
         // A 0-side tile has no rows (and `chunks_exact_mut(0)` panics).
         let width = side.max(1) as usize;
         let mut out = vec![Rgb8 { r: 0, g: 0, b: 0 }; n];
-        let mut zs = vec![Deviate::default(); side as usize];
+        let mut zs = NormalRow::new(side as usize);
         let mut near = vec![false; side as usize];
+        let exact = |zs: &NormalRow, c| zs.deviate(c).exact();
         match class {
             TileClass::Background => {
                 for px in out.chunks_exact_mut(width) {
                     self.rng.gaussian_row(&mut zs);
-                    glass_row(px, &zs, &mut near);
+                    glass_row(px, zs.approx(), |c| exact(&zs, c), &mut near);
                 }
             }
             TileClass::StromaRich => {
@@ -272,7 +282,7 @@ impl TileGenerator {
                 let field = StromaField::new(side, freq, phase);
                 for (row, px) in (0..).zip(out.chunks_exact_mut(width)) {
                     self.rng.gaussian_row(&mut zs);
-                    field.row(row, px, &zs, &mut near);
+                    field.row(row, px, zs.approx(), |c| exact(&zs, c), &mut near);
                 }
             }
             TileClass::StromaPoor => {
@@ -409,6 +419,7 @@ impl TileClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anthill_simkit::Deviate;
 
     #[test]
     fn generator_is_deterministic() {
@@ -543,7 +554,7 @@ mod tests {
         // Background, `245 + 2z` at 250.
         let d = straddling(|z| 245.0 + 2.0 * z, 2.0, 250.0, 2.5);
         let mut px = [Rgb8 { r: 0, g: 0, b: 0 }];
-        glass_row(&mut px, &[d], &mut [false]);
+        glass_row(&mut px, &[d.approx], |_| d.exact(), &mut [false]);
         // The per-pixel body, as `generator_oracle.rs` has it.
         let v = (245.0 + 2.0 * d.exact()).clamp(0.0, 255.0) as u8;
         assert_eq!(px[0], Rgb8 { r: v, g: v, b: v });
@@ -567,7 +578,7 @@ mod tests {
             ),
         ] {
             let mut px = [Rgb8 { r: 0, g: 0, b: 0 }];
-            field.row(0, &mut px, &[d], &mut [false]);
+            field.row(0, &mut px, &[d.approx], |_| d.exact(), &mut [false]);
             let l = l(d.exact()).clamp(0.0, 255.0);
             let want = Rgb8 {
                 r: l as u8,
@@ -630,7 +641,7 @@ mod tests {
     /// The approximate truncated values `generate` computes for the tile
     /// it draws next from `rng`, with whether each fell back.
     fn approximate_values(rng: &mut SimRng, class: TileClass, side: u32) -> Vec<(f64, bool)> {
-        let mut zs = vec![Deviate::default(); side as usize];
+        let mut zs = NormalRow::new(side as usize);
         let mut out = Vec::new();
         if class == TileClass::StromaPoor {
             return out;
@@ -638,8 +649,8 @@ mod tests {
         if class == TileClass::Background {
             for _ in 0..side {
                 rng.gaussian_row(&mut zs);
-                out.extend(zs.iter().map(|z| {
-                    let v = 245.0 + 2.0 * z.approx;
+                out.extend(zs.approx().iter().map(|z| {
+                    let v = 245.0 + 2.0 * z;
                     (v, near_integer(v))
                 }));
             }
@@ -651,13 +662,18 @@ mod tests {
                 let (_, b_r) = field.row_angle(row);
                 rng.gaussian_row(&mut zs);
                 let columns = field.sin_a.iter().zip(&field.cos_a);
-                out.extend(zs.iter().zip(columns).map(|(z, (&sin_a, &cos_a))| {
-                    let l = StromaField::lightness(sin_a, cos_a, b_r, z.approx);
-                    (
-                        l,
-                        near_integer(l) | near_integer(l * 0.72) | near_integer(l * 0.80),
-                    )
-                }));
+                out.extend(
+                    zs.approx()
+                        .iter()
+                        .zip(columns)
+                        .map(|(&z, (&sin_a, &cos_a))| {
+                            let l = StromaField::lightness(sin_a, cos_a, b_r, z);
+                            (
+                                l,
+                                near_integer(l) | near_integer(l * 0.72) | near_integer(l * 0.80),
+                            )
+                        }),
+                );
             }
         }
         out

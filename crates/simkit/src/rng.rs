@@ -12,16 +12,21 @@
 //! one at a time, keeping the pair's second half as the spare for the next
 //! call. [`SimRng::gaussian_row`] draws the same deviates, from the same
 //! uniforms and with the same spare, a row at a time, for callers that
-//! only need each value to a known error and the exact value now and then:
-//! each [`Deviate`] carries a table-driven approximation within
-//! [`DEVIATE_ERROR`] of the exact value, and the two uniforms that give the
-//! exact value on demand ([`Deviate::exact`]).
+//! only need each value to a known error and the exact value now and then.
+//! A [`NormalRow`] is plain arrays: each pair's two uniforms, drawn first,
+//! and then, in a loop that carries no generator state, both halves'
+//! table-driven approximations, each within [`DEVIATE_ERROR`] of the exact
+//! value, side by side in one `f64` slice. A carried spare opens the row as
+//! the sin half of its pair and an odd end leaves one, in that same loop.
+//! [`NormalRow::deviate`] rebuilds one [`Deviate`], whose
+//! [`Deviate::exact`] is the exact value.
 //!
 //! **The approximation.** With `u` = 2⁻⁵³ the unit roundoff, and libm's
 //! `ln`, `sin` and `cos` within 1 ulp:
 //! - `ln u1` is `e·ln 2 + ln c + log1p(f)`. Here `u1 = 2^e·m`, `c = 1 + k/256`
 //!   is the nearest of 257 steps to `m` (the top step, `c = 2`, moves up a
-//!   binade to `c = 1`), `f = (m − c)/c` with `|f| ≤ 2⁻⁹`, and `log1p` is
+//!   binade to `c = 1`), `f = (m − c)/c` with `|f| ≤ 2⁻⁹`; `e`, `m` and `c`
+//!   are built from bits, with no integer conversion; and `log1p` is
 //!   its degree-5 Taylor polynomial, truncation ≤ `|f|⁶/6` < 0.1`u`. The
 //!   table holds `(1/c, ln c)` for the 256 steps below 2. The error is at
 //!   most `u·(4|ln u1| + 6)`; just below 1 (`u1 ≥ 1 − 2⁻¹⁰`, the top step
@@ -32,7 +37,8 @@
 //!   that, and ≤ 186`u` from the exact radius counting libm's `ln` and
 //!   both square roots.
 //! - `cos` and `sin` of `τ·u2` come from the nearest of 1 024 table angles
-//!   `τ·j/1024` (7.3`u` each, counting the rounded angle) turned by
+//!   `τ·j/1024` (7.3`u` each, counting the rounded angle; a tie takes the
+//!   even `j`, which adding and subtracting `2⁵² + 2⁵¹` picks) turned by
 //!   `δ = τ·u2 − τ·j/1024`, `|δ| ≤ π/1024`, with Taylor terms to `δ⁴` and
 //!   `δ⁵` (truncation < 0.01`u`): within 22.3`u` of the exact `cos(τ·u2)`,
 //!   counting its rounded angle, the wrap from `j = 1024` to 0 and the
@@ -68,19 +74,21 @@ pub struct SimRng {
 /// A Box-Muller pair's second (sin) half, waiting for the next draw.
 #[derive(Debug, Clone, Copy)]
 struct Spare {
-    deviate: Deviate,
-    /// `deviate.approx` is the exact value: `SimRng::gaussian` drew the
-    /// pair and computed it.
-    exact: bool,
+    /// The pair's uniforms.
+    u1: f64,
+    u2: f64,
+    /// The exact sin half, if `SimRng::gaussian` drew the pair and
+    /// computed it.
+    exact: Option<f64>,
 }
 
-/// One standard normal deviate from [`SimRng::gaussian_row`]: a
-/// table-driven approximation of the value `SimRng::gaussian` returns for
-/// the same draw, and what the exact value needs.
+/// One standard normal deviate of a [`NormalRow`]: a table-driven
+/// approximation of the value `SimRng::gaussian` returns for the same
+/// draw, and what the exact value needs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Deviate {
     /// Within [`DEVIATE_ERROR`] of [`Deviate::exact`] for every deviate
-    /// [`SimRng::gaussian_row`] returns.
+    /// [`SimRng::gaussian_row`] draws.
     pub approx: f64,
     /// The pair's first uniform, in `(f64::MIN_POSITIVE, 1)`.
     pub u1: f64,
@@ -89,6 +97,57 @@ pub struct Deviate {
     /// Which half of the pair: `false` for the cos half, drawn first;
     /// `true` for the sin half, the spare.
     pub spare: bool,
+}
+
+/// A row of standard normal deviates that [`SimRng::gaussian_row`] fills,
+/// as plain arrays: every pair's two uniforms, and both halves' table-driven
+/// approximations side by side. Deviate `i` is half `(lead + i) % 2` (0
+/// the cos half, 1 the sin half) of pair `(lead + i) / 2`, where `lead` is
+/// 1 when the row opens with a spare carried from an earlier draw.
+#[derive(Debug, Clone)]
+pub struct NormalRow {
+    len: usize,
+    lead: usize,
+    /// The approximations of both halves of every pair drawn, in order.
+    halves: Vec<f64>,
+    /// Each pair's first uniform.
+    u1: Vec<f64>,
+    /// Each pair's second uniform.
+    u2: Vec<f64>,
+}
+
+impl NormalRow {
+    /// A row of `len` deviates, not yet drawn (all zero).
+    pub fn new(len: usize) -> NormalRow {
+        // A spare in front and an odd length end: one more pair.
+        let pairs = len / 2 + 1;
+        NormalRow {
+            len,
+            lead: 0,
+            halves: vec![0.0; 2 * pairs],
+            u1: vec![0.0; pairs],
+            u2: vec![0.0; pairs],
+        }
+    }
+
+    /// Each deviate's approximation, within [`DEVIATE_ERROR`] of its exact
+    /// value.
+    pub fn approx(&self) -> &[f64] {
+        &self.halves[self.lead..][..self.len]
+    }
+
+    /// Deviate `i`, whose [`Deviate::exact`] is bit for bit what
+    /// `SimRng::gaussian` returns for the same draw.
+    pub fn deviate(&self, i: usize) -> Deviate {
+        assert!(i < self.len, "deviate {i} of a row of {}", self.len);
+        let half = self.lead + i;
+        Deviate {
+            approx: self.halves[half],
+            u1: self.u1[half / 2],
+            u2: self.u2[half / 2],
+            spare: half % 2 == 1,
+        }
+    }
 }
 
 impl Deviate {
@@ -135,37 +194,59 @@ fn tables() -> &'static Tables {
     })
 }
 
+/// `2⁵² + 2⁵¹`: a number in `[0, 2⁵¹)` added to it rounds to the nearest
+/// integer, which the sum's low mantissa bits hold; subtracting it again
+/// gives that integer as an `f64`, exactly.
+const ROUND: f64 = 6_755_399_441_055_744.0;
+
 /// `ln u1` for a normal `u1 < 1`, within `u·(4|ln u1| + 6)` (module docs).
 #[inline]
 fn approx_ln(t: &Tables, u1: f64) -> f64 {
     const FRACTION: u64 = (1 << 52) - 1;
+    const ONE: u64 = 1023 << 52;
     let bits = u1.to_bits();
     // The mantissa's nearest step k/256, 0..=256; the top one carries.
     let k = ((bits & FRACTION) + (1 << 43)) >> 44;
     let carry = k >> 8;
-    let e = ((bits >> 52) + carry) as i32 - 1023;
-    let m = f64::from_bits((bits & FRACTION) | ((1023 - carry) << 52));
-    let k = (k & 255) as usize;
-    let (inv_c, ln_c) = t.ln[k];
+    // `2⁵² + (e + 1023)`, less `2⁵² + 1023`: the exponent `e`, exactly.
+    const TWO_52: f64 = (1u64 << 52) as f64;
+    let e = f64::from_bits(TWO_52.to_bits() | ((bits >> 52) + carry)) - (TWO_52 + 1023.0);
+    let m = f64::from_bits((bits & FRACTION) | (ONE - (carry << 52)));
+    let k = k & 255;
+    let c = f64::from_bits(ONE | (k << 44));
+    let (inv_c, ln_c) = t.ln[k as usize];
     // Both in [1, 2] and within 2⁻⁹ of each other: the difference is exact.
-    let f = (m - (1.0 + k as f64 * (1.0 / 256.0))) * inv_c;
+    let f = (m - c) * inv_c;
     let log1p = f * (1.0 - f * (0.5 - f * (1.0 / 3.0 - f * (0.25 - f * 0.2))));
-    f64::from(e) * LN_2 + ln_c + log1p
+    e * LN_2 + ln_c + log1p
 }
 
 /// `(cos, sin)` of `τ·u2` for `u2` in `[0, 1)`, within 22.3`u` of libm's.
 #[inline]
 fn approx_sincos(t: &Tables, u2: f64) -> (f64, f64) {
-    // Exact: a power-of-two scale, then an integer part of a number whose
-    // bits all sit above 2⁻⁴³.
+    // Exact: a power-of-two scale, then the nearest integer `j`, and the
+    // difference of two numbers whose bits all sit above 2⁻⁴³.
     let v = u2 * 1024.0;
-    let j = (v + 0.5) as i32;
-    let d = (v - f64::from(j)) * (TAU / 1024.0);
-    let (cos_j, sin_j) = t.sincos[(j & 1023) as usize];
+    let j = v + ROUND;
+    let d = (v - (j - ROUND)) * (TAU / 1024.0);
+    let (cos_j, sin_j) = t.sincos[(j.to_bits() & 1023) as usize];
     let d2 = d * d;
     let cos_d = 1.0 - d2 * (0.5 - d2 * (1.0 / 24.0));
     let sin_d = d * (1.0 - d2 * (1.0 / 6.0 - d2 * (1.0 / 120.0)));
     (cos_j * cos_d - sin_j * sin_d, sin_j * cos_d + cos_j * sin_d)
+}
+
+/// Both halves of each Box-Muller pair of uniforms `(u1s[p], u2s[p])`,
+/// approximated (module docs), into `halves[2p]` (cos) and `halves[2p + 1]`
+/// (sin). Each pair is independent of the others.
+fn approximate_pairs(u1s: &[f64], u2s: &[f64], halves: &mut [f64]) {
+    let t = tables();
+    for ((pair, &u1), &u2) in halves.chunks_exact_mut(2).zip(u1s).zip(u2s) {
+        let r = (-2.0 * approx_ln(t, u1)).sqrt();
+        let (cos, sin) = approx_sincos(t, u2);
+        pair[0] = r * cos;
+        pair[1] = r * sin;
+    }
 }
 
 impl SimRng {
@@ -275,78 +356,48 @@ impl SimRng {
     /// Standard normal deviate (Box-Muller, with caching of the pair).
     pub(crate) fn gaussian(&mut self) -> f64 {
         if let Some(spare) = self.gauss_spare.take() {
-            return if spare.exact {
-                spare.deviate.approx
-            } else {
-                spare.deviate.exact()
-            };
+            return spare
+                .exact
+                .unwrap_or_else(|| box_muller(spare.u1, spare.u2).1);
         }
         let (u1, u2) = self.box_muller_uniforms();
         let (cos, sin) = box_muller(u1, u2);
         self.gauss_spare = Some(Spare {
-            deviate: Deviate {
-                approx: sin,
-                u1,
-                u2,
-                spare: true,
-            },
-            exact: true,
+            u1,
+            u2,
+            exact: Some(sin),
         });
         cos
     }
 
-    /// Fill `row` with the next `row.len()` standard normal deviates: the
+    /// Fill `row` with the next `row.len` standard normal deviates: the
     /// ones that as many `SimRng::gaussian` calls would return, from the
     /// same uniforms, with the spare taken first and left for the next
-    /// draw of either kind. Each is an approximation (module docs) and the
-    /// uniforms of its exact value; no libm call is made.
-    pub fn gaussian_row(&mut self, row: &mut [Deviate]) {
-        let t = tables();
-        let mut rest = row;
-        if let Some(spare) = self.gauss_spare {
-            let Some((first, tail)) = rest.split_first_mut() else {
-                return;
-            };
-            *first = spare.deviate;
-            self.gauss_spare = None;
-            rest = tail;
+    /// draw of either kind. Two passes: the uniforms of every pair the row
+    /// needs, then, in a loop that carries no generator state, each pair's
+    /// approximations (module docs); no libm call is made.
+    pub fn gaussian_row(&mut self, row: &mut NormalRow) {
+        if row.len == 0 {
+            return;
         }
-        let mut pairs = rest.chunks_exact_mut(2);
-        for pair in &mut pairs {
-            pair.copy_from_slice(&self.approx_pair(t));
+        let spare = self.gauss_spare.take();
+        row.lead = usize::from(spare.is_some());
+        let pairs = (row.lead + row.len).div_ceil(2);
+        let (u1s, u2s) = (&mut row.u1[..pairs], &mut row.u2[..pairs]);
+        if let Some(spare) = spare {
+            (u1s[0], u2s[0]) = (spare.u1, spare.u2);
         }
-        if let [last] = pairs.into_remainder() {
-            let [cos, sin] = self.approx_pair(t);
-            *last = cos;
+        for (u1, u2) in u1s.iter_mut().zip(u2s.iter_mut()).skip(row.lead) {
+            (*u1, *u2) = self.box_muller_uniforms();
+        }
+        approximate_pairs(u1s, u2s, &mut row.halves);
+        if (row.lead + row.len) % 2 == 1 {
             self.gauss_spare = Some(Spare {
-                deviate: sin,
-                exact: false,
+                u1: u1s[pairs - 1],
+                u2: u2s[pairs - 1],
+                exact: None,
             });
         }
-    }
-
-    /// The next Box-Muller pair, approximated (module docs): its cos half,
-    /// then its sin half. Always inlined: called and returned through the
-    /// stack, the pair cost twice as much (12.8 against 5.7 ns a deviate).
-    #[inline(always)]
-    fn approx_pair(&mut self, t: &Tables) -> [Deviate; 2] {
-        let (u1, u2) = self.box_muller_uniforms();
-        let r = (-2.0 * approx_ln(t, u1)).sqrt();
-        let (cos, sin) = approx_sincos(t, u2);
-        let first = Deviate {
-            approx: r * cos,
-            u1,
-            u2,
-            spare: false,
-        };
-        [
-            first,
-            Deviate {
-                approx: r * sin,
-                spare: true,
-                ..first
-            },
-        ]
     }
 
     /// Normal deviate with the given mean and standard deviation.
@@ -538,22 +589,34 @@ mod tests {
         }
     }
 
+    /// Draw a row of `len` from `rows` and as many single deviates from
+    /// `singles`: every exact value equal, the spare left alike. Returns
+    /// the largest |approximate − exact|.
+    fn row_against_singles(rows: &mut SimRng, singles: &mut SimRng, len: usize) -> f64 {
+        let mut row = NormalRow::new(len);
+        rows.gaussian_row(&mut row);
+        assert_eq!(row.approx().len(), len);
+        let mut worst = 0.0f64;
+        for (i, &approx) in row.approx().iter().enumerate() {
+            let d = row.deviate(i);
+            let z = singles.gaussian();
+            assert_eq!(d.approx.to_bits(), approx.to_bits());
+            assert_eq!(d.exact().to_bits(), z.to_bits(), "deviate {i} of {len}");
+            worst = worst.max((approx - z).abs());
+        }
+        assert_eq!(rows.gauss_spare.is_some(), singles.gauss_spare.is_some());
+        worst
+    }
+
     #[test]
     fn gaussian_row_draws_what_gaussian_draws() {
         // Rows of every length up to 7, with single draws and uniforms
         // between them, so the spare crosses rows and calls both ways.
         let mut rows = SimRng::new(31);
         let mut singles = SimRng::new(31);
-        let mut row = [Deviate::default(); 7];
         let mut worst = 0.0f64;
         for i in 0..30_000 {
-            let len = i % 8;
-            rows.gaussian_row(&mut row[..len]);
-            for d in &row[..len] {
-                let z = singles.gaussian();
-                assert_eq!(d.exact().to_bits(), z.to_bits(), "round {i}");
-                worst = worst.max((d.approx - z).abs());
-            }
+            worst = worst.max(row_against_singles(&mut rows, &mut singles, i % 8));
             if i % 3 == 0 {
                 assert_eq!(rows.gaussian().to_bits(), singles.gaussian().to_bits());
             }
@@ -562,6 +625,32 @@ mod tests {
             }
         }
         assert!(worst <= DEVIATE_ERROR, "worst {worst:e}");
+    }
+
+    #[test]
+    fn a_pending_spare_opens_the_next_row() {
+        let mut rows = SimRng::new(43);
+        let mut singles = SimRng::new(43);
+        // An odd row leaves a spare; the even row after it opens with that
+        // spare and leaves one of its own.
+        row_against_singles(&mut rows, &mut singles, 5);
+        assert!(rows.gauss_spare.is_some());
+        row_against_singles(&mut rows, &mut singles, 4);
+        assert!(rows.gauss_spare.is_some());
+        // A length-1 row while a spare is pending is that spare alone: no
+        // uniform is drawn, and none is left.
+        row_against_singles(&mut rows, &mut singles, 1);
+        assert!(rows.gauss_spare.is_none());
+        assert_eq!(rows.uniform().to_bits(), singles.uniform().to_bits());
+        // The same, with the spare from a single draw.
+        assert_eq!(rows.gaussian().to_bits(), singles.gaussian().to_bits());
+        row_against_singles(&mut rows, &mut singles, 1);
+        assert_eq!(rows.next_u64(), singles.next_u64());
+        // An empty row leaves a pending spare pending.
+        row_against_singles(&mut rows, &mut singles, 3);
+        row_against_singles(&mut rows, &mut singles, 0);
+        assert!(rows.gauss_spare.is_some());
+        assert_eq!(rows.gaussian().to_bits(), singles.gaussian().to_bits());
     }
 
     #[test]
@@ -605,6 +694,16 @@ mod tests {
             let theta = TAU * u2;
             let err = (cos - theta.cos()).abs().max((sin - theta.sin()).abs());
             assert!(err <= 22.3 * u, "sincos {u2}: {err:e}");
+        }
+        // Every edge pairs with every kind of angle in the row pass, as
+        // plain arrays: both halves within `DEVIATE_ERROR` of Box-Muller.
+        let u2s: Vec<f64> = (0..u1s.len()).map(|i| u2s[i % u2s.len()]).collect();
+        let mut halves = vec![0.0; 2 * u1s.len()];
+        approximate_pairs(&u1s, &u2s, &mut halves);
+        for ((pair, &u1), &u2) in halves.chunks_exact(2).zip(&u1s).zip(&u2s) {
+            let (cos, sin) = box_muller(u1, u2);
+            let err = (pair[0] - cos).abs().max((pair[1] - sin).abs());
+            assert!(err <= DEVIATE_ERROR, "pair ({u1:e}, {u2}): {err:e}");
         }
     }
 
