@@ -26,21 +26,26 @@
 //! pixel recomputes the exact expression (Shewchuk's filter-then-exact
 //! rule for adaptive predicates, 1997). So every byte is the exact one,
 //! and about one pixel in 10⁶ pays for libm.
-//! - The noise `z` is a [`Deviate`] from [`SimRng::gaussian_row`]: a
-//!   table-driven Box-Muller value within [`DEVIATE_ERROR`] of the one
-//!   `SimRng::normal` returns for the same draw.
+//! - The noise `z` is an approximation from a [`NormalRow`] that
+//!   [`SimRng::gaussian_row`] fills: a table-driven Box-Muller value within
+//!   [`DEVIATE_ERROR`] of the one `SimRng::normal` returns for the same
+//!   draw, read as one `f64` slice.
 //! - The stroma field `sin(a_c + b_r)` is separable: `a_c` depends on the
 //!   column, `b_r` on the row, so `sin a_c · cos b_r + cos a_c · sin b_r`
 //!   takes two libm calls per column and two per row, not one per pixel.
-//! - A row is made in two passes: the row's deviates first, then its
-//!   pixels and their guard checks in a loop that carries no state from
-//!   one pixel to the next. There a stroma-rich channel is cast to an
-//!   integer once: the one truncation is both the byte and the integer
-//!   the guard check measures from, and the column angles are read as
-//!   two slices, sines and cosines.
+//! - A row is made in slice-wise passes, each a loop that carries no state
+//!   from one pixel to the next: the row's deviates; for stroma-rich, the
+//!   lightness row from the deviates and the column angles (two slices,
+//!   sines and cosines); then the bytes and their guard flags from the
+//!   value row. A value is truncated with no float-to-integer conversion:
+//!   adding and subtracting `2⁵² + 2⁵¹` gives its nearest integer `n`, the
+//!   byte is `n`, less one where the value is below it, and the guard
+//!   measures from `n`. Last, only in a row where some flag is set, the
+//!   flagged pixels take the exact expression.
 //!
 //! A stroma-poor pixel's coin flip indexes a table instead of taking a
-//! branch. The per-pixel bodies this replaced are the oracles of
+//! branch; its draws and bytes stay one loop, which read faster than two
+//! passes. The per-pixel bodies this replaced are the oracles of
 //! `crates/kernels/tests/generator_oracle.rs`.
 //!
 //! **The bound.** With `u` = 2⁻⁵³ the unit roundoff and libm within 1 ulp:
@@ -110,19 +115,21 @@ const _: () =
 const GUARD: f64 = 1e-7;
 const _: () = assert!(GUARD >= 1e4 * PIXEL_ERROR);
 
-/// Whether `v` (≥ 0) lies within `GUARD` of an integer, where its
-/// truncation could differ from the exact value's.
-#[inline]
-fn near_integer(v: f64) -> bool {
-    (v - f64::from(v as i32) - 0.5).abs() > 0.5 - GUARD
-}
+/// `2⁵² + 2⁵¹`: a number in `[0, 2⁵¹)` added to it rounds to the nearest
+/// integer, which the sum's low mantissa bits hold; subtracting it again
+/// gives that integer as an `f64`, exactly.
+const ROUND: f64 = 6_755_399_441_055_744.0;
 
 /// `v` (in `0..=255`) truncated to a byte, and whether `v` lies within
-/// `GUARD` of an integer: [`near_integer`] on the same cast.
+/// `GUARD` of an integer, where its truncation could differ from the exact
+/// value's. Both come from `v`'s nearest integer `n`, with no conversion:
+/// the byte is `n`, less one where `v < n`.
 #[inline]
 fn truncate(v: f64) -> (u8, bool) {
-    let t = v as u8;
-    (t, (v - f64::from(t) - 0.5).abs() > 0.5 - GUARD)
+    let sum = v + ROUND;
+    let n = sum - ROUND;
+    let t = (sum.to_bits() as u8).wrapping_sub(u8::from(v < n));
+    (t, (v - n).abs() < GUARD)
 }
 
 /// A background pixel: near-white glass with faint sensor noise. Exact
@@ -145,17 +152,51 @@ fn collagen(l: f64) -> Rgb8 {
     }
 }
 
+/// A row's scratch, allocated once per tile: each pixel's approximate
+/// value, the one its bytes truncate (`245 + 2z`, or the lightness `l`),
+/// clamped to `0..=255`; and its guard flag, whether that value (or
+/// `l·0.72` or `l·0.80`) lies within `GUARD` of an integer.
+struct RowValues {
+    values: Vec<f64>,
+    near: Vec<bool>,
+}
+
+impl RowValues {
+    fn new(width: usize) -> RowValues {
+        RowValues {
+            values: vec![0.0; width],
+            near: vec![false; width],
+        }
+    }
+
+    /// Set every flagged pixel of `px` to `exact(c)`; a row without a flag
+    /// costs one scan of the flags.
+    #[inline]
+    fn fall_back(&self, px: &mut [Rgb8], exact: impl Fn(usize) -> Rgb8) {
+        if self.near.contains(&true) {
+            for c in (0..px.len()).filter(|&c| self.near[c]) {
+                px[c] = exact(c);
+            }
+        }
+    }
+}
+
 /// One background row from its deviates' approximations `zs`: the
-/// approximate pixels, then the exact one, from deviate `c`'s exact value
-/// `exact(c)`, wherever the value is near an integer.
-fn glass_row(px: &mut [Rgb8], zs: &[f64], exact: impl Fn(usize) -> f64, near: &mut [bool]) {
-    for ((p, &z), near) in px.iter_mut().zip(zs).zip(near.iter_mut()) {
-        *p = glass(z);
-        *near = near_integer(245.0 + 2.0 * z);
+/// approximate values, bytes and guard flags, then the exact pixel, from
+/// deviate `c`'s exact value `exact(c)`, wherever a flag is set.
+fn glass_row(px: &mut [Rgb8], zs: &[f64], exact: impl Fn(usize) -> f64, row: &mut RowValues) {
+    let cells = px
+        .iter_mut()
+        .zip(zs)
+        .zip(&mut row.values)
+        .zip(&mut row.near);
+    for (((p, &z), value), near) in cells {
+        *value = (245.0 + 2.0 * z).clamp(0.0, 255.0);
+        let v;
+        (v, *near) = truncate(*value);
+        *p = Rgb8 { r: v, g: v, b: v };
     }
-    for c in (0..px.len()).filter(|&c| near[c]) {
-        px[c] = glass(exact(c));
-    }
+    row.fall_back(px, |c| glass(exact(c)));
 }
 
 /// A stroma-rich tile's lightness field, `sin(a_c + b_r)`: the sine and
@@ -207,32 +248,32 @@ impl StromaField {
         (190.0 + 25.0 * field + 4.0 * z).clamp(0.0, 255.0)
     }
 
-    /// Row `row` from its deviates' approximations `zs`: the approximate
-    /// pixels, then the exact one, from `exact(c)`, wherever `l`, `l·0.72`
-    /// or `l·0.80` is near an integer. Each channel is cast once, for its
-    /// byte and its guard check.
+    /// Row `row` from its deviates' approximations `zs`: the lightness
+    /// row first, then the bytes and guard flags, each channel cast once
+    /// for both; then the exact pixel, from `exact(c)`, wherever `l`,
+    /// `l·0.72` or `l·0.80` is near an integer.
     fn row(
         &self,
         row: u32,
         px: &mut [Rgb8],
         zs: &[f64],
         exact: impl Fn(usize) -> f64,
-        near: &mut [bool],
+        values: &mut RowValues,
     ) {
         let (y, b_r) = self.row_angle(row);
         let columns = self.sin_a.iter().zip(&self.cos_a);
-        let cells = px.iter_mut().zip(zs).zip(columns).zip(near.iter_mut());
-        for (((p, &z), (&sin_a, &cos_a)), near) in cells {
-            let l = StromaField::lightness(sin_a, cos_a, b_r, z);
+        for ((l, &z), (&sin_a, &cos_a)) in values.values.iter_mut().zip(zs).zip(columns) {
+            *l = StromaField::lightness(sin_a, cos_a, b_r, z);
+        }
+        let cells = px.iter_mut().zip(&values.values).zip(&mut values.near);
+        for ((p, &l), near) in cells {
             let (r, near_r) = truncate(l);
             let (g, near_g) = truncate(l * 0.72);
             let (b, near_b) = truncate(l * 0.80);
             *p = Rgb8 { r, g, b };
             *near = near_r | near_g | near_b;
         }
-        for c in (0..px.len()).filter(|&c| near[c]) {
-            px[c] = self.exact(c, y, exact(c));
-        }
+        values.fall_back(px, |c| self.exact(c, y, exact(c)));
     }
 }
 
@@ -264,14 +305,15 @@ impl TileGenerator {
         // A 0-side tile has no rows (and `chunks_exact_mut(0)` panics).
         let width = side.max(1) as usize;
         let mut out = vec![Rgb8 { r: 0, g: 0, b: 0 }; n];
-        let mut zs = NormalRow::new(side as usize);
-        let mut near = vec![false; side as usize];
-        let exact = |zs: &NormalRow, c| zs.deviate(c).exact();
+        let rows = out.chunks_exact_mut(width);
+        // The noisy classes' scratch rows, once per tile.
+        let scratch = || (NormalRow::new(width), RowValues::new(width));
         match class {
             TileClass::Background => {
-                for px in out.chunks_exact_mut(width) {
+                let (mut zs, mut values) = scratch();
+                for px in rows {
                     self.rng.gaussian_row(&mut zs);
-                    glass_row(px, zs.approx(), |c| exact(&zs, c), &mut near);
+                    glass_row(px, zs.approx(), |c| zs.deviate(c).exact(), &mut values);
                 }
             }
             TileClass::StromaRich => {
@@ -280,9 +322,11 @@ impl TileGenerator {
                 let phase = self.rng.uniform_range(0.0, TAU);
                 let freq = self.rng.uniform_range(0.5, 1.5);
                 let field = StromaField::new(side, freq, phase);
-                for (row, px) in (0..).zip(out.chunks_exact_mut(width)) {
+                let (mut zs, mut values) = scratch();
+                for (row, px) in (0..).zip(rows) {
                     self.rng.gaussian_row(&mut zs);
-                    field.row(row, px, zs.approx(), |c| exact(&zs, c), &mut near);
+                    let exact = |c| zs.deviate(c).exact();
+                    field.row(row, px, zs.approx(), exact, &mut values);
                 }
             }
             TileClass::StromaPoor => {
@@ -420,6 +464,13 @@ impl TileClassifier {
 mod tests {
     use super::*;
     use anthill_simkit::Deviate;
+    use std::cell::Cell;
+
+    /// Whether `v` (≥ 0) lies within `GUARD` of an integer: the guard
+    /// `truncate` checks, on its own cast.
+    fn near_integer(v: f64) -> bool {
+        (v - f64::from(v as i32) - 0.5).abs() > 0.5 - GUARD
+    }
 
     #[test]
     fn generator_is_deterministic() {
@@ -554,7 +605,7 @@ mod tests {
         // Background, `245 + 2z` at 250.
         let d = straddling(|z| 245.0 + 2.0 * z, 2.0, 250.0, 2.5);
         let mut px = [Rgb8 { r: 0, g: 0, b: 0 }];
-        glass_row(&mut px, &[d.approx], |_| d.exact(), &mut [false]);
+        glass_row(&mut px, &[d.approx], |_| d.exact(), &mut RowValues::new(1));
         // The per-pixel body, as `generator_oracle.rs` has it.
         let v = (245.0 + 2.0 * d.exact()).clamp(0.0, 255.0) as u8;
         assert_eq!(px[0], Rgb8 { r: v, g: v, b: v });
@@ -578,7 +629,13 @@ mod tests {
             ),
         ] {
             let mut px = [Rgb8 { r: 0, g: 0, b: 0 }];
-            field.row(0, &mut px, &[d.approx], |_| d.exact(), &mut [false]);
+            field.row(
+                0,
+                &mut px,
+                &[d.approx],
+                |_| d.exact(),
+                &mut RowValues::new(1),
+            );
             let l = l(d.exact()).clamp(0.0, 255.0);
             let want = Rgb8 {
                 r: l as u8,
@@ -590,7 +647,7 @@ mod tests {
     }
 
     /// `generator_oracle.rs`'s per-pixel body, keeping each noisy pixel's
-    /// exact truncated value (`l`, or `245 + 2z`) beside its bytes.
+    /// exact truncated value (`245 + 2z`, or `l`, clamped) beside its bytes.
     fn oracle_values(rng: &mut SimRng, class: TileClass, side: u32) -> Vec<(Rgb8, f64)> {
         let mut out = Vec::new();
         let (phase, freq) = match class {
@@ -602,8 +659,8 @@ mod tests {
             for c in 0..side {
                 let x = f64::from(c) / f64::from(side);
                 if class == TileClass::Background {
-                    let v = 245.0 + rng.normal(0.0, 2.0);
-                    let b = v.clamp(0.0, 255.0) as u8;
+                    let v = (245.0 + rng.normal(0.0, 2.0)).clamp(0.0, 255.0);
+                    let b = v as u8;
                     out.push((Rgb8 { r: b, g: b, b }, v));
                 } else if class == TileClass::StromaPoor {
                     let px = if rng.chance(0.45) {
@@ -638,51 +695,46 @@ mod tests {
         out
     }
 
-    /// The approximate truncated values `generate` computes for the tile
-    /// it draws next from `rng`, with whether each fell back.
-    fn approximate_values(rng: &mut SimRng, class: TileClass, side: u32) -> Vec<(f64, bool)> {
+    /// The approximate values and guard flags that `generate`'s row passes
+    /// leave for the tile it draws next from `rng`, with the number of
+    /// exact values the passes asked for.
+    fn approximate_values(
+        rng: &mut SimRng,
+        class: TileClass,
+        side: u32,
+    ) -> (Vec<(f64, bool)>, u64) {
         let mut zs = NormalRow::new(side as usize);
-        let mut out = Vec::new();
-        if class == TileClass::StromaPoor {
-            return out;
-        }
-        if class == TileClass::Background {
-            for _ in 0..side {
-                rng.gaussian_row(&mut zs);
-                out.extend(zs.approx().iter().map(|z| {
-                    let v = 245.0 + 2.0 * z;
-                    (v, near_integer(v))
-                }));
-            }
-        } else {
+        let mut row = RowValues::new(side as usize);
+        let mut px = vec![Rgb8 { r: 0, g: 0, b: 0 }; side as usize];
+        let (mut out, exact_calls) = (Vec::new(), Cell::new(0));
+        let exact = |zs: &NormalRow, c| {
+            exact_calls.set(exact_calls.get() + 1);
+            zs.deviate(c).exact()
+        };
+        let field = (class == TileClass::StromaRich).then(|| {
             let phase = rng.uniform_range(0.0, TAU);
             let freq = rng.uniform_range(0.5, 1.5);
-            let field = StromaField::new(side, freq, phase);
-            for row in 0..side {
-                let (_, b_r) = field.row_angle(row);
+            StromaField::new(side, freq, phase)
+        });
+        if class != TileClass::StromaPoor {
+            for r in 0..side {
                 rng.gaussian_row(&mut zs);
-                let columns = field.sin_a.iter().zip(&field.cos_a);
-                out.extend(
-                    zs.approx()
-                        .iter()
-                        .zip(columns)
-                        .map(|(&z, (&sin_a, &cos_a))| {
-                            let l = StromaField::lightness(sin_a, cos_a, b_r, z);
-                            (
-                                l,
-                                near_integer(l) | near_integer(l * 0.72) | near_integer(l * 0.80),
-                            )
-                        }),
-                );
+                match &field {
+                    Some(field) => field.row(r, &mut px, zs.approx(), |c| exact(&zs, c), &mut row),
+                    None => glass_row(&mut px, zs.approx(), |c| exact(&zs, c), &mut row),
+                }
+                out.extend(row.values.iter().copied().zip(row.near.iter().copied()));
             }
         }
-        out
+        (out, exact_calls.get())
     }
 
-    /// At least 10⁸ pixels of every class at odd sides, each against the
-    /// per-pixel body: every byte equal, and every approximate value within
-    /// `PIXEL_ERROR` of the exact one. Prints the fallback count and the
-    /// largest |approximate − exact|.
+    /// At least 10⁸ pixels of every class, at the sides a job runs (32, 64,
+    /// 128) and at odd ones, each against the per-pixel body: every byte
+    /// equal, every approximate value the row passes computed within
+    /// `PIXEL_ERROR` of the exact one, and an exact value taken for every
+    /// flagged pixel. Prints the fallback count and the largest
+    /// |approximate − exact|.
     #[test]
     #[ignore = "10^8 pixels: cargo test --release -p anthill-kernels -- --ignored sweep"]
     fn sweep_of_approximate_values_against_the_per_pixel_bodies() {
@@ -690,7 +742,7 @@ mod tests {
         while pixels < 100_000_000 {
             let mut gen = TileGenerator::new(seeds);
             let mut oracle = SimRng::new(seeds);
-            for side in [1, 3, 17, 65, 127, 129] {
+            for side in [1, 3, 17, 32, 64, 65, 127, 128, 129] {
                 for class in TileClass::ALL {
                     let mut probe = gen.rng.clone();
                     let tile = gen.generate(class, side);
@@ -698,10 +750,12 @@ mod tests {
                     for (i, (p, (want, _))) in tile.iter().zip(&want).enumerate() {
                         assert_eq!(p, want, "seed {seeds}, {class:?}, side {side}, pixel {i}");
                     }
-                    let fast = approximate_values(&mut probe, class, side);
-                    for ((_, exact), (approx, near)) in want.iter().zip(&fast) {
+                    let (fast, exact_calls) = approximate_values(&mut probe, class, side);
+                    let flagged = fast.iter().filter(|(_, near)| *near).count() as u64;
+                    assert_eq!(exact_calls, flagged, "seed {seeds}, {class:?}, side {side}");
+                    fallbacks += flagged;
+                    for ((_, exact), (approx, _)) in want.iter().zip(&fast) {
                         worst = worst.max((approx - exact).abs());
-                        fallbacks += u64::from(*near);
                     }
                     pixels += tile.len() as u64;
                 }
