@@ -7,6 +7,12 @@
 //! downsample of the one above, so the levels are *consistent views of
 //! the same tissue* — which is what makes reprocessing at a higher
 //! resolution informative.
+//!
+//! [`downsample`] works a pair of rows at a time, in two slice-wise
+//! passes: the rows' per-channel column sums into three `u16` rows, then
+//! each pair of columns' sums into one output pixel. Every byte is the
+//! four pixels' integer mean, as the per-quad formula (kept in the tests
+//! as the oracle) gives it.
 
 use crate::color::Rgb8;
 use crate::tiles::tile_pixels;
@@ -19,6 +25,11 @@ pub struct TilePyramid {
 
 /// 2× box-filter downsample of a square RGB tile. Panics unless `side` is
 /// even and matches the pixel count.
+///
+/// Each pair of rows is summed first, per column, into one `u16` row per
+/// channel (at most 2·255); then each pair of columns' sums is added and
+/// divided by 4: `(a + b) + (c + d)` is the four pixels' sum, so every byte
+/// is their mean as `(a + b + c + d) / 4` gives it.
 pub fn downsample(pixels: &[Rgb8], side: u32) -> Vec<Rgb8> {
     assert_eq!(pixels.len(), tile_pixels(side), "size mismatch");
     assert!(
@@ -26,22 +37,33 @@ pub fn downsample(pixels: &[Rgb8], side: u32) -> Vec<Rgb8> {
         "side must be even, got {side}"
     );
     let side = side as usize;
-    let mut out = Vec::with_capacity(side * side / 4);
-    for rows in pixels.chunks_exact(2 * side) {
+    let mut out = vec![Rgb8 { r: 0, g: 0, b: 0 }; side * side / 4];
+    // Per channel, each column's sum over a pair of rows.
+    let mut sums = [vec![0u16; side], vec![0u16; side], vec![0u16; side]];
+    for (rows, out) in pixels
+        .chunks_exact(2 * side)
+        .zip(out.chunks_exact_mut(side / 2))
+    {
         let (top, bottom) = rows.split_at(side);
-        for (t, b) in top.chunks_exact(2).zip(bottom.chunks_exact(2)) {
-            let mean = |channel: fn(&Rgb8) -> u8| {
-                let sum = [t[0], t[1], b[0], b[1]]
-                    .iter()
-                    .map(|p| u32::from(channel(p)))
-                    .sum::<u32>();
-                (sum / 4) as u8
+        let [r, g, b] = &mut sums;
+        for ((((r, g), b), t), d) in r
+            .iter_mut()
+            .zip(g.iter_mut())
+            .zip(b.iter_mut())
+            .zip(top)
+            .zip(bottom)
+        {
+            *r = u16::from(t.r) + u16::from(d.r);
+            *g = u16::from(t.g) + u16::from(d.g);
+            *b = u16::from(t.b) + u16::from(d.b);
+        }
+        let [r, g, b] = sums.each_ref().map(|s| s.chunks_exact(2));
+        for (((p, r), g), b) in out.iter_mut().zip(r).zip(g).zip(b) {
+            *p = Rgb8 {
+                r: ((r[0] + r[1]) / 4) as u8,
+                g: ((g[0] + g[1]) / 4) as u8,
+                b: ((b[0] + b[1]) / 4) as u8,
             };
-            out.push(Rgb8 {
-                r: mean(|p| p.r),
-                g: mean(|p| p.g),
-                b: mean(|p| p.b),
-            });
         }
     }
     out
@@ -126,6 +148,56 @@ mod tests {
                 b: 100
             }
         );
+    }
+
+    #[test]
+    fn downsample_is_the_mean_of_each_quad() {
+        // The per-quad body as first written, against tiles of every class
+        // and a tile of bytes at both ends of the range.
+        let oracle = |pixels: &[Rgb8], side: usize| -> Vec<Rgb8> {
+            let mut out = Vec::new();
+            for y in (0..side).step_by(2) {
+                for x in (0..side).step_by(2) {
+                    let quad = [(0, 0), (1, 0), (0, 1), (1, 1)]
+                        .map(|(dx, dy)| pixels[(y + dy) * side + x + dx]);
+                    let mean = |c: fn(&Rgb8) -> u8| {
+                        (quad.iter().map(|p| u32::from(c(p))).sum::<u32>() / 4) as u8
+                    };
+                    out.push(Rgb8 {
+                        r: mean(|p| p.r),
+                        g: mean(|p| p.g),
+                        b: mean(|p| p.b),
+                    });
+                }
+            }
+            out
+        };
+        let mut gen = TileGenerator::new(19);
+        for side in [2u32, 4, 6, 32, 128] {
+            let mut tiles: Vec<Vec<Rgb8>> = TileClass::ALL
+                .iter()
+                .map(|&c| gen.generate(c, side))
+                .collect();
+            tiles.push(
+                (0..tile_pixels(side))
+                    .map(|i| {
+                        let v = [0, 255, 254, 1][i % 4];
+                        Rgb8 {
+                            r: v,
+                            g: 255 - v,
+                            b: v ^ 0x55,
+                        }
+                    })
+                    .collect(),
+            );
+            for tile in &tiles {
+                assert_eq!(
+                    downsample(tile, side),
+                    oracle(tile, side as usize),
+                    "side {side}"
+                );
+            }
+        }
     }
 
     #[test]
