@@ -8,32 +8,41 @@
 //! clipped once per row to the pixels whose neighbours exist, and an LBP
 //! code per pixel, over a copy of the image with its replicated border
 //! made explicit, so every pixel is interior. The second counts the bins
-//! into `LANES` interleaved `u32` sub-histograms, consecutive bins into
-//! consecutive lanes, so neighbouring pixels that hit one bin (every pixel
-//! of a flat tile) add to different words and do not wait on each
-//! other's stores. The lanes are summed once at the end, and into `u64`
-//! totals whenever 2³² − 1 pixels have been counted since the last sum,
-//! so no lane wraps. The counts become `f64` at the end, which is exact
-//! (they are far below 2^53) and leaves every statistic bit-identical to
-//! counting in `f64` one pixel at a time.
+//! a block of rows at a time into up to `LANES` interleaved `u32`
+//! sub-histograms, consecutive bins into consecutive lanes, so
+//! neighbouring pixels that hit one bin (every pixel of a flat tile) add
+//! to different words and do not wait on each other's stores. The first
+//! block sizes the lanes: a small image takes fewer lanes, and so zeroes
+//! and sums fewer counters than it has pixels. The lanes are summed once
+//! at the end, and into `u64` totals whenever 2³² − 1 pixels have been
+//! counted since the last sum, so no lane wraps. The counts become `f64`
+//! at the end, which is exact (they are far below 2^53) and leaves every
+//! statistic bit-identical to counting in `f64` one pixel at a time.
+//!
+//! A GLCM checks its image once, before counting, in every build: a pixel
+//! at or past `levels` panics ("pixel exceeds levels") instead of being
+//! counted as another cell.
 
 use std::ops::Range;
 
-/// Cells a GLCM computes before counting them: a whole 32² tile, or 16
-/// rows of a 128² one, in 4 KiB that stay in the L1 cache.
+/// Bins a counter is given at once: a GLCM's cells or an LBP histogram's
+/// codes for a whole 32² tile, or for 16 rows of a 128² one, in at most 4
+/// KiB that stay in the L1 cache.
 const CELL_BLOCK: usize = 2048;
 
-/// Sub-histograms per counter.
+/// The most sub-histograms a counter takes.
 const LANES: usize = 8;
 
 /// The most pixels the lanes take between two sums into `u64`: the lanes'
 /// sum is at most this, so it fits in a `u32`, and so does every lane.
 const LANE_ROOM: usize = u32::MAX as usize;
 
-/// A histogram counted in `LANES` `u32` sub-histograms, stored one after
-/// the other, that take consecutive bins in turn (module docs).
+/// A histogram counted in up to `LANES` `u32` sub-histograms, stored one
+/// after the other, that take consecutive bins in turn (module docs).
 struct LaneCounts {
     bins: usize,
+    /// `lanes.len() / bins` sub-histograms, 1, 2, 4 or `LANES`: empty
+    /// until the first `count` sizes them.
     lanes: Vec<u32>,
     /// What the lanes held at earlier flushes (empty before the first).
     sums: Vec<u64>,
@@ -46,31 +55,36 @@ impl LaneCounts {
     fn new(bins: usize) -> LaneCounts {
         LaneCounts {
             bins,
-            lanes: vec![0; LANES * bins],
+            lanes: Vec::new(),
             sums: Vec::new(),
             pending: 0,
         }
     }
 
-    /// Count `bins`, the `k`-th into lane `k % LANES`. A bin past the
-    /// histogram panics.
+    /// Count `bins`, the `k`-th into lane `k % lanes`. The first call sizes
+    /// the lanes from its length: the most, up to `LANES`, whose counters
+    /// number no more than its bins, so a small image neither zeroes nor
+    /// sums more counters than it has pixels. A bin past the histogram
+    /// panics.
     fn count<B: Copy + Into<usize>>(&mut self, bins: &[B]) {
+        if self.lanes.is_empty() {
+            let lanes = [LANES, 4, 2, 1]
+                .into_iter()
+                .find(|&lanes| lanes * self.bins <= bins.len())
+                .unwrap_or(1);
+            self.lanes = vec![0; lanes * self.bins];
+        }
         for run in bins.chunks(LANE_ROOM) {
             if self.pending + run.len() > LANE_ROOM {
                 self.flush();
             }
             self.pending += run.len();
-            let mut lanes = self.lanes.chunks_exact_mut(self.bins);
-            let mut lanes: [&mut [u32]; LANES] =
-                std::array::from_fn(|_| lanes.next().expect("LANES lanes"));
-            let mut quads = run.chunks_exact(LANES);
-            for quad in &mut quads {
-                for (lane, &bin) in lanes.iter_mut().zip(quad) {
-                    lane[bin.into()] += 1;
-                }
-            }
-            for (lane, &bin) in lanes.iter_mut().zip(quads.remainder()) {
-                lane[bin.into()] += 1;
+            let (lanes, width) = (&mut self.lanes[..], self.bins);
+            match lanes.len() / width.max(1) {
+                1 => count_into::<1, B>(lanes, width, run),
+                2 => count_into::<2, B>(lanes, width, run),
+                4 => count_into::<4, B>(lanes, width, run),
+                _ => count_into::<LANES, B>(lanes, width, run),
             }
         }
     }
@@ -78,7 +92,8 @@ impl LaneCounts {
     /// Add the lanes to `sums` and clear them.
     fn flush(&mut self) {
         self.sums.resize(self.bins, 0);
-        let (first, rest) = self.lanes.split_at_mut(self.bins);
+        let first = self.bins.min(self.lanes.len());
+        let (first, rest) = self.lanes.split_at_mut(first);
         for lane in rest.chunks_exact_mut(self.bins) {
             for (a, b) in first.iter_mut().zip(lane) {
                 *a += std::mem::take(b);
@@ -94,6 +109,22 @@ impl LaneCounts {
     fn finish(mut self) -> Vec<u64> {
         self.flush();
         self.sums
+    }
+}
+
+/// Count `run` into `N` lanes of `bins` counters each, stored one after
+/// the other: the `k`-th bin into lane `k % N`.
+fn count_into<const N: usize, B: Copy + Into<usize>>(lanes: &mut [u32], bins: usize, run: &[B]) {
+    let mut lanes = lanes.chunks_exact_mut(bins);
+    let mut lanes: [&mut [u32]; N] = std::array::from_fn(|_| lanes.next().expect("N lanes"));
+    let mut groups = run.chunks_exact(N);
+    for group in &mut groups {
+        for (lane, &bin) in lanes.iter_mut().zip(group) {
+            lane[bin.into()] += 1;
+        }
+    }
+    for (lane, &bin) in lanes.iter_mut().zip(groups.remainder()) {
+        lane[bin.into()] += 1;
     }
 }
 
@@ -125,6 +156,12 @@ impl Glcm {
     ) -> Glcm {
         assert_eq!(img.len(), width * height, "image size mismatch");
         assert!(levels >= 2);
+        // One pass over the image, not a test per cell: a pixel past the
+        // levels would count as another cell.
+        assert!(
+            img.iter().fold(0, |top, &p| top.max(p)) < levels,
+            "pixel exceeds levels"
+        );
         let l = levels as usize;
         // Ordered pairs (anchor level, neighbour level), counted once.
         let mut ordered = LaneCounts::new(l * l);
@@ -144,7 +181,6 @@ impl Glcm {
                     let a_row = &img[row..][..xs.len()];
                     let b_row = &img[neighbour_row..][..xs.len()];
                     for ((cell, &a), &b) in cells.iter_mut().zip(a_row).zip(b_row) {
-                        debug_assert!(a < levels && b < levels, "pixel exceeds levels");
                         *cell = u16::from(a) * l as u16 + u16::from(b);
                     }
                 }
@@ -335,13 +371,19 @@ pub fn lbp_histogram(img: &[u8], width: usize, height: usize) -> Vec<f64> {
             padded.extend_from_slice(row);
             padded.push(row[width - 1]);
         }
-        let mut codes = vec![0u8; width];
-        for y in 0..height {
-            interior_codes(
-                [y, y + 1, y + 2].map(|r| &padded[r * stride..][..stride]),
-                &mut codes,
-            );
-            counts.count(&codes);
+        // A block of rows computes its codes, then counts them.
+        let rows = (CELL_BLOCK / width).clamp(1, height);
+        let mut codes = vec![0u8; rows * width];
+        for block in (0..height).step_by(rows) {
+            let block = block..(block + rows).min(height);
+            let codes = &mut codes[..block.len() * width];
+            for (y, codes) in block.zip(codes.chunks_exact_mut(width)) {
+                interior_codes(
+                    [y, y + 1, y + 2].map(|r| &padded[r * stride..][..stride]),
+                    codes,
+                );
+            }
+            counts.count(codes);
         }
     }
     let n = (width * height).max(1) as f64;
@@ -647,6 +689,14 @@ mod tests {
             .map(|b| 2 * row.iter().filter(|&&v| v == b).count() as u64 + u64::from(b < 3))
             .collect();
         assert_eq!(counts.finish(), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "pixel exceeds levels")]
+    fn a_pixel_past_the_levels_panics_in_every_build() {
+        // Cell 0·8 + 8 is cell (1, 0) of the 8 × 8 matrix: without the
+        // check a release build counted the pair as (1, 0).
+        let _ = Glcm::compute(&[0, 8], 2, 1, 8, 1, 0);
     }
 
     #[test]
