@@ -407,6 +407,40 @@ fn the_tile_generator_divides_per_row_and_column() {
     forbid(&["crates/kernels/src/tiles.rs"], &["% side) as f64"]);
 }
 
+/// Tile synthesis has one row path: each Box-Muller approximation is
+/// computed at one site, and each noisy tile class draws its rows at one.
+///
+/// `SimRng::gaussian_row` fills a `NormalRow` through one loop whatever
+/// the row's length or a carried spare, and `TileGenerator::generate`
+/// calls it once for background and once for stroma-rich tiles. A second
+/// row path, kept for odd rows or a pending spare, is a second site.
+#[test]
+fn tile_synthesis_has_one_row_path() {
+    let mut found = Vec::new();
+    for (path, name, sites) in [
+        ("crates/simkit/src/rng.rs", "approx_ln", 1),
+        ("crates/simkit/src/rng.rs", "approx_sincos", 1),
+        ("crates/kernels/src/tiles.rs", "gaussian_row", 2),
+    ] {
+        let src = sources().iter().find(|s| s.path == path).expect(path);
+        let regions = test_regions(&src.code);
+        let mut previous = "";
+        let mut uses = Vec::new();
+        for (at, token) in identifiers(&src.code, &regions) {
+            if token == name && !DEFINING.contains(&previous) {
+                uses.push(src.code[..at].matches('\n').count() + 1);
+            }
+            previous = token;
+        }
+        if uses.len() != sites {
+            found.push(format!(
+                "{path}: {name} at lines {uses:?}, not {sites} site(s)"
+            ));
+        }
+    }
+    assert!(found.is_empty(), "a second row path:\n{}", found.join("\n"));
+}
+
 /// The native hand-off pays only for work something consumes: no output
 /// channel in the threaded runtime.
 ///
