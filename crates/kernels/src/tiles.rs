@@ -60,7 +60,8 @@
 //!   two roundings, and a background `245 + 2z` within
 //!   `2·DEVIATE_ERROR + 526u` ≈ 1.6·10⁻¹³.
 //! - `PIXEL_ERROR` = 10⁻¹² bounds them all, and `GUARD` = 10⁻⁷ is 10⁵
-//!   times it. Over 10⁸ pixels the largest distance read 1.7·10⁻¹³ (the
+//!   times it. Over 10⁸ pixels, at the sides a job runs and at odd ones,
+//!   the largest distance read 1.7·10⁻¹³ and 41 pixels fell back (the
 //!   ignored `sweep_of_approximate_values_against_the_per_pixel_bodies`).
 
 use crate::color::{quantize_tile_l, Rgb8};
@@ -249,8 +250,8 @@ impl StromaField {
     }
 
     /// Row `row` from its deviates' approximations `zs`: the lightness
-    /// row first, then the bytes and guard flags, each channel cast once
-    /// for both; then the exact pixel, from `exact(c)`, wherever `l`,
+    /// row first, then the bytes and guard flags, each channel truncated
+    /// once for both; then the exact pixel, from `exact(c)`, wherever `l`,
     /// `l·0.72` or `l·0.80` is near an integer.
     fn row(
         &self,
@@ -466,8 +467,8 @@ mod tests {
     use anthill_simkit::Deviate;
     use std::cell::Cell;
 
-    /// Whether `v` (≥ 0) lies within `GUARD` of an integer: the guard
-    /// `truncate` checks, on its own cast.
+    /// Whether `v` (≥ 0) lies within `GUARD` of an integer, measured from
+    /// its cast: the guard `truncate` computes without one.
     fn near_integer(v: f64) -> bool {
         (v - f64::from(v as i32) - 0.5).abs() > 0.5 - GUARD
     }
