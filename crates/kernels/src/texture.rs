@@ -41,8 +41,10 @@ const LANE_ROOM: usize = u32::MAX as usize;
 /// after the other, that take consecutive bins in turn (module docs).
 struct LaneCounts {
     bins: usize,
-    /// `lanes.len() / bins` sub-histograms, 1, 2, 4 or `LANES`: empty
-    /// until the first `count` sizes them.
+    /// How many sub-histograms `lanes` holds: 1, 2, 4 or `LANES`, set by
+    /// the first `count`.
+    ways: usize,
+    /// `ways` sub-histograms, empty until the first `count`.
     lanes: Vec<u32>,
     /// What the lanes held at earlier flushes (empty before the first).
     sums: Vec<u64>,
@@ -55,6 +57,7 @@ impl LaneCounts {
     fn new(bins: usize) -> LaneCounts {
         LaneCounts {
             bins,
+            ways: 0,
             lanes: Vec::new(),
             sums: Vec::new(),
             pending: 0,
@@ -67,12 +70,12 @@ impl LaneCounts {
     /// sums more counters than it has pixels. A bin past the histogram
     /// panics.
     fn count<B: Copy + Into<usize>>(&mut self, bins: &[B]) {
-        if self.lanes.is_empty() {
-            let lanes = [LANES, 4, 2, 1]
+        if self.ways == 0 {
+            self.ways = [LANES, 4, 2, 1]
                 .into_iter()
-                .find(|&lanes| lanes * self.bins <= bins.len())
+                .find(|&ways| ways * self.bins <= bins.len())
                 .unwrap_or(1);
-            self.lanes = vec![0; lanes * self.bins];
+            self.lanes = vec![0; self.ways * self.bins];
         }
         for run in bins.chunks(LANE_ROOM) {
             if self.pending + run.len() > LANE_ROOM {
@@ -80,7 +83,7 @@ impl LaneCounts {
             }
             self.pending += run.len();
             let (lanes, width) = (&mut self.lanes[..], self.bins);
-            match lanes.len() / width.max(1) {
+            match self.ways {
                 1 => count_into::<1, B>(lanes, width, run),
                 2 => count_into::<2, B>(lanes, width, run),
                 4 => count_into::<4, B>(lanes, width, run),
