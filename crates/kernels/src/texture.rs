@@ -8,43 +8,47 @@
 //! clipped once per row to the pixels whose neighbours exist, and an LBP
 //! code per pixel, over a copy of the image with its replicated border
 //! made explicit, so every pixel is interior. The second counts the bins
-//! a block of rows at a time into up to `LANES` interleaved `u32`
-//! sub-histograms, consecutive bins into consecutive lanes, so
-//! neighbouring pixels that hit one bin (every pixel of a flat tile) add
-//! to different words and do not wait on each other's stores. The first
-//! block sizes the lanes: a small image takes fewer lanes, and so zeroes
-//! and sums fewer counters than it has pixels. The lanes are summed once
-//! at the end, and into `u64` totals whenever 2³² − 1 pixels have been
+//! into `LANES` interleaved `u32` sub-histograms, consecutive bins into
+//! consecutive lanes, so neighbouring pixels that hit one bin (every pixel
+//! of a flat tile) add to different words and do not wait on each other's
+//! stores. An image with fewer pixels than `LANES` lanes have counters (a
+//! 32² LBP histogram's) takes `FEW_LANES`. The lanes are summed once at
+//! the end, and into `u64` totals whenever 2³² − 1 pixels have been
 //! counted since the last sum, so no lane wraps. The counts become `f64`
 //! at the end, which is exact (they are far below 2^53) and leaves every
 //! statistic bit-identical to counting in `f64` one pixel at a time.
 //!
 //! A GLCM checks its image once, before counting, in every build: a pixel
 //! at or past `levels` panics ("pixel exceeds levels") instead of being
-//! counted as another cell.
+//! counted as another cell. A feature vector checks its image once for
+//! all four offsets.
 
 use std::ops::Range;
 
-/// Bins a counter is given at once: a GLCM's cells or an LBP histogram's
-/// codes for a whole 32² tile, or for 16 rows of a 128² one, in at most 4
-/// KiB that stay in the L1 cache.
+/// Cells a GLCM computes before counting them: a whole 32² tile, or 16
+/// rows of a 128² one, in 4 KiB that stay in the L1 cache.
 const CELL_BLOCK: usize = 2048;
 
-/// The most sub-histograms a counter takes.
+/// The sub-histograms a counter takes.
 const LANES: usize = 8;
+
+/// The sub-histograms a counter takes for fewer pixels than `LANES` lanes
+/// have counters: a 32² LBP histogram, which zeroes and sums 1 024
+/// counters instead of 2 048.
+const FEW_LANES: usize = 4;
 
 /// The most pixels the lanes take between two sums into `u64`: the lanes'
 /// sum is at most this, so it fits in a `u32`, and so does every lane.
 const LANE_ROOM: usize = u32::MAX as usize;
 
-/// A histogram counted in up to `LANES` `u32` sub-histograms, stored one
-/// after the other, that take consecutive bins in turn (module docs).
+/// A histogram counted in `LANES` or `FEW_LANES` `u32` sub-histograms,
+/// stored one after the other, that take consecutive bins in turn (module
+/// docs).
 struct LaneCounts {
     bins: usize,
-    /// How many sub-histograms `lanes` holds: 1, 2, 4 or `LANES`, set by
-    /// the first `count`.
+    /// How many sub-histograms `lanes` holds: `LANES` or `FEW_LANES`.
     ways: usize,
-    /// `ways` sub-histograms, empty until the first `count`.
+    /// `ways` sub-histograms.
     lanes: Vec<u32>,
     /// What the lanes held at earlier flushes (empty before the first).
     sums: Vec<u64>,
@@ -54,40 +58,36 @@ struct LaneCounts {
 }
 
 impl LaneCounts {
-    fn new(bins: usize) -> LaneCounts {
+    /// A histogram of `bins` bins for `pixels` pixels: `LANES` lanes if
+    /// the pixels fill their counters, else `FEW_LANES`.
+    fn new(bins: usize, pixels: usize) -> LaneCounts {
+        let ways = if pixels >= LANES * bins {
+            LANES
+        } else {
+            FEW_LANES
+        };
         LaneCounts {
             bins,
-            ways: 0,
-            lanes: Vec::new(),
+            ways,
+            lanes: vec![0; ways * bins],
             sums: Vec::new(),
             pending: 0,
         }
     }
 
-    /// Count `bins`, the `k`-th into lane `k % lanes`. The first call sizes
-    /// the lanes from its length: the most, up to `LANES`, whose counters
-    /// number no more than its bins, so a small image neither zeroes nor
-    /// sums more counters than it has pixels. A bin past the histogram
-    /// panics.
+    /// Count `bins`, the `k`-th into lane `k % lanes`. A bin past the
+    /// histogram panics.
     fn count<B: Copy + Into<usize>>(&mut self, bins: &[B]) {
-        if self.ways == 0 {
-            self.ways = [LANES, 4, 2, 1]
-                .into_iter()
-                .find(|&ways| ways * self.bins <= bins.len())
-                .unwrap_or(1);
-            self.lanes = vec![0; self.ways * self.bins];
-        }
         for run in bins.chunks(LANE_ROOM) {
             if self.pending + run.len() > LANE_ROOM {
                 self.flush();
             }
             self.pending += run.len();
             let (lanes, width) = (&mut self.lanes[..], self.bins);
-            match self.ways {
-                1 => count_into::<1, B>(lanes, width, run),
-                2 => count_into::<2, B>(lanes, width, run),
-                4 => count_into::<4, B>(lanes, width, run),
-                _ => count_into::<LANES, B>(lanes, width, run),
+            if self.ways == LANES {
+                count_into::<LANES, B>(lanes, width, run);
+            } else {
+                count_into::<FEW_LANES, B>(lanes, width, run);
             }
         }
     }
@@ -95,8 +95,7 @@ impl LaneCounts {
     /// Add the lanes to `sums` and clear them.
     fn flush(&mut self) {
         self.sums.resize(self.bins, 0);
-        let first = self.bins.min(self.lanes.len());
-        let (first, rest) = self.lanes.split_at_mut(first);
+        let (first, rest) = self.lanes.split_at_mut(self.bins);
         for lane in rest.chunks_exact_mut(self.bins) {
             for (a, b) in first.iter_mut().zip(lane) {
                 *a += std::mem::take(b);
@@ -141,6 +140,15 @@ pub struct Glcm {
     p: Vec<f64>,
 }
 
+/// Panics unless every pixel of `img` lies below `levels`: one pass over
+/// the image, not a test per cell.
+fn check_levels(img: &[u8], levels: u8) {
+    assert!(
+        img.iter().fold(0, |top, &p| top.max(p)) < levels,
+        "pixel exceeds levels"
+    );
+}
+
 /// The positions `i` in `0..n` whose neighbour `i + d` is also in `0..n`.
 fn anchors(n: usize, d: isize) -> Range<usize> {
     d.min(0).unsigned_abs().min(n)..n.saturating_sub(d.max(0).unsigned_abs())
@@ -158,18 +166,19 @@ impl Glcm {
         dy: isize,
     ) -> Glcm {
         assert_eq!(img.len(), width * height, "image size mismatch");
+        check_levels(img, levels);
+        Glcm::counted(img, width, height, levels, dx, dy)
+    }
+
+    /// `compute` for an image whose pixels are known to lie below `levels`:
+    /// a pixel past them would count as another cell.
+    fn counted(img: &[u8], width: usize, height: usize, levels: u8, dx: isize, dy: isize) -> Glcm {
         assert!(levels >= 2);
-        // One pass over the image, not a test per cell: a pixel past the
-        // levels would count as another cell.
-        assert!(
-            img.iter().fold(0, |top, &p| top.max(p)) < levels,
-            "pixel exceeds levels"
-        );
         let l = levels as usize;
         // Ordered pairs (anchor level, neighbour level), counted once.
-        let mut ordered = LaneCounts::new(l * l);
         let (xs, ys) = (anchors(width, dx), anchors(height, dy));
         let pairs = xs.len() * ys.len();
+        let mut ordered = LaneCounts::new(l * l, pairs);
         if pairs > 0 {
             // `l·l` ≤ 255² cells, so a cell index fits in a `u16`. A block
             // of rows computes its cells, then counts them.
@@ -361,7 +370,7 @@ impl Glcm {
 /// top-left, is at least the centre, with the border replicated.
 pub fn lbp_histogram(img: &[u8], width: usize, height: usize) -> Vec<f64> {
     assert_eq!(img.len(), width * height);
-    let mut counts = LaneCounts::new(256);
+    let mut counts = LaneCounts::new(256, width * height);
     if width * height > 0 {
         // The replicated border, made explicit: one more pixel at each end
         // of every row, one more row above and below. Every pixel of `img`
@@ -374,19 +383,13 @@ pub fn lbp_histogram(img: &[u8], width: usize, height: usize) -> Vec<f64> {
             padded.extend_from_slice(row);
             padded.push(row[width - 1]);
         }
-        // A block of rows computes its codes, then counts them.
-        let rows = (CELL_BLOCK / width).clamp(1, height);
-        let mut codes = vec![0u8; rows * width];
-        for block in (0..height).step_by(rows) {
-            let block = block..(block + rows).min(height);
-            let codes = &mut codes[..block.len() * width];
-            for (y, codes) in block.zip(codes.chunks_exact_mut(width)) {
-                interior_codes(
-                    [y, y + 1, y + 2].map(|r| &padded[r * stride..][..stride]),
-                    codes,
-                );
-            }
-            counts.count(codes);
+        let mut codes = vec![0u8; width];
+        for y in 0..height {
+            interior_codes(
+                [y, y + 1, y + 2].map(|r| &padded[r * stride..][..stride]),
+                &mut codes,
+            );
+            counts.count(&codes);
         }
     }
     let n = (width * height).max(1) as f64;
@@ -424,11 +427,13 @@ fn interior_codes([up, mid, down]: [&[u8]; 3], codes: &mut [u8]) {
 const GLCM_OFFSETS: [(isize, isize); 4] = [(1, 0), (0, 1), (1, 1), (1, -1)];
 
 /// The NBIA per-tile feature vector: GLCM statistics at 4 offsets plus a
-/// compacted LBP histogram.
+/// compacted LBP histogram. The image is checked against `levels` once.
 pub(crate) fn feature_vector(img: &[u8], width: usize, height: usize, levels: u8) -> Vec<f64> {
+    assert_eq!(img.len(), width * height, "image size mismatch");
+    check_levels(img, levels);
     let mut out = Vec::with_capacity(4 * 5 + 16);
     for (dx, dy) in GLCM_OFFSETS {
-        let g = Glcm::compute(img, width, height, levels, dx, dy);
+        let g = Glcm::counted(img, width, height, levels, dx, dy);
         out.extend([
             g.contrast(),
             g.energy(),
@@ -680,7 +685,7 @@ mod tests {
         // What the lanes hold moves into the `u64` totals and the lanes
         // start again from zero; a run of any length lands in the same bins.
         let row: Vec<u8> = (0..37u8).map(|i| i % 5).collect();
-        let mut counts = LaneCounts::new(5);
+        let mut counts = LaneCounts::new(5, 2 * row.len() + 3);
         counts.count(&row);
         counts.flush();
         counts.count(&row[..3]);
@@ -700,6 +705,12 @@ mod tests {
         // Cell 0·8 + 8 is cell (1, 0) of the 8 × 8 matrix: without the
         // check a release build counted the pair as (1, 0).
         let _ = Glcm::compute(&[0, 8], 2, 1, 8, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "pixel exceeds levels")]
+    fn a_feature_vector_checks_its_pixels_against_the_levels() {
+        let _ = feature_vector(&[0, 8], 2, 1, 8);
     }
 
     #[test]
