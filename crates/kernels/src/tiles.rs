@@ -66,7 +66,7 @@
 
 use crate::color::{quantize_tile_l, Rgb8};
 use crate::texture::feature_vector;
-use anthill_simkit::{NormalRow, SimRng, DEVIATE_ERROR};
+use anthill_simkit::{NormalRow, SimRng, DEVIATE_ERROR, ROUND};
 use std::f64::consts::TAU;
 
 /// Tissue classes assigned by NBIA's stromal-development classification.
@@ -115,11 +115,6 @@ const _: () =
 /// expression's byte.
 const GUARD: f64 = 1e-7;
 const _: () = assert!(GUARD >= 1e4 * PIXEL_ERROR);
-
-/// `2⁵² + 2⁵¹`: a number in `[0, 2⁵¹)` added to it rounds to the nearest
-/// integer, which the sum's low mantissa bits hold; subtracting it again
-/// gives that integer as an `f64`, exactly.
-const ROUND: f64 = 6_755_399_441_055_744.0;
 
 /// `v` (in `0..=255`) truncated to a byte, and whether `v` lies within
 /// `GUARD` of an integer, where its truncation could differ from the exact
@@ -581,11 +576,11 @@ mod tests {
     }
 
     /// A cos-half deviate whose exact value puts `value(z)` at the integer
-    /// `k` (to ~10⁻¹³), and whose approximation puts it 10⁻⁸ past `k` on
-    /// the other side: truncating the approximation misses by one.
-    fn straddling(value: impl Fn(f64) -> f64, slope: f64, k: f64, z0: f64) -> Deviate {
-        let mut d = Deviate {
-            approx: 0.0,
+    /// `k` (to ~10⁻¹³), and an approximation of it that puts `value` 10⁻⁸
+    /// past `k` on the other side: truncating the approximation misses by
+    /// one.
+    fn straddling(value: impl Fn(f64) -> f64, slope: f64, k: f64, z0: f64) -> (Deviate, f64) {
+        let d = Deviate {
             u1: (-z0 * z0 / 2.0).exp(),
             u2: 0.0,
             spare: false,
@@ -594,19 +589,19 @@ mod tests {
         let exact = value(z);
         assert!((exact - k).abs() < 1e-9, "{exact} is not at {k}");
         let target = if exact < k { k + 1e-8 } else { k - 1e-8 };
-        d.approx = z + (target - exact) / slope;
-        let approx = value(d.approx);
+        let approx_z = z + (target - exact) / slope;
+        let approx = value(approx_z);
         assert!(near_integer(approx), "{approx} is not within the guard");
         assert_ne!(approx as u8, exact as u8, "{approx} and {exact}");
-        d
+        (d, approx_z)
     }
 
     #[test]
     fn a_value_within_the_guard_takes_the_exact_expression() {
         // Background, `245 + 2z` at 250.
-        let d = straddling(|z| 245.0 + 2.0 * z, 2.0, 250.0, 2.5);
+        let (d, approx) = straddling(|z| 245.0 + 2.0 * z, 2.0, 250.0, 2.5);
         let mut px = [Rgb8 { r: 0, g: 0, b: 0 }];
-        glass_row(&mut px, &[d.approx], |_| d.exact(), &mut RowValues::new(1));
+        glass_row(&mut px, &[approx], |_| d.exact(), &mut RowValues::new(1));
         // The per-pixel body, as `generator_oracle.rs` has it.
         let v = (245.0 + 2.0 * d.exact()).clamp(0.0, 255.0) as u8;
         assert_eq!(px[0], Rgb8 { r: v, g: v, b: v });
@@ -618,7 +613,7 @@ mod tests {
         let exact_field = ((0.0 * freq + 0.0 * 0.7 * freq) * TAU + phase).sin();
         let l = |z: f64| 190.0 + 25.0 * exact_field + 4.0 * z;
         let z_at = |l: f64| (l - 190.0 - 25.0 * exact_field) / 4.0;
-        for (what, d) in [
+        for (what, (d, approx)) in [
             ("l", straddling(l, 4.0, 213.0, z_at(213.0))),
             (
                 "l·0.72",
@@ -630,13 +625,7 @@ mod tests {
             ),
         ] {
             let mut px = [Rgb8 { r: 0, g: 0, b: 0 }];
-            field.row(
-                0,
-                &mut px,
-                &[d.approx],
-                |_| d.exact(),
-                &mut RowValues::new(1),
-            );
+            field.row(0, &mut px, &[approx], |_| d.exact(), &mut RowValues::new(1));
             let l = l(d.exact()).clamp(0.0, 255.0);
             let want = Rgb8 {
                 r: l as u8,

@@ -49,9 +49,14 @@
 use std::f64::consts::{LN_2, TAU};
 use std::sync::OnceLock;
 
-/// How far a [`Deviate`]'s `approx` may lie from its exact value: the
-/// analytic bound of the module docs, ≈ 4.4·10⁻¹⁴, rounded up.
+/// How far a [`NormalRow`]'s approximation may lie from its exact value:
+/// the analytic bound of the module docs, ≈ 4.4·10⁻¹⁴, rounded up.
 pub const DEVIATE_ERROR: f64 = 5e-14;
+
+/// `2⁵² + 2⁵¹`: a number in `[0, 2⁵¹)` added to it rounds to the nearest
+/// integer, which the sum's low mantissa bits hold; subtracting it again
+/// gives that integer as an `f64`, exactly.
+pub const ROUND: f64 = 6_755_399_441_055_744.0;
 
 /// SplitMix64 step: used for seeding and for stream derivation.
 #[inline]
@@ -82,14 +87,10 @@ struct Spare {
     exact: Option<f64>,
 }
 
-/// One standard normal deviate of a [`NormalRow`]: a table-driven
-/// approximation of the value `SimRng::gaussian` returns for the same
-/// draw, and what the exact value needs.
-#[derive(Debug, Clone, Copy, Default)]
+/// What the exact value of one standard normal deviate of a [`NormalRow`]
+/// needs: its pair's uniforms and which half of the pair it is.
+#[derive(Debug, Clone, Copy)]
 pub struct Deviate {
-    /// Within [`DEVIATE_ERROR`] of [`Deviate::exact`] for every deviate
-    /// [`SimRng::gaussian_row`] draws.
-    pub approx: f64,
     /// The pair's first uniform, in `(f64::MIN_POSITIVE, 1)`.
     pub u1: f64,
     /// The pair's second uniform, in `[0, 1)`.
@@ -142,7 +143,6 @@ impl NormalRow {
         assert!(i < self.len, "deviate {i} of a row of {}", self.len);
         let half = self.lead + i;
         Deviate {
-            approx: self.halves[half],
             u1: self.u1[half / 2],
             u2: self.u2[half / 2],
             spare: half % 2 == 1,
@@ -172,7 +172,7 @@ fn box_muller(u1: f64, u2: f64) -> (f64, f64) {
     (r * theta.cos(), r * theta.sin())
 }
 
-/// The tables behind [`Deviate::approx`], built once.
+/// The tables behind [`NormalRow::approx`], built once.
 struct Tables {
     /// `(1/c, ln c)` at `c = 1 + k/256`, `k < 256`.
     ln: [(f64, f64); 256],
@@ -193,11 +193,6 @@ fn tables() -> &'static Tables {
         }),
     })
 }
-
-/// `2⁵² + 2⁵¹`: a number in `[0, 2⁵¹)` added to it rounds to the nearest
-/// integer, which the sum's low mantissa bits hold; subtracting it again
-/// gives that integer as an `f64`, exactly.
-const ROUND: f64 = 6_755_399_441_055_744.0;
 
 /// `ln u1` for a normal `u1 < 1`, within `u·(4|ln u1| + 6)` (module docs).
 #[inline]
@@ -600,7 +595,6 @@ mod tests {
         for (i, &approx) in row.approx().iter().enumerate() {
             let d = row.deviate(i);
             let z = singles.gaussian();
-            assert_eq!(d.approx.to_bits(), approx.to_bits());
             assert_eq!(d.exact().to_bits(), z.to_bits(), "deviate {i} of {len}");
             worst = worst.max((approx - z).abs());
         }
