@@ -1,22 +1,23 @@
 //! NBIA — the Neuroblastoma Image Analysis System (paper Section 2) on the
-//! anthill runtime.
+//! anthill runtime. Every deployment generates synthetic tissue tiles,
+//! builds their multi-resolution pyramids, converts RGB → La\*b\*,
+//! extracts GLCM/LBP features, classifies stromal development with a
+//! hypothesis test, and recirculates low-confidence tiles at the next
+//! pyramid level — the full control flow of the paper's Figure 1,
+//! computing real values.
 //!
-//! Two deployments:
+//! * [`run_local`] (traced: [`run_local_traced`]; on the sequential
+//!   reference driver: [`run_local_deterministic`]) — the fused pipeline
+//!   on the native threaded runtime. Color conversion, statistical
+//!   features and the classifier are one stage, as the paper's optimized
+//!   GPU configuration fuses them to avoid unnecessary transfers
+//!   (`repro fusion` quantifies that choice).
+//! * [`graph`] — Figure 1's reader, feature and classifier filters with
+//!   the classifier's feedback edge, run on the threaded runtime, the
+//!   sequential reference driver and the DES.
 //!
-//! * [`simulated`] — the paper-scale cluster configuration on the
-//!   virtual-time executor (what the evaluation harness runs); thin
-//!   conveniences over [`anthill::sim`].
-//! * [`run_local`] — the real pipeline on the native threaded runtime:
-//!   it generates synthetic tissue tiles, builds their multi-resolution
-//!   pyramids, converts RGB → La\*b\*, extracts GLCM/LBP features,
-//!   classifies stromal development with a hypothesis test, and
-//!   recirculates low-confidence tiles at the next pyramid level — the
-//!   full control flow of the paper's Figure 1, computing real values.
-//!
-//! The heavy filters (color conversion + statistical features) are fused
-//! with the classifier into one stage, as the paper's optimized GPU
-//! configuration fuses them to avoid unnecessary transfers
-//! (`repro fusion` quantifies that choice).
+//! The paper-scale cluster runs of the evaluation harness are
+//! [`anthill::sim::run_nbia`]: a cost model of this pipeline, no pixels.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,11 +31,6 @@ use anthill_hetsim::{DeviceKind, NbiaCostModel};
 use anthill_kernels::color::Rgb8;
 use anthill_kernels::pyramid::TilePyramid;
 use anthill_kernels::tiles::{tile_features, TileClass, TileClassifier, TileGenerator};
-
-/// Re-exports and helpers for the simulated (paper-scale) deployment.
-pub mod simulated {
-    pub use anthill::sim::{run_nbia, SimConfig, SimReport, WorkloadSpec};
-}
 
 /// Configuration of a native-runtime NBIA run.
 #[derive(Debug, Clone)]
@@ -231,7 +227,8 @@ pub fn run_local_deterministic<W: WeightProvider + Sync>(
     weights: &W,
 ) -> (Vec<TileResult>, anthill::local::LocalReport) {
     let (pipeline, sources) = build_pipeline(config);
-    let (outputs, report) = pipeline.run_deterministic(sources, weights);
+    let none = anthill::membership::MembershipSchedule::none();
+    let (outputs, report) = pipeline.run_deterministic(sources, weights, none);
     (collect_results(outputs), report)
 }
 
@@ -271,21 +268,22 @@ fn collect_results(outputs: Vec<LocalTask>) -> Vec<TileResult> {
 /// classifier's rejection feedback edge returning tiles to the feature
 /// filter one pyramid level up.
 ///
-/// The same topology runs on four backends: the native threaded runtime
-/// (payload-carrying filters computing real values), and the three
-/// buffer-level backends — sequential reference, DES, and TCP (driven
-/// from this file's tests) — where a `GraphModel` evaluates the identical
-/// feature and classification math coordinator-side while workers model
-/// the compute cost. Because every classification is a pure function of
-/// the tile's pixels at a pyramid level, the classifier seed, and the
+/// One set of filters runs on four backends: the native threaded runtime
+/// ([`graph::run_native`]), and — through [`Pipeline::hosted`], which
+/// runs the filters at completion time while the backend moves only
+/// buffers and its workers model the compute cost — the sequential
+/// reference driver ([`graph::run_reference`]), the DES
+/// ([`graph::run_sim`]) and the TCP lockstep loop (driven from this
+/// file's tests). Because every classification is a pure function of the
+/// tile's pixels at a pyramid level, the classifier seed, and the
 /// threshold, all deployments produce byte-identical [`TileResult`]s —
 /// including against the fused single-filter pipeline ([`run_local`]).
 pub mod graph {
     use super::*;
-    use std::collections::HashMap;
 
-    use anthill::engine::sequential::{self as seq, GraphEmission, SequentialConfig};
+    use anthill::engine::sequential::{self as seq, SequentialConfig};
     use anthill::graph::{DataflowGraph, EdgeSpec, FilterSpec};
+    use anthill::membership::MembershipSchedule;
     use anthill::policy::Policy;
     use anthill::sim::{run_graph_sim, GraphSimConfig, GraphSimReport};
     use anthill::weights::OracleWeights;
@@ -425,88 +423,6 @@ pub mod graph {
         (collect_results(outputs), report)
     }
 
-    /// Coordinator-side NBIA semantics for the buffer-level backends
-    /// (sequential reference, DES, TCP): pyramids are decomposed up
-    /// front, features and the hypothesis test run at completion time,
-    /// and the emissions they produce drive the graph's routing while
-    /// workers model only the compute cost. The math is shared with the
-    /// payload-carrying native deployment, so every backend produces
-    /// byte-identical [`TileResult`]s.
-    pub(crate) struct GraphModel {
-        nbia: Nbia,
-        tiles: HashMap<u64, TilePayload>,
-        features: HashMap<(u64, u8), Vec<f64>>,
-        results: Vec<TileResult>,
-    }
-
-    impl GraphModel {
-        /// Build the model and the seed buffers entering the reader.
-        pub(crate) fn new(config: &NbiaLocalConfig) -> (GraphModel, Vec<(usize, DataBuffer)>) {
-            let nbia = Nbia::new(config);
-            let mut tiles = HashMap::new();
-            let seeds = nbia
-                .tiles(config)
-                .map(|(buffer, truth, full)| {
-                    let pyramid = TilePyramid::build(full, config.high_side, config.low_side);
-                    let pyramid = Arc::new(pyramid);
-                    tiles.insert(buffer.task, TilePayload { truth, pyramid });
-                    (READER, buffer)
-                })
-                .collect();
-            let model = GraphModel {
-                nbia,
-                tiles,
-                features: HashMap::new(),
-                results: Vec::new(),
-            };
-            (model, seeds)
-        }
-
-        /// Handle one completion at `filter`, producing the emission the
-        /// backend routes over the graph.
-        pub(crate) fn handle(
-            &mut self,
-            filter: usize,
-            _kind: DeviceKind,
-            buffer: &DataBuffer,
-        ) -> GraphEmission {
-            let mut em = GraphEmission::default();
-            match filter {
-                READER => em.forward.push(buffer.clone()),
-                FEATURE => {
-                    let pyramid = &self.tiles[&buffer.task].pyramid;
-                    let (side, pixels) = pyramid.level(buffer.level as usize);
-                    self.features
-                        .insert((buffer.task, buffer.level), tile_features(pixels, side));
-                    em.forward.push(buffer.clone());
-                }
-                CLASSIFIER => {
-                    let tile = &self.tiles[&buffer.task];
-                    let features = &self.features[&(buffer.task, buffer.level)];
-                    match self
-                        .nbia
-                        .classify(buffer, tile.truth, &tile.pyramid, features)
-                    {
-                        Ok(result) => {
-                            self.results.push(result);
-                            em.forward.push(buffer.clone());
-                        }
-                        Err(next) => em.feedback.push(next),
-                    }
-                }
-                f => unreachable!("NBIA has no filter {f}"),
-            }
-            em
-        }
-
-        /// The classified tiles, sorted by tile index.
-        pub(crate) fn into_results(self) -> Vec<TileResult> {
-            let mut results = self.results;
-            results.sort_by_key(|r| r.tile);
-            results
-        }
-    }
-
     pub(super) fn engine_policy(kind: PolicyKind) -> Policy {
         match kind {
             PolicyKind::DdFcfs => Policy::ddfcfs(8),
@@ -523,7 +439,7 @@ pub mod graph {
 
     /// Per-filter device kinds of the buffer-level runs: one CPU for the
     /// reader and classifier, CPU + GPU replicas for the feature filter.
-    pub(super) fn device_kinds() -> Vec<Vec<DeviceKind>> {
+    fn device_kinds() -> Vec<Vec<DeviceKind>> {
         vec![
             vec![DeviceKind::Cpu],
             vec![DeviceKind::Cpu, DeviceKind::Gpu],
@@ -531,62 +447,66 @@ pub mod graph {
         ]
     }
 
-    /// Run the three-filter pipeline on the engine's sequential reference
-    /// driver (buffer-level; the `GraphModel` computes the semantics).
-    pub fn run_reference(config: &NbiaLocalConfig) -> (Vec<TileResult>, seq::GraphOutcome) {
-        let (mut model, seeds) = GraphModel::new(config);
-        let devices: Vec<Vec<DeviceId>> = device_kinds()
-            .iter()
+    /// [`device_kinds`] as device ids, node `f` for filter `f`.
+    pub(super) fn device_ids() -> Vec<Vec<DeviceId>> {
+        device_kinds()
+            .into_iter()
             .enumerate()
-            .map(|(f, kinds)| {
+            .map(|(node, kinds)| {
                 kinds
-                    .iter()
+                    .into_iter()
                     .enumerate()
-                    .map(|(i, &kind)| DeviceId {
-                        node: f,
-                        kind,
-                        index: i,
-                    })
+                    .map(|(index, kind)| DeviceId { node, kind, index })
                     .collect()
             })
-            .collect();
+            .collect()
+    }
+
+    /// Run the three-filter pipeline on the engine's sequential reference
+    /// driver, the filters hosted at completion time.
+    pub fn run_reference(config: &NbiaLocalConfig) -> (Vec<TileResult>, seq::GraphOutcome) {
+        let (pipeline, sources) = build_graph_pipeline(config);
+        let (mut host, seeds) = pipeline.hosted(sources);
         let outcome = seq::run_graph(
             SequentialConfig::new(engine_policy(config.policy)),
             &topology(),
-            &devices,
+            &device_ids(),
             seeds,
             oracle(),
-            |f, k, b| model.handle(f, k, b),
+            MembershipSchedule::none(),
+            |f, k, b| host.handle(f, k, b),
         );
-        (model.into_results(), outcome)
+        (collect_results(host.outputs(&outcome.outputs)), outcome)
     }
 
-    /// Run the three-filter pipeline on the virtual-time DES cluster.
+    /// Run the three-filter pipeline on the virtual-time DES cluster, the
+    /// filters hosted at completion time.
     pub fn run_sim(config: &NbiaLocalConfig) -> (Vec<TileResult>, GraphSimReport) {
-        let (mut model, seeds) = GraphModel::new(config);
-        let cfg = GraphSimConfig::new(engine_policy(config.policy));
+        let (pipeline, sources) = build_graph_pipeline(config);
+        let (mut host, seeds) = pipeline.hosted(sources);
         let report = run_graph_sim(
-            &cfg,
+            &GraphSimConfig::new(engine_policy(config.policy)),
             &topology(),
             &device_kinds(),
             seeds,
             Box::new(oracle()),
-            |f, k, b| model.handle(f, k, b),
+            |f, k, b| host.handle(f, k, b),
         );
-        (model.into_results(), report)
+        (collect_results(host.outputs(&report.outputs)), report)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::graph::{build_graph_pipeline, device_kinds, engine_policy, topology, GraphModel};
+    use super::graph::{build_graph_pipeline, device_ids, engine_policy, topology};
     use super::*;
+    use anthill::membership::MembershipSchedule;
     use anthill::net::{
-        run_graph_deterministic_with, spawn_worker_thread, tcp_pair, Behavior, NetConfig,
+        run_graph_deterministic, spawn_worker_thread, tcp_pair, Behavior, NetConfig,
         NetGraphOutcome, NetWorkerConn,
     };
     use anthill::weights::OracleWeights;
-    use anthill_hetsim::{DeviceId, GpuParams};
+    use anthill_hetsim::GpuParams;
 
     fn oracle() -> OracleWeights {
         OracleWeights::new(GpuParams::geforce_8800gt(), true)
@@ -597,46 +517,39 @@ mod tests {
     /// configuration.
     fn run_native_deterministic(config: &NbiaLocalConfig) -> Vec<TileResult> {
         let (pipeline, sources) = build_graph_pipeline(config);
-        let (outputs, _) = pipeline.run_deterministic(sources, &oracle());
+        let none = MembershipSchedule::none();
+        let (outputs, _) = pipeline.run_deterministic(sources, &oracle(), none);
         collect_results(outputs)
     }
 
     /// Run the three-filter pipeline over TCP loopback workers in
-    /// lockstep deterministic mode; the `GraphModel` drives routing
-    /// through the coordinator-side emission hook.
+    /// lockstep deterministic mode, the filters hosted at the coordinator
+    /// through the emission hook.
     fn run_net(config: &NbiaLocalConfig) -> std::io::Result<(Vec<TileResult>, NetGraphOutcome)> {
-        let (mut model, seeds) = GraphModel::new(config);
-        let workers: std::io::Result<Vec<Vec<NetWorkerConn>>> = device_kinds()
-            .iter()
-            .enumerate()
-            .map(|(f, kinds)| {
-                kinds
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &kind)| {
-                        let (coord, worker_side) = tcp_pair()?;
+        let (pipeline, sources) = build_graph_pipeline(config);
+        let (mut host, seeds) = pipeline.hosted(sources);
+        let workers: std::io::Result<Vec<Vec<NetWorkerConn>>> = device_ids()
+            .into_iter()
+            .map(|devices| {
+                devices
+                    .into_iter()
+                    .map(|device| {
+                        let (stream, worker_side) = tcp_pair()?;
                         spawn_worker_thread(worker_side, Behavior::Identity);
-                        Ok(NetWorkerConn {
-                            device: DeviceId {
-                                node: f,
-                                kind,
-                                index: i,
-                            },
-                            stream: coord,
-                        })
+                        Ok(NetWorkerConn { device, stream })
                     })
                     .collect()
             })
             .collect();
-        let outcome = run_graph_deterministic_with(
+        let outcome = run_graph_deterministic(
             NetConfig::new(engine_policy(config.policy)),
             &topology(),
             workers?,
             seeds,
             oracle(),
-            &mut |f, k, b| Some(model.handle(f, k, b)),
+            &mut |f, k, b| Some(host.handle(f, k, b)),
         )?;
-        Ok((model.into_results(), outcome))
+        Ok((collect_results(host.outputs(&outcome.outputs)), outcome))
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //! There is one loop, `run_lockstep`, and it runs a [`DataflowGraph`] — the
 //! paper's programming model has no "flat" program. What a hop costs is
 //! the caller's `Hops`, and there are two: free hops with the handler run
-//! inline ([`run_graph_elastic`], through which
+//! inline ([`run_graph`], through which
 //! [`crate::local::Pipeline::run_deterministic`] executes real filters
 //! reproducibly), and a socket round trip to a worker per hop
-//! ([`crate::net::run_graph_deterministic`]). [`run_graph`] is the first
-//! without a membership schedule; [`run`] is the one-filter graph behind
-//! the signature older callers bind.
+//! ([`crate::net::run_graph_deterministic`]). [`run`] is the one-filter
+//! graph behind the signature older callers bind.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -233,6 +232,7 @@ where
         &[devices.to_vec()],
         sources.into_iter().map(|b| (0, b)).collect(),
         weights,
+        MembershipSchedule::none(),
         |_, kind, b| GraphEmission {
             forward: Vec::new(),
             feedback: handle(kind, b).recirculate,
@@ -292,29 +292,13 @@ pub struct GraphOutcome {
 /// filter's workers request only from that filter's own input queue, so
 /// every edge runs its own ODDS/DQAA/DBSA instance; a single-filter graph
 /// is bit-identical to [`run`] (assignment and dispatch order).
+///
+/// `schedule`'s joins and drains fire as the run's completion count
+/// crosses each action's threshold ([`MembershipSchedule::none`] keeps
+/// the worker set static); a scheduled `Join`'s node is the filter id the
+/// worker joins. The schedule must leave every filter at least one
+/// assignable worker at all times or the run stalls with buffers unread.
 pub fn run_graph<W, F>(
-    cfg: SequentialConfig,
-    graph: &DataflowGraph,
-    devices: &[Vec<DeviceId>],
-    seeds: Vec<(usize, DataBuffer)>,
-    weights: W,
-    handle: F,
-) -> GraphOutcome
-where
-    W: WeightProvider,
-    F: FnMut(usize, DeviceKind, &DataBuffer) -> GraphEmission,
-{
-    let none = MembershipSchedule::none();
-    run_graph_elastic(cfg, graph, devices, seeds, weights, none, handle)
-}
-
-/// [`run_graph`] with a membership schedule: scheduled joins and drains
-/// fire as the run's completion count crosses each action's threshold,
-/// exercising the engine's elastic-membership path on the reference
-/// backend. A scheduled `Join`'s node is the filter id the worker joins.
-/// The schedule must leave every filter at least one assignable worker at
-/// all times or the run stalls with buffers unread.
-pub fn run_graph_elastic<W, F>(
     cfg: SequentialConfig,
     graph: &DataflowGraph,
     devices: &[Vec<DeviceId>],
@@ -665,6 +649,7 @@ mod tests {
                 &[devices()],
                 sources.into_iter().map(|b| (0, b)).collect(),
                 OracleWeights::new(GpuParams::geforce_8800gt(), false),
+                MembershipSchedule::none(),
                 |_, _, b| {
                     let mut em = GraphEmission::default();
                     em.feedback.extend(reference_recirc(b));
@@ -814,6 +799,7 @@ mod tests {
             &[devices(), devices(), devices()],
             sources,
             OracleWeights::new(GpuParams::geforce_8800gt(), false),
+            MembershipSchedule::none(),
             |_, _, b| GraphEmission {
                 forward: vec![b.clone()],
                 feedback: Vec::new(),
@@ -844,6 +830,7 @@ mod tests {
             &[devices(), devices(), devices(), devices()],
             sources,
             OracleWeights::new(GpuParams::geforce_8800gt(), false),
+            MembershipSchedule::none(),
             |_, _, b| GraphEmission {
                 forward: vec![b.clone()],
                 feedback: Vec::new(),
@@ -878,6 +865,7 @@ mod tests {
             &[devices(), devices(), devices()],
             sources,
             OracleWeights::new(GpuParams::geforce_8800gt(), false),
+            MembershipSchedule::none(),
             |_, _, b| GraphEmission {
                 forward: vec![b.clone()],
                 feedback: Vec::new(),

@@ -38,6 +38,7 @@ use crate::engine::open_loop::{Arrival, OpenLoop, QueueDepthSample};
 use crate::engine::select::{self, ReadyLane};
 use crate::engine::sequential::{self, GraphEmission, SequentialConfig};
 use crate::graph::{DataflowGraph, RoutingCursors};
+use crate::membership::MembershipSchedule;
 use crate::obs::{DeviceRef, EventKind, Recorder};
 use crate::policy::{Policy, PolicyKind};
 use crate::queue::MulMap;
@@ -1086,12 +1087,13 @@ impl Pipeline {
     /// Run the pipeline to completion *deterministically*: the same
     /// filters, executed through the engine's graph-aware sequential
     /// reference driver ([`crate::engine::sequential::run_graph`]) instead
-    /// of free-running threads. Each stage is one engine node with its
-    /// reader scoped to its own input queue, so every edge of the graph
-    /// (or of the implicit linear chain) runs its own ODDS/DQAA/DBSA
-    /// instance. Assignments are a pure function of sources, weights, and
-    /// policy — identical on every run and directly comparable against the
-    /// DES backend (the cross-backend parity tests rely on this).
+    /// of free-running threads, with [`hosted`](Pipeline::hosted) as its
+    /// completion hook. Each stage is one engine node with its reader
+    /// scoped to its own input queue, so every edge of the graph (or of
+    /// the implicit linear chain) runs its own ODDS/DQAA/DBSA instance.
+    /// Assignments are a pure function of sources, weights, policy and
+    /// `schedule` — identical on every run and directly comparable against
+    /// the DES backend (the cross-backend parity tests rely on this).
     /// [`ExecMode`] busy-waits are skipped; handlers still run for real.
     ///
     /// The demand-driven protocol runs in full per stage: every worker
@@ -1099,35 +1101,20 @@ impl Pipeline {
     /// [`with_request_window`](Pipeline::with_request_window)) against the
     /// stage's reader, DBSA answers under ODDS, and recirculated tasks
     /// preempt unread inputs, as in the simulator's recalculation loop.
+    ///
+    /// `schedule`'s joins and drains fire as the run's completion count
+    /// crosses each action's threshold (a `Join`'s node is the stage
+    /// index; its device index continues the stage's same-kind
+    /// numbering); [`MembershipSchedule::none`] keeps the worker set
+    /// static, as the threaded [`run`](Pipeline::run) always does. The
+    /// schedule must keep at least one assignable worker per stage or the
+    /// run stalls.
     pub fn run_deterministic<W: WeightProvider>(
         &self,
         sources: Vec<LocalTask>,
         weights: &W,
+        schedule: MembershipSchedule,
     ) -> (Vec<LocalTask>, LocalReport) {
-        self.run_deterministic_elastic(
-            sources,
-            weights,
-            crate::membership::MembershipSchedule::none(),
-        )
-    }
-
-    /// [`run_deterministic`](Pipeline::run_deterministic) with a
-    /// membership schedule: scheduled joins and drains fire as the run's
-    /// completion count crosses each action's threshold (a `Join`'s node
-    /// is the stage index; its device index continues the stage's
-    /// same-kind numbering). This is the native backend's elastic entry
-    /// point — the free-running threaded [`run`](Pipeline::run) keeps a
-    /// static worker set, while deterministic runs replay the same
-    /// join/drain script the DES and sequential backends execute, so
-    /// elasticity is cross-backend comparable. The schedule must keep at
-    /// least one assignable worker per stage or the run stalls.
-    pub fn run_deterministic_elastic<W: WeightProvider>(
-        &self,
-        sources: Vec<LocalTask>,
-        weights: &W,
-        schedule: crate::membership::MembershipSchedule,
-    ) -> (Vec<LocalTask>, LocalReport) {
-        let graph = self.dataflow();
         let started = Instant::now();
         let devices: Vec<Vec<DeviceId>> = self
             .stages
@@ -1151,64 +1138,21 @@ impl Pipeline {
                     .collect()
             })
             .collect();
-        let mut payloads: HashMap<u64, Box<dyn Any + Send>> = HashMap::new();
-        let mut seeds = Vec::with_capacity(sources.len());
-        for t in sources {
-            payloads.insert(t.buffer.id.0, t.payload);
-            seeds.push((0, t.buffer));
-        }
-        let stages = &self.stages;
-        let outcome = sequential::run_graph_elastic(
+        let (mut host, seeds) = self.hosted(sources);
+        let outcome = sequential::run_graph(
             SequentialConfig::new(Policy {
                 kind: self.policy,
                 request_size: self.request_window,
             }),
-            &graph,
+            &self.dataflow(),
             &devices,
             seeds,
             weights,
             schedule,
-            |filter, kind, buffer| {
-                let payload = payloads
-                    .remove(&buffer.id.0)
-                    .expect("payload parked for dispatched buffer");
-                let mut fwd = Vec::new();
-                let mut back = Vec::new();
-                stages[filter].filter.handle(
-                    kind,
-                    LocalTask {
-                        buffer: buffer.clone(),
-                        payload,
-                    },
-                    &mut Emitter {
-                        forward: &mut fwd,
-                        back: &mut back,
-                    },
-                );
-                let mut em = GraphEmission::default();
-                for t in back {
-                    payloads.insert(t.buffer.id.0, t.payload);
-                    em.feedback.push(t.buffer);
-                }
-                for t in fwd {
-                    payloads.insert(t.buffer.id.0, t.payload);
-                    em.forward.push(t.buffer);
-                }
-                em
-            },
+            |filter, kind, buffer| host.handle(filter, kind, buffer),
         );
-        let outputs = outcome
-            .outputs
-            .into_iter()
-            .map(|b| LocalTask {
-                payload: payloads
-                    .remove(&b.id.0)
-                    .expect("payload parked for output buffer"),
-                buffer: b,
-            })
-            .collect();
         (
-            outputs,
+            host.outputs(&outcome.outputs),
             LocalReport {
                 handled: outcome.assigned,
                 elapsed: started.elapsed(),
@@ -1217,6 +1161,90 @@ impl Pipeline {
                 edge_delivered: outcome.edge_delivered,
             },
         )
+    }
+
+    /// The pipeline's filters as the completion hook of a buffer-level
+    /// run (the sequential reference, the DES, the TCP lockstep loop):
+    /// the returned [`Hosted`] parks each task's payload by buffer id
+    /// while the backend moves only the buffer, and the seeds are the
+    /// sources' buffers entering filter 0.
+    pub fn hosted(&self, sources: Vec<LocalTask>) -> (Hosted<'_>, Vec<(usize, DataBuffer)>) {
+        let mut payloads = HashMap::with_capacity(sources.len());
+        let seeds = sources
+            .into_iter()
+            .map(|t| {
+                payloads.insert(t.buffer.id.0, t.payload);
+                (0, t.buffer)
+            })
+            .collect();
+        let host = Hosted {
+            stages: &self.stages,
+            payloads,
+        };
+        (host, seeds)
+    }
+}
+
+/// A [`Pipeline`]'s filters run one completion at a time for a backend
+/// that moves buffers, not payloads: see [`Pipeline::hosted`].
+pub struct Hosted<'p> {
+    stages: &'p [Stage],
+    payloads: HashMap<u64, Box<dyn Any + Send>>,
+}
+
+impl Hosted<'_> {
+    /// Run `filter`'s handler on `buffer` with the payload parked for it,
+    /// park the payloads of what it emits, and return the emitted buffers
+    /// for the backend to route: recirculated ones as feedback, forwarded
+    /// ones downstream.
+    pub fn handle(
+        &mut self,
+        filter: usize,
+        kind: DeviceKind,
+        buffer: &DataBuffer,
+    ) -> GraphEmission {
+        let payload = self
+            .payloads
+            .remove(&buffer.id.0)
+            .expect("payload parked for dispatched buffer");
+        let mut fwd = Vec::new();
+        let mut back = Vec::new();
+        self.stages[filter].filter.handle(
+            kind,
+            LocalTask {
+                buffer: buffer.clone(),
+                payload,
+            },
+            &mut Emitter {
+                forward: &mut fwd,
+                back: &mut back,
+            },
+        );
+        let mut em = GraphEmission::default();
+        for t in back {
+            self.payloads.insert(t.buffer.id.0, t.payload);
+            em.feedback.push(t.buffer);
+        }
+        for t in fwd {
+            self.payloads.insert(t.buffer.id.0, t.payload);
+            em.forward.push(t.buffer);
+        }
+        em
+    }
+
+    /// The run's output tasks: each buffer that left the graph with the
+    /// payload parked for it.
+    pub fn outputs(mut self, buffers: &[DataBuffer]) -> Vec<LocalTask> {
+        buffers
+            .iter()
+            .map(|b| LocalTask {
+                payload: self
+                    .payloads
+                    .remove(&b.id.0)
+                    .expect("payload parked for output buffer"),
+                buffer: b.clone(),
+            })
+            .collect()
     }
 }
 
@@ -1527,8 +1555,11 @@ mod tests {
         ];
         p.add_stage(Arc::new(Doubler), workers.clone());
         p.add_stage(Arc::new(Doubler), workers);
-        let (out, report) =
-            p.run_deterministic((0..50).map(|i| task(i, 1u64)).collect(), &oracle());
+        let (out, report) = p.run_deterministic(
+            (0..50).map(|i| task(i, 1u64)).collect(),
+            &oracle(),
+            MembershipSchedule::none(),
+        );
         assert_eq!(out.len(), 50);
         assert!(out
             .iter()
@@ -1553,7 +1584,11 @@ mod tests {
                     },
                 ],
             );
-            p.run_deterministic((0..40).map(|i| task(i, ())).collect(), &oracle())
+            p.run_deterministic(
+                (0..40).map(|i| task(i, ())).collect(),
+                &oracle(),
+                MembershipSchedule::none(),
+            )
         };
         let (out_a, rep_a) = mk();
         let (out_b, rep_b) = mk();
@@ -1874,7 +1909,11 @@ mod tests {
             for _ in 0..4 {
                 p.add_stage(Arc::new(Doubler), workers.clone());
             }
-            p.run_deterministic((0..32).map(|i| task(i, 1u64)).collect(), &oracle())
+            p.run_deterministic(
+                (0..32).map(|i| task(i, 1u64)).collect(),
+                &oracle(),
+                MembershipSchedule::none(),
+            )
         };
         let (out_a, rep_a) = mk();
         let (out_b, rep_b) = mk();

@@ -406,31 +406,21 @@ impl Hops for SocketHops<'_> {
 /// with. A single-filter run passes [`DataflowGraph::single`]: the
 /// recirculated copies its workers echo re-enter the filter's own queue.
 ///
-/// A run that cannot finish is an error, not a short outcome: when a
-/// filter loses its last worker with buffers still unread the result is
-/// `BrokenPipe`, or `TimedOut` once [`NetConfig::deadline`] has passed
-/// (every read past it fails, which loses every worker).
-pub fn run_graph_deterministic<W: WeightProvider>(
-    cfg: NetConfig,
-    graph: &DataflowGraph,
-    workers: Vec<Vec<NetWorkerConn>>,
-    seeds: Vec<(usize, DataBuffer)>,
-    weights: W,
-) -> io::Result<NetGraphOutcome> {
-    run_graph_deterministic_with(cfg, graph, workers, seeds, weights, &mut |_, _, _| None)
-}
-
-/// [`run_graph_deterministic`] with a coordinator-side emission hook.
-///
 /// `emit(filter, kind, completed)` runs once per completion. `None` keeps
 /// the default routing: worker-echoed recirculated buffers go over the
 /// filter's feedback edge and the completed buffer forwards down the
 /// graph. `Some(emission)` overrides both — the hook's feedback/forward
 /// buffers are routed instead and the worker's recirculated copies are
-/// ignored. This is how application semantics that live at the
-/// coordinator (e.g. NBIA's hypothesis test deciding recirculation) drive
-/// a DAG whose workers model only the compute cost.
-pub fn run_graph_deterministic_with<W: WeightProvider>(
+/// ignored. This is how filters that run at the coordinator (e.g. NBIA's
+/// through [`crate::local::Pipeline::hosted`]) drive a DAG whose workers
+/// model only the compute cost; `&mut |_, _, _| None` leaves the routing
+/// to the workers.
+///
+/// A run that cannot finish is an error, not a short outcome: when a
+/// filter loses its last worker with buffers still unread the result is
+/// `BrokenPipe`, or `TimedOut` once [`NetConfig::deadline`] has passed
+/// (every read past it fails, which loses every worker).
+pub fn run_graph_deterministic<W: WeightProvider>(
     cfg: NetConfig,
     graph: &DataflowGraph,
     workers: Vec<Vec<NetWorkerConn>>,

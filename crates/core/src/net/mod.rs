@@ -46,8 +46,8 @@ pub mod worker;
 pub use conn::{Conn, RawIo, ReadStatus, WireStats};
 pub use driver::{
     run_concurrent, run_concurrent_elastic, run_concurrent_load, run_concurrent_load_autoscaled,
-    run_graph_deterministic, run_graph_deterministic_with, DrainAt, ElasticLoad, ElasticOutcome,
-    NetConfig, NetGraphOutcome, NetLoadReport, NetOutcome, NetTaskTiming, NetWorkerConn,
+    run_graph_deterministic, DrainAt, ElasticLoad, ElasticOutcome, NetConfig, NetGraphOutcome,
+    NetLoadReport, NetOutcome, NetTaskTiming, NetWorkerConn,
 };
 pub use frame::{
     encode_deliver_into, encode_frame, encode_frame_into, BufPool, Frame, FrameDecoder, FrameError,
@@ -170,6 +170,7 @@ mod tests {
             )],
             (0..n).map(|i| (0usize, tile(i))).collect(),
             OracleWeights::new(GpuParams::geforce_8800gt(), false),
+            &mut |_, _, _| None,
         )
         .expect("net run")
     }
@@ -415,6 +416,7 @@ mod tests {
             workers,
             (0..30).map(|i| (0usize, tile(i))).collect(),
             OracleWeights::new(GpuParams::geforce_8800gt(), false),
+            &mut |_, _, _| None,
         )
         .expect("graph net run");
         assert_eq!(out.total, 90, "every buffer crosses all three filters");
@@ -450,6 +452,7 @@ mod tests {
             workers,
             (0..40).map(|i| (0usize, tile(i))).collect(),
             OracleWeights::new(GpuParams::geforce_8800gt(), false),
+            &mut |_, _, _| None,
         )
         .expect("graph net run");
         assert_eq!(out.total, 120, "src + one branch + sink per buffer");
@@ -478,6 +481,7 @@ mod tests {
             workers,
             (0..16).map(|i| (0usize, tile(i))).collect(),
             OracleWeights::new(GpuParams::geforce_8800gt(), false),
+            &mut |_, _, _| None,
         )
         .expect("graph net run");
         // Each buffer: head(0) → tail(0, recirc) → feedback → head(1) →
@@ -508,6 +512,7 @@ mod tests {
                 workers,
                 (0..32).map(|i| (0usize, tile(i))).collect(),
                 OracleWeights::new(GpuParams::geforce_8800gt(), false),
+                &mut |_, _, _| None,
             )
             .expect("graph net run")
         };

@@ -567,8 +567,15 @@ fn lockstep_sever_mid_stage_conserves_every_edge() {
         after_frames: 12,
     }];
     let seeds = (0..SEEDS).map(|i| (0, neutral_buffer(i))).collect();
-    let out =
-        run_graph_deterministic(cfg, &pipeline3(), workers, seeds, oracle()).expect("lockstep run");
+    let out = run_graph_deterministic(
+        cfg,
+        &pipeline3(),
+        workers,
+        seeds,
+        oracle(),
+        &mut |_, _, _| None,
+    )
+    .expect("lockstep run");
 
     assert_eq!(out.total, 3 * SEEDS, "one completion per seed per filter");
     assert_eq!(out.outputs.len() as u64, SEEDS);
@@ -614,7 +621,7 @@ fn lockstep_run_that_strands_buffers_is_an_error() {
     let run = |cfg: NetConfig| {
         let workers = graph_loopback_workers(&[&cpu, &cpu], Behavior::Identity);
         let seeds = (0..30).map(|i| (0, neutral_buffer(i))).collect();
-        run_graph_deterministic(cfg, &graph, workers, seeds, oracle())
+        run_graph_deterministic(cfg, &graph, workers, seeds, oracle(), &mut |_, _, _| None)
     };
     let mut cfg = NetConfig::new(Policy::ddwrr(4));
     cfg.drops = vec![ConnectionDropSpec {
@@ -1256,7 +1263,7 @@ fn elastic_pipeline3_restart_conserves_every_edge_tally() {
     p.add_stage(Arc::new(Tag), cpu_workers(2));
 
     let sources = (0..TASKS).map(task).collect();
-    let (out, report) = p.run_deterministic_elastic(sources, &oracle(), schedule);
+    let (out, report) = p.run_deterministic(sources, &oracle(), schedule);
 
     assert_eq!(out.len() as u64, TASKS);
     assert_eq!(

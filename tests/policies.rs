@@ -28,6 +28,7 @@ use common::{assert_jsonl_round_trip, cpu_gpu_workers, neutral_gpu};
 use anthill_repro::bench::policies::{head_to_head, verdict};
 use anthill_repro::core::buffer::DataBuffer;
 use anthill_repro::core::local::{Emitter, LocalFilter, LocalTask, Pipeline};
+use anthill_repro::core::membership::MembershipSchedule;
 use anthill_repro::core::obs::{EventKind, Recorder};
 use anthill_repro::core::policy::learned::LearnedWeights;
 use anthill_repro::core::policy::{Policy, PolicyKind};
@@ -227,7 +228,7 @@ fn learned_policies_conserve_tasks_on_the_native_backend() {
             .collect();
         let mut p = Pipeline::new(policy.kind).with_request_window(policy.request_size);
         p.add_stage(Arc::new(Identity), cpu_gpu_workers());
-        let (out, report) = p.run_deterministic(sources, &weights);
+        let (out, report) = p.run_deterministic(sources, &weights, MembershipSchedule::none());
         assert_eq!(out.len() as u64, TILES, "{:?}: outputs lost", policy.kind);
         let handled: u64 = report.handled.values().sum();
         assert_eq!(handled, TILES, "{:?}: tallies disagree", policy.kind);

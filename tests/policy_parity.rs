@@ -119,7 +119,7 @@ fn native_counts(policy: Policy) -> HashMap<DeviceKind, u64> {
     let mut p = Pipeline::new(policy.kind).with_request_window(policy.request_size);
     p.add_stage(Arc::new(Identity), cpu_gpu_workers());
     let weights = parity_provider(policy);
-    let (out, report) = p.run_deterministic(sources, &weights);
+    let (out, report) = p.run_deterministic(sources, &weights, MembershipSchedule::none());
     assert_eq!(out.len() as u64, TILES);
     let mut counts = HashMap::new();
     for (&(_stage, kind, _level), &n) in &report.handled {
@@ -146,6 +146,7 @@ fn net_counts(policy: Policy) -> HashMap<DeviceKind, u64> {
         vec![workers],
         sources,
         parity_provider(policy),
+        &mut |_, _, _| None,
     )
     .expect("loopback net run");
     assert_eq!(out.total, TILES);
@@ -324,6 +325,7 @@ fn seq_graph_run(policy: Policy, graph: &DataflowGraph) -> GraphOutcome {
         &devices,
         graph_seeds(0),
         parity_provider(policy),
+        MembershipSchedule::none(),
         forward_all,
     )
 }
@@ -371,7 +373,7 @@ fn native_graph_counts(policy: Policy, graph: &DataflowGraph) -> GraphCounts {
         .map(|t| LocalTask::new(neutral_buffer(t), ()))
         .collect();
     let weights = parity_provider(policy);
-    let (out, report) = p.run_deterministic(sources, &weights);
+    let (out, report) = p.run_deterministic(sources, &weights, MembershipSchedule::none());
     assert_eq!(
         out.len() as u64,
         GRAPH_TILES,
@@ -395,8 +397,15 @@ fn net_graph_run_with(cfg: NetConfig, graph: &DataflowGraph) -> NetGraphOutcome 
     let filters: Vec<&[DeviceKind]> = (0..graph.n_filters()).map(|_| &kinds[..]).collect();
     let workers = graph_loopback_workers(&filters, Behavior::Identity);
     let weights = parity_provider(cfg.policy);
-    run_graph_deterministic(cfg, graph, workers, graph_seeds(0), weights)
-        .expect("loopback graph net run")
+    run_graph_deterministic(
+        cfg,
+        graph,
+        workers,
+        graph_seeds(0),
+        weights,
+        &mut |_, _, _| None,
+    )
+    .expect("loopback graph net run")
 }
 
 fn net_graph_counts(policy: Policy, graph: &DataflowGraph) -> GraphCounts {
@@ -511,13 +520,15 @@ fn single_filter_graph_is_invisible_on_the_native_backend() {
     for policy in [Policy::ddfcfs(4), Policy::ddwrr(4), Policy::odds()] {
         let mut flat = Pipeline::new(policy.kind).with_request_window(policy.request_size);
         flat.add_stage(Arc::new(Identity), cpu_gpu_workers());
-        let (flat_out, flat_report) = flat.run_deterministic(sources(), &weights);
+        let (flat_out, flat_report) =
+            flat.run_deterministic(sources(), &weights, MembershipSchedule::none());
 
         let mut graph = Pipeline::new(policy.kind)
             .with_graph(single_filter_graph())
             .with_request_window(policy.request_size);
         graph.add_stage(Arc::new(Identity), cpu_gpu_workers());
-        let (graph_out, graph_report) = graph.run_deterministic(sources(), &weights);
+        let (graph_out, graph_report) =
+            graph.run_deterministic(sources(), &weights, MembershipSchedule::none());
 
         assert_eq!(flat_report.handled, graph_report.handled, "{policy:?}");
         let ids = |out: &[LocalTask]| out.iter().map(|t| t.buffer.id.0).collect::<Vec<_>>();
@@ -560,7 +571,6 @@ fn elastic_script() -> MembershipSchedule {
 
 /// Sequential reference driver under the elastic script.
 fn seq_elastic_counts(policy: Policy) -> HashMap<DeviceKind, u64> {
-    use anthill_repro::core::engine::sequential::run_graph_elastic;
     let w = neutral_workload();
     let sources = (0..TILES).map(|t| (0, w.low_buffer(t))).collect();
     let devices = vec![
@@ -575,7 +585,7 @@ fn seq_elastic_counts(policy: Policy) -> HashMap<DeviceKind, u64> {
             index: 0,
         },
     ];
-    let out = run_graph_elastic(
+    let out = run_graph(
         SequentialConfig::new(policy),
         &single_filter_graph(),
         &[devices],
@@ -624,7 +634,7 @@ fn native_elastic_counts(policy: Policy) -> HashMap<DeviceKind, u64> {
     let mut p = Pipeline::new(policy.kind).with_request_window(policy.request_size);
     p.add_stage(Arc::new(Identity), cpu_gpu_workers());
     let weights = OracleWeights::new(neutral_gpu(), false);
-    let (out, report) = p.run_deterministic_elastic(sources, &weights, elastic_script());
+    let (out, report) = p.run_deterministic(sources, &weights, elastic_script());
     assert_eq!(out.len() as u64, TILES);
     let mut counts = HashMap::new();
     for (&(_stage, kind, _level), &n) in &report.handled {

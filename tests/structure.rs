@@ -465,6 +465,18 @@ fn tcp_dispatch_holds_buffers_by_value() {
     );
 }
 
+/// Applications emit through `Emitter` and the payload host routes: no
+/// `GraphEmission` in `crates/apps/src`.
+///
+/// A buffer-level backend runs an application's filters through
+/// `Pipeline::hosted`, so an application never builds the engine's
+/// emission itself; one that does keeps a second copy of its filters
+/// beside the ones the threaded runtime runs.
+#[test]
+fn applications_emit_through_the_filter_host() {
+    forbid(&["crates/apps/src"], &["GraphEmission"]);
+}
+
 /// Locks are `std::sync`: the `parking_lot` shim stays gone from the
 /// manifests and the sources.
 #[test]
@@ -561,13 +573,14 @@ const ALLOWLIST: &[(&str, &str, &str)] = &[
     ("crates/apps/src/nbia.rs", "run_local_traced", "tests/observability.rs"),
     ("crates/apps/src/nbia.rs", "run_sim", "tests/policy_parity.rs::graph_des_nbia_run_is_pinned"),
     ("crates/core/src/local/mod.rs", "run_load", "tests/load.rs, tests/dispatch_exactness.rs"),
-    ("crates/core/src/local/mod.rs", "run_deterministic_elastic", "tests/policy_parity.rs, tests/chaos.rs"),
     ("crates/core/src/local/mod.rs", "with_faults", "tests/chaos.rs::native_conserves_tasks_under_random_faults"),
     ("crates/core/src/local/mod.rs", "with_request_window", "tests/policy_parity.rs, tests/policies.rs"),
     ("crates/core/src/faults/mod.rs", "standard", "the recovery settings of tests/chaos.rs, membership.rs and load.rs"),
     ("crates/core/src/membership.rs", "standard", "tests/membership.rs::autoscaler_grows_a_saturated_tcp_run_within_its_bounds"),
     ("crates/core/src/graph.rs", "diamond", "tests/policy_parity.rs's diamond runs, through tests/common"),
     ("crates/core/src/engine/open_loop.rs", "next_arrival", "tests/common's run_des_load, pinned by tests/load.rs::des_replay_decisions_are_pinned"),
+    ("crates/apps/src/lib.rs", "vm", "the Virtual Microscope app: examples/virtual_microscope.rs, tests/extensions.rs"),
+    ("crates/estimator/src/lib.rs", "persist", "the paper's Fig. 3 phase-one profile store: examples/estimator_tour.rs, tests/extensions.rs"),
     ("crates/apps/src/vm.rs", "run_queries", "examples/virtual_microscope.rs, tests/extensions.rs"),
     ("crates/apps/src/vm.rs", "tile_count", "examples/virtual_microscope.rs"),
     ("crates/apps/src/bench_suite.rs", "execute_cpu", "examples/estimator_tour.rs"),
@@ -669,7 +682,7 @@ fn identifiers<'a: 'r, 'r>(
     })
 }
 
-/// Every bare-`pub` fn, struct, enum, trait, type and const in
+/// Every bare-`pub` fn, struct, enum, trait, type, const and mod in
 /// `crates/*/src`, outside `#[cfg(test)]` items.
 fn public_items() -> Vec<Item> {
     let mut items = Vec::new();
@@ -696,7 +709,7 @@ fn public_items() -> Vec<Item> {
             else {
                 continue;
             };
-            if !["fn", "struct", "enum", "trait", "type", "const"].contains(&keyword)
+            if !["fn", "struct", "enum", "trait", "type", "const", "mod"].contains(&keyword)
                 || code[..name_at].ends_with('$')
             {
                 continue;
